@@ -133,3 +133,60 @@ func BenchmarkNetxportZeroAlloc(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(perMessage, "allocs/msg")
 }
+
+// maxChurnBytesPerInstance is the allocation ceiling for one instance's whole
+// life on a warm endpoint: claim, a log slot's worth of traffic, Close. What
+// is left is the conn, its two wake-up channels and the two copy-on-write
+// demux-table copies (under 1 KiB together); the inbox ring itself comes
+// from the endpoint's free list. A fresh ring per claim is 3.5 KiB at the
+// minimum size, and the 1,024-deep channel this replaced was 72.5 KiB.
+const maxChurnBytesPerInstance = 4 << 10
+
+// slotMessages is about what one replica receives during one n=7 Figure-2
+// log slot.
+const slotMessages = 112
+
+// BenchmarkNetxportInstanceChurn FAILS, not just reports, when opening and
+// closing an instance in steady state allocates more than the ceiling. The
+// traffic is self-addressed, so it takes route's local path into the inbox
+// and no socket buffers blur the count.
+func BenchmarkNetxportInstanceChurn(b *testing.B) {
+	ep := mesh(b, 1)[0]
+	m := msg.Val(0, 1, msg.V1)
+	churn := func(rounds int) {
+		for i := 0; i < rounds; i++ {
+			c, err := ep.Instance(uint32(i + 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for k := 0; k < slotMessages; k++ {
+				if err := c.Send(0, m); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for k := 0; k < slotMessages; k++ {
+				if _, err := c.Recv(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			c.Close()
+		}
+	}
+	churn(16) // warm: the first claim allocates (and grows) the ring that recycles
+
+	const rounds = 500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	churn(rounds)
+	runtime.ReadMemStats(&after)
+	perInstance := float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	if perInstance > maxChurnBytesPerInstance {
+		b.Fatalf("%.0f B allocated per instance, ceiling %d", perInstance, maxChurnBytesPerInstance)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	churn(b.N)
+	b.StopTimer()
+	b.ReportMetric(perInstance, "B/instance")
+}

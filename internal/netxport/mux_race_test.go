@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"resilient/internal/metrics"
 	"resilient/internal/msg"
 	"resilient/internal/transport"
 )
@@ -141,4 +142,98 @@ func TestInstanceCloseReleasesID(t *testing.T) {
 	}
 	second.Close()
 	src.Close()
+}
+
+// TestRecycledInboxNoCrossTalk pins the one hazard ring recycling adds: a
+// frame that route looked up for instance X just before X closed must be
+// dropped, never written into X's old array after that array has become
+// instance Y's inbox. Receiver workers churn claim -> receive -> Close over a
+// window of ids (each Close hands its ring to the next claim, usually
+// another id's) while two remote senders and the receiver itself keep
+// writing to every id in the window -- so to ids just closed and ids just
+// re-claimed. Every message carries its instance id in Phase; a receiver
+// must only ever see its own.
+func TestRecycledInboxNoCrossTalk(t *testing.T) {
+	eps := mesh(t, 3)
+	receiver := eps[2]
+	reg := metrics.NewRegistry()
+	receiver.SetMetrics(reg)
+
+	const (
+		ids     = 6  // the window of instance ids
+		workers = 3  // receiver-side churners, two ids each
+		rounds  = 60 // claim/receive/close rounds per worker
+		perConn = 5  // messages checked per claim
+	)
+
+	var stop atomic.Bool
+	var senders sync.WaitGroup
+	for id := 1; id <= ids; id++ {
+		m := msg.Val(0, msg.Phase(id), msg.V1)
+		sendLoop := func(send func() error) {
+			defer senders.Done()
+			for !stop.Load() && send() == nil {
+			}
+		}
+		for _, ep := range eps[:2] {
+			conn, err := ep.Instance(uint32(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			senders.Add(1)
+			go sendLoop(func() error { return conn.Send(receiver.id, m) })
+		}
+		// The receiver's own conns for these ids belong to the churners, so
+		// its self-sends (route without a socket) use the tagged send path.
+		inst := uint32(id)
+		senders.Add(1)
+		go sendLoop(func() error { return receiver.send(receiver.id, inst, m) })
+	}
+
+	var churn sync.WaitGroup
+	var seen atomic.Int64
+	for w := 0; w < workers; w++ {
+		churn.Add(1)
+		go func(w int) {
+			defer churn.Done()
+			for r := 0; r < rounds; r++ {
+				id := 1 + (2*w+r%2)%ids
+				conn, err := receiver.Instance(uint32(id))
+				if err != nil {
+					t.Errorf("claim %d: %v", id, err)
+					return
+				}
+				for k := 0; k < perConn; k++ {
+					m, err := conn.Recv()
+					if err != nil {
+						t.Errorf("instance %d recv: %v", id, err)
+						break
+					}
+					if int(m.Phase) != id {
+						t.Errorf("instance %d received a frame sent to instance %d", id, m.Phase)
+					}
+					seen.Add(1)
+				}
+				conn.Close()
+			}
+		}(w)
+	}
+	churn.Wait()
+	stop.Store(true)
+	senders.Wait()
+
+	if want := int64(workers * rounds * perConn); seen.Load() != want {
+		t.Errorf("checked %d messages, want %d", seen.Load(), want)
+	}
+	// The senders never paused, so frames did arrive for closed ids; they
+	// must have been dropped and counted, not delivered elsewhere.
+	if drops := reg.Snapshot().Counters["net.mux_drops"]; drops == 0 {
+		t.Error("no frame was ever dropped: the test never raced a Close")
+	}
+	receiver.mu.Lock()
+	free := len(receiver.free)
+	receiver.mu.Unlock()
+	if free == 0 || free > maxFreeRings {
+		t.Errorf("free list holds %d rings after churn, want 1..%d", free, maxFreeRings)
+	}
 }

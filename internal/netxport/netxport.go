@@ -18,7 +18,10 @@
 // transport.Conn view whose sends are tagged with i and whose receives see
 // only instance-i traffic, so a replicated log running hundreds of Figure-2
 // instances pays n^2 sockets once, not per instance. The endpoint itself is
-// instance 0.
+// instance 0. Each instance buffers undelivered messages in a small bounded
+// ring (inbox.go) whose backing array is handed to the next instance claimed
+// after it closes, so a log opening one instance per slot stops allocating
+// inboxes once its pipeline is full.
 //
 // Each endpoint listens on its own address. Outbound connections are
 // established lazily on first send, one per peer: a slow, unreachable, or
@@ -153,8 +156,9 @@ type Endpoint struct {
 	dialed   []net.Conn           // every outbound conn, closed on shutdown
 	closed   bool                 // guards link/instance creation after Close
 
-	inbox chan inboundMsg
+	inbox inbox // the endpoint's own stream, instance 0
 	insts atomic.Pointer[map[uint32]*instConn]
+	free  [][]msg.Message // zeroed rings of closed instances, under mu
 	done  chan struct{}
 
 	// dialCtx is canceled by Close after the flush phase so a straggling
@@ -184,11 +188,6 @@ type Endpoint struct {
 	closeOnce sync.Once
 }
 
-type inboundMsg struct {
-	m   msg.Message
-	err error
-}
-
 var _ transport.Conn = (*Endpoint)(nil)
 
 // Listen creates the endpoint for process id, listening on addrs[id]. The
@@ -206,9 +205,9 @@ func Listen(id msg.ID, addrs []string) (*Endpoint, error) {
 		addrs: append([]string(nil), addrs...),
 		ln:    ln,
 		links: make(map[msg.ID]*peerLink),
-		inbox: make(chan inboundMsg, 1024),
 		done:  make(chan struct{}),
 	}
+	e.inbox.init(make([]msg.Message, inboxMinLen))
 	e.dialCtx, e.dialCancel = context.WithCancel(context.Background())
 	e.addrs[id] = ln.Addr().String()
 	e.met.Store(newNetMetrics(nil))
@@ -302,7 +301,7 @@ func (e *Endpoint) send(to msg.ID, inst uint32, m msg.Message) error {
 	met := e.met.Load()
 	if to == e.id {
 		// Local delivery without a socket round-trip.
-		if !e.route(inst, inboundMsg{m: m}) {
+		if !e.route(inst, m) {
 			return transport.ErrClosed
 		}
 		met.localFrames.Inc()
@@ -605,15 +604,7 @@ func (e *Endpoint) dial(to msg.ID, fails int) (net.Conn, error) {
 
 // Recv implements transport.Conn on the endpoint's own stream (instance 0).
 func (e *Endpoint) Recv() (msg.Message, error) {
-	select {
-	case in, ok := <-e.inbox:
-		if !ok {
-			return msg.Message{}, transport.ErrClosed
-		}
-		return in.m, in.err
-	case <-e.done:
-		return msg.Message{}, transport.ErrClosed
-	}
+	return e.inbox.get(e.done)
 }
 
 // Close implements transport.Conn: it stops link and instance creation,
@@ -714,34 +705,30 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 			continue // malformed frame from a (possibly malicious) peer
 		}
 		m.From = from // authenticated identity, not the claimed one
-		if !e.route(inst, inboundMsg{m: m}) {
+		if !e.route(inst, m) {
 			return
 		}
 	}
 }
 
-// route delivers one inbound message to its instance's inbox. Unknown or
-// detached instances drop the message (counted); a false return means the
-// endpoint is closing and the caller should stop reading.
-func (e *Endpoint) route(inst uint32, in inboundMsg) bool {
-	if inst == 0 {
-		select {
-		case e.inbox <- in:
+// route delivers one inbound message to its instance's inbox, blocking
+// while that inbox is at its bound (back-pressure onto the peer's socket).
+// Unknown or closed instances drop the message (counted); a false return
+// means the endpoint is closing and the caller should stop reading.
+func (e *Endpoint) route(inst uint32, m msg.Message) bool {
+	q := &e.inbox
+	if inst != 0 {
+		c := (*e.insts.Load())[inst]
+		if c == nil {
+			e.met.Load().muxDrops.Inc()
 			return true
-		case <-e.done:
-			return false
 		}
+		q = &c.inbox
 	}
-	c := (*e.insts.Load())[inst]
-	if c == nil {
+	switch q.put(m, e.done) {
+	case putClosed:
 		e.met.Load().muxDrops.Inc()
-		return true
-	}
-	select {
-	case c.inbox <- in:
-	case <-c.done:
-		e.met.Load().muxDrops.Inc()
-	case <-e.done:
+	case putShutdown:
 		return false
 	}
 	return true
@@ -759,7 +746,8 @@ func (e *Endpoint) route(inst uint32, in inboundMsg) bool {
 // Create the instance on BOTH ends before traffic flows: frames for an
 // unregistered instance are dropped (counted as net.mux_drops), matching
 // the paper's model of a message system that only buffers for known
-// processes.
+// processes. A claimed instance buffers up to inboxBound unread messages;
+// past that the read loop delivering to it blocks until Recv catches up.
 func (e *Endpoint) Instance(inst uint32) (transport.Conn, error) {
 	if inst == 0 {
 		return nil, fmt.Errorf("netxport: instance 0 is the endpoint's own stream")
@@ -773,12 +761,15 @@ func (e *Endpoint) Instance(inst uint32) (transport.Conn, error) {
 	if _, dup := cur[inst]; dup {
 		return nil, fmt.Errorf("netxport: instance %d already claimed", inst)
 	}
-	c := &instConn{
-		e:     e,
-		inst:  inst,
-		inbox: make(chan inboundMsg, 1024),
-		done:  make(chan struct{}),
+	var ring []msg.Message
+	if last := len(e.free) - 1; last >= 0 {
+		ring, e.free[last] = e.free[last], nil
+		e.free = e.free[:last]
+	} else {
+		ring = make([]msg.Message, inboxMinLen)
 	}
+	c := &instConn{e: e, inst: inst}
+	c.inbox.init(ring)
 	next := make(map[uint32]*instConn, len(cur)+1)
 	for k, v := range cur {
 		next[k] = v
@@ -789,21 +780,25 @@ func (e *Endpoint) Instance(inst uint32) (transport.Conn, error) {
 }
 
 // release removes a closed instance conn from the demux table so its id can
-// be claimed again and the table does not grow with instance churn. The
-// copy-on-write swap happens under e.mu -- the same lock Instance claims
-// under -- so a release never loses a concurrent claim; the read side
-// (route) keeps its lock-free atomic load. A conn that lost its id to a
-// newer claimant (already-released id, re-claimed) leaves the table alone.
-func (e *Endpoint) release(inst uint32, c *instConn) {
+// be claimed again and the table does not grow with instance churn, and
+// keeps the conn's detached ring for the next claim. The copy-on-write swap
+// happens under e.mu -- the same lock Instance claims under -- so a release
+// never loses a concurrent claim; the read side (route) keeps its lock-free
+// atomic load. A conn that lost its id to a newer claimant
+// (already-released id, re-claimed) leaves the table alone.
+func (e *Endpoint) release(c *instConn, ring []msg.Message) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if len(e.free) < maxFreeRings {
+		e.free = append(e.free, ring)
+	}
 	cur := *e.insts.Load()
-	if cur[inst] != c {
+	if cur[c.inst] != c {
 		return
 	}
 	next := make(map[uint32]*instConn, len(cur))
 	for k, v := range cur {
-		if k != inst {
+		if k != c.inst {
 			next[k] = v
 		}
 	}
@@ -812,11 +807,9 @@ func (e *Endpoint) release(inst uint32, c *instConn) {
 
 // instConn is one multiplexed instance's view of an Endpoint.
 type instConn struct {
-	e         *Endpoint
-	inst      uint32
-	inbox     chan inboundMsg
-	done      chan struct{}
-	closeOnce sync.Once
+	e     *Endpoint
+	inst  uint32
+	inbox inbox
 }
 
 var _ transport.Conn = (*instConn)(nil)
@@ -826,33 +819,24 @@ func (c *instConn) ID() msg.ID { return c.e.id }
 
 // Send implements transport.Conn, tagging the frame with the instance id.
 func (c *instConn) Send(to msg.ID, m msg.Message) error {
-	select {
-	case <-c.done:
+	if c.inbox.closed.Load() {
 		return transport.ErrClosed
-	default:
 	}
 	return c.e.send(to, c.inst, m)
 }
 
 // Recv implements transport.Conn over the instance's demuxed inbox.
 func (c *instConn) Recv() (msg.Message, error) {
-	select {
-	case in := <-c.inbox:
-		return in.m, in.err
-	case <-c.done:
-		return msg.Message{}, transport.ErrClosed
-	case <-c.e.done:
-		return msg.Message{}, transport.ErrClosed
-	}
+	return c.inbox.get(c.e.done)
 }
 
-// Close detaches the instance: its Recv unblocks with ErrClosed, subsequent
-// frames for it are dropped, and its id is released for a fresh Instance
-// claim. The endpoint and its sockets stay up for the remaining instances.
+// Close detaches the instance: its Recv unblocks with ErrClosed, buffered
+// and subsequent frames for it are dropped, and its id is released for a
+// fresh Instance claim. The endpoint and its sockets stay up for the
+// remaining instances.
 func (c *instConn) Close() error {
-	c.closeOnce.Do(func() {
-		close(c.done)
-		c.e.release(c.inst, c)
-	})
+	if ring := c.inbox.close(); ring != nil {
+		c.e.release(c, ring)
+	}
 	return nil
 }

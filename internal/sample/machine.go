@@ -7,6 +7,7 @@ import (
 	"resilient/internal/dense"
 	"resilient/internal/echo"
 	"resilient/internal/msg"
+	"resilient/internal/trace"
 )
 
 // Machine is one process of a single sample-based reliable broadcast: the
@@ -25,21 +26,25 @@ import (
 // message — From is transport-stamped but Subject is not — which is exactly
 // the attack the echo stage's ε-consistency threshold defends against.
 type Machine struct {
-	cfg    core.Config
-	dir    *Directory
-	origin msg.ID
+	cfg core.Config
+	dir *Directory
 
 	tracker     *Tracker
 	readySample []int32
 	readySeen   dense.Bitset
 	readyCounts [2]int32
 
+	// origin shares a word with the flags: with the sink the struct is 144
+	// bytes, the allocation size class it had without one, and a
+	// 10,000-process run makes 10,000 of these.
+	origin    msg.ID
 	value     msg.Value
 	relayed   bool // gossiped + echoed (first copy already handled)
 	readied   bool // own ready sent
 	delivered bool
 
-	out []core.Outbound
+	sink trace.Sink // nil unless tracing is on
+	out  []core.Outbound
 }
 
 var _ core.Machine = (*Machine)(nil)
@@ -47,8 +52,8 @@ var _ core.ValueReporter = (*Machine)(nil)
 
 // NewMachine builds the sampled-broadcast machine for cfg.Self, delivering
 // origin's broadcast of its Input value. All machines of one run must share
-// dir.
-func NewMachine(cfg core.Config, dir *Directory, origin msg.ID) (*Machine, error) {
+// dir. sink may be nil to disable tracing.
+func NewMachine(cfg core.Config, dir *Directory, origin msg.ID, sink trace.Sink) (*Machine, error) {
 	p := dir.Plan()
 	if cfg.N != p.N || cfg.K != p.K {
 		return nil, fmt.Errorf("sample: config (n=%d, k=%d) does not match plan %v", cfg.N, cfg.K, p)
@@ -62,6 +67,7 @@ func NewMachine(cfg core.Config, dir *Directory, origin msg.ID) (*Machine, error
 		origin:      origin,
 		tracker:     NewTracker(dir, cfg.Self),
 		readySample: dir.ReadySample(cfg.Self),
+		sink:        enabledSink(sink),
 	}
 	m.readySeen.Reset(len(m.readySample))
 	return m, nil
@@ -155,6 +161,24 @@ func (m *Machine) onReady(in msg.Message) {
 	if !m.delivered && c >= p.ReadyDeliver {
 		m.delivered = true
 		m.value = in.Value
+		recordDelivery(m.sink, m.cfg.Self, m.value)
+	}
+}
+
+// enabledSink keeps a sink only if it observes events, so the untraced
+// delivery path is one nil check.
+func enabledSink(sink trace.Sink) trace.Sink {
+	if trace.On(sink) {
+		return sink
+	}
+	return nil
+}
+
+// recordDelivery traces a delivery as the process's decision (the broadcast
+// is all phase 0), which is what check.Run matches Result.Decisions against.
+func recordDelivery(sink trace.Sink, self msg.ID, v msg.Value) {
+	if sink != nil {
+		sink.Record(trace.Event{Kind: trace.EventDecide, Process: self, Value: v})
 	}
 }
 
@@ -166,23 +190,30 @@ func (m *Machine) onReady(in msg.Message) {
 // benchmarked against.
 type EchoMachine struct {
 	cfg       core.Config
-	origin    msg.ID
 	tracker   *echo.Tracker
+	origin    msg.ID // packed with the flags, as in Machine
 	value     msg.Value
 	echoed    bool
 	delivered bool
+	sink      trace.Sink // nil unless tracing is on
 	out       []core.Outbound
 }
 
 var _ core.Machine = (*EchoMachine)(nil)
 var _ core.ValueReporter = (*EchoMachine)(nil)
 
-// NewEchoMachine builds the full-quorum broadcast machine for cfg.Self.
-func NewEchoMachine(cfg core.Config, origin msg.ID) (*EchoMachine, error) {
+// NewEchoMachine builds the full-quorum broadcast machine for cfg.Self. sink
+// may be nil to disable tracing.
+func NewEchoMachine(cfg core.Config, origin msg.ID, sink trace.Sink) (*EchoMachine, error) {
 	if origin < 0 || int(origin) >= cfg.N {
 		return nil, fmt.Errorf("sample: origin %d outside 0..%d", origin, cfg.N-1)
 	}
-	return &EchoMachine{cfg: cfg, origin: origin, tracker: echo.NewTracker(cfg.N, cfg.K)}, nil
+	return &EchoMachine{
+		cfg:     cfg,
+		origin:  origin,
+		tracker: echo.NewTracker(cfg.N, cfg.K),
+		sink:    enabledSink(sink),
+	}, nil
 }
 
 // ID implements core.Machine.
@@ -227,6 +258,7 @@ func (m *EchoMachine) OnMessage(in msg.Message) []core.Outbound {
 		if accept, ok := m.tracker.Observe(in.From, in.Subject, 0, in.Value); ok && !m.delivered {
 			m.delivered = true
 			m.value = accept.Value
+			recordDelivery(m.sink, m.cfg.Self, m.value)
 		}
 	case msg.KindState, msg.KindValue, msg.KindBenOrReport,
 		msg.KindBenOrProposal, msg.KindGraph, msg.KindGossip, msg.KindReady:

@@ -57,7 +57,7 @@ func buildSampled(t *testing.T, p Plan, seed uint64, input msg.Value) []core.Mac
 	dir := NewDirectory(p, seed)
 	machines := make([]core.Machine, p.N)
 	for i := range machines {
-		m, err := NewMachine(core.Config{N: p.N, K: p.K, Self: msg.ID(i), Input: input}, dir, 0)
+		m, err := NewMachine(core.Config{N: p.N, K: p.K, Self: msg.ID(i), Input: input}, dir, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func buildEcho(t *testing.T, n, k int, input msg.Value) []core.Machine {
 	t.Helper()
 	machines := make([]core.Machine, n)
 	for i := range machines {
-		m, err := NewEchoMachine(core.Config{N: n, K: k, Self: msg.ID(i), Input: input}, 0)
+		m, err := NewEchoMachine(core.Config{N: n, K: k, Self: msg.ID(i), Input: input}, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,13 +180,13 @@ func TestMessageReductionAtN1000(t *testing.T) {
 func TestMachineValidation(t *testing.T) {
 	p := mustPlan(t, 50, 5, 1e-2)
 	dir := NewDirectory(p, 0)
-	if _, err := NewMachine(core.Config{N: 49, K: 5, Self: 0}, dir, 0); err == nil {
+	if _, err := NewMachine(core.Config{N: 49, K: 5, Self: 0}, dir, 0, nil); err == nil {
 		t.Error("mismatched n accepted")
 	}
-	if _, err := NewMachine(core.Config{N: 50, K: 5, Self: 0}, dir, 99); err == nil {
+	if _, err := NewMachine(core.Config{N: 50, K: 5, Self: 0}, dir, 99, nil); err == nil {
 		t.Error("out-of-range origin accepted")
 	}
-	if _, err := NewEchoMachine(core.Config{N: 50, K: 5, Self: 0}, -2); err == nil {
+	if _, err := NewEchoMachine(core.Config{N: 50, K: 5, Self: 0}, -2, nil); err == nil {
 		t.Error("negative origin accepted")
 	}
 }

@@ -24,9 +24,9 @@ func init() {
 				if !ok {
 					return nil, fmt.Errorf("sample: unexpected directory type %T", deps.Directory)
 				}
-				return NewMachine(cfg, dir, 0)
+				return NewMachine(cfg, dir, 0, deps.Sink)
 			}
-			return NewEchoMachine(cfg, 0)
+			return NewEchoMachine(cfg, 0, deps.Sink)
 		},
 	})
 }

@@ -65,6 +65,9 @@ func (mb *mailbox) pop() (msg.Message, error) {
 		return msg.Message{}, ErrClosed
 	}
 	m := mb.queue[0]
+	// Zero the vacated slot: the backing array outlives the re-slice and
+	// would otherwise keep every delivered Payload reachable.
+	mb.queue[0] = msg.Message{}
 	mb.queue = mb.queue[1:]
 	return m, nil
 }

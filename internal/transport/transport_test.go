@@ -173,3 +173,25 @@ func TestMemConcurrentSenders(t *testing.T) {
 		t.Errorf("received %d of %d", got, 4*per)
 	}
 }
+
+// TestMailboxPopZeroesVacatedSlot pins that pop clears the slot it vacates:
+// re-slicing alone would leave the delivered message -- and its Payload --
+// reachable through the queue's backing array.
+func TestMailboxPopZeroesVacatedSlot(t *testing.T) {
+	mb := newMailbox()
+	for i := 0; i < 3; i++ {
+		if err := mb.push(msg.Graph(0, msg.Phase(i), []byte{byte(i)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	backing := mb.queue // aliases the array pop re-slices
+	for i := range backing {
+		m, err := mb.pop()
+		if err != nil || m.Phase != msg.Phase(i) || len(m.Payload) != 1 {
+			t.Fatalf("pop %d = %+v, %v", i, m, err)
+		}
+		if got := backing[i]; got.Kind != 0 || got.Payload != nil || got.Phase != 0 {
+			t.Fatalf("slot %d still holds %+v after pop", i, got)
+		}
+	}
+}
