@@ -88,12 +88,12 @@ func RunMulti(instances []Config, window int) ([]MultiResult, error) {
 		// schedule a pure function of the configs.
 		best, bestAt := -1, 0.0
 		for i, a := range active {
-			e, ok := a.r.queue.peek()
+			nextAt, ok := a.r.queue.peekAt()
 			if !ok {
 				best = i
 				break
 			}
-			if at := a.offset + e.at; best == -1 || at < bestAt {
+			if at := a.offset + nextAt; best == -1 || at < bestAt {
 				best, bestAt = i, at
 			}
 		}

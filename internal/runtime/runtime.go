@@ -191,7 +191,8 @@ type Result struct {
 	// sent but were never scheduled for delivery. Always zero under pure
 	// scheduler policies.
 	MessagesDropped int
-	// Events counts processed delivery events, including drops.
+	// Events counts processed delivery events, including those that reached
+	// a crashed or halted process (the messages_undelivered counter).
 	Events int
 	// SimTime is the simulation clock at the end of the run.
 	SimTime float64
@@ -226,6 +227,7 @@ type runMetrics struct {
 	sent          *metrics.Counter
 	delivered     *metrics.Counter
 	dropped       *metrics.Counter
+	undelivered   *metrics.Counter
 	events        *metrics.Counter
 	decisions     *metrics.Counter
 	crashes       *metrics.Counter
@@ -247,6 +249,7 @@ func newRunMetrics(reg *metrics.Registry) runMetrics {
 		sent:          m.Counter("messages_sent"),
 		delivered:     m.Counter("messages_delivered"),
 		dropped:       m.Counter("messages_dropped"),
+		undelivered:   m.Counter("messages_undelivered"),
 		events:        m.Counter("events"),
 		decisions:     m.Counter("decisions"),
 		crashes:       m.Counter("crashes"),
@@ -457,6 +460,9 @@ func (r *runner) markCrashed(id msg.ID) {
 
 // dispatch expands and enqueues the sends produced by one machine step,
 // applying the sender's crash plan to each individual point-to-point send.
+// Each outbound message is stored in the queue once, however many recipients
+// it fans out to; the release after the sends frees a slot that a crash or
+// link drops left without a queued delivery.
 func (r *runner) dispatch(from msg.ID, outs []core.Outbound) {
 	harness := r.harness[from]
 	phase := r.machines[from].Phase()
@@ -472,7 +478,9 @@ func (r *runner) dispatch(from msg.ID, outs []core.Outbound) {
 				r.markCrashed(from)
 				return
 			}
-			r.enqueue(from, o.To, o.Msg)
+			ref := r.queue.hold(o.Msg)
+			r.enqueue(from, o.To, o.Msg, ref)
+			r.queue.release(ref)
 			continue
 		}
 		// Broadcast in random recipient order, so that a mid-broadcast
@@ -489,17 +497,24 @@ func (r *runner) dispatch(from msg.ID, outs []core.Outbound) {
 			j := int(r.rng.Uint64N(uint64(i + 1)))
 			perm[i], perm[j] = perm[j], perm[i]
 		}
+		ref := r.queue.hold(o.Msg)
+		alive := true
 		for _, q := range perm {
-			if !harness.AllowSendAt(phase) {
-				r.markCrashed(from)
-				return
+			if alive = harness.AllowSendAt(phase); !alive {
+				break
 			}
-			r.enqueue(from, msg.ID(q), o.Msg)
+			r.enqueue(from, msg.ID(q), o.Msg, ref)
+		}
+		r.queue.release(ref)
+		if !alive {
+			r.markCrashed(from)
+			return
 		}
 	}
 }
 
-func (r *runner) enqueue(from, to msg.ID, m msg.Message) {
+// enqueue sends m, held in the queue as ref, over the link from -> to.
+func (r *runner) enqueue(from, to msg.ID, m msg.Message, ref int32) {
 	v := r.pol.Link(from, to, m, r.now, r.rng)
 	r.result.MessagesSent++
 	r.met.sent.Inc()
@@ -513,7 +528,7 @@ func (r *runner) enqueue(from, to msg.ID, m msg.Message) {
 	}
 	d := sched.Clamp(v.Delay)
 	r.seq++
-	r.queue.push(event{at: r.now + d, seq: r.seq, to: to, m: m})
+	r.queue.pushRef(r.now+d, r.seq, to, ref)
 	if r.traceOn {
 		r.sink.Record(trace.Event{
 			Time: r.now, Kind: trace.EventSend, Process: from,
@@ -551,14 +566,14 @@ func (r *runner) stepNext(maxEvents int) bool {
 		r.result.Stalled = EventBudget
 		return false
 	}
-	next, ok := r.queue.peek()
+	nextAt, ok := r.queue.peekAt()
 	if !ok {
 		if r.mustDecide > 0 {
 			r.result.Stalled = QueueDrained
 		}
 		return false
 	}
-	if r.cfg.MaxSimTime > 0 && next.at > r.cfg.MaxSimTime {
+	if r.cfg.MaxSimTime > 0 && nextAt > r.cfg.MaxSimTime {
 		if r.mustDecide > 0 {
 			r.result.Stalled = TimeHorizon
 		}
@@ -576,7 +591,9 @@ func (r *runner) deliver(e event) {
 	id := e.to
 	m := r.machines[id]
 	if r.isDead(id) || m.Halted() {
-		r.met.dropped.Inc()
+		// Not a link loss (Result.MessagesDropped): the message arrived at
+		// a process that will never take another step.
+		r.met.undelivered.Inc()
 		return
 	}
 	r.result.MessagesDelivered++

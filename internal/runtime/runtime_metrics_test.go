@@ -9,6 +9,7 @@ import (
 	"resilient/internal/faults"
 	"resilient/internal/metrics"
 	"resilient/internal/msg"
+	"resilient/internal/policy"
 	"resilient/internal/runtime"
 )
 
@@ -83,6 +84,56 @@ func TestRunMetricsCrashesAndStalls(t *testing.T) {
 	}
 	if c["runtime.crashes"] != 3 {
 		t.Errorf("crashes = %d, want 3", c["runtime.crashes"])
+	}
+}
+
+// TestRunMetricsMessageConservation checks that every sent message is
+// accounted for exactly once: delivered to a machine, lost by the link
+// policy (the counter must agree with Result.MessagesDropped, which is
+// documented as link losses only), arrived at a dead or halted process, or
+// still queued when the run stopped.
+func TestRunMetricsMessageConservation(t *testing.T) {
+	crash := failstopConfig(7, 3, 4, nil)
+	crash.Crashes = faults.Plan{5: {Process: 5, Phase: 1, AfterSends: 3}, 6: {Process: 6}}
+	lossy := failstopConfig(7, 3, 5, nil)
+	lossy.Policy = policy.Drop{P: 0.05}
+	complete := failstopConfig(7, 3, 6, nil)
+	complete.RunToCompletion = true
+	for _, tc := range []struct {
+		name string
+		cfg  runtime.Config
+	}{{"crash", crash}, {"drop", lossy}, {"complete", complete}} {
+		name, cfg := tc.name, tc.cfg
+		cfg.Metrics = metrics.NewRegistry()
+		res, err := runtime.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		c := res.Metrics.Counters
+		sent, delivered := c["runtime.messages_sent"], c["runtime.messages_delivered"]
+		dropped, undelivered := c["runtime.messages_dropped"], c["runtime.messages_undelivered"]
+		queued := int64(res.MessagesSent - res.MessagesDropped - res.Events)
+		if dropped != int64(res.MessagesDropped) {
+			t.Errorf("%s: messages_dropped counter = %d, Result = %d", name, dropped, res.MessagesDropped)
+		}
+		if queued < 0 || sent != delivered+dropped+undelivered+queued {
+			t.Errorf("%s: sent %d != delivered %d + dropped %d + undelivered %d + queued %d",
+				name, sent, delivered, dropped, undelivered, queued)
+		}
+		switch name {
+		case "crash":
+			if undelivered == 0 {
+				t.Error("crash: no delivery reached a dead process; the case tests nothing")
+			}
+		case "drop":
+			if dropped == 0 {
+				t.Error("drop: the link lost nothing; the case tests nothing")
+			}
+		case "complete":
+			if queued != 0 {
+				t.Errorf("complete: %d messages left queued", queued)
+			}
+		}
 	}
 }
 

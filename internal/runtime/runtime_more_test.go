@@ -163,6 +163,66 @@ func TestMidBroadcastCrashDeliversPrefixOnly(t *testing.T) {
 	}
 }
 
+// TestMidBroadcastCrashLeaksNoSlot kills p0 after j of its n broadcast sends,
+// for every j: exactly j keys are queued, all referencing one slot, every
+// copy addressed to a live process is delivered, and once the queue has
+// drained every slot is back on the free list -- including the j = 0 slot
+// that was held but never referenced by a queued key.
+func TestMidBroadcastCrashLeaksNoSlot(t *testing.T) {
+	const n = 5
+	for j := 0; j <= n; j++ {
+		machines := make([]*forgingMachine, n)
+		r, err := newRunner(Config{
+			N: n, K: 2, Inputs: mixedInputs(n),
+			Spawn: func(ctx SpawnContext) (core.Machine, error) {
+				m := &forgingMachine{id: ctx.Config.Self, n: n}
+				machines[m.id] = m
+				return m, nil
+			},
+			Crashes: faults.Plan{0: {Process: 0, Phase: 0, AfterSends: j}},
+			Seed:    uint64(10 + j),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.start()
+		copies, toOthers, shared := 0, 0, int32(-1)
+		for _, k := range r.queue.keys {
+			if r.queue.slot(k.ref).m.From != 0 {
+				continue
+			}
+			copies++
+			if k.to != 0 { // p0 may be dead before its own copy arrives
+				toOthers++
+			}
+			if shared >= 0 && k.ref != shared {
+				t.Errorf("j=%d: copies of one broadcast in slots %d and %d", j, shared, k.ref)
+			}
+			shared = k.ref
+		}
+		if copies != j || (j > 0 && r.queue.slot(shared).refs != int32(j)) {
+			t.Errorf("j=%d: %d copies of p0's broadcast queued", j, copies)
+		}
+		r.loop()
+		delivered := 0
+		for _, m := range machines[1:] {
+			for _, in := range m.seen {
+				if in.From == 0 {
+					delivered++
+				}
+			}
+		}
+		if delivered != toOthers {
+			t.Errorf("j=%d: %d of %d copies to live processes delivered", j, delivered, toOthers)
+		}
+		allocated, live, free := r.queue.slotCounts()
+		if r.queue.len() != 0 || live != 0 || free != allocated {
+			t.Errorf("j=%d: drained queue holds %d keys, %d of %d slots live, %d free",
+				j, r.queue.len(), live, allocated, free)
+		}
+	}
+}
+
 func TestAuthenticationStampsSender(t *testing.T) {
 	// A machine that forges From on its messages: the runtime must
 	// overwrite it.

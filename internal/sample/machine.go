@@ -2,6 +2,7 @@ package sample
 
 import (
 	"fmt"
+	"slices"
 
 	"resilient/internal/core"
 	"resilient/internal/dense"
@@ -106,10 +107,15 @@ func (m *Machine) Start() []core.Outbound {
 // process's echo to the receivers that sampled it.
 func (m *Machine) relay(origin msg.ID, p msg.Phase, v msg.Value) {
 	m.relayed = true
-	for _, t := range m.dir.GossipTargets(m.cfg.Self) {
+	gossip, echoes := m.dir.GossipTargets(m.cfg.Self), m.dir.EchoTargets(m.cfg.Self)
+	// One allocation for the burst: every one of a run's 10⁴ machines emits
+	// it once, and growing it by append from nothing allocated several
+	// times its final size.
+	m.out = slices.Grow(m.out, len(gossip)+len(echoes))
+	for _, t := range gossip {
 		m.out = append(m.out, core.To(msg.ID(t), msg.Gossip(m.cfg.Self, origin, p, v)))
 	}
-	for _, t := range m.dir.EchoTargets(m.cfg.Self) {
+	for _, t := range echoes {
 		m.out = append(m.out, core.To(msg.ID(t), msg.Echo(m.cfg.Self, origin, p, v)))
 	}
 }
@@ -118,7 +124,9 @@ func (m *Machine) relay(origin msg.ID, p msg.Phase, v msg.Value) {
 // contains it.
 func (m *Machine) sendReady(v msg.Value) {
 	m.readied = true
-	for _, t := range m.dir.ReadyTargets(m.cfg.Self) {
+	ready := m.dir.ReadyTargets(m.cfg.Self)
+	m.out = slices.Grow(m.out, len(ready))
+	for _, t := range ready {
 		m.out = append(m.out, core.To(msg.ID(t), msg.Ready(m.cfg.Self, m.origin, 0, v)))
 	}
 }
