@@ -26,7 +26,7 @@
 // -nocoalesce tune the transport's write-coalescing for both modes.
 //
 // -log runs the replicated-log layer instead of a single decision: a
-// workload of -ops operations is batched (-batch, -linger), committed
+// workload of -ops operations is batched (-batch), committed
 // through pipelined per-slot Figure-2 instances (-pipeline) multiplexed
 // over one shared transport, and reported as ops/sec with commit-latency
 // percentiles. -rate paces an open-loop arrival schedule (0 = unpaced),
@@ -94,7 +94,6 @@ func run(args []string) error {
 		messages    = fs.Int("messages", 200000, "total message budget in -saturate mode")
 		payloadFlag = fs.Int("payload", 0, "payload bytes per message in -saturate mode")
 		lingerFlag  = fs.Duration("linger", 0, "TCP write-coalescing window (0 = transport default, engine tcp only)")
-		bLingerFlag = fs.Duration("batchlinger", 0, "open-loop batcher linger in -log mode (0 = default)")
 		noCoalesce  = fs.Bool("nocoalesce", false, "disable TCP write coalescing: one write syscall per frame (engine tcp only)")
 		logMode     = fs.Bool("log", false, "run the replicated-log layer: batched, pipelined consensus slots over one shared transport")
 		rateFlag    = fs.Float64("rate", 0, "open-loop arrival rate in ops/sec in -log mode (0 = unpaced)")
@@ -207,7 +206,6 @@ func run(args []string) error {
 				Seed:     *seed,
 				Batch:    *batchFlag,
 				Pipeline: *pipeFlag,
-				Linger:   *bLingerFlag,
 				Crashes:  lc,
 				TCP:      tcp,
 				Unit:     *unitFlag,

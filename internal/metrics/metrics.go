@@ -188,6 +188,19 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
+// SetMax raises the gauge to v if v is larger: a high-water mark.
+func (g *Gauge) SetMax(v float64) {
+	if g == nil {
+		return
+	}
+	for {
+		old := g.bits.Load()
+		if v <= math.Float64frombits(old) || g.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -26,6 +26,12 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := g.Value(); got != 4 {
 		t.Fatalf("gauge = %v, want 4", got)
 	}
+	g.SetMax(3)
+	g.SetMax(7)
+	g.SetMax(6)
+	if got := g.Value(); got != 7 {
+		t.Fatalf("gauge after SetMax 3, 7, 6 = %v, want 7", got)
+	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -106,6 +112,7 @@ func TestNilRegistryIsFree(t *testing.T) {
 	c.Add(10)
 	g.Set(1)
 	g.Add(1)
+	g.SetMax(1)
 	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil instruments must read zero")

@@ -160,9 +160,7 @@ func TestEvictionMidFlushRedials(t *testing.T) {
 	// Sever the socket out from under the link. The next flush's write
 	// fails locally (nothing reaches the peer), forcing the evict-redial-
 	// retry path for the whole batch.
-	eps[0].mu.Lock()
-	l := eps[0].links[1]
-	eps[0].mu.Unlock()
+	l := &eps[0].links[1]
 	l.mu.Lock()
 	conn := l.conn
 	l.mu.Unlock()

@@ -149,12 +149,14 @@ type Endpoint struct {
 	id    msg.ID
 	addrs []string // addrs[i] is process i's listen address
 	ln    net.Listener
+	// links[i] is the outbound state for peer i: built once by Listen and
+	// never resized, so the send path indexes it without the endpoint lock.
+	links []peerLink
 
 	mu       sync.Mutex
-	links    map[msg.ID]*peerLink // per-peer outbound state
-	accepted []net.Conn           // inbound connections, closed on shutdown
-	dialed   []net.Conn           // every outbound conn, closed on shutdown
-	closed   bool                 // guards link/instance creation after Close
+	accepted []net.Conn // inbound connections, closed on shutdown
+	dialed   []net.Conn // every outbound conn, closed on shutdown
+	closed   bool       // guards instance creation after Close
 
 	inbox inbox // the endpoint's own stream, instance 0
 	insts atomic.Pointer[map[uint32]*instConn]
@@ -204,8 +206,11 @@ func Listen(id msg.ID, addrs []string) (*Endpoint, error) {
 		id:    id,
 		addrs: append([]string(nil), addrs...),
 		ln:    ln,
-		links: make(map[msg.ID]*peerLink),
+		links: make([]peerLink, len(addrs)),
 		done:  make(chan struct{}),
+	}
+	for i := range e.links {
+		e.links[i].cond = sync.NewCond(&e.links[i].mu)
 	}
 	e.inbox.init(make([]msg.Message, inboxMinLen))
 	e.dialCtx, e.dialCancel = context.WithCancel(context.Background())
@@ -307,10 +312,7 @@ func (e *Endpoint) send(to msg.ID, inst uint32, m msg.Message) error {
 		met.localFrames.Inc()
 		return nil
 	}
-	l, err := e.link(to)
-	if err != nil {
-		return err
-	}
+	l := &e.links[to]
 	if e.coalesce.Load() {
 		l.mu.Lock()
 		err := e.enqueueLocked(l, to, inst, m)
@@ -494,23 +496,6 @@ func (e *Endpoint) writerConn(l *peerLink, to msg.ID) (net.Conn, error) {
 	return conn, nil
 }
 
-// link returns (creating if needed) the outbound state for a peer. Only the
-// map access holds the endpoint lock.
-func (e *Endpoint) link(to msg.ID) (*peerLink, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil, transport.ErrClosed
-	}
-	l, ok := e.links[to]
-	if !ok {
-		l = &peerLink{}
-		l.cond = sync.NewCond(&l.mu)
-		e.links[to] = l
-	}
-	return l, nil
-}
-
 // track records an outbound connection for shutdown.
 func (e *Endpoint) track(conn net.Conn) {
 	e.mu.Lock()
@@ -607,26 +592,24 @@ func (e *Endpoint) Recv() (msg.Message, error) {
 	return e.inbox.get(e.done)
 }
 
-// Close implements transport.Conn: it stops link and instance creation,
-// lets every per-peer writer flush its remaining frames (bounded by the
-// write deadline and the dial retry budget), then closes all connections
-// and joins the reader goroutines. It never takes a link lock across a
-// syscall, so it cannot deadlock against a sender mid-dial or mid-write.
+// Close implements transport.Conn: it stops instance creation, closes every
+// link to new frames, lets every per-peer writer flush what it holds
+// (bounded by the write deadline and the dial retry budget), then closes
+// all connections and joins the reader goroutines. It never takes a link
+// lock across a syscall, so it cannot deadlock against a sender mid-dial or
+// mid-write.
 func (e *Endpoint) Close() error {
 	e.closeOnce.Do(func() {
 		close(e.done)
 		e.ln.Close()
 		e.mu.Lock()
 		e.closed = true
-		links := make([]*peerLink, 0, len(e.links))
-		for _, l := range e.links {
-			links = append(links, l)
-		}
 		e.mu.Unlock()
-		// Flush phase: mark links closed and wake their writers (and any
-		// senders blocked on backpressure). Writers drain what is pending,
-		// then exit; new enqueues are rejected with ErrClosed.
-		for _, l := range links {
+		// Flush phase: mark every link closed and wake their writers (and
+		// any senders blocked on backpressure). Writers drain what is
+		// pending, then exit; new enqueues are rejected with ErrClosed.
+		for i := range e.links {
+			l := &e.links[i]
 			l.mu.Lock()
 			l.closed = true
 			l.mu.Unlock()

@@ -23,9 +23,6 @@ const (
 	DefaultLogBatch = 16
 	// DefaultLogPipeline is the window of consensus slots in flight at once.
 	DefaultLogPipeline = 4
-	// DefaultLogLinger is how long the open-loop batcher holds a non-full
-	// batch open waiting for more operations.
-	DefaultLogLinger = 200 * time.Microsecond
 	// maxLogOp bounds a single operation's payload so any batch chunk fits
 	// in one wire frame with room for framing overhead.
 	maxLogOp = msg.MaxPayload - 16
@@ -70,9 +67,6 @@ type LogOptions struct {
 	// (0 = DefaultLogPipeline). Commits are still delivered in slot order
 	// through a reorder buffer bounded by the window.
 	Pipeline int
-	// Linger is the open-loop batcher's hold time for a non-full batch
-	// (0 = DefaultLogLinger); closed-loop RunLog ignores it.
-	Linger time.Duration
 	// Crashes schedules slot-boundary fail-stop deaths. At most K processes
 	// may crash over the whole run.
 	Crashes []LogCrash
@@ -124,6 +118,9 @@ type logMetrics struct {
 	ops        *metrics.Counter
 	commitSecs *metrics.Histogram
 	batchOps   *metrics.Histogram
+	batchWait  *metrics.Histogram // each op's arrival -> its slot's launch
+	backlog    *metrics.Gauge     // ops arrived and not yet launched
+	backlogMax *metrics.Gauge     // high-water mark of backlog
 }
 
 func newLogMetrics(reg *MetricsRegistry) logMetrics {
@@ -138,14 +135,53 @@ func newLogMetrics(reg *MetricsRegistry) logMetrics {
 		ops:        m.Counter("ops_committed"),
 		commitSecs: m.Histogram("commit_latency_seconds", metrics.TimeBuckets()),
 		batchOps:   m.Histogram("batch_ops", metrics.ExpBuckets(1, 2, 8)),
+		batchWait:  m.Histogram("batch_wait_seconds", metrics.ExpBuckets(1e-5, 2, 16)), // 10µs .. 0.33s
+		backlog:    m.Gauge("backlog_ops"),
+		backlogMax: m.Gauge("backlog_ops_max"),
 	}
 }
 
-// logBatch is one slot's worth of operations with their arrival times
-// (nil submitted = closed loop, latency measured from run start).
+// logBatch is one slot's worth of operations with their arrival stamps,
+// offsets from the run's start.
 type logBatch struct {
 	ops       [][]byte
-	submitted []time.Time
+	submitted []time.Duration
+}
+
+// batcher is the dispatcher's backlog: the operations that have arrived and
+// not yet been given a slot, in arrival order, each with its arrival stamp.
+// take cuts the next slot's batch from the front, so the backlog always
+// reads as a FIFO of full batches with one open batch behind them, and a
+// batch stays open to new arrivals for exactly as long as the pipeline
+// leaves it waiting -- no timer closes it.
+type batcher struct {
+	max int
+	ops [][]byte
+	at  []time.Duration
+}
+
+// newBatcher sizes the backlog for a run of total operations, so add never
+// regrows it.
+func newBatcher(max, total int) *batcher {
+	return &batcher{max: max, ops: make([][]byte, 0, total), at: make([]time.Duration, 0, total)}
+}
+
+// add appends one arrival.
+func (b *batcher) add(op []byte, at time.Duration) {
+	b.ops = append(b.ops, op)
+	b.at = append(b.at, at)
+}
+
+// take removes and returns the head batch -- the oldest max operations, or
+// all of them when fewer are waiting -- and nil when none is.
+func (b *batcher) take() *logBatch {
+	n := min(len(b.ops), b.max)
+	if n == 0 {
+		return nil
+	}
+	head := &logBatch{ops: b.ops[:n:n], submitted: b.at[:n:n]}
+	b.ops, b.at = b.ops[n:], b.at[n:]
+	return head
 }
 
 // slotDesc describes one consensus slot: its rotating proposer, the
@@ -167,7 +203,6 @@ type logRun struct {
 	seed     uint64
 	batch    int
 	window   int
-	linger   time.Duration
 	crashAt  map[ID]int // process -> first dead slot
 	tcp      TCPTuning
 	unit     time.Duration
@@ -185,7 +220,6 @@ func newLogRun(opts LogOptions) (*logRun, error) {
 		seed:     opts.Seed,
 		batch:    opts.Batch,
 		window:   opts.Pipeline,
-		linger:   opts.Linger,
 		tcp:      opts.TCP,
 		unit:     opts.Unit,
 		reg:      opts.Metrics,
@@ -230,9 +264,6 @@ func newLogRun(opts LogOptions) (*logRun, error) {
 	if r.window < 1 {
 		return nil, fmt.Errorf("resilient: log pipeline window %d < 1", r.window)
 	}
-	if r.linger == 0 {
-		r.linger = DefaultLogLinger
-	}
 	if len(opts.Crashes) > r.k {
 		return nil, fmt.Errorf("resilient: %d log crashes exceed k=%d", len(opts.Crashes), r.k)
 	}
@@ -269,16 +300,16 @@ func (r *logRun) desc(s int, b *logBatch) slotDesc {
 	return d
 }
 
-// plan lays batches onto slots: each batch takes the next slot whose
-// rotating proposer is alive, and every dead-proposer slot skipped on the
-// way becomes a no-op slot (the survivors still decide it, to V0). The
-// slot sequence -- hence the commit order -- is a pure function of the
-// batch sequence and the crash plan, which is what makes the committed
+// plan lays the backlog's batches onto slots: each batch takes the next
+// slot whose rotating proposer is alive, and every dead-proposer slot
+// skipped on the way becomes a no-op slot (the survivors still decide it, to
+// V0). The slot sequence -- hence the commit order -- is a pure function of
+// the batch sequence and the crash plan, which is what makes the committed
 // sequence engine-independent.
-func (r *logRun) plan(batches []*logBatch) []slotDesc {
+func (r *logRun) plan(bat *batcher) []slotDesc {
 	var descs []slotDesc
 	s := 0
-	for _, b := range batches {
+	for b := bat.take(); b != nil; b = bat.take() {
 		for !r.aliveAt(ID(s%r.n), s) {
 			descs = append(descs, r.desc(s, nil))
 			s++
@@ -330,47 +361,45 @@ func batchFrames(ops [][]byte) [][]byte {
 }
 
 // RunLog runs the replicated log to completion over a fixed operation list
-// (closed loop): the operations are batched Batch at a time, each batch is
-// committed through its own consensus slot with up to Pipeline slots in
-// flight, and the report's Committed sequence reflects in-order commit
-// delivery. The same (ops, seed, crash plan) produces a byte-identical
-// committed sequence on every engine.
+// (closed loop): every operation is submitted at once, so the operations are
+// batched Batch at a time, each batch is committed through its own consensus
+// slot with up to Pipeline slots in flight, and the report's Committed
+// sequence reflects in-order commit delivery. The same (ops, seed, crash
+// plan) produces a byte-identical committed sequence on every engine.
 func RunLog(ctx context.Context, opts LogOptions, ops [][]byte) (*LogReport, error) {
 	r, err := newLogRun(opts)
 	if err != nil {
 		return nil, err
 	}
+	return r.run(ctx, ops, 0)
+}
+
+// run commits ops through the log, arriving at rate ops/sec on a live engine
+// (0 = all at once); the simulator's clock is virtual and ignores the rate.
+func (r *logRun) run(ctx context.Context, ops [][]byte, rate float64) (*LogReport, error) {
 	for i, op := range ops {
 		if len(op) > maxLogOp {
 			return nil, fmt.Errorf("resilient: log op %d is %d bytes (max %d)", i, len(op), maxLogOp)
 		}
 	}
-	var batches []*logBatch
-	for lo := 0; lo < len(ops); lo += r.batch {
-		hi := lo + r.batch
-		if hi > len(ops) {
-			hi = len(ops)
-		}
-		batches = append(batches, &logBatch{ops: ops[lo:hi]})
-	}
 	if r.engine == EngineSim {
-		return r.runSim(batches)
+		return r.runSim(ops)
 	}
-	ch := make(chan *logBatch, len(batches))
-	for _, b := range batches {
-		ch <- b
-	}
-	close(ch)
-	return r.runLive(ctx, ch)
+	return r.runLive(ctx, ops, rate)
 }
 
 // runSim executes the planned slots on the deterministic simulator via
 // runtime.RunMulti: every slot is an independent instance config and the
 // pipeline window is the multi-run's admission window on the shared global
-// virtual clock.
-func (r *logRun) runSim(batches []*logBatch) (*LogReport, error) {
+// virtual clock. Every operation has arrived before the first slot, so the
+// batcher cuts the same batches a closed-loop live run launches.
+func (r *logRun) runSim(ops [][]byte) (*LogReport, error) {
 	start := time.Now()
-	descs := r.plan(batches)
+	bat := newBatcher(r.batch, len(ops))
+	for _, op := range ops {
+		bat.add(op, 0)
+	}
+	descs := r.plan(bat)
 	cfgs := make([]runtime.Config, len(descs))
 	for i, d := range descs {
 		seed := r.slotSeed(d.slot)
@@ -421,14 +450,14 @@ type slotRes struct {
 	err  error
 }
 
-// runLive executes batches arriving on ch over a live engine with up to
-// window slots in flight. Slot transports: EngineTCP multiplexes every slot
-// over ONE shared loopback mesh via per-slot netxport instance conns;
-// EngineMem and EngineJitter give each slot a fresh in-memory system.
-// Commits are delivered in slot order through a reorder buffer bounded by
-// the window, and each operation's latency is measured from submission to
-// that in-order delivery point.
-func (r *logRun) runLive(ctx context.Context, ch <-chan *logBatch) (*LogReport, error) {
+// runLive commits ops, arriving at rate ops/sec (0 = all at once), over a
+// live engine with up to window slots in flight. Slot transports: EngineTCP
+// multiplexes every slot over ONE shared loopback mesh via per-slot netxport
+// instance conns; EngineMem and EngineJitter give each slot a fresh
+// in-memory system. Commits are delivered in slot order through a reorder
+// buffer bounded by the window, and each operation's latency is measured
+// from submission to that in-order delivery point.
+func (r *logRun) runLive(ctx context.Context, ops [][]byte, rate float64) (*LogReport, error) {
 	start := time.Now()
 	var endpoints []*netxport.Endpoint
 	if r.engine == EngineTCP {
@@ -487,12 +516,8 @@ func (r *logRun) runLive(ctx context.Context, ch <-chan *logBatch) (*LogReport, 
 				now := time.Now()
 				r.recordSlot(rep, next.desc, next.out.Value, now)
 				if b := next.desc.batch; b != nil && next.out.Value == msg.V1 {
-					for i := range b.ops {
-						at := start
-						if b.submitted != nil {
-							at = b.submitted[i]
-						}
-						l := now.Sub(at)
+					for _, at := range b.submitted {
+						l := now.Sub(start) - at
 						lats = append(lats, l)
 						r.met.commitSecs.Observe(l.Seconds())
 					}
@@ -501,31 +526,58 @@ func (r *logRun) runLive(ctx context.Context, ch <-chan *logBatch) (*LogReport, 
 		}
 	}()
 
-	launch := func(d slotDesc) {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out, err := r.runLiveSlot(runCtx, d, endpoints)
-			resCh <- slotRes{desc: d, out: out, err: err}
-		}()
-	}
-
-	s := 0
-dispatch:
-	for b := range ch {
-		for !r.aliveAt(ID(s%r.n), s) {
-			launch(r.desc(s, nil))
-			s++
-			if runCtx.Err() != nil {
-				break dispatch
-			}
+	// Dispatcher (DESIGN §12): fold every arrival that is due into the
+	// backlog first, so admission never waits for the pipeline; only then
+	// offer the head batch, which is cut and launched the moment a window
+	// slot is free. A dead proposer's turn spends the free slot on a no-op
+	// slot and leaves the backlog waiting. With every operation due at once
+	// the batches are ops cut Batch at a time, whatever the engine's pace.
+	bat := newBatcher(r.batch, len(ops))
+	gap := arrivalGaps(r.seed, rate)
+	next, due, s := 0, gap(), 0 // ops[next] arrives at start+due; s is the next slot
+	timer := time.NewTimer(due)
+	defer timer.Stop()
+	for runCtx.Err() == nil {
+		now := time.Since(start)
+		for ; next < len(ops) && due <= now; next++ {
+			bat.add(ops[next], now)
+			due += gap()
 		}
-		launch(r.desc(s, b))
-		s++
-		if runCtx.Err() != nil {
+		backlog := float64(len(bat.ops))
+		r.met.backlog.Set(backlog)
+		r.met.backlogMax.SetMax(backlog)
+		var offer chan<- struct{}
+		if backlog > 0 {
+			offer = sem
+		}
+		var arrival <-chan time.Time
+		if next < len(ops) {
+			timer.Reset(due - now) // a stale tick costs one empty turn of this loop
+			arrival = timer.C
+		} else if offer == nil {
 			break
+		}
+		select {
+		case offer <- struct{}{}:
+			var b *logBatch
+			if r.aliveAt(ID(s%r.n), s) {
+				b = bat.take()
+				launched := time.Since(start)
+				for _, at := range b.submitted {
+					r.met.batchWait.Observe((launched - at).Seconds())
+				}
+			}
+			d := r.desc(s, b)
+			s++
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { <-sem }()
+				out, err := r.runLiveSlot(runCtx, d, endpoints)
+				resCh <- slotRes{desc: d, out: out, err: err}
+			}()
+		case <-arrival:
+		case <-runCtx.Done():
 		}
 	}
 	wg.Wait()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"testing"
 	"time"
 
@@ -216,6 +217,167 @@ func TestRunLogWorkloadOpenLoop(t *testing.T) {
 	}
 	if rep.Batches < 200/8 {
 		t.Fatalf("only %d batches for 200 ops at batch 8", rep.Batches)
+	}
+}
+
+// TestBatcher pins the dispatcher's batching seam without a clock: batches
+// are cut from the front of the backlog, Batch at a time, in arrival order,
+// and whatever arrives while a partial batch waits joins it.
+func TestBatcher(t *testing.T) {
+	ops := testLogOps(40, 16)
+	stamp := func(i int) time.Duration { return time.Duration(i) * time.Microsecond }
+	// want checks that b holds exactly ops[lo:hi] with their stamps.
+	want := func(b *logBatch, lo, hi int) {
+		t.Helper()
+		if b == nil {
+			t.Fatalf("no batch, want ops %d..%d", lo, hi)
+		}
+		if len(b.ops) != hi-lo || len(b.submitted) != hi-lo {
+			t.Fatalf("batch of %d ops / %d stamps, want %d", len(b.ops), len(b.submitted), hi-lo)
+		}
+		for i := range b.ops {
+			if !bytes.Equal(b.ops[i], ops[lo+i]) || b.submitted[i] != stamp(lo+i) {
+				t.Fatalf("batch[%d] is not op %d with its stamp", i, lo+i)
+			}
+		}
+	}
+	fill := func(b *batcher, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			b.add(ops[i], stamp(i))
+		}
+	}
+
+	b := newBatcher(16, len(ops))
+	if got := b.take(); got != nil {
+		t.Fatalf("empty batcher yielded %d ops", len(got.ops))
+	}
+	fill(b, 0, 3)
+	want(b.take(), 0, 3)
+	if got := b.take(); got != nil {
+		t.Fatalf("drained batcher yielded %d ops", len(got.ops))
+	}
+
+	b = newBatcher(16, len(ops))
+	fill(b, 0, 40)
+	want(b.take(), 0, 16)
+	want(b.take(), 16, 32)
+	want(b.take(), 32, 40)
+	if got := b.take(); got != nil {
+		t.Fatalf("drained batcher yielded %d ops", len(got.ops))
+	}
+
+	// The open batch stays open: 4 ops left waiting behind a full batch take
+	// the 3 that arrive before the pipeline asks again.
+	b = newBatcher(16, len(ops))
+	fill(b, 0, 20)
+	want(b.take(), 0, 16)
+	fill(b, 20, 23)
+	want(b.take(), 16, 23)
+}
+
+// TestRunLogClosedLoopBatches pins that the dispatcher leaves closed-loop
+// batch boundaries alone: every op is due at once, so a live engine cuts the
+// same Batch-sized chunks -- and commits the same bytes -- as the simulator.
+func TestRunLogClosedLoopBatches(t *testing.T) {
+	ops := testLogOps(100, 16)
+	opts := LogOptions{N: 7, Seed: 21, Batch: 16, Pipeline: 4}
+	reps := map[Engine]*LogReport{}
+	for _, engine := range []Engine{EngineSim, EngineMem} {
+		opts.Engine = engine
+		rep, err := RunLog(logCtx(t), opts, ops)
+		if err != nil {
+			t.Fatalf("%v: %v", engine, err)
+		}
+		if rep.Batches != 7 || rep.Slots-rep.NoopSlots != rep.Batches || rep.Ops != 100 {
+			t.Fatalf("%v: ops=%d batches=%d slots=%d noops=%d, want 100 ops in 7 batches, one per non-no-op slot",
+				engine, rep.Ops, rep.Batches, rep.Slots, rep.NoopSlots)
+		}
+		reps[engine] = rep
+	}
+	sim, mem := reps[EngineSim].Committed, reps[EngineMem].Committed
+	if len(sim) != len(ops) || len(mem) != len(sim) {
+		t.Fatalf("sim committed %d ops, mem %d, want %d", len(sim), len(mem), len(ops))
+	}
+	for i := range sim {
+		if !bytes.Equal(mem[i], sim[i]) {
+			t.Fatalf("mem committed[%d] diverges from sim", i)
+		}
+	}
+}
+
+// TestRunLogWorkloadOpenLoopCrash drives the open-loop dispatcher through a
+// slot-boundary crash: arrivals, free window slots and the dead proposer's
+// turns interleave however the scheduler likes, and still every operation
+// commits exactly once in submission order, no batch exceeds Batch, and the
+// no-op slots are exactly the dead proposer's turns.
+func TestRunLogWorkloadOpenLoopCrash(t *testing.T) {
+	const count, batch, n, crashed, crashSlot = 300, 4, 4, 2, 5
+	reg := NewMetricsRegistry()
+	rep, err := RunLogWorkload(logCtx(t), LogWorkloadOptions{
+		Log: LogOptions{
+			Engine: EngineMem, N: n, Seed: 13, Batch: batch, Pipeline: 3, Metrics: reg,
+			Crashes: []LogCrash{{Process: crashed, Slot: crashSlot}},
+		},
+		Ops:  count,
+		Rate: 50000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := genWorkloadOps(13, count, DefaultWorkloadClients, DefaultWorkloadOpBytes)
+	if rep.Ops != count || len(rep.Committed) != count {
+		t.Fatalf("committed %d ops (%d held), want %d", rep.Ops, len(rep.Committed), count)
+	}
+	for i, op := range submitted {
+		if !bytes.Equal(rep.Committed[i], op) {
+			t.Fatalf("committed[%d] is not submitted op %d", i, i)
+		}
+	}
+	if rep.Slots-rep.NoopSlots != rep.Batches || len(rep.SlotDecisions) != rep.Slots {
+		t.Fatalf("slots=%d noops=%d batches=%d decisions=%d",
+			rep.Slots, rep.NoopSlots, rep.Batches, len(rep.SlotDecisions))
+	}
+	if rep.NoopSlots == 0 {
+		t.Fatal("crash plan produced no no-op slots")
+	}
+	for s, v := range rep.SlotDecisions {
+		want := msg.V1
+		if s%n == crashed && s >= crashSlot {
+			want = msg.V0
+		}
+		if v != want {
+			t.Fatalf("slot %d (proposer %d) decided %v, want %v", s, s%n, v, want)
+		}
+	}
+	snap := reg.Snapshot()
+	if h := snap.Histograms["log.batch_ops"]; h.Count != uint64(rep.Batches) || h.Max > batch {
+		t.Fatalf("batch sizes %+v: want %d batches of at most %d ops", h, rep.Batches, batch)
+	}
+	if h := snap.Histograms["log.batch_wait_seconds"]; h.Count != count || h.Min < 0 {
+		t.Fatalf("batch wait %+v: want one non-negative observation per op", h)
+	}
+	if hi, now := snap.Gauges["log.backlog_ops_max"], snap.Gauges["log.backlog_ops"]; hi < 1 || now != 0 {
+		t.Fatalf("backlog gauge %v (high-water %v): want an empty backlog that was once non-empty", now, hi)
+	}
+}
+
+// TestRunLogWorkloadCancelMidSchedule cancels an open-loop run whose arrival
+// schedule has minutes left: the dispatcher must give up its wait for the
+// next arrival and return what committed, not sleep the schedule out.
+func TestRunLogWorkloadCancelMidSchedule(t *testing.T) {
+	ctx, cancel := context.WithCancel(logCtx(t))
+	defer cancel()
+	time.AfterFunc(50*time.Millisecond, cancel)
+	rep, err := RunLogWorkload(ctx, LogWorkloadOptions{
+		Log:  LogOptions{Engine: EngineMem, N: 4, Seed: 17, Batch: 8, Pipeline: 2},
+		Ops:  1000,
+		Rate: 5,
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if rep == nil || rep.Ops >= 1000 {
+		t.Fatalf("canceled run reported %+v, want a partial report", rep)
 	}
 }
 

@@ -23,9 +23,9 @@ const (
 // LogWorkloadOptions configures an open-loop replicated-log workload: a
 // generator submits operations on a paced arrival schedule regardless of
 // commit progress (open loop -- queueing delay is measured, not hidden),
-// an adaptive batcher folds arrivals into slot batches (full batch OR
-// linger expiry, mirroring the TCP transport's write coalescer), and the
-// log pipeline commits them.
+// the log's dispatcher folds arrivals into slot batches (a batch closes
+// when full OR when the pipeline has a free slot for it), and the log
+// pipeline commits them.
 type LogWorkloadOptions struct {
 	// Log configures the underlying replicated log.
 	Log LogOptions
@@ -97,80 +97,25 @@ func RunLogWorkload(ctx context.Context, opts LogWorkloadOptions) (*LogReport, e
 	if err != nil {
 		return nil, err
 	}
-	if r.engine == EngineSim || opts.Rate == 0 {
-		return RunLog(ctx, opts.Log, ops)
-	}
-
-	ch := make(chan *logBatch, 2*r.window)
-	go r.feedOpenLoop(ctx, ch, ops, opts.Rate)
-	return r.runLive(ctx, ch)
+	return r.run(ctx, ops, opts.Rate)
 }
 
-// feedOpenLoop submits ops on an exponential arrival schedule at rate
-// ops/sec and batches them adaptively: a batch closes when full or when its
-// oldest operation has lingered past the linger window, whichever is first.
-// The schedule never waits for commits -- if the pipeline falls behind, the
-// batcher queue grows and the delay shows up in commit latency, which is
-// the point of an open-loop driver.
-func (r *logRun) feedOpenLoop(ctx context.Context, ch chan<- *logBatch, ops [][]byte, rate float64) {
-	defer close(ch)
-	rng := newRand(r.seed ^ 0x9e3779b97f4a7c15)
-	var cur *logBatch
-	var lingerEnd time.Time
-	flush := func() bool {
-		if cur == nil {
-			return true
-		}
-		select {
-		case ch <- cur:
-			cur = nil
-			return true
-		case <-ctx.Done():
-			return false
-		}
+// arrivalGaps returns the arrival schedule as a generator of successive
+// inter-arrival gaps: exponential at rate ops/sec, or all zero at rate 0 --
+// every operation due at once, the closed-loop shape. The schedule never
+// waits for commits: if the pipeline falls behind, the dispatcher's backlog
+// grows and the delay shows up in commit latency, which is the point of an
+// open-loop driver.
+func arrivalGaps(seed uint64, rate float64) func() time.Duration {
+	if rate == 0 {
+		return func() time.Duration { return 0 }
 	}
-	next := time.Now()
-	for _, op := range ops {
+	rng := newRand(seed ^ 0x9e3779b97f4a7c15)
+	return func() time.Duration {
 		u := rng.Float64()
 		for u == 0 {
 			u = rng.Float64()
 		}
-		next = next.Add(time.Duration(-math.Log(u) / rate * float64(time.Second)))
-		for {
-			now := time.Now()
-			if cur != nil && !lingerEnd.After(now) {
-				if !flush() {
-					return
-				}
-			}
-			if !next.After(now) {
-				break
-			}
-			sleep := next.Sub(now)
-			if cur != nil {
-				if d := lingerEnd.Sub(now); d < sleep {
-					sleep = d
-				}
-			}
-			timer := time.NewTimer(sleep)
-			select {
-			case <-ctx.Done():
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
-		}
-		if cur == nil {
-			cur = &logBatch{}
-			lingerEnd = time.Now().Add(r.linger)
-		}
-		cur.ops = append(cur.ops, op)
-		cur.submitted = append(cur.submitted, time.Now())
-		if len(cur.ops) >= r.batch {
-			if !flush() {
-				return
-			}
-		}
+		return time.Duration(-math.Log(u) / rate * float64(time.Second))
 	}
-	flush()
 }
