@@ -1,8 +1,10 @@
 package runtime
 
 import (
+	"bytes"
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -16,6 +18,22 @@ func (q *eventQueue) push(e event) {
 	ref := q.hold(e.m)
 	q.pushRef(e.at, e.seq, e.to, ref)
 	q.release(ref)
+}
+
+// each calls f for every queued key, in no particular order. It is the one
+// place a test may know where the queue keeps its keys.
+func (q *eventQueue) each(f func(eventKey)) {
+	for _, k := range q.active[q.head:] {
+		f(k)
+	}
+	for _, head := range q.ring {
+		for ref := head; ref != 0; ref = q.nodes.at(ref - 1).next {
+			f(q.nodes.at(ref - 1).key)
+		}
+	}
+	for _, k := range q.far {
+		f(k)
+	}
 }
 
 // slotCounts walks the slab: how many slots were ever handed out, how many
@@ -60,7 +78,7 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// TestEventQueueMatchesContainerHeap drives the 4-ary queue and the
+// TestEventQueueMatchesContainerHeap drives the queue and the
 // container/heap oracle with identical interleaved push/pop sequences,
 // including duplicate timestamps (where the seq tiebreak decides), and
 // requires identical pop orders.
@@ -259,9 +277,305 @@ func TestEventQueueChunkGrowthAndReuse(t *testing.T) {
 	drain("refill")
 }
 
-// BenchmarkEventQueue measures raw queue throughput: push 1e5 events with
-// colliding timestamps, then pop them all. fanout=1 gives every event a slot
-// of its own; fanout=31 shares one slot among the 31 keys of a broadcast.
+// queuePair drives the queue and the container/heap oracle with the same
+// operations. Every pop must return the oracle's (at, seq, to, m), and after
+// every operation the two agree on length and each slot ever handed out is
+// either referenced by a queued key or on the free list.
+type queuePair struct {
+	t       testing.TB
+	q       eventQueue
+	ref     refHeap
+	seq     uint64
+	nextMsg msg.Phase
+	queued  map[msg.Phase]int // keys outstanding per message, by its unique Phase
+	last    float64           // time of the latest pop
+	checks  int
+}
+
+func newQueuePair(t testing.TB) *queuePair {
+	return &queuePair{t: t, queued: map[msg.Phase]int{}}
+}
+
+// send queues one message for delivery at each of the given times, as a
+// broadcast does: one slot, one key per time (none: the hold alone must not
+// leak).
+func (p *queuePair) send(ats ...float64) {
+	p.nextMsg++
+	m := msg.Message{Kind: msg.KindEcho, From: msg.ID(p.nextMsg % 31), Phase: p.nextMsg}
+	held := p.q.hold(m)
+	for _, at := range ats {
+		p.seq++
+		e := event{at: at, seq: p.seq, to: msg.ID(p.seq % 29), m: m}
+		p.q.pushRef(e.at, e.seq, e.to, held)
+		heap.Push(&p.ref, e)
+		p.queued[m.Phase]++
+	}
+	p.q.release(held)
+	p.check()
+}
+
+func (p *queuePair) pop() {
+	p.t.Helper()
+	wantAt := p.ref[0].at
+	if at, ok := p.q.peekAt(); !ok || at != wantAt {
+		p.t.Fatalf("peekAt = (%v, %v), oracle %v", at, ok, wantAt)
+	}
+	got, want := p.q.pop(), heap.Pop(&p.ref).(event)
+	if !reflect.DeepEqual(got, want) {
+		p.t.Fatalf("popped %+v, oracle %+v", got, want)
+	}
+	if p.queued[want.m.Phase]--; p.queued[want.m.Phase] == 0 {
+		delete(p.queued, want.m.Phase)
+	}
+	p.last = want.at
+	p.check()
+}
+
+func (p *queuePair) drain() {
+	p.t.Helper()
+	for p.ref.Len() > 0 {
+		p.pop()
+	}
+	if _, ok := p.q.peekAt(); ok {
+		p.t.Fatal("peekAt on drained queue returned ok")
+	}
+}
+
+func (p *queuePair) check() {
+	p.t.Helper()
+	if p.q.len() != p.ref.Len() {
+		p.t.Fatalf("len %d, oracle %d", p.q.len(), p.ref.Len())
+	}
+	if p.checks++; len(p.q.chunks) > 6 && p.checks%1024 != 0 {
+		return // past 2,016 slots the walk below is sampled
+	}
+	allocated, live, free := p.q.slotCounts()
+	if live != len(p.queued) || live+free != allocated {
+		p.t.Fatalf("%d slots allocated, %d live (want %d), %d free", allocated, live, len(p.queued), free)
+	}
+	keys := 0
+	p.q.each(func(eventKey) { keys++ })
+	if keys != p.ref.Len() {
+		p.t.Fatalf("%d keys filed, %d queued", keys, p.ref.Len())
+	}
+}
+
+// TestEventQueueLockstep is the degenerate calendar: every queued time is
+// equal, so there is no width to compute and one day holds everything; then
+// a lockstep schedule (each delivery sends for exactly one step later) keeps
+// the queue on two distinct times for the rest of the run.
+func TestEventQueueLockstep(t *testing.T) {
+	p := newQueuePair(t)
+	rng := rand.New(rand.NewPCG(3, 3))
+	for i := 0; i < 1000; i++ {
+		p.send(1)
+	}
+	for step := 0; step < 20000 && p.ref.Len() > 0; step++ {
+		p.pop()
+		switch rng.IntN(4) {
+		case 0:
+		case 1:
+			p.send(p.last+1, p.last+1, p.last+1)
+		default:
+			p.send(p.last + 1)
+		}
+	}
+	p.drain()
+}
+
+// TestEventQueueNonMonotonePushes pushes keys that order before the last
+// popped one (the engine never does; the queue's order must not depend on
+// that), onto the active day, and exactly on the last popped time.
+func TestEventQueueNonMonotonePushes(t *testing.T) {
+	p := newQueuePair(t)
+	rng := rand.New(rand.NewPCG(5, 5))
+	for i := 0; i < 400; i++ {
+		p.send(100 + rng.Float64())
+	}
+	for i := 0; i < 100; i++ {
+		p.pop()
+	}
+	for op := 0; op < 3000; op++ {
+		switch rng.IntN(6) {
+		case 0:
+			p.send(p.last - rng.Float64()*100) // far below: a day long gone
+		case 1:
+			p.send(p.last - 1e-9*rng.Float64()) // just below: the active day or the one before
+		case 2:
+			p.send(p.last, p.last) // ties with the last pop: seq decides
+		case 3:
+			p.send(p.last + rng.Float64())
+		default:
+			if p.ref.Len() > 0 {
+				p.pop()
+			}
+		}
+	}
+	p.drain()
+}
+
+// TestEventQueueHeavyTail interleaves pops with pushes whose delay is
+// Uniform[0.1, 1) except for 1 % at 1e9..1e12 (sched.Clamp's ceiling). The
+// tail must wait in the overflow store without stretching the days of the
+// rest, and come back in order once the bulk has drained.
+func TestEventQueueHeavyTail(t *testing.T) {
+	p := newQueuePair(t)
+	rng := rand.New(rand.NewPCG(7, 7))
+	delay := func() float64 {
+		if rng.IntN(100) == 0 {
+			return math.Pow(10, 9+3*rng.Float64())
+		}
+		return 0.1 + 0.9*rng.Float64()
+	}
+	for i := 0; i < 500; i++ {
+		p.send(delay())
+	}
+	for op := 0; op < 40000; op++ {
+		if rng.IntN(5) < 2 && p.ref.Len() > 0 {
+			p.pop()
+			continue
+		}
+		p.send(p.last+delay(), p.last+delay())
+	}
+	if p.q.farKeys == 0 {
+		t.Fatal("no key ever reached the overflow store")
+	}
+	p.send(1e12, 1e12, p.last+1e12) // the ceiling itself, twice on one time
+	p.drain()
+}
+
+// TestEventQueueGrowthAndShrink takes the population 10 -> 1e5 -> 10 and up
+// again, so that width and ring are recalibrated in both directions with
+// keys in every store.
+func TestEventQueueGrowthAndShrink(t *testing.T) {
+	p := newQueuePair(t)
+	rng := rand.New(rand.NewPCG(9, 9))
+	at := func() float64 { return p.last + rng.Float64() }
+	for p.ref.Len() < 10 {
+		p.send(at())
+	}
+	p.pop()
+	for p.ref.Len() < 100_000 {
+		p.send(at(), at(), at(), at(), at(), at(), at())
+		p.pop()
+	}
+	grown := p.q.recals
+	if grown < 4 {
+		t.Fatalf("%d calibrations on the way to 1e5 keys, want one per 4x", grown)
+	}
+	for p.ref.Len() > 10 {
+		p.pop()
+	}
+	if p.q.recals-grown < 4 {
+		t.Fatalf("%d calibrations on the way back to 10 keys, want one per 4x", p.q.recals-grown)
+	}
+	for p.ref.Len() < 1000 {
+		p.send(at(), at())
+	}
+	p.drain()
+}
+
+// TestEventQueueOverflowKeyOnActivatedDay empties the ring while the
+// overflow store holds several keys of one day: the jump to that day must
+// take all of them into the day before it is sorted, not only the first.
+// Enough keys wait there that the drained ring is no reason to recalibrate.
+func TestEventQueueOverflowKeyOnActivatedDay(t *testing.T) {
+	p := newQueuePair(t)
+	rng := rand.New(rand.NewPCG(11, 11))
+	for i := 0; i < 100; i++ {
+		p.send(rng.Float64())
+	}
+	p.pop() // calibrated: days are a few hundredths long, the horizon a few units
+	for i := 0; i < 10; i++ {
+		base := 1000 + float64(i)/2
+		p.send(base+0.001, base, base+0.06, base, base+0.0005)
+	}
+	if p.q.farKeys != 50 {
+		t.Fatalf("%d keys in the overflow store, want 50", p.q.farKeys)
+	}
+	for p.last < 1000 {
+		p.pop()
+	}
+	if p.q.recals != 1 {
+		t.Fatalf("%d calibrations before the jump, want the first one only", p.q.recals)
+	}
+	p.drain()
+}
+
+// queueOps interprets a byte stream as queue operations on a queuePair; it
+// is FuzzEventQueue's body. Each operation is an opcode byte followed by one
+// time byte per key: the time byte's top two bits pick a coarse absolute
+// time (ties, non-monotone), a fraction past the last pop, a 1e9..1e12
+// delay, or a time at or below the last pop.
+func queueOps(p *queuePair, data []byte) {
+	at := func(b byte) float64 {
+		v := float64(b & 63)
+		switch b >> 6 {
+		case 0:
+			return v
+		case 1:
+			return p.last + v/64
+		case 2:
+			return p.last + 1e9*(1+16*v)
+		default:
+			return p.last - v/8
+		}
+	}
+	for len(data) > 0 {
+		op := data[0]
+		data = data[1:]
+		if op&3 == 3 {
+			if p.ref.Len() > 0 {
+				p.pop()
+			}
+			continue
+		}
+		fanout := 1
+		if op&3 == 2 {
+			fanout = int(op>>2) % 6
+		}
+		fanout = min(fanout, len(data))
+		ats := make([]float64, fanout)
+		for i := range ats {
+			ats[i] = at(data[i])
+		}
+		data = data[fanout:]
+		p.send(ats...)
+	}
+	p.drain()
+}
+
+// FuzzEventQueue checks the queue against the oracle under arbitrary
+// push/broadcast/pop sequences; the seed corpus is the shape of each oracle
+// test above.
+func FuzzEventQueue(f *testing.F) {
+	const pop, push, fan5 = 3, 0, 2 | 5<<2
+	repeat := func(n int, ops ...byte) []byte { return bytes.Repeat(ops, n) }
+	// Lockstep: 40 keys on one time, then pop one, push one a step later.
+	f.Add(append(repeat(40, push, 1), repeat(60, pop, push, 64|63)...))
+	// Non-monotone: spread keys, pop a few, push at and below the last pop.
+	f.Add(append(append(repeat(30, push, 64|17, push, 64|43), repeat(10, pop)...),
+		repeat(20, push, 192|0, push, 192|9, pop, push, 5)...))
+	// Heavy tail: near-future traffic with a 1e9..1e12 delay now and then.
+	f.Add(repeat(25, push, 64|9, push, 64|50, push, 64|33, pop, push, 128|7, fan5, 64|1, 64|60, 128|63, 64|20, 64|40, pop))
+	// Growth then shrink: 500 keys in, 490 out, 100 in.
+	f.Add(append(append(repeat(100, fan5, 64|3, 64|19, 64|34, 64|47, 64|62), repeat(490, pop)...), repeat(50, push, 64|7, push, 64|55)...))
+	// Overflow keys sharing the day the queue jumps to once the ring is empty.
+	f.Add(append(append(repeat(20, push, 64|11, push, 64|37), pop), repeat(4, fan5, 128|2, 128|2, 128|3, 128|2, 128|40)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The per-operation walk makes a run quadratic in its length; past
+		// a few thousand operations that buys no new queue state per second.
+		queueOps(newQueuePair(t), data[:min(len(data), 8192)])
+	})
+}
+
+// BenchmarkEventQueue measures raw queue throughput. fanout=1 and fanout=31
+// push 1e5 events with colliding timestamps, then pop them all: fanout=1
+// gives every event a slot of its own, fanout=31 shares one slot among the 31
+// keys of a broadcast. lockstep and heavytail hold a population of 1e4 and
+// turn it over 1e5 times, each pop sending one message: a step later for
+// lockstep (every queued time equal to one of two values), after
+// Uniform[0.1, 1) with 1 % at 1e9..1e12 for heavytail.
 func BenchmarkEventQueue(b *testing.B) {
 	const size = 100_000
 	rng := rand.New(rand.NewPCG(42, 0))
@@ -282,6 +596,43 @@ func BenchmarkEventQueue(b *testing.B) {
 						j++
 					}
 					q.release(ref)
+				}
+				for q.len() > 0 {
+					q.pop()
+				}
+			}
+		})
+	}
+
+	const population = 10_000
+	tail := make([]float64, size)
+	for i := range tail {
+		tail[i] = 0.1 + 0.9*rng.Float64()
+		if rng.IntN(100) == 0 {
+			tail[i] = math.Pow(10, 9+3*rng.Float64())
+		}
+	}
+	step := make([]float64, size)
+	for i := range step {
+		step[i] = 1
+	}
+	for _, hold := range []struct {
+		name  string
+		delay []float64
+	}{{"lockstep", step}, {"heavytail", tail}} {
+		b.Run(hold.name, func(b *testing.B) {
+			var q eventQueue
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var seq uint64
+				for ; seq < population; seq++ {
+					q.push(event{at: hold.delay[seq], seq: seq})
+				}
+				for _, d := range hold.delay {
+					e := q.pop()
+					seq++
+					q.push(event{at: e.at + d, seq: seq})
 				}
 				for q.len() > 0 {
 					q.pop()

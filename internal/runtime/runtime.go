@@ -221,7 +221,10 @@ type event struct {
 
 // runMetrics holds the engine's instrument handles, resolved once per run.
 // Every handle is nil when no registry is attached, making each record call
-// a no-op (see the metrics package).
+// a no-op (see the metrics package). The per-event tallies (sent, delivered,
+// dropped, undelivered, events) and the queue's own are plain ints during
+// the run and reach their instruments once, in finish: an atomic add per
+// event was 6.5-8.5 % of a run's CPU with a registry attached.
 type runMetrics struct {
 	runs          *metrics.Counter
 	sent          *metrics.Counter
@@ -232,6 +235,9 @@ type runMetrics struct {
 	decisions     *metrics.Counter
 	crashes       *metrics.Counter
 	stalls        *metrics.Counter
+	queueRecals   *metrics.Counter
+	queueFarKeys  *metrics.Counter
+	queueLenMax   *metrics.Gauge
 	decisionPhase *metrics.Histogram
 	maxPhase      *metrics.Histogram
 	messages      *metrics.Histogram
@@ -254,6 +260,9 @@ func newRunMetrics(reg *metrics.Registry) runMetrics {
 		decisions:     m.Counter("decisions"),
 		crashes:       m.Counter("crashes"),
 		stalls:        m.Counter("stalls"),
+		queueRecals:   m.Counter("queue_recalibrations"),
+		queueFarKeys:  m.Counter("queue_overflow_keys"),
+		queueLenMax:   m.Gauge("queue_len_max"),
 		decisionPhase: m.Histogram("decision_phase", metrics.PhaseBuckets()),
 		maxPhase:      m.Histogram("max_phase", metrics.PhaseBuckets()),
 		messages:      m.Histogram("messages_per_run", metrics.ExpBuckets(10, 4, 12)),
@@ -517,13 +526,11 @@ func (r *runner) dispatch(from msg.ID, outs []core.Outbound) {
 func (r *runner) enqueue(from, to msg.ID, m msg.Message, ref int32) {
 	v := r.pol.Link(from, to, m, r.now, r.rng)
 	r.result.MessagesSent++
-	r.met.sent.Inc()
 	if v.Drop {
 		// The link lost the message: it was sent but will never deliver.
 		// No event is scheduled, so a fully partitioned run drains its
 		// queue instead of chasing a 1e9-unit horizon.
 		r.result.MessagesDropped++
-		r.met.dropped.Inc()
 		return
 	}
 	d := sched.Clamp(v.Delay)
@@ -582,7 +589,6 @@ func (r *runner) stepNext(maxEvents int) bool {
 	e := r.queue.pop()
 	r.now = e.at
 	r.result.Events++
-	r.met.events.Inc()
 	r.deliver(e)
 	return true
 }
@@ -592,12 +598,11 @@ func (r *runner) deliver(e event) {
 	m := r.machines[id]
 	if r.isDead(id) || m.Halted() {
 		// Not a link loss (Result.MessagesDropped): the message arrived at
-		// a process that will never take another step.
-		r.met.undelivered.Inc()
+		// a process that will never take another step. finish counts these
+		// as messages_undelivered, Events - MessagesDelivered.
 		return
 	}
 	r.result.MessagesDelivered++
-	r.met.delivered.Inc()
 	if r.traceOn {
 		r.sink.Record(trace.Event{
 			Time: r.now, Kind: trace.EventDeliver, Process: id,
@@ -660,6 +665,14 @@ func (r *runner) finish() {
 		res.Agreement = true
 	}
 	r.met.runs.Inc()
+	r.met.sent.Add(int64(res.MessagesSent))
+	r.met.delivered.Add(int64(res.MessagesDelivered))
+	r.met.dropped.Add(int64(res.MessagesDropped))
+	r.met.undelivered.Add(int64(res.Events - res.MessagesDelivered))
+	r.met.events.Add(int64(res.Events))
+	r.met.queueRecals.Add(int64(r.queue.recals))
+	r.met.queueFarKeys.Add(int64(r.queue.farKeys))
+	r.met.queueLenMax.SetMax(float64(r.queue.peak))
 	if res.Stalled != NotStalled {
 		r.met.stalls.Inc()
 	}

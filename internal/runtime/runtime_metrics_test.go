@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"resilient/internal/msg"
 	"resilient/internal/policy"
 	"resilient/internal/runtime"
+	"resilient/internal/sched"
 )
 
 func failstopConfig(n, k int, seed uint64, reg *metrics.Registry) runtime.Config {
@@ -61,6 +63,43 @@ func TestRunMetricsMatchResult(t *testing.T) {
 	h := res.Metrics.Histograms["runtime.decision_phase"]
 	if h.Count != uint64(len(res.DecisionPhase)) {
 		t.Errorf("decision_phase histogram count = %d, want %d", h.Count, len(res.DecisionPhase))
+	}
+}
+
+// TestRunMetricsQueue checks the event queue's own figures: the high-water
+// mark is between one broadcast and everything sent, the first pop
+// calibrated the calendar, and under the default Uniform[0.1, 1] delays no
+// key ever lay past its horizon; a scheduler with a 1e12 tail must show up
+// in queue_overflow_keys.
+func TestRunMetricsQueue(t *testing.T) {
+	reg := metrics.NewRegistry()
+	res, err := runtime.Run(failstopConfig(7, 3, 1, reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.Metrics.Counters
+	if peak := res.Metrics.Gauges["runtime.queue_len_max"]; peak < 7 || peak > float64(res.MessagesSent) {
+		t.Errorf("queue_len_max = %v with %d messages sent", peak, res.MessagesSent)
+	}
+	if c["runtime.queue_recalibrations"] < 1 || c["runtime.queue_overflow_keys"] != 0 {
+		t.Errorf("recalibrations/overflow keys = %d/%d, want >= 1 and 0",
+			c["runtime.queue_recalibrations"], c["runtime.queue_overflow_keys"])
+	}
+
+	reg = metrics.NewRegistry()
+	cfg := failstopConfig(7, 3, 1, reg)
+	sent := 0
+	cfg.Scheduler = sched.Func(func(from, to msg.ID, m msg.Message, now float64, rng *rand.Rand) float64 {
+		if sent++; sent%50 == 0 {
+			return 1e12
+		}
+		return 0.1 + 0.9*rng.Float64()
+	})
+	if res, err = runtime.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !res.AllDecided || res.Metrics.Counters["runtime.queue_overflow_keys"] == 0 {
+		t.Errorf("heavy tail: decided %v, %d overflow keys", res.AllDecided, res.Metrics.Counters["runtime.queue_overflow_keys"])
 	}
 }
 

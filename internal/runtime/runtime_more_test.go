@@ -187,9 +187,9 @@ func TestMidBroadcastCrashLeaksNoSlot(t *testing.T) {
 		}
 		r.start()
 		copies, toOthers, shared := 0, 0, int32(-1)
-		for _, k := range r.queue.keys {
+		r.queue.each(func(k eventKey) {
 			if r.queue.slot(k.ref).m.From != 0 {
-				continue
+				return
 			}
 			copies++
 			if k.to != 0 { // p0 may be dead before its own copy arrives
@@ -199,7 +199,7 @@ func TestMidBroadcastCrashLeaksNoSlot(t *testing.T) {
 				t.Errorf("j=%d: copies of one broadcast in slots %d and %d", j, shared, k.ref)
 			}
 			shared = k.ref
-		}
+		})
 		if copies != j || (j > 0 && r.queue.slot(shared).refs != int32(j)) {
 			t.Errorf("j=%d: %d copies of p0's broadcast queued", j, copies)
 		}
