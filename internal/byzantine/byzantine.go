@@ -165,26 +165,7 @@ func NewFlipper(inner core.Machine, rng *rand.Rand) *Mutated {
 // what the consistency proof of Theorem 4 asserts and what the test suite
 // verifies.
 func NewEquivocator(inner core.Machine, n int) *Mutated {
-	self := inner.ID()
-	return NewMutated(inner, func(o core.Outbound) []core.Outbound {
-		if !ownValueMessage(o, self) || o.Msg.Phase.IsWildcard() || o.To != msg.Broadcast {
-			return []core.Outbound{o}
-		}
-		outs := make([]core.Outbound, 0, n)
-		for q := 0; q < n; q++ {
-			m := o.Msg
-			// Positional split of the recipient list — the first half gets V0,
-			// the rest V1 — not a quorum test on the count q.
-			//lint:allow quorumarith equivocator splits recipients in half positionally, no threshold semantics
-			if q < n/2 {
-				m.Value = msg.V0
-			} else {
-				m.Value = msg.V1
-			}
-			outs = append(outs, core.To(msg.ID(q), m))
-		}
-		return outs
-	})
+	return NewTwoFaced(inner, n, msg.ID(n/2)) // a positional split, not a quorum
 }
 
 // NewTwoFaced wraps inner so that own value messages claim 0 toward
@@ -195,19 +176,20 @@ func NewEquivocator(inner core.Machine, n int) *Mutated {
 func NewTwoFaced(inner core.Machine, n int, boundary msg.ID) *Mutated {
 	self := inner.ID()
 	return NewMutated(inner, func(o core.Outbound) []core.Outbound {
-		if !ownValueMessage(o, self) || o.Msg.Phase.IsWildcard() || o.To != msg.Broadcast {
+		if !ownValueMessage(o, self) || o.Msg.Phase.IsWildcard() || o.To >= 0 {
 			return []core.Outbound{o}
 		}
+		// A fan-out (broadcast or multicast) becomes one unicast per
+		// recipient, each carrying that recipient's face.
 		outs := make([]core.Outbound, 0, n)
-		for q := 0; q < n; q++ {
-			m := o.Msg
-			if msg.ID(q) < boundary {
+		core.Expand([]core.Outbound{o}, n, func(to msg.ID, m msg.Message) {
+			if to < boundary {
 				m.Value = msg.V0
 			} else {
 				m.Value = msg.V1
 			}
-			outs = append(outs, core.To(msg.ID(q), m))
-		}
+			outs = append(outs, core.To(to, m))
+		})
 		return outs
 	})
 }

@@ -2,6 +2,7 @@ package byzantine
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"resilient/internal/core"
@@ -132,6 +133,32 @@ func TestTwoFacedSplitsAtBoundary(t *testing.T) {
 		if o.Msg.Value != want {
 			t.Errorf("recipient %d got %d, want %d", o.To, o.Msg.Value, want)
 		}
+	}
+}
+
+// multicaster is a machine whose one step multicasts its own value message.
+type multicaster struct {
+	Silent
+	targets []int32
+}
+
+func (m *multicaster) Start() []core.Outbound {
+	return []core.Outbound{core.ToMany(m.targets, msg.Val(m.id, 0, msg.V1))}
+}
+
+// TestTwoFacedSplitsMulticast: a multicast of an own value message is a
+// fan-out like a broadcast, and gets one face per in-range recipient, in
+// list order.
+func TestTwoFacedSplitsMulticast(t *testing.T) {
+	tf := NewTwoFaced(&multicaster{Silent{id: 3}, []int32{4, -1, 1, 9, 0}}, 6, 2)
+	outs := tf.Start()
+	want := []core.Outbound{
+		core.To(4, msg.Val(3, 0, msg.V1)),
+		core.To(1, msg.Val(3, 0, msg.V0)),
+		core.To(0, msg.Val(3, 0, msg.V0)),
+	}
+	if !reflect.DeepEqual(outs, want) {
+		t.Errorf("two-faced multicast = %+v, want %+v", outs, want)
 	}
 }
 

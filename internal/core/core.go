@@ -18,11 +18,21 @@ import (
 	"resilient/internal/quorum"
 )
 
-// Outbound is one send request produced by a machine step. To may be
-// msg.Broadcast to address all n processes (including the sender itself).
+// Outbound is one send request produced by a machine step, addressed in one
+// of three forms: To is a process id (unicast), msg.Broadcast for all n
+// processes including the sender, or msg.Multicast for the processes listed
+// in Targets. The struct is 88 bytes; a machine that emits outbounds on its
+// hot path appends into a per-machine step buffer instead of allocating a
+// slice per step.
 type Outbound struct {
 	To  msg.ID
 	Msg msg.Message
+	// Targets is the recipient list of a msg.Multicast outbound, sent to in
+	// list order; nil otherwise. It is shared, never copied -- typically one
+	// of a sample.Directory's per-process target lists, aliased by every
+	// outbound that uses it -- and read-only for machines, wrappers and
+	// engines alike.
+	Targets []int32
 }
 
 // ToAll returns a broadcast outbound for m.
@@ -33,6 +43,41 @@ func ToAll(m msg.Message) Outbound {
 // To returns a unicast outbound for m.
 func To(dst msg.ID, m msg.Message) Outbound {
 	return Outbound{To: dst, Msg: m}
+}
+
+// ToMany returns a multicast outbound for m: one send per entry of targets,
+// in list order. targets is kept by reference (see Outbound.Targets).
+func ToMany(targets []int32, m msg.Message) Outbound {
+	return Outbound{To: msg.Multicast, Msg: m, Targets: targets}
+}
+
+// Expand calls send once per point-to-point send outs stands for in an
+// n-process system, in order: a unicast once, a broadcast for ids 0..n-1 in
+// id order, a multicast for its targets in list order. Destinations outside
+// 0..n-1 are skipped, so one malformed outbound from a Byzantine machine
+// costs nobody else anything. It is the expansion every engine but the
+// simulator's dispatch loop uses (that one shuffles broadcasts and charges a
+// crash budget per send).
+func Expand(outs []Outbound, n int, send func(to msg.ID, m msg.Message)) {
+	for i := range outs {
+		o := &outs[i]
+		switch o.To {
+		case msg.Broadcast:
+			for q := 0; q < n; q++ {
+				send(msg.ID(q), o.Msg)
+			}
+		case msg.Multicast:
+			for _, t := range o.Targets {
+				if t >= 0 && int(t) < n {
+					send(msg.ID(t), o.Msg)
+				}
+			}
+		default:
+			if o.To >= 0 && int(o.To) < n {
+				send(o.To, o.Msg)
+			}
+		}
+	}
 }
 
 // Machine is a consensus protocol instance at one process.

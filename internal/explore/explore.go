@@ -199,23 +199,16 @@ func (s *state) normalize() {
 	s.inflight = kept
 }
 
-// absorb enqueues the sends of one machine step, expanding broadcasts.
+// absorb enqueues the sends of one machine step, expanding broadcasts and
+// multicasts.
 // Sends from a crashed process are dropped (its crash happened before this
 // step could have, so this only triggers for the crash-branch successor
 // generation, which never steps crashed machines).
 func (s *state) absorb(from msg.ID, outs []core.Outbound, n int) {
-	for _, o := range outs {
-		o.Msg.From = from // authenticated
-		if o.To == msg.Broadcast {
-			for q := 0; q < n; q++ {
-				s.addFlight(msg.ID(q), o.Msg)
-			}
-			continue
-		}
-		if o.To >= 0 && int(o.To) < n {
-			s.addFlight(o.To, o.Msg)
-		}
-	}
+	core.Expand(outs, n, func(to msg.ID, m msg.Message) {
+		m.From = from // authenticated
+		s.addFlight(to, m)
+	})
 }
 
 func (s *state) addFlight(to msg.ID, m msg.Message) {

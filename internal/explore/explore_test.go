@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"os"
 	"testing"
 
 	"resilient/internal/core"
@@ -71,15 +72,22 @@ func TestFailStopConsistencyProvenUnanimous(t *testing.T) {
 	}
 }
 
+// boundedBudget is the state budget of the two bounded explorations below:
+// 60,000 states by default, which keeps the package inside tier-1's time
+// budget, and 250,000 when RESILIENT_EXPLORE_FULL=1 (set in one CI lane).
+func boundedBudget() int {
+	if os.Getenv("RESILIENT_EXPLORE_FULL") == "1" {
+		return 250_000
+	}
+	return 60_000
+}
+
 // TestFailStopConsistencyBoundedSplit model-checks the harder mixed-input
 // patterns under a state budget: bounded verification rather than a full
 // proof (the 2-vs-1 spaces run to millions of states), but every explored
 // configuration must be consistent.
 func TestFailStopConsistencyBoundedSplit(t *testing.T) {
-	budget := 60_000
-	if !testing.Short() {
-		budget = 250_000
-	}
+	budget := boundedBudget()
 	n, k := 3, 1
 	for _, inputs := range [][]msg.Value{
 		{1, 0, 0}, {0, 1, 1}, {1, 0, 1},
@@ -107,10 +115,7 @@ func TestFailStopConsistencyBoundedSplit(t *testing.T) {
 // process at every configuration: the crash-augmented explored set must
 // still contain no conflicting decisions.
 func TestFailStopConsistencyWithCrashes(t *testing.T) {
-	budget := 60_000
-	if !testing.Short() {
-		budget = 250_000
-	}
+	budget := boundedBudget()
 	n, k := 3, 1
 	inputs := []msg.Value{1, 0, 1}
 	res, err := Explore(Config{

@@ -150,21 +150,18 @@ func (d *Driver) dead() bool {
 	return d.Harness != nil && d.Harness.Dead()
 }
 
+// sendAll performs the point-to-point sends of one machine step, stopping at
+// the first that fails. Destinations outside 0..n-1 are skipped, as in the
+// simulator: one malformed outbound from a Byzantine machine must not abort
+// the run for every correct process.
 func (d *Driver) sendAll(outs []core.Outbound) error {
-	for _, o := range outs {
-		if o.To == msg.Broadcast {
-			for q := 0; q < d.n; q++ {
-				if err := d.send(msg.ID(q), o.Msg); err != nil {
-					return err
-				}
-			}
-			continue
+	var err error
+	core.Expand(outs, d.n, func(to msg.ID, m msg.Message) {
+		if err == nil {
+			err = d.send(to, m)
 		}
-		if err := d.send(o.To, o.Msg); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
+	return err
 }
 
 func (d *Driver) send(to msg.ID, m msg.Message) error {

@@ -23,6 +23,7 @@ package malicious
 
 import (
 	"fmt"
+	"slices"
 
 	"resilient/internal/core"
 	"resilient/internal/dense"
@@ -93,7 +94,7 @@ type Machine struct {
 
 	// echoTargets, when non-nil, is the set of processes that sampled this
 	// machine's echoes under the sampled broadcast scheme; echoes are
-	// unicast to them instead of broadcast. nil means full-quorum echo.
+	// multicast to them instead of broadcast. nil means full-quorum echo.
 	echoTargets []int32
 
 	echoedInitial phaseMarks
@@ -108,6 +109,10 @@ type Machine struct {
 	// scratch is the per-step echo replay queue, reused across OnMessage
 	// calls so current-phase echo processing allocates nothing.
 	scratch []msg.Message
+	// out is the per-step send buffer: every step appends into out[:0] and
+	// returns it, so the slice a step returns is valid only until the
+	// machine's next step (engines consume it before then).
+	out []core.Outbound
 
 	started  bool
 	decided  bool
@@ -171,17 +176,15 @@ func NewSampled(cfg core.Config, dir *sample.Directory, sink trace.Sink) (*Machi
 	return m, nil
 }
 
-// echoSends appends the sends for one echo message: a single broadcast under
-// the full-quorum scheme, or unicasts to the sampling processes under the
-// sampled scheme.
-func (m *Machine) echoSends(out []core.Outbound, e msg.Message) []core.Outbound {
+// echoSends appends the send for one echo message to the step buffer: a
+// broadcast under the full-quorum scheme, a multicast to the sampling
+// processes under the sampled scheme.
+func (m *Machine) echoSends(e msg.Message) {
 	if m.echoTargets == nil {
-		return append(out, core.ToAll(e))
+		m.out = append(m.out, core.ToAll(e))
+		return
 	}
-	for _, t := range m.echoTargets {
-		out = append(out, core.To(msg.ID(t), e))
-	}
-	return out
+	m.out = append(m.out, core.ToMany(m.echoTargets, e))
 }
 
 // ID implements core.Machine.
@@ -211,7 +214,8 @@ func (m *Machine) Start() []core.Outbound {
 		return nil
 	}
 	m.started = true
-	return []core.Outbound{core.ToAll(msg.Initial(m.cfg.Self, m.phase, m.value))}
+	m.out = append(m.out[:0], core.ToAll(msg.Initial(m.cfg.Self, m.phase, m.value)))
+	return m.out
 }
 
 // OnMessage consumes one delivered message.
@@ -219,17 +223,17 @@ func (m *Machine) OnMessage(in msg.Message) []core.Outbound {
 	if m.halted || !m.started {
 		return nil
 	}
+	m.out = m.out[:0]
 	switch in.Kind {
 	case msg.KindInitial:
-		return m.onInitial(in)
+		m.onInitial(in)
 	case msg.KindEcho:
-		return m.onEcho(in)
+		m.onEcho(in)
 	case msg.KindState, msg.KindValue, msg.KindBenOrReport, msg.KindBenOrProposal,
 		msg.KindGraph, msg.KindGossip, msg.KindReady:
-		return nil // explicitly ignored: other protocols' wire kinds
-	default:
-		return nil
+		// Explicitly ignored: other protocols' wire kinds.
 	}
+	return m.out
 }
 
 // onInitial echoes a first-seen initial message to everyone. Initials are
@@ -237,64 +241,63 @@ func (m *Machine) OnMessage(in msg.Message) []core.Outbound {
 // phase guard to initial messages). An initial whose Subject differs from
 // its authenticated sender is a forgery and is dropped -- the Section 3.1
 // model requires that "correct processes verify the identity of the sender".
-func (m *Machine) onInitial(in msg.Message) []core.Outbound {
+func (m *Machine) onInitial(in msg.Message) {
 	if in.Subject != in.From || !in.Value.Valid() {
-		return nil
+		return
 	}
 	if in.Phase.IsWildcard() {
-		if m.echoedWild.Set(int(in.From)) {
-			return nil
+		if !m.echoedWild.Set(int(in.From)) {
+			m.echoSends(msg.Echo(m.cfg.Self, in.From, msg.WildcardPhase, in.Value))
 		}
-		return m.echoSends(nil, msg.Echo(m.cfg.Self, in.From, msg.WildcardPhase, in.Value))
+		return
 	}
-	if m.echoedInitial.mark(in.Phase, in.From) {
-		return nil
+	if !m.echoedInitial.mark(in.Phase, in.From) {
+		m.echoSends(msg.Echo(m.cfg.Self, in.From, in.Phase, in.Value))
 	}
-	return m.echoSends(nil, msg.Echo(m.cfg.Self, in.From, in.Phase, in.Value))
 }
 
 // onEcho feeds an echo into the acceptance machinery, buffering echoes for
 // future phases and recording wildcard echoes for every phase from now on.
-func (m *Machine) onEcho(in msg.Message) []core.Outbound {
+func (m *Machine) onEcho(in msg.Message) {
 	if !in.Value.Valid() {
-		return nil
+		return
 	}
 	if in.Phase.IsWildcard() {
 		if in.Subject < 0 || int(in.Subject) >= m.cfg.N {
-			return nil // no such process; nothing it claims can be accepted
+			return // no such process; nothing it claims can be accepted
 		}
 		if m.wildSeen.Set(int(in.From)*m.cfg.N + int(in.Subject)) {
-			return nil
+			return
 		}
 		m.wildOrder = append(m.wildOrder, wildEcho{sender: in.From, subject: in.Subject, value: in.Value})
 		// Apply immediately to the current phase; re-applied automatically
 		// on every later phase.
 		m.scratch = m.scratch[:0]
-		return m.drive()
+		m.drive()
+		return
 	}
 	switch {
 	case in.Phase < m.phase:
-		return nil
+		return
 	case in.Phase > m.phase:
 		m.pendingEchoes.Add(in.Phase, in)
-		return nil
+		return
 	}
 	m.scratch = append(m.scratch[:0], in)
-	return m.drive()
+	m.drive()
 }
 
 // drive processes current-phase echoes (the machine's scratch queue, seeded
 // by the caller, plus any wildcards and buffered echoes that become
 // applicable), cascading through phase endings until the machine quiesces,
-// decides, or runs out of input. The scratch queue's storage is reused
-// across steps.
-func (m *Machine) drive() []core.Outbound {
-	var out []core.Outbound
+// decides, or runs out of input, appending every phase ending's sends to the
+// step buffer. The scratch queue's storage is reused across steps.
+func (m *Machine) drive() {
 	queue := m.scratch
 	head := 0
 	for !m.halted {
 		if m.phaseComplete() {
-			out = append(out, m.endPhase()...)
+			m.endPhase()
 			if !m.halted {
 				queue = m.pendingEchoes.TakeInto(m.phase, queue)
 			}
@@ -321,7 +324,6 @@ func (m *Machine) drive() []core.Outbound {
 		m.observe(cur.From, cur.Subject, cur.Value)
 	}
 	m.scratch = queue[:0]
-	return out
 }
 
 // observe counts one echo for the current phase and applies any resulting
@@ -345,8 +347,9 @@ func (m *Machine) phaseComplete() bool {
 	return m.msgCount[0]+m.msgCount[1] >= quorum.WaitCount(m.cfg.N, m.cfg.K)
 }
 
-// endPhase runs the bottom half of the Figure-2 loop body.
-func (m *Machine) endPhase() []core.Outbound {
+// endPhase runs the bottom half of the Figure-2 loop body, appending its
+// sends to the step buffer.
+func (m *Machine) endPhase() {
 	if m.msgCount[1] > m.msgCount[0] {
 		m.value = msg.V1
 	} else {
@@ -374,16 +377,16 @@ func (m *Machine) endPhase() []core.Outbound {
 			Kind: trace.EventHalt, Process: m.cfg.Self, Phase: m.phase - 1, Value: m.decision,
 		})
 		m.halted = true
-		out := make([]core.Outbound, 0, m.cfg.N+1)
-		out = append(out, core.ToAll(msg.Initial(m.cfg.Self, msg.WildcardPhase, m.decision)))
+		m.out = slices.Grow(m.out, m.cfg.N+1) // the wildcard burst, in one allocation
+		m.out = append(m.out, core.ToAll(msg.Initial(m.cfg.Self, msg.WildcardPhase, m.decision)))
 		for q := 0; q < m.cfg.N; q++ {
-			out = m.echoSends(out, msg.Echo(m.cfg.Self, msg.ID(q), msg.WildcardPhase, m.decision))
+			m.echoSends(msg.Echo(m.cfg.Self, msg.ID(q), msg.WildcardPhase, m.decision))
 		}
-		return out
+		return
 	}
 
 	m.sink.Record(trace.Event{
 		Kind: trace.EventPhase, Process: m.cfg.Self, Phase: m.phase, Value: m.value,
 	})
-	return []core.Outbound{core.ToAll(msg.Initial(m.cfg.Self, m.phase, m.value))}
+	m.out = append(m.out, core.ToAll(msg.Initial(m.cfg.Self, m.phase, m.value)))
 }

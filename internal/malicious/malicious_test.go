@@ -46,7 +46,7 @@ func TestEchoesFirstInitialOnly(t *testing.T) {
 	}
 	// A second initial from the same (sender, phase) -- even equivocating --
 	// is not echoed again.
-	if out := m.OnMessage(msg.Initial(1, 0, msg.V0)); out != nil {
+	if out := m.OnMessage(msg.Initial(1, 0, msg.V0)); len(out) != 0 {
 		t.Errorf("re-echoed: %+v", out)
 	}
 	// A different phase gets its own echo.
@@ -60,7 +60,7 @@ func TestForgedInitialDropped(t *testing.T) {
 	m.Start()
 	forged := msg.Initial(2, 0, msg.V1)
 	forged.From = 3 // authenticated sender differs from claimed subject
-	if out := m.OnMessage(forged); out != nil {
+	if out := m.OnMessage(forged); len(out) != 0 {
 		t.Errorf("forged initial echoed: %+v", out)
 	}
 }
@@ -228,14 +228,9 @@ func TestValidityUnanimous(t *testing.T) {
 	for step := 0; step < 10000 && len(queue) > 0; step++ {
 		o := queue[0]
 		queue = queue[1:]
-		if o.To == msg.Broadcast {
-			for q := 0; q < n; q++ {
-				mcopy := o.Msg
-				queue = append(queue, machines[q].OnMessage(mcopy)...)
-			}
-		} else {
-			queue = append(queue, machines[o.To].OnMessage(o.Msg)...)
-		}
+		core.Expand([]core.Outbound{o}, n, func(to msg.ID, m msg.Message) {
+			queue = append(queue, machines[to].OnMessage(m)...)
+		})
 	}
 	for i, mm := range machines {
 		v, ok := mm.Decided()

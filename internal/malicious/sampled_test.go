@@ -24,18 +24,11 @@ func runNetwork(t *testing.T, machines []*Machine, silent map[msg.ID]bool) (sent
 		if silent[from] {
 			return
 		}
-		for _, o := range outs {
-			o.Msg.From = from
-			if o.To == msg.Broadcast {
-				for id := range machines {
-					queue = append(queue, envelope{msg.ID(id), o.Msg})
-					sent++
-				}
-			} else {
-				queue = append(queue, envelope{o.To, o.Msg})
-				sent++
-			}
-		}
+		core.Expand(outs, len(machines), func(to msg.ID, m msg.Message) {
+			m.From = from
+			queue = append(queue, envelope{to, m})
+			sent++
+		})
 	}
 	for i, m := range machines {
 		push(msg.ID(i), m.Start())
@@ -112,7 +105,8 @@ func TestNewSampledValidates(t *testing.T) {
 }
 
 // TestSampledEchoesAreUnicast pins the message-complexity mechanism: a
-// sampled machine echoes to its echo-target set only, not to everyone.
+// sampled machine echoes to its echo-target set only, not to everyone -- as
+// one multicast over the directory's own list, not a copy of it.
 func TestSampledEchoesAreUnicast(t *testing.T) {
 	const n, k = 100, 10
 	machines := buildSampledConsensus(t, n, k, 3, func(msg.ID) msg.Value { return msg.V1 })
@@ -121,20 +115,19 @@ func TestSampledEchoesAreUnicast(t *testing.T) {
 	if len(outs) != 1 || outs[0].To != msg.Broadcast {
 		t.Fatalf("initial not broadcast: %+v", outs)
 	}
-	echoes := m.OnMessage(msg.Initial(1, 0, msg.V1))
-	if len(echoes) != len(m.echoTargets) || len(echoes) >= n {
-		t.Fatalf("%d echo sends for %d targets", len(echoes), len(m.echoTargets))
+	if len(m.echoTargets) == 0 || len(m.echoTargets) >= n {
+		t.Fatalf("%d echo targets at n=%d", len(m.echoTargets), n)
 	}
-	for i, o := range echoes {
-		if o.To == msg.Broadcast {
-			t.Fatal("sampled echo broadcast to everyone")
-		}
-		if o.To != msg.ID(m.echoTargets[i]) {
-			t.Fatalf("echo %d sent to p%d, want p%d", i, o.To, m.echoTargets[i])
-		}
-		if o.Msg.Kind != msg.KindEcho || o.Msg.Subject != 1 {
-			t.Fatalf("echo %d = %+v", i, o.Msg)
-		}
+	echoes := m.OnMessage(msg.Initial(1, 0, msg.V1))
+	if len(echoes) != 1 || echoes[0].To != msg.Multicast {
+		t.Fatalf("echo sends %+v, want one multicast", echoes)
+	}
+	o := echoes[0]
+	if len(o.Targets) != len(m.echoTargets) || &o.Targets[0] != &m.echoTargets[0] {
+		t.Fatalf("multicast targets %v do not alias echoTargets %v", o.Targets, m.echoTargets)
+	}
+	if o.Msg.Kind != msg.KindEcho || o.Msg.Subject != 1 {
+		t.Fatalf("echo = %+v", o.Msg)
 	}
 }
 

@@ -21,6 +21,11 @@ type ID int32
 // (including the sender)", matching the paper's "for all q, 1 <= q <= n".
 const Broadcast ID = -1
 
+// Multicast is a pseudo-destination meaning "send to the outbound's target
+// list, in list order" (core.ToMany): the addressing of the sampled broadcast
+// scheme, whose gossip, echo and ready sets are fixed per process.
+const Multicast ID = -2
+
 // Value is a binary consensus value. The paper's protocols agree on a value
 // in {0, 1}.
 type Value uint8

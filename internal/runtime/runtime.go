@@ -479,42 +479,57 @@ func (r *runner) dispatch(from msg.ID, outs []core.Outbound) {
 		if !r.cfg.AllowForgery {
 			o.Msg.From = from // authenticated sender: forgery is impossible
 		}
-		if o.To != msg.Broadcast {
+		alive := true
+		switch o.To {
+		case msg.Broadcast:
+			// Broadcast in random recipient order, so that a mid-broadcast
+			// death reaches a random subset of processes. The in-place
+			// Fisher-Yates over the runner's scratch slice draws exactly the
+			// variates rng.Perm would (rand/v2 Perm = identity + Shuffle, and
+			// Shuffle's step i draws Uint64N(i+1)), so executions are
+			// seed-for-seed identical to the allocating version it replaced.
+			perm := r.perm
+			for i := range perm {
+				perm[i] = i
+			}
+			for i := len(perm) - 1; i > 0; i-- {
+				j := int(r.rng.Uint64N(uint64(i + 1)))
+				perm[i], perm[j] = perm[j], perm[i]
+			}
+			ref := r.queue.hold(o.Msg)
+			for _, q := range perm {
+				if alive = harness.AllowSendAt(phase); !alive {
+					break
+				}
+				r.enqueue(from, msg.ID(q), o.Msg, ref)
+			}
+			r.queue.release(ref)
+		case msg.Multicast:
+			// In list order, no shuffle: per in-range target the same harness
+			// charge, link draw and (at, seq) key as the unicast list this
+			// form replaced, so executions are identical to it -- but the
+			// message is held once, not once per recipient.
+			ref := r.queue.hold(o.Msg)
+			for _, t := range o.Targets {
+				if t < 0 || int(t) >= r.cfg.N {
+					continue
+				}
+				if alive = harness.AllowSendAt(phase); !alive {
+					break
+				}
+				r.enqueue(from, msg.ID(t), o.Msg, ref)
+			}
+			r.queue.release(ref)
+		default:
 			if int(o.To) < 0 || int(o.To) >= r.cfg.N {
 				continue
 			}
-			if !harness.AllowSendAt(phase) {
-				r.markCrashed(from)
-				return
+			if alive = harness.AllowSendAt(phase); alive {
+				ref := r.queue.hold(o.Msg)
+				r.enqueue(from, o.To, o.Msg, ref)
+				r.queue.release(ref)
 			}
-			ref := r.queue.hold(o.Msg)
-			r.enqueue(from, o.To, o.Msg, ref)
-			r.queue.release(ref)
-			continue
 		}
-		// Broadcast in random recipient order, so that a mid-broadcast
-		// death reaches a random subset of processes. The in-place
-		// Fisher-Yates over the runner's scratch slice draws exactly the
-		// variates rng.Perm would (rand/v2 Perm = identity + Shuffle, and
-		// Shuffle's step i draws Uint64N(i+1)), so executions are
-		// seed-for-seed identical to the allocating version it replaced.
-		perm := r.perm
-		for i := range perm {
-			perm[i] = i
-		}
-		for i := len(perm) - 1; i > 0; i-- {
-			j := int(r.rng.Uint64N(uint64(i + 1)))
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-		ref := r.queue.hold(o.Msg)
-		alive := true
-		for _, q := range perm {
-			if alive = harness.AllowSendAt(phase); !alive {
-				break
-			}
-			r.enqueue(from, msg.ID(q), o.Msg, ref)
-		}
-		r.queue.release(ref)
 		if !alive {
 			r.markCrashed(from)
 			return

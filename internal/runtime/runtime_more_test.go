@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"resilient/internal/adversary"
@@ -163,62 +165,86 @@ func TestMidBroadcastCrashDeliversPrefixOnly(t *testing.T) {
 	}
 }
 
-// TestMidBroadcastCrashLeaksNoSlot kills p0 after j of its n broadcast sends,
-// for every j: exactly j keys are queued, all referencing one slot, every
-// copy addressed to a live process is delivered, and once the queue has
-// drained every slot is back on the free list -- including the j = 0 slot
-// that was held but never referenced by a queued key.
+// TestMidBroadcastCrashLeaksNoSlot kills p0 after j of the sends of one
+// fan-out outbound, for every j and for both fan-out forms: exactly j keys
+// are queued, all referencing one slot, every copy addressed to a live
+// process is delivered, and once the queue has drained every slot is back on
+// the free list -- including the j = 0 slot that was held but never
+// referenced by a queued key. A multicast reaches the first j in-range
+// entries of its list in list order; the out-of-range entries between them
+// cost no crash budget.
 func TestMidBroadcastCrashLeaksNoSlot(t *testing.T) {
 	const n = 5
-	for j := 0; j <= n; j++ {
-		machines := make([]*forgingMachine, n)
-		r, err := newRunner(Config{
-			N: n, K: 2, Inputs: mixedInputs(n),
-			Spawn: func(ctx SpawnContext) (core.Machine, error) {
-				m := &forgingMachine{id: ctx.Config.Self, n: n}
-				machines[m.id] = m
-				return m, nil
-			},
-			Crashes: faults.Plan{0: {Process: 0, Phase: 0, AfterSends: j}},
-			Seed:    uint64(10 + j),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.start()
-		copies, toOthers, shared := 0, 0, int32(-1)
-		r.queue.each(func(k eventKey) {
-			if r.queue.slot(k.ref).m.From != 0 {
-				return
+	for _, form := range []struct {
+		name    string
+		targets []int32  // nil: broadcast
+		order   []msg.ID // the multicast's in-range targets
+	}{
+		{name: "broadcast"},
+		{name: "multicast", targets: []int32{-1, 3, n, 1, 4, -7, 2, 0, n + 7}, order: []msg.ID{3, 1, 4, 2, 0}},
+	} {
+		for j := 0; j <= n; j++ {
+			machines := make([]*forgingMachine, n)
+			r, err := newRunner(Config{
+				N: n, K: 2, Inputs: mixedInputs(n),
+				Spawn: func(ctx SpawnContext) (core.Machine, error) {
+					m := &forgingMachine{id: ctx.Config.Self, n: n}
+					if m.id == 0 {
+						m.targets = form.targets
+					}
+					machines[m.id] = m
+					return m, nil
+				},
+				Crashes: faults.Plan{0: {Process: 0, Phase: 0, AfterSends: j}},
+				Seed:    uint64(10 + j),
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			copies++
-			if k.to != 0 { // p0 may be dead before its own copy arrives
-				toOthers++
+			r.start()
+			var copies []eventKey
+			toOthers, shared := 0, int32(-1)
+			r.queue.each(func(k eventKey) {
+				if r.queue.slot(k.ref).m.From != 0 {
+					return
+				}
+				copies = append(copies, k)
+				if k.to != 0 { // p0 may be dead before its own copy arrives
+					toOthers++
+				}
+				if shared >= 0 && k.ref != shared {
+					t.Errorf("%s j=%d: copies of one message in slots %d and %d", form.name, j, shared, k.ref)
+				}
+				shared = k.ref
+			})
+			if len(copies) != j || (j > 0 && r.queue.slot(shared).refs != int32(j)) {
+				t.Errorf("%s j=%d: %d copies of p0's message queued", form.name, j, len(copies))
 			}
-			if shared >= 0 && k.ref != shared {
-				t.Errorf("j=%d: copies of one broadcast in slots %d and %d", j, shared, k.ref)
-			}
-			shared = k.ref
-		})
-		if copies != j || (j > 0 && r.queue.slot(shared).refs != int32(j)) {
-			t.Errorf("j=%d: %d copies of p0's broadcast queued", j, copies)
-		}
-		r.loop()
-		delivered := 0
-		for _, m := range machines[1:] {
-			for _, in := range m.seen {
-				if in.From == 0 {
-					delivered++
+			if form.targets != nil {
+				slices.SortFunc(copies, func(a, b eventKey) int { return cmp.Compare(a.seq, b.seq) })
+				for i, k := range copies {
+					if k.to != form.order[i] {
+						t.Errorf("%s j=%d: send %d went to p%d, want p%d", form.name, j, i, k.to, form.order[i])
+					}
 				}
 			}
-		}
-		if delivered != toOthers {
-			t.Errorf("j=%d: %d of %d copies to live processes delivered", j, delivered, toOthers)
-		}
-		allocated, live, free := r.queue.slotCounts()
-		if r.queue.len() != 0 || live != 0 || free != allocated {
-			t.Errorf("j=%d: drained queue holds %d keys, %d of %d slots live, %d free",
-				j, r.queue.len(), live, allocated, free)
+			r.loop()
+			delivered := 0
+			for _, m := range machines[1:] {
+				for _, in := range m.seen {
+					if in.From == 0 {
+						delivered++
+					}
+				}
+			}
+			if delivered != toOthers {
+				t.Errorf("%s j=%d: %d of %d copies to live processes delivered", form.name, j, delivered, toOthers)
+			}
+			allocated, live, free := r.queue.slotCounts()
+			if r.queue.len() != 0 || live != 0 || free != allocated {
+				t.Errorf("%s j=%d: drained queue holds %d keys, %d of %d slots live, %d free",
+					form.name, j, r.queue.len(), live, allocated, free)
+			}
 		}
 	}
 }
@@ -251,14 +277,18 @@ func TestAuthenticationStampsSender(t *testing.T) {
 }
 
 type forgingMachine struct {
-	id   msg.ID
-	n    int
-	seen []msg.Message
+	id      msg.ID
+	n       int
+	targets []int32 // non-nil: Start multicasts to these instead of broadcasting
+	seen    []msg.Message
 }
 
 func (f *forgingMachine) ID() msg.ID { return f.id }
 func (f *forgingMachine) Start() []core.Outbound {
 	m := msg.Val(99, 0, msg.V1) // claims to be p99
+	if f.targets != nil {
+		return []core.Outbound{core.ToMany(f.targets, m)}
+	}
 	return []core.Outbound{core.ToAll(m)}
 }
 func (f *forgingMachine) OnMessage(in msg.Message) []core.Outbound {

@@ -2,7 +2,6 @@ package sample
 
 import (
 	"fmt"
-	"slices"
 
 	"resilient/internal/core"
 	"resilient/internal/dense"
@@ -104,31 +103,20 @@ func (m *Machine) Start() []core.Outbound {
 }
 
 // relay marks the first copy handled and emits the gossip fanout plus this
-// process's echo to the receivers that sampled it.
+// process's echo to the receivers that sampled it: two multicasts over the
+// directory's own target lists.
 func (m *Machine) relay(origin msg.ID, p msg.Phase, v msg.Value) {
 	m.relayed = true
-	gossip, echoes := m.dir.GossipTargets(m.cfg.Self), m.dir.EchoTargets(m.cfg.Self)
-	// One allocation for the burst: every one of a run's 10⁴ machines emits
-	// it once, and growing it by append from nothing allocated several
-	// times its final size.
-	m.out = slices.Grow(m.out, len(gossip)+len(echoes))
-	for _, t := range gossip {
-		m.out = append(m.out, core.To(msg.ID(t), msg.Gossip(m.cfg.Self, origin, p, v)))
-	}
-	for _, t := range echoes {
-		m.out = append(m.out, core.To(msg.ID(t), msg.Echo(m.cfg.Self, origin, p, v)))
-	}
+	m.out = append(m.out,
+		core.ToMany(m.dir.GossipTargets(m.cfg.Self), msg.Gossip(m.cfg.Self, origin, p, v)),
+		core.ToMany(m.dir.EchoTargets(m.cfg.Self), msg.Echo(m.cfg.Self, origin, p, v)))
 }
 
 // sendReady emits this process's ready to everyone whose ready sample
 // contains it.
 func (m *Machine) sendReady(v msg.Value) {
 	m.readied = true
-	ready := m.dir.ReadyTargets(m.cfg.Self)
-	m.out = slices.Grow(m.out, len(ready))
-	for _, t := range ready {
-		m.out = append(m.out, core.To(msg.ID(t), msg.Ready(m.cfg.Self, m.origin, 0, v)))
-	}
+	m.out = append(m.out, core.ToMany(m.dir.ReadyTargets(m.cfg.Self), msg.Ready(m.cfg.Self, m.origin, 0, v)))
 }
 
 // OnMessage implements core.Machine.

@@ -21,18 +21,11 @@ func runLoop(t *testing.T, machines []core.Machine, silent map[msg.ID]bool) (sen
 		if silent[from] {
 			return
 		}
-		for _, o := range outs {
-			o.Msg.From = from // transport authentication
-			if o.To == msg.Broadcast {
-				for id := range machines {
-					queue = append(queue, envelope{msg.ID(id), o.Msg})
-					sent++
-				}
-			} else {
-				queue = append(queue, envelope{o.To, o.Msg})
-				sent++
-			}
-		}
+		core.Expand(outs, len(machines), func(to msg.ID, m msg.Message) {
+			m.From = from // transport authentication
+			queue = append(queue, envelope{to, m})
+			sent++
+		})
 	}
 	for i, m := range machines {
 		push(msg.ID(i), m.Start())

@@ -31,6 +31,10 @@ type phaseTally struct {
 	// order records subject arrival order so pruning can release tallies to
 	// the freelist deterministically (map iteration order is randomized).
 	order []msg.ID
+	// last is the tally the previous lookup returned: a one-shot broadcast
+	// has a single subject, and a consensus phase's echoes arrive in runs per
+	// subject, so most lookups skip the map. Prune clears it.
+	last *subjectTally
 }
 
 // Tracker is the sample-scheme replacement for echo.Tracker: it counts only
@@ -92,6 +96,9 @@ func (t *Tracker) tally(p msg.Phase) *phaseTally {
 }
 
 func (t *Tracker) subject(pt *phaseTally, subject msg.ID) *subjectTally {
+	if st := pt.last; st != nil && st.subject == subject {
+		return st
+	}
 	st := pt.subjects[subject]
 	if st == nil {
 		if n := len(t.freeSubjects); n > 0 {
@@ -107,6 +114,7 @@ func (t *Tracker) subject(pt *phaseTally, subject msg.ID) *subjectTally {
 		pt.subjects[subject] = st
 		pt.order = append(pt.order, subject)
 	}
+	pt.last = st
 	return st
 }
 
@@ -206,6 +214,7 @@ func (t *Tracker) Prune(p msg.Phase) {
 		}
 		clear(pt.subjects)
 		pt.order = pt.order[:0]
+		pt.last = nil
 		t.freePhases = append(t.freePhases, pt)
 	}
 	t.low = p

@@ -199,28 +199,38 @@ type SimOptions struct {
 // engine. It validates (n, k) against the protocol's resilience bound
 // unless opts.Unsafe is set.
 func Simulate(p Protocol, n, k int, inputs []Value, opts SimOptions) (*Result, error) {
+	cfg, err := simConfig(p, n, k, inputs, opts)
+	if err != nil {
+		return nil, err
+	}
+	return runtime.Run(cfg)
+}
+
+// simConfig validates Simulate's arguments and assembles the engine
+// configuration, machines' spawner included.
+func simConfig(p Protocol, n, k int, inputs []Value, opts SimOptions) (runtime.Config, error) {
 	if !p.Valid() {
-		return nil, fmt.Errorf("resilient: unknown protocol %d", int(p))
+		return runtime.Config{}, fmt.Errorf("resilient: unknown protocol %d", int(p))
 	}
 	if !opts.Unsafe {
 		if k > p.MaxFaults(n) {
-			return nil, fmt.Errorf("resilient: k=%d exceeds %v bound %d at n=%d",
+			return runtime.Config{}, fmt.Errorf("resilient: k=%d exceeds %v bound %d at n=%d",
 				k, p, p.MaxFaults(n), n)
 		}
 	}
 	dir, err := sampleDirectory(p, n, k, opts)
 	if err != nil {
-		return nil, err
+		return runtime.Config{}, err
 	}
 	spawner, err := spawnerFor(p, opts, dir)
 	if err != nil {
-		return nil, err
+		return runtime.Config{}, err
 	}
 	byz := make(map[msg.ID]bool, len(opts.Adversaries))
 	for id := range opts.Adversaries {
 		byz[id] = true
 	}
-	return runtime.Run(runtime.Config{
+	return runtime.Config{
 		N: n, K: k,
 		Inputs:          inputs,
 		Spawn:           spawner,
@@ -234,7 +244,7 @@ func Simulate(p Protocol, n, k int, inputs []Value, opts SimOptions) (*Result, e
 		MaxSimTime:      opts.MaxSimTime,
 		RunToCompletion: opts.RunToCompletion,
 		Metrics:         opts.Metrics,
-	})
+	}, nil
 }
 
 // sampleDirectory builds the run's shared sample directory when the sampled
