@@ -174,13 +174,6 @@ func TestNewMachinePublic(t *testing.T) {
 	if _, err := NewMachine(ProtocolBenOrCrash, MachineConfig{N: 5, K: 2, Coin: CoinNone}); err == nil {
 		t.Error("coinless override accepted for a randomized protocol")
 	}
-	bm, err := NewBenOrMachine(ProtocolBenOrCrash, MachineConfig{N: 5, K: 2, Self: 0, Input: V0}, 1)
-	if err != nil || bm == nil {
-		t.Fatalf("NewBenOrMachine: %v", err)
-	}
-	if _, err := NewBenOrMachine(ProtocolFailStop, MachineConfig{N: 5, K: 2}, 1); err == nil {
-		t.Error("non-benor protocol accepted by NewBenOrMachine")
-	}
 }
 
 func TestStrategyStrings(t *testing.T) {

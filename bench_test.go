@@ -1,12 +1,9 @@
 package resilient
 
 import (
-	"context"
-	"encoding/binary"
 	"fmt"
 	goruntime "runtime"
 	"testing"
-	"time"
 
 	"resilient/internal/experiments"
 )
@@ -218,96 +215,6 @@ func BenchmarkBroadcast(b *testing.B) {
 	b.Run("sample/n=100", func(b *testing.B) { benchBroadcast(b, SchemeSample, 100) })
 	b.Run("sample/n=1000", func(b *testing.B) { benchBroadcast(b, SchemeSample, 1000) })
 	b.Run("sample/n=10000", func(b *testing.B) { benchBroadcast(b, SchemeSample, 10000) })
-}
-
-// Live-path benchmarks: full consensus executions over real loopback TCP
-// sockets, tracked by the CI bench-live lane next to the netxport loopback
-// micro-benchmark. Each iteration stands up a fresh mesh, runs to decision,
-// and tears it down -- mesh setup is deliberately on the measured path, as
-// it is in any real deployment of the demo.
-
-func benchLiveTCP(b *testing.B, p Protocol, n, k int, tcp TCPTuning) {
-	b.Helper()
-	inputs := make([]Value, n)
-	for i := range inputs {
-		inputs[i] = Value(i % 2)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		out, err := RunScenario(ctx, EngineTCP, Scenario{
-			Protocol: p,
-			N:        n,
-			K:        k,
-			Inputs:   inputs,
-			Seed:     uint64(i) + 1,
-			TCP:      tcp,
-		})
-		cancel()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !out.AllDecided || !out.Agreement {
-			b.Fatalf("iteration %d: allDecided=%v agreement=%v", i, out.AllDecided, out.Agreement)
-		}
-	}
-}
-
-func BenchmarkLiveTCPFailStopN5(b *testing.B) {
-	benchLiveTCP(b, ProtocolFailStop, 5, 2, TCPTuning{})
-}
-
-func BenchmarkLiveTCPMaliciousN7(b *testing.B) {
-	benchLiveTCP(b, ProtocolMalicious, 7, 2, TCPTuning{})
-}
-
-func BenchmarkLiveTCPMaliciousN7Direct(b *testing.B) {
-	benchLiveTCP(b, ProtocolMalicious, 7, 2, TCPTuning{NoCoalesce: true})
-}
-
-// benchLogThroughput runs the replicated log over real TCP at n=7 and
-// reports committed ops/sec: 64 slots per iteration regardless of batch
-// size, so the batch-1 and batch-16 variants do the same consensus work and
-// the ops/sec ratio isolates what batching (amortizing a slot across many
-// operations) and pipelining (overlapping slots in the window) buy.
-func benchLogThroughput(b *testing.B, batch, window int) {
-	b.Helper()
-	const slots = 64
-	ops := make([][]byte, slots*batch)
-	for i := range ops {
-		op := make([]byte, 16)
-		binary.BigEndian.PutUint64(op, uint64(i))
-		ops[i] = op
-	}
-	var total float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-		rep, err := RunLog(ctx, LogOptions{
-			Engine:   EngineTCP,
-			N:        7,
-			Seed:     uint64(i) + 1,
-			Batch:    batch,
-			Pipeline: window,
-		}, ops)
-		cancel()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Ops != len(ops) {
-			b.Fatalf("iteration %d committed %d/%d ops", i, rep.Ops, len(ops))
-		}
-		total += rep.OpsPerSec
-	}
-	b.StopTimer()
-	b.ReportMetric(total/float64(b.N), "ops/sec")
-}
-
-func BenchmarkLogThroughput(b *testing.B) {
-	b.Run("tcp-n7/batch1-win4", func(b *testing.B) { benchLogThroughput(b, 1, 4) })
-	b.Run("tcp-n7/batch16-win1", func(b *testing.B) { benchLogThroughput(b, 16, 1) })
-	b.Run("tcp-n7/batch16-win4", func(b *testing.B) { benchLogThroughput(b, 16, 4) })
 }
 
 // Analysis micro-benchmarks.

@@ -1,9 +1,10 @@
 // Command consensus-sim runs a single consensus execution and reports the
 // outcome. The -engine flag picks where it runs: the deterministic
 // discrete-event simulator (default), a goroutine-per-process in-memory
-// cluster, the same with jittered delivery, or a loopback TCP mesh. Fault
-// plans (-crash), adversaries (-adversary), and link policies (-policy)
-// mean the same thing on every engine.
+// cluster, or a loopback TCP mesh. Fault plans (-crash), adversaries
+// (-adversary), and link policies (-policy) mean the same thing on every
+// engine; jittered live delivery is a policy (-engine mem -policy
+// uniform:0:1 -unit 1ms).
 //
 // Usage:
 //
@@ -22,8 +23,8 @@
 //	consensus-sim -log -engine tcp -rate 20000 -clients 256 -batch 32 -logcrash "2:5"
 //
 // With -engine tcp, -saturate floods the mesh with consensus-shaped frames
-// (no protocol on top) and reports aggregate throughput; -linger and
-// -nocoalesce tune the transport's write-coalescing for both modes.
+// (no protocol on top) and reports aggregate throughput; -linger tunes the
+// transport's write-coalescing window for both modes.
 //
 // -log runs the replicated-log layer instead of a single decision: a
 // workload of -ops operations is batched (-batch), committed
@@ -86,7 +87,7 @@ func run(args []string) error {
 		epsFlag     = fs.Float64("eps", 0, "per-acceptance error bound of -broadcast=sample (0 = default 1e-3)")
 		asJSON      = fs.Bool("json", false, "emit the result as JSON (single-trial runs only)")
 		metricsPath = fs.String("metrics-json", "", "write a key-sorted run-accounting snapshot to this file (aggregated over all trials)")
-		engineName  = fs.String("engine", "sim", "execution engine: sim | mem | jitter | tcp")
+		engineName  = fs.String("engine", "sim", "execution engine: sim | mem | tcp")
 		policySpec  = fs.String("policy", "", "link policy: comma-chained wrappers over a base, e.g. uniform:0.1:1 | exp:1 | const:1 | drop:0.1,uniform:0.1:1 | partition:2,const:1")
 		unitFlag    = fs.Duration("unit", 0, "wall-clock length of one policy delay unit on live engines (default 1ms)")
 		timeoutFlag = fs.Duration("timeout", 30*time.Second, "deadline for live-engine runs")
@@ -94,7 +95,6 @@ func run(args []string) error {
 		messages    = fs.Int("messages", 200000, "total message budget in -saturate mode")
 		payloadFlag = fs.Int("payload", 0, "payload bytes per message in -saturate mode")
 		lingerFlag  = fs.Duration("linger", 0, "TCP write-coalescing window (0 = transport default, engine tcp only)")
-		noCoalesce  = fs.Bool("nocoalesce", false, "disable TCP write coalescing: one write syscall per frame (engine tcp only)")
 		logMode     = fs.Bool("log", false, "run the replicated-log layer: batched, pipelined consensus slots over one shared transport")
 		rateFlag    = fs.Float64("rate", 0, "open-loop arrival rate in ops/sec in -log mode (0 = unpaced)")
 		clientsFlag = fs.Int("clients", 0, "simulated client population in -log mode (0 = default)")
@@ -174,9 +174,9 @@ func run(args []string) error {
 		return resilient.WriteMetricsJSON(f, reg)
 	}
 
-	tcp := resilient.TCPTuning{Linger: *lingerFlag, NoCoalesce: *noCoalesce}
-	if (tcp.Linger > 0 || tcp.NoCoalesce) && engine != resilient.EngineTCP {
-		return errors.New("-linger and -nocoalesce apply to -engine tcp only")
+	tcp := resilient.TCPTuning{Linger: *lingerFlag}
+	if tcp.Linger > 0 && engine != resilient.EngineTCP {
+		return errors.New("-linger applies to -engine tcp only")
 	}
 	if *logMode {
 		if *saturate {
@@ -208,7 +208,6 @@ func run(args []string) error {
 				Pipeline: *pipeFlag,
 				Crashes:  lc,
 				TCP:      tcp,
-				Unit:     *unitFlag,
 				Metrics:  reg,
 			},
 			Ops:     *opsFlag,
@@ -250,11 +249,7 @@ func run(args []string) error {
 		if err := writeMetrics(); err != nil {
 			return err
 		}
-		mode := "coalesce"
-		if tcp.NoCoalesce {
-			mode = "direct"
-		}
-		fmt.Printf("saturation  n=%d payload=%dB mode=%s\n", *n, *payloadFlag, mode)
+		fmt.Printf("saturation  n=%d payload=%dB\n", *n, *payloadFlag)
 		fmt.Printf("messages    %d\n", rep.Messages)
 		fmt.Printf("elapsed     %v\n", rep.Elapsed.Round(time.Millisecond))
 		fmt.Printf("throughput  %.0f msgs/s, %.1f MB/s\n", rep.MsgsPerSec, rep.MBPerSec)

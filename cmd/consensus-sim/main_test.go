@@ -140,26 +140,17 @@ func TestRunSaturateMode(t *testing.T) {
 			t.Fatalf("saturate run: %v", err)
 		}
 	})
-	if !strings.Contains(out, "mode=coalesce") || !strings.Contains(out, "messages    3000") {
+	if !strings.Contains(out, "saturation  n=3") || !strings.Contains(out, "messages    3000") {
 		t.Fatalf("unexpected saturation report:\n%s", out)
-	}
-	out = captureStdout(t, func() {
-		if err := run([]string{"-engine", "tcp", "-saturate", "-n", "3",
-			"-messages", "1000", "-nocoalesce", "-timeout", "30s"}); err != nil {
-			t.Fatalf("direct saturate run: %v", err)
-		}
-	})
-	if !strings.Contains(out, "mode=direct") {
-		t.Fatalf("direct mode not reported:\n%s", out)
 	}
 	// Guard rails: saturation and TCP tuning are TCP-engine concepts.
 	if err := run([]string{"-saturate"}); err == nil ||
 		!strings.Contains(err.Error(), "-engine tcp") {
 		t.Fatalf("saturate on sim engine: %v", err)
 	}
-	if err := run([]string{"-nocoalesce"}); err == nil ||
+	if err := run([]string{"-linger", "1ms"}); err == nil ||
 		!strings.Contains(err.Error(), "-engine tcp") {
-		t.Fatalf("nocoalesce on sim engine: %v", err)
+		t.Fatalf("linger on sim engine: %v", err)
 	}
 }
 

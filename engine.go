@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"time"
 
-	"resilient/internal/core"
 	"resilient/internal/faults"
 	"resilient/internal/livenet"
 	"resilient/internal/msg"
+	"resilient/internal/netxport"
 	"resilient/internal/policy"
 	"resilient/internal/runtime"
 	"resilient/internal/transport"
@@ -24,12 +24,10 @@ const (
 	// time, seeded randomness, reproducible executions.
 	EngineSim Engine = iota + 1
 	// EngineMem runs one goroutine per process over an in-memory message
-	// system; asynchrony comes from the Go scheduler.
+	// system; asynchrony comes from the Go scheduler, and from the scenario's
+	// LinkPolicy when one is set -- a uniform-delay policy realizes the
+	// paper's probabilistic delivery assumption (Section 2.3) in real time.
 	EngineMem
-	// EngineJitter is EngineMem with random per-message delivery delays in
-	// the transport, realizing the paper's probabilistic delivery
-	// assumption (Section 2.3) in real time.
-	EngineJitter
 	// EngineTCP runs one goroutine per process over a loopback TCP mesh --
 	// real sockets, real frames, the deployment shape.
 	EngineTCP
@@ -42,8 +40,6 @@ func (e Engine) String() string {
 		return "sim"
 	case EngineMem:
 		return "mem"
-	case EngineJitter:
-		return "jitter"
 	case EngineTCP:
 		return "tcp"
 	default:
@@ -53,24 +49,22 @@ func (e Engine) String() string {
 
 // Live reports whether the engine runs in real time (everything but the
 // simulator).
-func (e Engine) Live() bool { return e == EngineMem || e == EngineJitter || e == EngineTCP }
+func (e Engine) Live() bool { return e == EngineMem || e == EngineTCP }
 
 // Valid reports whether e names an engine.
 func (e Engine) Valid() bool { return e >= EngineSim && e <= EngineTCP }
 
-// ParseEngine resolves an engine name: sim | mem | jitter | tcp.
+// ParseEngine resolves an engine name: sim | mem | tcp.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "sim", "":
 		return EngineSim, nil
 	case "mem":
 		return EngineMem, nil
-	case "jitter":
-		return EngineJitter, nil
 	case "tcp":
 		return EngineTCP, nil
 	default:
-		return 0, fmt.Errorf("resilient: unknown engine %q (want sim | mem | jitter | tcp)", s)
+		return 0, fmt.Errorf("resilient: unknown engine %q (want sim | mem | tcp)", s)
 	}
 }
 
@@ -122,18 +116,16 @@ type Scenario struct {
 	// strategies except StrategyBalancer (which needs the simulator's
 	// omniscient world view) run on every engine.
 	Adversaries map[ID]Strategy
-	// Scheduler is the simulator's delay policy when Policy is nil;
-	// live engines ignore it (use Policy for engine-independent delays).
-	Scheduler Scheduler
 	// Policy, when non-nil, decides per-link delivery on every engine:
 	// virtual delay units in the simulator, wall-clock units of Unit on
-	// the live engines.
+	// the live engines. Nil is the simulator's Uniform[0.1, 1] default and
+	// undelayed delivery on the live engines.
 	Policy LinkPolicy
 	// Unit is the wall-clock length of one abstract delay unit on live
 	// engines (0 = livenet.DefaultUnit, one millisecond).
 	Unit time.Duration
 	// TCP tunes the loopback TCP transport on EngineTCP runs (coalescing
-	// window, queue cap, direct mode); other engines ignore it.
+	// window, queue cap); other engines ignore it.
 	TCP TCPTuning
 	// Broadcast selects the echo-broadcast primitive (see
 	// SimOptions.Broadcast); all engines honour it.
@@ -184,23 +176,12 @@ type Outcome struct {
 // before every correct process decides, the partial Outcome is returned
 // alongside the error.
 func RunScenario(ctx context.Context, engine Engine, sc Scenario) (*Outcome, error) {
-	if !sc.Protocol.Valid() {
-		return nil, fmt.Errorf("resilient: unknown protocol %d", int(sc.Protocol))
+	sp, err := sc.validate(engine)
+	if err != nil {
+		return nil, err
 	}
-	switch engine {
-	case EngineSim:
-		res, err := Simulate(sc.Protocol, sc.N, sc.K, sc.Inputs, SimOptions{
-			Seed:        sc.Seed,
-			Scheduler:   sc.Scheduler,
-			Policy:      sc.Policy,
-			Crashes:     sc.Crashes,
-			Adversaries: sc.Adversaries,
-			Broadcast:   sc.Broadcast,
-			Eps:         sc.Eps,
-			Coin:        sc.Coin,
-			Unsafe:      sc.Unsafe,
-			Metrics:     sc.Metrics,
-		})
+	if engine == EngineSim {
+		res, err := runtime.Run(sc.simConfig(sp))
 		if err != nil {
 			return nil, err
 		}
@@ -215,66 +196,79 @@ func RunScenario(ctx context.Context, engine Engine, sc Scenario) (*Outcome, err
 			Elapsed:       res.WallClock,
 			Sim:           res,
 		}, nil
-	case EngineMem, EngineJitter, EngineTCP:
-		cluster, err := newScenarioCluster(engine, sc)
-		if err != nil {
-			return nil, err
-		}
-		rep, runErr := cluster.Run(ctx)
-		if rep == nil {
-			return nil, runErr
-		}
-		out := &Outcome{
-			Engine:        engine,
-			Decisions:     rep.DecisionMap(),
-			DecisionPhase: make(map[ID]Phase, len(rep.Decisions)),
-			Agreement:     rep.Agreement,
-			Value:         rep.Value,
-			AllDecided:    rep.AllDecided,
-			Crashed:       rep.Crashed,
-			Elapsed:       rep.Elapsed,
-			Live:          rep,
-		}
-		for _, d := range rep.Decisions {
-			out.DecisionPhase[d.Process] = d.Phase
-		}
-		return out, runErr
-	default:
-		return nil, fmt.Errorf("resilient: unknown engine %d", int(engine))
+	}
+	cluster, err := sc.cluster(engine, sp)
+	if err != nil {
+		return nil, err
+	}
+	rep, runErr := cluster.Run(ctx)
+	if rep == nil {
+		return nil, runErr
+	}
+	out := &Outcome{
+		Engine:        engine,
+		Decisions:     rep.DecisionMap(),
+		DecisionPhase: make(map[ID]Phase, len(rep.Decisions)),
+		Agreement:     rep.Agreement,
+		Value:         rep.Value,
+		AllDecided:    rep.AllDecided,
+		Crashed:       rep.Crashed,
+		Elapsed:       rep.Elapsed,
+		Live:          rep,
+	}
+	for _, d := range rep.Decisions {
+		out.DecisionPhase[d.Process] = d.Phase
+	}
+	return out, runErr
+}
+
+// byzantine returns the scenario's adversaries as the engines' membership
+// set.
+func (sc *Scenario) byzantine() map[ID]bool {
+	byz := make(map[ID]bool, len(sc.Adversaries))
+	for id := range sc.Adversaries {
+		byz[id] = true
+	}
+	return byz
+}
+
+// simConfig is the validated scenario as a simulator configuration.
+func (sc *Scenario) simConfig(sp *spawner) runtime.Config {
+	return runtime.Config{
+		N: sc.N, K: sc.K,
+		Inputs:    sc.Inputs,
+		Spawn:     sp.spawn,
+		Byzantine: sc.byzantine(),
+		Crashes:   faults.Plan(sc.Crashes),
+		Policy:    sc.Policy,
+		Seed:      sc.Seed,
+		Metrics:   sc.Metrics,
 	}
 }
 
-// newScenarioCluster assembles a live cluster for the scenario: machines
-// (honest or strategy-wrapped), transport, fault plan, and link policy.
-func newScenarioCluster(engine Engine, sc Scenario) (*livenet.Cluster, error) {
-	machines, err := liveMachines(sc)
+// cluster assembles the validated scenario's live cluster: machines first,
+// then the engine's transport, fault plan, and link policy.
+func (sc *Scenario) cluster(engine Engine, sp *spawner) (*livenet.Cluster, error) {
+	machines, err := sp.machines(sc.N, sc.K, sc.Inputs)
 	if err != nil {
 		return nil, err
 	}
 	var cluster *livenet.Cluster
-	switch engine {
-	case EngineMem:
-		cluster, err = livenet.NewMemCluster(machines)
-	case EngineJitter:
-		maxDelay := sc.Unit
-		if maxDelay <= 0 {
-			maxDelay = livenet.DefaultUnit
-		}
-		cluster, err = livenet.NewJitterCluster(machines, maxDelay, sc.Seed)
-	case EngineTCP:
-		var conns []transport.Conn
-		conns, err = tcpMeshConns(sc.N, sc.Metrics, sc.TCP)
+	if engine == EngineTCP {
+		endpoints, err := tcpMeshEndpoints(sc.N, sc.Metrics, sc.TCP)
 		if err != nil {
 			return nil, err
 		}
+		conns := make([]transport.Conn, sc.N)
+		for i, ep := range endpoints {
+			conns[i] = ep
+		}
 		cluster, err = livenet.NewCluster(machines, conns)
 		if err != nil {
-			for _, c := range conns {
-				c.Close()
-			}
+			closeEndpoints(endpoints)
+			return nil, err
 		}
-	}
-	if err != nil {
+	} else if cluster, err = livenet.NewMemCluster(machines); err != nil {
 		return nil, err
 	}
 	cluster.Metrics = sc.Metrics
@@ -282,65 +276,62 @@ func newScenarioCluster(engine Engine, sc Scenario) (*livenet.Cluster, error) {
 	cluster.Policy = sc.Policy
 	cluster.Unit = sc.Unit
 	cluster.Seed = sc.Seed
-	if len(sc.Adversaries) > 0 {
-		cluster.Byzantine = make(map[msg.ID]bool, len(sc.Adversaries))
-		for id := range sc.Adversaries {
-			cluster.Byzantine[id] = true
-		}
-	}
+	cluster.Byzantine = sc.byzantine()
 	return cluster, nil
 }
 
-// liveMachines builds the scenario's machines for a live engine by reusing
-// the simulator's spawner (honest machines, Unsafe variants, and
-// strategy-wrapped adversaries) with a synthesized spawn context: a seeded
-// per-process RNG, no trace sink, and -- crucially -- no world view, which
-// is why the omniscient StrategyBalancer is rejected up front.
-func liveMachines(sc Scenario) ([]core.Machine, error) {
-	if len(sc.Inputs) != sc.N {
-		return nil, fmt.Errorf("resilient: %d inputs for %d processes", len(sc.Inputs), sc.N)
+// ClusterReport summarizes a live cluster run; see the livenet package.
+type ClusterReport = livenet.Report
+
+// ClusterDecision is one process's decision in a live run.
+type ClusterDecision = livenet.Decision
+
+// TCPTuning tunes the loopback TCP transport behind EngineTCP runs. The
+// zero value keeps the transport defaults (50µs linger, 1 MiB per-peer
+// queue).
+type TCPTuning struct {
+	// Linger is the write-coalescing window: how long a waking writer lets
+	// a burst accumulate before flushing it in one syscall (0 = default).
+	Linger time.Duration
+	// QueueCap is the per-peer pending-buffer cap in bytes; beyond it sends
+	// block until the writer drains (0 = default).
+	QueueCap int
+}
+
+// tcpMeshEndpoints starts n loopback TCP endpoints on ephemeral ports and
+// wires them into a full mesh: everyone listens first, then the discovered
+// addresses are exchanged. On error, every endpoint opened so far is closed.
+func tcpMeshEndpoints(n int, reg *MetricsRegistry, tune TCPTuning) ([]*netxport.Endpoint, error) {
+	endpoints := make([]*netxport.Endpoint, 0, n)
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = "127.0.0.1:0"
 	}
-	if !sc.Unsafe && sc.K > sc.Protocol.MaxFaults(sc.N) {
-		return nil, fmt.Errorf("resilient: k=%d exceeds %v bound %d at n=%d",
-			sc.K, sc.Protocol, sc.Protocol.MaxFaults(sc.N), sc.N)
-	}
-	for id, strat := range sc.Adversaries {
-		if int(id) < 0 || int(id) >= sc.N {
-			return nil, fmt.Errorf("resilient: adversary %d outside 0..%d", id, sc.N-1)
-		}
-		if strat == StrategyBalancer {
-			return nil, fmt.Errorf("resilient: %v needs the simulator's omniscient world view; run it on EngineSim", strat)
-		}
-	}
-	simOpts := SimOptions{
-		Seed:        sc.Seed,
-		Adversaries: sc.Adversaries,
-		Broadcast:   sc.Broadcast,
-		Eps:         sc.Eps,
-		Coin:        sc.Coin,
-		Unsafe:      sc.Unsafe,
-	}
-	dir, err := sampleDirectory(sc.Protocol, sc.N, sc.K, simOpts)
-	if err != nil {
-		return nil, err
-	}
-	spawner, err := spawnerFor(sc.Protocol, simOpts, dir)
-	if err != nil {
-		return nil, err
-	}
-	machines := make([]core.Machine, sc.N)
-	for i := 0; i < sc.N; i++ {
-		id := ID(i)
-		_, byz := sc.Adversaries[id]
-		m, err := spawner(runtime.SpawnContext{
-			Config:    core.Config{N: sc.N, K: sc.K, Self: id, Input: sc.Inputs[i]},
-			RNG:       newRand(sc.Seed ^ uint64(i+1)*0x9e3779b97f4a7c15),
-			Byzantine: byz,
-		})
+	for i := 0; i < n; i++ {
+		ep, err := netxport.Listen(msg.ID(i), addrs)
 		if err != nil {
-			return nil, fmt.Errorf("resilient: build p%d: %w", i, err)
+			closeEndpoints(endpoints)
+			return nil, err
 		}
-		machines[i] = m
+		ep.SetMetrics(reg)
+		if tune.Linger > 0 {
+			ep.SetLinger(tune.Linger)
+		}
+		if tune.QueueCap > 0 {
+			ep.SetQueueCap(tune.QueueCap)
+		}
+		endpoints = append(endpoints, ep)
 	}
-	return machines, nil
+	for _, ep := range endpoints {
+		for j, peer := range endpoints {
+			ep.SetPeerAddr(msg.ID(j), peer.Addr())
+		}
+	}
+	return endpoints, nil
+}
+
+func closeEndpoints(endpoints []*netxport.Endpoint) {
+	for _, ep := range endpoints {
+		ep.Close()
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -224,24 +225,26 @@ func TestBalancerIsSimOnly(t *testing.T) {
 	}
 }
 
-// TestParseEngine pins the flag-facing engine names.
+// TestParseEngine pins the flag-facing engine names: sim | mem | tcp, and
+// nothing else -- "jitter" was an engine once and is a LinkPolicy now.
 func TestParseEngine(t *testing.T) {
-	for _, want := range []Engine{EngineSim, EngineMem, EngineJitter, EngineTCP} {
+	for _, want := range []Engine{EngineSim, EngineMem, EngineTCP} {
 		got, err := ParseEngine(want.String())
 		if err != nil || got != want {
 			t.Errorf("ParseEngine(%q) = %v, %v", want.String(), got, err)
 		}
-	}
-	if _, err := ParseEngine("quantum"); err == nil {
-		t.Error("unknown engine accepted")
-	}
-	if EngineSim.Live() {
-		t.Error("sim reported live")
-	}
-	for _, e := range []Engine{EngineMem, EngineJitter, EngineTCP} {
-		if !e.Live() {
-			t.Errorf("%v not reported live", e)
+		if want.Live() != (want != EngineSim) {
+			t.Errorf("%v.Live() = %v", want, want.Live())
 		}
+	}
+	for _, name := range []string{"jitter", "quantum"} {
+		_, err := ParseEngine(name)
+		if err == nil || !strings.Contains(err.Error(), "sim | mem | tcp") {
+			t.Errorf("ParseEngine(%q) = %v, want an error naming the three engines", name, err)
+		}
+	}
+	if Engine(4).Valid() || Engine(0).Valid() {
+		t.Error("an engine outside sim..tcp reported valid")
 	}
 }
 

@@ -20,14 +20,19 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	report, err := resilient.RunTCPCluster(ctx, resilient.ProtocolMalicious, n, k, inputs)
+	out, err := resilient.RunScenario(ctx, resilient.EngineTCP, resilient.Scenario{
+		Protocol: resilient.ProtocolMalicious,
+		N:        n, K: k,
+		Inputs: inputs,
+		Seed:   1,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("TCP cluster of %d (k=%d) finished in %v\n", n, k, report.Elapsed.Round(time.Millisecond))
-	fmt.Printf("  agreement: %v, value: %d\n", report.Agreement, report.Value)
-	for _, d := range report.Decisions {
+	fmt.Printf("TCP cluster of %d (k=%d) finished in %v\n", n, k, out.Elapsed.Round(time.Millisecond))
+	fmt.Printf("  agreement: %v, value: %d\n", out.Agreement, out.Value)
+	for _, d := range out.Live.Decisions {
 		fmt.Printf("  p%d decided %d in phase %d\n", d.Process, d.Value, d.Phase)
 	}
 }

@@ -73,16 +73,9 @@ func RunInstance(ctx context.Context, machines []core.Machine, conns []transport
 	// Close every conn the moment the instance ends -- decision, error, or
 	// cancellation -- so no driver hangs in Recv and the transport resources
 	// (mux ids, mailboxes) are released promptly.
-	closeAll := func() {
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}
 	go func() {
 		<-runCtx.Done()
-		closeAll()
+		closeConns(conns)
 	}()
 
 	out := InstanceOutcome{Agreement: true}

@@ -237,7 +237,6 @@ func (r *Report) DecisionMap() map[msg.ID]msg.Value {
 type Cluster struct {
 	machines []core.Machine
 	conns    []transport.Conn
-	cleanup  func()
 	// Metrics, when non-nil, receives live-run accounting under the
 	// "livenet." prefix. Set it before calling Run.
 	Metrics *metrics.Registry
@@ -274,29 +273,7 @@ func NewMemCluster(machines []core.Machine) (*Cluster, error) {
 		}
 		conns[i] = c
 	}
-	return &Cluster{machines: machines, conns: conns, cleanup: mem.Close}, nil
-}
-
-// NewJitterCluster wires the given machines over an in-memory message
-// system with random per-message delivery delays up to maxDelay. This
-// realizes the paper's probabilistic delivery assumption (Section 2.3) in
-// the live engine; protocols whose convergence depends on view randomness
-// (notably the Section 4.1 majority variant on balanced inputs) need it.
-func NewJitterCluster(machines []core.Machine, maxDelay time.Duration, seed uint64) (*Cluster, error) {
-	n := len(machines)
-	net := transport.NewJitter(n, maxDelay, seed)
-	conns := make([]transport.Conn, n)
-	for i, m := range machines {
-		if int(m.ID()) != i {
-			return nil, fmt.Errorf("livenet: machine %d has id %d", i, m.ID())
-		}
-		c, err := net.Conn(msg.ID(i))
-		if err != nil {
-			return nil, err
-		}
-		conns[i] = c
-	}
-	return &Cluster{machines: machines, conns: conns, cleanup: net.Close}, nil
+	return &Cluster{machines: machines, conns: conns}, nil
 }
 
 // NewCluster wires machines over caller-supplied connections (one per
@@ -310,10 +287,12 @@ func NewCluster(machines []core.Machine, conns []transport.Conn) (*Cluster, erro
 
 // Run drives every machine concurrently until all correct processes have
 // decided or the context expires. It returns the collected report; a
-// context expiry with missing decisions is reported via the error.
+// context expiry with missing decisions is reported via the error. Every
+// connection is closed by the time Run returns, on every path.
 func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 	n := len(c.machines)
 	if err := c.Crashes.Validate(n); err != nil {
+		closeConns(c.conns)
 		return nil, err
 	}
 	start := time.Now()
@@ -329,9 +308,6 @@ func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 	crashCh := make(chan msg.ID, n)
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	if c.cleanup != nil {
-		defer c.cleanup()
-	}
 
 	met := newLiveMetrics(c.Metrics)
 	var wg sync.WaitGroup
@@ -363,17 +339,6 @@ func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 			}
 		}()
 	}
-
-	// Close every connection the moment the run context ends -- whether by
-	// the normal all-decided cancel, a driver error, or the caller's
-	// cancellation/deadline -- so no driver can hang inside conn.Recv
-	// after cancellation.
-	go func() {
-		<-runCtx.Done()
-		for _, conn := range conns {
-			conn.Close()
-		}
-	}()
 
 	report := &Report{}
 	var runErr error
@@ -407,9 +372,10 @@ collect:
 	}
 	report.Elapsed = time.Since(start)
 
-	// Shut down: cancel (the watcher closes the connections, unblocking
-	// every receiver), then wait for the drivers.
+	// Shut down -- all decided, a driver error, or the caller's deadline:
+	// closing the connections unblocks every driver still inside Recv.
 	cancel()
+	closeConns(conns)
 	wg.Wait()
 	// Drain decisions and crashes that raced with shutdown.
 	for {
@@ -440,4 +406,13 @@ collect:
 		}
 	}
 	return report, runErr
+}
+
+// closeConns closes every non-nil connection.
+func closeConns(conns []transport.Conn) {
+	for _, c := range conns {
+		if c != nil {
+			c.Close()
+		}
+	}
 }

@@ -2,6 +2,7 @@ package livenet
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"resilient/internal/msg"
 	"resilient/internal/policy"
 	"resilient/internal/sched"
+	"resilient/internal/transport"
 )
 
 // TestMemClusterCrashPlan runs the same kind of fail-stop fault plan the
@@ -40,9 +42,16 @@ func TestMemClusterCrashPlan(t *testing.T) {
 	if !rep.Agreement {
 		t.Fatalf("disagreement under crash plan: %+v", rep.Decisions)
 	}
-	want := []msg.ID{4, 5, 6}
-	if !slices.Equal(rep.Crashed, want) {
-		t.Fatalf("crashed %v, want %v", rep.Crashed, want)
+	// The run ends when the survivors have decided, which the two mid-run
+	// crash points may or may not have been reached by: only the initially
+	// dead process is certain to be reported, and nobody outside the plan.
+	if !slices.Contains(rep.Crashed, 4) {
+		t.Fatalf("crashed %v misses the initially dead p4", rep.Crashed)
+	}
+	for _, id := range rep.Crashed {
+		if _, planned := cluster.Crashes[id]; !planned {
+			t.Fatalf("p%d crashed outside the plan: %v", id, rep.Crashed)
+		}
 	}
 	for _, dec := range rep.Decisions {
 		if dec.Process >= 4 {
@@ -168,5 +177,25 @@ func TestMemClusterByzantineExcluded(t *testing.T) {
 	}
 	if got := rep.DecisionMap(); len(got) != n-1 {
 		t.Fatalf("decision map %v, want %d entries", got, n-1)
+	}
+}
+
+// TestRunRejectedPlanClosesConns: Run owns its connections on every return
+// path, the plan-validation refusal included -- a receiver parked on one of
+// them is released instead of leaking with its socket.
+func TestRunRejectedPlanClosesConns(t *testing.T) {
+	n, k := 5, 2
+	cluster, err := NewMemCluster(failstopMachines(t, n, k, mixed(n)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.Crashes = faults.Plan{9: {Process: 9}}
+	if rep, err := cluster.Run(context.Background()); err == nil || rep != nil {
+		t.Fatalf("crash plan for p9 accepted at n=%d: %+v", n, rep)
+	}
+	for i, c := range cluster.conns {
+		if _, err := c.Recv(); !errors.Is(err, transport.ErrClosed) {
+			t.Fatalf("conn %d after a rejected run: %v, want transport.ErrClosed", i, err)
+		}
 	}
 }

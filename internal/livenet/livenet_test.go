@@ -12,6 +12,8 @@ import (
 	"resilient/internal/malicious"
 	"resilient/internal/msg"
 	"resilient/internal/netxport"
+	"resilient/internal/policy"
+	"resilient/internal/sched"
 	"resilient/internal/transport"
 )
 
@@ -81,8 +83,8 @@ func TestJitterClusterNonHaltingProtocol(t *testing.T) {
 	// The majority variant never halts and -- on a balanced input -- can
 	// livelock under near-deterministic FIFO delivery, which is precisely
 	// why the paper postulates probabilistic message-system behaviour
-	// (Section 2.3). The jittered transport provides it; the cluster must
-	// then return once everyone has decided.
+	// (Section 2.3). A uniform link policy over the in-memory transport
+	// provides it; the cluster must then return once everyone has decided.
 	n, k := 7, 2
 	ms := make([]core.Machine, n)
 	for i := range ms {
@@ -92,10 +94,13 @@ func TestJitterClusterNonHaltingProtocol(t *testing.T) {
 		}
 		ms[i] = m
 	}
-	cluster, err := NewJitterCluster(ms, 2*time.Millisecond, 42)
+	cluster, err := NewMemCluster(ms)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cluster.Policy = policy.FromScheduler(sched.Uniform{Min: 0, Max: 1})
+	cluster.Unit = 2 * time.Millisecond
+	cluster.Seed = 42
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	rep, err := cluster.Run(ctx)

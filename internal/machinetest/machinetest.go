@@ -2,9 +2,10 @@
 // machines: it feeds a machine long streams of randomized (and partially
 // hostile) messages and verifies the model invariants every machine must
 // keep regardless of input -- no panic, write-once decisions, monotone
-// phases, silence after halt, and bounded per-step output.
+// phases, silence after halt, and bounded per-step output. Replay is its
+// scripted counterpart: a fixed delivery list in, everything sent out.
 //
-// It is imported only from the protocol packages' tests.
+// It is imported only from tests.
 package machinetest
 
 import (
@@ -96,6 +97,17 @@ func Fuzz(m core.Machine, rng *rand.Rand, opts Options) (err error) {
 		}
 	}
 	return nil
+}
+
+// Replay starts the machine, delivers the script in order, and returns every
+// outbound the machine emitted along the way. Two machines built to be the
+// same must replay any script to the same result.
+func Replay(m core.Machine, script []msg.Message) []core.Outbound {
+	outs := append([]core.Outbound(nil), m.Start()...)
+	for _, in := range script {
+		outs = append(outs, m.OnMessage(in)...)
+	}
+	return outs
 }
 
 func randomMessage(rng *rand.Rand, opts Options, kinds []msg.Kind) msg.Message {

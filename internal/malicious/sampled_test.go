@@ -179,15 +179,16 @@ func TestSampledConsensusUnderSilentFaults(t *testing.T) {
 }
 
 // TestSampledConsensusMessageReduction compares full consensus message counts
-// at n=200: the sampled echo stage must cut total traffic well below the
-// full-quorum run's. (The gap widens with n -- 6.3x at n=300, 12x+ at
-// n=1,000 per the broadcast-level benchmarks -- this pins the mechanism at a
-// size the suite can afford.)
+// at n=120: the sampled echo stage must cut total traffic well below the
+// full-quorum run's -- 3,484,800 messages against 1,065,600, 3.3x; both
+// counts are deterministic. (The gap widens with n -- 6.3x at n=300, 12x+
+// at n=1,000 per the broadcast-level benchmarks -- and narrows below: 2.8x
+// at n=100. This pins the mechanism at the smallest size that clears 3x.)
 func TestSampledConsensusMessageReduction(t *testing.T) {
 	if testing.Short() {
-		t.Skip("n=200 consensus comparison")
+		t.Skip("n=120 consensus comparison")
 	}
-	const n, k = 200, 20
+	const n, k = 120, 12
 	machines := buildSampledConsensus(t, n, k, 2, func(msg.ID) msg.Value { return msg.V1 })
 	sampledSent := runNetwork(t, machines, nil)
 	checkAgreement(t, machines, nil)

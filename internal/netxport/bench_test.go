@@ -23,14 +23,9 @@ func drainEndpoint(ep *Endpoint, got *atomic.Int64) {
 
 // benchLoopback pushes b.N messages through an n-endpoint loopback mesh --
 // every endpoint sending round-robin to its peers concurrently, the shape of
-// a consensus broadcast storm -- and reports aggregate msgs/s. With coalesce
-// off this is the pre-change transport's cost profile (one write syscall per
-// frame), so the coalesce/direct ratio at each n is the headline number.
-func benchLoopback(b *testing.B, n int, coalesce bool) {
+// a consensus broadcast storm -- and reports aggregate msgs/s.
+func benchLoopback(b *testing.B, n int) {
 	eps := mesh(b, n)
-	for _, ep := range eps {
-		ep.SetCoalescing(coalesce)
-	}
 	var got atomic.Int64
 	for _, ep := range eps {
 		go drainEndpoint(ep, &got)
@@ -71,18 +66,10 @@ func benchLoopback(b *testing.B, n int, coalesce bool) {
 
 // BenchmarkNetxportLoopback is the live-path throughput headline tracked by
 // the CI bench lane: messages per second over real loopback sockets at
-// cluster sizes n=7/13/21, with the coalescing writer and with the direct
-// one-write-per-frame path.
+// cluster sizes n=7/13/21.
 func BenchmarkNetxportLoopback(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		coalesce bool
-	}{{"coalesce", true}, {"direct", false}} {
-		for _, n := range []int{7, 13, 21} {
-			b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
-				benchLoopback(b, n, mode.coalesce)
-			})
-		}
+	for _, n := range []int{7, 13, 21} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchLoopback(b, n) })
 	}
 }
 

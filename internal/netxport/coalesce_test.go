@@ -41,9 +41,9 @@ func waitCounter(t *testing.T, reg *metrics.Registry, name string, want int64) {
 	}
 }
 
-// TestCoalescedAccountingAndBatching is the coalesced-path counterpart of
-// TestTransportMetricsAccounting: every frame is counted exactly once on both
-// sides, and the flush count proves many frames shared a syscall.
+// TestCoalescedAccountingAndBatching is TestTransportMetricsAccounting under
+// a burst: every frame is counted exactly once on both sides, and the flush
+// count proves many frames shared a syscall.
 func TestCoalescedAccountingAndBatching(t *testing.T) {
 	eps := mesh(t, 2)
 	sender := metrics.NewRegistry()

@@ -10,8 +10,6 @@
 // message. A small linger window (SetLinger) lets a burst accumulate into
 // one flush; the writer hard-flushes whatever is pending the moment it wakes
 // with the queue non-empty, so latency stays bounded by linger + one write.
-// SetCoalescing(false) restores the one-write-per-frame direct path for
-// comparison.
 //
 // Every frame carries a 4-byte instance id, multiplexing many consensus
 // instances over ONE socket per peer pair: Instance(i) returns a
@@ -126,10 +124,9 @@ func newNetMetrics(reg *metrics.Registry) *netMetrics {
 
 // peerLink is one peer's outbound state: the pending frame buffer its
 // writer goroutine drains, and the connection the frames flush to. The
-// mutex guards the queue and connection fields; the coalescing writer never
-// holds it across a syscall, so senders keep enqueuing while a flush is in
-// flight (natural batching). The direct (non-coalescing) path holds it
-// across dial+write, serializing frames to that peer only.
+// mutex guards the queue and connection fields; the writer never holds it
+// across a syscall, so senders keep enqueuing while a flush is in flight
+// (natural batching).
 type peerLink struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // signaled on empty->nonempty and after each drain
@@ -138,7 +135,6 @@ type peerLink struct {
 	spare   []byte     // writer's drained batch, swapped back for reuse
 	started bool       // writer goroutine running
 	closed  bool       // endpoint closing: reject new frames, flush the rest
-	scratch []byte     // direct-path encode buffer (under mu)
 	conn    net.Conn   // nil when down; established lazily, evicted on failure
 	fails   int        // consecutive dial/write failures, drives the backoff
 }
@@ -183,9 +179,6 @@ type Endpoint struct {
 	linger atomic.Int64
 	// queueCap is the per-peer pending cap in bytes.
 	queueCap atomic.Int64
-	// coalesce selects the batched writer (true) or the one-write-per-frame
-	// direct path (false).
-	coalesce atomic.Bool
 
 	closeOnce sync.Once
 }
@@ -219,7 +212,6 @@ func Listen(id msg.ID, addrs []string) (*Endpoint, error) {
 	e.writeTimeout.Store(int64(defaultWriteTimeout))
 	e.linger.Store(int64(defaultLinger))
 	e.queueCap.Store(defaultQueueCap)
-	e.coalesce.Store(true)
 	insts := make(map[uint32]*instConn)
 	e.insts.Store(&insts)
 	e.wg.Add(1)
@@ -257,14 +249,6 @@ func (e *Endpoint) SetQueueCap(bytes int) {
 	e.queueCap.Store(int64(bytes))
 }
 
-// SetCoalescing selects the batched per-peer writer (true, the default) or
-// the one-write-per-frame direct path (false). Call it before traffic
-// starts: once a peer's writer goroutine is running, frames to that peer
-// keep flowing through its queue regardless.
-func (e *Endpoint) SetCoalescing(on bool) {
-	e.coalesce.Store(on)
-}
-
 // Addr returns the endpoint's actual listen address.
 func (e *Endpoint) Addr() string { return e.ln.Addr().String() }
 
@@ -294,9 +278,8 @@ func (e *Endpoint) Send(to msg.ID, m msg.Message) error {
 
 // send stamps the authenticated sender and routes one message: local
 // delivery for self-sends, otherwise the destination link's coalescing
-// queue (or the direct path when coalescing is off). This is the transport
-// hot path: encoding appends into reused per-link buffers and the only
-// blocking is queue backpressure.
+// queue. This is the transport hot path: encoding appends into reused
+// per-link buffers and the only blocking is queue backpressure.
 func (e *Endpoint) send(to msg.ID, inst uint32, m msg.Message) error {
 	if to < 0 || int(to) >= len(e.addrs) {
 		//lint:allow hotalloc misuse error path, never taken by a well-formed cluster
@@ -313,16 +296,13 @@ func (e *Endpoint) send(to msg.ID, inst uint32, m msg.Message) error {
 		return nil
 	}
 	l := &e.links[to]
-	if e.coalesce.Load() {
-		l.mu.Lock()
-		err := e.enqueueLocked(l, to, inst, m)
-		l.mu.Unlock()
-		if err == nil {
-			l.cond.Broadcast()
-		}
-		return err
+	l.mu.Lock()
+	err := e.enqueueLocked(l, to, inst, m)
+	l.mu.Unlock()
+	if err == nil {
+		l.cond.Broadcast()
 	}
-	return e.sendDirect(l, to, inst, m)
+	return err
 }
 
 // appendFrame appends one wire frame -- length prefix, instance id, msg
@@ -351,57 +331,6 @@ func (e *Endpoint) enqueueLocked(l *peerLink, to msg.ID, inst uint32, m msg.Mess
 		e.wwg.Add(1)
 		go e.writeLoop(l, to)
 	}
-	return nil
-}
-
-// sendDirect is the one-write-per-frame path: dial and write under the link
-// lock, exactly the pre-coalescing transport's cost profile. If the link's
-// writer goroutine is already running, the frame joins its queue instead --
-// two paths must never interleave writes on one socket.
-func (e *Endpoint) sendDirect(l *peerLink, to msg.ID, inst uint32, m msg.Message) error {
-	l.mu.Lock()
-	if l.started {
-		err := e.enqueueLocked(l, to, inst, m)
-		l.mu.Unlock()
-		if err == nil {
-			l.cond.Broadcast()
-		}
-		return err
-	}
-	defer l.mu.Unlock()
-	if l.closed {
-		return transport.ErrClosed
-	}
-	met := e.met.Load()
-	if l.conn == nil {
-		// Deliberate dial-under-lock: the direct path reproduces the
-		// pre-coalescing transport's serialized cost profile, only this
-		// peer's link is stalled, and the dial is deadline- and
-		// close-cancellable.
-		//lint:allow lockblock direct path serializes dial+write per peer by design; bounded by dialTimeout and Close cancel
-		conn, err := e.dial(to, l.fails)
-		if err != nil {
-			l.fails++
-			return err
-		}
-		l.fails = 0
-		l.conn = conn
-		e.track(conn)
-	}
-	l.scratch = appendFrame(l.scratch[:0], inst, m)
-	// Deliberate write-under-lock: one write per frame, serialized per peer
-	// (two paths must never interleave writes on one socket), bounded by the
-	// write deadline.
-	//lint:allow lockblock direct path serializes dial+write per peer by design; bounded by the write deadline
-	if err := e.write(l.conn, l.scratch); err != nil {
-		e.evictLocked(l, l.conn)
-		//lint:allow hotalloc write-failure path is cold; the frame is reported lost
-		return fmt.Errorf("netxport: write to p%d: %w", to, err)
-	}
-	l.fails = 0
-	met.framesSent.Inc()
-	met.flushes.Inc()
-	met.bytesSent.Add(int64(len(l.scratch)))
 	return nil
 }
 
@@ -515,27 +444,22 @@ func (e *Endpoint) write(conn net.Conn, b []byte) error {
 // evict drops a link's broken connection so the next flush redials instead
 // of reusing a poisoned socket.
 func (e *Endpoint) evict(l *peerLink, conn net.Conn) {
-	l.mu.Lock()
-	e.evictLocked(l, conn)
-	l.mu.Unlock()
-}
-
-// evictLocked is evict with l.mu already held.
-func (e *Endpoint) evictLocked(l *peerLink, conn net.Conn) {
 	conn.Close()
+	l.mu.Lock()
 	if l.conn == conn {
 		l.conn = nil
 	}
 	l.fails++
+	l.mu.Unlock()
 	e.met.Load().evictions.Inc()
 }
 
 // dial establishes one connection to a peer and identifies itself with the
 // hello frame. The backoff between attempts starts at dialBackoff scaled by
 // the link's consecutive-failure count and doubles per attempt (capped at
-// maxDialBackoff); sleeps abort promptly when the endpoint closes. No lock
-// is held by the caller on the coalescing path, so a retry storm toward one
-// peer cannot stall anything but that peer's own queue.
+// maxDialBackoff); sleeps abort promptly when the endpoint closes. The
+// caller holds no lock, so a retry storm toward one peer cannot stall
+// anything but that peer's own queue.
 func (e *Endpoint) dial(to msg.ID, fails int) (net.Conn, error) {
 	met := e.met.Load()
 	base := dialBackoff << min(fails, 6)
@@ -616,8 +540,7 @@ func (e *Endpoint) Close() error {
 			l.cond.Broadcast()
 		}
 		e.wwg.Wait()
-		// Writers are gone; abort any direct-path dial still in flight so a
-		// concurrent Send cannot outlive the endpoint.
+		// Writers are gone; release the dial context.
 		e.dialCancel()
 		e.mu.Lock()
 		// Every outbound conn ever dialed is tracked in dialed (eviction

@@ -2,7 +2,6 @@ package netxport
 
 import (
 	"testing"
-	"time"
 
 	"resilient/internal/metrics"
 	"resilient/internal/msg"
@@ -12,10 +11,6 @@ import (
 // the local fast path and checks the net.* counters add up on both sides.
 func TestTransportMetricsAccounting(t *testing.T) {
 	eps := mesh(t, 2)
-	// Direct mode: counters update synchronously with Send, so the exact
-	// assertions below cannot race the writer goroutine. The coalesced
-	// path's accounting is covered in coalesce_test.go.
-	eps[0].SetCoalescing(false)
 	sender := metrics.NewRegistry()
 	receiver := metrics.NewRegistry()
 	eps[0].SetMetrics(sender)
@@ -36,10 +31,10 @@ func TestTransportMetricsAccounting(t *testing.T) {
 	}
 	recvWithTimeout(t, eps[0])
 
+	// The writer counts a batch after its write returns, which may trail
+	// the peer's receipt of it.
+	waitCounter(t, sender, "net.frames_sent", frames)
 	s := sender.Snapshot().Counters
-	if s["net.frames_sent"] != frames {
-		t.Errorf("frames_sent = %d, want %d", s["net.frames_sent"], frames)
-	}
 	if s["net.local_frames"] != 1 {
 		t.Errorf("local_frames = %d, want 1", s["net.local_frames"])
 	}
@@ -50,26 +45,17 @@ func TestTransportMetricsAccounting(t *testing.T) {
 		t.Errorf("dials = %d, want 1 (connection reused)", s["net.dials"])
 	}
 
-	// The read loop runs on its own goroutine; the frames are already in the
-	// inbox, but counter increments may trail the channel send briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		r := receiver.Snapshot().Counters
-		if r["net.frames_received"] == frames && r["net.bytes_received"] > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("frames_received = %d, want %d", r["net.frames_received"], frames)
-		}
-		time.Sleep(time.Millisecond)
+	waitCounter(t, receiver, "net.frames_received", frames)
+	if receiver.Snapshot().Counters["net.bytes_received"] <= 0 {
+		t.Error("bytes_received never counted")
 	}
 }
 
 // TestDialRetriesCounted points an endpoint at a dead address and checks
-// the failed attempts are recorded as retries and errors.
+// the failed attempts are recorded as retries and errors: the writer runs
+// one dial schedule out, then drops the frame it could not deliver.
 func TestDialRetriesCounted(t *testing.T) {
 	eps := mesh(t, 2)
-	eps[0].SetCoalescing(false) // dial failure must surface from Send itself
 	reg := metrics.NewRegistry()
 	eps[0].SetMetrics(reg)
 	// A port nothing listens on: reserve one, then close it.
@@ -77,9 +63,10 @@ func TestDialRetriesCounted(t *testing.T) {
 	eps[1].Close()
 	eps[0].SetPeerAddr(1, dead)
 
-	if err := eps[0].Send(1, msg.Val(0, 0, msg.V0)); err == nil {
-		t.Fatal("send to dead peer succeeded")
+	if err := eps[0].Send(1, msg.Val(0, 0, msg.V0)); err != nil {
+		t.Fatalf("send to dead peer must queue, got %v", err)
 	}
+	waitCounter(t, reg, "net.flush_frame_drops", 1)
 	c := reg.Snapshot().Counters
 	if c["net.dial_errors"] != 1 {
 		t.Errorf("dial_errors = %d, want 1", c["net.dial_errors"])

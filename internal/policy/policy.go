@@ -1,7 +1,7 @@
 // Package policy is the engine-neutral fault/delivery layer shared by every
 // execution engine in this repository: the discrete-event simulator
-// (internal/runtime), the in-memory and jittered goroutine engines, and the
-// TCP engine (internal/livenet over internal/netxport).
+// (internal/runtime), the in-memory goroutine engine, and the TCP engine
+// (internal/livenet over internal/netxport).
 //
 // The paper has one system model -- processes take atomic receive/compute/
 // send steps while an adversarial message system chooses delivery order, and

@@ -72,9 +72,6 @@ type LogOptions struct {
 	Crashes []LogCrash
 	// TCP tunes the loopback TCP transport on EngineTCP runs.
 	TCP TCPTuning
-	// Unit is the maximum per-message delay on EngineJitter runs
-	// (0 = livenet.DefaultUnit); other engines ignore it.
-	Unit time.Duration
 	// Metrics, when non-nil, receives log accounting under "log." plus the
 	// underlying engine's usual instruments.
 	Metrics *MetricsRegistry
@@ -196,62 +193,53 @@ type slotDesc struct {
 
 // logRun is a normalized, validated log configuration.
 type logRun struct {
-	engine   Engine
-	protocol Protocol
-	coin     CoinScheme
-	n, k     int
-	seed     uint64
-	batch    int
-	window   int
-	crashAt  map[ID]int // process -> first dead slot
-	tcp      TCPTuning
-	unit     time.Duration
-	reg      *MetricsRegistry
-	met      logMetrics
+	engine  Engine
+	spawner spawner // the slot protocol's; reseeded per slot
+	n, k    int
+	seed    uint64
+	batch   int
+	window  int
+	crashAt map[ID]int // process -> first dead slot
+	tcp     TCPTuning
+	reg     *MetricsRegistry
+	met     logMetrics
 }
 
 func newLogRun(opts LogOptions) (*logRun, error) {
 	r := &logRun{
-		engine:   opts.Engine,
-		protocol: opts.Protocol,
-		coin:     opts.Coin,
-		n:        opts.N,
-		k:        opts.K,
-		seed:     opts.Seed,
-		batch:    opts.Batch,
-		window:   opts.Pipeline,
-		tcp:      opts.TCP,
-		unit:     opts.Unit,
-		reg:      opts.Metrics,
+		engine: opts.Engine,
+		n:      opts.N,
+		k:      opts.K,
+		seed:   opts.Seed,
+		batch:  opts.Batch,
+		window: opts.Pipeline,
+		tcp:    opts.TCP,
+		reg:    opts.Metrics,
 	}
 	if r.engine == 0 {
 		r.engine = EngineSim
 	}
-	if !r.engine.Valid() {
-		return nil, fmt.Errorf("resilient: unknown engine %d", int(r.engine))
+	protocol := opts.Protocol
+	if protocol == 0 {
+		protocol = ProtocolMalicious
 	}
-	if r.protocol == 0 {
-		r.protocol = ProtocolMalicious
-	}
-	if !r.protocol.Valid() {
-		return nil, fmt.Errorf("resilient: unknown protocol %d", int(r.protocol))
-	}
-	if r.protocol == ProtocolBroadcast || r.protocol == ProtocolBivalence {
-		return nil, fmt.Errorf("resilient: log slots need a validity-respecting consensus protocol, not %v", r.protocol)
+	if protocol == ProtocolBroadcast || protocol == ProtocolBivalence {
+		return nil, fmt.Errorf("resilient: log slots need a validity-respecting consensus protocol, not %v", protocol)
 	}
 	if r.n == 0 {
 		r.n = 7
 	}
-	if r.n < 1 {
-		return nil, fmt.Errorf("resilient: log needs n >= 1, got %d", r.n)
-	}
 	if r.k == 0 {
-		r.k = r.protocol.MaxFaults(r.n)
+		r.k = protocol.MaxFaults(r.n)
 	}
-	if r.k < 0 || r.k > r.protocol.MaxFaults(r.n) {
-		return nil, fmt.Errorf("resilient: log k=%d exceeds %v bound %d at n=%d",
-			r.k, r.protocol, r.protocol.MaxFaults(r.n), r.n)
+	// A slot is a scenario: the same validation, with the unanimous inputs
+	// the log feeds it standing in.
+	slot := Scenario{Protocol: protocol, N: r.n, K: r.k, Inputs: make([]Value, max(r.n, 0)), Seed: r.seed, Coin: opts.Coin}
+	sp, err := slot.validate(r.engine)
+	if err != nil {
+		return nil, err
 	}
+	r.spawner = *sp
 	if r.batch == 0 {
 		r.batch = DefaultLogBatch
 	}
@@ -403,10 +391,7 @@ func (r *logRun) runSim(ops [][]byte) (*LogReport, error) {
 	cfgs := make([]runtime.Config, len(descs))
 	for i, d := range descs {
 		seed := r.slotSeed(d.slot)
-		spawner, err := spawnerFor(r.protocol, SimOptions{Seed: seed, Coin: r.coin}, nil)
-		if err != nil {
-			return nil, err
-		}
+		sp := r.spawner.reseeded(seed)
 		var dead []msg.ID
 		for p, ok := range d.run {
 			if !ok {
@@ -417,7 +402,7 @@ func (r *logRun) runSim(ops [][]byte) (*LogReport, error) {
 			N:       r.n,
 			K:       r.k,
 			Inputs:  d.inputs(r.n),
-			Spawn:   spawner,
+			Spawn:   sp.spawn,
 			Crashes: faults.InitiallyDead(dead...),
 			Seed:    seed,
 			Metrics: r.reg,
@@ -453,10 +438,10 @@ type slotRes struct {
 // runLive commits ops, arriving at rate ops/sec (0 = all at once), over a
 // live engine with up to window slots in flight. Slot transports: EngineTCP
 // multiplexes every slot over ONE shared loopback mesh via per-slot netxport
-// instance conns; EngineMem and EngineJitter give each slot a fresh
-// in-memory system. Commits are delivered in slot order through a reorder
-// buffer bounded by the window, and each operation's latency is measured
-// from submission to that in-order delivery point.
+// instance conns; EngineMem gives each slot a fresh in-memory system.
+// Commits are delivered in slot order through a reorder buffer bounded by
+// the window, and each operation's latency is measured from submission to
+// that in-order delivery point.
 func (r *logRun) runLive(ctx context.Context, ops [][]byte, rate float64) (*LogReport, error) {
 	start := time.Now()
 	var endpoints []*netxport.Endpoint
@@ -466,11 +451,7 @@ func (r *logRun) runLive(ctx context.Context, ops [][]byte, rate float64) (*LogR
 			return nil, err
 		}
 		endpoints = eps
-		defer func() {
-			for _, ep := range endpoints {
-				ep.Close()
-			}
-		}()
+		defer closeEndpoints(endpoints)
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -600,57 +581,39 @@ func (r *logRun) runLive(ctx context.Context, ops [][]byte, rate float64) (*LogR
 // starts -- consensus machines ignore the payload kind, but the bytes cross
 // the real wire, so throughput numbers include payload transfer.
 func (r *logRun) runLiveSlot(ctx context.Context, d slotDesc, endpoints []*netxport.Endpoint) (livenet.InstanceOutcome, error) {
-	seed := r.slotSeed(d.slot)
-	machines, err := buildMachines(r.protocol, r.n, r.k, d.inputs(r.n), seed, r.coin)
+	sp := r.spawner.reseeded(r.slotSeed(d.slot))
+	machines, err := sp.machines(r.n, r.k, d.inputs(r.n))
 	if err != nil {
 		return livenet.InstanceOutcome{}, err
 	}
 	conns := make([]transport.Conn, r.n)
-	switch r.engine {
-	case EngineTCP:
-		inst := uint32(d.slot) + 1
-		for i := 0; i < r.n; i++ {
-			if !d.run[i] {
-				continue
+	closeConns := func() {
+		for _, c := range conns {
+			if c != nil {
+				c.Close()
 			}
-			c, err := endpoints[i].Instance(inst)
-			if err != nil {
-				for _, pc := range conns {
-					if pc != nil {
-						pc.Close()
-					}
-				}
-				return livenet.InstanceOutcome{}, fmt.Errorf("slot %d instance conn p%d: %w", d.slot, i, err)
-			}
-			conns[i] = c
 		}
-	case EngineMem, EngineJitter:
-		var net interface {
-			Conn(msg.ID) (transport.Conn, error)
-			Close()
+	}
+	var mem *transport.Mem
+	if r.engine == EngineMem {
+		mem = transport.NewMem(r.n)
+		defer mem.Close()
+	}
+	for i := 0; i < r.n; i++ {
+		if !d.run[i] {
+			continue
 		}
-		if r.engine == EngineJitter {
-			maxDelay := r.unit
-			if maxDelay <= 0 {
-				maxDelay = livenet.DefaultUnit
-			}
-			net = transport.NewJitter(r.n, maxDelay, seed)
+		var err error
+		if mem != nil {
+			conns[i], err = mem.Conn(msg.ID(i))
 		} else {
-			net = transport.NewMem(r.n)
+			// Instance id slot+1: id 0 is the endpoints' own base channel.
+			conns[i], err = endpoints[i].Instance(uint32(d.slot) + 1)
 		}
-		defer net.Close()
-		for i := 0; i < r.n; i++ {
-			if !d.run[i] {
-				continue
-			}
-			c, err := net.Conn(msg.ID(i))
-			if err != nil {
-				return livenet.InstanceOutcome{}, err
-			}
-			conns[i] = c
+		if err != nil {
+			closeConns()
+			return livenet.InstanceOutcome{}, fmt.Errorf("slot %d conn p%d: %w", d.slot, i, err)
 		}
-	default:
-		return livenet.InstanceOutcome{}, fmt.Errorf("resilient: engine %v is not live", r.engine)
 	}
 
 	if b := d.batch; b != nil {
@@ -662,11 +625,7 @@ func (r *logRun) runLiveSlot(ctx context.Context, d slotDesc, endpoints []*netxp
 					continue
 				}
 				if err := src.Send(ID(p), m); err != nil {
-					for _, pc := range conns {
-						if pc != nil {
-							pc.Close()
-						}
-					}
+					closeConns()
 					return livenet.InstanceOutcome{}, fmt.Errorf("slot %d payload to p%d: %w", d.slot, p, err)
 				}
 			}

@@ -8,9 +8,9 @@ import (
 
 // MetricsRegistry is a concurrency-safe registry of counters, gauges, and
 // fixed-bucket histograms; see the internal metrics package for the
-// instrument semantics. Attach one to SimOptions.Metrics, a cluster run via
-// WithClusterMetrics, or share one registry across many runs to aggregate a
-// whole experiment campaign. A nil registry is always valid and free.
+// instrument semantics. Attach one to SimOptions.Metrics, Scenario.Metrics
+// or LogOptions.Metrics, or share one registry across many runs to aggregate
+// a whole experiment campaign. A nil registry is always valid and free.
 type MetricsRegistry = metrics.Registry
 
 // MetricsSnapshot is the frozen state of a registry. Its JSON encoding

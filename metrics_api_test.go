@@ -72,16 +72,19 @@ func TestSimulateScopedRegistries(t *testing.T) {
 	}
 }
 
-// TestRunClusterWithMetrics exercises the functional option on the live
+// TestScenarioMemWithMetrics exercises Scenario.Metrics on the live
 // goroutine engine.
-func TestRunClusterWithMetrics(t *testing.T) {
+func TestScenarioMemWithMetrics(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	reg := NewMetricsRegistry()
-	rep, err := RunCluster(ctx, ProtocolFailStop, 5, 2, mixed(5), WithClusterMetrics(reg))
+	out, err := RunScenario(ctx, EngineMem, Scenario{
+		Protocol: ProtocolFailStop, N: 5, K: 2, Inputs: mixed(5), Seed: 1, Metrics: reg,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := out.Live
 	if !rep.Agreement {
 		t.Fatalf("no agreement: %+v", rep)
 	}
@@ -91,16 +94,19 @@ func TestRunClusterWithMetrics(t *testing.T) {
 	}
 }
 
-// TestRunTCPClusterWithMetrics checks that the TCP path wires the registry
+// TestScenarioTCPWithMetrics checks that the TCP path wires the registry
 // into both the engine (livenet.*) and the transport (net.*).
-func TestRunTCPClusterWithMetrics(t *testing.T) {
+func TestScenarioTCPWithMetrics(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	reg := NewMetricsRegistry()
-	rep, err := RunTCPCluster(ctx, ProtocolFailStop, 5, 2, mixed(5), WithClusterMetrics(reg))
+	out, err := RunScenario(ctx, EngineTCP, Scenario{
+		Protocol: ProtocolFailStop, N: 5, K: 2, Inputs: mixed(5), Seed: 1, Metrics: reg,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := out.Live
 	if !rep.Agreement {
 		t.Fatalf("no agreement: %+v", rep)
 	}

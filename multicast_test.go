@@ -111,11 +111,12 @@ func TestMulticastMatchesUnicastLists(t *testing.T) {
 			for _, crashing := range []bool{false, true} {
 				opts := SimOptions{Seed: seed, Broadcast: SchemeSample, RunToCompletion: true}
 				if crashing {
-					dir, err := sampleDirectory(tc.p, tc.n, tc.k, opts)
+					sc := Scenario{Protocol: tc.p, N: tc.n, K: tc.k, Inputs: tc.inputs, Seed: seed, Broadcast: SchemeSample}
+					sp, err := sc.validate(EngineSim)
 					if err != nil {
 						t.Fatal(err)
 					}
-					opts.Crashes = tc.crashes(t, dir)
+					opts.Crashes = tc.crashes(t, sp.dir)
 				}
 				cfg, err := simConfig(tc.p, tc.n, tc.k, tc.inputs, opts)
 				if err != nil {
@@ -170,7 +171,11 @@ func TestEngineParityOutOfRangeSends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	machines, err := liveMachines(sc)
+	sp, err := sc.validate(EngineMem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	machines, err := sp.machines(n, k, sc.Inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,13 +5,16 @@
 // processes (Figure 1) or floor((n-1)/3) malicious processes (Figure 2) --
 // both bounds tight (Theorems 1-4).
 //
-// The package offers three ways to run a protocol:
+// The package runs a protocol four ways:
 //
-//   - Simulate: a deterministic discrete-event simulation with fault
-//     injection, adversarial scheduling, and full metrics (the tool the
-//     experiments are built on).
-//   - RunCluster / RunTCPCluster: a live goroutine-per-process execution
-//     over an in-memory message system or real TCP sockets.
+//   - RunScenario: one consensus instance, described once as a Scenario, on
+//     any engine -- the deterministic simulator, goroutines over an
+//     in-memory message system, or goroutines over loopback TCP sockets.
+//   - Simulate: the simulator alone, with its event and time budgets,
+//     scripted schedulers and traces (the tool the experiments are built
+//     on).
+//   - RunLog / RunLogWorkload: the replicated log, one instance per slot,
+//     on the same three engines.
 //   - NewMachine: raw protocol state machines, for embedding in a custom
 //     engine.
 //
@@ -29,13 +32,12 @@
 package resilient
 
 import (
-	"fmt"
-
 	"resilient/internal/coin"
 	"resilient/internal/core"
 	"resilient/internal/msg"
 	"resilient/internal/proto"
 	"resilient/internal/quorum"
+	"resilient/internal/runtime"
 
 	// Every protocol package registers its descriptors with the registry at
 	// init time; these imports pull the whole zoo in.
@@ -175,34 +177,15 @@ type MachineConfig struct {
 // sampled broadcast stage get their full-quorum variant (the sampled one
 // needs a run-wide sample directory, built through Simulate).
 func NewMachine(p Protocol, cfg MachineConfig) (Machine, error) {
-	d, ok := proto.Lookup(p)
-	if !ok {
-		return nil, fmt.Errorf("resilient: unknown protocol %d", int(p))
-	}
-	scheme, err := d.ResolveCoin(cfg.Coin)
+	s, err := newSpawner(p, cfg.Coin, cfg.CoinSeed)
 	if err != nil {
-		return nil, fmt.Errorf("resilient: %w", err)
+		return nil, err
 	}
-	deps := proto.Deps{}
-	switch scheme {
-	case CoinLocal:
-		deps.Coin = coin.NewLocal(newRand(cfg.CoinSeed))
-	case CoinShared:
-		deps.Coin = coin.NewShared(cfg.CoinSeed)
+	ctx := runtime.SpawnContext{Config: core.Config{N: cfg.N, K: cfg.K, Self: cfg.Self, Input: cfg.Input}}
+	if s.scheme == CoinLocal {
+		ctx.RNG = newRand(cfg.CoinSeed) // CoinSeed is this process's own seed
 	}
-	return d.Spawn(core.Config{N: cfg.N, K: cfg.K, Self: cfg.Self, Input: cfg.Input}, deps)
-}
-
-// NewBenOrMachine builds a Ben-Or machine with the given coin seed.
-//
-// Deprecated: NewMachine accepts the Ben-Or protocols directly; set
-// MachineConfig.CoinSeed instead.
-func NewBenOrMachine(p Protocol, cfg MachineConfig, coinSeed uint64) (Machine, error) {
-	if p != ProtocolBenOrCrash && p != ProtocolBenOrByzantine && p != ProtocolBenOrShared {
-		return nil, fmt.Errorf("resilient: %v is not a Ben-Or protocol", p)
-	}
-	cfg.CoinSeed = coinSeed
-	return NewMachine(p, cfg)
+	return s.spawn(ctx)
 }
 
 // MaxFaultsFor returns the tight resilience bound of the paper for a fault

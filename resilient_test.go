@@ -80,27 +80,31 @@ func TestSimulateWithAdversaries(t *testing.T) {
 	}
 }
 
-func TestRunClusterLive(t *testing.T) {
+func TestScenarioMemLive(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	rep, err := RunCluster(ctx, ProtocolFailStop, 5, 2, mixed(5))
+	out, err := RunScenario(ctx, EngineMem, Scenario{
+		Protocol: ProtocolFailStop, N: 5, K: 2, Inputs: mixed(5), Seed: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Decisions) != 5 || !rep.Agreement {
-		t.Fatalf("decisions=%d agreement=%v", len(rep.Decisions), rep.Agreement)
+	if len(out.Live.Decisions) != 5 || !out.Agreement {
+		t.Fatalf("decisions=%d agreement=%v", len(out.Live.Decisions), out.Agreement)
 	}
 }
 
-func TestRunTCPClusterLive(t *testing.T) {
+func TestScenarioTCPLive(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	rep, err := RunTCPCluster(ctx, ProtocolMalicious, 4, 1, mixed(4))
+	out, err := RunScenario(ctx, EngineTCP, Scenario{
+		Protocol: ProtocolMalicious, N: 4, K: 1, Inputs: mixed(4), Seed: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Decisions) != 4 || !rep.Agreement {
-		t.Fatalf("decisions=%d agreement=%v", len(rep.Decisions), rep.Agreement)
+	if len(out.Live.Decisions) != 4 || !out.Agreement {
+		t.Fatalf("decisions=%d agreement=%v", len(out.Live.Decisions), out.Agreement)
 	}
 }
 

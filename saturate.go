@@ -79,11 +79,7 @@ func RunTCPSaturation(ctx context.Context, opts SaturationOptions) (*SaturationR
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		for _, ep := range endpoints {
-			ep.Close()
-		}
-	}()
+	defer closeEndpoints(endpoints)
 
 	var payload []byte
 	if opts.Payload > 0 {

@@ -2,16 +2,9 @@ package resilient
 
 import (
 	"fmt"
-	"math/rand/v2"
 
-	"resilient/internal/byzantine"
-	"resilient/internal/coin"
-	"resilient/internal/core"
 	"resilient/internal/faults"
-	"resilient/internal/msg"
-	"resilient/internal/proto"
 	"resilient/internal/runtime"
-	"resilient/internal/sample"
 	"resilient/internal/sched"
 	"resilient/internal/trace"
 )
@@ -206,148 +199,34 @@ func Simulate(p Protocol, n, k int, inputs []Value, opts SimOptions) (*Result, e
 	return runtime.Run(cfg)
 }
 
-// simConfig validates Simulate's arguments and assembles the engine
-// configuration, machines' spawner included.
+// simConfig converts Simulate's arguments into a Scenario -- the one place
+// the two option shapes meet -- validates it, and adds the simulator-only
+// knobs (scheduler, trace, budgets) to its engine configuration.
 func simConfig(p Protocol, n, k int, inputs []Value, opts SimOptions) (runtime.Config, error) {
-	if !p.Valid() {
-		return runtime.Config{}, fmt.Errorf("resilient: unknown protocol %d", int(p))
+	sc := Scenario{
+		Protocol:    p,
+		N:           n,
+		K:           k,
+		Inputs:      inputs,
+		Seed:        opts.Seed,
+		Crashes:     opts.Crashes,
+		Adversaries: opts.Adversaries,
+		Policy:      opts.Policy,
+		Broadcast:   opts.Broadcast,
+		Eps:         opts.Eps,
+		Coin:        opts.Coin,
+		Unsafe:      opts.Unsafe,
+		Metrics:     opts.Metrics,
 	}
-	if !opts.Unsafe {
-		if k > p.MaxFaults(n) {
-			return runtime.Config{}, fmt.Errorf("resilient: k=%d exceeds %v bound %d at n=%d",
-				k, p, p.MaxFaults(n), n)
-		}
-	}
-	dir, err := sampleDirectory(p, n, k, opts)
+	sp, err := sc.validate(EngineSim)
 	if err != nil {
 		return runtime.Config{}, err
 	}
-	spawner, err := spawnerFor(p, opts, dir)
-	if err != nil {
-		return runtime.Config{}, err
-	}
-	byz := make(map[msg.ID]bool, len(opts.Adversaries))
-	for id := range opts.Adversaries {
-		byz[id] = true
-	}
-	return runtime.Config{
-		N: n, K: k,
-		Inputs:          inputs,
-		Spawn:           spawner,
-		Byzantine:       byz,
-		Crashes:         faults.Plan(opts.Crashes),
-		Scheduler:       opts.Scheduler,
-		Policy:          opts.Policy,
-		Seed:            opts.Seed,
-		Sink:            opts.Trace,
-		MaxEvents:       opts.MaxEvents,
-		MaxSimTime:      opts.MaxSimTime,
-		RunToCompletion: opts.RunToCompletion,
-		Metrics:         opts.Metrics,
-	}, nil
-}
-
-// sampleDirectory builds the run's shared sample directory when the sampled
-// broadcast scheme applies to the protocol, nil otherwise. The directory is
-// drawn deterministically from the run seed, so every process of one run --
-// and every engine running the same scenario -- agrees on the samples.
-func sampleDirectory(p Protocol, n, k int, opts SimOptions) (*sample.Directory, error) {
-	if !opts.Broadcast.Valid() {
-		return nil, fmt.Errorf("resilient: unknown broadcast scheme %d", int(opts.Broadcast))
-	}
-	d, ok := proto.Lookup(p)
-	if !ok {
-		return nil, fmt.Errorf("resilient: unknown protocol %d", int(p))
-	}
-	if opts.Broadcast == SchemeEcho || !d.NeedsDirectory {
-		return nil, nil
-	}
-	if opts.Unsafe {
-		return nil, fmt.Errorf("resilient: the sampled broadcast scheme requires validated (n, k); it has no Unsafe variant")
-	}
-	eps := opts.Eps
-	if eps == 0 {
-		eps = sample.DefaultEps
-	}
-	plan, err := sample.NewPlan(n, k, eps)
-	if err != nil {
-		return nil, fmt.Errorf("resilient: sampled broadcast: %w", err)
-	}
-	return sample.NewDirectory(plan, opts.Seed), nil
-}
-
-// spawnerFor builds the runtime spawner: honest machines for correct
-// processes, strategy-wrapped machines for adversaries. dir is the shared
-// sample directory when the run uses the sampled broadcast scheme.
-func spawnerFor(p Protocol, opts SimOptions, dir *sample.Directory) (runtime.Spawner, error) {
-	d, ok := proto.Lookup(p)
-	if !ok {
-		return nil, fmt.Errorf("resilient: unknown protocol %d", int(p))
-	}
-	scheme, err := d.ResolveCoin(opts.Coin)
-	if err != nil {
-		return nil, fmt.Errorf("resilient: %w", err)
-	}
-	// One shared coin per run: every process flips the same value for a
-	// given phase. Local coins instead draw from each process's own RNG.
-	var shared coin.Source
-	if scheme == CoinShared {
-		shared = coin.NewShared(opts.Seed)
-	}
-	honest := func(ctx runtime.SpawnContext) (core.Machine, error) {
-		deps := proto.Deps{Sink: ctx.Sink, Unsafe: opts.Unsafe}
-		if dir != nil {
-			deps.Directory = dir
-		}
-		switch scheme {
-		case CoinLocal:
-			deps.Coin = coin.NewLocal(ctx.RNG)
-		case CoinShared:
-			deps.Coin = shared
-		}
-		return d.Spawn(ctx.Config, deps)
-	}
-	if len(opts.Adversaries) == 0 {
-		return honest, nil
-	}
-	return func(ctx runtime.SpawnContext) (core.Machine, error) {
-		strat, isAdv := opts.Adversaries[ctx.Config.Self]
-		if !ctx.Byzantine || !isAdv {
-			return honest(ctx)
-		}
-		if strat == StrategySilent {
-			return byzantine.NewSilent(ctx.Config.Self), nil
-		}
-		inner, err := honest(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStrategy(strat, inner, ctx)
-	}, nil
-}
-
-func wrapStrategy(s Strategy, inner core.Machine, ctx runtime.SpawnContext) (core.Machine, error) {
-	switch s {
-	case StrategyBalancer:
-		return byzantine.NewBalancer(inner, ctx.World), nil
-	case StrategyFlipper:
-		return byzantine.NewFlipper(inner, ctx.RNG), nil
-	case StrategyLiar0:
-		return byzantine.NewFixedLiar(inner, msg.V0), nil
-	case StrategyLiar1:
-		return byzantine.NewFixedLiar(inner, msg.V1), nil
-	case StrategyEquivocator:
-		return byzantine.NewEquivocator(inner, ctx.Config.N), nil
-	case StrategyDoubleEcho:
-		return byzantine.NewDoubleEchoer(inner), nil
-	case StrategyMute:
-		return byzantine.NewMute(inner, 2), nil
-	default:
-		return nil, fmt.Errorf("resilient: unknown strategy %d", int(s))
-	}
-}
-
-// newRand builds a seeded random source.
-func newRand(seed uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+	cfg := sc.simConfig(sp)
+	cfg.Scheduler = opts.Scheduler
+	cfg.Sink = opts.Trace
+	cfg.MaxEvents = opts.MaxEvents
+	cfg.MaxSimTime = opts.MaxSimTime
+	cfg.RunToCompletion = opts.RunToCompletion
+	return cfg, nil
 }
