@@ -23,8 +23,7 @@
 //	consensus-sim -log -engine tcp -rate 20000 -clients 256 -batch 32 -logcrash "2:5"
 //
 // With -engine tcp, -saturate floods the mesh with consensus-shaped frames
-// (no protocol on top) and reports aggregate throughput; -linger tunes the
-// transport's write-coalescing window for both modes.
+// (no protocol on top) and reports aggregate throughput.
 //
 // -log runs the replicated-log layer instead of a single decision: a
 // workload of -ops operations is batched (-batch), committed
@@ -94,7 +93,6 @@ func run(args []string) error {
 		saturate    = fs.Bool("saturate", false, "flood the TCP mesh with consensus-shaped frames and report throughput instead of running a protocol (engine tcp only)")
 		messages    = fs.Int("messages", 200000, "total message budget in -saturate mode")
 		payloadFlag = fs.Int("payload", 0, "payload bytes per message in -saturate mode")
-		lingerFlag  = fs.Duration("linger", 0, "TCP write-coalescing window (0 = transport default, engine tcp only)")
 		logMode     = fs.Bool("log", false, "run the replicated-log layer: batched, pipelined consensus slots over one shared transport")
 		rateFlag    = fs.Float64("rate", 0, "open-loop arrival rate in ops/sec in -log mode (0 = unpaced)")
 		clientsFlag = fs.Int("clients", 0, "simulated client population in -log mode (0 = default)")
@@ -174,10 +172,6 @@ func run(args []string) error {
 		return resilient.WriteMetricsJSON(f, reg)
 	}
 
-	tcp := resilient.TCPTuning{Linger: *lingerFlag}
-	if tcp.Linger > 0 && engine != resilient.EngineTCP {
-		return errors.New("-linger applies to -engine tcp only")
-	}
 	if *logMode {
 		if *saturate {
 			return errors.New("-log and -saturate are mutually exclusive")
@@ -207,7 +201,6 @@ func run(args []string) error {
 				Batch:    *batchFlag,
 				Pipeline: *pipeFlag,
 				Crashes:  lc,
-				TCP:      tcp,
 				Metrics:  reg,
 			},
 			Ops:     *opsFlag,
@@ -240,7 +233,6 @@ func run(args []string) error {
 			N:        *n,
 			Messages: *messages,
 			Payload:  *payloadFlag,
-			TCP:      tcp,
 			Metrics:  reg,
 		})
 		if rep == nil {
@@ -275,7 +267,6 @@ func run(args []string) error {
 			Adversaries: adversaries,
 			Policy:      pol,
 			Unit:        *unitFlag,
-			TCP:         tcp,
 			Broadcast:   scheme,
 			Eps:         *epsFlag,
 			Coin:        coinScheme,

@@ -136,21 +136,17 @@ func TestRunEndToEnd(t *testing.T) {
 func TestRunSaturateMode(t *testing.T) {
 	out := captureStdout(t, func() {
 		if err := run([]string{"-engine", "tcp", "-saturate", "-n", "3",
-			"-messages", "3000", "-linger", "1ms", "-timeout", "30s"}); err != nil {
+			"-messages", "3000", "-timeout", "30s"}); err != nil {
 			t.Fatalf("saturate run: %v", err)
 		}
 	})
 	if !strings.Contains(out, "saturation  n=3") || !strings.Contains(out, "messages    3000") {
 		t.Fatalf("unexpected saturation report:\n%s", out)
 	}
-	// Guard rails: saturation and TCP tuning are TCP-engine concepts.
+	// Guard rail: saturation is a TCP-engine concept.
 	if err := run([]string{"-saturate"}); err == nil ||
 		!strings.Contains(err.Error(), "-engine tcp") {
 		t.Fatalf("saturate on sim engine: %v", err)
-	}
-	if err := run([]string{"-linger", "1ms"}); err == nil ||
-		!strings.Contains(err.Error(), "-engine tcp") {
-		t.Fatalf("linger on sim engine: %v", err)
 	}
 }
 

@@ -124,9 +124,6 @@ type Scenario struct {
 	// Unit is the wall-clock length of one abstract delay unit on live
 	// engines (0 = livenet.DefaultUnit, one millisecond).
 	Unit time.Duration
-	// TCP tunes the loopback TCP transport on EngineTCP runs (coalescing
-	// window, queue cap); other engines ignore it.
-	TCP TCPTuning
 	// Broadcast selects the echo-broadcast primitive (see
 	// SimOptions.Broadcast); all engines honour it.
 	Broadcast BroadcastScheme
@@ -253,22 +250,21 @@ func (sc *Scenario) cluster(engine Engine, sp *spawner) (*livenet.Cluster, error
 	if err != nil {
 		return nil, err
 	}
-	var cluster *livenet.Cluster
+	var endpoints []*netxport.Endpoint
 	if engine == EngineTCP {
-		endpoints, err := tcpMeshEndpoints(sc.N, sc.Metrics, sc.TCP)
-		if err != nil {
+		if endpoints, err = tcpMeshEndpoints(sc.N, sc.Metrics); err != nil {
 			return nil, err
 		}
-		conns := make([]transport.Conn, sc.N)
-		for i, ep := range endpoints {
-			conns[i] = ep
-		}
+	}
+	// Instance 0: the run owns the mesh, so each endpoint is its own conn
+	// and closes with the run.
+	var cluster *livenet.Cluster
+	conns, err := liveConns(sc.N, endpoints, 0, nil)
+	if err == nil {
 		cluster, err = livenet.NewCluster(machines, conns)
-		if err != nil {
-			closeEndpoints(endpoints)
-			return nil, err
-		}
-	} else if cluster, err = livenet.NewMemCluster(machines); err != nil {
+	}
+	if err != nil {
+		closeEndpoints(endpoints)
 		return nil, err
 	}
 	cluster.Metrics = sc.Metrics
@@ -280,28 +276,47 @@ func (sc *Scenario) cluster(engine Engine, sp *spawner) (*livenet.Cluster, error
 	return cluster, nil
 }
 
+// liveConns returns one live instance's connections, nil for a process that
+// alive leaves out (a nil alive leaves out nobody): a fresh in-memory message
+// system when there are no endpoints, otherwise instance inst of each TCP
+// endpoint, 0 being the endpoint itself. On error nothing stays open.
+func liveConns(n int, endpoints []*netxport.Endpoint, inst uint32, alive []bool) ([]transport.Conn, error) {
+	var mem *transport.Mem
+	if endpoints == nil {
+		mem = transport.NewMem(n)
+	}
+	conns := make([]transport.Conn, n)
+	for i := range conns {
+		if alive != nil && !alive[i] {
+			continue
+		}
+		var err error
+		switch {
+		case mem != nil:
+			conns[i], err = mem.Conn(msg.ID(i))
+		case inst == 0:
+			conns[i] = endpoints[i]
+		default:
+			conns[i], err = endpoints[i].Instance(inst)
+		}
+		if err != nil {
+			livenet.CloseConns(conns)
+			return nil, fmt.Errorf("instance %d conn p%d: %w", inst, i, err)
+		}
+	}
+	return conns, nil
+}
+
 // ClusterReport summarizes a live cluster run; see the livenet package.
 type ClusterReport = livenet.Report
 
 // ClusterDecision is one process's decision in a live run.
 type ClusterDecision = livenet.Decision
 
-// TCPTuning tunes the loopback TCP transport behind EngineTCP runs. The
-// zero value keeps the transport defaults (50µs linger, 1 MiB per-peer
-// queue).
-type TCPTuning struct {
-	// Linger is the write-coalescing window: how long a waking writer lets
-	// a burst accumulate before flushing it in one syscall (0 = default).
-	Linger time.Duration
-	// QueueCap is the per-peer pending-buffer cap in bytes; beyond it sends
-	// block until the writer drains (0 = default).
-	QueueCap int
-}
-
 // tcpMeshEndpoints starts n loopback TCP endpoints on ephemeral ports and
 // wires them into a full mesh: everyone listens first, then the discovered
 // addresses are exchanged. On error, every endpoint opened so far is closed.
-func tcpMeshEndpoints(n int, reg *MetricsRegistry, tune TCPTuning) ([]*netxport.Endpoint, error) {
+func tcpMeshEndpoints(n int, reg *MetricsRegistry) ([]*netxport.Endpoint, error) {
 	endpoints := make([]*netxport.Endpoint, 0, n)
 	addrs := make([]string, n)
 	for i := range addrs {
@@ -314,12 +329,6 @@ func tcpMeshEndpoints(n int, reg *MetricsRegistry, tune TCPTuning) ([]*netxport.
 			return nil, err
 		}
 		ep.SetMetrics(reg)
-		if tune.Linger > 0 {
-			ep.SetLinger(tune.Linger)
-		}
-		if tune.QueueCap > 0 {
-			ep.SetQueueCap(tune.QueueCap)
-		}
 		endpoints = append(endpoints, ep)
 	}
 	for _, ep := range endpoints {

@@ -257,7 +257,7 @@ func TestParseEngine(t *testing.T) {
 func TestBridgeCoalitionEnablesBothSides(t *testing.T) {
 	res, err := Simulate(ProtocolFailStop, 7, 3, unanimous(7, V1), SimOptions{
 		Seed:       3,
-		Scheduler:  adversary.Bridge{GroupOf: adversary.Overlap(2, 4)},
+		Policy:     PolicyFromScheduler(adversary.Bridge{GroupOf: adversary.Overlap(2, 4)}),
 		MaxSimTime: 1e5,
 	})
 	if err != nil {
@@ -275,7 +275,7 @@ func TestBridgeCoalitionEnablesBothSides(t *testing.T) {
 func TestPartitionStallsWhereBridgeDecides(t *testing.T) {
 	res, err := Simulate(ProtocolFailStop, 7, 3, unanimous(7, V1), SimOptions{
 		Seed:       3,
-		Scheduler:  adversary.Partition{GroupOf: adversary.Halves(2)},
+		Policy:     PolicyFromScheduler(adversary.Partition{GroupOf: adversary.Halves(2)}),
 		MaxSimTime: 1e5,
 	})
 	if err != nil {

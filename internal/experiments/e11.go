@@ -9,6 +9,7 @@ import (
 	"resilient/internal/markov"
 	"resilient/internal/mc"
 	"resilient/internal/msg"
+	"resilient/internal/policy"
 	"resilient/internal/runtime"
 	"resilient/internal/sched"
 	"resilient/internal/stats"
@@ -64,8 +65,8 @@ func E11(p Params) ([]*Table, error) {
 				Spawn: func(ctx runtime.SpawnContext) (core.Machine, error) {
 					return failstop.New(ctx.Config, ctx.Sink)
 				},
-				Scheduler: sc.s,
-				Seed:      seed,
+				Policy: policy.FromScheduler(sc.s),
+				Seed:   seed,
 			})
 			if err != nil {
 				return e11Trial{}, fmt.Errorf("E11a %s trial %d: %w", sc.name, tr, err)

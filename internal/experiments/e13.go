@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"resilient/internal/coin"
-	"resilient/internal/core"
+	"resilient/internal/mc"
 	"resilient/internal/proto"
 	"resilient/internal/runtime"
 	"resilient/internal/stats"
@@ -77,7 +77,7 @@ func E13(p Params) ([]*Table, error) {
 			res, err := runtime.Run(runtime.Config{
 				N: cfg.n, K: cfg.k,
 				Inputs:  randomInputs(cfg.n, seed),
-				Spawn:   zooSpawner(d, scheme, seed),
+				Spawn:   mc.ProtocolSpawner(d, scheme, seed),
 				Seed:    seed,
 				Metrics: scoped,
 			})
@@ -125,24 +125,4 @@ func E13(p Params) ([]*Table, error) {
 	t.AddNote("benor-crash (local coins) phase counts grow with n; benor-shared (common coin) stays flat at the same bound")
 	t.AddNote("wall times are measured only when requested (cmd/experiments): they vary run to run, unlike every other column")
 	return []*Table{t}, nil
-}
-
-// zooSpawner builds the engine spawner for one comparison run: the shared
-// coin is one per-run source every process queries, the local scheme draws
-// from each process's own engine RNG.
-func zooSpawner(d proto.Descriptor, scheme coin.Scheme, seed uint64) runtime.Spawner {
-	var shared coin.Source
-	if scheme == coin.SchemeShared {
-		shared = coin.NewShared(seed)
-	}
-	return func(ctx runtime.SpawnContext) (core.Machine, error) {
-		deps := proto.Deps{Sink: ctx.Sink}
-		switch scheme {
-		case coin.SchemeLocal:
-			deps.Coin = coin.NewLocal(ctx.RNG)
-		case coin.SchemeShared:
-			deps.Coin = shared
-		}
-		return d.Spawn(ctx.Config, deps)
-	}
 }

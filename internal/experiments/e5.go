@@ -9,6 +9,7 @@ import (
 	"resilient/internal/failstop"
 	"resilient/internal/malicious"
 	"resilient/internal/msg"
+	"resilient/internal/policy"
 	"resilient/internal/quorum"
 	"resilient/internal/runtime"
 	"resilient/internal/trace"
@@ -98,7 +99,7 @@ func E5(p Params) ([]*Table, error) {
 		N: n3, K: k3, Inputs: splitInputs(n3, 4),
 		Spawn:      spawnTwoFacedGreedy,
 		Byzantine:  coalition,
-		Scheduler:  bridge,
+		Policy:     policy.FromScheduler(bridge),
 		Seed:       p.Seed + 3,
 		MaxSimTime: 1000,
 	})
@@ -120,7 +121,7 @@ func E5(p Params) ([]*Table, error) {
 			return byzantine.NewTwoFaced(inner, ctx.Config.N, msg.ID(4)), nil
 		},
 		Byzantine:  coalition,
-		Scheduler:  bridge,
+		Policy:     policy.FromScheduler(bridge),
 		Seed:       p.Seed + 4,
 		MaxSimTime: 1000,
 	})
@@ -143,7 +144,7 @@ func runPartitioned(n, k int, boundary msg.ID, spawn runtime.Spawner, seed uint6
 	return runtime.Run(runtime.Config{
 		N: n, K: k, Inputs: splitInputs(n, int(boundary)),
 		Spawn:      spawn,
-		Scheduler:  adversary.Partition{GroupOf: adversary.Halves(boundary)},
+		Policy:     policy.FromScheduler(adversary.Partition{GroupOf: adversary.Halves(boundary)}),
 		Seed:       seed,
 		MaxSimTime: 1000,
 	})

@@ -12,6 +12,9 @@
 // loss, and partition decisions interpreted in wall-clock time. The same
 // (protocol, n, k, faults, policy, seed) scenario therefore runs unchanged
 // on the simulator and on the live engines.
+//
+// Cluster.Run is the engine's one run loop: a scenario's instance and every
+// slot of a replicated log (through RunInstance) go through it.
 package livenet
 
 import (
@@ -70,23 +73,23 @@ type Decision struct {
 // harness reached its planned crash point. It never escapes Run.
 var errCrashed = errors.New("livenet: process crashed by fault plan")
 
-// Driver runs one machine against one endpoint.
+// Driver runs one machine against one endpoint. Cluster.Run wires the rest.
 type Driver struct {
 	machine core.Machine
 	conn    transport.Conn
 	n       int
 	met     liveMetrics
-	// OnDecide, if set, is invoked exactly once when the machine decides.
-	OnDecide func(Decision)
-	// Harness, when non-nil, applies a fail-stop crash plan to this
+	// decided receives the machine's decision, exactly once.
+	decided chan<- Decision
+	// harness, when non-nil, applies a fail-stop crash plan to this
 	// process: the driver consults it before every individual send and
 	// after every machine step, exactly like the simulator's dispatch loop.
-	Harness *policy.FaultHarness
-	// OnCrash, if set, is invoked exactly once when the harness kills the
-	// process.
-	OnCrash func(msg.ID)
+	harness *policy.FaultHarness
+	// crashed receives the process id, exactly once, when the harness kills
+	// the process; it is set whenever harness is.
+	crashed chan<- msg.ID
 
-	crashNoted bool
+	decisionNoted, crashNoted bool
 }
 
 // NewDriver returns a driver for machine over conn in an n-process system.
@@ -99,7 +102,7 @@ func NewDriver(machine core.Machine, conn transport.Conn, n int) *Driver {
 // closes. It returns nil on a clean halt, crash, or connection close and
 // the underlying error otherwise.
 func (d *Driver) Run(ctx context.Context) error {
-	if h := d.Harness; h != nil {
+	if h := d.harness; h != nil {
 		// An initially-dead process (phase 0, zero budget) dies here; its
 		// machine still takes its Start step -- as in the simulator -- but
 		// every send is suppressed.
@@ -127,7 +130,7 @@ func (d *Driver) Run(ctx context.Context) error {
 		}
 		d.met.received.Inc()
 		outs := d.machine.OnMessage(in)
-		if h := d.Harness; h != nil {
+		if h := d.harness; h != nil {
 			h.CheckPhase() // phase advance may reach the planned crash point
 		}
 		var sendErr error
@@ -147,7 +150,7 @@ func (d *Driver) Run(ctx context.Context) error {
 }
 
 func (d *Driver) dead() bool {
-	return d.Harness != nil && d.Harness.Dead()
+	return d.harness != nil && d.harness.Dead()
 }
 
 // sendAll performs the point-to-point sends of one machine step, stopping at
@@ -165,7 +168,7 @@ func (d *Driver) sendAll(outs []core.Outbound) error {
 }
 
 func (d *Driver) send(to msg.ID, m msg.Message) error {
-	if d.Harness != nil && !d.Harness.AllowSend() {
+	if d.harness != nil && !d.harness.AllowSend() {
 		return errCrashed // mid-broadcast death: earlier sends stand
 	}
 	err := d.conn.Send(to, m)
@@ -177,18 +180,17 @@ func (d *Driver) send(to msg.ID, m msg.Message) error {
 }
 
 func (d *Driver) noteDecision() {
-	if d.OnDecide == nil {
+	if d.decisionNoted {
 		return
 	}
 	if v, ok := d.machine.Decided(); ok {
-		cb := d.OnDecide
-		d.OnDecide = nil
-		cb(Decision{
+		d.decisionNoted = true
+		d.decided <- Decision{
 			Process: d.machine.ID(),
 			Value:   v,
 			Phase:   d.machine.Phase(),
 			At:      time.Now(),
-		})
+		}
 	}
 }
 
@@ -198,9 +200,7 @@ func (d *Driver) noteCrash() {
 	}
 	d.crashNoted = true
 	d.met.crashes.Inc()
-	if d.OnCrash != nil {
-		d.OnCrash(d.machine.ID())
-	}
+	d.crashed <- d.machine.ID()
 }
 
 // Report summarizes a cluster run. Its shape mirrors runtime.Result so a
@@ -287,12 +287,15 @@ func NewCluster(machines []core.Machine, conns []transport.Conn) (*Cluster, erro
 
 // Run drives every machine concurrently until all correct processes have
 // decided or the context expires. It returns the collected report; a
-// context expiry with missing decisions is reported via the error. Every
-// connection is closed by the time Run returns, on every path.
+// context expiry with missing decisions is reported via the error. A process
+// whose connection is nil is absent from this instance -- dead at a log's
+// slot boundary: no driver, no goroutine, not awaited; traffic addressed to
+// it is the transport's to drop. Every connection is closed by the time Run
+// returns, on every path.
 func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 	n := len(c.machines)
 	if err := c.Crashes.Validate(n); err != nil {
-		closeConns(c.conns)
+		CloseConns(c.conns)
 		return nil, err
 	}
 	start := time.Now()
@@ -300,24 +303,34 @@ func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 	if c.Policy != nil {
 		conns = make([]transport.Conn, n)
 		for i, inner := range c.conns {
-			conns[i] = newPolicyConn(inner, c.Policy, c.Unit, start,
-				c.Seed^uint64(i+1)*0xbf58476d1ce4e5b9)
+			if inner != nil {
+				conns[i] = newPolicyConn(inner, c.Policy, c.Unit, start,
+					c.Seed^uint64(i+1)*0xbf58476d1ce4e5b9)
+			}
 		}
 	}
 	decCh := make(chan Decision, n)
-	crashCh := make(chan msg.ID, n)
+	errCh := make(chan error, n)
+	// Without a fault plan nothing can crash: no harness, and a nil crash
+	// channel whose select case never fires.
+	var crashCh chan msg.ID
+	if len(c.Crashes) > 0 {
+		crashCh = make(chan msg.ID, n)
+	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	met := newLiveMetrics(c.Metrics)
 	var wg sync.WaitGroup
-	errCh := make(chan error, n)
 	// pending tracks the correct processes whose decisions the run waits
 	// for: crash-planned and Byzantine processes are excluded, mirroring
 	// the simulator's mustDecide accounting.
 	awaited := make([]bool, n)
 	pending := 0
 	for i := range c.machines {
+		if conns[i] == nil {
+			continue
+		}
 		id := msg.ID(i)
 		_, planned := c.Crashes[id]
 		if !planned && !c.Byzantine[id] {
@@ -325,12 +338,10 @@ func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 			pending++
 		}
 		d := NewDriver(c.machines[i], conns[i], n)
-		d.met = met
-		if len(c.Crashes) > 0 {
-			d.Harness = policy.NewFaultHarness(c.machines[i], c.Crashes)
+		d.met, d.decided = met, decCh
+		if crashCh != nil {
+			d.harness, d.crashed = policy.NewFaultHarness(c.machines[i], c.Crashes), crashCh
 		}
-		d.OnDecide = func(dec Decision) { decCh <- dec }
-		d.OnCrash = func(id msg.ID) { crashCh <- id }
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -340,7 +351,7 @@ func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 		}()
 	}
 
-	report := &Report{}
+	report := &Report{Decisions: make([]Decision, 0, n)}
 	var runErr error
 	record := func(dec Decision) {
 		if c.Byzantine[dec.Process] {
@@ -375,7 +386,7 @@ collect:
 	// Shut down -- all decided, a driver error, or the caller's deadline:
 	// closing the connections unblocks every driver still inside Recv.
 	cancel()
-	closeConns(conns)
+	CloseConns(conns)
 	wg.Wait()
 	// Drain decisions and crashes that raced with shutdown.
 	for {
@@ -408,8 +419,8 @@ collect:
 	return report, runErr
 }
 
-// closeConns closes every non-nil connection.
-func closeConns(conns []transport.Conn) {
+// CloseConns closes every non-nil connection.
+func CloseConns(conns []transport.Conn) {
 	for _, c := range conns {
 		if c != nil {
 			c.Close()

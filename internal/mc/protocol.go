@@ -64,7 +64,7 @@ func ProtocolEnsemble(p proto.ID, n, k int, override coin.Scheme, opts EnsembleO
 		res, err := runtime.Run(runtime.Config{
 			N: n, K: k,
 			Inputs: inputs,
-			Spawn:  protocolSpawner(d, scheme, seed),
+			Spawn:  ProtocolSpawner(d, scheme, seed),
 			Seed:   seed,
 		})
 		if err != nil {
@@ -95,10 +95,10 @@ func ProtocolEnsemble(p proto.ID, n, k int, override coin.Scheme, opts EnsembleO
 	return mergeEnsemble(phases, ones), nil
 }
 
-// protocolSpawner builds the engine spawner for one execution: the shared
+// ProtocolSpawner builds the engine spawner for one execution: the shared
 // coin is one per-run source every process queries, the local scheme draws
 // from each process's own engine RNG.
-func protocolSpawner(d proto.Descriptor, scheme coin.Scheme, seed uint64) runtime.Spawner {
+func ProtocolSpawner(d proto.Descriptor, scheme coin.Scheme, seed uint64) runtime.Spawner {
 	var shared coin.Source
 	if scheme == coin.SchemeShared {
 		shared = coin.NewShared(seed)

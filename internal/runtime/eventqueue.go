@@ -140,9 +140,9 @@ const (
 
 // slab is a chunked array addressed by int32 refs. Chunk i has
 // min(firstChunk<<i, maxChunk) entries and is never re-copied, so a small
-// run (or one of RunMulti's thousands of per-slot queues) pays for 32
-// entries while a large one grows by at most maxChunk at a time and pays for
-// its peak once.
+// run (one of a log's thousands of per-slot queues) pays for 32 entries
+// while a large one grows by at most maxChunk at a time and pays for its
+// peak once.
 type slab[T any] struct {
 	chunks [][]T
 	// used counts the entries of the last chunk handed out so far.

@@ -65,13 +65,11 @@ type Config struct {
 	Byzantine map[msg.ID]bool
 	// Crashes is the fail-stop fault plan.
 	Crashes faults.Plan
-	// Scheduler assigns message delays; defaults to Uniform[0.1, 1].
-	// Ignored when Policy is set.
-	Scheduler sched.Scheduler
-	// Policy decides per-link delivery (delay and drop). When nil, the
-	// Scheduler is wrapped via policy.FromScheduler, which is draw-identical
-	// to consulting the scheduler directly -- the pre-policy goldens pin
-	// this. A dropped message counts as sent but never delivers.
+	// Policy decides per-link delivery (delay and drop); nil is
+	// policy.Default, Uniform[0.1, 1] delays and no loss. A sched.Scheduler
+	// becomes one via policy.FromScheduler, which is draw-identical to
+	// consulting the scheduler directly -- the pre-policy goldens pin this.
+	// A dropped message counts as sent but never delivers.
 	Policy policy.LinkPolicy
 	// Seed determines the execution.
 	Seed uint64
@@ -366,8 +364,7 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // newRunner validates the configuration and builds a runner with its
-// machines spawned but no steps taken. Initial steps happen in start, so a
-// multi-instance scheduler can admit an instance at a chosen global time.
+// machines spawned but no steps taken; the initial steps happen in start.
 func newRunner(cfg Config) (*runner, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -396,7 +393,7 @@ func newRunner(cfg Config) (*runner, error) {
 	}
 	r.traceOn = r.sink.Enabled()
 	if r.pol == nil {
-		r.pol = policy.FromScheduler(cfg.Scheduler)
+		r.pol = policy.Default()
 	}
 	world := worldView{r: r}
 	for i := 0; i < cfg.N; i++ {
@@ -578,8 +575,7 @@ func (r *runner) maxEvents() int {
 // stepNext processes the next pending delivery. It returns false -- without
 // consuming an event -- once the run is over: every correct process decided
 // (unless RunToCompletion), the event budget or time horizon was hit, or the
-// queue drained. This is the single-step face loop and the multi-instance
-// scheduler share, so their per-event semantics cannot diverge.
+// queue drained.
 func (r *runner) stepNext(maxEvents int) bool {
 	if r.mustDecide == 0 && !r.cfg.RunToCompletion {
 		return false

@@ -89,12 +89,12 @@ func TestRunMetricsQueue(t *testing.T) {
 	reg = metrics.NewRegistry()
 	cfg := failstopConfig(7, 3, 1, reg)
 	sent := 0
-	cfg.Scheduler = sched.Func(func(from, to msg.ID, m msg.Message, now float64, rng *rand.Rand) float64 {
+	cfg.Policy = policy.FromScheduler(sched.Func(func(from, to msg.ID, m msg.Message, now float64, rng *rand.Rand) float64 {
 		if sent++; sent%50 == 0 {
 			return 1e12
 		}
 		return 0.1 + 0.9*rng.Float64()
-	})
+	}))
 	if res, err = runtime.Run(cfg); err != nil {
 		t.Fatal(err)
 	}

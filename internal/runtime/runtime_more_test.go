@@ -9,6 +9,7 @@ import (
 	"resilient/internal/core"
 	"resilient/internal/faults"
 	"resilient/internal/msg"
+	"resilient/internal/policy"
 	"resilient/internal/sched"
 	"resilient/internal/trace"
 )
@@ -87,7 +88,7 @@ func TestTimeHorizonStops(t *testing.T) {
 	res, err := Run(Config{
 		N: 7, K: 3, Inputs: mixedInputs(7),
 		Spawn:      failStopSpawner(t),
-		Scheduler:  sched.Constant{D: 100},
+		Policy:     policy.FromScheduler(sched.Constant{D: 100}),
 		MaxSimTime: 50, // first deliveries land at t=100
 		Seed:       1,
 	})
@@ -303,7 +304,7 @@ func TestPartitionSchedulerStallsMinority(t *testing.T) {
 	res, err := Run(Config{
 		N: 7, K: 3, Inputs: mixedInputs(7),
 		Spawn:      failStopSpawner(t),
-		Scheduler:  adversary.Partition{GroupOf: adversary.Halves(4)},
+		Policy:     policy.FromScheduler(adversary.Partition{GroupOf: adversary.Halves(4)}),
 		Seed:       8,
 		MaxSimTime: 2000,
 	})
@@ -397,11 +398,11 @@ func TestStragglerFinishesViaWildcards(t *testing.T) {
 	res, err := Run(Config{
 		N: n, K: k, Inputs: mixedInputs(n),
 		Spawn: maliciousSpawner(t),
-		Scheduler: sched.Skewed{
+		Policy: policy.FromScheduler(sched.Skewed{
 			Base:       sched.Uniform{Min: 0.1, Max: 1},
 			SlowSet:    map[msg.ID]bool{6: true},
 			SlowFactor: 40,
-		},
+		}),
 		Seed: 17,
 	})
 	if err != nil {
@@ -432,11 +433,11 @@ func TestFigure1StragglersAfterDecidersHalt(t *testing.T) {
 		Crashes: faults.Plan{
 			0: {Process: 0, Phase: 1, AfterSends: 3},
 		},
-		Scheduler: sched.Skewed{
+		Policy: policy.FromScheduler(sched.Skewed{
 			Base:       sched.Uniform{Min: 0.1, Max: 1},
 			SlowSet:    map[msg.ID]bool{6: true},
 			SlowFactor: 40,
-		},
+		}),
 		Seed: 23,
 	})
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"resilient/internal/majority"
 	"resilient/internal/malicious"
 	"resilient/internal/msg"
+	"resilient/internal/policy"
 	"resilient/internal/sched"
 )
 
@@ -163,7 +164,7 @@ func TestBenOrCrashMode(t *testing.T) {
 		res, err := Run(Config{
 			N: 7, K: 3, Inputs: mixedInputs(7),
 			Spawn: benorSpawner(t, benor.Crash), Seed: seed,
-			Scheduler: sched.Uniform{Min: 0.1, Max: 2},
+			Policy: policy.FromScheduler(sched.Uniform{Min: 0.1, Max: 2}),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 	"resilient/internal/msg"
 	"resilient/internal/netxport"
 	"resilient/internal/runtime"
-	"resilient/internal/transport"
 )
 
 // Defaults for the replicated-log layer.
@@ -70,8 +69,6 @@ type LogOptions struct {
 	// Crashes schedules slot-boundary fail-stop deaths. At most K processes
 	// may crash over the whole run.
 	Crashes []LogCrash
-	// TCP tunes the loopback TCP transport on EngineTCP runs.
-	TCP TCPTuning
 	// Metrics, when non-nil, receives log accounting under "log." plus the
 	// underlying engine's usual instruments.
 	Metrics *MetricsRegistry
@@ -194,13 +191,13 @@ type slotDesc struct {
 // logRun is a normalized, validated log configuration.
 type logRun struct {
 	engine  Engine
-	spawner spawner // the slot protocol's; reseeded per slot
+	slot    Scenario // what every slot is; seed, inputs and the dead set vary per slot
+	spawner spawner  // the slot protocol's; reseeded per slot
 	n, k    int
 	seed    uint64
 	batch   int
 	window  int
 	crashAt map[ID]int // process -> first dead slot
-	tcp     TCPTuning
 	reg     *MetricsRegistry
 	met     logMetrics
 }
@@ -213,7 +210,6 @@ func newLogRun(opts LogOptions) (*logRun, error) {
 		seed:   opts.Seed,
 		batch:  opts.Batch,
 		window: opts.Pipeline,
-		tcp:    opts.TCP,
 		reg:    opts.Metrics,
 	}
 	if r.engine == 0 {
@@ -234,8 +230,8 @@ func newLogRun(opts LogOptions) (*logRun, error) {
 	}
 	// A slot is a scenario: the same validation, with the unanimous inputs
 	// the log feeds it standing in.
-	slot := Scenario{Protocol: protocol, N: r.n, K: r.k, Inputs: make([]Value, max(r.n, 0)), Seed: r.seed, Coin: opts.Coin}
-	sp, err := slot.validate(r.engine)
+	r.slot = Scenario{Protocol: protocol, N: r.n, K: r.k, Inputs: make([]Value, max(r.n, 0)), Seed: r.seed, Coin: opts.Coin, Metrics: r.reg}
+	sp, err := r.slot.validate(r.engine)
 	if err != nil {
 		return nil, err
 	}
@@ -327,6 +323,17 @@ func (d *slotDesc) inputs(n int) []Value {
 	return in
 }
 
+// dead lists the processes that take no part in the slot.
+func (d *slotDesc) dead() []ID {
+	var ids []ID
+	for p, alive := range d.run {
+		if !alive {
+			ids = append(ids, ID(p))
+		}
+	}
+	return ids
+}
+
 // batchFrames packs a batch's operations into length-prefixed wire chunks,
 // each within the frame payload bound.
 func batchFrames(ops [][]byte) [][]byte {
@@ -376,56 +383,60 @@ func (r *logRun) run(ctx context.Context, ops [][]byte, rate float64) (*LogRepor
 	return r.runLive(ctx, ops, rate)
 }
 
-// runSim executes the planned slots on the deterministic simulator via
-// runtime.RunMulti: every slot is an independent instance config and the
-// pipeline window is the multi-run's admission window on the shared global
-// virtual clock. Every operation has arrived before the first slot, so the
-// batcher cuts the same batches a closed-loop live run launches.
+// runSim executes the planned slots on the deterministic simulator, one
+// after another through runtime.Run -- the call RunScenario makes. Slots
+// never exchange a message, so how they interleave is invisible to every
+// machine; the pipeline only decides when a slot is admitted, which
+// windowEnd replays. Every operation has arrived before the first slot, so
+// the batcher cuts the same batches a closed-loop live run launches.
 func (r *logRun) runSim(ops [][]byte) (*LogReport, error) {
 	start := time.Now()
 	bat := newBatcher(r.batch, len(ops))
 	for _, op := range ops {
 		bat.add(op, 0)
 	}
-	descs := r.plan(bat)
-	cfgs := make([]runtime.Config, len(descs))
-	for i, d := range descs {
-		seed := r.slotSeed(d.slot)
-		sp := r.spawner.reseeded(seed)
-		var dead []msg.ID
-		for p, ok := range d.run {
-			if !ok {
-				dead = append(dead, msg.ID(p))
-			}
-		}
-		cfgs[i] = runtime.Config{
-			N:       r.n,
-			K:       r.k,
-			Inputs:  d.inputs(r.n),
-			Spawn:   sp.spawn,
-			Crashes: faults.InitiallyDead(dead...),
-			Seed:    seed,
-			Metrics: r.reg,
-		}
-	}
-	mrs, err := runtime.RunMulti(cfgs, r.window)
-	if err != nil {
-		return nil, err
-	}
 	rep := &LogReport{Engine: EngineSim}
-	for i, mr := range mrs {
-		res := mr.Result
+	var durs []float64
+	for _, d := range r.plan(bat) {
+		sc := r.slot
+		sc.Seed = r.slotSeed(d.slot)
+		sc.Inputs = d.inputs(r.n)
+		sc.Crashes = faults.InitiallyDead(d.dead()...)
+		sp := r.spawner.reseeded(sc.Seed)
+		res, err := runtime.Run(sc.simConfig(&sp))
+		if err != nil {
+			return nil, err
+		}
 		if !res.AllDecided || !res.Agreement {
 			return nil, fmt.Errorf("resilient: log slot %d: decided=%v agreement=%v stalled=%v",
-				descs[i].slot, res.AllDecided, res.Agreement, res.Stalled)
+				d.slot, res.AllDecided, res.Agreement, res.Stalled)
 		}
-		r.recordSlot(rep, descs[i], res.Value, time.Time{})
-		if mr.End > rep.SimTime {
-			rep.SimTime = mr.End
-		}
+		r.recordSlot(rep, d, res.Value, time.Time{})
+		durs = append(durs, res.SimTime)
 	}
+	rep.SimTime = windowEnd(durs, r.window)
 	r.finishReport(rep, start, nil)
 	return rep, nil
+}
+
+// windowEnd is window admission on one virtual clock: at most window slots
+// are in flight, each slot is admitted the moment the earliest in-flight one
+// ends and then runs for its own duration, and the result is the time the
+// last one ends.
+func windowEnd(durs []float64, window int) float64 {
+	free := make([]float64, min(window, len(durs)))
+	end := 0.0
+	for _, d := range durs {
+		first := 0
+		for i, f := range free {
+			if f < free[first] {
+				first = i
+			}
+		}
+		free[first] += d
+		end = max(end, free[first])
+	}
+	return end
 }
 
 // slotRes is one finished slot on a live engine.
@@ -446,7 +457,7 @@ func (r *logRun) runLive(ctx context.Context, ops [][]byte, rate float64) (*LogR
 	start := time.Now()
 	var endpoints []*netxport.Endpoint
 	if r.engine == EngineTCP {
-		eps, err := tcpMeshEndpoints(r.n, r.reg, r.tcp)
+		eps, err := tcpMeshEndpoints(r.n, r.reg)
 		if err != nil {
 			return nil, err
 		}
@@ -586,36 +597,10 @@ func (r *logRun) runLiveSlot(ctx context.Context, d slotDesc, endpoints []*netxp
 	if err != nil {
 		return livenet.InstanceOutcome{}, err
 	}
-	conns := make([]transport.Conn, r.n)
-	closeConns := func() {
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
+	conns, err := liveConns(r.n, endpoints, uint32(d.slot)+1, d.run)
+	if err != nil {
+		return livenet.InstanceOutcome{}, err
 	}
-	var mem *transport.Mem
-	if r.engine == EngineMem {
-		mem = transport.NewMem(r.n)
-		defer mem.Close()
-	}
-	for i := 0; i < r.n; i++ {
-		if !d.run[i] {
-			continue
-		}
-		var err error
-		if mem != nil {
-			conns[i], err = mem.Conn(msg.ID(i))
-		} else {
-			// Instance id slot+1: id 0 is the endpoints' own base channel.
-			conns[i], err = endpoints[i].Instance(uint32(d.slot) + 1)
-		}
-		if err != nil {
-			closeConns()
-			return livenet.InstanceOutcome{}, fmt.Errorf("slot %d conn p%d: %w", d.slot, i, err)
-		}
-	}
-
 	if b := d.batch; b != nil {
 		src := conns[d.proposer]
 		for chunk, frame := range batchFrames(b.ops) {
@@ -625,7 +610,7 @@ func (r *logRun) runLiveSlot(ctx context.Context, d slotDesc, endpoints []*netxp
 					continue
 				}
 				if err := src.Send(ID(p), m); err != nil {
-					closeConns()
+					livenet.CloseConns(conns)
 					return livenet.InstanceOutcome{}, fmt.Errorf("slot %d payload to p%d: %w", d.slot, p, err)
 				}
 			}

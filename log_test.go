@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"resilient/internal/faults"
 	"resilient/internal/msg"
 )
 
@@ -106,6 +107,112 @@ func TestRunLogCrashes(t *testing.T) {
 		if !bytes.Equal(rep.Committed[i], op) {
 			t.Fatalf("committed[%d] differs from submitted op %d", i, i)
 		}
+	}
+}
+
+// TestWindowEnd pins the log's virtual clock -- window admission over the
+// slots' own durations -- on hand-made durations: a window of one is the sum,
+// a window as wide as the run is the maximum, and in between each slot starts
+// the moment the earliest of the window's slots ends.
+func TestWindowEnd(t *testing.T) {
+	durs := []float64{5, 1, 1, 1, 4}
+	for _, tc := range []struct {
+		window int
+		want   float64
+	}{
+		{1, 12},
+		{5, 5},
+		{64, 5},
+		// Three wide: 5, 1, 1 start at 0; the fourth takes the lane free at 1
+		// and ends at 2, the fifth the other lane free at 1 and ends at 5.
+		{3, 5},
+		// Two wide: lanes 5 | 1+1+1+4 = 7.
+		{2, 7},
+	} {
+		if got := windowEnd(durs, tc.window); got != tc.want {
+			t.Errorf("windowEnd(%v, %d) = %v, want %v", durs, tc.window, got, tc.want)
+		}
+	}
+	if got := windowEnd(nil, 4); got != 0 {
+		t.Errorf("windowEnd of no slots = %v, want 0", got)
+	}
+}
+
+// TestRunLogSimTimeIsSlotSum ties the log's clock to the simulator's: with
+// one slot in flight, the run's virtual time is the sum of what each slot
+// takes when the same instance -- slot seed, unanimous inputs, the slot's
+// dead replicas dead from the start -- runs on its own through Simulate.
+func TestRunLogSimTimeIsSlotSum(t *testing.T) {
+	opts := LogOptions{
+		Engine: EngineSim, N: 7, Seed: 13, Batch: 4, Pipeline: 1,
+		Crashes: []LogCrash{{Process: 2, Slot: 3}},
+	}
+	ops := testLogOps(40, 16)
+	rep, err := RunLog(logCtx(t), opts, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := newLogRun(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bat := newBatcher(r.batch, len(ops))
+	for _, op := range ops {
+		bat.add(op, 0)
+	}
+	descs := r.plan(bat)
+	if len(descs) != rep.Slots || rep.NoopSlots == 0 {
+		t.Fatalf("planned %d slots, ran %d (%d no-op)", len(descs), rep.Slots, rep.NoopSlots)
+	}
+	sum := 0.0
+	for _, d := range descs {
+		res, err := Simulate(ProtocolMalicious, r.n, r.k, d.inputs(r.n), SimOptions{
+			Seed: r.slotSeed(d.slot), Crashes: faults.InitiallyDead(d.dead()...),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Value != rep.SlotDecisions[d.slot] {
+			t.Fatalf("slot %d decided %v in the log, %v on its own", d.slot, rep.SlotDecisions[d.slot], res.Value)
+		}
+		sum += res.SimTime
+	}
+	if rep.SimTime != sum {
+		t.Fatalf("log SimTime %v, slots sum to %v", rep.SimTime, sum)
+	}
+}
+
+// TestRunLogAbsentReplicaIsAbsent checks that a replica dead at a slot
+// boundary takes no part in the slot on the live engines -- no driver, so no
+// decision counted, and no fault harness, so no crash counted -- and that the
+// run loop's accounting covers log slots: one decision per replica alive in
+// each slot.
+func TestRunLogAbsentReplicaIsAbsent(t *testing.T) {
+	const n, crashSlot = 7, 3
+	for _, engine := range []Engine{EngineMem, EngineTCP} {
+		t.Run(engine.String(), func(t *testing.T) {
+			reg := NewMetricsRegistry()
+			rep, err := RunLog(logCtx(t), LogOptions{
+				Engine: engine, N: n, Seed: 21, Batch: 4, Pipeline: 3, Metrics: reg,
+				Crashes: []LogCrash{{Process: 2, Slot: crashSlot}},
+			}, testLogOps(40, 16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Ops != 40 || rep.NoopSlots == 0 || rep.Slots <= crashSlot {
+				t.Fatalf("ops=%d slots=%d noops=%d: the crash plan did not bite", rep.Ops, rep.Slots, rep.NoopSlots)
+			}
+			snap := reg.Snapshot()
+			for name, want := range map[string]int64{
+				"livenet.crashes":   0,
+				"livenet.runs":      int64(rep.Slots),
+				"livenet.decisions": int64(crashSlot*n + (rep.Slots-crashSlot)*(n-1)),
+			} {
+				if got := snap.Counters[name]; got != want {
+					t.Errorf("counter %s = %d, want %d", name, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -10,11 +10,12 @@
 //   - RunScenario: one consensus instance, described once as a Scenario, on
 //     any engine -- the deterministic simulator, goroutines over an
 //     in-memory message system, or goroutines over loopback TCP sockets.
-//   - Simulate: the simulator alone, with its event and time budgets,
-//     scripted schedulers and traces (the tool the experiments are built
-//     on).
+//   - Simulate: the simulator alone, with its event and time budgets and
+//     traces (the tool the experiments are built on); a scripted delay
+//     Scheduler is a LinkPolicy through PolicyFromScheduler.
 //   - RunLog / RunLogWorkload: the replicated log, one instance per slot,
-//     on the same three engines.
+//     on the same three engines; a slot is a Scenario and runs through the
+//     two run loops RunScenario uses, one per engine kind.
 //   - NewMachine: raw protocol state machines, for embedding in a custom
 //     engine.
 //

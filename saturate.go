@@ -26,8 +26,6 @@ type SaturationOptions struct {
 	// Payload is the per-message payload size in bytes (default 0:
 	// header-only frames, the protocols' common case).
 	Payload int
-	// TCP tunes the transport under test (linger, queue cap, direct mode).
-	TCP TCPTuning
 	// Metrics, when non-nil, receives the endpoints' "net." accounting.
 	Metrics *MetricsRegistry
 }
@@ -75,7 +73,7 @@ func RunTCPSaturation(ctx context.Context, opts SaturationOptions) (*SaturationR
 		return nil, fmt.Errorf("resilient: payload %d outside [0, %d]", opts.Payload, msg.MaxPayload)
 	}
 
-	endpoints, err := tcpMeshEndpoints(n, opts.Metrics, opts.TCP)
+	endpoints, err := tcpMeshEndpoints(n, opts.Metrics)
 	if err != nil {
 		return nil, err
 	}

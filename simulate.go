@@ -141,12 +141,10 @@ func (s BroadcastScheme) Valid() bool {
 type SimOptions struct {
 	// Seed selects the execution; same options, same execution.
 	Seed uint64
-	// Scheduler overrides the delivery-delay policy.
-	Scheduler Scheduler
-	// Policy, when non-nil, replaces Scheduler with a full link policy
-	// (delay, loss, partition) from the shared fault/delivery layer; the
-	// same policy value drives the live engines. Scheduler is ignored when
-	// Policy is set.
+	// Policy, when non-nil, decides per-link delivery (delay, loss,
+	// partition); the same policy value drives the live engines. A delay
+	// Scheduler becomes one through PolicyFromScheduler. Nil is
+	// Uniform[0.1, 1] delays and no loss.
 	Policy LinkPolicy
 	// Crashes schedules fail-stop deaths, keyed by process.
 	Crashes map[ID]Crash
@@ -201,7 +199,7 @@ func Simulate(p Protocol, n, k int, inputs []Value, opts SimOptions) (*Result, e
 
 // simConfig converts Simulate's arguments into a Scenario -- the one place
 // the two option shapes meet -- validates it, and adds the simulator-only
-// knobs (scheduler, trace, budgets) to its engine configuration.
+// knobs (trace, budgets) to its engine configuration.
 func simConfig(p Protocol, n, k int, inputs []Value, opts SimOptions) (runtime.Config, error) {
 	sc := Scenario{
 		Protocol:    p,
@@ -223,7 +221,6 @@ func simConfig(p Protocol, n, k int, inputs []Value, opts SimOptions) (runtime.C
 		return runtime.Config{}, err
 	}
 	cfg := sc.simConfig(sp)
-	cfg.Scheduler = opts.Scheduler
 	cfg.Sink = opts.Trace
 	cfg.MaxEvents = opts.MaxEvents
 	cfg.MaxSimTime = opts.MaxSimTime
