@@ -38,25 +38,26 @@ func BenchmarkFailStopN7K3(b *testing.B) {
 // of it per-run setup. The benchmark FAILS, not just reports, when the
 // ceiling is breached.
 //
-// That ratio counts objects, so it cannot see a few large ones. The sampled
-// broadcast's cost at scale is bytes per process -- each of n machines keeps
-// what it allocates for the whole run -- so that case is also held to a
-// bytes-per-process ceiling, 1.5x the 4,169 B it measures with multicast
-// outbounds (12,260 B when every machine expanded its target lists into
-// unicasts and the slab held a copy per recipient).
+// That ratio counts objects, so it cannot see a few large ones: the event
+// queue's slab chunks and ring, or what each of the sampled broadcast's n
+// machines keeps for the whole run. Every case is therefore also held to a
+// ceiling on the bytes one run allocates once an earlier run has returned
+// its queue storage to runtime's pool -- 1.5x the 44.5 KB, 38.0 KB and
+// 1,888 B per process the three cases measure. A run that builds its queue
+// from nothing reads 87.8 KB, 211 KB and 4,169 B per process.
 const maxAllocsPerMessage = 0.25
 
 func BenchmarkSimulateZeroAlloc(b *testing.B) {
 	cases := []struct {
-		name               string
-		protocol           Protocol
-		n, k               int
-		scheme             BroadcastScheme
-		maxBytesPerProcess float64 // 0: not gated
+		name     string
+		protocol Protocol
+		n, k     int
+		scheme   BroadcastScheme
+		maxBytes uint64 // per run
 	}{
-		{"failstop/n=21", ProtocolFailStop, 21, 10, SchemeEcho, 0},
-		{"malicious/n=13", ProtocolMalicious, 13, 4, SchemeEcho, 0},
-		{"broadcast-sample/n=1000", ProtocolBroadcast, 1000, 100, SchemeSample, 6250},
+		{"failstop/n=21", ProtocolFailStop, 21, 10, SchemeEcho, 66_700},
+		{"malicious/n=13", ProtocolMalicious, 13, 4, SchemeEcho, 57_000},
+		{"broadcast-sample/n=1000", ProtocolBroadcast, 1000, 100, SchemeSample, 1000 * 2_832},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -78,16 +79,18 @@ func BenchmarkSimulateZeroAlloc(b *testing.B) {
 				b.Fatalf("%.4f allocs per message (%.0f allocs / %d messages), ceiling %.2f",
 					perMessage, allocs, messages, maxAllocsPerMessage)
 			}
-			var perProcess float64
-			if c.maxBytesPerProcess > 0 {
+			// The least of three: the pool is per P, so a run that follows a
+			// migration of this goroutine finds no queue and proves nothing.
+			bytes := ^uint64(0)
+			for range 3 {
 				var before, after goruntime.MemStats
 				goruntime.ReadMemStats(&before)
 				run()
 				goruntime.ReadMemStats(&after)
-				perProcess = float64(after.TotalAlloc-before.TotalAlloc) / float64(c.n)
-				if perProcess > c.maxBytesPerProcess {
-					b.Fatalf("%.0f B allocated per process, ceiling %.0f", perProcess, c.maxBytesPerProcess)
-				}
+				bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+			}
+			if bytes > c.maxBytes {
+				b.Fatalf("%d B allocated by a run on recycled queue storage, ceiling %d", bytes, c.maxBytes)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -95,9 +98,7 @@ func BenchmarkSimulateZeroAlloc(b *testing.B) {
 				run()
 			}
 			b.ReportMetric(perMessage, "allocs/msg")
-			if c.maxBytesPerProcess > 0 {
-				b.ReportMetric(perProcess, "B/process")
-			}
+			b.ReportMetric(float64(bytes)/float64(c.n), "B/process")
 		})
 	}
 }

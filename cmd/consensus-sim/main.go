@@ -47,6 +47,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	goruntime "runtime"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -66,7 +68,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("consensus-sim", flag.ContinueOnError)
 	var (
 		protoName   = fs.String("protocol", "failstop", "protocol: "+strings.Join(protocolNames(), " | "))
@@ -86,6 +88,7 @@ func run(args []string) error {
 		epsFlag     = fs.Float64("eps", 0, "per-acceptance error bound of -broadcast=sample (0 = default 1e-3)")
 		asJSON      = fs.Bool("json", false, "emit the result as JSON (single-trial runs only)")
 		metricsPath = fs.String("metrics-json", "", "write a key-sorted run-accounting snapshot to this file (aggregated over all trials)")
+		pprofPrefix = fs.String("pprof", "", "write a CPU profile of the run to PREFIX.cpu and an allocation profile to PREFIX.allocs")
 		engineName  = fs.String("engine", "sim", "execution engine: sim | mem | tcp")
 		policySpec  = fs.String("policy", "", "link policy: comma-chained wrappers over a base, e.g. uniform:0.1:1 | exp:1 | const:1 | drop:0.1,uniform:0.1:1 | partition:2,const:1")
 		unitFlag    = fs.Duration("unit", 0, "wall-clock length of one policy delay unit on live engines (default 1ms)")
@@ -154,6 +157,18 @@ func run(args []string) error {
 	pol, err := parsePolicy(*policySpec)
 	if err != nil {
 		return err
+	}
+
+	if *pprofPrefix != "" {
+		stop, perr := startProfiles(*pprofPrefix)
+		if perr != nil {
+			return perr
+		}
+		defer func() { // err is run's result, not a local
+			if perr := stop(); err == nil {
+				err = perr
+			}
+		}()
 	}
 
 	var reg *resilient.MetricsRegistry
@@ -378,6 +393,36 @@ func run(args []string) error {
 	fmt.Printf("phases     %s\n", phases.Summarize())
 	fmt.Printf("messages   %s\n", msgs.Summarize())
 	return writeMetrics()
+}
+
+// startProfiles begins a CPU profile in prefix.cpu and returns the function
+// that ends it and writes every allocation since process start to
+// prefix.allocs.
+func startProfiles(prefix string) (stop func() error, err error) {
+	cpu, err := os.Create(prefix + ".cpu")
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(cpu); err != nil {
+		cpu.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		if err := cpu.Close(); err != nil {
+			return err
+		}
+		allocs, err := os.Create(prefix + ".allocs")
+		if err != nil {
+			return err
+		}
+		goruntime.GC() // the profile counts what the last collection has seen
+		if err := pprof.Lookup("allocs").WriteTo(allocs, 0); err != nil {
+			allocs.Close()
+			return err
+		}
+		return allocs.Close()
+	}, nil
 }
 
 // protocolNames lists every registered protocol's primary spelling for the

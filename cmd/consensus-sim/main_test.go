@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -130,6 +131,19 @@ func TestRunEndToEnd(t *testing.T) {
 	if err := run([]string{"-protocol", "bogus"}); err == nil ||
 		!strings.Contains(err.Error(), "unknown protocol") {
 		t.Fatalf("bogus protocol: %v", err)
+	}
+}
+
+// TestRunPprof checks that -pprof leaves both profiles behind.
+func TestRunPprof(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "run")
+	if err := run([]string{"-protocol", "malicious", "-n", "7", "-trials", "5", "-pprof", prefix}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ext := range []string{".cpu", ".allocs"} {
+		if st, err := os.Stat(prefix + ext); err != nil || st.Size() == 0 {
+			t.Errorf("%s%s: %v, want a non-empty file", prefix, ext, err)
+		}
 	}
 }
 

@@ -64,17 +64,25 @@ func runParity(t *testing.T, sc Scenario, wantValue Value, wantDeciders int, wan
 				}
 				return
 			}
-			for _, id := range crashed {
-				if _, planned := sc.Crashes[id]; !planned {
-					t.Fatalf("%v: p%d crashed outside the plan %v", engine, id, wantCrashed)
-				}
-			}
-			for id, c := range sc.Crashes {
-				if c.Phase == 0 && c.AfterSends == 0 && !slices.Contains(crashed, id) {
-					t.Fatalf("%v: initially dead p%d not in crashed %v", engine, id, crashed)
-				}
-			}
+			checkLiveCrashed(t, sc.Crashes, crashed)
 		})
+	}
+}
+
+// checkLiveCrashed is what a live run's crash list can be held to: it ends
+// when the awaited processes have decided, so a process planned to die
+// mid-run is listed only if it got that far in time.
+func checkLiveCrashed(t *testing.T, plan map[ID]Crash, crashed []ID) {
+	t.Helper()
+	for _, id := range crashed {
+		if _, planned := plan[id]; !planned {
+			t.Fatalf("p%d crashed outside the plan %v", id, plan)
+		}
+	}
+	for id, c := range plan {
+		if c.Phase == 0 && c.AfterSends == 0 && !slices.Contains(crashed, id) {
+			t.Fatalf("initially dead p%d not in crashed %v", id, crashed)
+		}
 	}
 }
 
@@ -170,16 +178,17 @@ func TestEngineParityRegistry(t *testing.T) {
 func TestTCPCrashAtPhasePlan(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	plan := map[ID]Crash{
+		2: {Process: 2, Phase: 1, AfterSends: 2},
+		4: {Process: 4, Phase: 2, AfterSends: 0},
+		6: {Process: 6, Phase: 0, AfterSends: 0},
+	}
 	out, err := RunScenario(ctx, EngineTCP, Scenario{
 		Protocol: ProtocolFailStop,
 		N:        7, K: 3,
-		Inputs: []Value{0, 1, 0, 1, 0, 1, 0},
-		Seed:   3,
-		Crashes: map[ID]Crash{
-			2: {Process: 2, Phase: 1, AfterSends: 2},
-			4: {Process: 4, Phase: 2, AfterSends: 0},
-			6: {Process: 6, Phase: 0, AfterSends: 0},
-		},
+		Inputs:  []Value{0, 1, 0, 1, 0, 1, 0},
+		Seed:    3,
+		Crashes: plan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,9 +196,9 @@ func TestTCPCrashAtPhasePlan(t *testing.T) {
 	if !out.AllDecided || !out.Agreement {
 		t.Fatalf("survivors failed to decide: %+v", out)
 	}
-	if want := []ID{2, 4, 6}; !slices.Equal(out.Crashed, want) {
-		t.Fatalf("crashed %v, want %v", out.Crashed, want)
-	}
+	// The survivors need nothing from p2 or p4 after phase 0: on a busy
+	// machine they decide before p4 has reached phase 2.
+	checkLiveCrashed(t, plan, out.Crashed)
 	if len(out.Decisions) != 4 {
 		t.Fatalf("%d deciders, want 4", len(out.Decisions))
 	}

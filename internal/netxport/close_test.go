@@ -72,3 +72,36 @@ func TestCloseAbortsDialRetryStorm(t *testing.T) {
 		t.Errorf("Close took %v with a writer in a dial-retry storm", elapsed)
 	}
 }
+
+// TestCloseDoesNotWaitForLateAccept closes an endpoint while a peer's
+// connection is arriving. Whichever side of Close the accept falls on, Close
+// must close that connection itself: a whole cluster closes its endpoints
+// one after another, so the peer keeps its end open until this Close has
+// returned. A connection registered after Close had swept the accepted list
+// used to leave its reader, and with it Close, waiting on the peer for ever.
+func TestCloseDoesNotWaitForLateAccept(t *testing.T) {
+	for i := 0; i < 300; i++ {
+		e, err := Listen(0, []string{"127.0.0.1:0", "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer, err := net.Dial("tcp", e.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := peer.Write([]byte{0, 0, 0, 1}); err != nil { // hello from p1
+			t.Fatal(err)
+		}
+		closed := make(chan struct{})
+		go func() {
+			e.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("attempt %d: Close is waiting for a peer that has not closed", i)
+		}
+		peer.Close()
+	}
+}

@@ -567,10 +567,19 @@ func (e *Endpoint) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		// Register the connection and its reader under the lock Close sets
+		// closed under: either Close's sweep of accepted finds it, or it is
+		// refused here. Registered after the sweep, its reader would wait on
+		// a peer that, when a cluster closes, is waiting for this Close.
 		e.mu.Lock()
+		if e.closed {
+			e.mu.Unlock()
+			conn.Close()
+			return
+		}
 		e.accepted = append(e.accepted, conn)
-		e.mu.Unlock()
 		e.wg.Add(1)
+		e.mu.Unlock()
 		go e.readLoop(conn)
 	}
 }

@@ -141,32 +141,36 @@ const (
 // slab is a chunked array addressed by int32 refs. Chunk i has
 // min(firstChunk<<i, maxChunk) entries and is never re-copied, so a small
 // run (one of a log's thousands of per-slot queues) pays for 32 entries
-// while a large one grows by at most maxChunk at a time and pays for its
-// peak once.
+// while a large one grows by at most maxChunk at a time. The chunks outlive
+// the run: reset rewinds the slab and the next run fills them again, so a
+// chunk is allocated once per pooled queue, not once per run.
 type slab[T any] struct {
 	chunks [][]T
-	// used counts the entries of the last chunk handed out so far.
-	used int
+	// live counts the chunks in use, chunks[:live]; the rest are kept from
+	// an earlier run. used counts the entries of chunks[live-1] handed out.
+	live, used int
 }
 
 func (s *slab[T]) at(ref int32) *T {
 	return &s.chunks[ref>>chunkShift][ref&(maxChunk-1)]
 }
 
-// grow hands out the ref of a never-used entry, adding a chunk if needed.
+// grow hands out the ref of the next unused entry, moving on to the next kept
+// chunk, or adding one, when the current chunk is full.
 func (s *slab[T]) grow() int32 {
-	last := len(s.chunks) - 1
-	if last < 0 || s.used == len(s.chunks[last]) {
-		last++
-		size := maxChunk
-		if last < chunkShift-firstChunkShift {
-			size = firstChunk << last
+	if s.live == 0 || s.used == len(s.chunks[s.live-1]) {
+		if s.live == len(s.chunks) {
+			size := maxChunk
+			if s.live < chunkShift-firstChunkShift {
+				size = firstChunk << s.live
+			}
+			s.chunks = append(s.chunks, make([]T, size))
 		}
-		s.chunks = append(s.chunks, make([]T, size))
+		s.live++
 		s.used = 0
 	}
 	s.used++
-	return int32(last<<chunkShift | (s.used - 1))
+	return int32((s.live-1)<<chunkShift | (s.used - 1))
 }
 
 // before reports whether a orders strictly before b.
@@ -175,6 +179,31 @@ func before(a, b *eventKey) bool {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
+}
+
+// reset makes q the zero eventQueue again, except that it keeps its storage:
+// the chunks of both slabs, rewound to the first, and the capacity of the
+// active array, the ring, its bitmap and the far heap. Nothing that reads the
+// queue can tell the difference, so the next run files, calibrates and counts
+// exactly as on a fresh one. A run that ends with keys still queued leaves
+// their messages in the slab; the slots it used are cleared here so that a
+// queue waiting in the pool pins no Payload. Nodes hold no pointers and are
+// overwritten before they are read.
+func (q *eventQueue) reset() {
+	for i, c := range q.chunks[:q.live] {
+		if i == q.live-1 {
+			c = c[:q.used]
+		}
+		clear(c)
+	}
+	*q = eventQueue{
+		slab:   slab[slot]{chunks: q.chunks},
+		active: q.active[:0],
+		ring:   q.ring[:0],
+		occ:    q.occ[:0],
+		nodes:  slab[node]{chunks: q.nodes.chunks},
+		far:    q.far[:0],
+	}
 }
 
 // len returns the number of queued events.
@@ -253,7 +282,7 @@ func (q *eventQueue) pushRef(at float64, seq uint64, to msg.ID, ref int32) {
 // today, past the horizon, or any day at all while there is no ring yet.
 func (q *eventQueue) pushOutside(d int64, k eventKey) {
 	switch {
-	case q.ring == nil:
+	case len(q.ring) == 0:
 		// First push: every key goes on day 0 of a minimal ring until the
 		// first pop has a population to calibrate from.
 		q.resizeRing(minRing)

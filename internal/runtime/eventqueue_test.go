@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"resilient/internal/msg"
@@ -39,9 +40,9 @@ func (q *eventQueue) each(f func(eventKey)) {
 // slotCounts walks the slab: how many slots were ever handed out, how many
 // of those are referenced, and how long the free list is.
 func (q *eventQueue) slotCounts() (allocated, live, free int) {
-	for i, c := range q.chunks {
+	for i, c := range q.chunks[:q.live] {
 		n := len(c)
-		if i == len(q.chunks)-1 {
+		if i == q.live-1 {
 			n = q.used
 		}
 		allocated += n
@@ -157,6 +158,29 @@ func TestEventQueuePushPopNoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state push/pop allocated %.1f times per round", allocs)
+	}
+
+	// A reset queue serves the population it once held from the storage it
+	// kept, and a small run on it stays inside the first chunks.
+	allocs = testing.AllocsPerRun(100, func() {
+		q.reset()
+		for i := 0; i < 1024; i++ {
+			q.push(event{at: float64(i), seq: uint64(i)})
+		}
+		for q.len() > 512 {
+			q.pop()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("refilling a reset queue allocated %.1f times per round", allocs)
+	}
+	q.reset()
+	for i := 0; i < firstChunk; i++ {
+		q.push(event{at: float64(i), seq: uint64(i)})
+	}
+	if q.live != 1 || q.nodes.live != 1 || len(q.chunks) < 2 {
+		t.Fatalf("%d keys on a reset queue use %d of %d slot chunks and %d node chunks, want the first of each",
+			firstChunk, q.live, len(q.chunks), q.nodes.live)
 	}
 }
 
@@ -331,6 +355,17 @@ func (p *queuePair) pop() {
 	p.check()
 }
 
+// reset recycles the queue as Run does between two runs, with whatever keys
+// are still queued, and starts the oracle afresh. seq and last carry on, so
+// the next pushes land on a zero queue at times far from zero.
+func (p *queuePair) reset() {
+	p.t.Helper()
+	p.q.reset()
+	p.ref = p.ref[:0]
+	clear(p.queued)
+	p.check()
+}
+
 func (p *queuePair) drain() {
 	p.t.Helper()
 	for p.ref.Len() > 0 {
@@ -346,7 +381,7 @@ func (p *queuePair) check() {
 	if p.q.len() != p.ref.Len() {
 		p.t.Fatalf("len %d, oracle %d", p.q.len(), p.ref.Len())
 	}
-	if p.checks++; len(p.q.chunks) > 6 && p.checks%1024 != 0 {
+	if p.checks++; p.q.live > 6 && p.checks%1024 != 0 {
 		return // past 2,016 slots the walk below is sampled
 	}
 	allocated, live, free := p.q.slotCounts()
@@ -414,6 +449,15 @@ func TestEventQueueNonMonotonePushes(t *testing.T) {
 	p.drain()
 }
 
+// tailDelay draws Uniform[0.1, 1), except that one draw in oneIn is
+// 1e9..1e12 (sched.Clamp's ceiling): a key for the overflow store.
+func tailDelay(rng *rand.Rand, oneIn int) float64 {
+	if rng.IntN(oneIn) == 0 {
+		return math.Pow(10, 9+3*rng.Float64())
+	}
+	return 0.1 + 0.9*rng.Float64()
+}
+
 // TestEventQueueHeavyTail interleaves pops with pushes whose delay is
 // Uniform[0.1, 1) except for 1 % at 1e9..1e12 (sched.Clamp's ceiling). The
 // tail must wait in the overflow store without stretching the days of the
@@ -421,12 +465,7 @@ func TestEventQueueNonMonotonePushes(t *testing.T) {
 func TestEventQueueHeavyTail(t *testing.T) {
 	p := newQueuePair(t)
 	rng := rand.New(rand.NewPCG(7, 7))
-	delay := func() float64 {
-		if rng.IntN(100) == 0 {
-			return math.Pow(10, 9+3*rng.Float64())
-		}
-		return 0.1 + 0.9*rng.Float64()
-	}
+	delay := func() float64 { return tailDelay(rng, 100) }
 	for i := 0; i < 500; i++ {
 		p.send(delay())
 	}
@@ -441,6 +480,40 @@ func TestEventQueueHeavyTail(t *testing.T) {
 		t.Fatal("no key ever reached the overflow store")
 	}
 	p.send(1e12, 1e12, p.last+1e12) // the ceiling itself, twice on one time
+	p.drain()
+}
+
+// TestEventQueueResetMidRun resets a queue that holds keys in the active
+// array, the ring and the overflow store at once -- a run that ends on its
+// last decision leaves all three populated -- and then drives it against a
+// fresh oracle: no key of the abandoned run may come back, and the new ones
+// must pop in order from a calendar calibrated for them alone.
+func TestEventQueueResetMidRun(t *testing.T) {
+	p := newQueuePair(t)
+	rng := rand.New(rand.NewPCG(13, 13))
+	delay := func() float64 { return tailDelay(rng, 20) }
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 2000>>round; i++ {
+			p.send(p.last+delay(), p.last+delay())
+			if i%3 == 0 {
+				p.pop()
+			}
+		}
+		ringed := slices.ContainsFunc(p.q.occ, func(w uint64) bool { return w != 0 })
+		if len(p.q.active) == p.q.head || !ringed || len(p.q.far) == 0 {
+			t.Fatalf("round %d: %d active keys, ring occupied %v, %d overflow keys; want some in each",
+				round, len(p.q.active)-p.q.head, ringed, len(p.q.far))
+		}
+		p.reset()
+		if p.q.recals != 0 || p.q.farKeys != 0 || p.q.peak != 0 {
+			t.Fatalf("round %d: reset queue reports %d calibrations, %d overflow keys, peak %d",
+				round, p.q.recals, p.q.farKeys, p.q.peak)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		p.send(p.last+delay(), p.last+delay(), p.last+delay())
+		p.pop()
+	}
 	p.drain()
 }
 
@@ -506,7 +579,10 @@ func TestEventQueueOverflowKeyOnActivatedDay(t *testing.T) {
 // is FuzzEventQueue's body. Each operation is an opcode byte followed by one
 // time byte per key: the time byte's top two bits pick a coarse absolute
 // time (ties, non-monotone), a fraction past the last pop, a 1e9..1e12
-// delay, or a time at or below the last pop.
+// delay, or a time at or below the last pop. The opcode opReset takes no
+// keys: it resets the queue where it stands.
+const opReset = 0xfd
+
 func queueOps(p *queuePair, data []byte) {
 	at := func(b byte) float64 {
 		v := float64(b & 63)
@@ -528,6 +604,10 @@ func queueOps(p *queuePair, data []byte) {
 			if p.ref.Len() > 0 {
 				p.pop()
 			}
+			continue
+		}
+		if op == opReset {
+			p.reset()
 			continue
 		}
 		fanout := 1
@@ -562,6 +642,9 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add(append(append(repeat(100, fan5, 64|3, 64|19, 64|34, 64|47, 64|62), repeat(490, pop)...), repeat(50, push, 64|7, push, 64|55)...))
 	// Overflow keys sharing the day the queue jumps to once the ring is empty.
 	f.Add(append(append(repeat(20, push, 64|11, push, 64|37), pop), repeat(4, fan5, 128|2, 128|2, 128|3, 128|2, 128|40)...))
+	// Reset with keys in the active array, the ring and the overflow store,
+	// three times over, each followed by the same traffic on the recycled queue.
+	f.Add(repeat(3, append(repeat(25, push, 64|9, fan5, 64|1, 64|60, 128|63, 64|20, 128|5, pop, push, 64|33), opReset)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The per-operation walk makes a run quadratic in its length; past
 		// a few thousand operations that buys no new queue state per second.

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"sync"
 	"time"
 
 	"resilient/internal/core"
@@ -282,7 +283,7 @@ type runner struct {
 	crashed  []bool
 	now      float64
 	seq      uint64
-	queue    eventQueue
+	queue    *eventQueue
 	result   *Result
 	// perm is the broadcast recipient-order scratch, shuffled in place per
 	// broadcast (replacing a fresh rng.Perm allocation per call).
@@ -360,8 +361,17 @@ func Run(cfg Config) (*Result, error) {
 	r.loop()
 	r.result.WallClock = time.Since(started) //lint:allow walltime wall-clock run accounting; machines never observe it
 	r.finish()
+	r.queue.reset()
+	queuePool.Put(r.queue)
 	return r.result, nil
 }
+
+// queuePool hands a finished run's queue storage -- slab chunks, ring, active
+// array -- to the next run, which would otherwise allocate (and the kernel
+// fault in) the same large objects again. A queue is reset before it is put,
+// so every get is indistinguishable from new(eventQueue) and which queue a
+// run draws cannot change a number in its Result.
+var queuePool = sync.Pool{New: func() any { return new(eventQueue) }}
 
 // newRunner validates the configuration and builds a runner with its
 // machines spawned but no steps taken; the initial steps happen in start.
@@ -423,6 +433,7 @@ func newRunner(cfg Config) (*runner, error) {
 		r.reporters[i], _ = m.(core.ValueReporter)
 		r.harness[i] = policy.NewFaultHarness(m, cfg.Crashes)
 	}
+	r.queue = queuePool.Get().(*eventQueue) // last: no error path holds one
 	return r, nil
 }
 
