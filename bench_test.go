@@ -42,22 +42,29 @@ func BenchmarkFailStopN7K3(b *testing.B) {
 // queue's slab chunks and ring, or what each of the sampled broadcast's n
 // machines keeps for the whole run. Every case is therefore also held to a
 // ceiling on the bytes one run allocates once an earlier run has returned
-// its queue storage to runtime's pool -- 1.5x the 44.5 KB, 38.0 KB and
-// 1,888 B per process the three cases measure. A run that builds its queue
-// from nothing reads 87.8 KB, 211 KB and 4,169 B per process.
+// its queue storage to runtime's pool -- 1.5x the 44.5 KB, 38.0 KB, 258 KB
+// and 1,888 B per process the four cases measure. A run that builds its
+// queue from nothing reads 87.8 KB, 211 KB and 4,169 B per process for the
+// honest cases. The balancer case is cmd/bench's sim_malicious_byz shape,
+// where the Byzantine wrappers and the Figure-2 wildcard log allocate
+// nothing per step: wrappers that return a fresh slice per send, with a
+// 12-byte wildcard log entry, allocate 571 KB a run and fail it.
 const maxAllocsPerMessage = 0.25
 
 func BenchmarkSimulateZeroAlloc(b *testing.B) {
+	balancers := map[ID]Strategy{28: StrategyBalancer, 29: StrategyBalancer, 30: StrategyBalancer}
 	cases := []struct {
-		name     string
-		protocol Protocol
-		n, k     int
-		scheme   BroadcastScheme
-		maxBytes uint64 // per run
+		name        string
+		protocol    Protocol
+		n, k        int
+		scheme      BroadcastScheme
+		adversaries map[ID]Strategy
+		maxBytes    uint64 // per run
 	}{
-		{"failstop/n=21", ProtocolFailStop, 21, 10, SchemeEcho, 66_700},
-		{"malicious/n=13", ProtocolMalicious, 13, 4, SchemeEcho, 57_000},
-		{"broadcast-sample/n=1000", ProtocolBroadcast, 1000, 100, SchemeSample, 1000 * 2_832},
+		{"failstop/n=21", ProtocolFailStop, 21, 10, SchemeEcho, nil, 66_700},
+		{"malicious/n=13", ProtocolMalicious, 13, 4, SchemeEcho, nil, 57_000},
+		{"malicious-balancers/n=31", ProtocolMalicious, 31, 10, SchemeEcho, balancers, 387_400},
+		{"broadcast-sample/n=1000", ProtocolBroadcast, 1000, 100, SchemeSample, nil, 1000 * 2_832},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -66,7 +73,9 @@ func BenchmarkSimulateZeroAlloc(b *testing.B) {
 				inputs[i] = Value(i % 2)
 			}
 			run := func() *Result {
-				res, err := Simulate(c.protocol, c.n, c.k, inputs, SimOptions{Seed: 1, Broadcast: c.scheme})
+				res, err := Simulate(c.protocol, c.n, c.k, inputs, SimOptions{
+					Seed: 1, Broadcast: c.scheme, Adversaries: c.adversaries,
+				})
 				if err != nil || !res.AllDecided {
 					b.Fatalf("run failed: %v (stalled=%v)", err, res.Stalled)
 				}

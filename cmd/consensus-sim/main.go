@@ -342,6 +342,7 @@ func run(args []string) (err error) {
 
 	type trialOut struct {
 		agree, decided bool
+		stalled        resilient.StallReason
 		phases, msgs   float64
 	}
 	results, err := sweep.Run(*trials, *workers, func(tr int) (trialOut, error) {
@@ -368,6 +369,7 @@ func run(args []string) (err error) {
 		return trialOut{
 			agree:   res.Agreement,
 			decided: res.AllDecided,
+			stalled: res.Stalled,
 			phases:  float64(maxPh),
 			msgs:    float64(res.MessagesSent),
 		}, nil
@@ -377,22 +379,56 @@ func run(args []string) (err error) {
 	}
 	var phases, msgs stats.Accumulator
 	agree, decided := 0, 0
+	stalls := map[resilient.StallReason]int{}
 	for _, r := range results {
 		if r.agree {
 			agree++
 		}
 		if r.decided {
 			decided++
+			// A trial in which not everyone decided has no phase count: its
+			// 0 (or its few deciders' phase) would pull the mean down.
+			phases.Add(r.phases)
 		}
-		phases.Add(r.phases)
+		if r.stalled != resilient.NotStalled {
+			stalls[r.stalled]++
+		}
 		msgs.Add(r.msgs)
 	}
 	fmt.Printf("protocol   %v  n=%d k=%d  trials=%d\n", proto, *n, *k, *trials)
 	fmt.Printf("terminated %d/%d\n", decided, *trials)
+	if len(stalls) > 0 {
+		fmt.Printf("stalled    %s\n", stallSummary(stalls, *trials))
+	}
 	fmt.Printf("agreement  %d/%d\n", agree, *trials)
-	fmt.Printf("phases     %s\n", phases.Summarize())
+	if decided > 0 {
+		fmt.Printf("phases     %s\n", phases.Summarize())
+	} else {
+		fmt.Println("phases     none (no trial terminated)")
+	}
 	fmt.Printf("messages   %s\n", msgs.Summarize())
 	return writeMetrics()
+}
+
+// stallSummary renders the stalled trials of an aggregate run as
+// "N/M (reason)", or with a count per reason when the stalls had more than
+// one cause: "N/M (reason a 2, reason b 1)".
+func stallSummary(stalls map[resilient.StallReason]int, trials int) string {
+	reasons := make([]resilient.StallReason, 0, len(stalls))
+	total := 0
+	for r, c := range stalls {
+		reasons = append(reasons, r)
+		total += c
+	}
+	sort.Slice(reasons, func(i, j int) bool { return reasons[i] < reasons[j] })
+	parts := make([]string, len(reasons))
+	for i, r := range reasons {
+		parts[i] = r.String()
+		if len(reasons) > 1 {
+			parts[i] += " " + strconv.Itoa(stalls[r])
+		}
+	}
+	return fmt.Sprintf("%d/%d (%s)", total, trials, strings.Join(parts, ", "))
 }
 
 // startProfiles begins a CPU profile in prefix.cpu and returns the function

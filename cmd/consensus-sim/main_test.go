@@ -259,6 +259,54 @@ func TestRunTrialsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestRunTrialsReportsStalls: an aggregate run says how many trials stalled
+// and why, and averages phases over the terminated trials only -- a trial
+// nobody finished has no phase count, and adding it as 0 hid stalls behind
+// a "phases 0.000" line.
+func TestRunTrialsReportsStalls(t *testing.T) {
+	report := func(args ...string) string {
+		t.Helper()
+		return captureStdout(t, func() {
+			if err := run(append([]string{"-protocol", "failstop", "-n", "7", "-k", "3"}, args...)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		args    []string
+		stalled bool
+		want    []string
+	}{
+		// A hard partition: the two-process side never decides.
+		{[]string{"-policy", "partition:2,const:1", "-trials", "5"}, true, []string{
+			"terminated 0/5\n",
+			"stalled    5/5 (queue drained (deadlock))\n",
+			"phases     none (no trial terminated)\n",
+		}},
+		// Lossy links: 3 of the 20 seeds deadlock.
+		{[]string{"-policy", "drop:0.1,uniform:0.1:1", "-trials", "20"}, true, []string{
+			"terminated 17/20\n",
+			"stalled    3/20 (queue drained (deadlock))\n",
+			", n=17)\n",
+		}},
+		{[]string{"-trials", "5"}, false, []string{"terminated 5/5\n", ", n=5)\n"}},
+	} {
+		out := report(tc.args...)
+		for _, w := range tc.want {
+			if !strings.Contains(out, w) {
+				t.Errorf("%v: report lacks %q:\n%s", tc.args, w, out)
+			}
+		}
+		if got := strings.Contains(out, "stalled"); got != tc.stalled {
+			t.Errorf("%v: stalled line printed = %v, want %v:\n%s", tc.args, got, tc.stalled, out)
+		}
+	}
+	got := stallSummary(map[resilient.StallReason]int{resilient.EventBudget: 2, resilient.QueueDrained: 1}, 9)
+	if want := "3/9 (queue drained (deadlock) 1, event budget exhausted 2)"; got != want {
+		t.Errorf("stallSummary = %q, want %q", got, want)
+	}
+}
+
 func captureStdout(t *testing.T, f func()) string {
 	t.Helper()
 	old := os.Stdout

@@ -22,14 +22,21 @@ import (
 	"resilient/internal/msg"
 )
 
-// Rewrite transforms one outbound send into zero or more sends. It is
-// applied to every message the wrapped honest machine emits.
-type Rewrite func(o core.Outbound) []core.Outbound
+// Rewrite appends to dst what one outbound of the wrapped honest machine
+// becomes -- zero, one or several sends -- and returns the extended slice.
+// It is applied to every outbound the wrapped machine emits, in order, and
+// must only append to dst: dst is the wrapper's step buffer (see Mutated).
+type Rewrite func(dst []core.Outbound, o core.Outbound) []core.Outbound
 
 // Mutated wraps an honest machine and applies a rewrite to its output.
 type Mutated struct {
 	inner   core.Machine
 	rewrite Rewrite
+	// out is the per-step send buffer the rewrite appends into: every step
+	// starts from out[:0] and returns it, so the slice a step returns is
+	// valid only until the wrapper's next step (engines consume it before
+	// then), and a warmed-up step allocates nothing.
+	out []core.Outbound
 }
 
 var _ core.Machine = (*Mutated)(nil)
@@ -64,11 +71,11 @@ func (m *Mutated) apply(outs []core.Outbound) []core.Outbound {
 	if m.rewrite == nil {
 		return outs
 	}
-	var result []core.Outbound
+	m.out = m.out[:0]
 	for _, o := range outs {
-		result = append(result, m.rewrite(o)...)
+		m.out = m.rewrite(m.out, o)
 	}
-	return result
+	return m.out
 }
 
 // ownValueMessage reports whether o is a value-bearing message originated by
@@ -121,7 +128,7 @@ func (s *Silent) Phase() msg.Phase { return 0 }
 // Markov chain lingers longest.
 func NewBalancer(inner core.Machine, world core.WorldView) *Mutated {
 	self := inner.ID()
-	return NewMutated(inner, func(o core.Outbound) []core.Outbound {
+	return NewMutated(inner, func(dst []core.Outbound, o core.Outbound) []core.Outbound {
 		if ownValueMessage(o, self) && !o.Msg.Phase.IsWildcard() {
 			zeros, ones := world.CorrectValueCounts()
 			if ones >= zeros {
@@ -130,7 +137,7 @@ func NewBalancer(inner core.Machine, world core.WorldView) *Mutated {
 				o.Msg.Value = msg.V1
 			}
 		}
-		return []core.Outbound{o}
+		return append(dst, o)
 	})
 }
 
@@ -138,11 +145,11 @@ func NewBalancer(inner core.Machine, world core.WorldView) *Mutated {
 // protocol state.
 func NewFixedLiar(inner core.Machine, v msg.Value) *Mutated {
 	self := inner.ID()
-	return NewMutated(inner, func(o core.Outbound) []core.Outbound {
+	return NewMutated(inner, func(dst []core.Outbound, o core.Outbound) []core.Outbound {
 		if ownValueMessage(o, self) && !o.Msg.Phase.IsWildcard() {
 			o.Msg.Value = v
 		}
-		return []core.Outbound{o}
+		return append(dst, o)
 	})
 }
 
@@ -150,11 +157,11 @@ func NewFixedLiar(inner core.Machine, v msg.Value) *Mutated {
 // independent coin flip.
 func NewFlipper(inner core.Machine, rng *rand.Rand) *Mutated {
 	self := inner.ID()
-	return NewMutated(inner, func(o core.Outbound) []core.Outbound {
+	return NewMutated(inner, func(dst []core.Outbound, o core.Outbound) []core.Outbound {
 		if ownValueMessage(o, self) && !o.Msg.Phase.IsWildcard() {
 			o.Msg.Value = msg.Value(rng.IntN(2))
 		}
-		return []core.Outbound{o}
+		return append(dst, o)
 	})
 }
 
@@ -175,22 +182,22 @@ func NewEquivocator(inner core.Machine, n int) *Mutated {
 // toward S and sigma_1 toward T.
 func NewTwoFaced(inner core.Machine, n int, boundary msg.ID) *Mutated {
 	self := inner.ID()
-	return NewMutated(inner, func(o core.Outbound) []core.Outbound {
+	return NewMutated(inner, func(dst []core.Outbound, o core.Outbound) []core.Outbound {
 		if !ownValueMessage(o, self) || o.Msg.Phase.IsWildcard() || o.To >= 0 {
-			return []core.Outbound{o}
+			return append(dst, o)
 		}
 		// A fan-out (broadcast or multicast) becomes one unicast per
-		// recipient, each carrying that recipient's face.
-		outs := make([]core.Outbound, 0, n)
+		// recipient, each carrying that recipient's face. Neither the
+		// one-element list nor the closure escapes Expand.
 		core.Expand([]core.Outbound{o}, n, func(to msg.ID, m msg.Message) {
 			if to < boundary {
 				m.Value = msg.V0
 			} else {
 				m.Value = msg.V1
 			}
-			outs = append(outs, core.To(to, m))
+			dst = append(dst, core.To(to, m))
 		})
-		return outs
+		return dst
 	})
 }
 
@@ -199,13 +206,13 @@ func NewTwoFaced(inner core.Machine, n int, boundary msg.ID) *Mutated {
 // rule makes the duplicate inert at correct receivers; this strategy exists
 // to exercise that defence.
 func NewDoubleEchoer(inner core.Machine) *Mutated {
-	return NewMutated(inner, func(o core.Outbound) []core.Outbound {
+	return NewMutated(inner, func(dst []core.Outbound, o core.Outbound) []core.Outbound {
 		if o.Msg.Kind != msg.KindEcho || o.Msg.Phase.IsWildcard() {
-			return []core.Outbound{o}
+			return append(dst, o)
 		}
 		dup := o
 		dup.Msg.Value = o.Msg.Value.Other()
-		return []core.Outbound{o, dup}
+		return append(dst, o, dup)
 	})
 }
 
@@ -213,11 +220,11 @@ func NewDoubleEchoer(inner core.Machine) *Mutated {
 // every send from some phase onward: a malicious process that simply stops
 // talking (distinct from Silent, which never talks at all).
 func NewMute(inner core.Machine, fromPhase msg.Phase) *Mutated {
-	return NewMutated(inner, func(o core.Outbound) []core.Outbound {
+	return NewMutated(inner, func(dst []core.Outbound, o core.Outbound) []core.Outbound {
 		if inner.Phase() >= fromPhase {
-			return nil
+			return dst
 		}
-		return []core.Outbound{o}
+		return append(dst, o)
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"resilient/internal/byzantine"
 	"resilient/internal/core"
 	"resilient/internal/machinetest"
 	"resilient/internal/malicious"
@@ -51,4 +52,46 @@ func TestFuzzProtocolDialect(t *testing.T) {
 			t.Fatalf("seed %d (n=%d k=%d): %v", seed, n, k, err)
 		}
 	}
+}
+
+// fixedWorld is a world view whose correct-process counts never change.
+type fixedWorld struct{ n, k, zeros int }
+
+func (w fixedWorld) N() int                           { return w.n }
+func (w fixedWorld) K() int                           { return w.k }
+func (w fixedWorld) CorrectValueCounts() (int, int)   { return w.zeros, w.n - w.k - w.zeros }
+func (w fixedWorld) CorrectDecidedCounts() (int, int) { return 0, 0 }
+
+// FuzzMachine is the native fuzz entry point (CI runs it with -fuzztime):
+// a Figure-2 machine under mutated configurations and hostile streams --
+// forged initials, equivocating and duplicate echoes, wildcards before any
+// decision, malformed values -- plain, or wrapped in the section-4
+// balancer, whose every own value message then lies.
+func FuzzMachine(f *testing.F) {
+	f.Add(uint64(1), uint8(7), uint8(2), uint8(0), false)
+	f.Add(uint64(42), uint8(10), uint8(3), uint8(9), true)
+	f.Add(uint64(7), uint8(4), uint8(1), uint8(3), true)
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, kRaw, selfRaw uint8, balancer bool) {
+		n := 4 + int(nRaw)%9
+		k := int(kRaw) % ((n-1)/3 + 1)
+		self := msg.ID(int(selfRaw) % n)
+		fig2, err := malicious.New(core.Config{
+			N: n, K: k, Self: self, Input: msg.Value(int(seed) % 2),
+		}, nil)
+		if err != nil {
+			t.Fatalf("config n=%d k=%d rejected: %v", n, k, err)
+		}
+		var m core.Machine = fig2
+		if balancer {
+			m = byzantine.NewBalancer(m, fixedWorld{n: n, k: k, zeros: int(seed>>32) % (n - k + 1)})
+		}
+		rng := rand.New(rand.NewPCG(seed, 0xf16e))
+		opts := machinetest.Options{N: n, Steps: 800, MaxPhase: 8}
+		if seed%2 == 1 {
+			opts.Kinds = []msg.Kind{msg.KindInitial, msg.KindEcho}
+		}
+		if err := machinetest.Fuzz(m, rng, opts); err != nil {
+			t.Fatalf("seed %d (n=%d k=%d self=%d balancer=%v): %v", seed, n, k, self, balancer, err)
+		}
+	})
 }

@@ -43,12 +43,6 @@ type echoTally interface {
 	Prune(p msg.Phase)
 }
 
-type wildEcho struct {
-	sender  msg.ID
-	subject msg.ID
-	value   msg.Value
-}
-
 // phaseMarks is a dense replacement for the map[(id, phase)]bool initial-echo
 // dedup: one n-bit set per phase, keyed by the sender id. Initials are never
 // pruned (Figure 2 applies no phase guard to them), so sets accumulate one
@@ -100,9 +94,13 @@ type Machine struct {
 	echoedInitial phaseMarks
 	echoedWild    dense.Bitset // one bit per origin process
 
-	wildSeen  dense.Bitset // sender*n+subject, dedup for wildcard echoes
-	wildOrder []wildEcho   // receipt order, for deterministic re-application
-	wildNext  int          // wild entries [0:wildNext) already applied to current phase
+	wildSeen dense.Bitset // sender*n+subject, dedup for wildcard echoes
+	// wildOrder holds the wildcard echoes in receipt order, for
+	// deterministic re-application, one uint32 each: the wildSeen index
+	// shifted left once, the value in bit 0. 2n² < 2³² holds for
+	// n <= 46,340, far above any n whose n²-bit wildSeen fits in memory.
+	wildOrder []uint32
+	wildNext  int // wild entries [0:wildNext) already applied to current phase
 
 	pendingEchoes dense.PhaseBuffer
 
@@ -263,13 +261,15 @@ func (m *Machine) onEcho(in msg.Message) {
 		return
 	}
 	if in.Phase.IsWildcard() {
-		if in.Subject < 0 || int(in.Subject) >= m.cfg.N {
+		n := m.cfg.N
+		if in.From < 0 || int(in.From) >= n || in.Subject < 0 || int(in.Subject) >= n {
 			return // no such process; nothing it claims can be accepted
 		}
-		if m.wildSeen.Set(int(in.From)*m.cfg.N + int(in.Subject)) {
+		idx := int(in.From)*n + int(in.Subject)
+		if m.wildSeen.Set(idx) {
 			return
 		}
-		m.wildOrder = append(m.wildOrder, wildEcho{sender: in.From, subject: in.Subject, value: in.Value})
+		m.wildOrder = append(m.wildOrder, uint32(idx)<<1|uint32(in.Value))
 		// Apply immediately to the current phase; re-applied automatically
 		// on every later phase.
 		m.scratch = m.scratch[:0]
@@ -307,7 +307,8 @@ func (m *Machine) drive() {
 		if m.wildNext < len(m.wildOrder) {
 			w := m.wildOrder[m.wildNext]
 			m.wildNext++
-			m.observe(w.sender, w.subject, w.value)
+			idx := int(w >> 1)
+			m.observe(msg.ID(idx/m.cfg.N), msg.ID(idx%m.cfg.N), msg.Value(w&1))
 			continue
 		}
 		if head >= len(queue) {

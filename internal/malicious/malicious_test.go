@@ -1,9 +1,11 @@
 package malicious
 
 import (
+	"reflect"
 	"testing"
 
 	"resilient/internal/core"
+	"resilient/internal/machinetest"
 	"resilient/internal/msg"
 	"resilient/internal/quorum"
 )
@@ -208,6 +210,31 @@ func TestDuplicateWildcardIgnored(t *testing.T) {
 	z, o := m.AcceptedCounts()
 	if z != 0 || o != 0 {
 		t.Errorf("accepted (%d,%d) from one sender's repeated wildcard", z, o)
+	}
+}
+
+// TestWildcardOutOfRangeSenderIgnored: a wildcard echo whose sender is no
+// process is dropped before the wildcard log. At n = 31 the n²-bit dedup set
+// rounds up to 1,024 bits, so senders 31 and 32 index inside it: only the
+// range check keeps them from being logged and re-applied at every phase.
+func TestWildcardOutOfRangeSenderIgnored(t *testing.T) {
+	const n, k = 31, 10
+	var script []msg.Message
+	for _, from := range []msg.ID{n, n + 1, -1, 1 << 20} {
+		for q := msg.ID(0); q < 3; q++ {
+			script = append(script, msg.Echo(from, q, msg.WildcardPhase, msg.V1))
+		}
+	}
+	good := msg.Echo(n-1, n-2, msg.WildcardPhase, msg.V1)
+	m, _ := New(cfg(n, k, 0, msg.V0), nil)
+	got := machinetest.Replay(m, append(script, good))
+	plain, _ := New(cfg(n, k, 0, msg.V0), nil)
+	if want := machinetest.Replay(plain, []msg.Message{good}); !reflect.DeepEqual(got, want) {
+		t.Errorf("sends differ from a run without the bogus echoes:\n got %+v\nwant %+v", got, want)
+	}
+	// The one real entry, packed as (sender·n + subject)<<1 | value.
+	if want := []uint32{uint32((n-1)*n+n-2)<<1 | 1}; !reflect.DeepEqual(m.wildOrder, want) {
+		t.Errorf("wildcard log %v, want %v", m.wildOrder, want)
 	}
 }
 

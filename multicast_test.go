@@ -155,8 +155,8 @@ func TestEngineParityOutOfRangeSends(t *testing.T) {
 	const n, k, bad = 7, 2, ID(4)
 	sc := Scenario{Protocol: ProtocolMalicious, N: n, K: k, Inputs: unanimous(n, V1), Seed: 3}
 	hostile := func(inner core.Machine) core.Machine {
-		return byzantine.NewMutated(inner, func(o core.Outbound) []core.Outbound {
-			return []core.Outbound{o, core.To(msg.ID(n), o.Msg), core.ToMany([]int32{-1, n, 0}, o.Msg)}
+		return byzantine.NewMutated(inner, func(dst []core.Outbound, o core.Outbound) []core.Outbound {
+			return append(dst, o, core.To(msg.ID(n), o.Msg), core.ToMany([]int32{-1, n, 0}, o.Msg))
 		})
 	}
 	byz := map[ID]bool{bad: true}
