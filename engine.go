@@ -125,10 +125,11 @@ type Scenario struct {
 	// engines (0 = livenet.DefaultUnit, one millisecond).
 	Unit time.Duration
 	// Broadcast selects the echo-broadcast primitive (see
-	// SimOptions.Broadcast); all engines honour it.
+	// SimOptions.Broadcast); all engines honour it, and all reject
+	// SchemeSample on a protocol without an echo stage.
 	Broadcast BroadcastScheme
 	// Eps is the sampled scheme's per-acceptance error bound
-	// (0 = sample.DefaultEps).
+	// (0 = sample.DefaultEps); a non-zero Eps under SchemeEcho is rejected.
 	Eps float64
 	// Coin overrides the coin scheme of randomized protocols (see
 	// SimOptions.Coin); all engines honour it.

@@ -3,7 +3,9 @@ package resilient
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"testing"
 	"time"
@@ -431,7 +433,7 @@ func TestRunLogWorkloadOpenLoopCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitted := genWorkloadOps(13, count, DefaultWorkloadClients, DefaultWorkloadOpBytes)
+	submitted := genWorkloadOps(13, count, DefaultWorkloadOpBytes)
 	if rep.Ops != count || len(rep.Committed) != count {
 		t.Fatalf("committed %d ops (%d held), want %d", rep.Ops, len(rep.Committed), count)
 	}
@@ -465,6 +467,29 @@ func TestRunLogWorkloadOpenLoopCrash(t *testing.T) {
 	}
 	if hi, now := snap.Gauges["log.backlog_ops_max"], snap.Gauges["log.backlog_ops"]; hi < 1 || now != 0 {
 		t.Fatalf("backlog gauge %v (high-water %v): want an empty backlog that was once non-empty", now, hi)
+	}
+}
+
+// TestGenWorkloadOpsPinned pins the open-loop generator's bytes per seed:
+// the benchmark's paced log workloads commit exactly these operations, so a
+// change here changes what every one of their runs measures.
+func TestGenWorkloadOpsPinned(t *testing.T) {
+	for seed, want := range map[uint64]string{
+		0:          "3d397af579b3d3d9a250932474c4cf41a6b6085e866666462ef4bb8c7b8b7059",
+		1:          "017c0e60944ea1360a9188685275ce76252e41a8639baa6814edc0b033ad552a",
+		13:         "fd48cf8e1d29450986af6d0ed5c12c90ed5efe7008804383f899277632110552",
+		0xdeadbeef: "c2429169441d89ad2228040b1e05fda6f9b7965683315d20076f0da2fbb00871",
+	} {
+		h := sha256.New()
+		for _, op := range genWorkloadOps(seed, 1000, DefaultWorkloadOpBytes) {
+			h.Write(op)
+		}
+		for _, op := range genWorkloadOps(seed, 77, 40) {
+			h.Write(op)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("seed %#x: ops digest %s, want %s", seed, got, want)
+		}
 	}
 }
 

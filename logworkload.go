@@ -12,12 +12,12 @@ import (
 const (
 	// DefaultWorkloadOps is the number of operations generated.
 	DefaultWorkloadOps = 4096
-	// DefaultWorkloadClients is the simulated client population.
-	DefaultWorkloadClients = 64
 	// DefaultWorkloadOpBytes is the operation payload size.
 	DefaultWorkloadOpBytes = 16
 	// workloadOpHeader is the fixed op prefix: sequence (8) + client (4).
 	workloadOpHeader = 12
+	// workloadClients is the population the client stamp is drawn from.
+	workloadClients = 64
 )
 
 // LogWorkloadOptions configures an open-loop replicated-log workload: a
@@ -35,25 +35,22 @@ type LogWorkloadOptions struct {
 	// inter-arrival times. 0 submits every operation up front (unpaced:
 	// the closed-loop maximum-throughput shape).
 	Rate float64
-	// Clients is the simulated client population; each operation is stamped
-	// with a client drawn from it (0 = DefaultWorkloadClients).
-	Clients int
 	// OpBytes is each operation's payload size, at least the 12-byte
 	// sequence+client header (0 = DefaultWorkloadOpBytes).
 	OpBytes int
 }
 
 // genWorkloadOps deterministically generates the workload's operations:
-// a sequence number, a client id drawn from the seeded RNG, and padding to
-// OpBytes.
-func genWorkloadOps(seed uint64, count, clients, opBytes int) [][]byte {
+// a sequence number, a client stamp drawn from the seeded RNG, and padding
+// to OpBytes.
+func genWorkloadOps(seed uint64, count, opBytes int) [][]byte {
 	rng := newRand(seed ^ 0xc2b2ae3d27d4eb4f)
 	ops := make([][]byte, count)
 	buf := make([]byte, count*opBytes)
 	for i := range ops {
 		op := buf[i*opBytes : (i+1)*opBytes]
 		binary.BigEndian.PutUint64(op[0:8], uint64(i))
-		binary.BigEndian.PutUint32(op[8:12], uint32(rng.IntN(clients)))
+		binary.BigEndian.PutUint32(op[8:12], uint32(rng.IntN(workloadClients)))
 		for j := workloadOpHeader; j < opBytes; j++ {
 			op[j] = byte(i >> (j % 8))
 		}
@@ -74,13 +71,6 @@ func RunLogWorkload(ctx context.Context, opts LogWorkloadOptions) (*LogReport, e
 	if count < 1 {
 		return nil, fmt.Errorf("resilient: workload ops %d < 1", count)
 	}
-	clients := opts.Clients
-	if clients == 0 {
-		clients = DefaultWorkloadClients
-	}
-	if clients < 1 {
-		return nil, fmt.Errorf("resilient: workload clients %d < 1", clients)
-	}
 	opBytes := opts.OpBytes
 	if opBytes == 0 {
 		opBytes = DefaultWorkloadOpBytes
@@ -92,7 +82,7 @@ func RunLogWorkload(ctx context.Context, opts LogWorkloadOptions) (*LogReport, e
 		return nil, fmt.Errorf("resilient: workload rate %v < 0", opts.Rate)
 	}
 
-	ops := genWorkloadOps(opts.Log.Seed, count, clients, opBytes)
+	ops := genWorkloadOps(opts.Log.Seed, count, opBytes)
 	r, err := newLogRun(opts.Log)
 	if err != nil {
 		return nil, err

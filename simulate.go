@@ -162,11 +162,13 @@ type SimOptions struct {
 	RunToCompletion bool
 	// Broadcast selects the echo-broadcast primitive for protocols with an
 	// echo stage (ProtocolMalicious, ProtocolBroadcast); those machines run
-	// unchanged over either primitive. Protocols without an echo stage
-	// ignore the knob. The zero value is the paper's full-quorum scheme.
+	// unchanged over either primitive. SchemeSample on a protocol without an
+	// echo stage is rejected. The zero value is the paper's full-quorum
+	// scheme.
 	Broadcast BroadcastScheme
 	// Eps is the sampled scheme's per-acceptance error bound
-	// (0 = sample.DefaultEps = 1e-3). Ignored under SchemeEcho.
+	// (0 = sample.DefaultEps = 1e-3). A non-zero Eps under SchemeEcho is
+	// rejected.
 	Eps float64
 	// Coin overrides the coin scheme of randomized protocols (CoinAuto
 	// keeps the protocol's registered default). CoinLocal gives every

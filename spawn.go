@@ -166,16 +166,22 @@ func (sc *Scenario) validate(engine Engine) (*spawner, error) {
 	return &s, nil
 }
 
-// sampleDirectory builds the run's shared sample directory when the sampled
-// broadcast scheme applies to the protocol, nil otherwise. The directory is
-// drawn deterministically from the run seed, so every process of one run --
-// and every engine running the same scenario -- agrees on the samples.
+// sampleDirectory builds the run's shared sample directory under the sampled
+// broadcast scheme, nil under the echo scheme. It rejects the sampled scheme
+// for a protocol without an echo stage and an Eps under the echo scheme:
+// either knob would have nothing to act on. The directory is drawn
+// deterministically from the run seed, so every process of one run -- and
+// every engine running the same scenario -- agrees on the samples.
 func (sc *Scenario) sampleDirectory(d proto.Descriptor) (*sample.Directory, error) {
-	if !sc.Broadcast.Valid() {
+	switch {
+	case !sc.Broadcast.Valid():
 		return nil, fmt.Errorf("resilient: unknown broadcast scheme %d", int(sc.Broadcast))
-	}
-	if sc.Broadcast == SchemeEcho || !d.NeedsDirectory {
+	case sc.Broadcast == SchemeEcho && sc.Eps != 0:
+		return nil, fmt.Errorf("resilient: Eps bounds the sampled broadcast scheme; the echo scheme has none")
+	case sc.Broadcast == SchemeEcho:
 		return nil, nil
+	case !d.NeedsDirectory:
+		return nil, fmt.Errorf("resilient: the sampled broadcast scheme replaces an echo stage, and %v has none", sc.Protocol)
 	}
 	if sc.Unsafe {
 		return nil, fmt.Errorf("resilient: the sampled broadcast scheme requires validated (n, k); it has no Unsafe variant")

@@ -59,6 +59,8 @@ func TestScenarioValidationIsEngineIndependent(t *testing.T) {
 		{"sampled scheme with Unsafe", func(sc *Scenario) {
 			sc.Protocol, sc.K, sc.Broadcast, sc.Unsafe = ProtocolMalicious, 1, SchemeSample, true
 		}},
+		{"sampled scheme without an echo stage", func(sc *Scenario) { sc.Broadcast = SchemeSample }},
+		{"eps under the echo scheme", func(sc *Scenario) { sc.Eps = 1e-3 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := goruntime.NumGoroutine()
