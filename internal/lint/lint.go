@@ -190,9 +190,9 @@ func ProjectConfig(dir string) Config {
 			// run once per slot in the pipelined commit loop.
 			mod + ".logRun.recordSlot",
 			mod + ".batchFrames",
-			// The sampled broadcast's per-message delivery loop: Observe is
-			// the per-echo tally (also the malicious machine's sampled echo
-			// stage), trial replays whole broadcasts inside the MC ensemble.
+			// The sampled echo stage: Observe is sampled Figure 2's per-echo
+			// tally (the broadcast machine counts in place, a core.Machine
+			// method), trial replays whole broadcasts inside the MC ensemble.
 			mod + "/internal/sample.Tracker.Observe",
 			mod + "/internal/mc.Broadcast.trial",
 		},

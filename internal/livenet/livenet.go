@@ -311,8 +311,9 @@ func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 	}
 	decCh := make(chan Decision, n)
 	errCh := make(chan error, n)
-	// Without a fault plan nothing can crash: no harness, and a nil crash
-	// channel whose select case never fires.
+	// Only a process the fault plan names gets a harness, as in the
+	// simulator. Without a plan nothing can crash: a nil crash channel
+	// whose select case never fires.
 	var crashCh chan msg.ID
 	if len(c.Crashes) > 0 {
 		crashCh = make(chan msg.ID, n)
@@ -339,7 +340,7 @@ func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 		}
 		d := NewDriver(c.machines[i], conns[i], n)
 		d.met, d.decided = met, decCh
-		if crashCh != nil {
+		if planned {
 			d.harness, d.crashed = policy.NewFaultHarness(c.machines[i], c.Crashes), crashCh
 		}
 		wg.Add(1)

@@ -174,6 +174,11 @@ func (d *Decoder) fill(need int) error {
 	if d.tail-d.head >= need {
 		return nil
 	}
+	if d.head == d.tail {
+		// Drained: the next Read gets the whole buffer, not the tail the
+		// last frame left.
+		d.head, d.tail = 0, 0
+	}
 	// Compact or grow so buf[head:] can hold the needed bytes.
 	if d.head+need > len(d.buf) {
 		if need <= len(d.buf) {

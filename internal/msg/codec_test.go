@@ -107,6 +107,50 @@ func TestDecoderBytewiseReads(t *testing.T) {
 	}
 }
 
+// flushReader hands a stream to the Decoder one writer flush at a time, like
+// a socket whose peer writes coalesced batches: a Read returns at most the
+// rest of the current flush. It counts its Read calls.
+type flushReader struct {
+	flushes [][]byte
+	reads   int
+}
+
+func (r *flushReader) Read(p []byte) (int, error) {
+	r.reads++
+	if len(r.flushes) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.flushes[0])
+	if r.flushes[0] = r.flushes[0][n:]; len(r.flushes[0]) == 0 {
+		r.flushes = r.flushes[1:]
+	}
+	return n, nil
+}
+
+// TestDecoderReadsOncePerFlush pins the drained-buffer rewind: once every
+// buffered frame is consumed, the next Read must get the whole buffer, not
+// the tail the last frame ended at, so a flush that fits the buffer arrives
+// in one Read. Without the rewind, these 351-byte flushes took 2,172 Reads
+// for 2,000.
+func TestDecoderReadsOncePerFlush(t *testing.T) {
+	const flushes, perFlush = 2000, 13
+	flush := bytes.Repeat(frameStream([]Message{Echo(3, 7, 2, V1)}), perFlush)
+	r := &flushReader{}
+	for i := 0; i < flushes; i++ {
+		r.flushes = append(r.flushes, flush) // Read reslices, never writes
+	}
+	dec := NewDecoder(r)
+	for i := 0; i < flushes*perFlush; i++ {
+		if _, err := dec.Decode(); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	if r.reads != flushes {
+		t.Errorf("%d Read calls for %d flushes of %d bytes, want one per flush",
+			r.reads, flushes, len(flush))
+	}
+}
+
 func TestDecoderTruncation(t *testing.T) {
 	stream := frameStream([]Message{State(1, 2, V1, 3)})
 	for cut := 1; cut < len(stream); cut++ {

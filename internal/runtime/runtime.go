@@ -393,9 +393,9 @@ func newRunner(cfg Config) (*runner, error) {
 		reporters: make([]core.ValueReporter, cfg.N),
 		perm:      make([]int, cfg.N),
 		result: &Result{
-			Decisions:     make(map[msg.ID]msg.Value),
-			DecisionPhase: make(map[msg.ID]msg.Phase),
-			DecisionTime:  make(map[msg.ID]float64),
+			Decisions:     make(map[msg.ID]msg.Value, cfg.N),
+			DecisionPhase: make(map[msg.ID]msg.Phase, cfg.N),
+			DecisionTime:  make(map[msg.ID]float64, cfg.N),
 		},
 	}
 	if r.sink == nil {
@@ -431,7 +431,9 @@ func newRunner(cfg Config) (*runner, error) {
 		}
 		r.machines[i] = m
 		r.reporters[i], _ = m.(core.ValueReporter)
-		r.harness[i] = policy.NewFaultHarness(m, cfg.Crashes)
+		if _, planned := cfg.Crashes[id]; planned {
+			r.harness[i] = policy.NewFaultHarness(m, cfg.Crashes)
+		}
 	}
 	r.queue = queuePool.Get().(*eventQueue) // last: no error path holds one
 	return r, nil
@@ -447,14 +449,20 @@ func (r *runner) start() {
 	}
 }
 
+// isDead reads crashed alone: both paths on which a harness kills its
+// process, noteProgress and dispatch, mark the process crashed at once.
 func (r *runner) isDead(id msg.ID) bool {
-	return r.crashed[id] || r.harness[id].Dead()
+	return r.crashed[id]
 }
 
 // noteProgress lets the fault harness observe the process's phase, killing
-// it if its planned crash point has been passed without sends.
+// it if its planned crash point has been passed without sends. A process
+// the crash plan does not name has no harness and nothing to observe.
 func (r *runner) noteProgress(id msg.ID) {
 	h := r.harness[id]
+	if h == nil {
+		return
+	}
 	wasDead := h.Dead()
 	h.CheckPhase()
 	if h.Dead() && !wasDead {
@@ -482,7 +490,10 @@ func (r *runner) markCrashed(id msg.ID) {
 // link drops left without a queued delivery.
 func (r *runner) dispatch(from msg.ID, outs []core.Outbound) {
 	harness := r.harness[from]
-	phase := r.machines[from].Phase()
+	var phase msg.Phase
+	if harness != nil {
+		phase = r.machines[from].Phase()
+	}
 	for _, o := range outs {
 		if !r.cfg.AllowForgery {
 			o.Msg.From = from // authenticated sender: forgery is impossible
@@ -506,7 +517,7 @@ func (r *runner) dispatch(from msg.ID, outs []core.Outbound) {
 			}
 			ref := r.queue.hold(o.Msg)
 			for _, q := range perm {
-				if alive = harness.AllowSendAt(phase); !alive {
+				if alive = harness == nil || harness.AllowSendAt(phase); !alive {
 					break
 				}
 				r.enqueue(from, msg.ID(q), o.Msg, ref)
@@ -522,7 +533,7 @@ func (r *runner) dispatch(from msg.ID, outs []core.Outbound) {
 				if t < 0 || int(t) >= r.cfg.N {
 					continue
 				}
-				if alive = harness.AllowSendAt(phase); !alive {
+				if alive = harness == nil || harness.AllowSendAt(phase); !alive {
 					break
 				}
 				r.enqueue(from, msg.ID(t), o.Msg, ref)
@@ -532,7 +543,7 @@ func (r *runner) dispatch(from msg.ID, outs []core.Outbound) {
 			if int(o.To) < 0 || int(o.To) >= r.cfg.N {
 				continue
 			}
-			if alive = harness.AllowSendAt(phase); alive {
+			if alive = harness == nil || harness.AllowSendAt(phase); alive {
 				ref := r.queue.hold(o.Msg)
 				r.enqueue(from, o.To, o.Msg, ref)
 				r.queue.release(ref)

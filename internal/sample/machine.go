@@ -29,14 +29,15 @@ type Machine struct {
 	cfg core.Config
 	dir *Directory
 
-	tracker     *Tracker
-	readySample []int32
-	readySeen   dense.Bitset
-	readyCounts [2]int32
+	// Both stages count in place: a delivery reads the directory's sample
+	// and writes only this record and the stage's seen words. readied is
+	// the echo stage's acceptance latch -- acceptance can fire only while
+	// no ready was sent, and always sends one.
+	echoes  sampleCount
+	readies sampleCount
 
-	// origin shares a word with the flags: with the sink the struct is 144
-	// bytes, the allocation size class it had without one, and a
-	// 10,000-process run makes 10,000 of these.
+	// origin shares a word with the flags, and a 10,000-process run makes
+	// 10,000 of these.
 	origin    msg.ID
 	value     msg.Value
 	relayed   bool // gossiped + echoed (first copy already handled)
@@ -62,15 +63,43 @@ func NewMachine(cfg core.Config, dir *Directory, origin msg.ID, sink trace.Sink)
 		return nil, fmt.Errorf("sample: origin %d outside 0..%d", origin, cfg.N-1)
 	}
 	m := &Machine{
-		cfg:         cfg,
-		dir:         dir,
-		origin:      origin,
-		tracker:     NewTracker(dir, cfg.Self),
-		readySample: dir.ReadySample(cfg.Self),
-		sink:        enabledSink(sink),
+		cfg:    cfg,
+		dir:    dir,
+		origin: origin,
+		sink:   enabledSink(sink),
 	}
-	m.readySeen.Reset(len(m.readySample))
+	m.echoes.reset(dir.EchoSample(cfg.Self))
+	m.readies.reset(dir.ReadySample(cfg.Self))
 	return m, nil
+}
+
+// sampleCount is one stage's tally over a receiver's sorted sample: the
+// first message from each sample member counts, for the value it carries.
+// It is sample.Tracker's subject tally for the one subject and one phase a
+// broadcast has.
+type sampleCount struct {
+	sample []int32 // sorted; aliases the Directory
+	seen   dense.Bitset
+	counts [2]int32
+}
+
+func (c *sampleCount) reset(sample []int32) {
+	c.sample = sample
+	c.seen.Reset(len(sample))
+	c.counts = [2]int32{}
+}
+
+// add counts from's message for v and returns v's new count. It reports
+// false, counting nothing, for a sender outside the sample -- ids outside
+// 0..n-1 included, since no sample holds one -- and for a sender already
+// counted, whatever value it carried then. v must be valid.
+func (c *sampleCount) add(from msg.ID, v msg.Value) (int, bool) {
+	idx := SampleIndex(c.sample, from)
+	if idx < 0 || c.seen.Set(idx) {
+		return 0, false
+	}
+	c.counts[v]++
+	return int(c.counts[v]), true
 }
 
 // ID implements core.Machine.
@@ -131,8 +160,10 @@ func (m *Machine) OnMessage(in msg.Message) []core.Outbound {
 			m.relay(in.Subject, 0, in.Value)
 		}
 	case msg.KindEcho:
-		if accept, ok := m.tracker.Observe(in.From, in.Subject, 0, in.Value); ok && !m.readied {
-			m.sendReady(accept.Value)
+		// The broadcast is all phase 0, so in.Phase is not read: an echo
+		// counts whatever phase it claims.
+		if c, ok := m.echoes.add(in.From, in.Value); ok && !m.readied && c >= m.dir.Plan().EchoThreshold {
+			m.sendReady(in.Value)
 		}
 	case msg.KindReady:
 		m.onReady(in)
@@ -144,12 +175,10 @@ func (m *Machine) OnMessage(in msg.Message) []core.Outbound {
 }
 
 func (m *Machine) onReady(in msg.Message) {
-	idx := SampleIndex(m.readySample, in.From)
-	if idx < 0 || m.readySeen.Set(idx) {
+	c, ok := m.readies.add(in.From, in.Value)
+	if !ok {
 		return
 	}
-	m.readyCounts[in.Value]++
-	c := int(m.readyCounts[in.Value])
 	p := m.dir.Plan()
 	if !m.readied && c >= p.ReadyFeedback {
 		m.sendReady(in.Value)
