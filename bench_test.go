@@ -42,7 +42,7 @@ func BenchmarkFailStopN7K3(b *testing.B) {
 // queue's slab chunks and ring, or what each of the sampled broadcast's n
 // machines keeps for the whole run. Every case is therefore also held to a
 // ceiling on the bytes one run allocates once an earlier run has returned
-// its queue storage to runtime's pool: 1.5x the 44.5 KB, 38.0 KB and 258 KB
+// its queue storage to runtime's idle list: 1.5x the 44.5 KB, 38.0 KB and 258 KB
 // the first three cases measured when their ceilings were set (42.3 KB,
 // 36.9 KB and 257 KB now), and 1.45x the sampled broadcast's 1,172 B per
 // process. A run that builds its queue from nothing reads 85.9 KB, 210 KB
@@ -92,15 +92,16 @@ func BenchmarkSimulateZeroAlloc(b *testing.B) {
 				b.Fatalf("%.4f allocs per message (%.0f allocs / %d messages), ceiling %.2f",
 					perMessage, allocs, messages, maxAllocsPerMessage)
 			}
-			// The least of three: the pool is per P, so a run that follows a
-			// migration of this goroutine finds no queue and proves nothing.
-			bytes := ^uint64(0)
+			// The most of three: a run takes the queue the last one put back
+			// on whichever P it lands, so every run is held to the ceiling.
+			// A pool per P failed this whenever the goroutine migrated.
+			var bytes uint64
 			for range 3 {
 				var before, after goruntime.MemStats
 				goruntime.ReadMemStats(&before)
 				run()
 				goruntime.ReadMemStats(&after)
-				bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+				bytes = max(bytes, after.TotalAlloc-before.TotalAlloc)
 			}
 			if bytes > c.maxBytes {
 				b.Fatalf("%d B allocated by a run on recycled queue storage, ceiling %d", bytes, c.maxBytes)
