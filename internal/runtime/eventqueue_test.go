@@ -13,6 +13,24 @@ import (
 	"resilient/internal/msg"
 )
 
+// event is one delivery as the oracle tests see it: a key with the message
+// it refers to.
+type event struct {
+	at  float64
+	seq uint64
+	to  msg.ID
+	m   msg.Message
+}
+
+// popEvent pops the minimum key, reads its message from the key's slot and
+// releases the key's reference, as runner.stepNext does around a step.
+func (q *eventQueue) popEvent() event {
+	k := q.pop()
+	e := event{at: k.at, seq: k.seq, to: k.to, m: q.slot(k.ref).m}
+	q.release(k.ref)
+	return e
+}
+
 // push queues e on a message slot of its own, as runner.dispatch does for a
 // unicast.
 func (q *eventQueue) push(e event) {
@@ -101,7 +119,7 @@ func TestEventQueueMatchesContainerHeap(t *testing.T) {
 				heap.Push(&ref, e)
 				continue
 			}
-			got := q.pop()
+			got := q.popEvent()
 			want := heap.Pop(&ref).(event)
 			if got.at != want.at || got.seq != want.seq {
 				t.Fatalf("seed %d op %d: popped (at=%v seq=%d), oracle (at=%v seq=%d)",
@@ -109,7 +127,7 @@ func TestEventQueueMatchesContainerHeap(t *testing.T) {
 			}
 		}
 		for ref.Len() > 0 {
-			got, want := q.pop(), heap.Pop(&ref).(event)
+			got, want := q.popEvent(), heap.Pop(&ref).(event)
 			if got.at != want.at || got.seq != want.seq {
 				t.Fatalf("seed %d drain: popped seq=%d, oracle seq=%d", seed, got.seq, want.seq)
 			}
@@ -144,7 +162,7 @@ func TestEventQueuePushPopNoAllocs(t *testing.T) {
 		q.push(event{at: float64(i), seq: uint64(i)})
 	}
 	for q.len() > 0 {
-		q.pop()
+		q.popEvent()
 	}
 	var seq uint64
 	allocs := testing.AllocsPerRun(100, func() {
@@ -153,7 +171,7 @@ func TestEventQueuePushPopNoAllocs(t *testing.T) {
 			q.push(event{at: float64(seq % 97), seq: seq})
 		}
 		for q.len() > 0 {
-			q.pop()
+			q.popEvent()
 		}
 	})
 	if allocs != 0 {
@@ -168,7 +186,7 @@ func TestEventQueuePushPopNoAllocs(t *testing.T) {
 			q.push(event{at: float64(i), seq: uint64(i)})
 		}
 		for q.len() > 512 {
-			q.pop()
+			q.popEvent()
 		}
 	})
 	if allocs != 0 {
@@ -227,7 +245,7 @@ func TestEventQueueSharedSlotsMatchOracle(t *testing.T) {
 				}
 				q.release(held)
 			case ref.Len() > 0:
-				got, want := q.pop(), heap.Pop(&ref).(event)
+				got, want := q.popEvent(), heap.Pop(&ref).(event)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d op %d: popped %+v, oracle %+v", seed, op, got, want)
 				}
@@ -256,11 +274,11 @@ func TestEventQueueZeroesVacatedSlot(t *testing.T) {
 	q.pushRef(1, 1, 0, ref)
 	q.pushRef(2, 2, 1, ref)
 	q.release(ref)
-	q.pop()
+	q.popEvent()
 	if s := q.slot(ref); s.refs != 1 || s.m.Payload == nil {
 		t.Fatalf("slot with a queued key left was vacated: %+v", *s)
 	}
-	if e := q.pop(); string(e.m.Payload) != "pinned" || e.m.From != 3 {
+	if e := q.popEvent(); string(e.m.Payload) != "pinned" || e.m.From != 3 {
 		t.Fatalf("last pop returned %+v", e.m)
 	}
 	if s := q.slot(ref); s.refs != 0 || !reflect.DeepEqual(s.m, msg.Message{}) {
@@ -281,7 +299,7 @@ func TestEventQueueChunkGrowthAndReuse(t *testing.T) {
 	}
 	drain := func(label string) {
 		for i := 0; i < load; i++ {
-			if e := q.pop(); e.seq != uint64(i) || e.m.Phase != msg.Phase(i) {
+			if e := q.popEvent(); e.seq != uint64(i) || e.m.Phase != msg.Phase(i) {
 				t.Fatalf("%s: pop %d returned seq %d with message %d", label, i, e.seq, e.m.Phase)
 			}
 		}
@@ -344,7 +362,7 @@ func (p *queuePair) pop() {
 	if at, ok := p.q.peekAt(); !ok || at != wantAt {
 		p.t.Fatalf("peekAt = (%v, %v), oracle %v", at, ok, wantAt)
 	}
-	got, want := p.q.pop(), heap.Pop(&p.ref).(event)
+	got, want := p.q.popEvent(), heap.Pop(&p.ref).(event)
 	if !reflect.DeepEqual(got, want) {
 		p.t.Fatalf("popped %+v, oracle %+v", got, want)
 	}
@@ -681,7 +699,7 @@ func BenchmarkEventQueue(b *testing.B) {
 					q.release(ref)
 				}
 				for q.len() > 0 {
-					q.pop()
+					q.popEvent()
 				}
 			}
 		})
@@ -713,12 +731,12 @@ func BenchmarkEventQueue(b *testing.B) {
 					q.push(event{at: hold.delay[seq], seq: seq})
 				}
 				for _, d := range hold.delay {
-					e := q.pop()
+					e := q.popEvent()
 					seq++
 					q.push(event{at: e.at + d, seq: seq})
 				}
 				for q.len() > 0 {
-					q.pop()
+					q.popEvent()
 				}
 			}
 		})
