@@ -2,7 +2,8 @@
 // machines: it feeds a machine long streams of randomized (and partially
 // hostile) messages and verifies the model invariants every machine must
 // keep regardless of input -- no panic, write-once decisions, monotone
-// phases, silence after halt, and bounded per-step output. Replay is its
+// phases, silence after halt, and bounded per-step output -- under sender
+// and subject ids that now and then lie outside 0..n-1. Replay is its
 // scripted counterpart: a fixed delivery list in, everything sent out.
 //
 // It is imported only from tests.
@@ -10,6 +11,7 @@ package machinetest
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"resilient/internal/core"
@@ -111,10 +113,10 @@ func Replay(m core.Machine, script []msg.Message) []core.Outbound {
 }
 
 func randomMessage(rng *rand.Rand, opts Options, kinds []msg.Kind) msg.Message {
-	from := msg.ID(rng.IntN(opts.N))
+	from := hostileID(rng, opts.N, msg.ID(rng.IntN(opts.N)))
 	subject := from
 	if rng.IntN(4) == 0 {
-		subject = msg.ID(rng.IntN(opts.N)) // occasionally forged
+		subject = hostileID(rng, opts.N, msg.ID(rng.IntN(opts.N))) // occasionally forged
 	}
 	phase := msg.Phase(rng.IntN(opts.MaxPhase))
 	if rng.IntN(10) == 0 {
@@ -141,4 +143,14 @@ func randomMessage(rng *rand.Rand, opts Options, kinds []msg.Kind) msg.Message {
 		m.Payload = payload
 	}
 	return m
+}
+
+// hostileID returns id, or one time in twenty an id that no process has: -1,
+// n or math.MaxInt32. The engines stamp a sender in 0..n-1, but a machine
+// must not trust that, and a subject is whatever the sender wrote.
+func hostileID(rng *rand.Rand, n int, id msg.ID) msg.ID {
+	if rng.IntN(20) != 0 {
+		return id
+	}
+	return [...]msg.ID{-1, msg.ID(n), math.MaxInt32}[rng.IntN(3)]
 }

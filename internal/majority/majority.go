@@ -114,8 +114,8 @@ func (m *Machine) OnMessage(in msg.Message) []core.Outbound {
 	default:
 		return nil
 	}
-	if !in.Value.Valid() {
-		return nil
+	if !in.Value.Valid() || in.From < 0 || int(in.From) >= m.cfg.N {
+		return nil // no real process sent it: it must not count toward n-k
 	}
 	var out []core.Outbound
 	queue := []msg.Message{in}

@@ -1,6 +1,7 @@
 package majority
 
 import (
+	"math"
 	"testing"
 
 	"resilient/internal/core"
@@ -97,6 +98,24 @@ func TestDuplicateSenderIgnored(t *testing.T) {
 	}
 	if m.Phase() != 0 {
 		t.Fatal("duplicates advanced the phase")
+	}
+}
+
+// TestOutOfRangeSenderIgnored: ids no process has count for nothing, so
+// three real senders and three fake ones do not make the n-k = 4 a phase
+// waits for.
+func TestOutOfRangeSenderIgnored(t *testing.T) {
+	m, _ := New(cfg(5, 1, 0, msg.V0), nil)
+	m.Start()
+	for _, from := range []msg.ID{1, -1, 2, 5, 3, math.MaxInt32} {
+		m.OnMessage(msg.Val(from, 0, msg.V1))
+	}
+	if m.Phase() != 0 {
+		t.Fatal("senders outside 0..n-1 advanced the phase")
+	}
+	m.OnMessage(msg.Val(4, 0, msg.V1))
+	if m.Phase() != 1 {
+		t.Fatalf("the fourth real sender left the machine in phase %d", m.Phase())
 	}
 }
 
