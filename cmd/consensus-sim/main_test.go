@@ -334,6 +334,7 @@ func TestRunGolden(t *testing.T) {
 		{"trials", "-protocol failstop -n 7 -k 3 -trials 50"},
 		{"partition-trials", "-protocol failstop -n 7 -k 3 -policy partition:2,const:1 -trials 5"},
 		{"sampled-broadcast-json", "-protocol broadcast -n 1000 -k 100 -broadcast sample -json"},
+		{"sampled-malicious", "-protocol malicious -n 100 -k 10 -broadcast sample"},
 		{"shared-coin", "-protocol benor-crash -coin shared -n 7 -k 3 -seed 2"},
 		{"log", "-log -n 7 -ops 512 -logcrash 3:5"},
 		{"log-json", "-log -n 7 -ops 512 -logcrash 3:5 -json"},
