@@ -51,8 +51,9 @@ func BenchmarkFailStopN7K3(b *testing.B) {
 // Figure-2 wildcard log allocate nothing per step: wrappers that return a
 // fresh slice per send, with a 12-byte wildcard log entry, allocate 571 KB a
 // run and fail it. A broadcast machine that tallies its echoes through a
-// sample.Tracker reads 1,756 B per process and fails the broadcast case, as
-// does the runner that also gave every process a fault harness (1,887 B).
+// separate per-subject tracker reads 1,756 B per process and fails the
+// broadcast case, as does the runner that also gave every process a fault
+// harness (1,887 B).
 const maxAllocsPerMessage = 0.25
 
 func BenchmarkSimulateZeroAlloc(b *testing.B) {

@@ -7,6 +7,8 @@
 package dense
 
 import (
+	"slices"
+
 	"resilient/internal/msg"
 )
 
@@ -57,6 +59,17 @@ func (b *Bitset) Set(i int) (already bool) {
 // Clone returns an independent copy of the bitset.
 func (b *Bitset) Clone() Bitset {
 	return Bitset{words: append([]uint64(nil), b.words...)}
+}
+
+// SortedIndex returns the position of id within the sorted id set, or -1
+// when id is not in it. It maps a sample member to its bit in a bitset
+// sized to the sample.
+func SortedIndex(set []int32, id msg.ID) int {
+	i, ok := slices.BinarySearch(set, int32(id))
+	if !ok {
+		return -1
+	}
+	return i
 }
 
 // phaseBucket holds the buffered messages of one phase.

@@ -12,11 +12,15 @@
 // correct processes can accept different values from the same subject in the
 // same phase (the consistency claim of Theorem 4).
 //
+// The sampled broadcast scheme (arXiv 1908.01738, internal/sample) keeps the
+// rule but counts only the receiver's echo sample and accepts at the plan's
+// threshold Ê: NewSampledTracker.
+//
 // Tallies are dense: process IDs are always 0..n-1 and values binary, so a
-// phase's state is a flat [n][2] count table plus two bitsets (sender x
-// subject dedup, per-subject acceptance) rather than the three maps an
-// earlier version kept. Phase tables recycle through a freelist on Prune,
-// so steady-state observation allocates nothing.
+// phase's state is a flat [n][2] count table plus two bitsets (subject x
+// sender dedup, n² or n·E bits, and per-subject acceptance) rather than
+// maps. Phase tables recycle through a freelist on Prune, so steady-state
+// observation allocates nothing.
 package echo
 
 import (
@@ -45,14 +49,14 @@ type phaseTally struct {
 	phase msg.Phase
 	// counts[subject] tallies echoes for subject's value 0 and 1.
 	counts [][2]int32
-	// seen has bit sender*n+subject set once that sender's echo for the
-	// subject was counted (the first-message rule).
+	// seen has bit subject*width+column set once the echo of the sender in
+	// that column was counted for the subject (the first-message rule).
 	seen dense.Bitset
 	// accepted has bit subject set once (subject, phase) was accepted.
 	accepted dense.Bitset
 }
 
-func (t *phaseTally) reset(n int, phase msg.Phase) {
+func (t *phaseTally) reset(n, width int, phase msg.Phase) {
 	t.phase = phase
 	if cap(t.counts) < n {
 		t.counts = make([][2]int32, n)
@@ -60,36 +64,57 @@ func (t *phaseTally) reset(n int, phase msg.Phase) {
 		t.counts = t.counts[:n]
 		clear(t.counts)
 	}
-	t.seen.Reset(n * n)
+	t.seen.Reset(n * width)
 	t.accepted.Reset(n)
 }
 
 // Tracker counts echoes and reports acceptances. It is not safe for
 // concurrent use.
 type Tracker struct {
-	n, k    int
-	low     msg.Phase // phases below this have been pruned
-	cur     *phaseTally
-	tallies map[msg.Phase]*phaseTally
-	free    []*phaseTally
+	n int
+	// sample holds the senders whose echoes count, sorted; a sender's dedup
+	// column is its index here, or its id when sample is nil.
+	sample    []int32
+	width     int // dedup columns per subject: n, or len(sample)
+	threshold int32
+	low       msg.Phase // phases below this have been pruned
+	cur       *phaseTally
+	tallies   map[msg.Phase]*phaseTally
+	free      []*phaseTally
 	// scratch holds the phases collected by Prune, reused across calls so
 	// pruning stays allocation-free in steady state.
 	scratch []msg.Phase
 }
 
 // NewTracker returns an empty tracker for an n-process system tolerating k
-// malicious processes.
+// malicious processes: every process's echo counts, and acceptance takes
+// more than (n+k)/2 of them.
 func NewTracker(n, k int) *Tracker {
+	return NewSampledTracker(n, nil, quorum.EchoAcceptCount(n, k))
+}
+
+// NewSampledTracker returns an empty tracker for an n-process system that
+// counts only echoes from the senders in sample, which must be sorted and
+// must not be mutated while the tracker is in use, and accepts a value once
+// threshold of them carry it. A nil sample counts every sender.
+func NewSampledTracker(n int, sample []int32, threshold int) *Tracker {
+	width := len(sample)
+	if sample == nil {
+		width = n
+	}
 	return &Tracker{
-		n:       n,
-		k:       k,
-		tallies: make(map[msg.Phase]*phaseTally),
+		n:         n,
+		sample:    sample,
+		width:     width,
+		threshold: int32(threshold),
+		tallies:   make(map[msg.Phase]*phaseTally),
 	}
 }
 
 // Threshold returns the number of matching echoes at which acceptance
-// happens: the least integer strictly greater than (n+k)/2.
-func (t *Tracker) Threshold() int { return quorum.EchoAcceptCount(t.n, t.k) }
+// happens: the least integer strictly greater than (n+k)/2, or the sampled
+// tracker's threshold.
+func (t *Tracker) Threshold() int { return int(t.threshold) }
 
 // tally returns phase p's state, creating it (from the freelist when
 // possible) on first use. The single-entry cur cache makes the common case
@@ -106,7 +131,7 @@ func (t *Tracker) tally(p msg.Phase) *phaseTally {
 		} else {
 			pt = new(phaseTally)
 		}
-		pt.reset(t.n, p)
+		pt.reset(t.n, t.width, p)
 		t.tallies[p] = pt
 	}
 	t.cur = pt
@@ -124,26 +149,41 @@ func (t *Tracker) lookup(p msg.Phase) *phaseTally {
 // inRange reports whether id is a real process identifier.
 func (t *Tracker) inRange(id msg.ID) bool { return id >= 0 && int(id) < t.n }
 
+// column returns sender's dedup column, or -1 when its echoes do not count:
+// it is outside 0..n-1 or, for a sampled tracker, outside the sample.
+func (t *Tracker) column(sender msg.ID) int {
+	if t.sample != nil {
+		return dense.SortedIndex(t.sample, sender)
+	}
+	if !t.inRange(sender) {
+		return -1
+	}
+	return int(sender)
+}
+
 // Observe registers an echo from sender asserting that subject initiated
 // value v in phase p. It returns an Accept exactly once per (subject, phase):
-// on the echo that first pushes the count strictly above (n+k)/2.
+// on the echo that first brings a value's count to the threshold.
 //
 // Duplicate echoes from the same sender for the same (subject, phase) are
 // ignored regardless of value, matching the pseudocode's first-message rule.
-// Echoes for pruned phases, or naming ids outside 0..n-1 (which no real
-// process has), are ignored.
+// Echoes for pruned phases, from senders whose echoes do not count, or
+// naming a subject outside 0..n-1 (which no real process has), are ignored.
 func (t *Tracker) Observe(sender, subject msg.ID, p msg.Phase, v msg.Value) (Accept, bool) {
-	if p < t.low || !v.Valid() || !t.inRange(sender) || !t.inRange(subject) {
+	if p < t.low || !v.Valid() || !t.inRange(subject) {
+		return Accept{}, false
+	}
+	col := t.column(sender)
+	if col < 0 {
 		return Accept{}, false
 	}
 	pt := t.tally(p)
-	if pt.seen.Set(int(sender)*t.n + int(subject)) {
+	if pt.seen.Set(int(subject)*t.width + col) {
 		return Accept{}, false
 	}
 	c := &pt.counts[subject]
 	c[v]++
-	if !pt.accepted.Test(int(subject)) && quorum.ExceedsHalfNPlusK(int(c[v]), t.n, t.k) {
-		pt.accepted.Set(int(subject))
+	if c[v] >= t.threshold && !pt.accepted.Set(int(subject)) {
 		return Accept{Subject: subject, Phase: p, Value: v}, true
 	}
 	return Accept{}, false
@@ -152,11 +192,12 @@ func (t *Tracker) Observe(sender, subject msg.ID, p msg.Phase, v msg.Value) (Acc
 // Seen reports whether an echo from sender for (subject, phase) was already
 // counted.
 func (t *Tracker) Seen(sender, subject msg.ID, p msg.Phase) bool {
-	if !t.inRange(sender) || !t.inRange(subject) {
+	col := t.column(sender)
+	if col < 0 || !t.inRange(subject) {
 		return false
 	}
 	if pt := t.lookup(p); pt != nil {
-		return pt.seen.Test(int(sender)*t.n + int(subject))
+		return pt.seen.Test(int(subject)*t.width + col)
 	}
 	return false
 }

@@ -1,7 +1,6 @@
 package echo
 
 import (
-	"runtime"
 	"testing"
 
 	"resilient/internal/msg"
@@ -58,54 +57,6 @@ func TestTrackerPruneReuseAtScale(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("steady-state phase cycle allocates %.1f times", allocs)
 	}
-}
-
-// trackerHeapDelta measures the live heap held by `count` fully-faulted-in
-// trackers (one phase table each), in bytes.
-func trackerHeapDelta(count, n, k int) uint64 {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	trackers := make([]*Tracker, count)
-	for i := range trackers {
-		tr := NewTracker(n, k)
-		tr.Observe(0, 0, 0, msg.V0) // fault in the phase table
-		trackers[i] = tr
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(trackers)
-	return after.HeapAlloc - before.HeapAlloc
-}
-
-// BenchmarkTrackerMemory pins the dense tracker's per-node footprint: the
-// sender x subject dedup bitset is n² bits and the count table 8n bytes, so
-// one phase table costs ~n²/8 + 9n bytes per process — ~133 KB at n=1,000,
-// ~12.6 MB at n=10,000. This is the baseline the sparse sampled tracker
-// (internal/sample, ~E·n bits total) is measured against in DESIGN §13.
-func BenchmarkTrackerMemory(b *testing.B) {
-	for _, n := range []int{100, 1000} {
-		b.Run(benchName(n), func(b *testing.B) {
-			b.ReportAllocs()
-			var total uint64
-			for i := 0; i < b.N; i++ {
-				total += trackerHeapDelta(8, n, n/10)
-			}
-			b.ReportMetric(float64(total)/float64(8*b.N), "B/node")
-		})
-	}
-}
-
-func benchName(n int) string {
-	switch n {
-	case 100:
-		return "n=100"
-	case 1000:
-		return "n=1000"
-	case 10000:
-		return "n=10000"
-	}
-	return "n=?"
 }
 
 // BenchmarkTrackerObserve pins the per-echo cost at scale.

@@ -34,15 +34,6 @@ import (
 	"resilient/internal/trace"
 )
 
-// echoTally is the acceptance machinery behind the protocol: the dense
-// full-quorum echo.Tracker (the paper's > (n+k)/2 rule) or the sparse
-// sample.Tracker (the scaled Ê-of-E rule of the sampled broadcast scheme).
-// The machine's protocol logic is identical over either.
-type echoTally interface {
-	Observe(sender, subject msg.ID, p msg.Phase, v msg.Value) (echo.Accept, bool)
-	Prune(p msg.Phase)
-}
-
 // phaseMarks is a dense replacement for the map[(id, phase)]bool initial-echo
 // dedup: one n-bit set per phase, keyed by the sender id. Initials are never
 // pruned (Figure 2 applies no phase guard to them), so sets accumulate one
@@ -83,7 +74,7 @@ type Machine struct {
 	value msg.Value
 	phase msg.Phase
 
-	tracker  echoTally
+	tracker  *echo.Tracker
 	msgCount [2]int
 
 	// echoTargets, when non-nil, is the set of processes that sampled this

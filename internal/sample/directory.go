@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"slices"
 
+	"resilient/internal/dense"
 	"resilient/internal/dist"
 	"resilient/internal/msg"
 )
@@ -131,12 +132,5 @@ func (d *Directory) ReadyTargets(p msg.ID) []int32 {
 }
 
 // SampleIndex returns the position of sender within the sorted sample, or
-// -1 when the sender was not drawn. Positions index the per-subject seen
-// bitsets in Tracker.
-func SampleIndex(sample []int32, sender msg.ID) int {
-	i, ok := slices.BinarySearch(sample, int32(sender))
-	if !ok {
-		return -1
-	}
-	return i
-}
+// -1 when the sender was not drawn.
+func SampleIndex(sample []int32, sender msg.ID) int { return dense.SortedIndex(sample, sender) }

@@ -102,7 +102,7 @@ func echoStageMatchesTracker(dir *Directory, self, origin msg.ID, stream []msg.M
 }
 
 // TestMachineEchoStageMatchesTracker pins the in-place echo count against
-// sample.Tracker, the tally it replaced: on hostile streams over several
+// the receiver's sampled echo.Tracker: on hostile streams over several
 // plans and biases, the machine readies exactly when and as the tracker
 // accepts. Across the runs both values must get accepted and some streams
 // must never reach Ê, so all three outcomes are compared.
@@ -177,8 +177,8 @@ func (h *hostile) count(outs []core.Outbound) []core.Outbound {
 // sampled-broadcast machine under mutated plans and hostile streams. The
 // machinetest invariants must hold on a mixed stream of every kind -- a
 // machine relays once, readies once and never sends after it halts -- and
-// on an echo-only stream the machine must ready exactly when sample.Tracker
-// accepts.
+// on an echo-only stream the machine must ready exactly when the receiver's
+// sampled tracker accepts.
 func FuzzMachine(f *testing.F) {
 	f.Add(uint64(1), uint8(40), uint8(3), uint8(0), uint8(5), uint8(128))
 	f.Add(uint64(42), uint8(200), uint8(30), uint8(7), uint8(7), uint8(255))

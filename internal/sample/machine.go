@@ -75,8 +75,8 @@ func NewMachine(cfg core.Config, dir *Directory, origin msg.ID, sink trace.Sink)
 
 // sampleCount is one stage's tally over a receiver's sorted sample: the
 // first message from each sample member counts, for the value it carries.
-// It is sample.Tracker's subject tally for the one subject and one phase a
-// broadcast has.
+// It is the receiver's sampled echo.Tracker (NewTracker) cut down to the one
+// subject and one phase a broadcast has.
 type sampleCount struct {
 	sample []int32 // sorted; aliases the Directory
 	seen   dense.Bitset

@@ -8,7 +8,7 @@ import (
 )
 
 // trackerFixture builds a directory where receiver 0's echo sample is known.
-func trackerFixture(t *testing.T) (*Directory, *Tracker) {
+func trackerFixture(t *testing.T) (*Directory, *echo.Tracker) {
 	t.Helper()
 	d := NewDirectory(mustPlan(t, 120, 12, 1e-2), 5)
 	return d, NewTracker(d, 0)
@@ -130,53 +130,11 @@ func TestTrackerPruneAndReuse(t *testing.T) {
 	}
 }
 
-// TestTrackerLastTallyCache pins the phase table's one-entry subject cache
-// against the map it short-cuts: echoes for two subjects interleaved one at
-// a time must land in their own tallies, and a recycled phase table must not
-// answer for the subject it last served before Prune.
-func TestTrackerLastTallyCache(t *testing.T) {
-	d, tr := trackerFixture(t)
-	sample := d.EchoSample(0)
-	for i, s := range sample {
-		tr.Observe(msg.ID(s), 9, 0, msg.V0)
-		if i%2 == 0 {
-			tr.Observe(msg.ID(s), 11, 0, msg.V1)
-		}
-	}
-	if z, o := tr.Count(9, 0); z != len(sample) || o != 0 {
-		t.Fatalf("subject 9 counted %d/%d, want %d/0", z, o, len(sample))
-	}
-	if z, o := tr.Count(11, 0); z != 0 || o != (len(sample)+1)/2 {
-		t.Fatalf("subject 11 counted %d/%d, want 0/%d", z, o, (len(sample)+1)/2)
-	}
-	if !tr.Seen(msg.ID(sample[0]), 11, 0) || tr.Seen(msg.ID(sample[1]), 11, 0) {
-		t.Fatal("interleaved subjects share a dedup set")
-	}
-
-	// Phase 0's table serves subject 11 last (a duplicate: looked up, not
-	// counted). Prune recycles the table and both tallies; phase 1 reuses
-	// them, and its first echo is for 11 again.
-	first := msg.ID(sample[0])
-	tr.Observe(first, 11, 0, msg.V1)
-	tr.Prune(1)
-	tr.Observe(first, 11, 1, msg.V0)
-	if z, o := tr.Count(11, 1); z != 1 || o != 0 {
-		t.Fatalf("recycled table counted %d/%d for its first echo, want 1/0", z, o)
-	}
-	if !tr.Seen(first, 11, 1) {
-		t.Fatal("recycled table lost its first echo")
-	}
-	tr.Observe(first, 9, 1, msg.V1)
-	if z, o := tr.Count(9, 1); z != 0 || o != 1 {
-		t.Fatalf("second subject after reuse counted %d/%d, want 0/1", z, o)
-	}
-}
-
 // TestTrackerDegeneratesToEchoTracker feeds the identical echo stream to the
-// sparse sampled tracker under a degenerate (sample = whole population) plan
-// and to the dense full-quorum echo.Tracker: every Observe must return the
-// same acceptance. This is the drop-in equivalence claim of DESIGN §13 at
-// its ε→0 endpoint.
+// sampled tracker under a degenerate (sample = whole population) plan and to
+// the full-quorum echo.NewTracker: every Observe must return the same
+// acceptance. This is the drop-in equivalence claim of DESIGN §13 at its
+// ε→0 endpoint.
 func TestTrackerDegeneratesToEchoTracker(t *testing.T) {
 	const n, k = 10, 3
 	p := mustPlan(t, n, k, 1e-9)
@@ -203,7 +161,7 @@ func TestTrackerDegeneratesToEchoTracker(t *testing.T) {
 				}
 				// Duplicate must be ignored by both.
 				if _, ok := sparse.Observe(msg.ID(sender), msg.ID(subject), phase, 1-v); ok {
-					t.Fatal("sparse tracker accepted duplicate")
+					t.Fatal("sampled tracker accepted duplicate")
 				}
 			}
 		}
