@@ -17,7 +17,8 @@
 // analyzed — the hot-path call graph spans packages — and patterns filter
 // which findings are reported.
 //
-// Exit status: 0 when clean, 1 on findings, 2 on usage or load errors.
+// Exit status: 0 when clean, 1 on findings, 2 on usage or load errors or a
+// configured root or exemption that names nothing in the module.
 package main
 
 import (

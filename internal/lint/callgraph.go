@@ -35,10 +35,7 @@ func (a *analysis) buildHotSet() {
 	// Roots 1: every method of every module type implementing a hot
 	// interface (e.g. each protocol machine's Start/OnMessage/Decided...).
 	for _, ifaceName := range a.cfg.HotIfaces {
-		iface := a.lookupInterface(ifaceName)
-		if iface == nil {
-			continue
-		}
+		iface := a.lookupInterface(ifaceName) // checkConfig resolved it
 		for _, p := range a.pkgs {
 			scope := p.pkg.Scope()
 			for _, name := range scope.Names() {
@@ -58,20 +55,8 @@ func (a *analysis) buildHotSet() {
 	}
 
 	// Roots 2: explicitly named dispatch functions.
-	for _, p := range a.pkgs {
-		for _, f := range p.files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Name == nil {
-					continue
-				}
-				if containsString(a.cfg.HotFuncs, declKey(p, fd)) {
-					if obj, ok := p.info.Defs[fd.Name].(*types.Func); ok {
-						add(obj)
-					}
-				}
-			}
-		}
+	for _, key := range a.cfg.HotFuncs {
+		add(a.funcs[key])
 	}
 
 	// Propagate: walk each hot body (function literals included — a literal

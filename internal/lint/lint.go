@@ -190,10 +190,10 @@ func ProjectConfig(dir string) Config {
 			// run once per slot in the pipelined commit loop.
 			mod + ".logRun.recordSlot",
 			mod + ".batchFrames",
-			// The sampled echo stage: Observe is sampled Figure 2's per-echo
-			// tally (the broadcast machine counts in place, a core.Machine
+			// The echo stage: Observe is Figure 2's per-echo tally, full or
+			// sampled (the broadcast machine counts in place, a core.Machine
 			// method), trial replays whole broadcasts inside the MC ensemble.
-			mod + "/internal/sample.Tracker.Observe",
+			mod + "/internal/echo.Tracker.Observe",
 			mod + "/internal/mc.Broadcast.trial",
 		},
 		LockPkgs: []string{
@@ -242,21 +242,25 @@ func ProjectConfig(dir string) Config {
 
 // Run loads every package in the module at cfg.Dir and returns all findings,
 // sorted by (file, line, col, rule, message). A nil slice with a nil error
-// means the tree is clean.
+// means the tree is clean. Run fails when the module does not load or when
+// an entry of cfg's function or interface lists names nothing in it.
 func Run(cfg Config) ([]Finding, error) {
 	pkgs, fset, err := loadModule(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
-	return runLoaded(cfg, pkgs, fset), nil
+	return runLoaded(cfg, pkgs, fset)
 }
 
 // runLoaded analyzes an already-loaded module. Splitting the load from the
 // analysis lets BenchmarkLintTree time each rule family without re-parsing
 // and re-type-checking the tree per family.
-func runLoaded(cfg Config, pkgs []*pkgInfo, fset *token.FileSet) []Finding {
+func runLoaded(cfg Config, pkgs []*pkgInfo, fset *token.FileSet) ([]Finding, error) {
 	a := &analysis{cfg: cfg, fset: fset, pkgs: pkgs}
 	a.buildIndex()
+	if err := a.checkConfig(); err != nil {
+		return nil, err
+	}
 	a.buildHotSet()
 	if a.ruleOn("determinism") {
 		a.checkDeterminism()
@@ -281,7 +285,35 @@ func runLoaded(cfg Config, pkgs []*pkgInfo, fset *token.FileSet) []Finding {
 	}
 	a.applyAllowDirectives()
 	sortFindings(a.findings)
-	return a.findings
+	return a.findings, nil
+}
+
+// checkConfig returns an error listing every root, blocking function and
+// exemption in the config that names nothing in the module. Like a stale
+// //lint:allow, an entry left behind by a rename or a deletion would
+// otherwise guard nothing without anyone noticing.
+func (a *analysis) checkConfig() error {
+	var stale []string
+	check := func(field string, entries []string, resolves func(string) bool) {
+		for _, e := range entries {
+			if !resolves(e) {
+				stale = append(stale, fmt.Sprintf("%s entry %q", field, e))
+			}
+		}
+	}
+	isFunc := func(e string) bool { return a.funcs[e] != nil }
+	check("HotFuncs", a.cfg.HotFuncs, isFunc)
+	check("DispatchFuncs", a.cfg.DispatchFuncs, isFunc)
+	check("BlockingFuncs", a.cfg.BlockingFuncs, isFunc)
+	check("QuorumAllowedFuncs", a.cfg.QuorumAllowedFuncs, isFunc)
+	check("HotIfaces", a.cfg.HotIfaces, func(e string) bool { return a.lookupInterface(e) != nil })
+	check("DispatchIfaces", a.cfg.DispatchIfaces, func(e string) bool {
+		return isFunc(e) && a.lookupInterface(e[:strings.LastIndex(e, ".")]) != nil
+	})
+	if len(stale) > 0 {
+		return fmt.Errorf("config names nothing in the module: %s", strings.Join(stale, "; "))
+	}
+	return nil
 }
 
 // ruleOn reports whether a rule family runs under cfg.Rules (empty = all).
@@ -348,6 +380,7 @@ type analysis struct {
 	fset     *token.FileSet
 	pkgs     []*pkgInfo
 	decls    map[*types.Func]*declSite
+	funcs    map[string]*types.Func // by HotFuncs-form key; interface methods too
 	hot      map[*ast.FuncDecl]*pkgInfo
 	findings []Finding
 }
@@ -376,6 +409,7 @@ func (a *analysis) report(pos token.Pos, rule, format string, args ...interface{
 // buildIndex maps every module function object to its declaration.
 func (a *analysis) buildIndex() {
 	a.decls = make(map[*types.Func]*declSite)
+	a.funcs = make(map[string]*types.Func)
 	for _, p := range a.pkgs {
 		for _, f := range p.files {
 			for _, d := range f.Decls {
@@ -385,6 +419,19 @@ func (a *analysis) buildIndex() {
 				}
 				if obj, ok := p.info.Defs[fd.Name].(*types.Func); ok {
 					a.decls[obj] = &declSite{pkg: p, decl: fd}
+					a.funcs[declKey(p, fd)] = obj
+				}
+			}
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+				for i := range iface.NumMethods() {
+					a.funcs[p.path+"."+name+"."+iface.Method(i).Name()] = iface.Method(i)
 				}
 			}
 		}

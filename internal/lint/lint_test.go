@@ -3,9 +3,11 @@ package lint
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -117,6 +119,47 @@ func TestFindingsDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(j1, j2) {
 		t.Error("JSON output differs between identical runs")
+	}
+}
+
+// TestConfigNamesNothing: a root, blocking function or exemption that
+// resolves to no declaration fails the run, one entry of each list at a
+// time, and every stale entry is named.
+func TestConfigNamesNothing(t *testing.T) {
+	pkgs, fset, err := loadModule(fixtureConfig().Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field string
+		set   func(c *Config, entry string)
+		entry string
+	}{
+		{"HotFuncs", func(c *Config, e string) { c.HotFuncs = append(c.HotFuncs, e) }, "fixture/hot.Gone"},
+		{"DispatchFuncs", func(c *Config, e string) { c.DispatchFuncs = append(c.DispatchFuncs, e) }, "fixture/dispatch.Gone"},
+		{"BlockingFuncs", func(c *Config, e string) { c.BlockingFuncs = append(c.BlockingFuncs, e) }, "fixture/core.Sender.Gone"},
+		{"QuorumAllowedFuncs", func(c *Config, e string) { c.QuorumAllowedFuncs = append(c.QuorumAllowedFuncs, e) }, "fixture/arith.Gone"},
+		{"HotIfaces", func(c *Config, e string) { c.HotIfaces = append(c.HotIfaces, e) }, "fixture/core.Gone"},
+		{"DispatchIfaces", func(c *Config, e string) { c.DispatchIfaces = append(c.DispatchIfaces, e) }, "fixture/core.Machine.Gone"},
+		{"DispatchIfaces", func(c *Config, e string) { c.DispatchIfaces = append(c.DispatchIfaces, e) }, "fixture/hot.Drive.OnMessage"},
+	} {
+		cfg := fixtureConfig()
+		tc.set(&cfg, tc.entry)
+		_, err := runLoaded(cfg, pkgs, fset)
+		if err == nil {
+			t.Errorf("%s entry %q: config accepted", tc.field, tc.entry)
+			continue
+		}
+		if want := fmt.Sprintf("%s entry %q", tc.field, tc.entry); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s entry %q: error %q does not name it", tc.field, tc.entry, err)
+		}
+	}
+
+	cfg := fixtureConfig()
+	cfg.HotFuncs = append(cfg.HotFuncs, "fixture/hot.Gone")
+	cfg.QuorumAllowedFuncs = append(cfg.QuorumAllowedFuncs, "fixture/arith.Gone")
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), `"fixture/hot.Gone"`) || !strings.Contains(err.Error(), `"fixture/arith.Gone"`) {
+		t.Errorf("two stale entries: error %v, want both named", err)
 	}
 }
 

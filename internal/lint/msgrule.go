@@ -98,33 +98,13 @@ func (a *analysis) dispatchRoots() []*declSite {
 		out = append(out, site)
 	}
 	for _, spec := range a.cfg.DispatchIfaces {
-		dot := strings.LastIndex(spec, ".")
-		if dot < 0 {
-			continue
-		}
-		ifaceName, method := spec[:dot], spec[dot+1:]
-		iface := a.lookupInterface(ifaceName)
-		if iface == nil {
-			continue
-		}
-		for _, fn := range a.implementors(iface, method) {
+		dot := strings.LastIndex(spec, ".") // checkConfig resolved spec
+		for _, fn := range a.implementors(a.lookupInterface(spec[:dot]), spec[dot+1:]) {
 			add(fn)
 		}
 	}
-	for _, p := range a.pkgs {
-		for _, f := range p.files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Name == nil {
-					continue
-				}
-				if containsString(a.cfg.DispatchFuncs, declKey(p, fd)) {
-					if obj, ok := p.info.Defs[fd.Name].(*types.Func); ok {
-						add(obj)
-					}
-				}
-			}
-		}
+	for _, key := range a.cfg.DispatchFuncs {
+		add(a.funcs[key])
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].decl.Pos() < out[j].decl.Pos() })
 	return out
