@@ -13,7 +13,7 @@
 //	consensus-sim -protocol failstop -n 9 -k 4 -crash "3:1:5,7:0:0" -trials 100
 //	consensus-sim -protocol failstop -n 7 -k 3 -engine tcp -crash "5:1:3,6:0:0"
 //	consensus-sim -protocol failstop -n 7 -k 3 -engine mem -policy drop:0.1,uniform:0.1:1
-//	consensus-sim -protocol malicious -n 1000 -k 100 -broadcast sample
+//	consensus-sim -protocol malicious -n 300 -k 30 -broadcast sample
 //	consensus-sim -protocol broadcast -n 10000 -k 1000 -broadcast sample -eps 1e-3
 //	consensus-sim -protocol benor-shared -n 21 -k 10 -trials 100
 //	consensus-sim -protocol benor-crash -coin shared -n 7 -k 3 -seed 2
