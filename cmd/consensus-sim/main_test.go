@@ -340,6 +340,11 @@ func TestRunGolden(t *testing.T) {
 		{"log-json", "-log -n 7 -ops 512 -logcrash 3:5 -json"},
 		{"list-protocols", "-list-protocols"},
 		{"echo-ceiling", "-protocol malicious -n 1000 -k 100"},
+		// Two schedules that stress the event queue: exponential delays
+		// put keys on the day being popped, and a constant delay puts
+		// every key of a step on one time.
+		{"balancer-exp", "-protocol malicious -n 13 -k 4 -adversary balancer -policy exp:1"},
+		{"const-policy", "-protocol malicious -n 16 -k 5 -policy const:1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".golden"))
