@@ -148,9 +148,9 @@ func TestReturnedQueuePinsNothing(t *testing.T) {
 			}
 		}
 	}
-	if q.free != 0 || q.nodeFree != 0 || q.live != 0 || q.nodes.live != 0 || q.len() != 0 {
+	if q.free != 0 || q.blockFree != 0 || q.live != 0 || q.blocks.live != 0 || q.len() != 0 {
 		t.Fatalf("returned queue: free lists %d/%d, %d+%d chunks in use, %d keys; want none",
-			q.free, q.nodeFree, q.live, q.nodes.live, q.len())
+			q.free, q.blockFree, q.live, q.blocks.live, q.len())
 	}
 }
 
