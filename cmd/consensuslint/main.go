@@ -1,15 +1,13 @@
 // Command consensuslint runs the project's static-analysis suite (see
 // internal/lint) over the module and reports findings as
-// "file:line: [rule] message" lines, as JSON, or as GitHub Actions
-// annotations.
+// "file:line: [rule] message" lines or as GitHub Actions annotations.
 //
 // Usage:
 //
-//	consensuslint [-format=text|json|github] [patterns...]
+//	consensuslint [-format=text|github] [-C dir] [patterns...]
 //
 // -format=github emits one "::error file=...,line=..." workflow command per
 // finding so a CI step's findings render inline on the pull request diff.
-// -json remains as an alias for -format=json.
 //
 // Patterns follow the go tool convention relative to the module root:
 // "./..." (the default) checks everything, "./internal/echo" one package,
@@ -38,19 +36,13 @@ func main() {
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("consensuslint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as JSON (alias for -format=json)")
-	format := fs.String("format", "text", "output format: text, json, or github (Actions annotations)")
+	format := fs.String("format", "text", "output format: text or github (Actions annotations)")
 	dir := fs.String("C", "", "module root (default: locate go.mod upward from the working directory)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *jsonOut {
-		*format = "json"
-	}
-	switch *format {
-	case "text", "json", "github":
-	default:
-		fmt.Fprintf(stderr, "consensuslint: unknown -format %q (want text, json, or github)\n", *format)
+	if *format != "text" && *format != "github" {
+		fmt.Fprintf(stderr, "consensuslint: unknown -format %q (want text or github)\n", *format)
 		return 2
 	}
 	root := *dir
@@ -78,17 +70,9 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 	findings = filterByPatterns(findings, patterns)
 
-	switch *format {
-	case "json":
-		data, err := lint.WriteJSON(findings)
-		if err != nil {
-			fmt.Fprintln(stderr, "consensuslint:", err)
-			return 2
-		}
-		stdout.Write(data)
-	case "github":
+	if *format == "github" {
 		stdout.Write(lint.WriteGitHub(findings))
-	default:
+	} else {
 		for _, f := range findings {
 			fmt.Fprintln(stdout, f)
 		}

@@ -36,20 +36,9 @@ func (a *analysis) buildHotSet() {
 	// interface (e.g. each protocol machine's Start/OnMessage/Decided...).
 	for _, ifaceName := range a.cfg.HotIfaces {
 		iface := a.lookupInterface(ifaceName) // checkConfig resolved it
-		for _, p := range a.pkgs {
-			scope := p.pkg.Scope()
-			for _, name := range scope.Names() {
-				tn, ok := scope.Lookup(name).(*types.TypeName)
-				if !ok || tn.IsAlias() {
-					continue
-				}
-				named, ok := tn.Type().(*types.Named)
-				if !ok {
-					continue
-				}
-				for _, fn := range implMethods(named, iface) {
-					add(fn)
-				}
+		for i := range iface.NumMethods() {
+			for _, fn := range a.implementors(iface, iface.Method(i).Name()) {
+				add(fn)
 			}
 		}
 	}
@@ -105,26 +94,6 @@ func (a *analysis) lookupInterface(name string) *types.Interface {
 		return iface
 	}
 	return nil
-}
-
-// implMethods returns named's methods that satisfy iface (empty when named
-// does not implement it, even via pointer receiver).
-func implMethods(named *types.Named, iface *types.Interface) []*types.Func {
-	t := types.Type(named)
-	if !types.Implements(t, iface) {
-		t = types.NewPointer(named)
-		if !types.Implements(t, iface) {
-			return nil
-		}
-	}
-	var out []*types.Func
-	for i := 0; i < iface.NumMethods(); i++ {
-		obj, _, _ := types.LookupFieldOrMethod(t, true, named.Obj().Pkg(), iface.Method(i).Name())
-		if fn, ok := obj.(*types.Func); ok {
-			out = append(out, fn)
-		}
-	}
-	return out
 }
 
 // implementors returns, across the whole module, the named method of every

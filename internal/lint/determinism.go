@@ -8,6 +8,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // wallClockFuncs are the time-package functions that read or wait on the wall
@@ -31,7 +32,7 @@ func (a *analysis) checkDeterminism() {
 		if !a.isDeterministic(p) {
 			continue
 		}
-		goroutineOK := containsString(a.cfg.GoroutineAllowed, p.path)
+		goroutineOK := slices.Contains(a.cfg.GoroutineAllowed, p.path)
 		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {

@@ -26,10 +26,8 @@
 //   - seed hygiene: seedhygiene — RNG constructors must derive their seeds
 //     from a parameter, field, or trial index, never a literal or the wall
 //     clock.
-//   - lock safety: lockblock, lockorder, lockreturn — in the packages with
-//     real concurrency, no blocking operation may run while a mutex is held,
-//     any two mutexes must be acquired in one global order, and no path may
-//     return with a lock held unless a defer guards it (locksafety.go).
+//   - lock safety: lockblock — in the packages with real concurrency, no
+//     blocking operation may run while a mutex is held (locksafety.go).
 //   - message exhaustiveness: msgexhaustive — every protocol machine's
 //     dispatch must take an explicit position (handle or named ignore) on
 //     every msg.Kind constant, so adding a kind fails lint until every
@@ -51,11 +49,11 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -64,11 +62,11 @@ import (
 // module root, so output is byte-identical regardless of where the module is
 // checked out.
 type Finding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
+	File    string
+	Line    int
+	Col     int
+	Rule    string
+	Message string
 }
 
 // String renders the finding in the canonical "file:line: [rule] message"
@@ -98,8 +96,8 @@ type Config struct {
 	// HotFuncs lists additional hot-path roots as "importpath.Func" or
 	// "importpath.Type.Method" (receiver base type, pointer stripped).
 	HotFuncs []string
-	// LockPkgs lists import paths subject to the lock-safety rules
-	// (lockblock, lockorder, lockreturn): the packages with real mutexes.
+	// LockPkgs lists import paths subject to the lock-safety rule
+	// (lockblock): the packages with real mutexes.
 	LockPkgs []string
 	// BlockingFuncs lists functions treated as blocking operations by the
 	// lockblock rule, as "importpath.Func" or "importpath.Type.Method"
@@ -148,6 +146,20 @@ func ProjectConfig(dir string) Config {
 		// them.
 		mod + "/internal/proto",
 		mod + "/internal/coin",
+		// The remaining machines, adversaries and fault plans, the
+		// state-space explorer, and the helpers they all step through.
+		mod + "/internal/majority",
+		mod + "/internal/bivalence",
+		mod + "/internal/byzantine",
+		mod + "/internal/faults",
+		mod + "/internal/adversary",
+		mod + "/internal/explore",
+		mod + "/internal/dense",
+		mod + "/internal/dist",
+		mod + "/internal/markov",
+		mod + "/internal/quorum",
+		mod + "/internal/msg",
+		mod + "/internal/core",
 	}
 	return Config{
 		Dir:               dir,
@@ -243,7 +255,8 @@ func ProjectConfig(dir string) Config {
 // Run loads every package in the module at cfg.Dir and returns all findings,
 // sorted by (file, line, col, rule, message). A nil slice with a nil error
 // means the tree is clean. Run fails when the module does not load or when
-// an entry of cfg's function or interface lists names nothing in it.
+// an entry of cfg's function, interface or package lists names nothing in
+// it.
 func Run(cfg Config) ([]Finding, error) {
 	pkgs, fset, err := loadModule(cfg.Dir)
 	if err != nil {
@@ -288,10 +301,11 @@ func runLoaded(cfg Config, pkgs []*pkgInfo, fset *token.FileSet) ([]Finding, err
 	return a.findings, nil
 }
 
-// checkConfig returns an error listing every root, blocking function and
-// exemption in the config that names nothing in the module. Like a stale
-// //lint:allow, an entry left behind by a rename or a deletion would
-// otherwise guard nothing without anyone noticing.
+// checkConfig returns an error listing every root, blocking function,
+// exemption and package in the config that names nothing in the module. Like
+// a stale //lint:allow, an entry left behind by a rename or a deletion would
+// otherwise guard nothing without anyone noticing. It keeps the resolved
+// blocking functions and quorum exemptions for the rules to test by object.
 func (a *analysis) checkConfig() error {
 	var stale []string
 	check := func(field string, entries []string, resolves func(string) bool) {
@@ -302,14 +316,32 @@ func (a *analysis) checkConfig() error {
 		}
 	}
 	isFunc := func(e string) bool { return a.funcs[e] != nil }
+	funcSet := func(field string, entries []string) map[*types.Func]string {
+		set := make(map[*types.Func]string, len(entries))
+		check(field, entries, func(e string) bool {
+			fn := a.funcs[e]
+			if fn != nil {
+				set[fn] = e
+			}
+			return fn != nil
+		})
+		return set
+	}
 	check("HotFuncs", a.cfg.HotFuncs, isFunc)
 	check("DispatchFuncs", a.cfg.DispatchFuncs, isFunc)
-	check("BlockingFuncs", a.cfg.BlockingFuncs, isFunc)
-	check("QuorumAllowedFuncs", a.cfg.QuorumAllowedFuncs, isFunc)
+	a.blocking = funcSet("BlockingFuncs", a.cfg.BlockingFuncs)
+	a.quorumExempt = funcSet("QuorumAllowedFuncs", a.cfg.QuorumAllowedFuncs)
 	check("HotIfaces", a.cfg.HotIfaces, func(e string) bool { return a.lookupInterface(e) != nil })
 	check("DispatchIfaces", a.cfg.DispatchIfaces, func(e string) bool {
 		return isFunc(e) && a.lookupInterface(e[:strings.LastIndex(e, ".")]) != nil
 	})
+	isPkg := func(e string) bool {
+		return slices.ContainsFunc(a.pkgs, func(p *pkgInfo) bool { return p.path == e })
+	}
+	check("DeterministicPkgs", a.cfg.DeterministicPkgs, isPkg)
+	check("GoroutineAllowed", a.cfg.GoroutineAllowed, isPkg)
+	check("LockPkgs", a.cfg.LockPkgs, isPkg)
+	check("QuorumAllowedPkgs", a.cfg.QuorumAllowedPkgs, isPkg)
 	if len(stale) > 0 {
 		return fmt.Errorf("config names nothing in the module: %s", strings.Join(stale, "; "))
 	}
@@ -318,20 +350,7 @@ func (a *analysis) checkConfig() error {
 
 // ruleOn reports whether a rule family runs under cfg.Rules (empty = all).
 func (a *analysis) ruleOn(family string) bool {
-	return len(a.cfg.Rules) == 0 || containsString(a.cfg.Rules, family)
-}
-
-// WriteJSON renders findings as indented JSON ("[]" when empty) followed by
-// a newline; the encoding is byte-stable for identical findings.
-func WriteJSON(findings []Finding) ([]byte, error) {
-	if findings == nil {
-		findings = []Finding{}
-	}
-	data, err := json.MarshalIndent(findings, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return len(a.cfg.Rules) == 0 || slices.Contains(a.cfg.Rules, family)
 }
 
 // WriteGitHub renders findings as GitHub Actions workflow commands, one
@@ -376,13 +395,15 @@ func sortFindings(fs []Finding) {
 
 // analysis carries the loaded module and accumulates findings.
 type analysis struct {
-	cfg      Config
-	fset     *token.FileSet
-	pkgs     []*pkgInfo
-	decls    map[*types.Func]*declSite
-	funcs    map[string]*types.Func // by HotFuncs-form key; interface methods too
-	hot      map[*ast.FuncDecl]*pkgInfo
-	findings []Finding
+	cfg          Config
+	fset         *token.FileSet
+	pkgs         []*pkgInfo
+	decls        map[*types.Func]*declSite
+	funcs        map[string]*types.Func // by HotFuncs-form key; interface methods too
+	blocking     map[*types.Func]string // resolved BlockingFuncs, to their entries
+	quorumExempt map[*types.Func]string // resolved QuorumAllowedFuncs, to their entries
+	hot          map[*ast.FuncDecl]*pkgInfo
+	findings     []Finding
 }
 
 // declSite locates one module-level function declaration.
@@ -441,16 +462,7 @@ func (a *analysis) buildIndex() {
 // isDeterministic reports whether the package is subject to the determinism
 // rule family.
 func (a *analysis) isDeterministic(p *pkgInfo) bool {
-	return containsString(a.cfg.DeterministicPkgs, p.path)
-}
-
-func containsString(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(a.cfg.DeterministicPkgs, p.path)
 }
 
 // calleeFunc resolves the function object a call expression invokes, or nil

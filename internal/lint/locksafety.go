@@ -1,25 +1,16 @@
-// Lock-safety rules. PRs 5-8 made the live half of the repository genuinely
+// Lock-safety rule. PRs 5-8 made the live half of the repository genuinely
 // concurrent — per-peer write locks with coalescing writers in netxport,
 // wall-clock delivery timers in livenet, striped registries in metrics — and
-// the invariants that keep it deadlock- and wedge-free are conventions the
-// compiler cannot see: never block on I/O or a channel while a mutex is
-// held, acquire any two mutexes in one global order, and never leave a
-// function with a lock still held unless a defer guards it.
+// the invariant that keeps it wedge-free is a convention the compiler cannot
+// see: never block on I/O or a channel while a mutex is held.
 //
-// Three rules enforce those conventions over every package listed in
-// Config.LockPkgs:
-//
-//   - lockblock: a blocking operation (channel send/receive, select without
-//     default, time.Sleep, net dial/read/write, WaitGroup.Wait, io.ReadFull
-//     and friends, or a call that transitively reaches one) executes while a
-//     sync.Mutex/RWMutex is held. sync.Cond.Wait is exempt — it releases the
-//     mutex while waiting and is the blessed backpressure idiom.
-//   - lockorder: two lock classes are acquired in opposite orders somewhere
-//     in the package (the classic AB/BA deadlock shape), or a class is
-//     re-acquired while an instance of it is already held (sync mutexes are
-//     not reentrant).
-//   - lockreturn: a path returns with a lock still held and no defer
-//     guarding its release.
+// lockblock enforces it over every package listed in Config.LockPkgs: a
+// blocking operation (channel send/receive, select without default,
+// time.Sleep, net dial/read/write, WaitGroup.Wait, io.ReadFull and friends, a
+// configured blocking function, or a call that transitively reaches one)
+// must not execute while a sync.Mutex/RWMutex is held. sync.Cond.Wait is
+// exempt — it releases the mutex while waiting and is the blessed
+// backpressure idiom.
 //
 // The analysis is a per-function held-set walk over the typed AST: lock
 // classes are identified by (struct type, field name) for mutex fields and
@@ -29,18 +20,19 @@
 // produce findings. Function literals are walked as independent roots with
 // an empty held set — goroutine bodies and stored callbacks run on their own
 // stacks — and calls reached through `go` or `defer` statements do not
-// propagate blocking or acquisition facts. Blocking and lock-acquisition
-// summaries propagate transitively over the module's static call graph, so a
-// helper that hides a net.Dial three calls deep still triggers lockblock at
-// the outermost call made under a lock.
+// propagate blocking facts. Blocking summaries propagate transitively over
+// the module's static call graph, so a helper that hides a net.Dial three
+// calls deep still triggers lockblock at the outermost call made under a
+// lock.
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -70,75 +62,39 @@ const (
 	opUnlock
 )
 
-// heldLock is one mutex class currently held on the walked path.
-type heldLock struct {
-	class   string    // lock class key, e.g. "peerLink.mu"
-	pos     token.Pos // acquisition site
-	guarded bool      // a defer releases it
-}
+// heldSet is the ordered set of lock classes (e.g. "peerLink.mu") held on
+// the current path.
+type heldSet []string
 
-// heldSet is the ordered set of locks held on the current path.
-type heldSet []heldLock
-
-func (h heldSet) clone() heldSet { return append(heldSet(nil), h...) }
-
-func (h heldSet) index(class string) int {
-	for i := range h {
-		if h[i].class == class {
-			return i
-		}
-	}
-	return -1
-}
-
-// intersect keeps only the locks held in both sets (by class), preserving
-// h's order and merging the guarded flag conservatively (guarded only if
-// guarded on both arms).
+// intersect keeps only the locks held in both sets, preserving a's order.
 func intersect(a, b heldSet) heldSet {
 	var out heldSet
-	for _, l := range a {
-		if j := b.index(l.class); j >= 0 {
-			l.guarded = l.guarded && b[j].guarded
-			out = append(out, l)
+	for _, class := range a {
+		if slices.Contains(b, class) {
+			out = append(out, class)
 		}
 	}
 	return out
 }
 
-// funcFacts is the per-function summary used for transitive propagation.
-type funcFacts struct {
-	mayBlock bool
-	blockVia string          // human label for the ultimate blocking operation
-	acquires map[string]bool // lock classes the function may acquire
-}
-
-// lockEdge records the first site at which class `after` was acquired while
-// `before` was held.
-type lockEdge struct {
-	pos token.Pos
-	fn  string // enclosing function name, for the diagnostic
-}
-
 // lockAnalysis carries the package-local state of one locksafety pass.
 type lockAnalysis struct {
-	a     *analysis
-	p     *pkgInfo
-	facts map[*types.Func]*funcFacts
-	edges map[[2]string]lockEdge
+	a        *analysis
+	p        *pkgInfo
+	blockVia map[*types.Func]string // may-block facts from buildLockFacts
 }
 
-// checkLockSafety runs the three lock rules over every configured package.
+// checkLockSafety runs lockblock over every configured package.
 func (a *analysis) checkLockSafety() {
-	facts := a.buildLockFacts()
+	blockVia := a.buildLockFacts()
 	for _, p := range a.pkgs {
-		if !containsString(a.cfg.LockPkgs, p.path) {
+		if !slices.Contains(a.cfg.LockPkgs, p.path) {
 			continue
 		}
-		la := &lockAnalysis{a: a, p: p, facts: facts, edges: map[[2]string]lockEdge{}}
+		la := &lockAnalysis{a: a, p: p, blockVia: blockVia}
 		for _, root := range la.roots() {
-			la.walkRoot(root)
+			la.walkStmts(root.body.List, nil, root.name)
 		}
-		la.reportOrderConflicts()
 	}
 }
 
@@ -171,10 +127,6 @@ func (la *lockAnalysis) roots() []lockRoot {
 		}
 	}
 	return out
-}
-
-func (la *lockAnalysis) walkRoot(root lockRoot) {
-	la.walkStmts(root.body.List, nil, root.name)
 }
 
 // walkStmts walks a statement list with the given held set, returning the
@@ -231,16 +183,12 @@ func (la *lockAnalysis) walkStmt(s ast.Stmt, held heldSet, fn string) (heldSet, 
 		for _, r := range s.Results {
 			held = la.walkExpr(r, held, fn)
 		}
-		la.checkReturn(s.Return, held, fn)
 		return held, true
 	case *ast.BranchStmt:
 		// break/continue/goto leave the current straight-line path; treating
 		// them as terminators keeps the post-branch merge from intersecting
 		// with a path that jumped away.
 		return held, true
-	case *ast.DeferStmt:
-		la.applyDeferGuards(s.Call, held)
-		return held, false
 	case *ast.GoStmt:
 		// The spawned body runs on its own stack (walked as a separate root);
 		// evaluate only the call operands, which run on this path.
@@ -251,10 +199,10 @@ func (la *lockAnalysis) walkStmt(s ast.Stmt, held heldSet, fn string) (heldSet, 
 	case *ast.IfStmt:
 		held, _ = la.walkStmt(s.Init, held, fn)
 		held = la.walkExpr(s.Cond, held, fn)
-		thenHeld, thenTerm := la.walkStmts(s.Body.List, held.clone(), fn)
+		thenHeld, thenTerm := la.walkStmts(s.Body.List, slices.Clone(held), fn)
 		elseHeld, elseTerm := held, false
 		if s.Else != nil {
-			elseHeld, elseTerm = la.walkStmt(s.Else, held.clone(), fn)
+			elseHeld, elseTerm = la.walkStmt(s.Else, slices.Clone(held), fn)
 		}
 		switch {
 		case thenTerm && elseTerm:
@@ -275,9 +223,9 @@ func (la *lockAnalysis) walkStmt(s ast.Stmt, held heldSet, fn string) (heldSet, 
 		// inside a loop body are balanced per iteration in well-formed code,
 		// so the post-loop state is the pre-loop state (must-hold
 		// approximation).
-		la.walkStmts(s.Body.List, held.clone(), fn)
+		la.walkStmts(s.Body.List, slices.Clone(held), fn)
 		if s.Post != nil {
-			la.walkStmt(s.Post, held.clone(), fn)
+			la.walkStmt(s.Post, slices.Clone(held), fn)
 		}
 		return held, false
 	case *ast.RangeStmt:
@@ -287,7 +235,7 @@ func (la *lockAnalysis) walkStmt(s ast.Stmt, held heldSet, fn string) (heldSet, 
 				la.blockWhileHeld(s.Range, held, fn, "range over a channel")
 			}
 		}
-		la.walkStmts(s.Body.List, held.clone(), fn)
+		la.walkStmts(s.Body.List, slices.Clone(held), fn)
 		return held, false
 	case *ast.SwitchStmt:
 		held, _ = la.walkStmt(s.Init, held, fn)
@@ -305,6 +253,7 @@ func (la *lockAnalysis) walkStmt(s ast.Stmt, held heldSet, fn string) (heldSet, 
 		}
 		return la.walkCases(s.Body, held, fn, true)
 	default:
+		// Deferred calls run at return and are not walked here.
 		return held, false
 	}
 }
@@ -321,14 +270,14 @@ func (la *lockAnalysis) walkCases(body *ast.BlockStmt, held heldSet, fn string, 
 	for _, c := range body.List {
 		switch c := c.(type) {
 		case *ast.CaseClause:
-			h := held.clone()
+			h := slices.Clone(held)
 			for _, e := range c.List {
 				h = la.walkExpr(e, h, fn)
 			}
 			h, t := la.walkStmts(c.Body, h, fn)
 			arms = append(arms, arm{h, t})
 		case *ast.CommClause:
-			h := held.clone()
+			h := slices.Clone(held)
 			if c.Comm != nil {
 				// The comm op itself executes after selection; channel
 				// blocking is reported once at the select, not per arm.
@@ -428,58 +377,28 @@ func (la *lockAnalysis) walkExpr(e ast.Expr, held heldSet, fn string) heldSet {
 // updates the held set, a blocking operation reports lockblock, and a module
 // call applies its transitive summary.
 func (la *lockAnalysis) applyCall(call *ast.CallExpr, held heldSet, fn string) heldSet {
-	info := la.p.info
-
 	if op, class, ok := la.mutexOp(call); ok {
-		switch op {
-		case opLock:
-			la.recordAcquire(call.Pos(), class, held, fn)
-			if held.index(class) < 0 {
-				held = append(held.clone(), heldLock{class: class, pos: call.Pos()})
-			}
-		case opUnlock:
-			if i := held.index(class); i >= 0 {
-				held = append(held[:i:i], held[i+1:]...)
-			}
+		i := slices.Index(held, class)
+		switch {
+		case op == opLock && i < 0:
+			held = append(slices.Clone(held), class)
+		case op == opUnlock && i >= 0:
+			held = append(held[:i:i], held[i+1:]...)
 		}
 		return held
 	}
 
-	callee := calleeFunc(info, call)
+	callee := calleeFunc(la.p.info, call)
 	if callee == nil {
 		return held
 	}
-	if label, blocks := la.blockingCall(callee); blocks {
+	if label, blocks := la.a.blockingCall(callee); blocks {
 		la.blockWhileHeld(call.Pos(), held, fn, label)
-		return held
-	}
-	if facts, ok := la.facts[callee]; ok {
-		if facts.mayBlock {
-			la.blockWhileHeld(call.Pos(), held, fn,
-				fmt.Sprintf("call to %s (reaches %s)", callee.Name(), facts.blockVia))
-		}
-		for _, class := range sortedKeys(facts.acquires) {
-			la.recordAcquire(call.Pos(), class, held, fn)
-		}
+	} else if via := la.blockVia[callee]; via != "" {
+		la.blockWhileHeld(call.Pos(), held, fn,
+			fmt.Sprintf("call to %s (reaches %s)", callee.Name(), via))
 	}
 	return held
-}
-
-// recordAcquire adds ordering edges held -> class and flags re-acquisition
-// of an already-held class.
-func (la *lockAnalysis) recordAcquire(pos token.Pos, class string, held heldSet, fn string) {
-	for _, h := range held {
-		if h.class == class {
-			la.a.report(pos, "lockorder",
-				"%s acquired in %s while an instance of %s is already held (line %d); sync mutexes are not reentrant",
-				class, fn, class, la.a.fset.Position(h.pos).Line)
-			continue
-		}
-		key := [2]string{h.class, class}
-		if _, seen := la.edges[key]; !seen {
-			la.edges[key] = lockEdge{pos: pos, fn: fn}
-		}
-	}
 }
 
 // blockWhileHeld reports lockblock when the held set is non-empty.
@@ -487,77 +406,11 @@ func (la *lockAnalysis) blockWhileHeld(pos token.Pos, held heldSet, fn, what str
 	if len(held) == 0 {
 		return
 	}
-	names := make([]string, len(held))
-	for i, h := range held {
-		names[i] = h.class
-	}
-	sort.Strings(names)
+	names := slices.Clone(held)
+	slices.Sort(names)
 	la.a.report(pos, "lockblock",
 		"%s in %s while %s is held; release the lock before blocking or move the operation out of the critical section",
 		what, fn, strings.Join(names, " and "))
-}
-
-// checkReturn reports lockreturn for held, non-defer-guarded locks.
-func (la *lockAnalysis) checkReturn(pos token.Pos, held heldSet, fn string) {
-	for _, h := range held {
-		if h.guarded {
-			continue
-		}
-		la.a.report(pos, "lockreturn",
-			"return from %s with %s still held (locked at line %d and no defer releases it); unlock on every path or defer the unlock",
-			fn, h.class, la.a.fset.Position(h.pos).Line)
-	}
-}
-
-// applyDeferGuards marks locks released by a defer: either a direct
-// `defer x.mu.Unlock()` or a deferred closure containing unlock calls.
-func (la *lockAnalysis) applyDeferGuards(call *ast.CallExpr, held heldSet) {
-	guard := func(c *ast.CallExpr) {
-		if op, class, ok := la.mutexOp(c); ok && op == opUnlock {
-			if i := held.index(class); i >= 0 {
-				held[i].guarded = true
-			}
-		}
-	}
-	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if c, ok := n.(*ast.CallExpr); ok {
-				guard(c)
-			}
-			return true
-		})
-		return
-	}
-	guard(call)
-}
-
-// reportOrderConflicts emits lockorder findings for every class pair acquired
-// in both orders within the package.
-func (la *lockAnalysis) reportOrderConflicts() {
-	var keys [][2]string
-	for k := range la.edges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		rev := [2]string{k[1], k[0]}
-		other, conflict := la.edges[rev]
-		if !conflict || k[0] > k[1] {
-			continue // report each conflicting pair once, from its lexically first direction
-		}
-		e := la.edges[k]
-		la.a.report(e.pos, "lockorder",
-			"%s acquired while %s is held in %s, but %s acquires them in the opposite order (line %d); pick one global order",
-			k[1], k[0], e.fn, other.fn, la.a.fset.Position(other.pos).Line)
-		la.a.report(other.pos, "lockorder",
-			"%s acquired while %s is held in %s, but %s acquires them in the opposite order (line %d); pick one global order",
-			k[0], k[1], other.fn, e.fn, la.a.fset.Position(e.pos).Line)
-	}
 }
 
 // mutexOp classifies a call as a sync.Mutex/RWMutex lock or unlock and
@@ -592,10 +445,8 @@ func (la *lockAnalysis) mutexOp(call *ast.CallExpr) (lockOp, string, bool) {
 }
 
 // lockClass names the mutex an expression denotes: "OwnerType.field" for a
-// struct field, "pkgvar <name>" for a package-level variable, "<name>" for a
-// local. Field classes are shared across instances of the owning type —
-// coarse, but exactly the granularity a lock-ordering convention is written
-// at.
+// struct field, "<name>" for a package-level variable or a local. Field
+// classes are shared across instances of the owning type.
 func (la *lockAnalysis) lockClass(e ast.Expr) (string, bool) {
 	info := la.p.info
 	switch e := ast.Unparen(e).(type) {
@@ -628,7 +479,7 @@ func (la *lockAnalysis) lockClass(e ast.Expr) (string, bool) {
 // blockingCall reports whether a resolved callee is an inherently blocking
 // standard-library operation or a configured blocking function, with a label
 // for the diagnostic.
-func (la *lockAnalysis) blockingCall(fn *types.Func) (string, bool) {
+func (a *analysis) blockingCall(fn *types.Func) (string, bool) {
 	pkg := fn.Pkg()
 	if pkg == nil {
 		return "", false
@@ -659,29 +510,33 @@ func (la *lockAnalysis) blockingCall(fn *types.Func) (string, bool) {
 			return "sync.WaitGroup.Wait", true
 		}
 	}
-	if containsString(la.a.cfg.BlockingFuncs, funcKey(fn)) {
-		return funcKey(fn), true
-	}
-	return "", false
+	name, ok := a.blocking[fn.Origin()]
+	return name, ok
 }
 
-// buildLockFacts computes, for every module function, whether it may block
-// and which lock classes it may acquire, propagated over static calls
-// (excluding go and defer statements) to a fixed point.
-func (a *analysis) buildLockFacts() map[*types.Func]*funcFacts {
-	facts := make(map[*types.Func]*funcFacts, len(a.decls))
+// buildLockFacts returns, for every module function that may block, a label
+// naming the blocking operation it reaches, propagated over static calls
+// (excluding go and defer statements) to a fixed point. Propagation runs
+// breadth-first from the declarations in source order, so a label names a
+// shortest chain to a blocking operation, with ties broken the same way on
+// every run.
+func (a *analysis) buildLockFacts() map[*types.Func]string {
+	blockVia := make(map[*types.Func]string)
 	callers := make(map[*types.Func][]*types.Func) // callee -> callers
+	work := make([]*types.Func, 0, len(a.decls))
 	for fn := range a.decls {
-		facts[fn] = &funcFacts{acquires: map[string]bool{}}
+		work = append(work, fn)
 	}
+	slices.SortFunc(work, func(x, y *types.Func) int { return cmp.Compare(x.Pos(), y.Pos()) })
 
-	var work []*types.Func
-	enqueue := func(fn *types.Func) { work = append(work, fn) }
-
-	for fn, site := range a.decls {
+	for _, fn := range work {
+		site := a.decls[fn]
 		p := site.pkg
-		la := &lockAnalysis{a: a, p: p} // for mutexOp/blockingCall/lockClass only
-		f := facts[fn]
+		setBlock := func(label string) {
+			if blockVia[fn] == "" {
+				blockVia[fn] = label
+			}
+		}
 		skip := map[ast.Node]bool{}
 		ast.Inspect(site.decl, func(n ast.Node) bool {
 			if skip[n] {
@@ -690,85 +545,57 @@ func (a *analysis) buildLockFacts() map[*types.Func]*funcFacts {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				skip[n.Call] = true // spawned work does not block the caller
-				return true
 			case *ast.DeferStmt:
 				skip[n.Call] = true // deferred work runs at return
-				return true
 			case *ast.FuncLit:
 				return false // separate execution context
 			case *ast.SendStmt:
-				f.setBlock("channel send")
+				setBlock("channel send")
 			case *ast.UnaryExpr:
 				if n.Op == token.ARROW {
-					f.setBlock("channel receive")
+					setBlock("channel receive")
 				}
 			case *ast.RangeStmt:
 				if t := p.info.TypeOf(n.X); t != nil {
 					if _, isChan := t.Underlying().(*types.Chan); isChan {
-						f.setBlock("range over a channel")
+						setBlock("range over a channel")
 					}
 				}
 			case *ast.SelectStmt:
 				if !hasDefaultComm(n.Body) {
-					f.setBlock("select without default")
+					setBlock("select without default")
 				}
 			case *ast.CallExpr:
-				if op, class, ok := la.mutexOp(n); ok {
-					if op == opLock {
-						f.acquires[class] = true
-					}
-					return true
-				}
 				callee := calleeFunc(p.info, n)
 				if callee == nil {
 					return true
 				}
-				if label, blocks := la.blockingCall(callee); blocks {
-					f.setBlock(label)
-					return true
-				}
-				if _, inModule := a.decls[callee]; inModule {
+				if label, blocks := a.blockingCall(callee); blocks {
+					setBlock(label)
+				} else if _, inModule := a.decls[callee]; inModule {
 					callers[callee] = append(callers[callee], fn)
 				}
 			}
 			return true
 		})
-		enqueue(fn)
 	}
 
-	// Propagate to a fixed point: a caller blocks if any callee blocks, and
-	// acquires everything its callees acquire.
+	// Propagate to a fixed point: a caller blocks if any callee blocks.
 	for len(work) > 0 {
-		fn := work[len(work)-1]
-		work = work[:len(work)-1]
-		f := facts[fn]
+		fn := work[0]
+		work = work[1:]
+		via := blockVia[fn]
+		if via == "" {
+			continue
+		}
 		for _, caller := range callers[fn] {
-			cf := facts[caller]
-			changed := false
-			if f.mayBlock && !cf.mayBlock {
-				cf.mayBlock = true
-				cf.blockVia = fn.Name() + " -> " + f.blockVia
-				changed = true
-			}
-			for class := range f.acquires {
-				if !cf.acquires[class] {
-					cf.acquires[class] = true
-					changed = true
-				}
-			}
-			if changed {
-				enqueue(caller)
+			if blockVia[caller] == "" {
+				blockVia[caller] = fn.Name() + " -> " + via
+				work = append(work, caller)
 			}
 		}
 	}
-	return facts
-}
-
-func (f *funcFacts) setBlock(label string) {
-	if !f.mayBlock {
-		f.mayBlock = true
-		f.blockVia = label
-	}
+	return blockVia
 }
 
 // hasDefaultCase reports whether a switch body has a default clause.
@@ -816,25 +643,4 @@ func namedTypeName(t types.Type) string {
 			return ""
 		}
 	}
-}
-
-// funcKey renders a function as "pkgpath.Name" or "pkgpath.Recv.Name", the
-// Config.BlockingFuncs form.
-func funcKey(fn *types.Func) string {
-	if fn.Pkg() == nil {
-		return fn.Name()
-	}
-	if recv := recvTypeName(fn); recv != "" {
-		return fn.Pkg().Path() + "." + recv + "." + fn.Name()
-	}
-	return fn.Pkg().Path() + "." + fn.Name()
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -150,13 +150,13 @@ func (a *analysis) checkDispatchRoot(root *declSite, kindType types.Type, kindCo
 	if len(missing) == 0 {
 		return
 	}
-	recv := ""
-	if fd := root.decl; fd.Recv != nil && len(fd.Recv.List) > 0 {
-		recv = receiverLabel(fd) + "."
+	name := root.decl.Name.Name
+	if recv := recvTypeName(root.pkg.info.Defs[root.decl.Name].(*types.Func)); recv != "" {
+		name = recv + "." + name
 	}
 	a.report(root.decl.Pos(), "msgexhaustive",
-		"%s%s dispatches on %s but takes no position on %s; handle each kind or name it on an explicit ignore path",
-		recv, root.decl.Name.Name, a.cfg.MsgKindType, strings.Join(missing, ", "))
+		"%s dispatches on %s but takes no position on %s; handle each kind or name it on an explicit ignore path",
+		name, a.cfg.MsgKindType, strings.Join(missing, ", "))
 }
 
 // samePackageClosure returns the root plus every function in the root's
@@ -195,23 +195,4 @@ func (a *analysis) samePackageClosure(root *declSite) []*declSite {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].decl.Pos() < out[j].decl.Pos() })
 	return out
-}
-
-// receiverLabel renders a method's receiver type name, pointers stripped.
-func receiverLabel(fd *ast.FuncDecl) string {
-	t := fd.Recv.List[0].Type
-	for {
-		switch tt := t.(type) {
-		case *ast.StarExpr:
-			t = tt.X
-		case *ast.IndexExpr:
-			t = tt.X
-		case *ast.IndexListExpr:
-			t = tt.X
-		case *ast.Ident:
-			return tt.Name
-		default:
-			return ""
-		}
-	}
 }

@@ -28,13 +28,15 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
+	"slices"
 	"strings"
 )
 
 // checkQuorumArith flags threshold arithmetic outside the audited packages.
 func (a *analysis) checkQuorumArith() {
 	for _, p := range a.pkgs {
-		if containsString(a.cfg.QuorumAllowedPkgs, p.path) {
+		if slices.Contains(a.cfg.QuorumAllowedPkgs, p.path) {
 			continue
 		}
 		for _, f := range p.files {
@@ -43,7 +45,8 @@ func (a *analysis) checkQuorumArith() {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				if containsString(a.cfg.QuorumAllowedFuncs, declKey(p, fd)) {
+				fn, _ := p.info.Defs[fd.Name].(*types.Func)
+				if _, exempt := a.quorumExempt[fn]; exempt {
 					continue
 				}
 				a.checkQuorumIn(fd.Body)

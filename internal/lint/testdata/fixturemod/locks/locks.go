@@ -1,20 +1,20 @@
-// Package locks exercises the lock-safety rules: each lockblock, lockorder,
-// and lockreturn shape appears once, alongside the blessed idioms —
-// sync.Cond.Wait backpressure, defer-guarded and early-return unlocks,
-// goroutine handoff (including a method value as the entry point), and an
-// annotated deliberate flush-under-lock — that must stay legal.
+// Package locks exercises the lockblock rule: each blocking shape appears
+// once — a channel send, time.Sleep, a configured blocking function, and
+// calls that reach a blocking operation through helpers (one helper with two
+// blocking callees, whose finding must name the same callee on every run) —
+// alongside the blessed idioms: sync.Cond.Wait backpressure, defer-guarded
+// and early-return unlocks, goroutine handoff (including a method value as
+// the entry point), and an annotated deliberate flush-under-lock, all of
+// which must stay legal.
 package locks
 
 import (
-	"errors"
 	"net"
 	"sync"
 	"time"
 
 	"fixture/core"
 )
-
-var errShut = errors.New("queue shut")
 
 // Queue is a fixture send queue; Queue.mu is one lock class shared by every
 // instance.
@@ -26,7 +26,7 @@ type Queue struct {
 	n    int
 }
 
-// Table is a second lock class for the ordering fixtures.
+// Table is a second lock class, taken as a read lock.
 type Table struct {
 	mu sync.RWMutex
 	m  map[int]int
@@ -66,43 +66,23 @@ func (q *Queue) redial() { _, _ = dial() }
 
 func dial() (net.Conn, error) { return net.Dial("tcp", "localhost:0") }
 
-// LockAB acquires Queue.mu then Table.mu; LockBA the reverse. The AB/BA
-// conflict is a lockorder finding at both acquisition sites.
-func LockAB(q *Queue, t *Table) {
+// TwoWaysUnderLock calls, under the lock, a helper that reaches two
+// blocking callees: one lockblock finding, whose message names the same
+// callee on every run.
+func (q *Queue) TwoWaysUnderLock() {
 	q.mu.Lock()
-	t.mu.Lock()
-	t.mu.Unlock()
-	q.mu.Unlock()
+	defer q.mu.Unlock()
+	q.twoWays()
 }
 
-// LockBA is the other half of the ordering conflict.
-func LockBA(q *Queue, t *Table) {
-	t.mu.Lock()
-	q.mu.Lock()
-	q.mu.Unlock()
-	t.mu.Unlock()
+func (q *Queue) twoWays() {
+	sleepy()
+	q.chatty()
 }
 
-// Reenter acquires the Queue.mu class while an instance of it is already
-// held: lockorder finding (sync mutexes are not reentrant).
-func Reenter(a, b *Queue) {
-	a.mu.Lock()
-	b.mu.Lock()
-	b.mu.Unlock()
-	a.mu.Unlock()
-}
+func sleepy() { time.Sleep(time.Millisecond) }
 
-// LeakOnError returns from the error path with the lock still held and no
-// defer guarding it: lockreturn finding.
-func (q *Queue) LeakOnError() error {
-	q.mu.Lock()
-	if q.n == 0 {
-		return errShut
-	}
-	q.n--
-	q.mu.Unlock()
-	return nil
-}
+func (q *Queue) chatty() { q.ch <- core.Msg{} }
 
 // Wait blocks on the condition variable with the lock held: sync.Cond.Wait
 // releases the mutex while waiting (the blessed backpressure idiom), so no

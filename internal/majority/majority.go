@@ -16,6 +16,7 @@ package majority
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"resilient/internal/core"
@@ -186,7 +187,7 @@ func (m *Machine) Clone() *Machine {
 	}
 	c.pending = make(map[msg.Phase][]msg.Message, len(m.pending))
 	for p, msgs := range m.pending {
-		c.pending[p] = append([]msg.Message(nil), msgs...)
+		c.pending[p] = slices.Clone(msgs)
 	}
 	return &c
 }
@@ -206,24 +207,24 @@ func (m *Machine) Snapshot() []byte {
 		flags |= 2
 	}
 	b = append(b, flags, byte(m.decision))
-	ids := make([]int, 0, len(m.counted))
+	ids := make([]msg.ID, 0, len(m.counted))
 	for id, v := range m.counted {
 		if v {
-			ids = append(ids, int(id))
+			ids = append(ids, id)
 		}
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		b = append(b, byte(id))
 	}
 	b = append(b, 0xFF)
-	phases := make([]int, 0, len(m.pending))
+	phases := make([]msg.Phase, 0, len(m.pending))
 	for p := range m.pending {
-		phases = append(phases, int(p))
+		phases = append(phases, p)
 	}
-	sort.Ints(phases)
+	slices.Sort(phases)
 	for _, p := range phases {
-		msgs := m.pending[msg.Phase(p)]
+		msgs := m.pending[p]
 		encs := make([]string, len(msgs))
 		var scratch []byte
 		for i, mm := range msgs {
