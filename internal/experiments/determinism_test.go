@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -41,5 +43,29 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 		if got := renderAll(t, pw); got != base {
 			t.Errorf("workers=%d changed experiment output:\n%s\n-- want --\n%s", w, got, base)
 		}
+	}
+}
+
+// TestQuickCampaignGolden pins the contents of every table, not just their
+// shape: the whole quick campaign (every All() table under QuickParams,
+// rendered with Format) must match testdata/quick.golden byte for byte. A
+// change that moves a number on purpose recaptures the file with
+// RESILIENT_GOLDEN_GEN=1 go test -run TestQuickCampaignGolden
+// ./internal/experiments and says why.
+func TestQuickCampaignGolden(t *testing.T) {
+	got := renderAll(t, QuickParams())
+	path := filepath.Join("testdata", "quick.golden")
+	if os.Getenv("RESILIENT_GOLDEN_GEN") != "" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Skip("golden generation mode: quick.golden rewritten, nothing asserted")
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("quick campaign differs from %s:\n%s\n-- want --\n%s", path, got, want)
 	}
 }
