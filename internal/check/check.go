@@ -23,6 +23,8 @@ package check
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"resilient/internal/msg"
 	"resilient/internal/quorum"
@@ -175,22 +177,19 @@ func (c *checker) checkSupport(e trace.Event) {
 
 // global applies the end-state invariants.
 func (c *checker) global(res *runtime.Result) {
-	// Agreement across the trace's decide events.
-	var firstVal msg.Value
-	var firstSet bool
-	for p, v := range c.decided {
-		if !firstSet {
-			firstVal, firstSet = v, true
-			continue
-		}
-		if v != firstVal {
-			c.fail("agreement", p, "decided %d while another process decided %d", v, firstVal)
+	// Agreement across the trace's decide events. Deciders are walked in id
+	// order, so a violation names the same processes on every run.
+	deciders := slices.Sorted(maps.Keys(c.decided))
+	for _, p := range deciders {
+		if v, first := c.decided[p], c.decided[deciders[0]]; v != first {
+			c.fail("agreement", p, "decided %d while another process decided %d", v, first)
 			break
 		}
 	}
 	// Trace decisions and result decisions must coincide.
 	if res != nil {
-		for p, v := range res.Decisions {
+		for _, p := range slices.Sorted(maps.Keys(res.Decisions)) {
+			v := res.Decisions[p]
 			if tv, ok := c.decided[p]; !ok {
 				c.fail("trace-consistency", p, "result records decision %d missing from trace", v)
 			} else if tv != v {
@@ -217,8 +216,8 @@ func (c *checker) global(res *runtime.Result) {
 			}
 		}
 		if unanimous && !first {
-			for p, v := range c.decided {
-				if v != val {
+			for _, p := range deciders {
+				if v := c.decided[p]; v != val {
 					c.fail("validity", p, "unanimous input %d but decided %d", val, v)
 				}
 			}

@@ -77,6 +77,23 @@ func TestDetectsDisagreement(t *testing.T) {
 	}
 }
 
+// TestDisagreementViolationDeterministic pins the agreement violation's
+// wording: the deciders are walked in id order, so repeated checks of one
+// disagreeing trace name the same process and the same two values.
+func TestDisagreementViolationDeterministic(t *testing.T) {
+	var events []trace.Event
+	for p := msg.ID(0); p < 8; p++ {
+		events = append(events, trace.Event{Kind: trace.EventDecide, Process: p, Phase: 2, Value: msg.Value(p / 5)})
+	}
+	const want = "agreement (p5): decided 1 while another process decided 0"
+	for i := 0; i < 20; i++ {
+		vs := Run(Config{N: 8, K: 0}, events, nil)
+		if len(vs) != 1 || vs[0].String() != want {
+			t.Fatalf("check %d: violations %v, want exactly %q", i, vs, want)
+		}
+	}
+}
+
 func TestDetectsDoubleDecision(t *testing.T) {
 	events := []trace.Event{
 		{Kind: trace.EventDecide, Process: 0, Phase: 2, Value: msg.V0},

@@ -160,6 +160,9 @@ func ProjectConfig(dir string) Config {
 		mod + "/internal/quorum",
 		mod + "/internal/msg",
 		mod + "/internal/core",
+		// The invariant checker judges replayed runs: its verdicts must be
+		// as reproducible as the runs themselves.
+		mod + "/internal/check",
 	}
 	return Config{
 		Dir:               dir,
@@ -302,7 +305,8 @@ func runLoaded(cfg Config, pkgs []*pkgInfo, fset *token.FileSet) ([]Finding, err
 }
 
 // checkConfig returns an error listing every root, blocking function,
-// exemption and package in the config that names nothing in the module. Like
+// exemption, package and single-name setting (MetricsPkg, MsgKindType) in
+// the config that names nothing in the module. Like
 // a stale //lint:allow, an entry left behind by a rename or a deletion would
 // otherwise guard nothing without anyone noticing. It keeps the resolved
 // blocking functions and quorum exemptions for the rules to test by object.
@@ -338,6 +342,19 @@ func (a *analysis) checkConfig() error {
 	isPkg := func(e string) bool {
 		return slices.ContainsFunc(a.pkgs, func(p *pkgInfo) bool { return p.path == e })
 	}
+	// The single-name settings gate whole rules: a stale one would silently
+	// drop every metricshandle or msgexhaustive finding.
+	one := func(e string) []string {
+		if e == "" {
+			return nil
+		}
+		return []string{e}
+	}
+	check("MetricsPkg", one(a.cfg.MetricsPkg), isPkg)
+	check("MsgKindType", one(a.cfg.MsgKindType), func(string) bool {
+		kind, _ := a.lookupKindEnum()
+		return kind != nil
+	})
 	check("DeterministicPkgs", a.cfg.DeterministicPkgs, isPkg)
 	check("GoroutineAllowed", a.cfg.GoroutineAllowed, isPkg)
 	check("LockPkgs", a.cfg.LockPkgs, isPkg)

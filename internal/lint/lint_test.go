@@ -180,6 +180,9 @@ func TestConfigNamesNothing(t *testing.T) {
 		{"GoroutineAllowed", func(c *Config, e string) { c.GoroutineAllowed = append(c.GoroutineAllowed, e) }, "fixture/gone"},
 		{"LockPkgs", func(c *Config, e string) { c.LockPkgs = append(c.LockPkgs, e) }, "fixture/gone"},
 		{"QuorumAllowedPkgs", func(c *Config, e string) { c.QuorumAllowedPkgs = append(c.QuorumAllowedPkgs, e) }, "fixture/gone"},
+		{"MetricsPkg", func(c *Config, e string) { c.MetricsPkg = e }, "fixture/gone"},
+		{"MsgKindType", func(c *Config, e string) { c.MsgKindType = e }, "fixture/core.Gone"},
+		{"MsgKindType", func(c *Config, e string) { c.MsgKindType = e }, "fixture/gone.Kind"},
 	} {
 		cfg := fixtureConfig()
 		tc.set(&cfg, tc.entry)
