@@ -11,6 +11,7 @@ import (
 	"resilient/internal/netxport"
 	"resilient/internal/policy"
 	"resilient/internal/runtime"
+	"resilient/internal/spawn"
 	"resilient/internal/transport"
 )
 
@@ -220,23 +221,13 @@ func RunScenario(ctx context.Context, engine Engine, sc Scenario) (*Outcome, err
 	return out, runErr
 }
 
-// byzantine returns the scenario's adversaries as the engines' membership
-// set.
-func (sc *Scenario) byzantine() map[ID]bool {
-	byz := make(map[ID]bool, len(sc.Adversaries))
-	for id := range sc.Adversaries {
-		byz[id] = true
-	}
-	return byz
-}
-
 // simConfig is the validated scenario as a simulator configuration.
-func (sc *Scenario) simConfig(sp *spawner) runtime.Config {
+func (sc *Scenario) simConfig(sp *spawn.Spawner) runtime.Config {
 	return runtime.Config{
 		N: sc.N, K: sc.K,
 		Inputs:    sc.Inputs,
-		Spawn:     sp.spawn,
-		Byzantine: sc.byzantine(),
+		Spawn:     sp.Spawn,
+		Byzantine: spawn.Members(sc.Adversaries),
 		Crashes:   faults.Plan(sc.Crashes),
 		Policy:    sc.Policy,
 		Seed:      sc.Seed,
@@ -246,10 +237,10 @@ func (sc *Scenario) simConfig(sp *spawner) runtime.Config {
 
 // cluster assembles the validated scenario's live cluster: machines first,
 // then the engine's transport, fault plan, and link policy.
-func (sc *Scenario) cluster(engine Engine, sp *spawner) (*livenet.Cluster, error) {
-	machines, err := sp.machines(sc.N, sc.K, sc.Inputs)
+func (sc *Scenario) cluster(engine Engine, sp *spawn.Spawner) (*livenet.Cluster, error) {
+	machines, err := sp.Machines(sc.N, sc.K, sc.Inputs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("resilient: %w", err)
 	}
 	var endpoints []*netxport.Endpoint
 	if engine == EngineTCP {
@@ -273,7 +264,7 @@ func (sc *Scenario) cluster(engine Engine, sp *spawner) (*livenet.Cluster, error
 	cluster.Policy = sc.Policy
 	cluster.Unit = sc.Unit
 	cluster.Seed = sc.Seed
-	cluster.Byzantine = sc.byzantine()
+	cluster.Byzantine = spawn.Members(sc.Adversaries)
 	return cluster, nil
 }
 

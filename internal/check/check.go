@@ -23,7 +23,6 @@ package check
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"resilient/internal/msg"
@@ -175,11 +174,21 @@ func (c *checker) checkSupport(e trace.Event) {
 	}
 }
 
+// sortedIDs returns the processes decisions records, in id order.
+func sortedIDs(decisions map[msg.ID]msg.Value) []msg.ID {
+	ids := make([]msg.ID, 0, len(decisions))
+	for p := range decisions {
+		ids = append(ids, p)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 // global applies the end-state invariants.
 func (c *checker) global(res *runtime.Result) {
 	// Agreement across the trace's decide events. Deciders are walked in id
 	// order, so a violation names the same processes on every run.
-	deciders := slices.Sorted(maps.Keys(c.decided))
+	deciders := sortedIDs(c.decided)
 	for _, p := range deciders {
 		if v, first := c.decided[p], c.decided[deciders[0]]; v != first {
 			c.fail("agreement", p, "decided %d while another process decided %d", v, first)
@@ -188,7 +197,7 @@ func (c *checker) global(res *runtime.Result) {
 	}
 	// Trace decisions and result decisions must coincide.
 	if res != nil {
-		for _, p := range slices.Sorted(maps.Keys(res.Decisions)) {
+		for _, p := range sortedIDs(res.Decisions) {
 			v := res.Decisions[p]
 			if tv, ok := c.decided[p]; !ok {
 				c.fail("trace-consistency", p, "result records decision %d missing from trace", v)

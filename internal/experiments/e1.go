@@ -4,14 +4,11 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"resilient/internal/core"
-	"resilient/internal/majority"
 	"resilient/internal/markov"
 	"resilient/internal/mc"
-	"resilient/internal/metrics"
 	"resilient/internal/msg"
+	"resilient/internal/proto"
 	"resilient/internal/quorum"
-	"resilient/internal/runtime"
 	"resilient/internal/stats"
 	"resilient/internal/sweep"
 )
@@ -66,7 +63,7 @@ func E1(p Params) ([]*Table, error) {
 		ta.AddRow(
 			fmt.Sprintf("%d", n), fmt.Sprintf("%d", k),
 			f3(exact),
-			fmt.Sprintf("%s ± %s", f3(acc.Mean()), f3(acc.CI95())),
+			ci3(acc),
 			fmt.Sprintf("%.2e", tail[7]),
 			f3(bound),
 			fmt.Sprintf("%v", bound < 7),
@@ -82,10 +79,8 @@ func E1(p Params) ([]*Table, error) {
 		Source: "Section 4.1 protocol, decision threshold > (n+k)/2",
 		Header: []string{"n", "k", "MC phases ±95%", "engine phases ±95%", "engine agreement"},
 	}
-	engineSizes := map[int]bool{30: true}
-	if p.Quick {
-		engineSizes = map[int]bool{30: true}
-	}
+	const engineN = 30 // the message-level engine runs this size only
+	scoped := p.Metrics.Scoped("majority.")
 	for row, n := range sizes {
 		k := quorum.MaxFaults(n, quorum.Malicious) // 3k < n for reachability
 		mcChain := mc.FailStop{N: n, K: k, Metrics: p.Metrics}
@@ -102,66 +97,22 @@ func E1(p Params) ([]*Table, error) {
 			mcAcc.Add(float64(ph))
 		}
 		engCell, agreeCell := "-", "-"
-		if engineSizes[n] {
-			engTrials := p.trials() / 5
-			if engTrials < 5 {
-				engTrials = 5
+		if n == engineN {
+			inputs := make([]msg.Value, n)
+			for i := range inputs {
+				inputs[i] = msg.Value(i % 2)
 			}
-			type engTrial struct {
-				agree  bool
-				phases float64
-			}
-			engResults, err := sweep.Run(engTrials, p.workers(), func(tr int) (engTrial, error) {
-				res, err := runEngineMajority(n, k, p.seedFor(200+row, tr), p.Metrics)
-				if err != nil {
-					return engTrial{}, fmt.Errorf("E1b engine n=%d trial %d: %w", n, tr, err)
-				}
-				return engTrial{agree: res.Agreement, phases: float64(maxDecisionPhase(res))}, nil
+			outs, err := runTrials(p, max(p.trials()/5, 5), func(tr int) mc.Trial {
+				return mc.Trial{Protocol: proto.Majority, N: n, K: k, Inputs: inputs, Seed: p.seedFor(200+row, tr), Metrics: scoped}
 			})
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("E1b engine n=%d: %w", n, err)
 			}
-			var engAcc stats.Accumulator
-			agree := 0
-			for _, r := range engResults {
-				if r.agree {
-					agree++
-				}
-				engAcc.Add(r.phases)
-			}
-			engCell = fmt.Sprintf("%s ± %s", f3(engAcc.Mean()), f3(engAcc.CI95()))
-			agreeCell = pct(float64(agree) / float64(engTrials))
+			tl := mc.TallyOf(outs)
+			engCell, agreeCell = ci3(tl.Phases), pct(tl.Share(tl.Agreed))
 		}
-		tb.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", k),
-			fmt.Sprintf("%s ± %s", f3(mcAcc.Mean()), f3(mcAcc.CI95())),
-			engCell, agreeCell)
+		tb.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", k), ci3(mcAcc), engCell, agreeCell)
 	}
 	tb.AddNote("MC uses the Section 4 uniform-view model; the engine measures the full message-level protocol")
 	return []*Table{ta, tb}, nil
-}
-
-func runEngineMajority(n, k int, seed uint64, reg *metrics.Registry) (*runtime.Result, error) {
-	inputs := make([]msg.Value, n)
-	for i := range inputs {
-		inputs[i] = msg.Value(i % 2)
-	}
-	return runtime.Run(runtime.Config{
-		N: n, K: k, Inputs: inputs,
-		Spawn: func(ctx runtime.SpawnContext) (core.Machine, error) {
-			return majority.New(ctx.Config, ctx.Sink)
-		},
-		Seed:    seed,
-		Metrics: reg.Scoped("majority."),
-	})
-}
-
-func maxDecisionPhase(res *runtime.Result) int {
-	max := 0
-	for _, ph := range res.DecisionPhase {
-		if int(ph) > max {
-			//lint:allow maprange max fold is order-insensitive
-			max = int(ph)
-		}
-	}
-	return max
 }

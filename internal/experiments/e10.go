@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"resilient/internal/bivalence"
-	"resilient/internal/core"
 	"resilient/internal/faults"
+	"resilient/internal/mc"
 	"resilient/internal/msg"
-	"resilient/internal/runtime"
-	"resilient/internal/sweep"
+	"resilient/internal/proto"
 )
 
 // E10 exercises the Section 5 discussion of bivalence interpretations: the
@@ -24,9 +22,6 @@ func E10(p Params) ([]*Table, error) {
 		Title:  "Section 5 weak-bivalence protocol under initially-dead faults",
 		Source: "Section 5 and its footnote (the G+ construction)",
 		Header: []string{"n", "dead", "inputs", "terminated", "agreement", "decision"},
-	}
-	spawn := func(ctx runtime.SpawnContext) (core.Machine, error) {
-		return bivalence.New(ctx.Config, ctx.Sink)
 	}
 	type scenario struct {
 		n      int
@@ -47,60 +42,33 @@ func E10(p Params) ([]*Table, error) {
 		scenarios = scenarios[:4]
 	}
 	for row, sc := range scenarios {
-		trials := max(p.trials()/10, 5)
-		k := len(sc.dead)
-		if k == 0 {
-			// K = 0: wait for everyone; the graph is complete.
-			k = 0
-		}
-		type e10Trial struct {
-			term, agree bool
-			decision    string
-		}
-		results, err := sweep.Run(trials, p.workers(), func(tr int) (e10Trial, error) {
-			res, err := runtime.Run(runtime.Config{
-				N: sc.n, K: k, Inputs: sc.inputs,
-				Spawn:   spawn,
+		outs, err := runTrials(p, max(p.trials()/10, 5), func(tr int) mc.Trial {
+			// K = 0 with no deaths: wait for everyone; the graph is complete.
+			return mc.Trial{
+				Protocol: proto.Bivalence, N: sc.n, K: len(sc.dead), Inputs: sc.inputs,
 				Crashes: faults.InitiallyDead(sc.dead...),
 				Seed:    p.seedFor(row, tr),
-			})
-			if err != nil {
-				return e10Trial{}, fmt.Errorf("E10 row %d trial %d: %w", row, tr, err)
 			}
-			out := e10Trial{
-				term:  res.AllDecided && res.Stalled == runtime.NotStalled,
-				agree: res.Agreement,
-			}
-			if res.DecidedCount() > 0 {
-				out.decision = fmt.Sprintf("%d", res.Value)
-				if sc.want != "" && out.decision != sc.want {
-					out.decision += " (want " + sc.want + ") UNEXPECTED"
-				}
-			}
-			return out, nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("E10 row %d: %w", row, err)
 		}
-		term, agree := 0, 0
 		decision := "-"
-		for _, r := range results {
-			if r.term {
-				term++
-			}
-			if r.agree {
-				agree++
-			}
-			if r.decision != "" {
-				decision = r.decision
+		for _, o := range outs {
+			if o.Decided > 0 {
+				decision = fmt.Sprintf("%d", o.Value)
+				if sc.want != "" && decision != sc.want {
+					decision += " (want " + sc.want + ") UNEXPECTED"
+				}
 			}
 		}
+		tl := mc.TallyOf(outs)
 		t.AddRow(
 			fmt.Sprintf("%d", sc.n),
 			fmt.Sprintf("%d", len(sc.dead)),
 			inputsString(sc.inputs),
-			pct(float64(term)/float64(trials)),
-			pct(float64(agree)/float64(trials)),
+			pct(tl.Share(tl.Terminated)),
+			pct(tl.Share(tl.Agreed)),
 			decision,
 		)
 	}

@@ -4,15 +4,12 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"resilient/internal/core"
-	"resilient/internal/failstop"
 	"resilient/internal/markov"
 	"resilient/internal/mc"
 	"resilient/internal/msg"
 	"resilient/internal/policy"
-	"resilient/internal/runtime"
+	"resilient/internal/proto"
 	"resilient/internal/sched"
-	"resilient/internal/stats"
 	"resilient/internal/sweep"
 )
 
@@ -53,48 +50,19 @@ func E11(p Params) ([]*Table, error) {
 		}},
 	}
 	for row, sc := range schedulers {
-		trials := p.trials()
-		type e11Trial struct {
-			term, agree bool
-			phases      float64
-		}
-		results, err := sweep.Run(trials, p.workers(), func(tr int) (e11Trial, error) {
+		outs, err := runTrials(p, p.trials(), func(tr int) mc.Trial {
 			seed := p.seedFor(600+row, tr)
-			res, err := runtime.Run(runtime.Config{
-				N: n, K: k, Inputs: randomInputs(n, seed),
-				Spawn: func(ctx runtime.SpawnContext) (core.Machine, error) {
-					return failstop.New(ctx.Config, ctx.Sink)
-				},
+			return mc.Trial{
+				Protocol: proto.FailStop, N: n, K: k, Inputs: randomInputs(n, seed),
 				Policy: policy.FromScheduler(sc.s),
 				Seed:   seed,
-			})
-			if err != nil {
-				return e11Trial{}, fmt.Errorf("E11a %s trial %d: %w", sc.name, tr, err)
 			}
-			return e11Trial{
-				term:   res.AllDecided && res.Stalled == runtime.NotStalled,
-				agree:  res.Agreement,
-				phases: float64(maxDecisionPhase(res)),
-			}, nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("E11a %s: %w", sc.name, err)
 		}
-		var phases stats.Accumulator
-		term, agree := 0, 0
-		for _, r := range results {
-			if r.term {
-				term++
-			}
-			if r.agree {
-				agree++
-			}
-			phases.Add(r.phases)
-		}
-		ta.AddRow(sc.name,
-			pct(float64(term)/float64(trials)),
-			pct(float64(agree)/float64(trials)),
-			fmt.Sprintf("%s ± %s", f2(phases.Mean()), f2(phases.CI95())))
+		tl := mc.TallyOf(outs)
+		ta.AddRow(sc.name, pct(tl.Share(tl.Terminated)), pct(tl.Share(tl.Agreed)), ci2(tl.Phases))
 	}
 	ta.AddNote("convergence must hold under every scheduler (the Section 2.3 epsilon-assumption is all the proofs need); only the constant matters, not the delay law")
 

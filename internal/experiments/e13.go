@@ -3,19 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"resilient/internal/coin"
 	"resilient/internal/mc"
 	"resilient/internal/proto"
-	"resilient/internal/runtime"
 	"resilient/internal/stats"
-	"resilient/internal/sweep"
-
-	// The comparison iterates the protocol registry; the blank imports pull
-	// every compared protocol's registration in.
-	_ "resilient/internal/benor"
-	_ "resilient/internal/failstop"
-	_ "resilient/internal/majority"
-	_ "resilient/internal/malicious"
 )
 
 // E13 is the Section 6 style cross-protocol comparison over the registry:
@@ -63,60 +53,25 @@ func E13(p Params) ([]*Table, error) {
 		if !ok {
 			return nil, fmt.Errorf("E13: protocol %d not registered", int(cfg.id))
 		}
-		scheme, err := d.ResolveCoin(coin.SchemeAuto)
-		if err != nil {
-			return nil, fmt.Errorf("E13: %w", err)
-		}
-		trials := p.trials()
-		type trial struct {
-			term, agree        bool
-			phases, msgs, wall float64
-		}
-		results, err := sweep.Run(trials, p.workers(), func(tr int) (trial, error) {
+		outs, err := runTrials(p, p.trials(), func(tr int) mc.Trial {
 			seed := p.seedFor(row, tr)
-			res, err := runtime.Run(runtime.Config{
-				N: cfg.n, K: cfg.k,
-				Inputs:  randomInputs(cfg.n, seed),
-				Spawn:   mc.ProtocolSpawner(d, scheme, seed),
-				Seed:    seed,
-				Metrics: scoped,
-			})
-			if err != nil {
-				return trial{}, fmt.Errorf("E13 row %d trial %d: %w", row, tr, err)
-			}
-			return trial{
-				term:   res.AllDecided && res.Stalled == runtime.NotStalled,
-				agree:  res.Agreement,
-				phases: float64(maxDecisionPhase(res)),
-				msgs:   float64(res.MessagesSent),
-				wall:   res.WallClock.Seconds() * 1e3,
-			}, nil
+			return mc.Trial{Protocol: cfg.id, N: cfg.n, K: cfg.k, Inputs: randomInputs(cfg.n, seed), Seed: seed, Metrics: scoped}
 		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("E13 row %d: %w", row, err)
 		}
-		var phases, msgs, wall stats.Accumulator
-		term, agree := 0, 0
-		for _, r := range results {
-			if r.term {
-				term++
-			}
-			if r.agree {
-				agree++
-			}
-			phases.Add(r.phases)
-			msgs.Add(r.msgs)
-			wall.Add(r.wall)
-		}
+		tl := mc.TallyOf(outs)
 		cells := []string{
-			d.Name, scheme.String(),
+			d.Name, d.Coin.String(),
 			fmt.Sprintf("%d", cfg.n), fmt.Sprintf("%d", cfg.k),
-			pct(float64(term) / float64(trials)),
-			pct(float64(agree) / float64(trials)),
-			fmt.Sprintf("%s ± %s", f2(phases.Mean()), f2(phases.CI95())),
-			f2(msgs.Mean()),
+			pct(tl.Share(tl.Terminated)), pct(tl.Share(tl.Agreed)),
+			ci2(tl.Phases), f2(tl.Messages.Mean()),
 		}
 		if p.WallTimes {
+			var wall stats.Accumulator
+			for _, o := range outs {
+				wall.Add(o.Wall.Seconds() * 1e3)
+			}
 			cells = append(cells, f3(wall.Mean()))
 		}
 		t.AddRow(cells...)

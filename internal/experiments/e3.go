@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"resilient/internal/core"
-	"resilient/internal/failstop"
 	"resilient/internal/faults"
+	"resilient/internal/mc"
 	"resilient/internal/msg"
-	"resilient/internal/runtime"
-	"resilient/internal/stats"
-	"resilient/internal/sweep"
+	"resilient/internal/proto"
 )
 
 // E3 verifies Theorem 2: the Figure 1 protocol is a k-resilient consensus
@@ -44,60 +41,24 @@ func E3(p Params) ([]*Table, error) {
 	// in-loop handle lookup the metricshandle lint rule now rejects.
 	scoped := p.Metrics.Scoped("failstop.")
 	for row, cfg := range configs {
-		trials := p.trials()
-		type trial struct {
-			term, agree, valid bool
-			phases, msgs       float64
-		}
-		results, err := sweep.Run(trials, p.workers(), func(tr int) (trial, error) {
+		outs, err := runTrials(p, p.trials(), func(tr int) mc.Trial {
 			seed := p.seedFor(row, tr)
-			plan := crashPlan(cfg.pattern, cfg.n, cfg.k, seed)
-			inputs := randomInputs(cfg.n, seed)
-			res, err := runtime.Run(runtime.Config{
-				N: cfg.n, K: cfg.k, Inputs: inputs,
-				Spawn: func(ctx runtime.SpawnContext) (core.Machine, error) {
-					return failstop.New(ctx.Config, ctx.Sink)
-				},
-				Crashes: plan,
+			return mc.Trial{
+				Protocol: proto.FailStop, N: cfg.n, K: cfg.k,
+				Inputs:  randomInputs(cfg.n, seed),
+				Crashes: crashPlan(cfg.pattern, cfg.n, cfg.k, seed),
 				Seed:    seed,
 				Metrics: scoped,
-			})
-			if err != nil {
-				return trial{}, fmt.Errorf("E3 row %d trial %d: %w", row, tr, err)
 			}
-			return trial{
-				term:   res.AllDecided && res.Stalled == runtime.NotStalled,
-				agree:  res.Agreement,
-				valid:  validityHolds(inputs, plan, res),
-				phases: float64(maxDecisionPhase(res)),
-				msgs:   float64(res.MessagesSent),
-			}, nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("E3 row %d: %w", row, err)
 		}
-		var phases, msgs stats.Accumulator
-		term, agree, valid := 0, 0, 0
-		for _, r := range results {
-			if r.term {
-				term++
-			}
-			if r.agree {
-				agree++
-			}
-			if r.valid {
-				valid++
-			}
-			phases.Add(r.phases)
-			msgs.Add(r.msgs)
-		}
+		tl := mc.TallyOf(outs)
 		t.AddRow(
 			fmt.Sprintf("%d", cfg.n), fmt.Sprintf("%d", cfg.k), cfg.pattern,
-			pct(float64(term)/float64(trials)),
-			pct(float64(agree)/float64(trials)),
-			pct(float64(valid)/float64(trials)),
-			fmt.Sprintf("%s ± %s", f2(phases.Mean()), f2(phases.CI95())),
-			f2(msgs.Mean()),
+			pct(tl.Share(tl.Terminated)), pct(tl.Share(tl.Agreed)), pct(tl.Share(tl.Valid)),
+			ci2(tl.Phases), f2(tl.Messages.Mean()),
 		)
 	}
 	t.AddNote("paper: Figure 1 is k-resilient for k <= floor((n-1)/2); terminated/agreement/validity must all be 100%%")
@@ -129,26 +90,4 @@ func randomInputs(n int, seed uint64) []msg.Value {
 		in[i] = msg.Value(rng.IntN(2))
 	}
 	return in
-}
-
-// validityHolds checks weak validity: if every process (faulty ones
-// included -- they may die but never lie) started with the same input v,
-// any decision must equal v.
-func validityHolds(inputs []msg.Value, _ faults.Plan, res *runtime.Result) bool {
-	unanimous := true
-	for _, v := range inputs[1:] {
-		if v != inputs[0] {
-			unanimous = false
-			break
-		}
-	}
-	if !unanimous {
-		return true
-	}
-	for _, d := range res.Decisions {
-		if d != inputs[0] {
-			return false
-		}
-	}
-	return true
 }

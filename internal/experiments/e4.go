@@ -3,59 +3,33 @@ package experiments
 import (
 	"fmt"
 
-	"resilient/internal/byzantine"
-	"resilient/internal/core"
-	"resilient/internal/malicious"
+	"resilient/internal/mc"
 	"resilient/internal/msg"
-	"resilient/internal/runtime"
-	"resilient/internal/stats"
-	"resilient/internal/sweep"
+	"resilient/internal/proto"
+	"resilient/internal/spawn"
 )
 
-// byzSpawner builds a runtime spawner with the named strategy on the last
-// |byz| processes and honest Figure-2 machines elsewhere.
-func byzSpawner(strategy string) runtime.Spawner {
-	mixedOrder := []string{"balancer", "equivocator", "silent", "flipper", "liar", "double-echo"}
-	return func(ctx runtime.SpawnContext) (core.Machine, error) {
-		if !ctx.Byzantine {
-			return malicious.New(ctx.Config, ctx.Sink)
-		}
-		if strategy == "mixed" {
-			// Heterogeneous coalition: each adversary plays a different
-			// strategy, assigned by id.
-			strategy = mixedOrder[int(ctx.Config.Self)%len(mixedOrder)]
-		}
-		if strategy == "silent" {
-			return byzantine.NewSilent(ctx.Config.Self), nil
-		}
-		inner := malicious.NewUnsafe(ctx.Config, ctx.Sink)
-		switch strategy {
-		case "balancer":
-			return byzantine.NewBalancer(inner, ctx.World), nil
-		case "equivocator":
-			return byzantine.NewEquivocator(inner, ctx.Config.N), nil
-		case "liar":
-			return byzantine.NewFixedLiar(inner, msg.V1), nil
-		case "flipper":
-			return byzantine.NewFlipper(inner, ctx.RNG), nil
-		case "double-echo":
-			return byzantine.NewDoubleEchoer(inner), nil
-		default:
-			return nil, fmt.Errorf("unknown strategy %q", strategy)
-		}
-	}
-}
+// mixedOrder is E4's heterogeneous coalition: adversary id plays
+// mixedOrder[id%6].
+var mixedOrder = []spawn.Strategy{spawn.Balancer, spawn.Equivocator, spawn.Silent, spawn.Flipper, spawn.Liar1, spawn.DoubleEcho}
 
 // E4 verifies Theorem 4: the Figure 2 protocol is k-resilient for the
 // malicious case, k <= floor((n-1)/3), against a battery of Byzantine
 // strategies including the omniscient balancer. Termination, agreement and
 // validity must be 100% in every row.
 func E4(p Params) ([]*Table, error) {
-	strategies := []string{"silent", "balancer", "equivocator", "liar", "flipper", "double-echo", "mixed"}
+	// A zero strategy is the mixed coalition.
+	strategies := []struct {
+		name  string
+		strat spawn.Strategy
+	}{
+		{"silent", spawn.Silent}, {"balancer", spawn.Balancer}, {"equivocator", spawn.Equivocator},
+		{"liar", spawn.Liar1}, {"flipper", spawn.Flipper}, {"double-echo", spawn.DoubleEcho}, {"mixed", 0},
+	}
 	sizes := [][2]int{{7, 2}, {10, 3}, {13, 4}}
 	if p.Quick {
 		sizes = [][2]int{{7, 2}}
-		strategies = []string{"silent", "balancer", "equivocator"}
+		strategies = strategies[:3]
 	}
 
 	t := &Table{
@@ -70,68 +44,45 @@ func E4(p Params) ([]*Table, error) {
 	row := 0
 	for _, nk := range sizes {
 		n, k := nk[0], nk[1]
-		for _, strat := range strategies {
+		for _, st := range strategies {
 			trials := p.trials()
 			// The omniscient balancer at the exact bound has a long tail;
 			// keep trial counts moderate there.
-			if strat == "balancer" && !p.Quick {
+			if st.strat == spawn.Balancer && !p.Quick {
 				trials = min(trials, 100)
 				if n >= 13 {
 					trials = min(trials, 40)
 				}
 			}
-			byz := make(map[msg.ID]bool, k)
+			adv := make(map[msg.ID]spawn.Strategy, k)
 			for i := 0; i < k; i++ {
-				byz[msg.ID(n-1-i)] = true
-			}
-			type trial struct {
-				term, agree, valid bool
-				phases             float64
-			}
-			results, err := sweep.Run(trials, p.workers(), func(tr int) (trial, error) {
-				seed := p.seedFor(row, tr)
-				inputs := randomInputs(n, seed)
-				res, err := runtime.Run(runtime.Config{
-					N: n, K: k, Inputs: inputs,
-					Spawn:     byzSpawner(strat),
-					Byzantine: byz,
-					Seed:      seed,
-					MaxEvents: 50_000_000,
-					Metrics:   scoped,
-				})
-				if err != nil {
-					return trial{}, fmt.Errorf("E4 %s n=%d trial %d: %w", strat, n, tr, err)
+				id := msg.ID(n - 1 - i)
+				adv[id] = st.strat
+				if st.strat == 0 {
+					// As the string-keyed spawner did: its first adversary's
+					// pick overwrote the coalition's strategy for the rest.
+					adv[id] = mixedOrder[(n-k)%len(mixedOrder)]
 				}
-				return trial{
-					term:   res.AllDecided && res.Stalled == runtime.NotStalled,
-					agree:  res.Agreement,
-					valid:  byzValidityHolds(inputs, byz, res),
-					phases: float64(maxDecisionPhase(res)),
-				}, nil
+			}
+			outs, err := runTrials(p, trials, func(tr int) mc.Trial {
+				seed := p.seedFor(row, tr)
+				return mc.Trial{
+					Protocol: proto.Malicious, N: n, K: k,
+					Inputs:      randomInputs(n, seed),
+					Adversaries: adv,
+					Seed:        seed,
+					MaxEvents:   50_000_000,
+					Metrics:     scoped,
+				}
 			})
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("E4 %s n=%d: %w", st.name, n, err)
 			}
-			var phases stats.Accumulator
-			term, agree, valid := 0, 0, 0
-			for _, r := range results {
-				if r.term {
-					term++
-				}
-				if r.agree {
-					agree++
-				}
-				if r.valid {
-					valid++
-				}
-				phases.Add(r.phases)
-			}
+			tl := mc.TallyOf(outs)
 			t.AddRow(
-				fmt.Sprintf("%d", n), fmt.Sprintf("%d", k), strat,
-				pct(float64(term)/float64(trials)),
-				pct(float64(agree)/float64(trials)),
-				pct(float64(valid)/float64(trials)),
-				fmt.Sprintf("%s ± %s", f2(phases.Mean()), f2(phases.CI95())),
+				fmt.Sprintf("%d", n), fmt.Sprintf("%d", k), st.name,
+				pct(tl.Share(tl.Terminated)), pct(tl.Share(tl.Agreed)), pct(tl.Share(tl.Valid)),
+				ci2(tl.Phases),
 			)
 			row++
 		}
@@ -139,32 +90,4 @@ func E4(p Params) ([]*Table, error) {
 	t.AddNote("paper: Figure 2 is k-resilient for k <= floor((n-1)/3) malicious processes")
 	t.AddNote("validity: unanimous inputs among correct processes force that decision (the k liars cannot override a supermajority)")
 	return []*Table{t}, nil
-}
-
-// byzValidityHolds checks validity with Byzantine faults: if every CORRECT
-// process started with v and more than (n+k)/2 processes are correct with
-// input v (always true at unanimity, since n-k > (n+k)/2), decisions must
-// equal v.
-func byzValidityHolds(inputs []msg.Value, byz map[msg.ID]bool, res *runtime.Result) bool {
-	var v msg.Value
-	first := true
-	for i, in := range inputs {
-		if byz[msg.ID(i)] {
-			continue
-		}
-		if first {
-			v = in
-			first = false
-			continue
-		}
-		if in != v {
-			return true // not unanimous: nothing to check
-		}
-	}
-	for _, d := range res.Decisions {
-		if d != v {
-			return false
-		}
-	}
-	return true
 }

@@ -3,14 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"resilient/internal/core"
-	"resilient/internal/failstop"
-	"resilient/internal/malicious"
+	"resilient/internal/mc"
 	"resilient/internal/msg"
+	"resilient/internal/proto"
 	"resilient/internal/quorum"
-	"resilient/internal/runtime"
-	"resilient/internal/stats"
-	"resilient/internal/sweep"
 )
 
 // E6 reproduces the "approximation of the majority" notes closing Sections
@@ -20,25 +16,14 @@ import (
 // phases (Figure 2).
 func E6(p Params) ([]*Table, error) {
 	tables := make([]*Table, 0, 2)
-	type proto struct {
+	protos := []struct {
 		id, title string
+		protocol  proto.ID
 		n, k      int
 		phaseCap  int // the paper's phase bound for supermajority inputs
-		spawn     runtime.Spawner
-	}
-	protos := []proto{
-		{
-			id: "E6a", title: "Figure 1: decision vs initial 1-count", n: 9, k: 4, phaseCap: 3,
-			spawn: func(ctx runtime.SpawnContext) (core.Machine, error) {
-				return failstop.New(ctx.Config, ctx.Sink)
-			},
-		},
-		{
-			id: "E6b", title: "Figure 2: decision vs initial 1-count", n: 10, k: 3, phaseCap: 2,
-			spawn: func(ctx runtime.SpawnContext) (core.Machine, error) {
-				return malicious.New(ctx.Config, ctx.Sink)
-			},
-		},
+	}{
+		{id: "E6a", title: "Figure 1: decision vs initial 1-count", protocol: proto.FailStop, n: 9, k: 4, phaseCap: 3},
+		{id: "E6b", title: "Figure 2: decision vs initial 1-count", protocol: proto.Malicious, n: 10, k: 3, phaseCap: 2},
 	}
 	for pi, pr := range protos {
 		t := &Table{
@@ -57,44 +42,21 @@ func E6(p Params) ([]*Table, error) {
 		}
 		violations := 0
 		for _, m := range ones {
-			trials := p.trials()
-			type trial struct {
-				one    bool
-				phases int
+			inputs := make([]msg.Value, pr.n)
+			for i := 0; i < m; i++ {
+				inputs[i] = msg.V1
 			}
-			results, err := sweep.Run(trials, p.workers(), func(tr int) (trial, error) {
-				seed := p.seedFor(pi*100+m, tr)
-				inputs := make([]msg.Value, pr.n)
-				for i := 0; i < m; i++ {
-					inputs[i] = msg.V1
-				}
-				res, err := runtime.Run(runtime.Config{
-					N: pr.n, K: pr.k, Inputs: inputs,
-					Spawn: pr.spawn, Seed: seed,
-				})
-				if err != nil {
-					return trial{}, fmt.Errorf("%s m=%d trial %d: %w", pr.id, m, tr, err)
-				}
-				if !res.AllDecided || !res.Agreement {
-					return trial{}, fmt.Errorf("%s m=%d trial %d: run failed (%v)", pr.id, m, tr, res.Stalled)
-				}
-				return trial{one: res.Value == msg.V1, phases: maxDecisionPhase(res)}, nil
+			outs, err := runTrials(p, p.trials(), func(tr int) mc.Trial {
+				return mc.Trial{Protocol: pr.protocol, N: pr.n, K: pr.k, Inputs: inputs, Seed: p.seedFor(pi*100+m, tr)}
 			})
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s m=%d: %w", pr.id, m, err)
 			}
-			var phases stats.Accumulator
-			decide1 := 0
-			maxPhases := 0
-			for _, r := range results {
-				if r.one {
-					decide1++
-				}
-				phases.Add(float64(r.phases))
-				if r.phases > maxPhases {
-					maxPhases = r.phases
-				}
+			tl := mc.TallyOf(outs)
+			if tl.Terminated < tl.Trials || tl.Agreed < tl.Trials {
+				return nil, fmt.Errorf("%s m=%d: %d of %d trials terminated, %d agreed", pr.id, m, tl.Terminated, tl.Trials, tl.Agreed)
 			}
+			maxPhases := int(tl.Phases.Max())
 			super := ""
 			isSuper := m >= superCut || pr.n-m >= superCut
 			if isSuper {
@@ -106,8 +68,8 @@ func E6(p Params) ([]*Table, error) {
 			}
 			t.AddRow(
 				fmt.Sprintf("%d/%d", m, pr.n),
-				pct(float64(decide1)/float64(trials)),
-				fmt.Sprintf("%s ± %s", f2(phases.Mean()), f2(phases.CI95())),
+				pct(tl.Share(tl.Decided1)),
+				ci2(tl.Phases),
 				fmt.Sprintf("%d", maxPhases),
 				super,
 			)

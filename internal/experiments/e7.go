@@ -3,10 +3,11 @@ package experiments
 import (
 	"fmt"
 
+	"resilient/internal/mc"
 	"resilient/internal/msg"
-	"resilient/internal/runtime"
+	"resilient/internal/proto"
+	"resilient/internal/spawn"
 	"resilient/internal/stats"
-	"resilient/internal/sweep"
 )
 
 // E7 verifies the Section 3.3 note: "if k < n/5, once a correct process
@@ -32,39 +33,31 @@ func E7(p Params) ([]*Table, error) {
 		configs = configs[:2]
 	}
 	for row, cfg := range configs {
-		trials := p.trials()
-		spreads, err := sweep.Run(trials, p.workers(), func(tr int) (int, error) {
+		balancers := make(map[msg.ID]spawn.Strategy, cfg.k)
+		for i := 0; i < cfg.k; i++ {
+			balancers[msg.ID(cfg.n-1-i)] = spawn.Balancer
+		}
+		outs, err := runTrials(p, p.trials(), func(tr int) mc.Trial {
 			seed := p.seedFor(row, tr)
-			inputs := randomInputs(cfg.n, seed)
-			byz := make(map[msg.ID]bool, cfg.k)
-			for i := 0; i < cfg.k; i++ {
-				byz[msg.ID(cfg.n-1-i)] = true
+			return mc.Trial{
+				Protocol: proto.Malicious, N: cfg.n, K: cfg.k,
+				Inputs:      randomInputs(cfg.n, seed),
+				Adversaries: balancers,
+				Seed:        seed,
+				MaxEvents:   50_000_000,
 			}
-			res, err := runtime.Run(runtime.Config{
-				N: cfg.n, K: cfg.k, Inputs: inputs,
-				Spawn:     byzSpawner("balancer"),
-				Byzantine: byz,
-				Seed:      seed,
-				MaxEvents: 50_000_000,
-			})
-			if err != nil {
-				return 0, fmt.Errorf("E7 n=%d k=%d trial %d: %w", cfg.n, cfg.k, tr, err)
-			}
-			if !res.AllDecided {
-				return 0, fmt.Errorf("E7 n=%d k=%d trial %d: stalled (%v)", cfg.n, cfg.k, tr, res.Stalled)
-			}
-			return phaseSpread(res), nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("E7 n=%d k=%d: %w", cfg.n, cfg.k, err)
 		}
-		var spreadAcc stats.Accumulator
+		var spreads stats.Accumulator
 		maxSpread := 0
-		for _, s := range spreads {
-			spreadAcc.Add(float64(s))
-			if s > maxSpread {
-				maxSpread = s
+		for tr, o := range outs {
+			if !o.Terminated {
+				return nil, fmt.Errorf("E7 n=%d k=%d trial %d: stalled (%v)", cfg.n, cfg.k, tr, o.Stalled)
 			}
+			spreads.Add(float64(o.Phases - o.FirstPhase))
+			maxSpread = max(maxSpread, o.Phases-o.FirstPhase)
 		}
 		regime := "k < n/5 (fast)"
 		if 5*cfg.k >= cfg.n {
@@ -72,30 +65,10 @@ func E7(p Params) ([]*Table, error) {
 		}
 		t.AddRow(
 			fmt.Sprintf("%d", cfg.n), fmt.Sprintf("%d", cfg.k), regime,
-			f2(spreadAcc.Mean()), fmt.Sprintf("%d", maxSpread),
+			f2(spreads.Mean()), fmt.Sprintf("%d", maxSpread),
 			fmt.Sprintf("%v", maxSpread <= 1),
 		)
 	}
 	t.AddNote("paper: with k < n/5, once one correct process decides all others decide within one phase -- the fast-regime rows must show max spread <= 1")
 	return []*Table{t}, nil
-}
-
-func phaseSpread(res *runtime.Result) int {
-	first := true
-	lo, hi := 0, 0
-	for _, ph := range res.DecisionPhase {
-		v := int(ph)
-		if first {
-			lo, hi = v, v
-			first = false
-			continue
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return hi - lo
 }

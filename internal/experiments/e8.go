@@ -3,13 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"resilient/internal/benor"
-	"resilient/internal/core"
-	"resilient/internal/failstop"
+	"resilient/internal/mc"
+	"resilient/internal/proto"
 	"resilient/internal/quorum"
-	"resilient/internal/runtime"
-	"resilient/internal/stats"
-	"resilient/internal/sweep"
 )
 
 // E8 reproduces the Section 6 comparison with [BenO83]: Ben-Or's protocol
@@ -36,63 +32,35 @@ func E8(p Params) ([]*Table, error) {
 		if trials > 150 {
 			trials = 150 // Ben-Or's exponential tail dominates runtime
 		}
-		type trial struct {
-			rounds, phases int
+		// Both protocols run the same seeds and inputs; every trial must
+		// decide.
+		tally := func(protocol proto.ID) (mc.Tally, error) {
+			outs, err := runTrials(p, trials, func(tr int) mc.Trial {
+				seed := p.seedFor(row, tr)
+				return mc.Trial{Protocol: protocol, N: n, K: k, Inputs: randomInputs(n, seed), Seed: seed, MaxEvents: 50_000_000}
+			})
+			if err != nil {
+				return mc.Tally{}, fmt.Errorf("E8 %v n=%d: %w", protocol, n, err)
+			}
+			tl := mc.TallyOf(outs)
+			if tl.Terminated < tl.Trials {
+				return tl, fmt.Errorf("E8 %v n=%d: %d of %d trials stalled", protocol, n, tl.Trials-tl.Terminated, tl.Trials)
+			}
+			return tl, nil
 		}
-		results, err := sweep.Run(trials, p.workers(), func(tr int) (trial, error) {
-			seed := p.seedFor(row, tr)
-			inputs := randomInputs(n, seed)
-			resB, err := runtime.Run(runtime.Config{
-				N: n, K: k, Inputs: inputs,
-				Spawn: func(ctx runtime.SpawnContext) (core.Machine, error) {
-					return benor.New(ctx.Config, benor.Crash, ctx.RNG, ctx.Sink)
-				},
-				Seed:      seed,
-				MaxEvents: 50_000_000,
-			})
-			if err != nil {
-				return trial{}, fmt.Errorf("E8 benor n=%d trial %d: %w", n, tr, err)
-			}
-			if !resB.AllDecided {
-				return trial{}, fmt.Errorf("E8 benor n=%d trial %d: stalled (%v)", n, tr, resB.Stalled)
-			}
-			resF, err := runtime.Run(runtime.Config{
-				N: n, K: k, Inputs: inputs,
-				Spawn: func(ctx runtime.SpawnContext) (core.Machine, error) {
-					return failstop.New(ctx.Config, ctx.Sink)
-				},
-				Seed: seed,
-			})
-			if err != nil {
-				return trial{}, fmt.Errorf("E8 fig1 n=%d trial %d: %w", n, tr, err)
-			}
-			if !resF.AllDecided {
-				return trial{}, fmt.Errorf("E8 fig1 n=%d trial %d: stalled (%v)", n, tr, resF.Stalled)
-			}
-			return trial{rounds: maxDecisionPhase(resB), phases: maxDecisionPhase(resF)}, nil
-		})
+		bo, err := tally(proto.BenOrCrash)
 		if err != nil {
 			return nil, err
 		}
-		var bo, f1 stats.Accumulator
-		boMax, f1Max := 0, 0
-		for _, r := range results {
-			bo.Add(float64(r.rounds))
-			if r.rounds > boMax {
-				boMax = r.rounds
-			}
-			f1.Add(float64(r.phases))
-			if r.phases > f1Max {
-				f1Max = r.phases
-			}
+		f1, err := tally(proto.FailStop)
+		if err != nil {
+			return nil, err
 		}
-		benorMeans = append(benorMeans, bo.Mean())
+		benorMeans = append(benorMeans, bo.Phases.Mean())
 		t.AddRow(
 			fmt.Sprintf("%d", n), fmt.Sprintf("%d", k),
-			fmt.Sprintf("%s ± %s", f2(bo.Mean()), f2(bo.CI95())),
-			fmt.Sprintf("%d", boMax),
-			fmt.Sprintf("%s ± %s", f2(f1.Mean()), f2(f1.CI95())),
-			fmt.Sprintf("%d", f1Max),
+			ci2(bo.Phases), fmt.Sprintf("%.0f", bo.Phases.Max()),
+			ci2(f1.Phases), fmt.Sprintf("%.0f", f1.Phases.Max()),
 		)
 	}
 	growing := len(benorMeans) >= 2 && benorMeans[len(benorMeans)-1] > benorMeans[0]

@@ -3,13 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"resilient/internal/core"
-	"resilient/internal/failstop"
-	"resilient/internal/malicious"
+	"resilient/internal/mc"
+	"resilient/internal/proto"
 	"resilient/internal/quorum"
-	"resilient/internal/runtime"
 	"resilient/internal/stats"
-	"resilient/internal/sweep"
 )
 
 // E9 measures the price of Byzantine tolerance in messages: Figure 1 sends
@@ -31,51 +28,29 @@ func E9(p Params) ([]*Table, error) {
 	for row, n := range sizes {
 		k := quorum.MaxFaults(n, quorum.Malicious)
 		trials := max(p.trials()/4, 10)
-		type e9Trial struct {
-			msgs1, msgs2   float64
-			ratio1, ratio2 float64
+		runs := func(protocol proto.ID) ([]mc.Outcome, error) {
+			return runTrials(p, trials, func(tr int) mc.Trial {
+				seed := p.seedFor(row, tr)
+				return mc.Trial{Protocol: protocol, N: n, K: k, Inputs: randomInputs(n, seed), Seed: seed}
+			})
 		}
-		results, err := sweep.Run(trials, p.workers(), func(tr int) (e9Trial, error) {
-			seed := p.seedFor(row, tr)
-			inputs := randomInputs(n, seed)
-			resA, err := runtime.Run(runtime.Config{
-				N: n, K: k, Inputs: inputs,
-				Spawn: func(ctx runtime.SpawnContext) (core.Machine, error) {
-					return failstop.New(ctx.Config, ctx.Sink)
-				},
-				Seed: seed,
-			})
-			if err != nil {
-				return e9Trial{}, fmt.Errorf("E9 fig1 n=%d: %w", n, err)
-			}
-			resB, err := runtime.Run(runtime.Config{
-				N: n, K: k, Inputs: inputs,
-				Spawn: func(ctx runtime.SpawnContext) (core.Machine, error) {
-					return malicious.New(ctx.Config, ctx.Sink)
-				},
-				Seed: seed,
-			})
-			if err != nil {
-				return e9Trial{}, fmt.Errorf("E9 fig2 n=%d: %w", n, err)
-			}
-			ph1 := float64(max(maxDecisionPhase(resA), 1))
-			ph2 := float64(max(maxDecisionPhase(resB), 1))
-			return e9Trial{
-				msgs1:  float64(resA.MessagesSent),
-				msgs2:  float64(resB.MessagesSent),
-				ratio1: float64(resA.MessagesSent) / (ph1 * float64(n) * float64(n)),
-				ratio2: float64(resB.MessagesSent) / (ph2 * float64(n) * float64(n) * float64(n)),
-			}, nil
-		})
+		fig1, err := runs(proto.FailStop)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("E9 fig1 n=%d: %w", n, err)
+		}
+		fig2, err := runs(proto.Malicious)
+		if err != nil {
+			return nil, fmt.Errorf("E9 fig2 n=%d: %w", n, err)
 		}
 		var m1, m2, r1, r2 stats.Accumulator
-		for _, res := range results {
-			m1.Add(res.msgs1)
-			m2.Add(res.msgs2)
-			r1.Add(res.ratio1)
-			r2.Add(res.ratio2)
+		for tr, a := range fig1 {
+			b := fig2[tr]
+			ph1 := float64(max(a.Phases, 1))
+			ph2 := float64(max(b.Phases, 1))
+			m1.Add(float64(a.Messages))
+			m2.Add(float64(b.Messages))
+			r1.Add(float64(a.Messages) / (ph1 * float64(n) * float64(n)))
+			r2.Add(float64(b.Messages) / (ph2 * float64(n) * float64(n) * float64(n)))
 		}
 		ratio := "-"
 		if m1.Mean() > 0 {

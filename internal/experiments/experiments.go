@@ -14,7 +14,10 @@ import (
 	"io"
 	"strings"
 
+	"resilient/internal/mc"
 	"resilient/internal/metrics"
+	"resilient/internal/stats"
+	"resilient/internal/sweep"
 )
 
 // Params scales an experiment run.
@@ -206,6 +209,19 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
+// runTrials runs trial(0..trials-1)'s runs across p's workers and returns
+// their outcomes in trial order.
+func runTrials(p Params, trials int, trial func(tr int) mc.Trial) ([]mc.Outcome, error) {
+	return sweep.Run(trials, p.workers(), func(tr int) (mc.Outcome, error) {
+		return trial(tr).Run()
+	})
+}
+
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
+
+// ci2 and ci3 render a mean and its 95% half-width, "m ± h", to two and
+// three decimals.
+func ci2(a stats.Accumulator) string { return f2(a.Mean()) + " ± " + f2(a.CI95()) }
+func ci3(a stats.Accumulator) string { return f3(a.Mean()) + " ± " + f3(a.CI95()) }

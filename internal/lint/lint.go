@@ -141,11 +141,12 @@ func ProjectConfig(dir string) Config {
 		mod + "/internal/sched",
 		mod + "/internal/policy",
 		mod + "/internal/sample",
-		// The registry and the coin sources sit under every replayable run:
-		// a wall-clock read or map iteration there would leak into all of
-		// them.
+		// The registry, the coin sources and the spawner sit under every
+		// replayable run: a wall-clock read or map iteration there would
+		// leak into all of them.
 		mod + "/internal/proto",
 		mod + "/internal/coin",
+		mod + "/internal/spawn",
 		// The remaining machines, adversaries and fault plans, the
 		// state-space explorer, and the helpers they all step through.
 		mod + "/internal/majority",

@@ -53,8 +53,9 @@ func (o EnsembleOptions) trialRNG(t int) *rand.Rand {
 type Ensemble struct {
 	// Trials is the number of runs merged.
 	Trials int
-	// Phases holds the per-trial phase counts, indexed by trial number --
-	// the raw material every aggregate below is folded from, in order.
+	// Phases holds the per-trial phase counts in trial order -- the raw
+	// material every aggregate below is folded from. A protocol ensemble
+	// keeps only its terminated trials here; every chain run terminates.
 	Phases []int
 	// Mean, CI95, Min and Max summarize Phases.
 	Mean, CI95, Min, Max float64
@@ -65,6 +66,9 @@ type Ensemble struct {
 	// Decided1 counts trials whose common decision was 1 (decision
 	// ensembles only; 0 for absorption ensembles).
 	Decided1 int
+	// Outcomes tallies a protocol ensemble's trials: how many terminated,
+	// kept agreement and kept validity (zero for the chain ensembles).
+	Outcomes Tally
 }
 
 // mergeEnsemble folds per-trial outcomes into an Ensemble in trial order.

@@ -2,48 +2,194 @@ package mc
 
 import (
 	"fmt"
+	"time"
 
 	"resilient/internal/coin"
-	"resilient/internal/core"
+	"resilient/internal/faults"
+	"resilient/internal/metrics"
 	"resilient/internal/msg"
+	"resilient/internal/policy"
 	"resilient/internal/proto"
 	"resilient/internal/runtime"
+	"resilient/internal/spawn"
+	"resilient/internal/stats"
 	"resilient/internal/sweep"
-
-	// The runner resolves protocols through the registry; the blank imports
-	// pull every protocol package's registration in.
-	_ "resilient/internal/benor"
-	_ "resilient/internal/bivalence"
-	_ "resilient/internal/failstop"
-	_ "resilient/internal/majority"
-	_ "resilient/internal/malicious"
 )
 
-// ProtocolEnsemble runs Trials independent full protocol executions --
-// real machines under the discrete-event engine, not Markov-chain
-// abstractions -- for any registered protocol, and merges them into the
-// same Ensemble shape the chain ensembles produce, so protocols and their
-// analytical models are directly comparable.
+// Trial describes one full protocol execution on the discrete-event engine:
+// real machines, not a Markov-chain abstraction. Every field is one the
+// engine's runtime.Config or the spawner already takes.
+type Trial struct {
+	Protocol proto.ID
+	// Coin overrides the protocol's coin scheme; coin.SchemeAuto keeps the
+	// registered default.
+	Coin coin.Scheme
+	N, K int
+	// Inputs holds the N initial values.
+	Inputs []msg.Value
+	Seed   uint64
+	// Crashes is the fail-stop fault plan.
+	Crashes faults.Plan
+	// Adversaries assigns a Byzantine strategy to each adversary process.
+	Adversaries map[msg.ID]spawn.Strategy
+	// Policy decides per-link delivery; nil is the engine default.
+	Policy policy.LinkPolicy
+	// MaxEvents bounds processed deliveries (0 = the engine default).
+	MaxEvents int
+	// Metrics, when non-nil, receives the engine's run accounting.
+	Metrics *metrics.Registry
+}
+
+// Outcome is what one trial showed.
+type Outcome struct {
+	// Terminated reports that every correct process decided.
+	Terminated bool
+	// Agreement reports that no two deciders disagree.
+	Agreement bool
+	// Validity reports weak validity: when every non-adversary process
+	// started with the same value, every decision is that value. It holds
+	// trivially on mixed inputs.
+	Validity bool
+	// Stalled says why a trial ended early (runtime.NotStalled if it
+	// terminated).
+	Stalled runtime.StallReason
+	// Value is the common decision when Agreement holds and some process
+	// decided.
+	Value msg.Value
+	// Decided counts the correct processes that decided.
+	Decided int
+	// FirstPhase and Phases are the earliest and the latest decision phase
+	// (0 if nobody decided); Phases - FirstPhase is the spread the Section
+	// 3.3 note bounds.
+	FirstPhase, Phases int
+	// Messages counts the point-to-point sends.
+	Messages int
+	// Wall is the real time the engine spent on the run.
+	Wall time.Duration
+}
+
+// Config returns the trial's engine configuration, its machines built by
+// the one spawner.
+func (t Trial) Config() (runtime.Config, error) {
+	sp, err := spawn.New(t.Protocol, t.Coin, t.Seed)
+	if err != nil {
+		return runtime.Config{}, fmt.Errorf("mc: %w", err)
+	}
+	sp.Adversaries = t.Adversaries
+	return runtime.Config{
+		N: t.N, K: t.K,
+		Inputs:    t.Inputs,
+		Spawn:     sp.Spawn,
+		Byzantine: spawn.Members(t.Adversaries),
+		Crashes:   t.Crashes,
+		Policy:    t.Policy,
+		Seed:      t.Seed,
+		MaxEvents: t.MaxEvents,
+		Metrics:   t.Metrics,
+	}, nil
+}
+
+// Run executes the trial. A trial that stalls or disagrees is an outcome,
+// not an error; errors are configurations the engine refuses.
+func (t Trial) Run() (Outcome, error) {
+	cfg, err := t.Config()
+	if err != nil {
+		return Outcome{}, err
+	}
+	res, err := runtime.Run(cfg)
+	if err != nil {
+		return Outcome{}, err
+	}
+	o := Outcome{
+		Terminated: res.AllDecided && res.Stalled == runtime.NotStalled,
+		Agreement:  res.Agreement,
+		Validity:   true,
+		Stalled:    res.Stalled,
+		Value:      res.Value,
+		Messages:   res.MessagesSent,
+		Wall:       res.WallClock,
+	}
+	unanimous, first := true, true
+	var input msg.Value
+	for i, in := range t.Inputs {
+		if _, adversary := t.Adversaries[msg.ID(i)]; adversary {
+			continue
+		}
+		if first {
+			input, first = in, false
+		} else if in != input {
+			unanimous = false
+			break
+		}
+	}
+	for p := range msg.ID(t.N) {
+		ph, decided := res.DecisionPhase[p]
+		if !decided {
+			continue
+		}
+		if o.Decided == 0 || int(ph) < o.FirstPhase {
+			o.FirstPhase = int(ph)
+		}
+		o.Decided++
+		o.Phases = max(o.Phases, int(ph))
+		o.Validity = o.Validity && (!unanimous || res.Decisions[p] == input)
+	}
+	return o, nil
+}
+
+// Tally folds trial outcomes in trial order.
+type Tally struct {
+	// Trials counts the folded outcomes; the others count the trials that
+	// terminated, kept agreement, kept validity, and agreed on 1.
+	Trials, Terminated, Agreed, Valid, Decided1 int
+	// Phases accumulates the terminated trials' phase counts, Messages
+	// every trial's sends.
+	Phases, Messages stats.Accumulator
+}
+
+// TallyOf folds outs in order.
+func TallyOf(outs []Outcome) Tally {
+	t := Tally{Trials: len(outs)}
+	for _, o := range outs {
+		if o.Terminated {
+			t.Terminated++
+			t.Phases.Add(float64(o.Phases))
+		}
+		if o.Agreement {
+			t.Agreed++
+			if o.Value == msg.V1 {
+				t.Decided1++
+			}
+		}
+		if o.Validity {
+			t.Valid++
+		}
+		t.Messages.Add(float64(o.Messages))
+	}
+	return t
+}
+
+// Share returns count as a fraction of the folded trials.
+func (t *Tally) Share(count int) float64 { return float64(count) / float64(t.Trials) }
+
+// ProtocolEnsemble runs opts.Trials independent executions of run for any
+// registered protocol and merges them into the same Ensemble shape the
+// chain ensembles produce, so protocols and their analytical models are
+// directly comparable.
 //
-// opts.Start is the number of initial 1-inputs (the remaining n - Start
-// processes start with 0), matching the chain decision ensembles.
-// opts.MaxPhases is ignored: each execution runs to decision under the
-// engine's event budget. override selects the coin scheme of randomized
-// protocols (coin.SchemeAuto keeps the protocol's default).
-//
-// Determinism follows the ensemble contract: trial t's engine seed is drawn
+// Every trial replaces run.Inputs with opts.Start initial 1-inputs (the
+// remaining n - Start processes start with 0) and run.Seed with a seed drawn
 // from its private (Seed, t) stream, so the merged result is bit-identical
-// for every worker count.
-func ProtocolEnsemble(p proto.ID, n, k int, override coin.Scheme, opts EnsembleOptions) (*Ensemble, error) {
+// for every worker count. opts.MaxPhases is ignored: each execution runs to
+// decision under the engine's event budget. A trial that stalls or
+// disagrees is counted in Outcomes, not returned as an error; Phases and
+// its aggregates fold the terminated trials.
+func ProtocolEnsemble(run Trial, opts EnsembleOptions) (*Ensemble, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	d, ok := proto.Lookup(p)
-	if !ok {
-		return nil, fmt.Errorf("mc: unknown protocol %d", int(p))
-	}
-	scheme, err := d.ResolveCoin(override)
-	if err != nil {
+	p, n, k := run.Protocol, run.N, run.K
+	if _, err := spawn.New(p, run.Coin, 0); err != nil {
 		return nil, fmt.Errorf("mc: %w", err)
 	}
 	if n < 1 {
@@ -55,62 +201,31 @@ func ProtocolEnsemble(p proto.ID, n, k int, override coin.Scheme, opts EnsembleO
 	if opts.Start < 0 || opts.Start > n {
 		return nil, fmt.Errorf("mc: %d initial ones outside 0..%d", opts.Start, n)
 	}
-	inputs := make([]msg.Value, n)
+	run.Inputs = make([]msg.Value, n)
 	for i := 0; i < opts.Start; i++ {
-		inputs[i] = msg.V1
+		run.Inputs[i] = msg.V1
 	}
-	results, err := sweep.Run(opts.Trials, opts.Workers, func(t int) (decisionTrial, error) {
-		seed := opts.trialRNG(t).Uint64()
-		res, err := runtime.Run(runtime.Config{
-			N: n, K: k,
-			Inputs: inputs,
-			Spawn:  ProtocolSpawner(d, scheme, seed),
-			Seed:   seed,
-		})
+	outs, err := sweep.Run(opts.Trials, opts.Workers, func(t int) (Outcome, error) {
+		tr := run
+		tr.Seed = opts.trialRNG(t).Uint64()
+		o, err := tr.Run()
 		if err != nil {
-			return decisionTrial{}, fmt.Errorf("mc: %v trial %d: %w", p, t, err)
+			return o, fmt.Errorf("mc: %v: %w", p, err)
 		}
-		if !res.AllDecided || !res.Agreement {
-			return decisionTrial{}, fmt.Errorf("mc: %v trial %d: decided=%v agreement=%v stalled=%v",
-				p, t, res.AllDecided, res.Agreement, res.Stalled)
-		}
-		phases := 0
-		for _, ph := range res.DecisionPhase {
-			if int(ph) > phases {
-				//lint:allow maprange max fold is order-insensitive
-				phases = int(ph)
-			}
-		}
-		return decisionTrial{phases: phases, one: res.Value == msg.V1}, nil
+		return o, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	phases := make([]int, len(results))
-	ones := make([]bool, len(results))
-	for i, r := range results {
-		phases[i] = r.phases
-		ones[i] = r.one
-	}
-	return mergeEnsemble(phases, ones), nil
-}
-
-// ProtocolSpawner builds the engine spawner for one execution: the shared
-// coin is one per-run source every process queries, the local scheme draws
-// from each process's own engine RNG.
-func ProtocolSpawner(d proto.Descriptor, scheme coin.Scheme, seed uint64) runtime.Spawner {
-	var shared coin.Source
-	if scheme == coin.SchemeShared {
-		shared = coin.NewShared(seed)
-	}
-	return func(ctx runtime.SpawnContext) (core.Machine, error) {
-		deps := proto.Deps{Sink: ctx.Sink}
-		switch scheme {
-		case coin.SchemeLocal:
-			deps.Coin = coin.NewLocal(ctx.RNG)
-		case coin.SchemeShared:
-			deps.Coin = shared
+	var phases []int
+	var ones []bool
+	for _, o := range outs {
+		if o.Terminated {
+			phases = append(phases, o.Phases)
+			ones = append(ones, o.Agreement && o.Value == msg.V1)
 		}
-		return d.Spawn(ctx.Config, deps)
 	}
+	e := mergeEnsemble(phases, ones)
+	e.Trials, e.Outcomes = len(outs), TallyOf(outs)
+	return e, nil
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"resilient/internal/coin"
+	"resilient/internal/msg"
 	"resilient/internal/proto"
+	"resilient/internal/spawn"
 )
 
 func TestProtocolEnsembleAcrossRegistry(t *testing.T) {
@@ -20,7 +22,7 @@ func TestProtocolEnsembleAcrossRegistry(t *testing.T) {
 			t.Parallel()
 			n := 7
 			k := d.ID.MaxFaults(n)
-			e, err := ProtocolEnsemble(d.ID, n, k, coin.SchemeAuto,
+			e, err := ProtocolEnsemble(Trial{Protocol: d.ID, N: n, K: k},
 				EnsembleOptions{Trials: 20, Start: n, Seed: 7})
 			if err != nil {
 				t.Fatal(err)
@@ -40,7 +42,7 @@ func TestProtocolEnsembleAcrossRegistry(t *testing.T) {
 
 func TestProtocolEnsembleWorkerIndependent(t *testing.T) {
 	run := func(workers int) *Ensemble {
-		e, err := ProtocolEnsemble(proto.BenOrCrash, 7, 3, coin.SchemeAuto,
+		e, err := ProtocolEnsemble(Trial{Protocol: proto.BenOrCrash, N: 7, K: 3},
 			EnsembleOptions{Trials: 24, Workers: workers, Start: 3, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
@@ -59,7 +61,7 @@ func TestProtocolEnsembleWorkerIndependent(t *testing.T) {
 func TestProtocolEnsembleSharedCoinOverride(t *testing.T) {
 	// BenOrCrash accepts a shared-coin override; the run must still decide
 	// every trial.
-	e, err := ProtocolEnsemble(proto.BenOrCrash, 7, 3, coin.SchemeShared,
+	e, err := ProtocolEnsemble(Trial{Protocol: proto.BenOrCrash, N: 7, K: 3, Coin: coin.SchemeShared},
 		EnsembleOptions{Trials: 10, Start: 3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +83,7 @@ func TestProtocolEnsembleSharedCoinOverride(t *testing.T) {
 // margin over trial noise.
 func TestSharedCoinPhasesFlat(t *testing.T) {
 	mean := func(id proto.ID, n int) float64 {
-		e, err := ProtocolEnsemble(id, n, id.MaxFaults(n), coin.SchemeAuto,
+		e, err := ProtocolEnsemble(Trial{Protocol: id, N: n, K: id.MaxFaults(n)},
 			EnsembleOptions{Trials: 40, Start: n / 2, Seed: 13})
 		if err != nil {
 			t.Fatal(err)
@@ -106,20 +108,50 @@ func TestSharedCoinPhasesFlat(t *testing.T) {
 	}
 }
 
+// TestProtocolEnsembleCountsFailures: a trial that stalls is counted, not
+// returned as an error. An event budget of 50 stalls every fail-stop run.
+func TestProtocolEnsembleCountsFailures(t *testing.T) {
+	e, err := ProtocolEnsemble(Trial{Protocol: proto.FailStop, N: 7, K: 3, MaxEvents: 50},
+		EnsembleOptions{Trials: 10, Start: 3, Seed: 5})
+	if err != nil {
+		t.Fatalf("stalled trials returned an error: %v", err)
+	}
+	if e.Trials != 10 || e.Outcomes.Trials != 10 || e.Outcomes.Terminated != 0 || len(e.Phases) != 0 {
+		t.Errorf("trials %d, tallied %d, terminated %d, phases %v: want 10 stalled trials and no phases",
+			e.Trials, e.Outcomes.Trials, e.Outcomes.Terminated, e.Phases)
+	}
+}
+
+// TestProtocolEnsembleAdversaries: the trial description carries Byzantine
+// strategies. Two liars claiming 1 cannot override seven correct processes
+// that all start with 0: every trial terminates, agrees and keeps validity
+// on 0.
+func TestProtocolEnsembleAdversaries(t *testing.T) {
+	liars := map[msg.ID]spawn.Strategy{7: spawn.Liar1, 8: spawn.Liar1}
+	e, err := ProtocolEnsemble(Trial{Protocol: proto.Malicious, N: 9, K: 2, Adversaries: liars},
+		EnsembleOptions{Trials: 12, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := e.Outcomes; o.Terminated != 12 || o.Agreed != 12 || o.Valid != 12 || o.Decided1 != 0 {
+		t.Errorf("outcomes %+v: want 12 terminated, agreeing, valid trials deciding 0", o)
+	}
+}
+
 func TestProtocolEnsembleRejects(t *testing.T) {
-	if _, err := ProtocolEnsemble(proto.ID(99), 7, 3, coin.SchemeAuto,
+	if _, err := ProtocolEnsemble(Trial{Protocol: proto.ID(99), N: 7, K: 3},
 		EnsembleOptions{Trials: 1}); err == nil {
 		t.Error("unknown protocol accepted")
 	}
-	if _, err := ProtocolEnsemble(proto.FailStop, 7, 4, coin.SchemeAuto,
+	if _, err := ProtocolEnsemble(Trial{Protocol: proto.FailStop, N: 7, K: 4},
 		EnsembleOptions{Trials: 1}); err == nil {
 		t.Error("k over bound accepted")
 	}
-	if _, err := ProtocolEnsemble(proto.FailStop, 7, 3, coin.SchemeShared,
+	if _, err := ProtocolEnsemble(Trial{Protocol: proto.FailStop, N: 7, K: 3, Coin: coin.SchemeShared},
 		EnsembleOptions{Trials: 1}); err == nil {
 		t.Error("coin override accepted for deterministic protocol")
 	}
-	if _, err := ProtocolEnsemble(proto.FailStop, 7, 3, coin.SchemeAuto,
+	if _, err := ProtocolEnsemble(Trial{Protocol: proto.FailStop, N: 7, K: 3},
 		EnsembleOptions{Trials: 1, Start: 8}); err == nil {
 		t.Error("out-of-range Start accepted")
 	}

@@ -14,6 +14,7 @@ import (
 	"resilient/internal/msg"
 	"resilient/internal/netxport"
 	"resilient/internal/runtime"
+	"resilient/internal/spawn"
 )
 
 // Defaults for the replicated-log layer.
@@ -191,8 +192,8 @@ type slotDesc struct {
 // logRun is a normalized, validated log configuration.
 type logRun struct {
 	engine  Engine
-	slot    Scenario // what every slot is; seed, inputs and the dead set vary per slot
-	spawner spawner  // the slot protocol's; reseeded per slot
+	slot    Scenario      // what every slot is; seed, inputs and the dead set vary per slot
+	spawner spawn.Spawner // the slot protocol's; reseeded per slot
 	n, k    int
 	seed    uint64
 	batch   int
@@ -402,7 +403,7 @@ func (r *logRun) runSim(ops [][]byte) (*LogReport, error) {
 		sc.Seed = r.slotSeed(d.slot)
 		sc.Inputs = d.inputs(r.n)
 		sc.Crashes = faults.InitiallyDead(d.dead()...)
-		sp := r.spawner.reseeded(sc.Seed)
+		sp := r.spawner.Reseeded(sc.Seed)
 		res, err := runtime.Run(sc.simConfig(&sp))
 		if err != nil {
 			return nil, err
@@ -592,10 +593,10 @@ func (r *logRun) runLive(ctx context.Context, ops [][]byte, rate float64) (*LogR
 // starts -- consensus machines ignore the payload kind, but the bytes cross
 // the real wire, so throughput numbers include payload transfer.
 func (r *logRun) runLiveSlot(ctx context.Context, d slotDesc, endpoints []*netxport.Endpoint) (livenet.InstanceOutcome, error) {
-	sp := r.spawner.reseeded(r.slotSeed(d.slot))
-	machines, err := sp.machines(r.n, r.k, d.inputs(r.n))
+	sp := r.spawner.Reseeded(r.slotSeed(d.slot))
+	machines, err := sp.Machines(r.n, r.k, d.inputs(r.n))
 	if err != nil {
-		return livenet.InstanceOutcome{}, err
+		return livenet.InstanceOutcome{}, fmt.Errorf("resilient: %w", err)
 	}
 	conns, err := liveConns(r.n, endpoints, uint32(d.slot)+1, d.run)
 	if err != nil {

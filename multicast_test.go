@@ -116,7 +116,7 @@ func TestMulticastMatchesUnicastLists(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					opts.Crashes = tc.crashes(t, sp.dir)
+					opts.Crashes = tc.crashes(t, sp.Dir)
 				}
 				cfg, err := simConfig(tc.p, tc.n, tc.k, tc.inputs, opts)
 				if err != nil {
@@ -175,7 +175,7 @@ func TestEngineParityOutOfRangeSends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	machines, err := sp.machines(n, k, sc.Inputs)
+	machines, err := sp.Machines(n, k, sc.Inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,21 +33,15 @@
 package resilient
 
 import (
+	"fmt"
+
 	"resilient/internal/coin"
 	"resilient/internal/core"
 	"resilient/internal/msg"
 	"resilient/internal/proto"
 	"resilient/internal/quorum"
 	"resilient/internal/runtime"
-
-	// Every protocol package registers its descriptors with the registry at
-	// init time; these imports pull the whole zoo in.
-	_ "resilient/internal/benor"
-	_ "resilient/internal/bivalence"
-	_ "resilient/internal/failstop"
-	_ "resilient/internal/majority"
-	_ "resilient/internal/malicious"
-	_ "resilient/internal/sample"
+	"resilient/internal/spawn" // registers the whole protocol zoo
 )
 
 // Value is a binary consensus value (0 or 1).
@@ -178,15 +172,15 @@ type MachineConfig struct {
 // sampled broadcast stage get their full-quorum variant (the sampled one
 // needs a run-wide sample directory, built through Simulate).
 func NewMachine(p Protocol, cfg MachineConfig) (Machine, error) {
-	s, err := newSpawner(p, cfg.Coin, cfg.CoinSeed)
+	s, err := spawn.New(p, cfg.Coin, cfg.CoinSeed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("resilient: %w", err)
 	}
 	ctx := runtime.SpawnContext{Config: core.Config{N: cfg.N, K: cfg.K, Self: cfg.Self, Input: cfg.Input}}
-	if s.scheme == CoinLocal {
+	if s.Scheme() == CoinLocal {
 		ctx.RNG = newRand(cfg.CoinSeed) // CoinSeed is this process's own seed
 	}
-	return s.spawn(ctx)
+	return s.Spawn(ctx)
 }
 
 // MaxFaultsFor returns the tight resilience bound of the paper for a fault

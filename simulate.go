@@ -6,6 +6,7 @@ import (
 	"resilient/internal/faults"
 	"resilient/internal/runtime"
 	"resilient/internal/sched"
+	"resilient/internal/spawn"
 	"resilient/internal/trace"
 )
 
@@ -51,56 +52,32 @@ type TraceBuffer = trace.Buffer
 // (0 = unlimited).
 func NewTraceBuffer(limit int) *TraceBuffer { return trace.NewBuffer(limit) }
 
-// Strategy names a Byzantine behaviour for simulated adversaries. All
-// strategies wrap an honest machine of the simulated protocol and corrupt
-// its outbound value claims; see the byzantine package.
-type Strategy int
+// Strategy names a Byzantine behaviour for simulated adversaries; see the
+// spawn package.
+type Strategy = spawn.Strategy
 
+// Byzantine strategies.
 const (
 	// StrategySilent never sends anything (equivalent to being dead).
-	StrategySilent Strategy = iota + 1
+	StrategySilent = spawn.Silent
 	// StrategyBalancer always claims the current minority value among
 	// correct processes -- the Section 4 worst case.
-	StrategyBalancer
+	StrategyBalancer = spawn.Balancer
 	// StrategyFlipper claims an independent random value each time.
-	StrategyFlipper
+	StrategyFlipper = spawn.Flipper
 	// StrategyLiar0 always claims 0.
-	StrategyLiar0
+	StrategyLiar0 = spawn.Liar0
 	// StrategyLiar1 always claims 1.
-	StrategyLiar1
+	StrategyLiar1 = spawn.Liar1
 	// StrategyEquivocator claims 0 toward the first half of the processes
 	// and 1 toward the rest.
-	StrategyEquivocator
+	StrategyEquivocator = spawn.Equivocator
 	// StrategyDoubleEcho sends conflicting duplicate echoes (Figure 2
 	// runs only).
-	StrategyDoubleEcho
+	StrategyDoubleEcho = spawn.DoubleEcho
 	// StrategyMute behaves correctly for two phases, then stops sending.
-	StrategyMute
+	StrategyMute = spawn.Mute
 )
-
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case StrategySilent:
-		return "silent"
-	case StrategyBalancer:
-		return "balancer"
-	case StrategyFlipper:
-		return "flipper"
-	case StrategyLiar0:
-		return "liar0"
-	case StrategyLiar1:
-		return "liar1"
-	case StrategyEquivocator:
-		return "equivocator"
-	case StrategyDoubleEcho:
-		return "double-echo"
-	case StrategyMute:
-		return "mute"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
 
 // BroadcastScheme selects the reliable-broadcast primitive behind the echo
 // stage of the Figure-2 protocols (ProtocolMalicious, ProtocolBroadcast).

@@ -4,131 +4,24 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"resilient/internal/byzantine"
-	"resilient/internal/coin"
-	"resilient/internal/core"
 	"resilient/internal/faults"
-	"resilient/internal/msg"
 	"resilient/internal/proto"
-	"resilient/internal/runtime"
 	"resilient/internal/sample"
+	"resilient/internal/spawn"
 )
-
-// spawner is the one machine-construction path: a protocol descriptor bound
-// to everything a run decides once -- the resolved coin scheme and its seed,
-// the sample directory, the Unsafe switch, the adversary assignment. The
-// simulator calls spawn as its runtime.Spawner; the live engines, both
-// halves of the log and NewMachine call it with a context they fill in
-// themselves.
-type spawner struct {
-	desc        proto.Descriptor
-	scheme      CoinScheme  // resolved: none, local or shared
-	seed        uint64      // seeds the coin and engine-less process RNGs
-	shared      coin.Source // the run's one common coin under CoinShared
-	dir         *sample.Directory
-	unsafe      bool
-	adversaries map[ID]Strategy
-}
-
-// newSpawner resolves the protocol and its coin scheme for one run seed.
-func newSpawner(p Protocol, override CoinScheme, seed uint64) (spawner, error) {
-	d, ok := proto.Lookup(p)
-	if !ok {
-		return spawner{}, fmt.Errorf("resilient: unknown protocol %d", int(p))
-	}
-	scheme, err := d.ResolveCoin(override)
-	if err != nil {
-		return spawner{}, fmt.Errorf("resilient: %w", err)
-	}
-	return spawner{desc: d, scheme: scheme}.reseeded(seed), nil
-}
-
-// reseeded returns the spawner for another run of the same shape: a fresh
-// seed and, under the shared scheme, that seed's common coin.
-func (s spawner) reseeded(seed uint64) spawner {
-	s.seed = seed
-	if s.scheme == CoinShared {
-		// One shared coin per run: every process flips the same value for a
-		// given phase. Local coins instead draw from each process's own RNG.
-		s.shared = coin.NewShared(seed)
-	}
-	return s
-}
-
-// spawn builds one process's machine: honest, or strategy-wrapped when the
-// process is an assigned adversary. ctx.RNG is the process-private random
-// source when the engine supplies one (the simulator does); otherwise one is
-// derived from the run seed and the process id, and only for a machine that
-// draws from it -- a deterministic protocol constructs no RNG at all.
-func (s *spawner) spawn(ctx runtime.SpawnContext) (core.Machine, error) {
-	self := ctx.Config.Self
-	strat, adversary := s.adversaries[self]
-	if strat == StrategySilent {
-		return byzantine.NewSilent(self), nil
-	}
-	if ctx.RNG == nil && (s.scheme == CoinLocal || strat == StrategyFlipper) {
-		ctx.RNG = newRand(s.seed ^ uint64(self+1)*0x9e3779b97f4a7c15)
-	}
-	deps := proto.Deps{Sink: ctx.Sink, Unsafe: s.unsafe}
-	if s.dir != nil {
-		deps.Directory = s.dir
-	}
-	switch s.scheme {
-	case CoinLocal:
-		deps.Coin = coin.NewLocal(ctx.RNG)
-	case CoinShared:
-		deps.Coin = s.shared
-	}
-	m, err := s.desc.Spawn(ctx.Config, deps)
-	if err != nil || !adversary {
-		return m, err
-	}
-	switch strat {
-	case StrategyBalancer:
-		return byzantine.NewBalancer(m, ctx.World), nil
-	case StrategyFlipper:
-		return byzantine.NewFlipper(m, ctx.RNG), nil
-	case StrategyLiar0:
-		return byzantine.NewFixedLiar(m, msg.V0), nil
-	case StrategyLiar1:
-		return byzantine.NewFixedLiar(m, msg.V1), nil
-	case StrategyEquivocator:
-		return byzantine.NewEquivocator(m, ctx.Config.N), nil
-	case StrategyDoubleEcho:
-		return byzantine.NewDoubleEchoer(m), nil
-	case StrategyMute:
-		return byzantine.NewMute(m, 2), nil
-	default:
-		return nil, fmt.Errorf("resilient: unknown strategy %d", int(strat))
-	}
-}
-
-// machines builds all n machines of one live instance.
-func (s *spawner) machines(n, k int, inputs []Value) ([]core.Machine, error) {
-	ms := make([]core.Machine, n)
-	for i := range ms {
-		m, err := s.spawn(runtime.SpawnContext{
-			Config: core.Config{N: n, K: k, Self: ID(i), Input: inputs[i]},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("resilient: build p%d: %w", i, err)
-		}
-		ms[i] = m
-	}
-	return ms, nil
-}
 
 // validate is the one check of what a runnable scenario is, shared by every
 // engine and run before any of them builds a machine or opens a socket. It
-// returns the scenario's spawner.
-func (sc *Scenario) validate(engine Engine) (*spawner, error) {
+// returns the scenario's spawner (internal/spawn, the one machine-construction
+// path).
+func (sc *Scenario) validate(engine Engine) (*spawn.Spawner, error) {
 	if !engine.Valid() {
 		return nil, fmt.Errorf("resilient: unknown engine %d", int(engine))
 	}
 	n, k := sc.N, sc.K
-	s, err := newSpawner(sc.Protocol, sc.Coin, sc.Seed)
+	s, err := spawn.New(sc.Protocol, sc.Coin, sc.Seed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("resilient: %w", err)
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("resilient: need n >= 1, got %d", n)
@@ -158,11 +51,11 @@ func (sc *Scenario) validate(engine Engine) (*spawner, error) {
 			return nil, fmt.Errorf("resilient: %v needs the simulator's omniscient world view; run it on EngineSim", strat)
 		}
 	}
-	if s.dir, err = sc.sampleDirectory(s.desc); err != nil {
+	if s.Dir, err = sc.sampleDirectory(s.Descriptor()); err != nil {
 		return nil, err
 	}
-	s.unsafe = sc.Unsafe
-	s.adversaries = sc.Adversaries
+	s.Unsafe = sc.Unsafe
+	s.Adversaries = sc.Adversaries
 	return &s, nil
 }
 

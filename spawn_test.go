@@ -169,16 +169,16 @@ func TestSpawnPathMatchesNewMachine(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, seed := range []uint64{sc.Seed, slot} {
-					sp := base.reseeded(seed)
+					sp := base.Reseeded(seed)
 					flips := false
 					for i := 0; i < n; i++ {
 						cfg := core.Config{N: n, K: k, Self: ID(i), Input: sc.Inputs[i]}
-						spawned, err := sp.spawn(runtime.SpawnContext{Config: cfg})
+						spawned, err := sp.Spawn(runtime.SpawnContext{Config: cfg})
 						if err != nil {
 							t.Fatal(err)
 						}
 						mc := MachineConfig{N: n, K: k, Self: ID(i), Input: sc.Inputs[i], Coin: scheme, CoinSeed: seed}
-						if sp.scheme == CoinLocal {
+						if sp.Scheme() == CoinLocal {
 							mc.CoinSeed = seed ^ uint64(i+1)*0x9e3779b97f4a7c15
 						}
 						public, err := NewMachine(p, mc)
