@@ -13,6 +13,19 @@ import (
 // mixedOrder[id%6].
 var mixedOrder = []spawn.Strategy{spawn.Balancer, spawn.Equivocator, spawn.Silent, spawn.Flipper, spawn.Liar1, spawn.DoubleEcho}
 
+// coalition puts strat on the k highest ids of n, or the mixed coalition
+// when strat is zero.
+func coalition(n, k int, strat spawn.Strategy) map[msg.ID]spawn.Strategy {
+	adv := make(map[msg.ID]spawn.Strategy, k)
+	for id := msg.ID(n - k); int(id) < n; id++ {
+		adv[id] = strat
+		if strat == 0 {
+			adv[id] = mixedOrder[int(id)%len(mixedOrder)]
+		}
+	}
+	return adv
+}
+
 // E4 verifies Theorem 4: the Figure 2 protocol is k-resilient for the
 // malicious case, k <= floor((n-1)/3), against a battery of Byzantine
 // strategies including the omniscient balancer. Termination, agreement and
@@ -54,16 +67,7 @@ func E4(p Params) ([]*Table, error) {
 					trials = min(trials, 40)
 				}
 			}
-			adv := make(map[msg.ID]spawn.Strategy, k)
-			for i := 0; i < k; i++ {
-				id := msg.ID(n - 1 - i)
-				adv[id] = st.strat
-				if st.strat == 0 {
-					// As the string-keyed spawner did: its first adversary's
-					// pick overwrote the coalition's strategy for the rest.
-					adv[id] = mixedOrder[(n-k)%len(mixedOrder)]
-				}
-			}
+			adv := coalition(n, k, st.strat)
 			outs, err := runTrials(p, trials, func(tr int) mc.Trial {
 				seed := p.seedFor(row, tr)
 				return mc.Trial{

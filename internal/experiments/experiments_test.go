@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+
+	"resilient/internal/msg"
+	"resilient/internal/spawn"
 )
 
 // TestAllExperimentsQuick runs every experiment at reduced scale and checks
@@ -83,6 +87,17 @@ func TestE4AllRowsPerfect(t *testing.T) {
 				t.Errorf("row %v: column %d = %s, want 100.0%%", row[:3], col, row[col])
 			}
 		}
+	}
+}
+
+// TestE4MixedCoalition pins the mixed row's coalition: each adversary plays
+// the strategy its id selects. A spawner that let the first adversary's pick
+// stand for the rest once made the row a homogeneous coalition.
+func TestE4MixedCoalition(t *testing.T) {
+	got := coalition(13, 4, 0)
+	want := map[msg.ID]spawn.Strategy{9: spawn.Flipper, 10: spawn.Liar1, 11: spawn.DoubleEcho, 12: spawn.Balancer}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("mixed coalition at n=13, k=4: %v, want %v", got, want)
 	}
 }
 
