@@ -9,8 +9,6 @@ import (
 	"resilient/internal/msg"
 	"resilient/internal/proto"
 	"resilient/internal/quorum"
-	"resilient/internal/stats"
-	"resilient/internal/sweep"
 )
 
 // E1 reproduces the Section 4.1 fail-stop analysis.
@@ -44,16 +42,11 @@ func E1(p Params) ([]*Table, error) {
 			return nil, fmt.Errorf("E1a n=%d: %w", n, err)
 		}
 		mcChain := mc.FailStop{N: n, K: k, Metrics: p.Metrics}
-		phases, err := sweep.Run(p.trials(), p.workers(), func(tr int) (int, error) {
-			rng := rand.New(rand.NewPCG(p.seedFor(row, tr), 7))
+		acc, err := chainRuns(p, row, 7, func(rng *rand.Rand) (int, error) {
 			return mcChain.AbsorptionRun(n/2, rng, 0)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("E1a n=%d: %w", n, err)
-		}
-		var acc stats.Accumulator
-		for _, ph := range phases {
-			acc.Add(float64(ph))
 		}
 		bound := markov.CollapsedBound(n, markov.DefaultL)
 		tail, err := chain.TailFromBalanced(7)
@@ -84,17 +77,12 @@ func E1(p Params) ([]*Table, error) {
 	for row, n := range sizes {
 		k := quorum.MaxFaults(n, quorum.Malicious) // 3k < n for reachability
 		mcChain := mc.FailStop{N: n, K: k, Metrics: p.Metrics}
-		mcPhases, err := sweep.Run(p.trials(), p.workers(), func(tr int) (int, error) {
-			rng := rand.New(rand.NewPCG(p.seedFor(100+row, tr), 7))
+		mcAcc, err := chainRuns(p, 100+row, 7, func(rng *rand.Rand) (int, error) {
 			phases, _, err := mcChain.DecisionRun(n/2, rng, 0)
 			return phases, err
 		})
 		if err != nil {
 			return nil, fmt.Errorf("E1b n=%d: %w", n, err)
-		}
-		var mcAcc stats.Accumulator
-		for _, ph := range mcPhases {
-			mcAcc.Add(float64(ph))
 		}
 		engCell, agreeCell := "-", "-"
 		if n == engineN {

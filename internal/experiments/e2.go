@@ -7,7 +7,6 @@ import (
 	"resilient/internal/markov"
 	"resilient/internal/mc"
 	"resilient/internal/stats"
-	"resilient/internal/sweep"
 )
 
 // E2 reproduces the Section 4.2 malicious-case analysis.
@@ -56,8 +55,7 @@ func E2(p Params) ([]*Table, error) {
 		ta.AddRow(
 			f2(markov.LForK(n, k)), fmt.Sprintf("%d", k),
 			f3(bound), f3(exactForced), f3(exactMixed),
-			fmt.Sprintf("%s ± %s", f3(mcF.Mean()), f3(mcF.CI95())),
-			fmt.Sprintf("%s ± %s", f3(mcM.Mean()), f3(mcM.CI95())),
+			ci3(mcF), ci3(mcM),
 		)
 	}
 	ta.AddNote("paper: expected transitions to absorption bounded by 1/(2*Phi(l)) in the collapsed model")
@@ -83,24 +81,18 @@ func E2(p Params) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tb.AddRow(fmt.Sprintf("%d", nn), fmt.Sprintf("%d", k), f3(exact),
-			fmt.Sprintf("%s ± %s", f3(est.Mean()), f3(est.CI95())))
+		tb.AddRow(fmt.Sprintf("%d", nn), fmt.Sprintf("%d", k), f3(exact), ci3(est))
 	}
 	tb.AddNote("paper: for k = o(sqrt(n)) the expected absorption time is constant; the column must stay flat as n grows")
 	return []*Table{ta, tb}, nil
 }
 
-func e2MC(chain *mc.Malicious, p Params, rowSeed int) (*stats.Accumulator, error) {
-	phases, err := sweep.Run(p.trials(), p.workers(), func(tr int) (int, error) {
-		rng := rand.New(rand.NewPCG(p.seedFor(rowSeed, tr), 11))
+func e2MC(chain *mc.Malicious, p Params, rowSeed int) (stats.Accumulator, error) {
+	acc, err := chainRuns(p, rowSeed, 11, func(rng *rand.Rand) (int, error) {
 		return chain.AbsorptionRun(chain.Correct()/2, rng, 0)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("E2 MC n=%d k=%d: %w", chain.N, chain.K, err)
+		return acc, fmt.Errorf("E2 MC n=%d k=%d: %w", chain.N, chain.K, err)
 	}
-	var acc stats.Accumulator
-	for _, ph := range phases {
-		acc.Add(float64(ph))
-	}
-	return &acc, nil
+	return acc, nil
 }

@@ -12,6 +12,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"strings"
 
 	"resilient/internal/mc"
@@ -207,6 +208,19 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
+}
+
+// chainRuns runs p.trials() Monte-Carlo chain runs, trial tr drawing from
+// PCG(seedFor(row, tr), stream), and folds their phase counts.
+func chainRuns(p Params, row int, stream uint64, run func(rng *rand.Rand) (int, error)) (stats.Accumulator, error) {
+	phases, err := sweep.Run(p.trials(), p.workers(), func(tr int) (int, error) {
+		return run(rand.New(rand.NewPCG(p.seedFor(row, tr), stream)))
+	})
+	var acc stats.Accumulator
+	for _, ph := range phases {
+		acc.Add(float64(ph))
+	}
+	return acc, err
 }
 
 // runTrials runs trial(0..trials-1)'s runs across p's workers and returns

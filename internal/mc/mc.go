@@ -152,28 +152,18 @@ func (c *FailStop) Step(ones int, rng *rand.Rand) (StepOutcome, error) {
 }
 
 func (c *FailStop) step(ones int, rng *rand.Rand, met *chainMetrics) (StepOutcome, error) {
-	draw := quorum.WaitCount(c.N, c.K)
-	sampler, err := dist.NewHGSampler(dist.Hypergeometric{Pop: c.N, Success: ones, Draw: draw})
+	views, err := c.viewSamplers(ones)
 	if err != nil {
 		return StepOutcome{}, err
 	}
-	met.steps.Inc()
-	met.draws.Add(int64(c.N))
-	var out StepOutcome
-	for p := 0; p < c.N; p++ {
-		view1 := sampler.Sample(rng)
-		view0 := draw - view1
-		if view1 > view0 {
-			out.Ones++
-		}
-		if quorum.ExceedsHalfNPlusK(view1, c.N, c.K) {
-			out.Decided1++
-		}
-		if quorum.ExceedsHalfNPlusK(view0, c.N, c.K) {
-			out.Decided0++
-		}
-	}
-	return out, nil
+	return stepViews(c.N, c.K, c.N, views, rng, met), nil
+}
+
+// viewSamplers builds the per-view sampler for the given state: every view
+// is a uniform (n-k)-sample of all n values.
+func (c *FailStop) viewSamplers(ones int) (*viewSampler, error) {
+	lo, err := dist.NewHGSampler(dist.Hypergeometric{Pop: c.N, Success: ones, Draw: quorum.WaitCount(c.N, c.K)})
+	return &viewSampler{lo: lo}, err
 }
 
 // AbsorptionRun simulates phases from the given start state until the chain
@@ -186,24 +176,7 @@ func (c *FailStop) AbsorptionRun(start int, rng *rand.Rand, maxPhases int) (int,
 	if start < 0 || start > c.N {
 		return 0, fmt.Errorf("mc: start state %d outside 0..%d", start, c.N)
 	}
-	if maxPhases <= 0 {
-		maxPhases = 10000
-	}
-	met := c.handles()
-	state := start
-	for t := 0; t < maxPhases; t++ {
-		if c.Absorbed(state) {
-			met.absorptionRuns.Inc()
-			met.absorptionPhases.Observe(float64(t))
-			return t, nil
-		}
-		out, err := c.step(state, rng, met)
-		if err != nil {
-			return 0, err
-		}
-		state = out.Ones
-	}
-	return maxPhases, fmt.Errorf("mc: no absorption within %d phases", maxPhases)
+	return absorb(start, maxPhases, c.Absorbed, c.step, rng, c.handles())
 }
 
 // DecisionRun simulates the majority-variant protocol per process, exactly
@@ -223,61 +196,7 @@ func (c *FailStop) DecisionRun(start int, rng *rand.Rand, maxPhases int) (phases
 	if start < 0 || start > c.N {
 		return 0, false, fmt.Errorf("mc: start state %d outside 0..%d", start, c.N)
 	}
-	if maxPhases <= 0 {
-		maxPhases = 100000
-	}
-	met := c.handles()
-	draw := quorum.WaitCount(c.N, c.K)
-	values := make([]bool, c.N) // true = 1
-	for p := 0; p < start; p++ {
-		values[p] = true
-	}
-	decided := make([]bool, c.N)
-	var sawDecision0, sawDecision1 bool
-	for t := 1; t <= maxPhases; t++ {
-		ones := 0
-		for _, v := range values {
-			if v {
-				ones++
-			}
-		}
-		sampler, err := dist.NewHGSampler(dist.Hypergeometric{Pop: c.N, Success: ones, Draw: draw})
-		if err != nil {
-			return 0, false, err
-		}
-		met.steps.Inc()
-		remaining := 0
-		for p := 0; p < c.N; p++ {
-			if decided[p] {
-				continue
-			}
-			met.draws.Inc()
-			view1 := sampler.Sample(rng)
-			view0 := draw - view1
-			switch {
-			case quorum.ExceedsHalfNPlusK(view1, c.N, c.K):
-				decided[p] = true
-				values[p] = true
-				sawDecision1 = true
-			case quorum.ExceedsHalfNPlusK(view0, c.N, c.K):
-				decided[p] = true
-				values[p] = false
-				sawDecision0 = true
-			default:
-				values[p] = view1 > view0
-				remaining++
-			}
-		}
-		if sawDecision0 && sawDecision1 {
-			return 0, false, fmt.Errorf("mc: agreement violated at phase %d (n=%d k=%d)", t, c.N, c.K)
-		}
-		if remaining == 0 {
-			met.decisionRuns.Inc()
-			met.decisionPhases.Observe(float64(t))
-			return t, sawDecision1, nil
-		}
-	}
-	return maxPhases, sawDecision1, fmt.Errorf("mc: no decision within %d phases", maxPhases)
+	return decide(c.N, c.K, c.N, start, maxPhases, c.viewSamplers, rng, c.handles())
 }
 
 // Malicious simulates the Section 4.2 chain: n-k correct processes plus k
@@ -334,34 +253,17 @@ func (c *Malicious) Step(ones int, rng *rand.Rand) (StepOutcome, error) {
 }
 
 func (c *Malicious) step(ones int, rng *rand.Rand, met *chainMetrics) (StepOutcome, error) {
-	correct := c.Correct()
-	draw := quorum.WaitCount(c.N, c.K)
 	views, err := c.viewSamplers(ones)
 	if err != nil {
 		return StepOutcome{}, err
 	}
-	met.steps.Inc()
-	met.draws.Add(int64(correct))
-	var out StepOutcome
-	for p := 0; p < correct; p++ {
-		view1 := views.sample(rng)
-		view0 := draw - view1
-		if view1 > view0 {
-			out.Ones++
-		}
-		if quorum.ExceedsHalfNPlusK(view1, c.N, c.K) {
-			out.Decided1++
-		}
-		if quorum.ExceedsHalfNPlusK(view0, c.N, c.K) {
-			out.Decided0++
-		}
-	}
-	return out, nil
+	return stepViews(c.N, c.K, c.Correct(), views, rng, met), nil
 }
 
 // viewSampler draws one process's count of 1-valued messages among its
-// n-k-message view, with the randomized balancing adversary's votes drawn
-// independently per view (the paper's Section 4.2 model; see markov.MixedW).
+// n-k-message view. The fail-stop chain samples lo alone; the malicious
+// chain draws the randomized balancing adversary's votes independently per
+// view (the paper's Section 4.2 model; see markov.MixedW).
 type viewSampler struct {
 	pHi     float64
 	fixedLo int // adversarial ones added to the view when using lo
@@ -415,24 +317,7 @@ func (c *Malicious) AbsorptionRun(start int, rng *rand.Rand, maxPhases int) (int
 	if start < 0 || start > c.Correct() {
 		return 0, fmt.Errorf("mc: start state %d outside 0..%d", start, c.Correct())
 	}
-	if maxPhases <= 0 {
-		maxPhases = 10000
-	}
-	met := c.handles()
-	state := start
-	for t := 0; t < maxPhases; t++ {
-		if c.Absorbed(state) {
-			met.absorptionRuns.Inc()
-			met.absorptionPhases.Observe(float64(t))
-			return t, nil
-		}
-		out, err := c.step(state, rng, met)
-		if err != nil {
-			return 0, err
-		}
-		state = out.Ones
-	}
-	return maxPhases, fmt.Errorf("mc: no absorption within %d phases", maxPhases)
+	return absorb(start, maxPhases, c.Absorbed, c.step, rng, c.handles())
 }
 
 // DecisionRun simulates the malicious-case protocol per correct process
@@ -448,20 +333,76 @@ func (c *Malicious) DecisionRun(start int, rng *rand.Rand, maxPhases int) (phase
 	if c.N < quorum.MinProcesses(c.K, quorum.Malicious) {
 		return 0, false, fmt.Errorf("mc: decision threshold unreachable for n=%d k=%d (need 3k < n)", c.N, c.K)
 	}
-	correct := c.Correct()
-	if start < 0 || start > correct {
-		return 0, false, fmt.Errorf("mc: start state %d outside 0..%d", start, correct)
+	if start < 0 || start > c.Correct() {
+		return 0, false, fmt.Errorf("mc: start state %d outside 0..%d", start, c.Correct())
 	}
+	return decide(c.N, c.K, c.Correct(), start, maxPhases, c.viewSamplers, rng, c.handles())
+}
+
+// stepViews is one phase of either chain: each of pop processes draws its
+// view's 1-count from views, adopts the majority and counts toward a
+// decision on a strictly-more-than-(n+k)/2 supermajority.
+func stepViews(n, k, pop int, views *viewSampler, rng *rand.Rand, met *chainMetrics) StepOutcome {
+	draw := quorum.WaitCount(n, k)
+	met.steps.Inc()
+	met.draws.Add(int64(pop))
+	var out StepOutcome
+	for p := 0; p < pop; p++ {
+		view1 := views.sample(rng)
+		view0 := draw - view1
+		if view1 > view0 {
+			out.Ones++
+		}
+		if quorum.ExceedsHalfNPlusK(view1, n, k) {
+			out.Decided1++
+		}
+		if quorum.ExceedsHalfNPlusK(view0, n, k) {
+			out.Decided0++
+		}
+	}
+	return out
+}
+
+// absorb steps either chain from start until it enters its absorbing
+// region, returning the number of phases taken. maxPhases caps the run
+// (0 = 10000).
+func absorb(start, maxPhases int, absorbed func(int) bool, step func(int, *rand.Rand, *chainMetrics) (StepOutcome, error), rng *rand.Rand, met *chainMetrics) (int, error) {
+	if maxPhases <= 0 {
+		maxPhases = 10000
+	}
+	state := start
+	for t := 0; t < maxPhases; t++ {
+		if absorbed(state) {
+			met.absorptionRuns.Inc()
+			met.absorptionPhases.Observe(float64(t))
+			return t, nil
+		}
+		out, err := step(state, rng, met)
+		if err != nil {
+			return 0, err
+		}
+		state = out.Ones
+	}
+	return maxPhases, fmt.Errorf("mc: no absorption within %d phases", maxPhases)
+}
+
+// decide is either chain's per-process decision run: pop processes, the
+// first start of them holding 1. Each phase every undecided process draws a
+// view from views(ones) (decided processes keep broadcasting their pinned
+// decision), adopts the majority, and decides on a strictly-more-than-
+// (n+k)/2 supermajority. It returns the phase at which the last process
+// decided (counted from 1) and the common decision. maxPhases caps the run
+// (0 = 100000).
+func decide(n, k, pop, start, maxPhases int, views func(ones int) (*viewSampler, error), rng *rand.Rand, met *chainMetrics) (int, bool, error) {
 	if maxPhases <= 0 {
 		maxPhases = 100000
 	}
-	met := c.handles()
-	draw := quorum.WaitCount(c.N, c.K)
-	values := make([]bool, correct)
+	draw := quorum.WaitCount(n, k)
+	values := make([]bool, pop) // true = 1
 	for p := 0; p < start; p++ {
 		values[p] = true
 	}
-	decided := make([]bool, correct)
+	decided := make([]bool, pop)
 	var sawDecision0, sawDecision1 bool
 	for t := 1; t <= maxPhases; t++ {
 		ones := 0
@@ -470,25 +411,25 @@ func (c *Malicious) DecisionRun(start int, rng *rand.Rand, maxPhases int) (phase
 				ones++
 			}
 		}
-		views, err := c.viewSamplers(ones)
+		sampler, err := views(ones)
 		if err != nil {
 			return 0, false, err
 		}
 		met.steps.Inc()
 		remaining := 0
-		for p := 0; p < correct; p++ {
+		for p := 0; p < pop; p++ {
 			if decided[p] {
 				continue
 			}
 			met.draws.Inc()
-			view1 := views.sample(rng)
+			view1 := sampler.sample(rng)
 			view0 := draw - view1
 			switch {
-			case quorum.ExceedsHalfNPlusK(view1, c.N, c.K):
+			case quorum.ExceedsHalfNPlusK(view1, n, k):
 				decided[p] = true
 				values[p] = true
 				sawDecision1 = true
-			case quorum.ExceedsHalfNPlusK(view0, c.N, c.K):
+			case quorum.ExceedsHalfNPlusK(view0, n, k):
 				decided[p] = true
 				values[p] = false
 				sawDecision0 = true
@@ -498,7 +439,7 @@ func (c *Malicious) DecisionRun(start int, rng *rand.Rand, maxPhases int) (phase
 			}
 		}
 		if sawDecision0 && sawDecision1 {
-			return 0, false, fmt.Errorf("mc: agreement violated at phase %d (n=%d k=%d)", t, c.N, c.K)
+			return 0, false, fmt.Errorf("mc: agreement violated at phase %d (n=%d k=%d)", t, n, k)
 		}
 		if remaining == 0 {
 			met.decisionRuns.Inc()
