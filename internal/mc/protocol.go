@@ -68,15 +68,16 @@ type Outcome struct {
 	Wall time.Duration
 }
 
-// Config returns the trial's engine configuration, its machines built by
-// the one spawner.
-func (t Trial) Config() (runtime.Config, error) {
+// Run executes the trial, its machines built by the one spawner. A trial
+// that stalls or disagrees is an outcome, not an error; errors are
+// configurations the engine refuses.
+func (t Trial) Run() (Outcome, error) {
 	sp, err := spawn.New(t.Protocol, t.Coin, t.Seed)
 	if err != nil {
-		return runtime.Config{}, fmt.Errorf("mc: %w", err)
+		return Outcome{}, fmt.Errorf("mc: %w", err)
 	}
 	sp.Adversaries = t.Adversaries
-	return runtime.Config{
+	res, err := runtime.Run(runtime.Config{
 		N: t.N, K: t.K,
 		Inputs:    t.Inputs,
 		Spawn:     sp.Spawn,
@@ -86,17 +87,7 @@ func (t Trial) Config() (runtime.Config, error) {
 		Seed:      t.Seed,
 		MaxEvents: t.MaxEvents,
 		Metrics:   t.Metrics,
-	}, nil
-}
-
-// Run executes the trial. A trial that stalls or disagrees is an outcome,
-// not an error; errors are configurations the engine refuses.
-func (t Trial) Run() (Outcome, error) {
-	cfg, err := t.Config()
-	if err != nil {
-		return Outcome{}, err
-	}
-	res, err := runtime.Run(cfg)
+	})
 	if err != nil {
 		return Outcome{}, err
 	}
