@@ -5,6 +5,7 @@ import (
 
 	"resilient/internal/markov"
 	"resilient/internal/mc"
+	"resilient/internal/spawn"
 	"resilient/internal/stats"
 )
 
@@ -84,7 +85,7 @@ func (e Estimate) String() string {
 // the balanced start.
 func EstimateFailStopAbsorption(n, k, trials int, seed uint64) (Estimate, error) {
 	chain := mc.FailStop{N: n, K: k}
-	rng := newRand(seed)
+	rng := spawn.Rand(seed)
 	var acc stats.Accumulator
 	for t := 0; t < trials; t++ {
 		phases, err := chain.AbsorptionRun(n/2, rng, 0)
@@ -101,7 +102,7 @@ func EstimateFailStopAbsorption(n, k, trials int, seed uint64) (Estimate, error)
 // the Section 4 view model), starting from the given number of 1-inputs.
 func EstimateFailStopDecision(n, k, startOnes, trials int, seed uint64) (Estimate, error) {
 	chain := mc.FailStop{N: n, K: k}
-	rng := newRand(seed)
+	rng := spawn.Rand(seed)
 	var acc stats.Accumulator
 	for t := 0; t < trials; t++ {
 		phases, _, err := chain.DecisionRun(startOnes, rng, 0)
@@ -122,7 +123,7 @@ func EstimateMaliciousAbsorption(n, k, trials int, forced bool, seed uint64) (Es
 		model = mc.Forced
 	}
 	chain := mc.Malicious{N: n, K: k, Model: model}
-	rng := newRand(seed)
+	rng := spawn.Rand(seed)
 	var acc stats.Accumulator
 	for t := 0; t < trials; t++ {
 		// Start from the balanced middle state index, not a threshold.

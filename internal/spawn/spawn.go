@@ -80,6 +80,12 @@ func (s Strategy) String() string {
 	}
 }
 
+// Rand is the seeded random source a process draws from when no engine
+// supplies one; the root's seeded draws use it too.
+func Rand(seed uint64) *rand.Rand {
+	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+}
+
 // Members returns the processes an adversary assignment covers, as the
 // engines' Byzantine membership set.
 func Members(adversaries map[msg.ID]Strategy) map[msg.ID]bool {
@@ -151,8 +157,7 @@ func (s *Spawner) Spawn(ctx runtime.SpawnContext) (core.Machine, error) {
 		return byzantine.NewSilent(self), nil
 	}
 	if ctx.RNG == nil && (s.scheme == coin.SchemeLocal || strat == Flipper) {
-		seed := s.seed ^ uint64(self+1)*0x9e3779b97f4a7c15
-		ctx.RNG = rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+		ctx.RNG = Rand(s.seed ^ uint64(self+1)*0x9e3779b97f4a7c15)
 	}
 	deps := proto.Deps{Sink: ctx.Sink, Unsafe: s.Unsafe}
 	if s.Dir != nil {

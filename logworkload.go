@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"resilient/internal/spawn"
 )
 
 // Defaults for the open-loop log workload.
@@ -44,7 +46,7 @@ type LogWorkloadOptions struct {
 // a sequence number, a client stamp drawn from the seeded RNG, and padding
 // to OpBytes.
 func genWorkloadOps(seed uint64, count, opBytes int) [][]byte {
-	rng := newRand(seed ^ 0xc2b2ae3d27d4eb4f)
+	rng := spawn.Rand(seed ^ 0xc2b2ae3d27d4eb4f)
 	ops := make([][]byte, count)
 	buf := make([]byte, count*opBytes)
 	for i := range ops {
@@ -100,7 +102,7 @@ func arrivalGaps(seed uint64, rate float64) func() time.Duration {
 	if rate == 0 {
 		return func() time.Duration { return 0 }
 	}
-	rng := newRand(seed ^ 0x9e3779b97f4a7c15)
+	rng := spawn.Rand(seed ^ 0x9e3779b97f4a7c15)
 	return func() time.Duration {
 		u := rng.Float64()
 		for u == 0 {

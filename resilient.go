@@ -178,7 +178,7 @@ func NewMachine(p Protocol, cfg MachineConfig) (Machine, error) {
 	}
 	ctx := runtime.SpawnContext{Config: core.Config{N: cfg.N, K: cfg.K, Self: cfg.Self, Input: cfg.Input}}
 	if s.Scheme() == CoinLocal {
-		ctx.RNG = newRand(cfg.CoinSeed) // CoinSeed is this process's own seed
+		ctx.RNG = spawn.Rand(cfg.CoinSeed) // CoinSeed is this process's own seed
 	}
 	return s.Spawn(ctx)
 }

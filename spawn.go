@@ -2,7 +2,6 @@ package resilient
 
 import (
 	"fmt"
-	"math/rand/v2"
 
 	"resilient/internal/faults"
 	"resilient/internal/proto"
@@ -88,9 +87,4 @@ func (sc *Scenario) sampleDirectory(d proto.Descriptor) (*sample.Directory, erro
 		return nil, fmt.Errorf("resilient: sampled broadcast: %w", err)
 	}
 	return sample.NewDirectory(plan, sc.Seed), nil
-}
-
-// newRand builds a seeded random source.
-func newRand(seed uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 }
