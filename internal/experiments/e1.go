@@ -97,7 +97,7 @@ func E1(p Params) ([]*Table, error) {
 				return nil, fmt.Errorf("E1b engine n=%d: %w", n, err)
 			}
 			tl := mc.TallyOf(outs)
-			engCell, agreeCell = ci3(tl.Phases), pct(tl.Share(tl.Agreed))
+			engCell, agreeCell = phaseCell(tl, ci3), pct(tl.Share(tl.Agreed))
 		}
 		tb.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", k), ci3(mcAcc), engCell, agreeCell)
 	}

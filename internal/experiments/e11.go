@@ -62,7 +62,7 @@ func E11(p Params) ([]*Table, error) {
 			return nil, fmt.Errorf("E11a %s: %w", sc.name, err)
 		}
 		tl := mc.TallyOf(outs)
-		ta.AddRow(sc.name, pct(tl.Share(tl.Terminated)), pct(tl.Share(tl.Agreed)), ci2(tl.Phases))
+		ta.AddRow(sc.name, pct(tl.Share(tl.Terminated)), pct(tl.Share(tl.Agreed)), phaseCell(tl, ci2))
 	}
 	ta.AddNote("convergence must hold under every scheduler (the Section 2.3 epsilon-assumption is all the proofs need); only the constant matters, not the delay law")
 

@@ -65,7 +65,7 @@ func E13(p Params) ([]*Table, error) {
 			d.Name, d.Coin.String(),
 			fmt.Sprintf("%d", cfg.n), fmt.Sprintf("%d", cfg.k),
 			pct(tl.Share(tl.Terminated)), pct(tl.Share(tl.Agreed)),
-			ci2(tl.Phases), f2(tl.Messages.Mean()),
+			phaseCell(tl, ci2), f2(tl.Messages.Mean()),
 		}
 		if p.WallTimes {
 			var wall stats.Accumulator

@@ -58,7 +58,7 @@ func E3(p Params) ([]*Table, error) {
 		t.AddRow(
 			fmt.Sprintf("%d", cfg.n), fmt.Sprintf("%d", cfg.k), cfg.pattern,
 			pct(tl.Share(tl.Terminated)), pct(tl.Share(tl.Agreed)), pct(tl.Share(tl.Valid)),
-			ci2(tl.Phases), f2(tl.Messages.Mean()),
+			phaseCell(tl, ci2), f2(tl.Messages.Mean()),
 		)
 	}
 	t.AddNote("paper: Figure 1 is k-resilient for k <= floor((n-1)/2); terminated/agreement/validity must all be 100%%")

@@ -86,7 +86,7 @@ func E4(p Params) ([]*Table, error) {
 			t.AddRow(
 				fmt.Sprintf("%d", n), fmt.Sprintf("%d", k), st.name,
 				pct(tl.Share(tl.Terminated)), pct(tl.Share(tl.Agreed)), pct(tl.Share(tl.Valid)),
-				ci2(tl.Phases),
+				phaseCell(tl, ci2),
 			)
 			row++
 		}

@@ -239,3 +239,12 @@ func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
 // three decimals.
 func ci2(a stats.Accumulator) string { return f2(a.Mean()) + " ± " + f2(a.CI95()) }
 func ci3(a stats.Accumulator) string { return f3(a.Mean()) + " ± " + f3(a.CI95()) }
+
+// phaseCell renders a tally's phases with ci. Phases fold the terminated
+// trials only, so when some trial stalled the cell says how many it covers.
+func phaseCell(tl mc.Tally, ci func(stats.Accumulator) string) string {
+	if tl.Terminated == tl.Trials {
+		return ci(tl.Phases)
+	}
+	return fmt.Sprintf("%s over %d/%d", ci(tl.Phases), tl.Terminated, tl.Trials)
+}

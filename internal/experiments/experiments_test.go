@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"resilient/internal/mc"
 	"resilient/internal/msg"
 	"resilient/internal/spawn"
 )
@@ -192,5 +193,19 @@ func TestAddNoteFormats(t *testing.T) {
 	tb.AddNote("x=%d", 7)
 	if len(tb.Notes) != 1 || tb.Notes[0] != "x=7" {
 		t.Errorf("notes %v", tb.Notes)
+	}
+}
+
+// TestPhaseCellNamesStalls: a phase cell is the bare statistic when every
+// trial terminated, and names the trials it covers when one stalled, so a
+// mean over the shorter runs cannot pass as the whole ensemble's.
+func TestPhaseCellNamesStalls(t *testing.T) {
+	all := mc.TallyOf([]mc.Outcome{{Terminated: true, Phases: 2}, {Terminated: true, Phases: 4}})
+	if got := phaseCell(all, ci2); got != ci2(all.Phases) {
+		t.Errorf("all terminated: cell %q, want %q", got, ci2(all.Phases))
+	}
+	some := mc.TallyOf([]mc.Outcome{{Terminated: true, Phases: 2}, {Phases: 9}})
+	if got, want := phaseCell(some, ci2), "2.00 ± 0.00 over 1/2"; got != want {
+		t.Errorf("one stalled: cell %q, want %q", got, want)
 	}
 }

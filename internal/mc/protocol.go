@@ -70,11 +70,11 @@ type Outcome struct {
 
 // Run executes the trial, its machines built by the one spawner. A trial
 // that stalls or disagrees is an outcome, not an error; errors are
-// configurations the engine refuses.
+// configurations the spawner or the engine refuses.
 func (t Trial) Run() (Outcome, error) {
 	sp, err := spawn.New(t.Protocol, t.Coin, t.Seed)
 	if err != nil {
-		return Outcome{}, fmt.Errorf("mc: %w", err)
+		return Outcome{}, fmt.Errorf("mc: %v: %w", t.Protocol, err)
 	}
 	sp.Adversaries = t.Adversaries
 	res, err := runtime.Run(runtime.Config{
@@ -89,7 +89,7 @@ func (t Trial) Run() (Outcome, error) {
 		Metrics:   t.Metrics,
 	})
 	if err != nil {
-		return Outcome{}, err
+		return Outcome{}, fmt.Errorf("mc: %v: %w", t.Protocol, err)
 	}
 	o := Outcome{
 		Terminated: res.AllDecided && res.Stalled == runtime.NotStalled,
@@ -168,20 +168,25 @@ func (t *Tally) Share(count int) float64 { return float64(count) / float64(t.Tri
 // chain ensembles produce, so protocols and their analytical models are
 // directly comparable.
 //
-// Every trial replaces run.Inputs with opts.Start initial 1-inputs (the
-// remaining n - Start processes start with 0) and run.Seed with a seed drawn
-// from its private (Seed, t) stream, so the merged result is bit-identical
-// for every worker count. opts.MaxPhases is ignored: each execution runs to
-// decision under the engine's event budget. A trial that stalls or
-// disagrees is counted in Outcomes, not returned as an error; Phases and
-// its aggregates fold the terminated trials.
+// The ensemble draws every trial's inputs and seed itself, so run.Inputs
+// and run.Seed must be unset: trial t starts opts.Start processes on 1 (the
+// remaining n - Start on 0) and runs on a seed drawn from its private
+// (Seed, t) stream, so the merged result is bit-identical for every worker
+// count. opts.MaxPhases is ignored: each execution runs to decision under
+// the engine's event budget. A trial that stalls or disagrees is counted in
+// Outcomes, not returned as an error. Phases and its aggregates (Mean,
+// percentiles, Hist, Decided1) fold only the Outcomes.Terminated trials, so
+// a reader of them must check Outcomes.Terminated against Trials.
 func ProtocolEnsemble(run Trial, opts EnsembleOptions) (*Ensemble, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	p, n, k := run.Protocol, run.N, run.K
 	if _, err := spawn.New(p, run.Coin, 0); err != nil {
-		return nil, fmt.Errorf("mc: %w", err)
+		return nil, fmt.Errorf("mc: %v: %w", p, err)
+	}
+	if run.Inputs != nil || run.Seed != 0 {
+		return nil, fmt.Errorf("mc: a protocol ensemble draws each trial's inputs and seed; got Inputs %v, Seed %d", run.Inputs, run.Seed)
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("mc: protocol ensemble needs n >= 1, got %d", n)
@@ -199,11 +204,7 @@ func ProtocolEnsemble(run Trial, opts EnsembleOptions) (*Ensemble, error) {
 	outs, err := sweep.Run(opts.Trials, opts.Workers, func(t int) (Outcome, error) {
 		tr := run
 		tr.Seed = opts.trialRNG(t).Uint64()
-		o, err := tr.Run()
-		if err != nil {
-			return o, fmt.Errorf("mc: %v: %w", p, err)
-		}
-		return o, nil
+		return tr.Run()
 	})
 	if err != nil {
 		return nil, err

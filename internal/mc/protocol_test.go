@@ -2,9 +2,11 @@ package mc
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"resilient/internal/coin"
+	"resilient/internal/faults"
 	"resilient/internal/msg"
 	"resilient/internal/proto"
 	"resilient/internal/spawn"
@@ -40,6 +42,14 @@ func TestProtocolEnsembleAcrossRegistry(t *testing.T) {
 	}
 }
 
+// decidedAll fails t unless every trial of e terminated and kept agreement.
+func decidedAll(t *testing.T, e *Ensemble, trials int) {
+	t.Helper()
+	if o := e.Outcomes; e.Trials != trials || o.Terminated != trials || o.Agreed != trials {
+		t.Fatalf("%d trials, %d terminated, %d agreed: want all %d to decide and agree", e.Trials, o.Terminated, o.Agreed, trials)
+	}
+}
+
 func TestProtocolEnsembleWorkerIndependent(t *testing.T) {
 	run := func(workers int) *Ensemble {
 		e, err := ProtocolEnsemble(Trial{Protocol: proto.BenOrCrash, N: 7, K: 3},
@@ -47,6 +57,7 @@ func TestProtocolEnsembleWorkerIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		decidedAll(t, e, 24)
 		return e
 	}
 	one, four := run(1), run(4)
@@ -66,9 +77,7 @@ func TestProtocolEnsembleSharedCoinOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Trials != 10 {
-		t.Fatalf("trials %d", e.Trials)
-	}
+	decidedAll(t, e, 10)
 }
 
 // TestSharedCoinPhasesFlat is the quantitative point of the shared-coin
@@ -88,6 +97,7 @@ func TestSharedCoinPhasesFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		decidedAll(t, e, 40)
 		if e.Max > 6 && id == proto.BenOrShared {
 			t.Errorf("benor-shared n=%d hit %0.f phases; the common coin should finish in a handful", n, e.Max)
 		}
@@ -154,5 +164,18 @@ func TestProtocolEnsembleRejects(t *testing.T) {
 	if _, err := ProtocolEnsemble(Trial{Protocol: proto.FailStop, N: 7, K: 3},
 		EnsembleOptions{Trials: 1, Start: 8}); err == nil {
 		t.Error("out-of-range Start accepted")
+	}
+	if _, err := ProtocolEnsemble(Trial{Protocol: proto.FailStop, N: 7, K: 3, Seed: 4},
+		EnsembleOptions{Trials: 1}); err == nil {
+		t.Error("a run seed the ensemble would overwrite accepted")
+	}
+	if _, err := ProtocolEnsemble(Trial{Protocol: proto.FailStop, N: 7, K: 3, Inputs: make([]msg.Value, 7)},
+		EnsembleOptions{Trials: 1}); err == nil {
+		t.Error("run inputs the ensemble would overwrite accepted")
+	}
+	_, err := ProtocolEnsemble(Trial{Protocol: proto.BenOrCrash, N: 7, K: 3, Crashes: faults.Plan{9: {Process: 9}}},
+		EnsembleOptions{Trials: 1})
+	if err == nil || strings.Count(err.Error(), "mc:") != 1 {
+		t.Errorf("engine refusal %q: want one error naming mc once", err)
 	}
 }
