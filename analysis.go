@@ -97,23 +97,6 @@ func EstimateFailStopAbsorption(n, k, trials int, seed uint64) (Estimate, error)
 	return toEstimate(acc), nil
 }
 
-// EstimateFailStopDecision estimates the expected phases until every process
-// has decided in the majority-variant protocol (per-process simulation under
-// the Section 4 view model), starting from the given number of 1-inputs.
-func EstimateFailStopDecision(n, k, startOnes, trials int, seed uint64) (Estimate, error) {
-	chain := mc.FailStop{N: n, K: k}
-	rng := spawn.Rand(seed)
-	var acc stats.Accumulator
-	for t := 0; t < trials; t++ {
-		phases, _, err := chain.DecisionRun(startOnes, rng, 0)
-		if err != nil {
-			return Estimate{}, err
-		}
-		acc.Add(float64(phases))
-	}
-	return toEstimate(acc), nil
-}
-
 // EstimateMaliciousAbsorption estimates the expected phases to absorption of
 // the Section 4.2 chain (k balancing adversaries) from the balanced start.
 // forced selects the paper's always-delivered adversary model.
@@ -149,18 +132,4 @@ func toEstimate(acc stats.Accumulator) Estimate {
 // values". The returned slice is indexed by the initial 1-count (0..n).
 func DecisionSplit(n, k int) ([]float64, error) {
 	return markov.FailStop{N: n, K: k}.AbsorptionSplit()
-}
-
-// AbsorptionTail computes P[T > t] for t = 0..maxPhases, where T is the
-// fail-stop chain's phases-to-absorption from the balanced start: the full
-// run-length distribution behind the Section 4.1 expectation, exact via
-// repeated application of the transient submatrix.
-func AbsorptionTail(n, k, maxPhases int) ([]float64, error) {
-	return markov.FailStop{N: n, K: k}.TailFromBalanced(maxPhases)
-}
-
-// MaliciousAbsorptionTail is the malicious-chain analogue of AbsorptionTail
-// (k balancing adversaries; forced selects the paper's delivery model).
-func MaliciousAbsorptionTail(n, k, maxPhases int, forced bool) ([]float64, error) {
-	return markov.Malicious{N: n, K: k, Forced: forced}.TailFromBalanced(maxPhases)
 }

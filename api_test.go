@@ -52,19 +52,6 @@ func TestDecisionSplit(t *testing.T) {
 	}
 }
 
-func TestEstimateFailStopDecision(t *testing.T) {
-	est, err := EstimateFailStopDecision(30, 9, 15, 200, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Mean < 1 || est.Mean > 50 || est.Trials != 200 {
-		t.Fatalf("implausible estimate %+v", est)
-	}
-	if est.String() == "" {
-		t.Error("empty estimate string")
-	}
-}
-
 func TestSimulateUnsafeBypassesBound(t *testing.T) {
 	// k beyond the bound is rejected normally and accepted with Unsafe.
 	if _, err := Simulate(ProtocolFailStop, 6, 3, mixed(6), SimOptions{}); err == nil {
@@ -181,28 +168,6 @@ func TestStrategyStrings(t *testing.T) {
 		if s.String() == "" {
 			t.Errorf("strategy %d unnamed", int(s))
 		}
-	}
-}
-
-func TestAbsorptionTails(t *testing.T) {
-	tail, err := AbsorptionTail(60, 20, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tail) != 16 || tail[0] != 1 {
-		t.Fatalf("tail %v", tail[:2])
-	}
-	for i := 1; i < len(tail); i++ {
-		if tail[i] > tail[i-1]+1e-12 {
-			t.Fatalf("tail increased at %d", i)
-		}
-	}
-	mtail, err := MaliciousAbsorptionTail(100, 5, 15, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mtail[15] >= mtail[0] {
-		t.Error("malicious tail did not shrink")
 	}
 }
 

@@ -53,7 +53,7 @@ import (
 	"time"
 
 	"resilient"
-	"resilient/internal/stats"
+	"resilient/internal/mc"
 	"resilient/internal/sweep"
 	"resilient/internal/trace"
 )
@@ -244,31 +244,18 @@ func run(args []string) (err error) {
 	if *showTrace && count == 1 {
 		opts.Trace = buf
 	}
-	type trialOut struct {
-		res            *resilient.Result // a single run's whole result
-		agree, decided bool
-		stalled        resilient.StallReason
-		phases, msgs   float64
-	}
-	results, err := sweep.Run(count, *workers, func(tr int) (trialOut, error) {
+	var single *resilient.Result // the whole result of a one-trial run
+	outs, err := sweep.Run(count, *workers, func(tr int) (mc.Outcome, error) {
 		trialOpts := opts
 		trialOpts.Seed = sc.Seed + uint64(tr)
 		res, err := resilient.Simulate(sc.Protocol, sc.N, sc.K, sc.Inputs, trialOpts)
 		if err != nil {
-			return trialOut{}, err
+			return mc.Outcome{}, err
 		}
-		maxPh := 0
-		for _, ph := range res.DecisionPhase {
-			if int(ph) > maxPh {
-				maxPh = int(ph)
-			}
-		}
-		out := trialOut{agree: res.Agreement, decided: res.AllDecided, stalled: res.Stalled,
-			phases: float64(maxPh), msgs: float64(res.MessagesSent)}
 		if count == 1 {
-			out.res = res
+			single = res
 		}
-		return out, nil
+		return mc.OutcomeOf(res, sc.Inputs, sc.Adversaries), nil
 	})
 	if err != nil {
 		if count == 1 {
@@ -280,39 +267,24 @@ func run(args []string) (err error) {
 		for _, e := range buf.Events() {
 			fmt.Println(e)
 		}
-		return report(simOutcome(results[0].res))
+		return report(simOutcome(single))
 	}
 
-	var phases, msgs stats.Accumulator
-	agree, decided := 0, 0
-	stalls := map[resilient.StallReason]int{}
-	for _, r := range results {
-		if r.agree {
-			agree++
-		}
-		if r.decided {
-			decided++
-			// A trial in which not everyone decided has no phase count: its
-			// 0 (or its few deciders' phase) would pull the mean down.
-			phases.Add(r.phases)
-		}
-		if r.stalled != resilient.NotStalled {
-			stalls[r.stalled]++
-		}
-		msgs.Add(r.msgs)
-	}
+	// A trial in which not everyone decided has no phase count: the tally
+	// folds phases over the terminated trials only.
+	t := mc.TallyOf(outs)
 	fmt.Printf("protocol   %v  n=%d k=%d  trials=%d\n", proto, *n, *k, count)
-	fmt.Printf("terminated %d/%d\n", decided, count)
-	if len(stalls) > 0 {
-		fmt.Printf("stalled    %s\n", stallSummary(stalls, count))
+	fmt.Printf("terminated %d/%d\n", t.Terminated, count)
+	if len(t.Stalls) > 0 {
+		fmt.Printf("stalled    %s\n", stallSummary(t.Stalls, count))
 	}
-	fmt.Printf("agreement  %d/%d\n", agree, count)
-	if decided > 0 {
-		fmt.Printf("phases     %s\n", phases.Summarize())
+	fmt.Printf("agreement  %d/%d\n", t.Agreed, count)
+	if t.Terminated > 0 {
+		fmt.Printf("phases     %s\n", t.Phases.Summarize())
 	} else {
 		fmt.Println("phases     none (no trial terminated)")
 	}
-	fmt.Printf("messages   %s\n", msgs.Summarize())
+	fmt.Printf("messages   %s\n", t.Messages.Summarize())
 	return writeMetrics()
 }
 
@@ -654,9 +626,8 @@ func parsePolicy(spec string) (resilient.LinkPolicy, error) {
 // simOutcome wraps a simulated result as the engine-independent outcome,
 // as RunScenario does on EngineSim.
 func simOutcome(res *resilient.Result) *resilient.Outcome {
-	return &resilient.Outcome{Engine: resilient.EngineSim, Sim: res, Elapsed: res.WallClock,
-		Decisions: res.Decisions, DecisionPhase: res.DecisionPhase, Crashed: res.Crashed,
-		Agreement: res.Agreement, Value: res.Value, AllDecided: res.AllDecided}
+	return &resilient.Outcome{Engine: resilient.EngineSim, DecisionRecord: res.DecisionRecord,
+		Elapsed: res.WallClock, Sim: res}
 }
 
 // printOutcome is the text report of one execution on any engine: the

@@ -148,19 +148,9 @@ type Scenario struct {
 type Outcome struct {
 	// Engine is the engine that produced this outcome.
 	Engine Engine
-	// Decisions maps every correct process that decided to its value.
-	Decisions map[ID]Value
-	// DecisionPhase maps deciders to the phase in which they decided.
-	DecisionPhase map[ID]Phase
-	// Agreement reports whether all decisions carry the same value.
-	Agreement bool
-	// Value is the common decision when Agreement holds.
-	Value Value
-	// AllDecided reports whether every correct (non-Byzantine,
-	// non-crash-planned) process decided.
-	AllDecided bool
-	// Crashed lists processes that died under the fault plan.
-	Crashed []ID
+	// DecisionRecord is the engine report's: decisions with their phases
+	// and times, agreement, and the processes that died.
+	policy.DecisionRecord
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
 	// Sim is the simulator's full result (EngineSim only).
@@ -184,17 +174,7 @@ func RunScenario(ctx context.Context, engine Engine, sc Scenario) (*Outcome, err
 		if err != nil {
 			return nil, err
 		}
-		return &Outcome{
-			Engine:        EngineSim,
-			Decisions:     res.Decisions,
-			DecisionPhase: res.DecisionPhase,
-			Agreement:     res.Agreement,
-			Value:         res.Value,
-			AllDecided:    res.AllDecided,
-			Crashed:       res.Crashed,
-			Elapsed:       res.WallClock,
-			Sim:           res,
-		}, nil
+		return &Outcome{Engine: EngineSim, DecisionRecord: res.DecisionRecord, Elapsed: res.WallClock, Sim: res}, nil
 	}
 	cluster, err := sc.cluster(engine, sp)
 	if err != nil {
@@ -204,21 +184,7 @@ func RunScenario(ctx context.Context, engine Engine, sc Scenario) (*Outcome, err
 	if rep == nil {
 		return nil, runErr
 	}
-	out := &Outcome{
-		Engine:        engine,
-		Decisions:     rep.DecisionMap(),
-		DecisionPhase: make(map[ID]Phase, len(rep.Decisions)),
-		Agreement:     rep.Agreement,
-		Value:         rep.Value,
-		AllDecided:    rep.AllDecided,
-		Crashed:       rep.Crashed,
-		Elapsed:       rep.Elapsed,
-		Live:          rep,
-	}
-	for _, d := range rep.Decisions {
-		out.DecisionPhase[d.Process] = d.Phase
-	}
-	return out, runErr
+	return &Outcome{Engine: engine, DecisionRecord: rep.DecisionRecord, Elapsed: rep.Elapsed, Live: rep}, runErr
 }
 
 // simConfig is the validated scenario as a simulator configuration.
@@ -301,9 +267,6 @@ func liveConns(n int, endpoints []*netxport.Endpoint, inst uint32, alive []bool)
 
 // ClusterReport summarizes a live cluster run; see the livenet package.
 type ClusterReport = livenet.Report
-
-// ClusterDecision is one process's decision in a live run.
-type ClusterDecision = livenet.Decision
 
 // tcpMeshEndpoints starts n loopback TCP endpoints on ephemeral ports and
 // wires them into a full mesh: everyone listens first, then the discovered

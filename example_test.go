@@ -60,15 +60,6 @@ func ExampleFailStopPhaseBound() {
 	// n=3000: bound < 7: true
 }
 
-// ExampleMaxFaultsFor shows the paper's tight resilience bounds.
-func ExampleMaxFaultsFor() {
-	fmt.Println("fail-stop n=10:", resilient.MaxFaultsFor(10, resilient.FailStop))
-	fmt.Println("malicious n=10:", resilient.MaxFaultsFor(10, resilient.Malicious))
-	// Output:
-	// fail-stop n=10: 4
-	// malicious n=10: 3
-}
-
 // ExampleProtocol_MaxFaults compares resilience across the implemented
 // protocols.
 func ExampleProtocol_MaxFaults() {

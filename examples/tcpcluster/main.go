@@ -32,7 +32,9 @@ func main() {
 
 	fmt.Printf("TCP cluster of %d (k=%d) finished in %v\n", n, k, out.Elapsed.Round(time.Millisecond))
 	fmt.Printf("  agreement: %v, value: %d\n", out.Agreement, out.Value)
-	for _, d := range out.Live.Decisions {
-		fmt.Printf("  p%d decided %d in phase %d\n", d.Process, d.Value, d.Phase)
+	for id := range resilient.ID(n) {
+		if v, ok := out.Decisions[id]; ok {
+			fmt.Printf("  p%d decided %d in phase %d\n", id, v, out.DecisionPhase[id])
+		}
 	}
 }

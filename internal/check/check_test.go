@@ -9,6 +9,7 @@ import (
 	"resilient/internal/faults"
 	"resilient/internal/malicious"
 	"resilient/internal/msg"
+	"resilient/internal/policy"
 	"resilient/internal/runtime"
 	"resilient/internal/trace"
 )
@@ -162,7 +163,7 @@ func TestDetectsSendAfterCrash(t *testing.T) {
 }
 
 func TestDetectsTraceResultMismatch(t *testing.T) {
-	res := &runtime.Result{Decisions: map[msg.ID]msg.Value{0: msg.V1}}
+	res := &runtime.Result{DecisionRecord: policy.DecisionRecord{Decisions: map[msg.ID]msg.Value{0: msg.V1}}}
 	vs := Run(Config{N: 1, K: 0}, nil, res)
 	if !hasViolation(vs, "trace-consistency") {
 		t.Fatalf("mismatch not detected: %v", vs)

@@ -96,10 +96,39 @@ func (a *analysis) lookupInterface(name string) *types.Interface {
 	return nil
 }
 
+// implementor is one module type implementing an interface: the named
+// type or its pointer, with the package that declares it.
+type implementor struct {
+	t   types.Type
+	pkg *types.Package
+}
+
 // implementors returns, across the whole module, the named method of every
 // type implementing iface: the possible dynamic targets of an interface call.
+// The scan over every module type runs once per interface; later calls look
+// the method up on the cached types.
 func (a *analysis) implementors(iface *types.Interface, method string) []*types.Func {
+	impls, ok := a.impls[iface]
+	if !ok {
+		impls = a.implementingTypes(iface)
+		if a.impls == nil {
+			a.impls = make(map[*types.Interface][]implementor)
+		}
+		a.impls[iface] = impls
+	}
 	var out []*types.Func
+	for _, im := range impls {
+		obj, _, _ := types.LookupFieldOrMethod(im.t, true, im.pkg, method)
+		if fn, ok := obj.(*types.Func); ok {
+			out = append(out, fn)
+		}
+	}
+	return out
+}
+
+// implementingTypes scans every named module type for iface's implementors.
+func (a *analysis) implementingTypes(iface *types.Interface) []implementor {
+	var out []implementor
 	for _, p := range a.pkgs {
 		scope := p.pkg.Scope()
 		for _, name := range scope.Names() {
@@ -118,10 +147,7 @@ func (a *analysis) implementors(iface *types.Interface, method string) []*types.
 					continue
 				}
 			}
-			obj, _, _ := types.LookupFieldOrMethod(t, true, p.pkg, method)
-			if fn, ok := obj.(*types.Func); ok {
-				out = append(out, fn)
-			}
+			out = append(out, implementor{t, p.pkg})
 		}
 	}
 	return out

@@ -421,6 +421,7 @@ type analysis struct {
 	blocking     map[*types.Func]string // resolved BlockingFuncs, to their entries
 	quorumExempt map[*types.Func]string // resolved QuorumAllowedFuncs, to their entries
 	hot          map[*ast.FuncDecl]*pkgInfo
+	impls        map[*types.Interface][]implementor // implementing types, by interface
 	findings     []Finding
 }
 

@@ -6,9 +6,10 @@
 // in the deployment shape a downstream user would run them in.
 //
 // The engine composes the shared fault/delivery layer of internal/policy:
-// a faults.Plan becomes per-process FaultHarnesses (crash-at-phase,
-// initially-dead, mid-broadcast send suppression -- the same semantics the
-// simulator applies) and a policy.LinkPolicy becomes per-connection delay,
+// each driver steps its process's policy.Node -- the simulator's node, with
+// the same crash-at-phase, initially-dead and mid-broadcast semantics and the
+// same once-only decision and death -- and folds the reports into the same
+// policy.DecisionRecord; a policy.LinkPolicy becomes per-connection delay,
 // loss, and partition decisions interpreted in wall-clock time. The same
 // (protocol, n, k, faults, policy, seed) scenario therefore runs unchanged
 // on the simulator and on the live engines.
@@ -61,63 +62,46 @@ func newLiveMetrics(reg *metrics.Registry) liveMetrics {
 	}
 }
 
-// Decision reports one process's decision.
-type Decision struct {
-	Process msg.ID
-	Value   msg.Value
-	Phase   msg.Phase
-	At      time.Time
+// note is one driver's report to Run: its process's first decision, or its
+// death under the fault plan.
+type note struct {
+	id      msg.ID
+	crashed bool
+	awaited bool
+	value   msg.Value
+	phase   msg.Phase
+	at      time.Duration // since the run started
 }
 
-// errCrashed is Driver-internal: a send was suppressed because the fault
-// harness reached its planned crash point. It never escapes Run.
+// errCrashed is driver-internal: the node refused a send because the process
+// reached its planned crash point. It never escapes Run.
 var errCrashed = errors.New("livenet: process crashed by fault plan")
 
-// Driver runs one machine against one endpoint. Cluster.Run wires the rest.
-type Driver struct {
-	machine core.Machine
-	conn    transport.Conn
-	n       int
-	met     liveMetrics
-	// decided receives the machine's decision, exactly once.
-	decided chan<- Decision
-	// harness, when non-nil, applies a fail-stop crash plan to this
-	// process: the driver consults it before every individual send and
-	// after every machine step, exactly like the simulator's dispatch loop.
-	harness *policy.FaultHarness
-	// crashed receives the process id, exactly once, when the harness kills
-	// the process; it is set whenever harness is.
-	crashed chan<- msg.ID
-
-	decisionNoted, crashNoted bool
+// driver steps one process's node against one endpoint. Cluster.Run wires
+// the rest.
+type driver struct {
+	node  policy.Node
+	conn  transport.Conn
+	n     int
+	met   liveMetrics
+	start time.Time
+	// notes receives the node's decision and death, each at most once.
+	notes chan<- note
 }
 
-// NewDriver returns a driver for machine over conn in an n-process system.
-func NewDriver(machine core.Machine, conn transport.Conn, n int) *Driver {
-	return &Driver{machine: machine, conn: conn, n: n}
-}
-
-// Run starts the machine and processes messages until the machine halts,
+// run starts the machine and processes messages until the machine halts,
 // dies under its fault plan, the context is cancelled, or the connection
 // closes. It returns nil on a clean halt, crash, or connection close and
 // the underlying error otherwise.
-func (d *Driver) Run(ctx context.Context) error {
-	if h := d.harness; h != nil {
-		// An initially-dead process (phase 0, zero budget) dies here; its
-		// machine still takes its Start step -- as in the simulator -- but
-		// every send is suppressed.
-		h.CheckPhase()
-	}
-	err := d.sendAll(d.machine.Start())
-	d.noteDecision()
-	if d.dead() {
-		d.noteCrash()
+func (d *driver) run(ctx context.Context) error {
+	err := d.sendAll(d.node.Start())
+	if d.settle() {
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	for !d.machine.Halted() {
+	for !d.node.Machine.Halted() {
 		if err := ctx.Err(); err != nil {
 			return nil // cancelled: treated as a clean shutdown
 		}
@@ -126,38 +110,39 @@ func (d *Driver) Run(ctx context.Context) error {
 			if errors.Is(err, transport.ErrClosed) {
 				return nil
 			}
-			return fmt.Errorf("p%d recv: %w", d.machine.ID(), err)
+			return fmt.Errorf("p%d recv: %w", d.node.Machine.ID(), err)
 		}
 		d.met.received.Inc()
-		outs := d.machine.OnMessage(in)
-		if h := d.harness; h != nil {
-			h.CheckPhase() // phase advance may reach the planned crash point
-		}
-		var sendErr error
-		if !d.dead() {
-			sendErr = d.sendAll(outs)
-		}
-		d.noteDecision() // a process may decide in the step it dies
-		if d.dead() {
-			d.noteCrash()
+		err = d.sendAll(d.node.Step(&in))
+		if d.settle() {
 			return nil
 		}
-		if sendErr != nil {
-			return sendErr
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func (d *Driver) dead() bool {
-	return d.harness != nil && d.harness.Dead()
+// settle reports what the last step left behind -- a first decision, a
+// death -- and whether the process is dead.
+func (d *driver) settle() bool {
+	id := d.node.Machine.ID()
+	if v, ok := d.node.Decision(); ok {
+		d.notes <- note{id: id, awaited: d.node.Awaited(), value: v,
+			phase: d.node.Machine.Phase(), at: time.Since(d.start)}
+	}
+	if d.node.Died() {
+		d.notes <- note{id: id, crashed: true}
+	}
+	return d.node.Dead()
 }
 
 // sendAll performs the point-to-point sends of one machine step, stopping at
 // the first that fails. Destinations outside 0..n-1 are skipped, as in the
 // simulator: one malformed outbound from a Byzantine machine must not abort
 // the run for every correct process.
-func (d *Driver) sendAll(outs []core.Outbound) error {
+func (d *driver) sendAll(outs []core.Outbound) error {
 	var err error
 	core.Expand(outs, d.n, func(to msg.ID, m msg.Message) {
 		if err == nil {
@@ -167,8 +152,8 @@ func (d *Driver) sendAll(outs []core.Outbound) error {
 	return err
 }
 
-func (d *Driver) send(to msg.ID, m msg.Message) error {
-	if d.harness != nil && !d.harness.AllowSend() {
+func (d *driver) send(to msg.ID, m msg.Message) error {
+	if !d.node.AllowSend() {
 		return errCrashed // mid-broadcast death: earlier sends stand
 	}
 	err := d.conn.Send(to, m)
@@ -176,60 +161,16 @@ func (d *Driver) send(to msg.ID, m msg.Message) error {
 		d.met.sent.Inc()
 		return nil // a closed destination is indistinguishable from a slow one
 	}
-	return fmt.Errorf("p%d send to p%d: %w", d.machine.ID(), to, err)
+	return fmt.Errorf("p%d send to p%d: %w", d.node.Machine.ID(), to, err)
 }
 
-func (d *Driver) noteDecision() {
-	if d.decisionNoted {
-		return
-	}
-	if v, ok := d.machine.Decided(); ok {
-		d.decisionNoted = true
-		d.decided <- Decision{
-			Process: d.machine.ID(),
-			Value:   v,
-			Phase:   d.machine.Phase(),
-			At:      time.Now(),
-		}
-	}
-}
-
-func (d *Driver) noteCrash() {
-	if d.crashNoted {
-		return
-	}
-	d.crashNoted = true
-	d.met.crashes.Inc()
-	d.crashed <- d.machine.ID()
-}
-
-// Report summarizes a cluster run. Its shape mirrors runtime.Result so a
-// scenario's outcome reads the same from either engine.
+// Report summarizes a cluster run. Its DecisionRecord is the one
+// runtime.Result embeds, with DecisionTime in wall-clock seconds since the
+// run started and Crashed in ascending order.
 type Report struct {
-	// Decisions holds each process's decision, in decision order.
-	// Byzantine processes are excluded.
-	Decisions []Decision
-	// Agreement reports whether all decisions carry the same value.
-	Agreement bool
-	// Value is the common decision when Agreement holds.
-	Value msg.Value
-	// AllDecided reports whether every correct (non-Byzantine,
-	// non-crash-planned) process decided.
-	AllDecided bool
-	// Crashed lists the processes that died under the fault plan, in
-	// ascending order.
-	Crashed []msg.ID
+	policy.DecisionRecord
 	// Elapsed is the wall-clock duration from start to the last decision.
 	Elapsed time.Duration
-}
-
-// DecisionMap returns the decisions keyed by process.
-func (r *Report) DecisionMap() map[msg.ID]msg.Value {
-	m := make(map[msg.ID]msg.Value, len(r.Decisions))
-	for _, d := range r.Decisions {
-		m[d.Process] = d.Value
-	}
-	return m
 }
 
 // Cluster runs n machines to decision over a shared in-memory message
@@ -241,7 +182,7 @@ type Cluster struct {
 	// "livenet." prefix. Set it before calling Run.
 	Metrics *metrics.Registry
 	// Crashes is the fail-stop fault plan, applied through per-process
-	// FaultHarnesses with the same semantics as the simulator. Set it
+	// policy.Nodes with the same semantics as the simulator. Set it
 	// before calling Run.
 	Crashes faults.Plan
 	// Policy, when non-nil, decides per-link delivery (delay, loss,
@@ -309,70 +250,55 @@ func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 			}
 		}
 	}
-	decCh := make(chan Decision, n)
+	// A driver notes at most one decision and one death, so notes never
+	// blocks a driver.
+	notes := make(chan note, 2*n)
 	errCh := make(chan error, n)
-	// Only a process the fault plan names gets a harness, as in the
-	// simulator. Without a plan nothing can crash: a nil crash channel
-	// whose select case never fires.
-	var crashCh chan msg.ID
-	if len(c.Crashes) > 0 {
-		crashCh = make(chan msg.ID, n)
-	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	met := newLiveMetrics(c.Metrics)
 	var wg sync.WaitGroup
-	// pending tracks the correct processes whose decisions the run waits
-	// for: crash-planned and Byzantine processes are excluded, mirroring
-	// the simulator's mustDecide accounting.
-	awaited := make([]bool, n)
+	// pending counts the awaited processes yet to decide.
 	pending := 0
-	for i := range c.machines {
+	for i, m := range c.machines {
 		if conns[i] == nil {
 			continue
 		}
-		id := msg.ID(i)
-		_, planned := c.Crashes[id]
-		if !planned && !c.Byzantine[id] {
-			awaited[i] = true
+		d := &driver{node: policy.NewNode(m, c.Crashes, c.Byzantine[msg.ID(i)]),
+			conn: conns[i], n: n, met: met, start: start, notes: notes}
+		if d.node.Awaited() {
 			pending++
-		}
-		d := NewDriver(c.machines[i], conns[i], n)
-		d.met, d.decided = met, decCh
-		if planned {
-			d.harness, d.crashed = policy.NewFaultHarness(c.machines[i], c.Crashes), crashCh
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := d.Run(runCtx); err != nil {
+			if err := d.run(runCtx); err != nil {
 				errCh <- err
 			}
 		}()
 	}
 
-	report := &Report{Decisions: make([]Decision, 0, n)}
+	report := &Report{DecisionRecord: policy.NewDecisionRecord(n)}
 	var runErr error
-	record := func(dec Decision) {
-		if c.Byzantine[dec.Process] {
-			return // an adversary's "decision" carries no weight
+	record := func(nt note) {
+		if nt.crashed {
+			report.Crashed = append(report.Crashed, nt.id)
+			met.crashes.Inc()
+			return
 		}
-		report.Decisions = append(report.Decisions, dec)
+		report.Decide(nt.id, nt.value, nt.phase, nt.at.Seconds())
 		met.decisions.Inc()
-		met.decisionSecs.Observe(dec.At.Sub(start).Seconds())
-		if awaited[dec.Process] {
-			awaited[dec.Process] = false
+		met.decisionSecs.Observe(nt.at.Seconds())
+		if nt.awaited {
 			pending--
 		}
 	}
 collect:
 	for pending > 0 {
 		select {
-		case dec := <-decCh:
-			record(dec)
-		case id := <-crashCh:
-			report.Crashed = append(report.Crashed, id)
+		case nt := <-notes:
+			record(nt)
 		case err := <-errCh:
 			runErr = err
 			break collect
@@ -389,34 +315,15 @@ collect:
 	cancel()
 	CloseConns(conns)
 	wg.Wait()
-	// Drain decisions and crashes that raced with shutdown.
-	for {
-		select {
-		case dec := <-decCh:
-			record(dec)
-			continue
-		case id := <-crashCh:
-			report.Crashed = append(report.Crashed, id)
-			continue
-		default:
-		}
-		break
+	// Drain the notes that raced with shutdown.
+	for len(notes) > 0 {
+		record(<-notes)
 	}
 	met.runs.Inc()
 	met.runSecs.Observe(report.Elapsed.Seconds())
 
 	report.AllDecided = pending == 0
 	slices.Sort(report.Crashed)
-	report.Agreement = true
-	for i, dec := range report.Decisions {
-		if i == 0 {
-			report.Value = dec.Value
-			continue
-		}
-		if dec.Value != report.Value {
-			report.Agreement = false
-		}
-	}
 	return report, runErr
 }
 

@@ -53,9 +53,9 @@ func TestMemClusterCrashPlan(t *testing.T) {
 			t.Fatalf("p%d crashed outside the plan: %v", id, rep.Crashed)
 		}
 	}
-	for _, dec := range rep.Decisions {
-		if dec.Process >= 4 {
-			t.Fatalf("crash-planned p%d decided: %+v", dec.Process, dec)
+	for id := range rep.Decisions {
+		if id >= 4 {
+			t.Fatalf("crash-planned p%d decided: %v", id, rep.Decisions)
 		}
 	}
 	if len(rep.Decisions) != n-k {
@@ -170,13 +170,11 @@ func TestMemClusterByzantineExcluded(t *testing.T) {
 	if !rep.AllDecided || !rep.Agreement {
 		t.Fatalf("byzantine-excluded run failed: %+v", rep)
 	}
-	for _, dec := range rep.Decisions {
-		if dec.Process == 4 {
-			t.Fatalf("byzantine decision recorded: %+v", dec)
-		}
+	if _, ok := rep.Decisions[4]; ok {
+		t.Fatalf("byzantine decision recorded: %v", rep.Decisions)
 	}
-	if got := rep.DecisionMap(); len(got) != n-1 {
-		t.Fatalf("decision map %v, want %d entries", got, n-1)
+	if len(rep.Decisions) != n-1 {
+		t.Fatalf("decisions %v, want %d entries", rep.Decisions, n-1)
 	}
 }
 

@@ -279,14 +279,14 @@ func TestTCPByzantineLiveCluster(t *testing.T) {
 	correct := 0
 	var val msg.Value
 	first := true
-	for _, d := range rep.Decisions {
-		if d.Process == 3 {
+	for id, v := range rep.Decisions {
+		if id == 3 {
 			continue // the equivocator's "decision" carries no weight
 		}
 		correct++
 		if first {
-			val, first = d.Value, false
-		} else if d.Value != val {
+			val, first = v, false
+		} else if v != val {
 			t.Fatalf("correct processes disagreed over TCP: %+v", rep.Decisions)
 		}
 	}

@@ -65,7 +65,7 @@ func runFailStop(n, k int, inputs []msg.Value, conns []transport.Conn) (map[msg.
 		return nil, fmt.Errorf("allDecided=%v agreement=%v decisions=%+v",
 			rep.AllDecided, rep.Agreement, rep.Decisions)
 	}
-	return rep.DecisionMap(), nil
+	return rep.Decisions, nil
 }
 
 // TestMuxParityWithDedicatedSockets pins the multiplexing contract: several

@@ -91,6 +91,12 @@ func (t Trial) Run() (Outcome, error) {
 	if err != nil {
 		return Outcome{}, fmt.Errorf("mc: %v: %w", t.Protocol, err)
 	}
+	return OutcomeOf(res, t.Inputs, t.Adversaries), nil
+}
+
+// OutcomeOf is what the engine's result res shows of a run of len(inputs)
+// processes on inputs, the processes in adversaries playing Byzantine.
+func OutcomeOf(res *runtime.Result, inputs []msg.Value, adversaries map[msg.ID]spawn.Strategy) Outcome {
 	o := Outcome{
 		Terminated: res.AllDecided && res.Stalled == runtime.NotStalled,
 		Agreement:  res.Agreement,
@@ -102,8 +108,8 @@ func (t Trial) Run() (Outcome, error) {
 	}
 	unanimous, first := true, true
 	var input msg.Value
-	for i, in := range t.Inputs {
-		if _, adversary := t.Adversaries[msg.ID(i)]; adversary {
+	for i, in := range inputs {
+		if _, adversary := adversaries[msg.ID(i)]; adversary {
 			continue
 		}
 		if first {
@@ -113,7 +119,7 @@ func (t Trial) Run() (Outcome, error) {
 			break
 		}
 	}
-	for p := range msg.ID(t.N) {
+	for p := range msg.ID(len(inputs)) {
 		ph, decided := res.DecisionPhase[p]
 		if !decided {
 			continue
@@ -125,7 +131,7 @@ func (t Trial) Run() (Outcome, error) {
 		o.Phases = max(o.Phases, int(ph))
 		o.Validity = o.Validity && (!unanimous || res.Decisions[p] == input)
 	}
-	return o, nil
+	return o
 }
 
 // Tally folds trial outcomes in trial order.
@@ -133,6 +139,8 @@ type Tally struct {
 	// Trials counts the folded outcomes; the others count the trials that
 	// terminated, kept agreement, kept validity, and agreed on 1.
 	Trials, Terminated, Agreed, Valid, Decided1 int
+	// Stalls counts the trials that stalled, per reason (nil when none did).
+	Stalls map[runtime.StallReason]int
 	// Phases accumulates the terminated trials' phase counts, Messages
 	// every trial's sends.
 	Phases, Messages stats.Accumulator
@@ -154,6 +162,12 @@ func TallyOf(outs []Outcome) Tally {
 		}
 		if o.Validity {
 			t.Valid++
+		}
+		if o.Stalled != runtime.NotStalled {
+			if t.Stalls == nil {
+				t.Stalls = make(map[runtime.StallReason]int)
+			}
+			t.Stalls[o.Stalled]++
 		}
 		t.Messages.Add(float64(o.Messages))
 	}

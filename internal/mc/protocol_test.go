@@ -9,6 +9,7 @@ import (
 	"resilient/internal/faults"
 	"resilient/internal/msg"
 	"resilient/internal/proto"
+	"resilient/internal/runtime"
 	"resilient/internal/spawn"
 )
 
@@ -129,6 +130,9 @@ func TestProtocolEnsembleCountsFailures(t *testing.T) {
 	if e.Trials != 10 || e.Outcomes.Trials != 10 || e.Outcomes.Terminated != 0 || len(e.Phases) != 0 {
 		t.Errorf("trials %d, tallied %d, terminated %d, phases %v: want 10 stalled trials and no phases",
 			e.Trials, e.Outcomes.Trials, e.Outcomes.Terminated, e.Phases)
+	}
+	if want := map[runtime.StallReason]int{runtime.EventBudget: 10}; !reflect.DeepEqual(e.Outcomes.Stalls, want) {
+		t.Errorf("stalls %v, want %v", e.Outcomes.Stalls, want)
 	}
 }
 

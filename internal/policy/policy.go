@@ -8,11 +8,13 @@
 // fail-stop processes "may simply die ... without warning messages" (Section
 // 2.1) -- so the repository keeps one implementation of it. A LinkPolicy
 // decides, per individual point-to-point message, whether the link drops the
-// message and how long it delays it; a FaultHarness (harness.go) applies a
-// fail-stop crash plan to one process. Both are pure functions of their
-// inputs and a caller-supplied RNG, so the simulator stays a deterministic
-// function of (Config, Seed), while the live engines interpret the same
-// delays in wall-clock time (one abstract unit = a configurable Duration).
+// message and how long it delays it; a Node (node.go) is one process as every
+// engine steps it -- its machine, its fail-stop crash plan, and its decision
+// and death, each reported once -- and a DecisionRecord is one run's
+// decisions and agreement. None of them reads a clock or a global RNG, so the
+// simulator stays a deterministic function of (Config, Seed), while the live
+// engines interpret the same delays in wall-clock time (one abstract unit = a
+// configurable Duration) and stamp their own decision times.
 //
 // Existing scheduling machinery plugs in unchanged: every sched.Scheduler --
 // including the adversary.Partition and adversary.Bridge schedulers of the

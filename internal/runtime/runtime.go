@@ -12,7 +12,9 @@
 // The engine supports fail-stop fault injection (death at any phase, even in
 // the middle of a broadcast), Byzantine machines (via the Spawner), sender
 // authentication (the engine stamps the true sender on every message),
-// tracing, per-run metrics, and stall detection.
+// tracing, per-run metrics, and stall detection. Each process is a
+// policy.Node, stepped with the live engine's step and fault semantics, and
+// a Result embeds the live engine's policy.DecisionRecord.
 package runtime
 
 import (
@@ -166,20 +168,9 @@ func (r StallReason) String() string {
 
 // Result summarizes one execution.
 type Result struct {
-	// Decisions maps every non-Byzantine process that decided to its value.
-	Decisions map[msg.ID]msg.Value
-	// DecisionPhase maps deciders to the phase in which they decided.
-	DecisionPhase map[msg.ID]msg.Phase
-	// DecisionTime maps deciders to the simulation time of their decision.
-	DecisionTime map[msg.ID]float64
-	// Agreement reports whether all recorded decisions are equal.
-	Agreement bool
-	// Value is the common decision when Agreement holds and at least one
-	// process decided.
-	Value msg.Value
-	// AllDecided reports whether every correct (non-Byzantine, non-crashed)
-	// process decided.
-	AllDecided bool
+	// DecisionRecord holds the decisions, stamped with simulation time, and
+	// Crashed, which lists processes in the order they died.
+	policy.DecisionRecord
 	// Stalled is non-zero when the run ended without AllDecided.
 	Stalled StallReason
 	// MessagesSent counts individual point-to-point sends (a broadcast to
@@ -198,8 +189,6 @@ type Result struct {
 	SimTime float64
 	// MaxPhase is the largest phase any non-Byzantine machine reached.
 	MaxPhase msg.Phase
-	// Crashed lists processes that died during the run.
-	Crashed []msg.ID
 	// WallClock is the real time the run took inside Run.
 	WallClock time.Duration
 	// Metrics is a snapshot of Config.Metrics taken at the end of the run;
@@ -207,9 +196,6 @@ type Result struct {
 	// everything accumulated so far, not just this run.
 	Metrics *metrics.Snapshot
 }
-
-// DecidedCount returns the number of recorded decisions.
-func (r *Result) DecidedCount() int { return len(r.Decisions) }
 
 // runMetrics holds the engine's instrument handles, resolved once per run.
 // Every handle is nil when no registry is attached, making each record call
@@ -277,9 +263,7 @@ type runner struct {
 	uniform  bool
 	lo, span float64
 	met      runMetrics
-	machines []core.Machine
-	harness  []*policy.FaultHarness
-	crashed  []bool
+	nodes    []policy.Node
 	now      float64
 	seq      uint64
 	queue    *eventQueue
@@ -287,14 +271,8 @@ type runner struct {
 	// perm is the broadcast recipient-order scratch, shuffled in place per
 	// broadcast (replacing a fresh rng.Perm allocation per call).
 	perm []int
-	// correct[i] reports whether process i counts toward agreement.
-	correct []bool
-	// mustDecide counts correct, crash-free processes yet to decide.
+	// mustDecide counts awaited processes yet to decide.
 	mustDecide int
-	decided    []bool
-	// reporters[i] is machines[i]'s ValueReporter face, resolved once at
-	// spawn so the omniscient world view never type-asserts on a hot path.
-	reporters []core.ValueReporter
 	// stepStamp identifies the current machine step; valStamp/valZeros/
 	// valOnes memoize CorrectValueCounts within a step (no other machine's
 	// state can change until the step ends, so one scan per step suffices
@@ -317,8 +295,13 @@ func (w worldView) CorrectValueCounts() (zeros, ones int) {
 	if r.valStamp == r.stepStamp {
 		return r.valZeros, r.valOnes
 	}
-	for i, vr := range r.reporters {
-		if vr == nil || !r.correct[i] || r.isDead(msg.ID(i)) {
+	for i := range r.nodes {
+		nd := &r.nodes[i]
+		if !nd.Correct() || nd.Dead() {
+			continue
+		}
+		vr, ok := nd.Machine.(core.ValueReporter)
+		if !ok {
 			continue
 		}
 		if vr.CurrentValue() == msg.V1 {
@@ -332,11 +315,12 @@ func (w worldView) CorrectValueCounts() (zeros, ones int) {
 }
 
 func (w worldView) CorrectDecidedCounts() (zeros, ones int) {
-	for i, m := range w.r.machines {
-		if !w.r.correct[i] {
+	for i := range w.r.nodes {
+		nd := &w.r.nodes[i]
+		if !nd.Correct() {
 			continue
 		}
-		if v, ok := m.Decided(); ok {
+		if v, ok := nd.Machine.Decided(); ok {
 			if v == msg.V1 {
 				ones++
 			} else {
@@ -416,23 +400,14 @@ func newRunner(cfg Config) (*runner, error) {
 		return nil, err
 	}
 	r := &runner{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)),
-		sink:      cfg.Sink,
-		pol:       cfg.Policy,
-		met:       newRunMetrics(cfg.Metrics),
-		machines:  make([]core.Machine, cfg.N),
-		harness:   make([]*policy.FaultHarness, cfg.N),
-		crashed:   make([]bool, cfg.N),
-		correct:   make([]bool, cfg.N),
-		decided:   make([]bool, cfg.N),
-		reporters: make([]core.ValueReporter, cfg.N),
-		perm:      make([]int, cfg.N),
-		result: &Result{
-			Decisions:     make(map[msg.ID]msg.Value, cfg.N),
-			DecisionPhase: make(map[msg.ID]msg.Phase, cfg.N),
-			DecisionTime:  make(map[msg.ID]float64, cfg.N),
-		},
+		cfg:    cfg,
+		rng:    rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)),
+		sink:   cfg.Sink,
+		pol:    cfg.Policy,
+		met:    newRunMetrics(cfg.Metrics),
+		nodes:  make([]policy.Node, cfg.N),
+		perm:   make([]int, cfg.N),
+		result: &Result{DecisionRecord: policy.NewDecisionRecord(cfg.N)},
 	}
 	if r.sink == nil {
 		r.sink = trace.Nop{}
@@ -450,12 +425,6 @@ func newRunner(cfg Config) (*runner, error) {
 	for i := 0; i < cfg.N; i++ {
 		id := msg.ID(i)
 		byz := cfg.Byzantine[id]
-		r.correct[i] = !byz
-		if !byz {
-			if _, crashes := cfg.Crashes[id]; !crashes {
-				r.mustDecide++
-			}
-		}
 		pcg := rand.NewPCG(cfg.Seed^uint64(i+1)*0xbf58476d1ce4e5b9, uint64(i)+cfg.Seed)
 		m, err := cfg.Spawn(SpawnContext{
 			Config:    core.Config{N: cfg.N, K: cfg.K, Self: id, Input: cfg.Inputs[i]},
@@ -470,10 +439,9 @@ func newRunner(cfg Config) (*runner, error) {
 		if m == nil {
 			return nil, fmt.Errorf("spawn p%d: nil machine", i)
 		}
-		r.machines[i] = m
-		r.reporters[i], _ = m.(core.ValueReporter)
-		if _, planned := cfg.Crashes[id]; planned {
-			r.harness[i] = policy.NewFaultHarness(m, cfg.Crashes)
+		r.nodes[i] = policy.NewNode(m, cfg.Crashes, byz)
+		if r.nodes[i].Awaited() {
+			r.mustDecide++
 		}
 	}
 	r.queue = takeQueue() // last: no error path holds one
@@ -482,60 +450,44 @@ func newRunner(cfg Config) (*runner, error) {
 
 // start takes every machine's initial step, enqueuing its first sends.
 func (r *runner) start() {
-	for i, m := range r.machines {
+	for i := range r.nodes {
 		r.stepStamp++
-		r.noteProgress(msg.ID(i)) // a process may be planned to die before starting
-		r.dispatch(msg.ID(i), m.Start())
-		r.checkDecision(msg.ID(i))
+		r.dispatch(msg.ID(i), r.nodes[i].Start())
+		r.settle(msg.ID(i))
 	}
 }
 
-// isDead reads crashed alone: both paths on which a harness kills its
-// process, noteProgress and dispatch, mark the process crashed at once.
-func (r *runner) isDead(id msg.ID) bool {
-	return r.crashed[id]
-}
-
-// noteProgress lets the fault harness observe the process's phase, killing
-// it if its planned crash point has been passed without sends. A process
-// the crash plan does not name has no harness and nothing to observe.
-func (r *runner) noteProgress(id msg.ID) {
-	h := r.harness[id]
-	if h == nil {
-		return
+// settle records what process id's last step left behind -- its death and
+// its first decision, each once -- at the current simulation time.
+func (r *runner) settle(id msg.ID) {
+	nd := &r.nodes[id]
+	if nd.Died() {
+		r.result.Crashed = append(r.result.Crashed, id)
+		r.met.crashes.Inc()
+		r.sink.Record(trace.Event{
+			Time: r.now, Kind: trace.EventCrash, Process: id,
+			Phase: nd.Machine.Phase(),
+		})
 	}
-	wasDead := h.Dead()
-	h.CheckPhase()
-	if h.Dead() && !wasDead {
-		r.markCrashed(id)
+	if v, ok := nd.Decision(); ok {
+		phase := nd.Machine.Phase()
+		r.result.Decide(id, v, phase, r.now)
+		r.met.decisions.Inc()
+		r.met.decisionPhase.Observe(float64(phase))
+		if nd.Awaited() {
+			r.mustDecide--
+		}
 	}
-}
-
-func (r *runner) markCrashed(id msg.ID) {
-	if r.crashed[id] {
-		return
-	}
-	r.crashed[id] = true
-	r.result.Crashed = append(r.result.Crashed, id)
-	r.met.crashes.Inc()
-	r.sink.Record(trace.Event{
-		Time: r.now, Kind: trace.EventCrash, Process: id,
-		Phase: r.machines[id].Phase(),
-	})
 }
 
 // dispatch expands and enqueues the sends produced by one machine step,
-// applying the sender's crash plan to each individual point-to-point send.
-// Each outbound message is copied once, to stamp its sender, and stored in
-// the queue once, however many recipients it fans out to; the release after
-// the sends frees a slot that a crash or link drops left without a queued
-// delivery.
+// asking the sender's node to allow each individual point-to-point send and
+// stopping at the first it refuses: the sender died there. Each outbound
+// message is copied once, to stamp its sender, and stored in the queue once,
+// however many recipients it fans out to; the release after the sends frees
+// a slot that a crash or link drops left without a queued delivery.
 func (r *runner) dispatch(from msg.ID, outs []core.Outbound) {
-	harness := r.harness[from]
-	var phase msg.Phase
-	if harness != nil {
-		phase = r.machines[from].Phase()
-	}
+	nd := &r.nodes[from]
 	for i := range outs {
 		o := &outs[i]
 		m := o.Msg
@@ -561,14 +513,14 @@ func (r *runner) dispatch(from msg.ID, outs []core.Outbound) {
 			}
 			ref := r.queue.hold(m)
 			for _, q := range perm {
-				if alive = harness == nil || harness.AllowSendAt(phase); !alive {
+				if alive = nd.AllowSend(); !alive {
 					break
 				}
 				r.enqueue(from, msg.ID(q), &m, ref)
 			}
 			r.queue.release(ref)
 		case msg.Multicast:
-			// In list order, no shuffle: per in-range target the same harness
+			// In list order, no shuffle: per in-range target the same send
 			// charge, link draw and (at, seq) key as the unicast list this
 			// form replaced, so executions are identical to it -- but the
 			// message is held once, not once per recipient.
@@ -577,7 +529,7 @@ func (r *runner) dispatch(from msg.ID, outs []core.Outbound) {
 				if t < 0 || int(t) >= r.cfg.N {
 					continue
 				}
-				if alive = harness == nil || harness.AllowSendAt(phase); !alive {
+				if alive = nd.AllowSend(); !alive {
 					break
 				}
 				r.enqueue(from, msg.ID(t), &m, ref)
@@ -587,15 +539,14 @@ func (r *runner) dispatch(from msg.ID, outs []core.Outbound) {
 			if int(o.To) < 0 || int(o.To) >= r.cfg.N {
 				continue
 			}
-			if alive = harness == nil || harness.AllowSendAt(phase); alive {
+			if alive = nd.AllowSend(); alive {
 				ref := r.queue.hold(m)
 				r.enqueue(from, o.To, &m, ref)
 				r.queue.release(ref)
 			}
 		}
 		if !alive {
-			r.markCrashed(from)
-			return
+			return // settle records the death
 		}
 	}
 }
@@ -680,8 +631,8 @@ func (r *runner) stepNext(maxEvents int) bool {
 
 // deliver hands *in, read where it lies in the queue's slab, to process id.
 func (r *runner) deliver(id msg.ID, in *msg.Message) {
-	m := r.machines[id]
-	if r.isDead(id) || m.Halted() {
+	nd := &r.nodes[id]
+	if nd.Dead() || nd.Machine.Halted() {
 		// Not a link loss (Result.MessagesDropped): the message arrived at
 		// a process that will never take another step. finish counts these
 		// as messages_undelivered, Events - MessagesDelivered.
@@ -697,33 +648,10 @@ func (r *runner) deliver(id msg.ID, in *msg.Message) {
 		})
 	}
 	r.stepStamp++
-	outs := m.OnMessage(*in)
-	r.noteProgress(id)
-	if !r.isDead(id) {
-		r.dispatch(id, outs)
-	}
-	r.checkDecision(id)
-	if p := m.Phase(); r.correct[id] && p > r.result.MaxPhase {
+	r.dispatch(id, nd.Step(in))
+	r.settle(id)
+	if p := nd.Machine.Phase(); nd.Correct() && p > r.result.MaxPhase {
 		r.result.MaxPhase = p
-	}
-}
-
-func (r *runner) checkDecision(id msg.ID) {
-	if r.decided[id] || !r.correct[id] {
-		return
-	}
-	v, ok := r.machines[id].Decided()
-	if !ok {
-		return
-	}
-	r.decided[id] = true
-	r.result.Decisions[id] = v
-	r.result.DecisionPhase[id] = r.machines[id].Phase()
-	r.result.DecisionTime[id] = r.now
-	r.met.decisions.Inc()
-	r.met.decisionPhase.Observe(float64(r.machines[id].Phase()))
-	if _, crashes := r.cfg.Crashes[id]; !crashes && !r.crashed[id] {
-		r.mustDecide--
 	}
 }
 
@@ -731,24 +659,6 @@ func (r *runner) finish() {
 	res := r.result
 	res.SimTime = r.now
 	res.AllDecided = r.mustDecide == 0
-	res.Agreement = true
-	first := true
-	for _, v := range res.Decisions {
-		if first {
-			//lint:allow maprange Value is meaningful only when Agreement holds, i.e. all entries are equal
-			res.Value = v
-			first = false
-			continue
-		}
-		if v != res.Value {
-			res.Agreement = false
-			break
-		}
-	}
-	if first {
-		// Nobody decided: vacuous agreement, but flag it via AllDecided.
-		res.Agreement = true
-	}
 	r.met.runs.Inc()
 	r.met.sent.Add(int64(res.MessagesSent))
 	r.met.delivered.Add(int64(res.MessagesDelivered))

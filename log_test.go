@@ -186,7 +186,7 @@ func TestRunLogSimTimeIsSlotSum(t *testing.T) {
 
 // TestRunLogAbsentReplicaIsAbsent checks that a replica dead at a slot
 // boundary takes no part in the slot on the live engines -- no driver, so no
-// decision counted, and no fault harness, so no crash counted -- and that the
+// decision counted, and no node, so no crash counted -- and that the
 // run loop's accounting covers log slots: one decision per replica alive in
 // each slot.
 func TestRunLogAbsentReplicaIsAbsent(t *testing.T) {

@@ -201,7 +201,7 @@ func TestEngineParityOutOfRangeSends(t *testing.T) {
 	if !maps.Equal(sim.Decisions, want) {
 		t.Errorf("%v: decisions %v, want %v", EngineSim, sim.Decisions, want)
 	}
-	if got := live.DecisionMap(); !maps.Equal(got, want) {
+	if got := live.Decisions; !maps.Equal(got, want) {
 		t.Errorf("%v: decisions %v, want %v", EngineMem, got, want)
 	}
 }

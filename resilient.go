@@ -182,15 +182,3 @@ func NewMachine(p Protocol, cfg MachineConfig) (Machine, error) {
 	}
 	return s.Spawn(ctx)
 }
-
-// MaxFaultsFor returns the tight resilience bound of the paper for a fault
-// model: floor((n-1)/2) correct processes suffice and are necessary for
-// fail-stop, floor((n-1)/3) for malicious.
-func MaxFaultsFor(n int, m FaultModel) int {
-	return quorum.MaxFaults(n, m)
-}
-
-// CheckConfig validates an (n, k) pair against a fault model's bound.
-func CheckConfig(n, k int, m FaultModel) error {
-	return quorum.Check(n, k, m)
-}

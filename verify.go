@@ -2,8 +2,8 @@ package resilient
 
 import (
 	"resilient/internal/check"
-	"resilient/internal/msg"
 	"resilient/internal/proto"
+	"resilient/internal/spawn"
 )
 
 // Violation is one broken protocol invariant found by Verify.
@@ -21,11 +21,7 @@ type Violation = check.Violation
 //	if vs := resilient.Verify(p, n, k, inputs, nil, buf, res); len(vs) > 0 { ... }
 func Verify(p Protocol, n, k int, inputs []Value, adversaries map[ID]Strategy,
 	buf *TraceBuffer, res *Result) []Violation {
-	byz := make(map[msg.ID]bool, len(adversaries))
-	for id := range adversaries {
-		byz[id] = true
-	}
-	cfg := check.Config{N: n, K: k, Inputs: inputs, Byzantine: byz}
+	cfg := check.Config{N: n, K: k, Inputs: inputs, Byzantine: spawn.Members(adversaries)}
 	if d, ok := proto.Lookup(p); ok {
 		// The descriptor names the checker's protocol-specific support
 		// rules (empty = generic checks only) and marks protocols that
