@@ -585,22 +585,22 @@ func parsePolicy(spec string) (resilient.LinkPolicy, error) {
 		inner := pol // what this entry wraps; a base delay policy wraps nothing
 		switch fields[0] {
 		case "default":
-			pol = resilient.PolicyFromScheduler(nil)
+			pol = resilient.UniformDelay{Min: 0.1, Max: 1}
 		case "uniform":
 			if len(nums) != 2 {
 				return nil, fmt.Errorf("policy entry %q: want uniform:MIN:MAX", entry)
 			}
-			pol = resilient.PolicyFromScheduler(resilient.UniformDelay{Min: nums[0], Max: nums[1]})
+			pol = resilient.UniformDelay{Min: nums[0], Max: nums[1]}
 		case "exp":
 			if len(nums) != 1 {
 				return nil, fmt.Errorf("policy entry %q: want exp:MEAN", entry)
 			}
-			pol = resilient.PolicyFromScheduler(resilient.ExponentialDelay{Mean: nums[0]})
+			pol = resilient.ExponentialDelay{Mean: nums[0]}
 		case "const":
 			if len(nums) != 1 {
 				return nil, fmt.Errorf("policy entry %q: want const:D", entry)
 			}
-			pol = resilient.PolicyFromScheduler(resilient.ConstantDelay{D: nums[0]})
+			pol = resilient.ConstantDelay{D: nums[0]}
 		case "drop":
 			if len(nums) != 1 || nums[0] < 0 || nums[0] > 1 {
 				return nil, fmt.Errorf("policy entry %q: want drop:P with P in [0,1]", entry)

@@ -345,6 +345,11 @@ func TestRunGolden(t *testing.T) {
 		// every key of a step on one time.
 		{"balancer-exp", "-protocol malicious -n 13 -k 4 -adversary balancer -policy exp:1"},
 		{"const-policy", "-protocol malicious -n 16 -k 5 -policy const:1"},
+		// A Uniform the runner does not draw in place (Min 0) goes
+		// through Link, and a drop over a non-default base draws the drop
+		// coin before the exponential delay.
+		{"uniform-link", "-protocol failstop -n 7 -k 3 -policy uniform:0:1"},
+		{"drop-exp", "-protocol malicious -n 10 -k 3 -policy drop:0.05,exp:1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".golden"))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"resilient/internal/adversary"
 	"resilient/internal/faults"
 	"resilient/internal/livenet"
 	"resilient/internal/msg"
@@ -70,8 +71,7 @@ func ParseEngine(s string) (Engine, error) {
 }
 
 // LinkPolicy decides per-link message delivery -- delay, loss, partition --
-// for every engine; see the internal policy package. A policy built from a
-// Scheduler reproduces the simulator's delay behaviour bit-exactly.
+// for every engine; see the internal policy package.
 type LinkPolicy = policy.LinkPolicy
 
 // DropPolicy loses each message independently with probability P before
@@ -82,20 +82,9 @@ type DropPolicy = policy.Drop
 // a process to its group.
 type PartitionPolicy = policy.Partition
 
-// PolicyFromScheduler lifts a delay Scheduler into a LinkPolicy that never
-// drops (nil selects the default Uniform[0.1, 1] scheduler).
-func PolicyFromScheduler(s Scheduler) LinkPolicy { return policy.FromScheduler(s) }
-
 // HalvesPartition returns a GroupOf function splitting processes into
 // [0, boundary) and [boundary, n).
-func HalvesPartition(boundary ID) func(ID) int {
-	return func(id ID) int {
-		if id < boundary {
-			return 0
-		}
-		return 1
-	}
-}
+func HalvesPartition(boundary ID) func(ID) int { return adversary.Halves(boundary) }
 
 // Scenario is one engine-independent experiment: protocol, system size,
 // inputs, faults, and link behaviour. The same Scenario value runs on any

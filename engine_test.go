@@ -266,7 +266,7 @@ func TestParseEngine(t *testing.T) {
 func TestBridgeCoalitionEnablesBothSides(t *testing.T) {
 	res, err := Simulate(ProtocolFailStop, 7, 3, unanimous(7, V1), SimOptions{
 		Seed:       3,
-		Policy:     PolicyFromScheduler(adversary.Bridge{GroupOf: adversary.Overlap(2, 4)}),
+		Policy:     adversary.Partition{GroupOf: adversary.Overlap(2, 4)},
 		MaxSimTime: 1e5,
 	})
 	if err != nil {
@@ -284,7 +284,7 @@ func TestBridgeCoalitionEnablesBothSides(t *testing.T) {
 func TestPartitionStallsWhereBridgeDecides(t *testing.T) {
 	res, err := Simulate(ProtocolFailStop, 7, 3, unanimous(7, V1), SimOptions{
 		Seed:       3,
-		Policy:     PolicyFromScheduler(adversary.Partition{GroupOf: adversary.Halves(2)}),
+		Policy:     adversary.Partition{GroupOf: adversary.Halves(2)},
 		MaxSimTime: 1e5,
 	})
 	if err != nil {

@@ -1,4 +1,4 @@
-// Package adversary provides the scripted schedulers used by the
+// Package adversary provides the scripted link policy used by the
 // lower-bound experiments (Theorem 1 and Theorem 3 of the paper).
 //
 // The impossibility proofs construct executions in which two groups of
@@ -15,7 +15,7 @@ import (
 	"math/rand/v2"
 
 	"resilient/internal/msg"
-	"resilient/internal/sched"
+	"resilient/internal/policy"
 )
 
 // CrossDelay is the delay applied to messages crossing a partition: far
@@ -24,28 +24,33 @@ import (
 // delivered (the message system stays reliable, as the model requires).
 const CrossDelay = 1e9
 
-// Partition is a scheduler that delivers messages quickly inside groups and
-// delays messages across group boundaries by CrossDelay.
+// Partition is a link policy that adds CrossDelay to every message between
+// group 0 and group 1 and leaves all other traffic to Base. Any other group
+// -- Overlap's coalition, group 2 -- talks freely to both sides, so one
+// type serves the clean split of Theorem 1 (Halves) and the bridged split
+// of Theorem 3 (Overlap).
 type Partition struct {
-	// GroupOf assigns each process to a group.
+	// GroupOf assigns each process to a group; nil means one group.
 	GroupOf func(msg.ID) int
-	// Base supplies in-group delays; defaults to Uniform[0.1, 1].
-	Base sched.Scheduler
+	// Base supplies the delay before any cross-group penalty; nil is
+	// policy.Default().
+	Base policy.LinkPolicy
 }
 
-var _ sched.Scheduler = Partition{}
-
-// Delay implements sched.Scheduler.
-func (p Partition) Delay(from, to msg.ID, m msg.Message, now float64, rng *rand.Rand) float64 {
+// Link implements policy.LinkPolicy.
+func (p Partition) Link(from, to msg.ID, m msg.Message, now float64, rng *rand.Rand) policy.Verdict {
 	base := p.Base
 	if base == nil {
-		base = sched.Uniform{Min: 0.1, Max: 1}
+		base = policy.Default()
 	}
-	d := base.Delay(from, to, m, now, rng)
-	if p.GroupOf != nil && p.GroupOf(from) != p.GroupOf(to) {
-		return d + CrossDelay
+	v := base.Link(from, to, m, now, rng)
+	if p.GroupOf != nil {
+		gf, gt := p.GroupOf(from), p.GroupOf(to)
+		if (gf == 0 && gt == 1) || (gf == 1 && gt == 0) {
+			v.Delay += CrossDelay
+		}
 	}
-	return d
+	return v
 }
 
 // Halves returns a GroupOf function splitting processes into [0, boundary)
@@ -64,7 +69,7 @@ func Halves(boundary msg.ID) func(msg.ID) int {
 // [tStart, sEnd) -- the malicious coalition -- belong to *both* groups, so
 // their messages are never delayed and they can talk to both sides.
 // Group assignment: S-only processes are group 0, T-only processes group 1,
-// and coalition members group 2 which Bridge treats as adjacent to both.
+// and coalition members group 2, which Partition treats as adjacent to both.
 func Overlap(tStart, sEnd msg.ID) func(msg.ID) int {
 	return func(id msg.ID) int {
 		switch {
@@ -76,31 +81,4 @@ func Overlap(tStart, sEnd msg.ID) func(msg.ID) int {
 			return 1 // T only
 		}
 	}
-}
-
-// Bridge is a scheduler for overlapping groups: messages are delayed only
-// between group 0 and group 1; group 2 (the coalition) communicates freely
-// with everyone.
-type Bridge struct {
-	GroupOf func(msg.ID) int
-	Base    sched.Scheduler
-}
-
-var _ sched.Scheduler = Bridge{}
-
-// Delay implements sched.Scheduler.
-func (b Bridge) Delay(from, to msg.ID, m msg.Message, now float64, rng *rand.Rand) float64 {
-	base := b.Base
-	if base == nil {
-		base = sched.Uniform{Min: 0.1, Max: 1}
-	}
-	d := base.Delay(from, to, m, now, rng)
-	if b.GroupOf == nil {
-		return d
-	}
-	gf, gt := b.GroupOf(from), b.GroupOf(to)
-	if (gf == 0 && gt == 1) || (gf == 1 && gt == 0) {
-		return d + CrossDelay
-	}
-	return d
 }

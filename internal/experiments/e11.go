@@ -9,18 +9,17 @@ import (
 	"resilient/internal/msg"
 	"resilient/internal/policy"
 	"resilient/internal/proto"
-	"resilient/internal/sched"
 	"resilient/internal/sweep"
 )
 
 // E11 is the ablation study (not a table from the paper): it probes the
 // design choices DESIGN.md calls out.
 //
-// E11a varies the delivery scheduler under Figure 1. The paper's
-// convergence argument needs only that every (n-k)-view has positive
-// probability (Section 2.3); the measured phase counts must therefore be
-// stable across any scheduler with that property, degrading gracefully
-// under a heavily skewed one.
+// E11a varies the delay law under Figure 1. The paper's convergence
+// argument needs only that every (n-k)-view has positive probability
+// (Section 2.3); the measured phase counts must therefore be stable across
+// any delay law with that property, degrading gracefully under a heavily
+// skewed one. (The table keeps its "scheduler" column name.)
 //
 // E11b computes the analytic decision split B = N*R of the Section 4.1
 // chain -- the probability that consensus lands on 1 as a function of the
@@ -35,26 +34,26 @@ func E11(p Params) ([]*Table, error) {
 		Header: []string{"scheduler", "terminated", "agreement", "phases ±95%"},
 	}
 	n, k := 9, 4
-	schedulers := []struct {
+	laws := []struct {
 		name string
-		s    sched.Scheduler
+		pol  policy.LinkPolicy
 	}{
-		{"uniform[0.1,1]", sched.Uniform{Min: 0.1, Max: 1}},
-		{"uniform[0.9,1.1] (near-sync)", sched.Uniform{Min: 0.9, Max: 1.1}},
-		{"exponential(mean=1)", sched.Exponential{Mean: 1}},
-		{"constant(1) (lock-step)", sched.Constant{D: 1}},
-		{"skewed x10 on 3 processes", sched.Skewed{
-			Base:       sched.Uniform{Min: 0.1, Max: 1},
+		{"uniform[0.1,1]", policy.Uniform{Min: 0.1, Max: 1}},
+		{"uniform[0.9,1.1] (near-sync)", policy.Uniform{Min: 0.9, Max: 1.1}},
+		{"exponential(mean=1)", policy.Exponential{Mean: 1}},
+		{"constant(1) (lock-step)", policy.Constant{D: 1}},
+		{"skewed x10 on 3 processes", policy.Skewed{
+			Base:       policy.Uniform{Min: 0.1, Max: 1},
 			SlowSet:    map[msg.ID]bool{0: true, 1: true, 2: true},
 			SlowFactor: 10,
 		}},
 	}
-	for row, sc := range schedulers {
+	for row, sc := range laws {
 		outs, err := runTrials(p, p.trials(), func(tr int) mc.Trial {
 			seed := p.seedFor(600+row, tr)
 			return mc.Trial{
 				Protocol: proto.FailStop, N: n, K: k, Inputs: randomInputs(n, seed),
-				Policy: policy.FromScheduler(sc.s),
+				Policy: sc.pol,
 				Seed:   seed,
 			}
 		})

@@ -9,7 +9,6 @@ import (
 	"resilient/internal/failstop"
 	"resilient/internal/malicious"
 	"resilient/internal/msg"
-	"resilient/internal/policy"
 	"resilient/internal/quorum"
 	"resilient/internal/runtime"
 	"resilient/internal/trace"
@@ -87,7 +86,7 @@ func E5(p Params) ([]*Table, error) {
 	// S-only = {0, 1}, coalition = {2, 3}, T-only = {4, 5}.
 	n3, k3 := 6, 2
 	coalition := map[msg.ID]bool{2: true, 3: true}
-	bridge := adversary.Bridge{GroupOf: adversary.Overlap(2, 4)}
+	bridge := adversary.Partition{GroupOf: adversary.Overlap(2, 4)}
 	spawnTwoFacedGreedy := func(ctx runtime.SpawnContext) (core.Machine, error) {
 		inner := newGreedy(ctx.Config, ctx.Sink)
 		if !ctx.Byzantine {
@@ -99,7 +98,7 @@ func E5(p Params) ([]*Table, error) {
 		N: n3, K: k3, Inputs: splitInputs(n3, 4),
 		Spawn:      spawnTwoFacedGreedy,
 		Byzantine:  coalition,
-		Policy:     policy.FromScheduler(bridge),
+		Policy:     bridge,
 		Seed:       p.Seed + 3,
 		MaxSimTime: 1000,
 	})
@@ -121,7 +120,7 @@ func E5(p Params) ([]*Table, error) {
 			return byzantine.NewTwoFaced(inner, ctx.Config.N, msg.ID(4)), nil
 		},
 		Byzantine:  coalition,
-		Policy:     policy.FromScheduler(bridge),
+		Policy:     bridge,
 		Seed:       p.Seed + 4,
 		MaxSimTime: 1000,
 	})
@@ -144,7 +143,7 @@ func runPartitioned(n, k int, boundary msg.ID, spawn runtime.Spawner, seed uint6
 	return runtime.Run(runtime.Config{
 		N: n, K: k, Inputs: splitInputs(n, int(boundary)),
 		Spawn:      spawn,
-		Policy:     policy.FromScheduler(adversary.Partition{GroupOf: adversary.Halves(boundary)}),
+		Policy:     adversary.Partition{GroupOf: adversary.Halves(boundary)},
 		Seed:       seed,
 		MaxSimTime: 1000,
 	})

@@ -138,7 +138,6 @@ func ProjectConfig(dir string) Config {
 		mod + "/internal/mc",
 		mod + "/internal/sweep",
 		mod + "/internal/experiments",
-		mod + "/internal/sched",
 		mod + "/internal/policy",
 		mod + "/internal/sample",
 		// The registry, the coin sources and the spawner sit under every

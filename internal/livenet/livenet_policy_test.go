@@ -11,7 +11,6 @@ import (
 	"resilient/internal/faults"
 	"resilient/internal/msg"
 	"resilient/internal/policy"
-	"resilient/internal/sched"
 	"resilient/internal/transport"
 )
 
@@ -64,15 +63,15 @@ func TestMemClusterCrashPlan(t *testing.T) {
 }
 
 // TestMemClusterLinkPolicyDelays runs a cluster whose links are jittered by
-// the shared policy layer (the same Uniform scheduler the simulator
-// defaults to, interpreted in wall-clock units).
+// the shared policy layer (the same Uniform policy the simulator defaults
+// to, interpreted in wall-clock units).
 func TestMemClusterLinkPolicyDelays(t *testing.T) {
 	n, k := 5, 2
 	cluster, err := NewMemCluster(failstopMachines(t, n, k, mixed(n)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster.Policy = policy.FromScheduler(sched.Uniform{Min: 0.1, Max: 1})
+	cluster.Policy = policy.Uniform{Min: 0.1, Max: 1}
 	cluster.Unit = 200 * time.Microsecond
 	cluster.Seed = 7
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -195,5 +194,45 @@ func TestRunRejectedPlanClosesConns(t *testing.T) {
 		if _, err := c.Recv(); !errors.Is(err, transport.ErrClosed) {
 			t.Fatalf("conn %d after a rejected run: %v, want transport.ErrClosed", i, err)
 		}
+	}
+}
+
+// TestPolicyConnSaturatesLongDelays: a delay whose wall-clock length passes
+// the largest time.Duration must wait (as good as) forever. Converted
+// without saturating it wraps negative and the timer delivers at once.
+func TestPolicyConnSaturatesLongDelays(t *testing.T) {
+	for _, tc := range []struct {
+		pol  policy.LinkPolicy
+		unit time.Duration
+	}{
+		{policy.Constant{D: 1e10}, time.Second},
+		{policy.Constant{D: 1e12}, 10 * time.Millisecond},
+	} {
+		net := transport.NewMem(2)
+		from, err := net.Conn(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		to, err := net.Conn(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn := newPolicyConn(from, tc.pol, tc.unit, time.Now(), 1)
+		if err := conn.Send(1, msg.Message{Kind: msg.KindState, Value: msg.V1}); err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan error, 1)
+		go func() {
+			_, err := to.Recv()
+			got <- err
+		}()
+		select {
+		case err := <-got:
+			t.Errorf("%+v at unit %v: Recv returned (err %v) before the delay", tc.pol, tc.unit, err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		// Closing ends the pending Recv; got is buffered, so it exits.
+		_ = conn.Close()
+		net.Close()
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"resilient/internal/msg"
 	"resilient/internal/netxport"
 	"resilient/internal/policy"
-	"resilient/internal/sched"
 	"resilient/internal/transport"
 )
 
@@ -98,7 +97,7 @@ func TestJitterClusterNonHaltingProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster.Policy = policy.FromScheduler(sched.Uniform{Min: 0, Max: 1})
+	cluster.Policy = policy.Uniform{Min: 0, Max: 1}
 	cluster.Unit = 2 * time.Millisecond
 	cluster.Seed = 42
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

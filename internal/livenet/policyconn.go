@@ -1,13 +1,13 @@
 package livenet
 
 import (
+	"math"
 	"math/rand/v2"
 	"sync"
 	"time"
 
 	"resilient/internal/msg"
 	"resilient/internal/policy"
-	"resilient/internal/sched"
 	"resilient/internal/transport"
 )
 
@@ -69,7 +69,12 @@ func (c *policyConn) Send(to msg.ID, m msg.Message) error {
 		c.mu.Unlock()
 		return nil // lost by the link; the sender cannot tell
 	}
-	d := time.Duration(sched.Clamp(v.Delay) * float64(c.unit))
+	// A clamped delay times the unit can pass the largest Duration; the
+	// conversion would then wrap negative and deliver at once.
+	d := time.Duration(math.MaxInt64)
+	if f := policy.Clamp(v.Delay) * float64(c.unit); f < math.MaxInt64 {
+		d = time.Duration(f)
+	}
 	c.seq++
 	id := c.seq
 	// The timer callback deletes its own entry; it cannot run before the

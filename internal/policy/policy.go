@@ -16,17 +16,18 @@
 // engines interpret the same delays in wall-clock time (one abstract unit = a
 // configurable Duration) and stamp their own decision times.
 //
-// Existing scheduling machinery plugs in unchanged: every sched.Scheduler --
-// including the adversary.Partition and adversary.Bridge schedulers of the
-// lower-bound constructions -- becomes a LinkPolicy via FromScheduler.
+// The stochastic delay laws (Uniform, Exponential, Skewed) realize the
+// paper's probabilistic assumption (Section 2.3): under any of them every
+// (n-k)-subset of a phase's messages has positive probability of forming a
+// process's view. The scripted lower-bound adversary (adversary.Partition)
+// is a LinkPolicy too.
 package policy
 
 import (
-	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"resilient/internal/msg"
-	"resilient/internal/sched"
 )
 
 // Verdict is one link's decision for one message.
@@ -37,7 +38,7 @@ type Verdict struct {
 	// cross-partition messages "arbitrarily long" rather than losing them).
 	Drop bool
 	// Delay is the delivery latency in abstract time units; engines clamp
-	// it via sched.Clamp. Live engines convert units to wall-clock time.
+	// it via Clamp. Live engines convert units to wall-clock time.
 	Delay float64
 }
 
@@ -49,45 +50,88 @@ type LinkPolicy interface {
 	Link(from, to msg.ID, m msg.Message, now float64, rng *rand.Rand) Verdict
 }
 
-// Scheduler adapts a sched.Scheduler to the LinkPolicy contract: the policy
-// never drops and delays exactly what the scheduler returns, drawing the
-// same variates in the same order. adversary.Partition and adversary.Bridge
-// are sched.Schedulers, so this one adapter also covers the scripted
-// lower-bound adversaries.
-type Scheduler struct {
-	S sched.Scheduler
+// Uniform delays each message by an independent uniform draw in [Min, Max].
+// Uniform[0.1, 1] is the default policy.
+type Uniform struct {
+	Min, Max float64
 }
-
-var _ LinkPolicy = Scheduler{}
 
 // Link implements LinkPolicy.
-func (p Scheduler) Link(from, to msg.ID, m msg.Message, now float64, rng *rand.Rand) Verdict {
-	return Verdict{Delay: p.S.Delay(from, to, m, now, rng)}
+func (u Uniform) Link(_, _ msg.ID, _ msg.Message, _ float64, rng *rand.Rand) Verdict {
+	lo, hi := u.Min, u.Max
+	if lo <= 0 {
+		lo = minDelay
+	}
+	if hi < lo {
+		hi = lo
+	}
+	return Verdict{Delay: lo + rng.Float64()*(hi-lo)}
 }
 
-// FromScheduler wraps s (defaulting to the engines' Uniform[0.1, 1]) as a
-// LinkPolicy.
-func FromScheduler(s sched.Scheduler) LinkPolicy {
-	if s == nil {
-		s = sched.Uniform{Min: 0.1, Max: 1}
+// Exponential delays each message by an independent exponential draw with
+// the given mean (1 if unset), modelling heavy-tailed network latency.
+type Exponential struct {
+	Mean float64
+}
+
+// Link implements LinkPolicy.
+func (e Exponential) Link(_, _ msg.ID, _ msg.Message, _ float64, rng *rand.Rand) Verdict {
+	mean := e.Mean
+	if mean <= 0 {
+		mean = 1
 	}
-	return Scheduler{S: s}
+	return Verdict{Delay: max(rng.ExpFloat64()*mean, minDelay)}
+}
+
+// Constant delays every message by the same D (1 if unset), yielding an
+// effectively synchronous lock-step execution.
+type Constant struct {
+	D float64
+}
+
+// Link implements LinkPolicy.
+func (c Constant) Link(_, _ msg.ID, _ msg.Message, _ float64, _ *rand.Rand) Verdict {
+	if c.D <= 0 {
+		return Verdict{Delay: 1}
+	}
+	return Verdict{Delay: c.D}
+}
+
+// Skewed multiplies the delay of every message *to* a process in SlowSet by
+// SlowFactor (at least 1), creating persistent stragglers: a stress test
+// for the protocols' indifference to which n-k messages arrive first.
+type Skewed struct {
+	// Base decides each message before the slowdown; nil is Default().
+	Base       LinkPolicy
+	SlowSet    map[msg.ID]bool
+	SlowFactor float64
+}
+
+// Link implements LinkPolicy.
+func (s Skewed) Link(from, to msg.ID, m msg.Message, now float64, rng *rand.Rand) Verdict {
+	base := s.Base
+	if base == nil {
+		base = defaultPolicy
+	}
+	v := base.Link(from, to, m, now, rng)
+	if s.SlowSet[to] {
+		v.Delay *= max(s.SlowFactor, 1)
+	}
+	return v
 }
 
 // Partition drops every message crossing a group boundary and delegates
-// in-group messages to Base. It is the policy-native form of
-// adversary.Partition: where the simulator's scripted scheduler delays
+// in-group messages to Base. It is the live-engine form of
+// adversary.Partition: where the simulator's scripted adversary delays
 // cross-group messages by adversary.CrossDelay (so the run remains a legal
 // prefix of a reliable execution), a live engine cannot wait 1e9 units, so
 // the partition policy expresses the same observable prefix as drops.
 type Partition struct {
 	// GroupOf assigns each process to a group; nil means one group.
 	GroupOf func(msg.ID) int
-	// Base supplies in-group delays; nil defaults to Uniform[0.1, 1].
+	// Base supplies in-group delays; nil is Default().
 	Base LinkPolicy
 }
-
-var _ LinkPolicy = Partition{}
 
 // Link implements LinkPolicy.
 func (p Partition) Link(from, to msg.ID, m msg.Message, now float64, rng *rand.Rand) Verdict {
@@ -107,11 +151,9 @@ func (p Partition) Link(from, to msg.ID, m msg.Message, now float64, rng *rand.R
 type Drop struct {
 	// P is the per-message loss probability in [0, 1].
 	P float64
-	// Base decides the surviving messages; nil defaults to Uniform[0.1, 1].
+	// Base decides the surviving messages; nil is Default().
 	Base LinkPolicy
 }
-
-var _ LinkPolicy = Drop{}
 
 // Link implements LinkPolicy.
 func (d Drop) Link(from, to msg.ID, m msg.Message, now float64, rng *rand.Rand) Verdict {
@@ -126,28 +168,25 @@ func (d Drop) Link(from, to msg.ID, m msg.Message, now float64, rng *rand.Rand) 
 }
 
 // defaultPolicy is the engines' default delivery assumption.
-var defaultPolicy LinkPolicy = Scheduler{S: sched.Uniform{Min: 0.1, Max: 1}}
+var defaultPolicy LinkPolicy = Uniform{Min: 0.1, Max: 1}
 
 // Default returns the default policy: Uniform[0.1, 1] delays, no loss.
 func Default() LinkPolicy { return defaultPolicy }
 
-// Name returns a human-readable description for known policy types.
-func Name(p LinkPolicy) string {
-	switch v := p.(type) {
-	case Scheduler:
-		return sched.Name(v.S)
-	case Partition:
-		return fmt.Sprintf("partition(over %s)", Name(orDefault(v.Base)))
-	case Drop:
-		return fmt.Sprintf("drop(p=%.2g over %s)", v.P, Name(orDefault(v.Base)))
-	default:
-		return fmt.Sprintf("%T", p)
+// Clamp makes a delay finite and strictly positive; engines apply it to
+// every verdict so a buggy policy cannot stall the event queue with zero,
+// negative, NaN or infinite delays.
+func Clamp(d float64) float64 {
+	if math.IsNaN(d) || d < minDelay {
+		return minDelay
 	}
+	if math.IsInf(d, +1) || d > maxDelay {
+		return maxDelay
+	}
+	return d
 }
 
-func orDefault(p LinkPolicy) LinkPolicy {
-	if p == nil {
-		return defaultPolicy
-	}
-	return p
-}
+const (
+	minDelay = 1e-9
+	maxDelay = 1e12
+)

@@ -167,7 +167,7 @@ const (
 	// insertionMax is the longest day sorted by insertion; longer ones
 	// (lockstep schedules put a whole step on one day) go to slices.SortFunc.
 	insertionMax = 12
-	// maxBucket saturates the bucket of a huge at*perBucket (sched.Clamp
+	// maxBucket saturates the bucket of a huge at*perBucket (policy.Clamp
 	// allows delays of 1e12) so that differences of two buckets cannot
 	// overflow.
 	maxBucket = 1 << 61

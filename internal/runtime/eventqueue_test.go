@@ -475,7 +475,7 @@ func TestEventQueueNonMonotonePushes(t *testing.T) {
 }
 
 // tailDelay draws Uniform[0.1, 1), except that one draw in oneIn is
-// 1e9..1e12 (sched.Clamp's ceiling): a key for the overflow store.
+// 1e9..1e12 (policy.Clamp's ceiling): a key for the overflow store.
 func tailDelay(rng *rand.Rand, oneIn int) float64 {
 	if rng.IntN(oneIn) == 0 {
 		return math.Pow(10, 9+3*rng.Float64())
@@ -484,7 +484,7 @@ func tailDelay(rng *rand.Rand, oneIn int) float64 {
 }
 
 // TestEventQueueHeavyTail interleaves pops with pushes whose delay is
-// Uniform[0.1, 1) except for 1 % at 1e9..1e12 (sched.Clamp's ceiling). The
+// Uniform[0.1, 1) except for 1 % at 1e9..1e12 (policy.Clamp's ceiling). The
 // tail must wait in the overflow store without stretching the buckets of the
 // rest, and come back in order once the bulk has drained.
 func TestEventQueueHeavyTail(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"resilient/internal/metrics"
 	"resilient/internal/msg"
 	"resilient/internal/policy"
-	"resilient/internal/sched"
 )
 
 // runOn executes cfg as Run does, but on q instead of an idle queue, and
@@ -36,10 +35,10 @@ func runOn(t *testing.T, cfg Config, q *eventQueue) *Result {
 // heavyTail delays one message in twenty by 1e9..1e12 and the rest by
 // Uniform[0.1, 1): keys in the overflow store and more than one calibration.
 // It keeps no state of its own, so a Config holding it can run again.
-func heavyTail() policy.LinkPolicy {
-	return policy.FromScheduler(sched.Func(func(_, _ msg.ID, _ msg.Message, _ float64, rng *rand.Rand) float64 {
-		return tailDelay(rng, 20)
-	}))
+type heavyTail struct{}
+
+func (heavyTail) Link(_, _ msg.ID, _ msg.Message, _ float64, rng *rand.Rand) policy.Verdict {
+	return policy.Verdict{Delay: tailDelay(rng, 20)}
 }
 
 // TestRecycledQueueEqualsFresh is the reason a recycled queue cannot change a
@@ -52,12 +51,12 @@ func TestRecycledQueueEqualsFresh(t *testing.T) {
 		small := func() Config {
 			return Config{
 				N: 7, K: 3, Inputs: mixedInputs(7), Spawn: failStopSpawner(t),
-				Policy: heavyTail(), Seed: seed, Metrics: metrics.NewRegistry(),
+				Policy: heavyTail{}, Seed: seed, Metrics: metrics.NewRegistry(),
 			}
 		}
 		large := Config{
 			N: 13, K: 4, Inputs: mixedInputs(13), Spawn: maliciousSpawner(t),
-			Policy: heavyTail(), Seed: seed + 100,
+			Policy: heavyTail{}, Seed: seed + 100,
 		}
 		fresh := runOn(t, small(), new(eventQueue))
 		c := fresh.Metrics.Counters
@@ -216,7 +215,7 @@ func TestRunsReuseQueueOnAnyP(t *testing.T) {
 func TestConcurrentRunsMatchSequential(t *testing.T) {
 	cfg := Config{
 		N: 7, K: 2, Inputs: mixedInputs(7), Spawn: maliciousSpawner(t),
-		Policy: heavyTail(), Seed: 9,
+		Policy: heavyTail{}, Seed: 9,
 	}
 	want, err := Run(cfg)
 	if err != nil || !want.AllDecided {
@@ -249,9 +248,8 @@ func TestConcurrentRunsMatchSequential(t *testing.T) {
 type forward struct{ policy.LinkPolicy }
 
 // TestUniformDrawnInPlace pins which policies enqueue draws in place: the
-// default, spelled any of three ways, and any Uniform whose bounds
-// sched.Uniform.Delay would use as they are. Everything else goes through
-// Link.
+// default, spelled either way, and any Uniform whose bounds Uniform.Link
+// would use as they are. Everything else goes through Link.
 func TestUniformDrawnInPlace(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -260,11 +258,10 @@ func TestUniformDrawnInPlace(t *testing.T) {
 	}{
 		{"nil", nil, true},
 		{"Default", policy.Default(), true},
-		{"FromScheduler(nil)", policy.FromScheduler(nil), true},
-		{"Uniform[2,2]", policy.FromScheduler(sched.Uniform{Min: 2, Max: 2}), true},
-		{"Uniform[0,1]", policy.FromScheduler(sched.Uniform{Min: 0, Max: 1}), false},
-		{"Uniform[1,0.5]", policy.FromScheduler(sched.Uniform{Min: 1, Max: 0.5}), false},
-		{"Exponential", policy.FromScheduler(sched.Exponential{Mean: 1}), false},
+		{"Uniform[2,2]", policy.Uniform{Min: 2, Max: 2}, true},
+		{"Uniform[0,1]", policy.Uniform{Min: 0, Max: 1}, false},
+		{"Uniform[1,0.5]", policy.Uniform{Min: 1, Max: 0.5}, false},
+		{"Exponential", policy.Exponential{Mean: 1}, false},
 		{"forwarded Default", forward{policy.Default()}, false},
 		{"Drop", policy.Drop{P: 0.1}, false},
 	} {

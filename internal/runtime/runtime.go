@@ -3,10 +3,10 @@
 // It realizes the paper's system model (Section 2.1): processes take atomic
 // steps -- receive a message, compute, send a finite set of messages -- and
 // the message system delivers every sent message after a delay chosen by a
-// pluggable scheduler. All nondeterminism flows through a single seeded
+// pluggable link policy. All nondeterminism flows through a single seeded
 // random source, so a (Config, Seed) pair identifies exactly one execution;
-// the stochastic schedulers realize the probabilistic delivery assumption of
-// Section 2.3, and scripted schedulers realize the adversaries of the
+// the stochastic delay laws realize the probabilistic delivery assumption of
+// Section 2.3, and scripted link policies realize the adversaries of the
 // impossibility proofs.
 //
 // The engine supports fail-stop fault injection (death at any phase, even in
@@ -30,7 +30,6 @@ import (
 	"resilient/internal/metrics"
 	"resilient/internal/msg"
 	"resilient/internal/policy"
-	"resilient/internal/sched"
 	"resilient/internal/trace"
 )
 
@@ -70,10 +69,8 @@ type Config struct {
 	// Crashes is the fail-stop fault plan.
 	Crashes faults.Plan
 	// Policy decides per-link delivery (delay and drop); nil is
-	// policy.Default, Uniform[0.1, 1] delays and no loss. A sched.Scheduler
-	// becomes one via policy.FromScheduler, which is draw-identical to
-	// consulting the scheduler directly -- the pre-policy goldens pin this.
-	// A dropped message counts as sent but never delivers.
+	// policy.Default, Uniform[0.1, 1] delays and no loss. A dropped
+	// message counts as sent but never delivers.
 	Policy policy.LinkPolicy
 	// Seed determines the execution.
 	Seed uint64
@@ -180,7 +177,7 @@ type Result struct {
 	MessagesDelivered int
 	// MessagesDropped counts messages the link policy lost: they count as
 	// sent but were never scheduled for delivery. Always zero under pure
-	// scheduler policies.
+	// delay policies.
 	MessagesDropped int
 	// Events counts processed delivery events, including those that reached
 	// a crashed or halted process (the messages_undelivered counter).
@@ -256,10 +253,10 @@ type runner struct {
 	sink    trace.Sink
 	traceOn bool // sink.Enabled(), cached: gates per-message Event building
 	pol     policy.LinkPolicy
-	// uniform reports that pol is a policy.Scheduler over a sched.Uniform
-	// with 0 < lo <= lo+span: enqueue then draws lo + Float64()*span itself,
-	// the variate and the arithmetic of sched.Uniform.Delay, without the
-	// two interface calls and two message copies of going through pol.
+	// uniform reports that pol is a policy.Uniform with 0 < lo <= lo+span:
+	// enqueue then draws lo + Float64()*span itself, the variate and the
+	// arithmetic of policy.Uniform.Link, without the two interface calls
+	// and two message copies of going through pol.
 	uniform  bool
 	lo, span float64
 	met      runMetrics
@@ -416,10 +413,8 @@ func newRunner(cfg Config) (*runner, error) {
 	if r.pol == nil {
 		r.pol = policy.Default()
 	}
-	if s, ok := r.pol.(policy.Scheduler); ok {
-		if u, ok := s.S.(sched.Uniform); ok && u.Min > 0 && u.Max >= u.Min {
-			r.uniform, r.lo, r.span = true, u.Min, u.Max-u.Min
-		}
+	if u, ok := r.pol.(policy.Uniform); ok && u.Min > 0 && u.Max >= u.Min {
+		r.uniform, r.lo, r.span = true, u.Min, u.Max-u.Min
 	}
 	world := worldView{r: r}
 	for i := 0; i < cfg.N; i++ {
@@ -568,7 +563,7 @@ func (r *runner) enqueue(from, to msg.ID, m *msg.Message, ref int32) {
 		}
 		d = v.Delay
 	}
-	d = sched.Clamp(d)
+	d = policy.Clamp(d)
 	r.seq++
 	r.queue.pushRef(r.now+d, r.seq, to, ref)
 	if r.traceOn {

@@ -12,7 +12,6 @@ import (
 	"resilient/internal/msg"
 	"resilient/internal/policy"
 	"resilient/internal/runtime"
-	"resilient/internal/sched"
 )
 
 func failstopConfig(n, k int, seed uint64, reg *metrics.Registry) runtime.Config {
@@ -69,7 +68,7 @@ func TestRunMetricsMatchResult(t *testing.T) {
 // TestRunMetricsQueue checks the event queue's own figures: the high-water
 // mark is between one broadcast and everything sent, the first pop
 // calibrated the calendar, and under the default Uniform[0.1, 1] delays no
-// key ever lay past its horizon; a scheduler with a 1e12 tail must show up
+// key ever lay past its horizon; a link policy with a 1e12 tail must show up
 // in queue_overflow_keys.
 func TestRunMetricsQueue(t *testing.T) {
 	reg := metrics.NewRegistry()
@@ -89,12 +88,12 @@ func TestRunMetricsQueue(t *testing.T) {
 	reg = metrics.NewRegistry()
 	cfg := failstopConfig(7, 3, 1, reg)
 	sent := 0
-	cfg.Policy = policy.FromScheduler(sched.Func(func(from, to msg.ID, m msg.Message, now float64, rng *rand.Rand) float64 {
+	cfg.Policy = linkFunc(func(rng *rand.Rand) float64 {
 		if sent++; sent%50 == 0 {
 			return 1e12
 		}
 		return 0.1 + 0.9*rng.Float64()
-	}))
+	})
 	if res, err = runtime.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -228,4 +227,11 @@ func TestSharedRegistryAcrossConcurrentRuns(t *testing.T) {
 	if got := snap.Counters["runtime.runs"]; got != runs {
 		t.Errorf("runs counter = %d, want %d", got, runs)
 	}
+}
+
+// linkFunc is a delay-only link policy drawn by a function of the run's rng.
+type linkFunc func(rng *rand.Rand) float64
+
+func (f linkFunc) Link(_, _ msg.ID, _ msg.Message, _ float64, rng *rand.Rand) policy.Verdict {
+	return policy.Verdict{Delay: f(rng)}
 }

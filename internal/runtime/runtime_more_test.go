@@ -10,7 +10,6 @@ import (
 	"resilient/internal/faults"
 	"resilient/internal/msg"
 	"resilient/internal/policy"
-	"resilient/internal/sched"
 	"resilient/internal/trace"
 )
 
@@ -88,7 +87,7 @@ func TestTimeHorizonStops(t *testing.T) {
 	res, err := Run(Config{
 		N: 7, K: 3, Inputs: mixedInputs(7),
 		Spawn:      failStopSpawner(t),
-		Policy:     policy.FromScheduler(sched.Constant{D: 100}),
+		Policy:     policy.Constant{D: 100},
 		MaxSimTime: 50, // first deliveries land at t=100
 		Seed:       1,
 	})
@@ -304,7 +303,7 @@ func TestPartitionSchedulerStallsMinority(t *testing.T) {
 	res, err := Run(Config{
 		N: 7, K: 3, Inputs: mixedInputs(7),
 		Spawn:      failStopSpawner(t),
-		Policy:     policy.FromScheduler(adversary.Partition{GroupOf: adversary.Halves(4)}),
+		Policy:     adversary.Partition{GroupOf: adversary.Halves(4)},
 		Seed:       8,
 		MaxSimTime: 2000,
 	})
@@ -398,11 +397,11 @@ func TestStragglerFinishesViaWildcards(t *testing.T) {
 	res, err := Run(Config{
 		N: n, K: k, Inputs: mixedInputs(n),
 		Spawn: maliciousSpawner(t),
-		Policy: policy.FromScheduler(sched.Skewed{
-			Base:       sched.Uniform{Min: 0.1, Max: 1},
+		Policy: policy.Skewed{
+			Base:       policy.Uniform{Min: 0.1, Max: 1},
 			SlowSet:    map[msg.ID]bool{6: true},
 			SlowFactor: 40,
-		}),
+		},
 		Seed: 17,
 	})
 	if err != nil {
@@ -418,7 +417,7 @@ func TestStragglerFinishesViaWildcards(t *testing.T) {
 		}
 	}
 	if lastID != 6 {
-		t.Logf("note: straggler p6 was not last (p%d was); scheduler skew too weak for seed", lastID)
+		t.Logf("note: straggler p6 was not last (p%d was); policy skew too weak for seed", lastID)
 	}
 }
 
@@ -433,11 +432,11 @@ func TestFigure1StragglersAfterDecidersHalt(t *testing.T) {
 		Crashes: faults.Plan{
 			0: {Process: 0, Phase: 1, AfterSends: 3},
 		},
-		Policy: policy.FromScheduler(sched.Skewed{
-			Base:       sched.Uniform{Min: 0.1, Max: 1},
+		Policy: policy.Skewed{
+			Base:       policy.Uniform{Min: 0.1, Max: 1},
 			SlowSet:    map[msg.ID]bool{6: true},
 			SlowFactor: 40,
-		}),
+		},
 		Seed: 23,
 	})
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"resilient/internal/malicious"
 	"resilient/internal/msg"
 	"resilient/internal/policy"
-	"resilient/internal/sched"
 )
 
 func failStopSpawner(t *testing.T) Spawner {
@@ -164,7 +163,7 @@ func TestBenOrCrashMode(t *testing.T) {
 		res, err := Run(Config{
 			N: 7, K: 3, Inputs: mixedInputs(7),
 			Spawn: benorSpawner(t, benor.Crash), Seed: seed,
-			Policy: policy.FromScheduler(sched.Uniform{Min: 0.1, Max: 2}),
+			Policy: policy.Uniform{Min: 0.1, Max: 2},
 		})
 		if err != nil {
 			t.Fatal(err)

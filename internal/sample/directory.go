@@ -10,7 +10,7 @@ import (
 )
 
 // directoryStream salts the dedicated PCG stream the directory draws from,
-// so sample draws never alias the scheduler's or a machine's variate stream
+// so sample draws never alias the link policy's or a machine's variate stream
 // for the same run seed.
 const directoryStream = 0x5a3b1ebaced15eed
 

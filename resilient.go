@@ -11,8 +11,9 @@
 //     any engine -- the deterministic simulator, goroutines over an
 //     in-memory message system, or goroutines over loopback TCP sockets.
 //   - Simulate: the simulator alone, with its event and time budgets and
-//     traces (the tool the experiments are built on); a scripted delay
-//     Scheduler is a LinkPolicy through PolicyFromScheduler.
+//     traces (the tool the experiments are built on); every delay law and
+//     scripted adversary is a LinkPolicy, the same value the live engines
+//     take.
 //   - RunLog / RunLogWorkload: the replicated log, one instance per slot,
 //     on the same three engines; a slot is a Scenario and runs through the
 //     two run loops RunScenario uses, one per engine kind.

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"resilient/internal/faults"
+	"resilient/internal/policy"
 	"resilient/internal/runtime"
-	"resilient/internal/sched"
 	"resilient/internal/spawn"
 	"resilient/internal/trace"
 )
@@ -28,18 +28,14 @@ const (
 // Crash schedules a fail-stop death; see the faults package.
 type Crash = faults.Crash
 
-// Scheduler assigns message delivery delays; see the sched package for the
-// built-in policies.
-type Scheduler = sched.Scheduler
-
-// Built-in schedulers.
+// Built-in delay laws, each a LinkPolicy that never drops.
 type (
 	// UniformDelay delivers after a uniform delay in [Min, Max].
-	UniformDelay = sched.Uniform
+	UniformDelay = policy.Uniform
 	// ExponentialDelay delivers after an exponential delay.
-	ExponentialDelay = sched.Exponential
+	ExponentialDelay = policy.Exponential
 	// ConstantDelay yields an effectively synchronous execution.
-	ConstantDelay = sched.Constant
+	ConstantDelay = policy.Constant
 )
 
 // TraceSink receives execution events; see the trace package.
@@ -119,8 +115,7 @@ type SimOptions struct {
 	// Seed selects the execution; same options, same execution.
 	Seed uint64
 	// Policy, when non-nil, decides per-link delivery (delay, loss,
-	// partition); the same policy value drives the live engines. A delay
-	// Scheduler becomes one through PolicyFromScheduler. Nil is
+	// partition); the same policy value drives the live engines. Nil is
 	// Uniform[0.1, 1] delays and no loss.
 	Policy LinkPolicy
 	// Crashes schedules fail-stop deaths, keyed by process.
