@@ -19,11 +19,14 @@
 // Tallies are dense: process IDs are always 0..n-1 and values binary, so a
 // phase's state is a flat [n][2] count table plus two bitsets (subject x
 // sender dedup, n² or n·E bits, and per-subject acceptance) rather than
-// maps. Phase tables recycle through a freelist on Prune, so steady-state
-// observation allocates nothing.
+// maps. A tracker keeps its phase tables in a phase-sorted slice, found by
+// binary search (a Byzantine sender may name any phase), and recycles them
+// through a freelist on Prune, so steady-state observation allocates
+// nothing.
 package echo
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -79,11 +82,8 @@ type Tracker struct {
 	threshold int32
 	low       msg.Phase // phases below this have been pruned
 	cur       *phaseTally
-	tallies   map[msg.Phase]*phaseTally
+	tallies   []*phaseTally // ascending phase
 	free      []*phaseTally
-	// scratch holds the phases collected by Prune, reused across calls so
-	// pruning stays allocation-free in steady state.
-	scratch []msg.Phase
 }
 
 // NewTracker returns an empty tracker for an n-process system tolerating k
@@ -107,7 +107,6 @@ func NewSampledTracker(n int, sample []int32, threshold int) *Tracker {
 		sample:    sample,
 		width:     width,
 		threshold: int32(threshold),
-		tallies:   make(map[msg.Phase]*phaseTally),
 	}
 }
 
@@ -118,13 +117,14 @@ func (t *Tracker) Threshold() int { return int(t.threshold) }
 
 // tally returns phase p's state, creating it (from the freelist when
 // possible) on first use. The single-entry cur cache makes the common case
-// -- every echo lands on the machine's current phase -- map-free.
+// -- every echo lands on the machine's current phase -- search-free.
 func (t *Tracker) tally(p msg.Phase) *phaseTally {
 	if t.cur != nil && t.cur.phase == p {
 		return t.cur
 	}
-	pt := t.tallies[p]
-	if pt == nil {
+	i, found := t.find(p)
+	if !found {
+		var pt *phaseTally
 		if n := len(t.free); n > 0 {
 			pt = t.free[n-1]
 			t.free = t.free[:n-1]
@@ -132,10 +132,18 @@ func (t *Tracker) tally(p msg.Phase) *phaseTally {
 			pt = new(phaseTally)
 		}
 		pt.reset(t.n, t.width, p)
-		t.tallies[p] = pt
+		t.tallies = slices.Insert(t.tallies, i, pt)
 	}
-	t.cur = pt
-	return pt
+	t.cur = t.tallies[i]
+	return t.cur
+}
+
+// find returns the index of phase p's state in tallies, or the index it
+// would be inserted at, and whether it is there.
+func (t *Tracker) find(p msg.Phase) (int, bool) {
+	return slices.BinarySearchFunc(t.tallies, p, func(pt *phaseTally, p msg.Phase) int {
+		return cmp.Compare(pt.phase, p)
+	})
 }
 
 // lookup returns phase p's state without creating it.
@@ -143,7 +151,10 @@ func (t *Tracker) lookup(p msg.Phase) *phaseTally {
 	if t.cur != nil && t.cur.phase == p {
 		return t.cur
 	}
-	return t.tallies[p]
+	if i, found := t.find(p); found {
+		return t.tallies[i]
+	}
+	return nil
 }
 
 // inRange reports whether id is a real process identifier.
@@ -232,22 +243,15 @@ func (t *Tracker) Prune(p msg.Phase) {
 	if p <= t.low {
 		return
 	}
-	// Release in sorted phase order: map iteration order is randomized, and
-	// the freelist's recycling order must not depend on it.
-	t.scratch = t.scratch[:0]
-	for ph := range t.tallies {
-		if ph < p {
-			t.scratch = append(t.scratch, ph)
-		}
-	}
-	slices.Sort(t.scratch)
-	for _, ph := range t.scratch {
-		pt := t.tallies[ph]
-		delete(t.tallies, ph)
+	// The pruned phases are a prefix of tallies; they join the freelist in
+	// ascending phase order.
+	i, _ := t.find(p)
+	for _, pt := range t.tallies[:i] {
 		if t.cur == pt {
 			t.cur = nil
 		}
 		t.free = append(t.free, pt)
 	}
+	t.tallies = slices.Delete(t.tallies, 0, i)
 	t.low = p
 }

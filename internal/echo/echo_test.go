@@ -1,6 +1,9 @@
 package echo
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"testing"
 
 	"resilient/internal/msg"
@@ -157,6 +160,43 @@ func TestByzantineSubjectCannotDoubleAccept(t *testing.T) {
 		}
 		if accepts > 1 {
 			t.Fatalf("pattern %b: %d acceptances", pattern, accepts)
+		}
+	}
+}
+
+// TestArbitraryPhasesStaySortedAndRecycleInOrder feeds echoes for phases a
+// Byzantine sender might name, in no order: each phase keeps its own
+// counts, the tables stay sorted by phase, and Prune hands the pruned tables
+// to the freelist in ascending phase order.
+func TestArbitraryPhasesStaySortedAndRecycleInOrder(t *testing.T) {
+	tr := NewTracker(4, 1)
+	phases := []msg.Phase{900, 7, 3, math.MaxInt32, 0, 41, 2, 6, 1 << 20, 5}
+	for i, p := range phases {
+		for j := 0; j <= i%3; j++ {
+			tr.Observe(msg.ID(j), 1, p, msg.V1)
+		}
+	}
+	for i, p := range phases {
+		if _, ones := tr.Count(1, p); ones != i%3+1 {
+			t.Fatalf("phase %d counts %d echoes, want %d", p, ones, i%3+1)
+		}
+	}
+	if !slices.IsSortedFunc(tr.tallies, func(a, b *phaseTally) int { return cmp.Compare(a.phase, b.phase) }) {
+		t.Fatal("phase tables out of order")
+	}
+	tr.Prune(42)
+	var freed []msg.Phase
+	for _, pt := range tr.free {
+		freed = append(freed, pt.phase)
+	}
+	want := []msg.Phase{0, 2, 3, 5, 6, 7, 41}
+	if !slices.Equal(freed, want) {
+		t.Fatalf("freelist holds phases %v, want %v", freed, want)
+	}
+	for _, p := range phases {
+		_, ones := tr.Count(1, p)
+		if kept := p >= 42; kept != (ones > 0) {
+			t.Fatalf("after Prune(42) phase %d counts %d echoes", p, ones)
 		}
 	}
 }

@@ -22,13 +22,30 @@ type InstanceOutcome struct {
 	Decided int
 }
 
+// decide folds one decision with DecisionRecord.Decide's agreement rule.
+func (o *InstanceOutcome) decide(nt note) {
+	if o.Decided == 0 {
+		o.Value = nt.value
+	} else if nt.value != o.Value {
+		o.Agreement = false
+	}
+	o.Decided++
+}
+
+// crash is a no-op: RunInstance's cluster has no crash plan, and an outcome
+// does not list the dead.
+func (o *InstanceOutcome) crash(msg.ID) {}
+
+func (o *InstanceOutcome) decided() int { return o.Decided }
+
 // RunInstance runs one consensus instance -- one slot of a replicated log --
-// through Cluster.Run: machines[i] runs over conns[i] for every i with
+// through Cluster.Run's loop: machines[i] runs over conns[i] for every i with
 // run[i] set, sharing the conns' underlying transport with every other
 // in-flight instance. Processes with run[i] unset (dead for this slot under
 // a slot-boundary fault plan) never start and may have nil conns; traffic
 // addressed to them is dropped by the transport, exactly as for a crashed
-// process.
+// process. Decisions fold straight into the outcome, with no per-process
+// record.
 //
 // The call returns once every running machine has decided, a driver fails,
 // or ctx expires. It owns conns from the call on: every non-nil conn is
@@ -52,8 +69,8 @@ func RunInstance(ctx context.Context, machines []core.Machine, conns []transport
 			conns[i] = nil
 		}
 	}
-	cluster := &Cluster{machines: machines, conns: conns, Metrics: reg}
-	// Run returns no report only for a rejected crash plan; there is none.
-	rep, err := cluster.Run(ctx)
-	return InstanceOutcome{Value: rep.Value, Agreement: rep.Agreement, Decided: len(rep.Decisions)}, err
+	cluster := Cluster{machines: machines, conns: conns, Metrics: reg}
+	out := &InstanceOutcome{Agreement: true}
+	_, _, err := cluster.run(ctx, out)
+	return *out, err
 }

@@ -15,7 +15,9 @@
 // on the simulator and on the live engines.
 //
 // Cluster.Run is the engine's one run loop: a scenario's instance and every
-// slot of a replicated log (through RunInstance) go through it.
+// slot of a replicated log (through RunInstance) go through it. A log slot
+// folds its decisions straight into an InstanceOutcome instead of a
+// DecisionRecord.
 package livenet
 
 import (
@@ -173,6 +175,20 @@ type Report struct {
 	Elapsed time.Duration
 }
 
+// recorder is what a run folds its drivers' decisions and deaths into: Run's
+// Report, or RunInstance's InstanceOutcome.
+type recorder interface {
+	decide(nt note)
+	crash(id msg.ID)
+	decided() int
+}
+
+func (r *Report) decide(nt note) { r.Decide(nt.id, nt.value, nt.phase, nt.at.Seconds()) }
+
+func (r *Report) crash(id msg.ID) { r.Crashed = append(r.Crashed, id) }
+
+func (r *Report) decided() int { return len(r.Decisions) }
+
 // Cluster runs n machines to decision over a shared in-memory message
 // system, or over caller-supplied connections (e.g. TCP endpoints).
 type Cluster struct {
@@ -239,6 +255,18 @@ func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 		CloseConns(c.conns)
 		return nil, err
 	}
+	report := &Report{DecisionRecord: policy.NewDecisionRecord(n)}
+	var err error
+	report.Elapsed, report.AllDecided, err = c.run(ctx, report)
+	slices.Sort(report.Crashed)
+	return report, err
+}
+
+// run is Run after the crash plan's validation, folding the drivers' notes
+// into rec. It returns the time to the last decision and whether every
+// awaited process decided.
+func (c *Cluster) run(ctx context.Context, rec recorder) (time.Duration, bool, error) {
+	n := len(c.machines)
 	start := time.Now()
 	conns := c.conns
 	if c.Policy != nil {
@@ -279,15 +307,14 @@ func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 		}()
 	}
 
-	report := &Report{DecisionRecord: policy.NewDecisionRecord(n)}
 	var runErr error
 	record := func(nt note) {
 		if nt.crashed {
-			report.Crashed = append(report.Crashed, nt.id)
+			rec.crash(nt.id)
 			met.crashes.Inc()
 			return
 		}
-		report.Decide(nt.id, nt.value, nt.phase, nt.at.Seconds())
+		rec.decide(nt)
 		met.decisions.Inc()
 		met.decisionSecs.Observe(nt.at.Seconds())
 		if nt.awaited {
@@ -304,11 +331,11 @@ collect:
 			break collect
 		case <-ctx.Done():
 			runErr = fmt.Errorf("livenet: %d/%d decisions before deadline: %w",
-				len(report.Decisions), len(report.Decisions)+pending, ctx.Err())
+				rec.decided(), rec.decided()+pending, ctx.Err())
 			break collect
 		}
 	}
-	report.Elapsed = time.Since(start)
+	elapsed := time.Since(start)
 
 	// Shut down -- all decided, a driver error, or the caller's deadline:
 	// closing the connections unblocks every driver still inside Recv.
@@ -320,11 +347,8 @@ collect:
 		record(<-notes)
 	}
 	met.runs.Inc()
-	met.runSecs.Observe(report.Elapsed.Seconds())
-
-	report.AllDecided = pending == 0
-	slices.Sort(report.Crashed)
-	return report, runErr
+	met.runSecs.Observe(elapsed.Seconds())
+	return elapsed, pending == 0, runErr
 }
 
 // CloseConns closes every non-nil connection.

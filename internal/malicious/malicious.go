@@ -22,6 +22,7 @@
 package malicious
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -35,33 +36,35 @@ import (
 )
 
 // phaseMarks is a dense replacement for the map[(id, phase)]bool initial-echo
-// dedup: one n-bit set per phase, keyed by the sender id. Initials are never
-// pruned (Figure 2 applies no phase guard to them), so sets accumulate one
-// per phase seen; a single-entry cache keeps the common same-phase case
-// map-free.
+// dedup: one n-bit set per phase, keyed by the sender id, in a phase-sorted
+// slice. Initials are never pruned (Figure 2 applies no phase guard to them),
+// so sets accumulate one per phase seen. The index of the last phase marked
+// keeps the common same-phase case search-free; any other phase, including
+// one a Byzantine sender made up, is a binary search.
 type phaseMarks struct {
-	n     int
-	sets  map[msg.Phase]*dense.Bitset
-	cur   *dense.Bitset
-	curPh msg.Phase
+	n    int
+	sets []phaseSet // ascending phase
+	cur  int        // index in sets of the last phase marked
+}
+
+// phaseSet is one phase's initial-echo marks.
+type phaseSet struct {
+	phase msg.Phase
+	marks dense.Bitset
 }
 
 // mark sets bit id for phase ph and reports whether it was already set.
 func (p *phaseMarks) mark(ph msg.Phase, id msg.ID) (already bool) {
-	if p.cur == nil || p.curPh != ph {
-		if p.sets == nil {
-			//lint:allow hotalloc lazy one-time map per machine lifetime; per-phase marks reuse dense bitsets
-			p.sets = make(map[msg.Phase]*dense.Bitset)
+	if p.cur >= len(p.sets) || p.sets[p.cur].phase != ph {
+		i, found := slices.BinarySearchFunc(p.sets, ph, func(s phaseSet, ph msg.Phase) int {
+			return cmp.Compare(s.phase, ph)
+		})
+		if !found {
+			p.sets = slices.Insert(p.sets, i, phaseSet{phase: ph, marks: dense.NewBitset(p.n)})
 		}
-		s := p.sets[ph]
-		if s == nil {
-			b := dense.NewBitset(p.n)
-			s = &b
-			p.sets[ph] = s
-		}
-		p.cur, p.curPh = s, ph
+		p.cur = i
 	}
-	return p.cur.Set(int(id))
+	return p.sets[p.cur].marks.Set(int(id))
 }
 
 // Machine is a Figure-2 protocol instance at one process. It implements

@@ -269,3 +269,32 @@ func TestValidityUnanimous(t *testing.T) {
 		}
 	}
 }
+
+// TestPhaseMarksArbitraryPhases checks the initial-echo dedup against a map
+// over phases in no order, as a Byzantine sender may name them, and that the
+// per-phase sets stay sorted by phase.
+func TestPhaseMarksArbitraryPhases(t *testing.T) {
+	marks := phaseMarks{n: 5}
+	seen := make(map[[2]int]bool)
+	phases := []msg.Phase{7, 0, 1 << 30, 3, 7, 0, 2, 1 << 30, 3, 11}
+	for i, ph := range phases {
+		for id := msg.ID(0); id < 5; id++ {
+			if (i+int(id))%3 == 0 {
+				continue
+			}
+			key := [2]int{int(ph), int(id)}
+			if got := marks.mark(ph, id); got != seen[key] {
+				t.Fatalf("mark(%d, %d) = %v, want %v", ph, id, got, seen[key])
+			}
+			seen[key] = true
+		}
+	}
+	for i := 1; i < len(marks.sets); i++ {
+		if marks.sets[i-1].phase >= marks.sets[i].phase {
+			t.Fatalf("phase sets out of order at %d: %d then %d", i, marks.sets[i-1].phase, marks.sets[i].phase)
+		}
+	}
+	if len(marks.sets) != 6 {
+		t.Fatalf("%d phase sets, want 6", len(marks.sets))
+	}
+}

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"os"
 	"testing"
 
 	"resilient/internal/sample"
@@ -34,10 +35,20 @@ func TestBroadcastValidate(t *testing.T) {
 	}
 }
 
-// TestBroadcastDeliveryWithinTwiceEps is the ISSUE-8 acceptance measurement:
-// at n=1,000 under the full silent-fault budget, the measured per-(receiver,
-// broadcast) failure rate over >= 10,000 Monte-Carlo trials must be at most
-// 2ε.
+// deliveryTrials is the size of the 2ε acceptance measurement: 1,000 trials
+// by default, which keeps the package inside tier-1's time budget, and the
+// full 10,000 when RESILIENT_MC_FULL=1 (set in one CI step).
+func deliveryTrials() int {
+	if os.Getenv("RESILIENT_MC_FULL") == "1" {
+		return 10_000
+	}
+	return 1_000
+}
+
+// TestBroadcastDeliveryWithinTwiceEps is the sampled broadcast's acceptance
+// measurement: at n=1,000 under the full silent-fault budget, the measured
+// per-(receiver, broadcast) failure rate over deliveryTrials Monte-Carlo
+// trials must be at most 2ε.
 func TestBroadcastDeliveryWithinTwiceEps(t *testing.T) {
 	const (
 		n   = 1000
@@ -45,10 +56,7 @@ func TestBroadcastDeliveryWithinTwiceEps(t *testing.T) {
 	)
 	k := n / 10
 	b := &Broadcast{Plan: broadcastPlan(t, n, k, eps), Faulty: k}
-	trials := 10_000
-	if testing.Short() {
-		trials = 1_000
-	}
+	trials := deliveryTrials()
 	e, err := b.DeliveryRun(EnsembleOptions{Trials: trials, Seed: 7})
 	if err != nil {
 		t.Fatal(err)

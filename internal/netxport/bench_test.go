@@ -123,11 +123,11 @@ func BenchmarkNetxportZeroAlloc(b *testing.B) {
 
 // maxChurnBytesPerInstance is the allocation ceiling for one instance's whole
 // life on a warm endpoint: claim, a log slot's worth of traffic, Close. What
-// is left is the conn, its two wake-up channels and the two copy-on-write
-// demux-table copies (under 1 KiB together); the inbox ring itself comes
-// from the endpoint's free list. A fresh ring per claim is 3.5 KiB at the
-// minimum size, and the 1,024-deep channel this replaced was 72.5 KiB.
-const maxChurnBytesPerInstance = 4 << 10
+// is left is the conn itself, 96 B measured on amd64, and the ceiling is the
+// next size class: the inbox ring and its wake-up channels must come from
+// the endpoint's free list and the demux table must change in place (two
+// fresh channels alone are about 200 B, a fresh ring 3.5 KiB).
+const maxChurnBytesPerInstance = 128
 
 // slotMessages is about what one replica receives during one n=7 Figure-2
 // log slot.

@@ -12,12 +12,13 @@ import (
 // so the ring starts at inboxMinLen and doubles on demand; inboxBound is the
 // most messages one inbox buffers before route blocks, pushing back on the
 // sending peer's socket -- a flooding peer stalls itself instead of growing
-// the receiver's memory. maxFreeRings bounds the arrays an endpoint keeps for
-// reuse (a log holds about one live instance per pipeline slot).
+// the receiver's memory. maxFreeInboxes bounds the closed inboxes' parts
+// (ring and wake-up channels) an endpoint keeps for reuse (a log holds about
+// one live instance per pipeline slot).
 const (
-	inboxMinLen  = 64
-	inboxBound   = 1024
-	maxFreeRings = 8
+	inboxMinLen    = 64
+	inboxBound     = 1024
+	maxFreeInboxes = 8
 )
 
 // inbox is one instance's buffer of messages sent to it but not yet received
@@ -36,15 +37,31 @@ const (
 // drops, so it can never write into an array that has since been recycled
 // into another instance. closed is atomic only so that Send's advisory check
 // stays off the lock the read loops are contending for.
+//
+// The wake-up channels are recycled too, but only from an inbox that nobody
+// sleeps on when it closes (sleepers == 0): a goroutine that finds the inbox
+// closed under mu never sleeps on it, so the channels' only later users are
+// the next inbox's goroutines and the token a put or get may still leave
+// after it unlocked -- one extra look for the next claimant. An inbox closed
+// under a sleeper keeps its channels, which that sleeper still needs to be
+// woken through.
 type inbox struct {
-	mu     sync.Mutex
-	ring   []msg.Message // power-of-two length; nil once closed
-	head   int           // index of the oldest buffered message
-	n      int           // buffered messages
-	closed atomic.Bool   // set once, under mu
+	mu       sync.Mutex
+	ring     []msg.Message // power-of-two length; nil once closed
+	head     int           // index of the oldest buffered message
+	n        int           // buffered messages
+	sleepers int           // goroutines asleep (or about to be) on ready or space
+	closed   atomic.Bool   // set once, under mu
 
 	ready chan struct{} // cap 1: the ring may be non-empty, or closed
 	space chan struct{} // cap 1: the ring may be below the bound, or closed
+}
+
+// inboxParts is what a closed inbox hands on to the next one: its ring,
+// zeroed, and its wake-up channels, nil when a sleeper still needed them.
+type inboxParts struct {
+	ring         []msg.Message
+	ready, space chan struct{}
 }
 
 // putResult is what became of a message handed to put.
@@ -56,11 +73,22 @@ const (
 	putShutdown           // done fired while blocked at the bound
 )
 
-// init readies a zero inbox over ring, whose length is a power of two.
-func (q *inbox) init(ring []msg.Message) {
-	q.ring = ring
-	q.ready = make(chan struct{}, 1)
-	q.space = make(chan struct{}, 1)
+// init readies a zero inbox over p's ring, whose length is a power of two,
+// and p's wake-up channels, making new ones when p has none.
+func (q *inbox) init(p inboxParts) {
+	q.ring, q.ready, q.space = p.ring, p.ready, p.space
+	if q.ready == nil {
+		q.ready = make(chan struct{}, 1)
+		q.space = make(chan struct{}, 1)
+	}
+}
+
+// awake uncounts a sleeper that leaves without taking mu to re-check the
+// ring.
+func (q *inbox) awake() {
+	q.mu.Lock()
+	q.sleepers--
+	q.mu.Unlock()
 }
 
 // wake leaves a token in a wake-up channel unless one is already there.
@@ -76,6 +104,9 @@ func (q *inbox) put(m msg.Message, done <-chan struct{}) putResult {
 	woken := false
 	for {
 		q.mu.Lock()
+		if woken {
+			q.sleepers-- // every turn after the first follows a sleep
+		}
 		if q.closed.Load() {
 			q.mu.Unlock()
 			if woken {
@@ -97,11 +128,13 @@ func (q *inbox) put(m msg.Message, done <-chan struct{}) putResult {
 			}
 			return putOK
 		}
+		q.sleepers++
 		q.mu.Unlock()
 		select {
 		case <-q.space:
 			woken = true
 		case <-done:
+			q.awake()
 			return putShutdown
 		}
 	}
@@ -123,10 +156,16 @@ func (q *inbox) get(done <-chan struct{}) (msg.Message, error) {
 	for {
 		select {
 		case <-done:
+			if woken {
+				q.awake()
+			}
 			return msg.Message{}, transport.ErrClosed
 		default:
 		}
 		q.mu.Lock()
+		if woken {
+			q.sleepers-- // every turn after the first follows a sleep
+		}
 		if q.closed.Load() {
 			q.mu.Unlock()
 			if woken {
@@ -150,33 +189,42 @@ func (q *inbox) get(done <-chan struct{}) (msg.Message, error) {
 			}
 			return m, nil
 		}
+		q.sleepers++
 		q.mu.Unlock()
 		select {
 		case <-q.ready:
 			woken = true
 		case <-done:
+			q.awake()
 			return msg.Message{}, transport.ErrClosed
 		}
 	}
 }
 
 // close marks the inbox closed, discards what is buffered and wakes every
-// blocked put and get. The first call returns the detached ring, zeroed, for
-// reuse by another inbox; later calls return nil.
-func (q *inbox) close() []msg.Message {
+// blocked put and get. The first call returns the inbox's parts for reuse by
+// another inbox (the ring zeroed; the channels only if nobody sleeps on
+// them); later calls return zero parts.
+func (q *inbox) close() inboxParts {
 	q.mu.Lock()
 	if q.closed.Load() {
 		q.mu.Unlock()
-		return nil
+		return inboxParts{}
 	}
 	q.closed.Store(true)
-	ring := q.ring
+	p := inboxParts{ring: q.ring}
 	for i := 0; i < q.n; i++ {
-		ring[(q.head+i)&(len(ring)-1)] = msg.Message{}
+		p.ring[(q.head+i)&(len(p.ring)-1)] = msg.Message{}
 	}
 	q.ring, q.head, q.n = nil, 0, 0
+	asleep := q.sleepers > 0
+	if !asleep {
+		p.ready, p.space = q.ready, q.space
+	}
 	q.mu.Unlock()
-	wake(q.ready)
-	wake(q.space)
-	return ring
+	if asleep {
+		wake(q.ready)
+		wake(q.space)
+	}
+	return p
 }

@@ -16,7 +16,7 @@ import (
 // hands back an array with no message (so no Payload) left in it.
 func TestInboxRingFIFOGrowthAndZeroing(t *testing.T) {
 	var q inbox
-	q.init(make([]msg.Message, inboxMinLen))
+	q.init(inboxParts{ring: make([]msg.Message, inboxMinLen)})
 	done := make(chan struct{})
 	payload := []byte{1, 2, 3}
 
@@ -55,7 +55,7 @@ func TestInboxRingFIFOGrowthAndZeroing(t *testing.T) {
 		t.Fatalf("%d slots hold a payload with %d messages buffered: a read slot was not zeroed", live, q.n)
 	}
 
-	ring := q.close()
+	ring := q.close().ring
 	if len(ring) != 4*inboxMinLen {
 		t.Fatalf("close returned %d slots, want the grown ring of %d", len(ring), 4*inboxMinLen)
 	}
@@ -64,7 +64,7 @@ func TestInboxRingFIFOGrowthAndZeroing(t *testing.T) {
 			t.Fatalf("slot %d of the retired ring still holds %+v", i, m)
 		}
 	}
-	if q.close() != nil {
+	if q.close().ring != nil {
 		t.Error("second close returned a ring")
 	}
 	if _, err := q.get(done); !errors.Is(err, transport.ErrClosed) {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"resilient/internal/metrics"
 	"resilient/internal/msg"
@@ -16,9 +17,9 @@ import (
 // churn: receiver-side instances are claimed, drained, and closed in a tight
 // loop while the sender keeps blasting frames at every id, so the read loop
 // demuxes into conns that are being claimed and released under it. Run with
-// -race this pins the copy-on-write discipline; the closing assertions pin
-// that Close releases ids (re-claim succeeds) and that the table does not
-// grow with churn.
+// -race this pins the table's lock-free reads beside in-place claims and
+// releases; the closing assertions pin that Close releases ids (re-claim
+// succeeds) and that the table does not grow with churn.
 func TestInstanceChurnRace(t *testing.T) {
 	eps := mesh(t, 2)
 	sender, receiver := eps[0], eps[1]
@@ -85,7 +86,7 @@ func TestInstanceChurnRace(t *testing.T) {
 	}
 	// Close released every id: the table is empty again and every id is
 	// immediately claimable.
-	if n := len(*receiver.insts.Load()); n != 0 {
+	if n := claimed(t, receiver); n != 0 {
 		t.Fatalf("demux table holds %d entries after every instance closed", n)
 	}
 	for i := 1; i <= ids; i++ {
@@ -137,7 +138,7 @@ func TestInstanceCloseReleasesID(t *testing.T) {
 	}
 	// Closing the STALE conn again must not evict the new claimant.
 	first.Close()
-	if n := len(*b.insts.Load()); n != 1 {
+	if n := claimed(t, b); n != 1 {
 		t.Fatalf("stale double-close changed the table: %d entries, want 1", n)
 	}
 	second.Close()
@@ -233,7 +234,113 @@ func TestRecycledInboxNoCrossTalk(t *testing.T) {
 	receiver.mu.Lock()
 	free := len(receiver.free)
 	receiver.mu.Unlock()
-	if free == 0 || free > maxFreeRings {
-		t.Errorf("free list holds %d rings after churn, want 1..%d", free, maxFreeRings)
+	if free == 0 || free > maxFreeInboxes {
+		t.Errorf("free list holds %d rings after churn, want 1..%d", free, maxFreeInboxes)
 	}
+}
+
+// asleep waits until exactly one goroutine sleeps on q with no token left in
+// its ready channel.
+func asleep(t *testing.T, q *inbox) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		q.mu.Lock()
+		sleepers := q.sleepers
+		q.mu.Unlock()
+		if sleepers == 1 && len(q.ready) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("inbox has %d sleepers and %d tokens, want 1 and 0", sleepers, len(q.ready))
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestRecycledWakeChannels pins what handing a closed inbox's wake-up
+// channels to the next claim may cost that claim. A token the released
+// instance leaves behind -- a put or get that unlocked just before Close
+// wakes after it -- is one extra look at the new, empty ring, after which
+// the new instance's Recv sleeps; a frame still addressed to the released id
+// is dropped, never delivered to the new instance; and the sleeping Recv
+// wakes on the next put. An instance closed under a sleeping Recv keeps its
+// channels for that sleeper, and the next claim gets new ones.
+func TestRecycledWakeChannels(t *testing.T) {
+	ep := mesh(t, 1)[0]
+	reg := metrics.NewRegistry()
+	ep.SetMetrics(reg)
+
+	first, err := ep.Instance(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Send(0, msg.Val(0, 1, msg.V1)); err != nil {
+		t.Fatal(err)
+	}
+	first.Close() // with the message unread
+	old := &first.(*instConn).inbox
+	wake(old.ready)
+	wake(old.space)
+
+	second, err := ep.Instance(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &second.(*instConn).inbox
+	if q.ready != old.ready || q.space != old.space {
+		t.Fatal("the next claim did not get the released instance's wake-up channels")
+	}
+	if err := ep.send(0, 1, msg.Val(0, 1, msg.V0)); err != nil {
+		t.Fatal(err)
+	}
+	if drops := reg.Snapshot().Counters["net.mux_drops"]; drops != 1 {
+		t.Fatalf("mux_drops = %d after a frame for the released id, want 1", drops)
+	}
+
+	got := make(chan msg.Message, 1)
+	go func() {
+		m, err := second.Recv()
+		if err != nil {
+			t.Error(err)
+		}
+		got <- m
+	}()
+	asleep(t, q)
+	select {
+	case m := <-got:
+		t.Fatalf("Recv on an empty recycled inbox returned %+v", m)
+	default:
+	}
+	if err := second.Send(0, msg.Val(0, 2, msg.V1)); err != nil {
+		t.Fatal(err)
+	}
+	if m := <-got; m.Phase != 2 {
+		t.Fatalf("recycled inbox delivered phase %d, want the new instance's 2", m.Phase)
+	}
+	second.Close()
+
+	third, err := ep.Instance(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q3 := &third.(*instConn).inbox
+	recvErr := make(chan error, 1)
+	go func() {
+		_, err := third.Recv()
+		recvErr <- err
+	}()
+	asleep(t, q3)
+	third.Close()
+	if err := <-recvErr; !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("Recv asleep across Close = %v, want ErrClosed", err)
+	}
+	fourth, err := ep.Instance(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q4 := &fourth.(*instConn).inbox; q4.ready == q3.ready || q4.space == q3.space {
+		t.Fatal("channels a sleeper held at Close were handed to the next claim")
+	}
+	fourth.Close()
 }

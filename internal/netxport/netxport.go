@@ -16,10 +16,12 @@
 // transport.Conn view whose sends are tagged with i and whose receives see
 // only instance-i traffic, so a replicated log running hundreds of Figure-2
 // instances pays n^2 sockets once, not per instance. The endpoint itself is
-// instance 0. Each instance buffers undelivered messages in a small bounded
-// ring (inbox.go) whose backing array is handed to the next instance claimed
-// after it closes, so a log opening one instance per slot stops allocating
-// inboxes once its pipeline is full.
+// instance 0. Frames reach their instance through a table the read loops
+// search without a lock and claims and releases update in place (demux.go).
+// Each instance buffers undelivered messages in a small bounded ring
+// (inbox.go) whose array and wake-up channels are handed to the next instance
+// claimed after it closes, so a log opening one instance per slot allocates
+// only the instance's conn once its pipeline is full.
 //
 // Each endpoint listens on its own address. Outbound connections are
 // established lazily on first send, one per peer: a slow, unreachable, or
@@ -155,8 +157,8 @@ type Endpoint struct {
 	closed   bool       // guards instance creation after Close
 
 	inbox inbox // the endpoint's own stream, instance 0
-	insts atomic.Pointer[map[uint32]*instConn]
-	free  [][]msg.Message // zeroed rings of closed instances, under mu
+	insts atomic.Pointer[demux]
+	free  []inboxParts // closed instances' inboxes, under mu
 	done  chan struct{}
 
 	// dialCtx is canceled by Close after the flush phase so a straggling
@@ -205,15 +207,14 @@ func Listen(id msg.ID, addrs []string) (*Endpoint, error) {
 	for i := range e.links {
 		e.links[i].cond = sync.NewCond(&e.links[i].mu)
 	}
-	e.inbox.init(make([]msg.Message, inboxMinLen))
+	e.inbox.init(inboxParts{ring: make([]msg.Message, inboxMinLen)})
 	e.dialCtx, e.dialCancel = context.WithCancel(context.Background())
 	e.addrs[id] = ln.Addr().String()
 	e.met.Store(newNetMetrics(nil))
 	e.writeTimeout.Store(int64(defaultWriteTimeout))
 	e.linger.Store(int64(defaultLinger))
 	e.queueCap.Store(defaultQueueCap)
-	insts := make(map[uint32]*instConn)
-	e.insts.Store(&insts)
+	e.insts.Store(newDemux(0))
 	e.wg.Add(1)
 	go e.acceptLoop()
 	return e, nil
@@ -633,7 +634,7 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 func (e *Endpoint) route(inst uint32, m msg.Message) bool {
 	q := &e.inbox
 	if inst != 0 {
-		c := (*e.insts.Load())[inst]
+		c := e.insts.Load().lookup(inst)
 		if c == nil {
 			e.met.Load().muxDrops.Inc()
 			return true
@@ -672,52 +673,38 @@ func (e *Endpoint) Instance(inst uint32) (transport.Conn, error) {
 	if e.closed {
 		return nil, transport.ErrClosed
 	}
-	cur := *e.insts.Load()
-	if _, dup := cur[inst]; dup {
+	tab := e.insts.Load()
+	if tab.lookup(inst) != nil {
 		return nil, fmt.Errorf("netxport: instance %d already claimed", inst)
 	}
-	var ring []msg.Message
+	var parts inboxParts
 	if last := len(e.free) - 1; last >= 0 {
-		ring, e.free[last] = e.free[last], nil
+		parts, e.free[last] = e.free[last], inboxParts{}
 		e.free = e.free[:last]
 	} else {
-		ring = make([]msg.Message, inboxMinLen)
+		parts.ring = make([]msg.Message, inboxMinLen)
 	}
 	c := &instConn{e: e, inst: inst}
-	c.inbox.init(ring)
-	next := make(map[uint32]*instConn, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
+	c.inbox.init(parts)
+	if next := tab.insert(c); next != tab {
+		e.insts.Store(next)
 	}
-	next[inst] = c
-	e.insts.Store(&next)
 	return c, nil
 }
 
 // release removes a closed instance conn from the demux table so its id can
-// be claimed again and the table does not grow with instance churn, and
-// keeps the conn's detached ring for the next claim. The copy-on-write swap
-// happens under e.mu -- the same lock Instance claims under -- so a release
-// never loses a concurrent claim; the read side (route) keeps its lock-free
-// atomic load. A conn that lost its id to a newer claimant
-// (already-released id, re-claimed) leaves the table alone.
-func (e *Endpoint) release(c *instConn, ring []msg.Message) {
+// be claimed again, and keeps the conn's detached inbox parts for the next
+// claim. It runs under e.mu, the lock Instance claims under, so a release
+// never loses a concurrent claim; route reads the table without it. A conn
+// that lost its id to a newer claimant (already-released id, re-claimed)
+// leaves the table alone.
+func (e *Endpoint) release(c *instConn, parts inboxParts) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.free) < maxFreeRings {
-		e.free = append(e.free, ring)
+	if len(e.free) < maxFreeInboxes {
+		e.free = append(e.free, parts)
 	}
-	cur := *e.insts.Load()
-	if cur[c.inst] != c {
-		return
-	}
-	next := make(map[uint32]*instConn, len(cur))
-	for k, v := range cur {
-		if k != c.inst {
-			next[k] = v
-		}
-	}
-	e.insts.Store(&next)
+	e.insts.Load().remove(c)
 }
 
 // instConn is one multiplexed instance's view of an Endpoint.
@@ -750,8 +737,8 @@ func (c *instConn) Recv() (msg.Message, error) {
 // fresh Instance claim. The endpoint and its sockets stay up for the
 // remaining instances.
 func (c *instConn) Close() error {
-	if ring := c.inbox.close(); ring != nil {
-		c.e.release(c, ring)
+	if parts := c.inbox.close(); parts.ring != nil {
+		c.e.release(c, parts)
 	}
 	return nil
 }

@@ -475,8 +475,8 @@ func (r *logRun) runLive(ctx context.Context, ops [][]byte, rate float64) (*LogR
 	// Collector: reorder finished slots into slot order and commit at the
 	// frontier. Commit latency is stamped HERE -- a slot that finished early
 	// but sits behind a straggler in the window has not committed yet.
-	rep := &LogReport{Engine: r.engine}
-	var lats []time.Duration
+	rep := &LogReport{Engine: r.engine, Committed: make([][]byte, 0, len(ops))}
+	lats := make([]time.Duration, 0, len(ops))
 	var runErr error
 	collectorDone := make(chan struct{})
 	go func() {
