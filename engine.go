@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"resilient/internal/adversary"
-	"resilient/internal/faults"
 	"resilient/internal/livenet"
 	"resilient/internal/msg"
 	"resilient/internal/netxport"
@@ -88,48 +87,20 @@ func HalvesPartition(boundary ID) func(ID) int { return adversary.Halves(boundar
 
 // Scenario is one engine-independent experiment: protocol, system size,
 // inputs, faults, and link behaviour. The same Scenario value runs on any
-// Engine via RunScenario.
-type Scenario struct {
-	// Protocol selects the consensus protocol.
-	Protocol Protocol
-	// N is the system size; K the fault parameter.
-	N, K int
-	// Inputs holds the n initial values.
-	Inputs []Value
-	// Seed selects the execution (simulator) and seeds policy and coin
-	// randomness (all engines).
-	Seed uint64
-	// Crashes schedules fail-stop deaths, keyed by process. All engines
-	// apply the same crash-at-(phase, afterSends) semantics.
-	Crashes map[ID]Crash
-	// Adversaries assigns Byzantine strategies to processes. All
-	// strategies except StrategyBalancer (which needs the simulator's
-	// omniscient world view) run on every engine.
-	Adversaries map[ID]Strategy
-	// Policy, when non-nil, decides per-link delivery on every engine:
-	// virtual delay units in the simulator, wall-clock units of Unit on
-	// the live engines. Nil is the simulator's Uniform[0.1, 1] default and
-	// undelayed delivery on the live engines.
-	Policy LinkPolicy
-	// Unit is the wall-clock length of one abstract delay unit on live
-	// engines (0 = livenet.DefaultUnit, one millisecond).
-	Unit time.Duration
-	// Broadcast selects the echo-broadcast primitive (see
-	// SimOptions.Broadcast); all engines honour it, and all reject
-	// SchemeSample on a protocol without an echo stage.
-	Broadcast BroadcastScheme
-	// Eps is the sampled scheme's per-acceptance error bound
-	// (0 = sample.DefaultEps); a non-zero Eps under SchemeEcho is rejected.
-	Eps float64
-	// Coin overrides the coin scheme of randomized protocols (see
-	// SimOptions.Coin); all engines honour it.
-	Coin CoinScheme
-	// Unsafe skips the resilience-bound validation of (n, k).
-	Unsafe bool
-	// Metrics, when non-nil, receives run accounting: "runtime." counters
-	// from the simulator, "livenet." (and "net." for TCP) from the live
-	// engines.
-	Metrics *MetricsRegistry
+// Engine via RunScenario; see the spawn package for its fields.
+type Scenario = spawn.Scenario
+
+// validate runs spawn's one check of a runnable scenario for engine, before
+// any engine builds a machine or opens a socket, and returns its spawner.
+func validate(sc *Scenario, engine Engine) (*spawn.Spawner, error) {
+	if !engine.Valid() {
+		return nil, fmt.Errorf("resilient: unknown engine %d", int(engine))
+	}
+	sp, err := sc.Validate(engine.Live())
+	if err != nil {
+		err = fmt.Errorf("resilient: %w", err)
+	}
+	return sp, err
 }
 
 // Outcome is the engine-independent view of one scenario execution. The
@@ -149,23 +120,23 @@ type Outcome struct {
 }
 
 // RunScenario executes one scenario on the chosen engine. The context
-// bounds live runs (the simulator ignores it; bound simulated runs with
-// MaxEvents/MaxSimTime via Simulate directly). On a live run that ends
-// before every correct process decides, the partial Outcome is returned
-// alongside the error.
+// bounds live runs; the simulator ignores it and bounds a run by the
+// scenario's MaxEvents, which the live engines refuse. On a live run that
+// ends before every correct process decides, the partial Outcome is
+// returned alongside the error.
 func RunScenario(ctx context.Context, engine Engine, sc Scenario) (*Outcome, error) {
-	sp, err := sc.validate(engine)
+	sp, err := validate(&sc, engine)
 	if err != nil {
 		return nil, err
 	}
 	if engine == EngineSim {
-		res, err := runtime.Run(sc.simConfig(sp))
+		res, err := runtime.Run(sc.SimConfig(sp))
 		if err != nil {
 			return nil, err
 		}
 		return &Outcome{Engine: EngineSim, DecisionRecord: res.DecisionRecord, Elapsed: res.WallClock, Sim: res}, nil
 	}
-	cluster, err := sc.cluster(engine, sp)
+	cluster, err := liveCluster(&sc, engine, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -176,23 +147,9 @@ func RunScenario(ctx context.Context, engine Engine, sc Scenario) (*Outcome, err
 	return &Outcome{Engine: engine, DecisionRecord: rep.DecisionRecord, Elapsed: rep.Elapsed, Live: rep}, runErr
 }
 
-// simConfig is the validated scenario as a simulator configuration.
-func (sc *Scenario) simConfig(sp *spawn.Spawner) runtime.Config {
-	return runtime.Config{
-		N: sc.N, K: sc.K,
-		Inputs:    sc.Inputs,
-		Spawn:     sp.Spawn,
-		Byzantine: spawn.Members(sc.Adversaries),
-		Crashes:   faults.Plan(sc.Crashes),
-		Policy:    sc.Policy,
-		Seed:      sc.Seed,
-		Metrics:   sc.Metrics,
-	}
-}
-
-// cluster assembles the validated scenario's live cluster: machines first,
-// then the engine's transport, fault plan, and link policy.
-func (sc *Scenario) cluster(engine Engine, sp *spawn.Spawner) (*livenet.Cluster, error) {
+// liveCluster assembles the validated scenario's live cluster: machines
+// first, then the engine's transport, fault plan, and link policy.
+func liveCluster(sc *Scenario, engine Engine, sp *spawn.Spawner) (*livenet.Cluster, error) {
 	machines, err := sp.Machines(sc.N, sc.K, sc.Inputs)
 	if err != nil {
 		return nil, fmt.Errorf("resilient: %w", err)
@@ -215,7 +172,7 @@ func (sc *Scenario) cluster(engine Engine, sp *spawn.Spawner) (*livenet.Cluster,
 		return nil, err
 	}
 	cluster.Metrics = sc.Metrics
-	cluster.Crashes = faults.Plan(sc.Crashes)
+	cluster.Crashes = sc.Crashes
 	cluster.Policy = sc.Policy
 	cluster.Unit = sc.Unit
 	cluster.Seed = sc.Seed

@@ -9,6 +9,7 @@ import (
 	"resilient/internal/msg"
 	"resilient/internal/proto"
 	"resilient/internal/quorum"
+	"resilient/internal/spawn"
 )
 
 // E1 reproduces the Section 4.1 fail-stop analysis.
@@ -90,8 +91,8 @@ func E1(p Params) ([]*Table, error) {
 			for i := range inputs {
 				inputs[i] = msg.Value(i % 2)
 			}
-			outs, err := runTrials(p, max(p.trials()/5, 5), func(tr int) mc.Trial {
-				return mc.Trial{Protocol: proto.Majority, N: n, K: k, Inputs: inputs, Seed: p.seedFor(200+row, tr), Metrics: scoped}
+			outs, err := runTrials(p, max(p.trials()/5, 5), func(tr int) spawn.Scenario {
+				return spawn.Scenario{Protocol: proto.Majority, N: n, K: k, Inputs: inputs, Seed: p.seedFor(200+row, tr), Metrics: scoped}
 			})
 			if err != nil {
 				return nil, fmt.Errorf("E1b engine n=%d: %w", n, err)

@@ -7,6 +7,7 @@ import (
 	"resilient/internal/mc"
 	"resilient/internal/msg"
 	"resilient/internal/proto"
+	"resilient/internal/spawn"
 )
 
 // E10 exercises the Section 5 discussion of bivalence interpretations: the
@@ -42,9 +43,9 @@ func E10(p Params) ([]*Table, error) {
 		scenarios = scenarios[:4]
 	}
 	for row, sc := range scenarios {
-		outs, err := runTrials(p, max(p.trials()/10, 5), func(tr int) mc.Trial {
+		outs, err := runTrials(p, max(p.trials()/10, 5), func(tr int) spawn.Scenario {
 			// K = 0 with no deaths: wait for everyone; the graph is complete.
-			return mc.Trial{
+			return spawn.Scenario{
 				Protocol: proto.Bivalence, N: sc.n, K: len(sc.dead), Inputs: sc.inputs,
 				Crashes: faults.InitiallyDead(sc.dead...),
 				Seed:    p.seedFor(row, tr),

@@ -9,6 +9,7 @@ import (
 	"resilient/internal/msg"
 	"resilient/internal/policy"
 	"resilient/internal/proto"
+	"resilient/internal/spawn"
 	"resilient/internal/sweep"
 )
 
@@ -49,9 +50,9 @@ func E11(p Params) ([]*Table, error) {
 		}},
 	}
 	for row, sc := range laws {
-		outs, err := runTrials(p, p.trials(), func(tr int) mc.Trial {
+		outs, err := runTrials(p, p.trials(), func(tr int) spawn.Scenario {
 			seed := p.seedFor(600+row, tr)
-			return mc.Trial{
+			return spawn.Scenario{
 				Protocol: proto.FailStop, N: n, K: k, Inputs: randomInputs(n, seed),
 				Policy: sc.pol,
 				Seed:   seed,

@@ -5,6 +5,7 @@ import (
 
 	"resilient/internal/mc"
 	"resilient/internal/proto"
+	"resilient/internal/spawn"
 	"resilient/internal/stats"
 )
 
@@ -53,9 +54,9 @@ func E13(p Params) ([]*Table, error) {
 		if !ok {
 			return nil, fmt.Errorf("E13: protocol %d not registered", int(cfg.id))
 		}
-		outs, err := runTrials(p, p.trials(), func(tr int) mc.Trial {
+		outs, err := runTrials(p, p.trials(), func(tr int) spawn.Scenario {
 			seed := p.seedFor(row, tr)
-			return mc.Trial{Protocol: cfg.id, N: cfg.n, K: cfg.k, Inputs: randomInputs(cfg.n, seed), Seed: seed, Metrics: scoped}
+			return spawn.Scenario{Protocol: cfg.id, N: cfg.n, K: cfg.k, Inputs: randomInputs(cfg.n, seed), Seed: seed, Metrics: scoped}
 		})
 		if err != nil {
 			return nil, fmt.Errorf("E13 row %d: %w", row, err)

@@ -8,6 +8,7 @@ import (
 	"resilient/internal/mc"
 	"resilient/internal/msg"
 	"resilient/internal/proto"
+	"resilient/internal/spawn"
 )
 
 // E3 verifies Theorem 2: the Figure 1 protocol is a k-resilient consensus
@@ -41,9 +42,9 @@ func E3(p Params) ([]*Table, error) {
 	// in-loop handle lookup the metricshandle lint rule now rejects.
 	scoped := p.Metrics.Scoped("failstop.")
 	for row, cfg := range configs {
-		outs, err := runTrials(p, p.trials(), func(tr int) mc.Trial {
+		outs, err := runTrials(p, p.trials(), func(tr int) spawn.Scenario {
 			seed := p.seedFor(row, tr)
-			return mc.Trial{
+			return spawn.Scenario{
 				Protocol: proto.FailStop, N: cfg.n, K: cfg.k,
 				Inputs:  randomInputs(cfg.n, seed),
 				Crashes: crashPlan(cfg.pattern, cfg.n, cfg.k, seed),

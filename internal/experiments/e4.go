@@ -68,9 +68,9 @@ func E4(p Params) ([]*Table, error) {
 				}
 			}
 			adv := coalition(n, k, st.strat)
-			outs, err := runTrials(p, trials, func(tr int) mc.Trial {
+			outs, err := runTrials(p, trials, func(tr int) spawn.Scenario {
 				seed := p.seedFor(row, tr)
-				return mc.Trial{
+				return spawn.Scenario{
 					Protocol: proto.Malicious, N: n, K: k,
 					Inputs:      randomInputs(n, seed),
 					Adversaries: adv,

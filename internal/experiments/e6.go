@@ -7,6 +7,7 @@ import (
 	"resilient/internal/msg"
 	"resilient/internal/proto"
 	"resilient/internal/quorum"
+	"resilient/internal/spawn"
 )
 
 // E6 reproduces the "approximation of the majority" notes closing Sections
@@ -46,8 +47,8 @@ func E6(p Params) ([]*Table, error) {
 			for i := 0; i < m; i++ {
 				inputs[i] = msg.V1
 			}
-			outs, err := runTrials(p, p.trials(), func(tr int) mc.Trial {
-				return mc.Trial{Protocol: pr.protocol, N: pr.n, K: pr.k, Inputs: inputs, Seed: p.seedFor(pi*100+m, tr)}
+			outs, err := runTrials(p, p.trials(), func(tr int) spawn.Scenario {
+				return spawn.Scenario{Protocol: pr.protocol, N: pr.n, K: pr.k, Inputs: inputs, Seed: p.seedFor(pi*100+m, tr)}
 			})
 			if err != nil {
 				return nil, fmt.Errorf("%s m=%d: %w", pr.id, m, err)

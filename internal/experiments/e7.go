@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"resilient/internal/mc"
 	"resilient/internal/msg"
 	"resilient/internal/proto"
 	"resilient/internal/spawn"
@@ -37,9 +36,9 @@ func E7(p Params) ([]*Table, error) {
 		for i := 0; i < cfg.k; i++ {
 			balancers[msg.ID(cfg.n-1-i)] = spawn.Balancer
 		}
-		outs, err := runTrials(p, p.trials(), func(tr int) mc.Trial {
+		outs, err := runTrials(p, p.trials(), func(tr int) spawn.Scenario {
 			seed := p.seedFor(row, tr)
-			return mc.Trial{
+			return spawn.Scenario{
 				Protocol: proto.Malicious, N: cfg.n, K: cfg.k,
 				Inputs:      randomInputs(cfg.n, seed),
 				Adversaries: balancers,

@@ -6,6 +6,7 @@ import (
 	"resilient/internal/mc"
 	"resilient/internal/proto"
 	"resilient/internal/quorum"
+	"resilient/internal/spawn"
 )
 
 // E8 reproduces the Section 6 comparison with [BenO83]: Ben-Or's protocol
@@ -35,9 +36,9 @@ func E8(p Params) ([]*Table, error) {
 		// Both protocols run the same seeds and inputs; every trial must
 		// decide.
 		tally := func(protocol proto.ID) (mc.Tally, error) {
-			outs, err := runTrials(p, trials, func(tr int) mc.Trial {
+			outs, err := runTrials(p, trials, func(tr int) spawn.Scenario {
 				seed := p.seedFor(row, tr)
-				return mc.Trial{Protocol: protocol, N: n, K: k, Inputs: randomInputs(n, seed), Seed: seed, MaxEvents: 50_000_000}
+				return spawn.Scenario{Protocol: protocol, N: n, K: k, Inputs: randomInputs(n, seed), Seed: seed, MaxEvents: 50_000_000}
 			})
 			if err != nil {
 				return mc.Tally{}, fmt.Errorf("E8 %v n=%d: %w", protocol, n, err)

@@ -6,6 +6,7 @@ import (
 	"resilient/internal/mc"
 	"resilient/internal/proto"
 	"resilient/internal/quorum"
+	"resilient/internal/spawn"
 	"resilient/internal/stats"
 )
 
@@ -29,9 +30,9 @@ func E9(p Params) ([]*Table, error) {
 		k := quorum.MaxFaults(n, quorum.Malicious)
 		trials := max(p.trials()/4, 10)
 		runs := func(protocol proto.ID) ([]mc.Outcome, error) {
-			return runTrials(p, trials, func(tr int) mc.Trial {
+			return runTrials(p, trials, func(tr int) spawn.Scenario {
 				seed := p.seedFor(row, tr)
-				return mc.Trial{Protocol: protocol, N: n, K: k, Inputs: randomInputs(n, seed), Seed: seed}
+				return spawn.Scenario{Protocol: protocol, N: n, K: k, Inputs: randomInputs(n, seed), Seed: seed}
 			})
 		}
 		fig1, err := runs(proto.FailStop)

@@ -17,6 +17,7 @@ import (
 
 	"resilient/internal/mc"
 	"resilient/internal/metrics"
+	"resilient/internal/spawn"
 	"resilient/internal/stats"
 	"resilient/internal/sweep"
 )
@@ -225,9 +226,9 @@ func chainRuns(p Params, row int, stream uint64, run func(rng *rand.Rand) (int, 
 
 // runTrials runs trial(0..trials-1)'s runs across p's workers and returns
 // their outcomes in trial order.
-func runTrials(p Params, trials int, trial func(tr int) mc.Trial) ([]mc.Outcome, error) {
+func runTrials(p Params, trials int, trial func(tr int) spawn.Scenario) ([]mc.Outcome, error) {
 	return sweep.Run(trials, p.workers(), func(tr int) (mc.Outcome, error) {
-		return trial(tr).Run()
+		return mc.RunTrial(trial(tr))
 	})
 }
 

@@ -9,7 +9,6 @@ package faults
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 
 	"resilient/internal/msg"
 )
@@ -40,7 +39,8 @@ type Plan map[msg.ID]Crash
 // Validate checks that the plan is internally consistent for an n-process
 // system.
 func (p Plan) Validate(n int) error {
-	for id, c := range p {
+	for _, id := range p.Processes() {
+		c := p[id]
 		if id != c.Process {
 			return fmt.Errorf("faults: plan key p%d does not match crash process p%d", id, c.Process)
 		}
@@ -61,14 +61,7 @@ func (p Plan) Validate(n int) error {
 func (p Plan) Size() int { return len(p) }
 
 // Processes returns the crashing processes in ascending order.
-func (p Plan) Processes() []msg.ID {
-	ids := make([]msg.ID, 0, len(p))
-	for id := range p {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
+func (p Plan) Processes() []msg.ID { return msg.SortedIDs(p) }
 
 // None is the empty plan.
 func None() Plan { return Plan{} }

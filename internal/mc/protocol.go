@@ -4,41 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"resilient/internal/coin"
-	"resilient/internal/faults"
-	"resilient/internal/metrics"
 	"resilient/internal/msg"
-	"resilient/internal/policy"
-	"resilient/internal/proto"
 	"resilient/internal/runtime"
 	"resilient/internal/spawn"
 	"resilient/internal/stats"
 	"resilient/internal/sweep"
 )
-
-// Trial describes one full protocol execution on the discrete-event engine:
-// real machines, not a Markov-chain abstraction. Every field is one the
-// engine's runtime.Config or the spawner already takes.
-type Trial struct {
-	Protocol proto.ID
-	// Coin overrides the protocol's coin scheme; coin.SchemeAuto keeps the
-	// registered default.
-	Coin coin.Scheme
-	N, K int
-	// Inputs holds the N initial values.
-	Inputs []msg.Value
-	Seed   uint64
-	// Crashes is the fail-stop fault plan.
-	Crashes faults.Plan
-	// Adversaries assigns a Byzantine strategy to each adversary process.
-	Adversaries map[msg.ID]spawn.Strategy
-	// Policy decides per-link delivery; nil is the engine default.
-	Policy policy.LinkPolicy
-	// MaxEvents bounds processed deliveries (0 = the engine default).
-	MaxEvents int
-	// Metrics, when non-nil, receives the engine's run accounting.
-	Metrics *metrics.Registry
-}
 
 // Outcome is what one trial showed.
 type Outcome struct {
@@ -68,30 +39,18 @@ type Outcome struct {
 	Wall time.Duration
 }
 
-// Run executes the trial, its machines built by the one spawner. A trial
-// that stalls or disagrees is an outcome, not an error; errors are
-// configurations the spawner or the engine refuses.
-func (t Trial) Run() (Outcome, error) {
-	sp, err := spawn.New(t.Protocol, t.Coin, t.Seed)
-	if err != nil {
-		return Outcome{}, fmt.Errorf("mc: %v: %w", t.Protocol, err)
+// RunTrial executes sc on the discrete-event engine: real machines, not a
+// Markov-chain abstraction. A trial that stalls or disagrees is an outcome;
+// errors are scenarios the validation or the engine refuses.
+func RunTrial(sc spawn.Scenario) (Outcome, error) {
+	sp, err := sc.Validate(false)
+	if err == nil {
+		var res *runtime.Result
+		if res, err = runtime.Run(sc.SimConfig(sp)); err == nil {
+			return OutcomeOf(res, sc.Inputs, sc.Adversaries), nil
+		}
 	}
-	sp.Adversaries = t.Adversaries
-	res, err := runtime.Run(runtime.Config{
-		N: t.N, K: t.K,
-		Inputs:    t.Inputs,
-		Spawn:     sp.Spawn,
-		Byzantine: spawn.Members(t.Adversaries),
-		Crashes:   t.Crashes,
-		Policy:    t.Policy,
-		Seed:      t.Seed,
-		MaxEvents: t.MaxEvents,
-		Metrics:   t.Metrics,
-	})
-	if err != nil {
-		return Outcome{}, fmt.Errorf("mc: %v: %w", t.Protocol, err)
-	}
-	return OutcomeOf(res, t.Inputs, t.Adversaries), nil
+	return Outcome{}, fmt.Errorf("mc: %v: %w", sc.Protocol, err)
 }
 
 // OutcomeOf is what the engine's result res shows of a run of len(inputs)
@@ -186,39 +145,33 @@ func (t *Tally) Share(count int) float64 { return float64(count) / float64(t.Tri
 // and run.Seed must be unset: trial t starts opts.Start processes on 1 (the
 // remaining n - Start on 0) and runs on a seed drawn from its private
 // (Seed, t) stream, so the merged result is bit-identical for every worker
-// count. opts.MaxPhases is ignored: each execution runs to decision under
-// the engine's event budget. A trial that stalls or disagrees is counted in
+// count. A scenario no trial can run is refused once, before trial 0.
+// opts.MaxPhases is ignored: each execution runs to decision under
+// run.MaxEvents. A trial that stalls or disagrees is counted in
 // Outcomes, not returned as an error. Phases and its aggregates (Mean,
 // percentiles, Hist, Decided1) fold only the Outcomes.Terminated trials, so
 // a reader of them must check Outcomes.Terminated against Trials.
-func ProtocolEnsemble(run Trial, opts EnsembleOptions) (*Ensemble, error) {
+func ProtocolEnsemble(run spawn.Scenario, opts EnsembleOptions) (*Ensemble, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
-	}
-	p, n, k := run.Protocol, run.N, run.K
-	if _, err := spawn.New(p, run.Coin, 0); err != nil {
-		return nil, fmt.Errorf("mc: %v: %w", p, err)
 	}
 	if run.Inputs != nil || run.Seed != 0 {
 		return nil, fmt.Errorf("mc: a protocol ensemble draws each trial's inputs and seed; got Inputs %v, Seed %d", run.Inputs, run.Seed)
 	}
-	if n < 1 {
-		return nil, fmt.Errorf("mc: protocol ensemble needs n >= 1, got %d", n)
+	if opts.Start < 0 || opts.Start > run.N {
+		return nil, fmt.Errorf("mc: %d initial ones outside 0..%d", opts.Start, run.N)
 	}
-	if k < 0 || k > p.MaxFaults(n) {
-		return nil, fmt.Errorf("mc: k=%d outside %v bound %d at n=%d", k, p, p.MaxFaults(n), n)
-	}
-	if opts.Start < 0 || opts.Start > n {
-		return nil, fmt.Errorf("mc: %d initial ones outside 0..%d", opts.Start, n)
-	}
-	run.Inputs = make([]msg.Value, n)
+	run.Inputs = make([]msg.Value, run.N)
 	for i := 0; i < opts.Start; i++ {
 		run.Inputs[i] = msg.V1
+	}
+	if _, err := run.Validate(false); err != nil {
+		return nil, fmt.Errorf("mc: %v: %w", run.Protocol, err)
 	}
 	outs, err := sweep.Run(opts.Trials, opts.Workers, func(t int) (Outcome, error) {
 		tr := run
 		tr.Seed = opts.trialRNG(t).Uint64()
-		return tr.Run()
+		return RunTrial(tr)
 	})
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 
 	"resilient/internal/coin"
 	"resilient/internal/faults"
+	"resilient/internal/metrics"
 	"resilient/internal/msg"
 	"resilient/internal/proto"
 	"resilient/internal/runtime"
@@ -25,7 +26,7 @@ func TestProtocolEnsembleAcrossRegistry(t *testing.T) {
 			t.Parallel()
 			n := 7
 			k := d.ID.MaxFaults(n)
-			e, err := ProtocolEnsemble(Trial{Protocol: d.ID, N: n, K: k},
+			e, err := ProtocolEnsemble(spawn.Scenario{Protocol: d.ID, N: n, K: k},
 				EnsembleOptions{Trials: 20, Start: n, Seed: 7})
 			if err != nil {
 				t.Fatal(err)
@@ -53,7 +54,7 @@ func decidedAll(t *testing.T, e *Ensemble, trials int) {
 
 func TestProtocolEnsembleWorkerIndependent(t *testing.T) {
 	run := func(workers int) *Ensemble {
-		e, err := ProtocolEnsemble(Trial{Protocol: proto.BenOrCrash, N: 7, K: 3},
+		e, err := ProtocolEnsemble(spawn.Scenario{Protocol: proto.BenOrCrash, N: 7, K: 3},
 			EnsembleOptions{Trials: 24, Workers: workers, Start: 3, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
@@ -73,7 +74,7 @@ func TestProtocolEnsembleWorkerIndependent(t *testing.T) {
 func TestProtocolEnsembleSharedCoinOverride(t *testing.T) {
 	// BenOrCrash accepts a shared-coin override; the run must still decide
 	// every trial.
-	e, err := ProtocolEnsemble(Trial{Protocol: proto.BenOrCrash, N: 7, K: 3, Coin: coin.SchemeShared},
+	e, err := ProtocolEnsemble(spawn.Scenario{Protocol: proto.BenOrCrash, N: 7, K: 3, Coin: coin.SchemeShared},
 		EnsembleOptions{Trials: 10, Start: 3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +94,7 @@ func TestProtocolEnsembleSharedCoinOverride(t *testing.T) {
 // margin over trial noise.
 func TestSharedCoinPhasesFlat(t *testing.T) {
 	mean := func(id proto.ID, n int) float64 {
-		e, err := ProtocolEnsemble(Trial{Protocol: id, N: n, K: id.MaxFaults(n)},
+		e, err := ProtocolEnsemble(spawn.Scenario{Protocol: id, N: n, K: id.MaxFaults(n)},
 			EnsembleOptions{Trials: 40, Start: n / 2, Seed: 13})
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +123,7 @@ func TestSharedCoinPhasesFlat(t *testing.T) {
 // TestProtocolEnsembleCountsFailures: a trial that stalls is counted, not
 // returned as an error. An event budget of 50 stalls every fail-stop run.
 func TestProtocolEnsembleCountsFailures(t *testing.T) {
-	e, err := ProtocolEnsemble(Trial{Protocol: proto.FailStop, N: 7, K: 3, MaxEvents: 50},
+	e, err := ProtocolEnsemble(spawn.Scenario{Protocol: proto.FailStop, N: 7, K: 3, MaxEvents: 50},
 		EnsembleOptions{Trials: 10, Start: 3, Seed: 5})
 	if err != nil {
 		t.Fatalf("stalled trials returned an error: %v", err)
@@ -142,7 +143,7 @@ func TestProtocolEnsembleCountsFailures(t *testing.T) {
 // on 0.
 func TestProtocolEnsembleAdversaries(t *testing.T) {
 	liars := map[msg.ID]spawn.Strategy{7: spawn.Liar1, 8: spawn.Liar1}
-	e, err := ProtocolEnsemble(Trial{Protocol: proto.Malicious, N: 9, K: 2, Adversaries: liars},
+	e, err := ProtocolEnsemble(spawn.Scenario{Protocol: proto.Malicious, N: 9, K: 2, Adversaries: liars},
 		EnsembleOptions{Trials: 12, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -152,34 +153,49 @@ func TestProtocolEnsembleAdversaries(t *testing.T) {
 	}
 }
 
+// TestProtocolEnsembleRejects: a scenario no trial can run, or options the
+// ensemble cannot honour, are refused before trial 0 -- the shared
+// registry sees no run.
 func TestProtocolEnsembleRejects(t *testing.T) {
-	if _, err := ProtocolEnsemble(Trial{Protocol: proto.ID(99), N: 7, K: 3},
-		EnsembleOptions{Trials: 1}); err == nil {
-		t.Error("unknown protocol accepted")
+	reg := metrics.NewRegistry()
+	for _, tc := range []struct {
+		what string
+		run  spawn.Scenario
+		opts EnsembleOptions
+	}{
+		{"unknown protocol", spawn.Scenario{Protocol: proto.ID(99), N: 7, K: 3}, EnsembleOptions{Trials: 1}},
+		{"k over bound", spawn.Scenario{Protocol: proto.FailStop, N: 7, K: 4}, EnsembleOptions{Trials: 1}},
+		{"coin override for deterministic protocol", spawn.Scenario{Protocol: proto.FailStop, N: 7, K: 3, Coin: coin.SchemeShared}, EnsembleOptions{Trials: 1}},
+		{"out-of-range Start", spawn.Scenario{Protocol: proto.FailStop, N: 7, K: 3}, EnsembleOptions{Trials: 1, Start: 8}},
+		{"a run seed the ensemble would overwrite", spawn.Scenario{Protocol: proto.FailStop, N: 7, K: 3, Seed: 4}, EnsembleOptions{Trials: 1}},
+		{"run inputs the ensemble would overwrite", spawn.Scenario{Protocol: proto.FailStop, N: 7, K: 3, Inputs: make([]msg.Value, 7)}, EnsembleOptions{Trials: 1}},
+		{"sampled scheme without an echo stage", spawn.Scenario{Protocol: proto.FailStop, N: 7, K: 3, Broadcast: spawn.SchemeSample}, EnsembleOptions{Trials: 1}},
+		{"Eps under the echo scheme", spawn.Scenario{Protocol: proto.Malicious, N: 7, K: 2, Eps: 1e-3}, EnsembleOptions{Trials: 1}},
+		{"negative MaxEvents", spawn.Scenario{Protocol: proto.FailStop, N: 7, K: 3, MaxEvents: -1}, EnsembleOptions{Trials: 1}},
+	} {
+		tc.run.Metrics = reg
+		if _, err := ProtocolEnsemble(tc.run, tc.opts); err == nil {
+			t.Errorf("%s accepted", tc.what)
+		}
 	}
-	if _, err := ProtocolEnsemble(Trial{Protocol: proto.FailStop, N: 7, K: 4},
-		EnsembleOptions{Trials: 1}); err == nil {
-		t.Error("k over bound accepted")
-	}
-	if _, err := ProtocolEnsemble(Trial{Protocol: proto.FailStop, N: 7, K: 3, Coin: coin.SchemeShared},
-		EnsembleOptions{Trials: 1}); err == nil {
-		t.Error("coin override accepted for deterministic protocol")
-	}
-	if _, err := ProtocolEnsemble(Trial{Protocol: proto.FailStop, N: 7, K: 3},
-		EnsembleOptions{Trials: 1, Start: 8}); err == nil {
-		t.Error("out-of-range Start accepted")
-	}
-	if _, err := ProtocolEnsemble(Trial{Protocol: proto.FailStop, N: 7, K: 3, Seed: 4},
-		EnsembleOptions{Trials: 1}); err == nil {
-		t.Error("a run seed the ensemble would overwrite accepted")
-	}
-	if _, err := ProtocolEnsemble(Trial{Protocol: proto.FailStop, N: 7, K: 3, Inputs: make([]msg.Value, 7)},
-		EnsembleOptions{Trials: 1}); err == nil {
-		t.Error("run inputs the ensemble would overwrite accepted")
-	}
-	_, err := ProtocolEnsemble(Trial{Protocol: proto.BenOrCrash, N: 7, K: 3, Crashes: faults.Plan{9: {Process: 9}}},
+	_, err := ProtocolEnsemble(spawn.Scenario{Protocol: proto.BenOrCrash, N: 7, K: 3, Crashes: faults.Plan{9: {Process: 9}}, Metrics: reg},
 		EnsembleOptions{Trials: 1})
 	if err == nil || strings.Count(err.Error(), "mc:") != 1 {
-		t.Errorf("engine refusal %q: want one error naming mc once", err)
+		t.Errorf("crash plan refusal %q: want one error naming mc once", err)
 	}
+	if runs := reg.Counter("runtime.runs").Value(); runs != 0 {
+		t.Errorf("%d trials ran before a refusal", runs)
+	}
+}
+
+// TestProtocolEnsembleSampledFigure2: an ensemble runs Figure 2 over the
+// sampled broadcast scheme, each trial on its own seed's sample directory,
+// and every trial of a small n=100 run terminates and agrees.
+func TestProtocolEnsembleSampledFigure2(t *testing.T) {
+	e, err := ProtocolEnsemble(spawn.Scenario{Protocol: proto.Malicious, N: 100, K: 10, Broadcast: spawn.SchemeSample},
+		EnsembleOptions{Trials: 4, Start: 50, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decidedAll(t, e, 4)
 }

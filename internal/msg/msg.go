@@ -11,11 +11,24 @@ package msg
 
 import (
 	"fmt"
+	"slices"
 )
 
 // ID identifies a process. Processes in an n-process system are numbered
 // 0..n-1.
 type ID int32
+
+// SortedIDs returns the keys of m in ascending order, so that a walk over a
+// per-process map -- and the first error such a walk reports -- is the same
+// on every run.
+func SortedIDs[V any](m map[ID]V) []ID {
+	ids := make([]ID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
 
 // Broadcast is a pseudo-destination meaning "send to all n processes
 // (including the sender)", matching the paper's "for all q, 1 <= q <= n".

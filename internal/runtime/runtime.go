@@ -122,7 +122,7 @@ func (c *Config) validate() error {
 	if err := c.Crashes.Validate(c.N); err != nil {
 		return err
 	}
-	for id := range c.Byzantine {
+	for _, id := range msg.SortedIDs(c.Byzantine) {
 		if id < 0 || int(id) >= c.N {
 			return fmt.Errorf("runtime: byzantine id p%d outside 0..%d", id, c.N-1)
 		}

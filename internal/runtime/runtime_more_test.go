@@ -37,6 +37,28 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigValidationNamesLowestID: a configuration with several
+// out-of-range ids is refused in the same words on every run, naming the
+// lowest id rather than whichever one the map walk met first.
+func TestConfigValidationNamesLowestID(t *testing.T) {
+	spawn := failStopSpawner(t)
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{N: 3, K: 1, Inputs: mixedInputs(3), Spawn: spawn, Byzantine: map[msg.ID]bool{7: true, 8: true, 9: true}},
+			"runtime: byzantine id p7 outside 0..2"},
+		{Config{N: 3, K: 1, Inputs: mixedInputs(3), Spawn: spawn, Crashes: faults.Plan{5: {Process: 5}, 6: {Process: 6}}},
+			"faults: crash process p5 outside 0..2"},
+	} {
+		for i := 0; i < 64; i++ {
+			if _, err := Run(tc.cfg); err == nil || err.Error() != tc.want {
+				t.Fatalf("run %d: %v, want %q", i, err, tc.want)
+			}
+		}
+	}
+}
+
 func TestSpawnErrorPropagates(t *testing.T) {
 	_, err := Run(Config{
 		N: 3, K: 1, Inputs: mixedInputs(3),

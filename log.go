@@ -232,7 +232,7 @@ func newLogRun(opts LogOptions) (*logRun, error) {
 	// A slot is a scenario: the same validation, with the unanimous inputs
 	// the log feeds it standing in.
 	r.slot = Scenario{Protocol: protocol, N: r.n, K: r.k, Inputs: make([]Value, max(r.n, 0)), Seed: r.seed, Coin: opts.Coin, Metrics: r.reg}
-	sp, err := r.slot.validate(r.engine)
+	sp, err := validate(&r.slot, r.engine)
 	if err != nil {
 		return nil, err
 	}
@@ -404,7 +404,7 @@ func (r *logRun) runSim(ops [][]byte) (*LogReport, error) {
 		sc.Inputs = d.inputs(r.n)
 		sc.Crashes = faults.InitiallyDead(d.dead()...)
 		sp := r.spawner.Reseeded(sc.Seed)
-		res, err := runtime.Run(sc.simConfig(&sp))
+		res, err := runtime.Run(sc.SimConfig(&sp))
 		if err != nil {
 			return nil, err
 		}

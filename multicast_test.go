@@ -112,7 +112,7 @@ func TestMulticastMatchesUnicastLists(t *testing.T) {
 				opts := SimOptions{Seed: seed, Broadcast: SchemeSample, RunToCompletion: true}
 				if crashing {
 					sc := Scenario{Protocol: tc.p, N: tc.n, K: tc.k, Inputs: tc.inputs, Seed: seed, Broadcast: SchemeSample}
-					sp, err := sc.validate(EngineSim)
+					sp, err := validate(&sc, EngineSim)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -171,7 +171,7 @@ func TestEngineParityOutOfRangeSends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sp, err := sc.validate(EngineMem)
+	sp, err := validate(&sc, EngineMem)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package resilient
 
 import (
-	"fmt"
-
 	"resilient/internal/faults"
 	"resilient/internal/policy"
 	"resilient/internal/runtime"
@@ -76,38 +74,19 @@ const (
 )
 
 // BroadcastScheme selects the reliable-broadcast primitive behind the echo
-// stage of the Figure-2 protocols (ProtocolMalicious, ProtocolBroadcast).
-type BroadcastScheme int
+// stage of the Figure-2 protocols (ProtocolMalicious, ProtocolBroadcast);
+// see the spawn package.
+type BroadcastScheme = spawn.BroadcastScheme
 
+// Broadcast schemes.
 const (
-	// SchemeEcho is the paper's full-quorum primitive (the default): every
-	// echo goes to all n processes and acceptance needs strictly more than
-	// (n+k)/2 of them. Deterministic, O(n²) messages per broadcast.
-	SchemeEcho BroadcastScheme = iota
-	// SchemeSample is the sample-based primitive of internal/sample: echoes
-	// are counted against a per-process random sample and every threshold is
-	// sized analytically so each acceptance fails with probability at most
-	// ε (SimOptions.Eps). O(n·E) messages with E = O(log(1/ε)) at fixed
-	// k/n, which is what makes n=10,000 runs feasible; see DESIGN §13.
-	SchemeSample
+	// SchemeEcho is the paper's full-quorum primitive (the default).
+	SchemeEcho = spawn.SchemeEcho
+	// SchemeSample counts echoes against per-process random samples, each
+	// acceptance failing with probability at most SimOptions.Eps; see
+	// DESIGN §13.
+	SchemeSample = spawn.SchemeSample
 )
-
-// String names the scheme.
-func (s BroadcastScheme) String() string {
-	switch s {
-	case SchemeEcho:
-		return "echo"
-	case SchemeSample:
-		return "sample"
-	default:
-		return fmt.Sprintf("BroadcastScheme(%d)", int(s))
-	}
-}
-
-// Valid reports whether s names a scheme.
-func (s BroadcastScheme) Valid() bool {
-	return s == SchemeEcho || s == SchemeSample
-}
 
 // SimOptions configures Simulate beyond the required arguments. The zero
 // value is a sensible default: uniform random delays, seed 0, no faults.
@@ -132,16 +111,10 @@ type SimOptions struct {
 	// RunToCompletion processes all traffic even after every correct
 	// process has decided (for message-count measurements).
 	RunToCompletion bool
-	// Broadcast selects the echo-broadcast primitive for protocols with an
-	// echo stage (ProtocolMalicious, ProtocolBroadcast); those machines run
-	// unchanged over either primitive. SchemeSample on a protocol without an
-	// echo stage is rejected. The zero value is the paper's full-quorum
-	// scheme.
+	// Broadcast and Eps select the echo-broadcast primitive and its error
+	// bound, as Scenario's fields of the same names do.
 	Broadcast BroadcastScheme
-	// Eps is the sampled scheme's per-acceptance error bound
-	// (0 = sample.DefaultEps = 1e-3). A non-zero Eps under SchemeEcho is
-	// rejected.
-	Eps float64
+	Eps       float64
 	// Coin overrides the coin scheme of randomized protocols (CoinAuto
 	// keeps the protocol's registered default). CoinLocal gives every
 	// process an independent coin seeded from the run seed; CoinShared
@@ -173,8 +146,8 @@ func Simulate(p Protocol, n, k int, inputs []Value, opts SimOptions) (*Result, e
 
 // simConfig converts Simulate's arguments into a Scenario -- the one place
 // the two option shapes meet -- validates it, and adds the simulator-only
-// knobs (trace, budgets) to its engine configuration.
-func simConfig(p Protocol, n, k int, inputs []Value, opts SimOptions) (runtime.Config, error) {
+// knobs (trace, time horizon) to its engine configuration.
+func simConfig(p Protocol, n, k int, inputs []Value, opts SimOptions) (cfg runtime.Config, err error) {
 	sc := Scenario{
 		Protocol:    p,
 		N:           n,
@@ -188,15 +161,15 @@ func simConfig(p Protocol, n, k int, inputs []Value, opts SimOptions) (runtime.C
 		Eps:         opts.Eps,
 		Coin:        opts.Coin,
 		Unsafe:      opts.Unsafe,
+		MaxEvents:   opts.MaxEvents,
 		Metrics:     opts.Metrics,
 	}
-	sp, err := sc.validate(EngineSim)
+	sp, err := validate(&sc, EngineSim)
 	if err != nil {
-		return runtime.Config{}, err
+		return cfg, err
 	}
-	cfg := sc.simConfig(sp)
+	cfg = sc.SimConfig(sp)
 	cfg.Sink = opts.Trace
-	cfg.MaxEvents = opts.MaxEvents
 	cfg.MaxSimTime = opts.MaxSimTime
 	cfg.RunToCompletion = opts.RunToCompletion
 	return cfg, nil

@@ -61,6 +61,7 @@ func TestScenarioValidationIsEngineIndependent(t *testing.T) {
 		}},
 		{"sampled scheme without an echo stage", func(sc *Scenario) { sc.Broadcast = SchemeSample }},
 		{"eps under the echo scheme", func(sc *Scenario) { sc.Eps = 1e-3 }},
+		{"negative MaxEvents", func(sc *Scenario) { sc.MaxEvents = -1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := goruntime.NumGoroutine()
@@ -84,19 +85,76 @@ func TestScenarioValidationIsEngineIndependent(t *testing.T) {
 		})
 	}
 
-	// The omniscient balancer is the one engine-dependent rule: both live
-	// engines refuse it in the same words (TestBalancerIsSimOnly runs it on
-	// the simulator).
-	sc := good()
-	sc.Protocol, sc.K = ProtocolMalicious, 1
-	sc.Adversaries = map[ID]Strategy{4: StrategyBalancer}
-	_, memErr := RunScenario(ctx, EngineMem, sc)
-	_, tcpErr := RunScenario(ctx, EngineTCP, sc)
-	if memErr == nil || tcpErr == nil || memErr.Error() != tcpErr.Error() {
-		t.Errorf("balancer off the simulator: mem %v, tcp %v", memErr, tcpErr)
+	// The simulator-only knobs are the engine-dependent rules: both live
+	// engines refuse the omniscient balancer and an event budget in the
+	// same words, before they start anything (TestBalancerIsSimOnly and
+	// TestScenarioMaxEventsOnSim run them on the simulator).
+	for _, tc := range []struct {
+		name    string
+		simOnly func(*Scenario)
+	}{
+		{"balancer", func(sc *Scenario) {
+			sc.Protocol, sc.K = ProtocolMalicious, 1
+			sc.Adversaries = map[ID]Strategy{4: StrategyBalancer}
+		}},
+		{"MaxEvents", func(sc *Scenario) { sc.MaxEvents = 50 }},
+	} {
+		base := goruntime.NumGoroutine()
+		sc := good()
+		tc.simOnly(&sc)
+		memOut, memErr := RunScenario(ctx, EngineMem, sc)
+		tcpOut, tcpErr := RunScenario(ctx, EngineTCP, sc)
+		if memErr == nil || tcpErr == nil || memErr.Error() != tcpErr.Error() || memOut != nil || tcpOut != nil {
+			t.Errorf("%s off the simulator: mem %v, tcp %v", tc.name, memErr, tcpErr)
+		}
+		if got := goruntime.NumGoroutine(); got > base {
+			t.Errorf("%s: %d goroutines before, %d after: a live engine started before refusing it", tc.name, base, got)
+		}
 	}
 	if _, err := RunScenario(ctx, Engine(4), good()); err == nil {
 		t.Error("a fourth engine ran")
+	}
+}
+
+// TestScenarioMaxEventsOnSim: on the simulator a scenario's MaxEvents is the
+// event budget -- 50 deliveries stall a fail-stop run, and the outcome says
+// so.
+func TestScenarioMaxEventsOnSim(t *testing.T) {
+	out, err := RunScenario(context.Background(), EngineSim, Scenario{
+		Protocol: ProtocolFailStop, N: 7, K: 3, Inputs: mixed(7), Seed: 1, MaxEvents: 50,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Sim.Stalled != EventBudget || out.Sim.AllDecided {
+		t.Errorf("stalled %v, all decided %v: want an event-budget stall", out.Sim.Stalled, out.Sim.AllDecided)
+	}
+}
+
+// TestValidationNamesLowestID: a scenario with two faulty ids is refused in
+// the same words on every run, naming the lowest id -- not whichever one the
+// walk over the map met first.
+func TestValidationNamesLowestID(t *testing.T) {
+	for _, tc := range []struct {
+		sc   Scenario
+		want string
+	}{
+		{Scenario{Protocol: ProtocolMalicious, N: 7, K: 2, Inputs: mixed(7),
+			Adversaries: map[ID]Strategy{7: StrategyLiar0, 8: StrategyLiar1}},
+			"resilient: adversary 7 outside 0..6"},
+		{Scenario{Protocol: ProtocolFailStop, N: 7, K: 3, Inputs: mixed(7),
+			Crashes: map[ID]Crash{7: {Process: 7}, 8: {Process: 8}}},
+			"resilient: faults: crash process p7 outside 0..6"},
+	} {
+		seen := map[string]bool{}
+		for i := 0; i < 64; i++ {
+			if _, err := RunScenario(context.Background(), EngineSim, tc.sc); err != nil {
+				seen[err.Error()] = true
+			}
+		}
+		if len(seen) != 1 || !seen[tc.want] {
+			t.Errorf("64 validations said %v, want only %q", seen, tc.want)
+		}
 	}
 }
 
@@ -164,7 +222,7 @@ func TestSpawnPathMatchesNewMachine(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/%v", p, scheme), func(t *testing.T) {
 				k := p.MaxFaults(n)
 				sc := Scenario{Protocol: p, N: n, K: k, Inputs: mixed(n), Seed: 42, Coin: scheme}
-				base, err := sc.validate(EngineMem)
+				base, err := validate(&sc, EngineMem)
 				if err != nil {
 					t.Fatal(err)
 				}
