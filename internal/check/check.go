@@ -19,6 +19,10 @@
 //
 // The checker operates purely on trace events, so it also validates the
 // engine's bookkeeping, not just the machines'.
+//
+// Log checks a replicated-log run the same way, from its outputs alone: the
+// committed sequence against what was submitted, and every replica's
+// committed digest against that sequence.
 package check
 
 import (

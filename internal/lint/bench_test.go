@@ -21,7 +21,7 @@ func BenchmarkLintTree(b *testing.B) {
 		b.Fatal(err)
 	}
 	families := []string{
-		"determinism", "hotalloc", "metricshandle", "seedhygiene",
+		"determinism", "hotalloc", "metricshandle",
 		"locksafety", "msgexhaustive", "quorumarith",
 	}
 	for _, family := range families {

@@ -65,10 +65,11 @@ func (a *analysis) checkDeterminism() {
 
 // checkMapRange flags order-sensitive bodies of map iterations. Go randomizes
 // map order per iteration, so anything the body does that depends on visit
-// order — sends, appends, folds, last-writer-wins assignments — makes the run
-// schedule-dependent. Order-insensitive idioms stay legal: pure scans,
-// delete-while-iterating, keyed copies (dst[k] = v), and the sorted-keys
-// idiom (collect only the keys, sort, then loop).
+// order — sends, appends, folds, last-writer-wins assignments, first-match
+// returns — makes the run schedule-dependent. Order-insensitive idioms stay
+// legal: pure scans, delete-while-iterating, keyed copies (dst[k] = v),
+// returns that name no loop variable (return true), and the sorted-keys idiom
+// (collect only the keys, sort, then loop).
 func (a *analysis) checkMapRange(p *pkgInfo, rng *ast.RangeStmt) {
 	t := p.info.TypeOf(rng.X)
 	if t == nil {
@@ -172,6 +173,20 @@ func (a *analysis) checkMapRange(p *pkgInfo, rng *ast.RangeStmt) {
 					flag(n.Pos(), "writes a loop-dependent value to a variable that outlives the loop (last writer wins)")
 					break
 				}
+			}
+		}
+		return true
+	})
+	// A return whose results read the key or value hands back whichever
+	// entry the iteration met first. A closure's return leaves the closure,
+	// not the loop, so this walk stays out of function literals.
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			if slices.ContainsFunc(n.Results, loopVar) {
+				flag(n.Pos(), "returns a loop-dependent value (first match wins)")
 			}
 		}
 		return true

@@ -23,9 +23,6 @@
 //   - metrics discipline: metricshandle — metrics.Registry handle resolution
 //     (Counter/Gauge/Histogram/Scoped) must happen once at construction, not
 //     inside loops or step bodies.
-//   - seed hygiene: seedhygiene — RNG constructors must derive their seeds
-//     from a parameter, field, or trial index, never a literal or the wall
-//     clock.
 //   - lock safety: lockblock — in the packages with real concurrency, no
 //     blocking operation may run while a mutex is held (locksafety.go).
 //   - message exhaustiveness: msgexhaustive — every protocol machine's
@@ -119,7 +116,7 @@ type Config struct {
 	// from quorumarith — sizing planners that own their arithmetic.
 	QuorumAllowedFuncs []string
 	// Rules optionally restricts the run to the named rule families
-	// ("determinism", "hotalloc", "metricshandle", "seedhygiene",
+	// ("determinism", "hotalloc", "metricshandle",
 	// "locksafety", "msgexhaustive", "quorumarith"). Empty means all. Used
 	// by the per-family benchmarks; the CLI always runs everything.
 	Rules []string
@@ -286,9 +283,6 @@ func runLoaded(cfg Config, pkgs []*pkgInfo, fset *token.FileSet) ([]Finding, err
 	}
 	if a.ruleOn("metricshandle") {
 		a.checkMetricsDiscipline()
-	}
-	if a.ruleOn("seedhygiene") {
-		a.checkSeedHygiene()
 	}
 	if a.ruleOn("locksafety") {
 		a.checkLockSafety()

@@ -111,7 +111,7 @@ func TestEveryRuleRepresented(t *testing.T) {
 	}
 	for _, want := range []string{
 		"walltime", "globalrand", "maprange", "goroutine",
-		"hotalloc", "metricshandle", "seedhygiene", "allow",
+		"hotalloc", "metricshandle", "allow",
 		"lockblock",
 		"msgexhaustive", "quorumarith",
 	} {

@@ -65,6 +65,28 @@ func CollectValues(m map[int]int) []int {
 	return out
 }
 
+// FirstOver returns whichever qualifying key the randomized iteration meets
+// first: maprange finding.
+func FirstOver(m map[int]int, min int) int {
+	for k, v := range m {
+		if v > min {
+			return k
+		}
+	}
+	return -1
+}
+
+// AnyOver returns a constant from the loop, so every order answers the same:
+// no finding.
+func AnyOver(m map[int]int, min int) bool {
+	for _, v := range m {
+		if v > min {
+			return true
+		}
+	}
+	return false
+}
+
 // SortedKeys is the blessed idiom — collect only the keys, sort, then
 // index: no finding.
 func SortedKeys(m map[int]int) []int {

@@ -4,10 +4,13 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
 
+	"resilient/internal/check"
+	"resilient/internal/core"
 	"resilient/internal/faults"
 	"resilient/internal/livenet"
 	"resilient/internal/metrics"
@@ -85,10 +88,15 @@ type LogReport struct {
 	// decided "no batch" because their proposer was dead, and Batches the
 	// batches committed.
 	Slots, NoopSlots, Batches int
-	// Committed holds every committed operation in commit order. Two runs
-	// of the same seed, ops, and crash plan produce byte-identical
-	// sequences on every engine.
+	// Committed holds every committed operation in commit order, read from
+	// the batch frames one replica of each slot received. Two runs of the
+	// same seed, ops, and crash plan produce byte-identical sequences on
+	// every engine.
 	Committed [][]byte
+	// Replicas holds, per replica, the slots it took part in and committed,
+	// the operations it committed and their running digest: what
+	// check.Log compares against Committed.
+	Replicas []LogReplica
 	// SlotDecisions holds each slot's decided value in slot order: V1 for a
 	// committed batch, V0 for a no-op slot.
 	SlotDecisions []Value
@@ -103,6 +111,10 @@ type LogReport struct {
 	// SimTime is the global virtual end time of the run (EngineSim only).
 	SimTime float64
 }
+
+// LogReplica is what one replica of a log run committed; see
+// LogReport.Replicas.
+type LogReplica = check.LogReplica
 
 // logMetrics holds the log layer's instrument handles; all fields are nil
 // (free no-ops) when metrics are off.
@@ -356,6 +368,132 @@ func batchFrames(ops [][]byte) [][]byte {
 	return frames
 }
 
+// nextOp splits the first operation off a batch frame, as a sub-slice of
+// the frame; ok is false at the frame's end or at a malformed length prefix.
+func nextOp(frame []byte) (op, rest []byte, ok bool) {
+	l, n := binary.Uvarint(frame)
+	if n <= 0 || uint64(len(frame)-n) < l {
+		return nil, nil, false
+	}
+	end := n + int(l)
+	return frame[n:end:end], frame[end:], true
+}
+
+// slotMachine is one replica's side of a log slot: the slot's consensus
+// machine, wrapped so that the batch travels as this machine's own traffic
+// (DESIGN §12). The proposer's wrapper holds the batch from the start and
+// sends it from Start, chunk i of c as a Graph frame with Phase i and
+// Cardinality c, to every other replica alive in the slot. Every wrapper
+// takes the Graph frames it receives out of the message stream and passes
+// everything else to the consensus machine until that halts. A replica
+// commits only what it holds: the wrapper reports a V0 decision as soon as
+// the machine makes it and a V1 decision once it holds every chunk of the
+// batch, and it halts once the machine has halted and it has committed.
+type slotMachine struct {
+	inner  core.Machine
+	frames [][]byte        // the batch's chunks by index; nil until one is held
+	held   int32           // the non-nil entries of frames
+	limit  int32           // the most chunks a batch has: at least one op each
+	send   []core.Outbound // the proposer's batch frames, with room for Start's
+}
+
+// ID implements core.Machine.
+func (w *slotMachine) ID() msg.ID { return w.inner.ID() }
+
+// Phase implements core.Machine.
+func (w *slotMachine) Phase() msg.Phase { return w.inner.Phase() }
+
+// Start sends the proposer's batch ahead of the machine's first step.
+func (w *slotMachine) Start() []core.Outbound {
+	outs := w.inner.Start()
+	if w.send == nil {
+		return outs
+	}
+	return append(w.send, outs...)
+}
+
+// OnMessage holds a batch frame and passes any other message to the
+// consensus machine while it runs.
+func (w *slotMachine) OnMessage(m msg.Message) []core.Outbound {
+	switch m.Kind {
+	case msg.KindGraph:
+		w.hold(m)
+		return nil
+	case msg.KindState, msg.KindValue, msg.KindInitial, msg.KindEcho,
+		msg.KindBenOrReport, msg.KindBenOrProposal, msg.KindGossip, msg.KindReady:
+		// Consensus traffic.
+	}
+	if w.inner.Halted() {
+		return nil
+	}
+	return w.inner.OnMessage(m)
+}
+
+// hold keeps chunk m.Phase of an m.Cardinality-chunk batch. An empty frame,
+// a repeated chunk, and a chunk count above the limit or unlike the first
+// frame's are dropped.
+func (w *slotMachine) hold(m msg.Message) {
+	c, i := int(m.Cardinality), int(m.Phase)
+	if w.frames == nil {
+		if c < 1 || c > int(w.limit) {
+			return
+		}
+		w.frames = make([][]byte, c)
+	}
+	if c != len(w.frames) || i < 0 || i >= c || w.frames[i] != nil || len(m.Payload) == 0 {
+		return
+	}
+	w.frames[i] = m.Payload
+	w.held++
+}
+
+// Decided reports the machine's decision once the replica can commit it.
+func (w *slotMachine) Decided() (msg.Value, bool) {
+	v, ok := w.inner.Decided()
+	if ok && v == msg.V1 && (w.held == 0 || int(w.held) < len(w.frames)) {
+		return 0, false
+	}
+	return v, ok
+}
+
+// Halted reports that the machine has halted and the replica committed.
+// Engines ask after every delivery, so the machine's halt goes first.
+func (w *slotMachine) Halted() bool {
+	if !w.inner.Halted() {
+		return false
+	}
+	_, committed := w.Decided()
+	return committed
+}
+
+// replicas returns slot d's n wrappers in one allocation, their machines
+// still unset; the proposer's holds the batch and its frames to send.
+func (r *logRun) replicas(d slotDesc) []slotMachine {
+	ws := make([]slotMachine, r.n)
+	for i := range ws {
+		ws[i].limit = int32(min(r.batch, math.MaxInt32))
+	}
+	if d.batch == nil {
+		return ws
+	}
+	frames := batchFrames(d.batch.ops)
+	targets := make([]int32, 0, r.n-1)
+	for p, alive := range d.run {
+		if alive && ID(p) != d.proposer {
+			targets = append(targets, int32(p))
+		}
+	}
+	w := &ws[d.proposer]
+	w.frames, w.held = frames, int32(len(frames))
+	w.send = make([]core.Outbound, len(frames), len(frames)+1)
+	for i, f := range frames {
+		m := msg.Graph(d.proposer, Phase(i), f)
+		m.Cardinality = int32(len(frames))
+		w.send[i] = core.ToMany(targets, m)
+	}
+	return ws
+}
+
 // RunLog runs the replicated log to completion over a fixed operation list
 // (closed loop): every operation is submitted at once, so the operations are
 // batched Batch at a time, each batch is committed through its own consensus
@@ -385,39 +523,60 @@ func (r *logRun) run(ctx context.Context, ops [][]byte, rate float64) (*LogRepor
 }
 
 // runSim executes the planned slots on the deterministic simulator, one
-// after another through runtime.Run -- the call RunScenario makes. Slots
-// never exchange a message, so how they interleave is invisible to every
-// machine; the pipeline only decides when a slot is admitted, which
-// windowEnd replays. Every operation has arrived before the first slot, so
-// the batcher cuts the same batches a closed-loop live run launches.
+// after another through simSlot. Slots never exchange a message, so how
+// they interleave is invisible to every machine; the pipeline only decides
+// when a slot is admitted, which windowEnd replays. Every operation has
+// arrived before the first slot, so the batcher cuts the same batches a
+// closed-loop live run launches.
 func (r *logRun) runSim(ops [][]byte) (*LogReport, error) {
 	start := time.Now()
 	bat := newBatcher(r.batch, len(ops))
 	for _, op := range ops {
 		bat.add(op, 0)
 	}
-	rep := &LogReport{Engine: EngineSim}
+	rep := &LogReport{Engine: EngineSim, Committed: make([][]byte, 0, len(ops)), Replicas: make([]LogReplica, r.n)}
 	var durs []float64
 	for _, d := range r.plan(bat) {
-		sc := r.slot
-		sc.Seed = r.slotSeed(d.slot)
-		sc.Inputs = d.inputs(r.n)
-		sc.Crashes = faults.InitiallyDead(d.dead()...)
-		sp := r.spawner.Reseeded(sc.Seed)
-		res, err := runtime.Run(sc.SimConfig(&sp))
+		res, ws, err := r.simSlot(d)
 		if err != nil {
 			return nil, err
 		}
 		if !res.AllDecided || !res.Agreement {
-			return nil, fmt.Errorf("resilient: log slot %d: decided=%v agreement=%v stalled=%v",
-				d.slot, res.AllDecided, res.Agreement, res.Stalled)
+			var missing []ID
+			for p, alive := range d.run {
+				if _, ok := ws[p].Decided(); alive && !ok {
+					missing = append(missing, ID(p))
+				}
+			}
+			return nil, fmt.Errorf("resilient: log slot %d: replicas %v did not commit (agreement=%v stalled=%v)",
+				d.slot, missing, res.Agreement, res.Stalled)
 		}
-		r.recordSlot(rep, d, res.Value, time.Time{})
+		r.recordSlot(rep, d, res.Value, ws)
 		durs = append(durs, res.SimTime)
 	}
 	rep.SimTime = windowEnd(durs, r.window)
 	r.finishReport(rep, start, nil)
 	return rep, nil
+}
+
+// simSlot runs slot d through runtime.Run -- the call RunScenario makes --
+// with every machine wrapped in its replica, and returns the replicas.
+func (r *logRun) simSlot(d slotDesc) (*runtime.Result, []slotMachine, error) {
+	sc := r.slot
+	sc.Seed = r.slotSeed(d.slot)
+	sc.Inputs = d.inputs(r.n)
+	sc.Crashes = faults.InitiallyDead(d.dead()...)
+	sp := r.spawner.Reseeded(sc.Seed)
+	ws := r.replicas(d)
+	cfg := sc.SimConfig(&sp)
+	cfg.Spawn = func(ctx runtime.SpawnContext) (core.Machine, error) {
+		w := &ws[ctx.Config.Self]
+		m, err := sp.Spawn(ctx)
+		w.inner = m
+		return w, err
+	}
+	res, err := runtime.Run(cfg)
+	return res, ws, err
 }
 
 // windowEnd is window admission on one virtual clock: at most window slots
@@ -444,6 +603,7 @@ func windowEnd(durs []float64, window int) float64 {
 type slotRes struct {
 	desc slotDesc
 	out  livenet.InstanceOutcome
+	reps []slotMachine
 	err  error
 }
 
@@ -475,7 +635,7 @@ func (r *logRun) runLive(ctx context.Context, ops [][]byte, rate float64) (*LogR
 	// Collector: reorder finished slots into slot order and commit at the
 	// frontier. Commit latency is stamped HERE -- a slot that finished early
 	// but sits behind a straggler in the window has not committed yet.
-	rep := &LogReport{Engine: r.engine, Committed: make([][]byte, 0, len(ops))}
+	rep := &LogReport{Engine: r.engine, Committed: make([][]byte, 0, len(ops)), Replicas: make([]LogReplica, r.n)}
 	lats := make([]time.Duration, 0, len(ops))
 	var runErr error
 	collectorDone := make(chan struct{})
@@ -507,7 +667,7 @@ func (r *logRun) runLive(ctx context.Context, ops [][]byte, rate float64) (*LogR
 					continue
 				}
 				now := time.Now()
-				r.recordSlot(rep, next.desc, next.out.Value, now)
+				r.recordSlot(rep, next.desc, next.out.Value, next.reps)
 				if b := next.desc.batch; b != nil && next.out.Value == msg.V1 {
 					for _, at := range b.submitted {
 						l := now.Sub(start) - at
@@ -566,8 +726,8 @@ func (r *logRun) runLive(ctx context.Context, ops [][]byte, rate float64) (*LogR
 			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
-				out, err := r.runLiveSlot(runCtx, d, endpoints)
-				resCh <- slotRes{desc: d, out: out, err: err}
+				out, reps, err := r.runLiveSlot(runCtx, d, endpoints)
+				resCh <- slotRes{desc: d, out: out, reps: reps, err: err}
 			}()
 		case <-arrival:
 		case <-runCtx.Done():
@@ -584,64 +744,86 @@ func (r *logRun) runLive(ctx context.Context, ops [][]byte, rate float64) (*LogR
 	return rep, runErr
 }
 
-// runLiveSlot runs one consensus slot over the engine's transport. On TCP
-// the slot claims instance id slot+1 on every live endpoint (id 0 is the
-// endpoints' own base channel); dead replicas never claim theirs, so frames
-// addressed to them are dropped by the demux exactly like traffic to a
-// crashed host's dead process. The proposer ships the batch payload as
-// length-prefixed Graph frames on the slot's own conns before consensus
-// starts -- consensus machines ignore the payload kind, but the bytes cross
-// the real wire, so throughput numbers include payload transfer.
-func (r *logRun) runLiveSlot(ctx context.Context, d slotDesc, endpoints []*netxport.Endpoint) (livenet.InstanceOutcome, error) {
+// runLiveSlot runs one consensus slot over the engine's transport and
+// returns its replicas. On TCP the slot claims instance id slot+1 on every
+// live endpoint (id 0 is the endpoints' own base channel); dead replicas
+// never claim theirs, so frames addressed to them are dropped by the demux
+// exactly like traffic to a crashed host's dead process.
+func (r *logRun) runLiveSlot(ctx context.Context, d slotDesc, endpoints []*netxport.Endpoint) (livenet.InstanceOutcome, []slotMachine, error) {
 	sp := r.spawner.Reseeded(r.slotSeed(d.slot))
 	machines, err := sp.Machines(r.n, r.k, d.inputs(r.n))
 	if err != nil {
-		return livenet.InstanceOutcome{}, fmt.Errorf("resilient: %w", err)
+		return livenet.InstanceOutcome{}, nil, fmt.Errorf("resilient: %w", err)
+	}
+	ws := r.replicas(d)
+	for i, m := range machines {
+		ws[i].inner = m
+		machines[i] = &ws[i]
 	}
 	conns, err := liveConns(r.n, endpoints, uint32(d.slot)+1, d.run)
 	if err != nil {
-		return livenet.InstanceOutcome{}, err
+		return livenet.InstanceOutcome{}, nil, err
 	}
-	if b := d.batch; b != nil {
-		src := conns[d.proposer]
-		for chunk, frame := range batchFrames(b.ops) {
-			m := msg.Graph(d.proposer, Phase(chunk), frame)
-			for p := 0; p < r.n; p++ {
-				if p == int(d.proposer) || !d.run[p] {
-					continue
-				}
-				if err := src.Send(ID(p), m); err != nil {
-					livenet.CloseConns(conns)
-					return livenet.InstanceOutcome{}, fmt.Errorf("slot %d payload to p%d: %w", d.slot, p, err)
-				}
-			}
-		}
-	}
-	return livenet.RunInstance(ctx, machines, conns, d.run, r.reg)
+	out, err := livenet.RunInstance(ctx, machines, conns, d.run, r.reg)
+	return out, ws, err
 }
 
-// recordSlot folds one decided slot into the report (commitAt is zero on
-// the simulator).
-func (r *logRun) recordSlot(rep *LogReport, d slotDesc, v Value, commitAt time.Time) {
+// recordSlot folds one decided slot into the report from what its replicas
+// (ws, after the slot ended) committed: per replica the slot, the ops and
+// their digest, and the committed sequence from the frames of the
+// lowest-numbered replica other than the proposer that committed the batch
+// (the proposer's own when no other replica runs).
+func (r *logRun) recordSlot(rep *LogReport, d slotDesc, v Value, ws []slotMachine) {
 	rep.Slots++
 	rep.SlotDecisions = append(rep.SlotDecisions, v)
 	r.met.slots.Inc()
+	src := -1
+	for p := range ws {
+		if !d.run[p] {
+			continue
+		}
+		rp, w := &rep.Replicas[p], &ws[p]
+		rp.Alive++
+		dv, ok := w.Decided()
+		if !ok {
+			continue
+		}
+		rp.Slots++
+		if dv != msg.V1 {
+			continue
+		}
+		for _, f := range w.frames {
+			rp.Digest = rp.Digest.Fold(f)
+			for _, rest, ok := nextOp(f); ok; _, rest, ok = nextOp(rest) {
+				rp.Ops++
+			}
+		}
+		if src < 0 || ID(src) == d.proposer {
+			src = p
+		}
+	}
 	if d.batch == nil {
 		rep.NoopSlots++
 		r.met.noops.Inc()
 		return
 	}
-	if v != msg.V1 {
+	if v != msg.V1 || src < 0 {
 		// An alive proposer's batch slot decided no-op: the batch is lost,
-		// which the committed sequence (and the parity test) will expose.
+		// which the committed sequence (and check.Log) will expose.
 		return
 	}
+	before := len(rep.Committed)
+	for _, f := range ws[src].frames {
+		for op, rest, ok := nextOp(f); ok; op, rest, ok = nextOp(rest) {
+			rep.Committed = append(rep.Committed, op)
+		}
+	}
+	ops := len(rep.Committed) - before
 	rep.Batches++
-	rep.Ops += len(d.batch.ops)
-	rep.Committed = append(rep.Committed, d.batch.ops...)
+	rep.Ops += ops
 	r.met.batches.Inc()
-	r.met.ops.Add(int64(len(d.batch.ops)))
-	r.met.batchOps.Observe(float64(len(d.batch.ops)))
+	r.met.ops.Add(int64(ops))
+	r.met.batchOps.Observe(float64(ops))
 }
 
 // finishReport stamps duration, throughput, and (live) latency percentiles.

@@ -7,11 +7,15 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
-	"resilient/internal/faults"
+	"resilient/internal/check"
 	"resilient/internal/msg"
+	"resilient/internal/policy"
 )
 
 func testLogOps(count, size int) [][]byte {
@@ -34,6 +38,19 @@ func logCtx(t *testing.T) context.Context {
 	return ctx
 }
 
+// requireLog fails t unless rep passes check.Log against submitted and
+// committed, and counted, exactly the submitted sequence.
+func requireLog(t *testing.T, what string, submitted [][]byte, rep *LogReport) {
+	t.Helper()
+	for _, v := range check.Log(submitted, rep.Committed, rep.Replicas) {
+		t.Errorf("%s: %v", what, v)
+	}
+	if !slices.EqualFunc(rep.Committed, submitted, bytes.Equal) || rep.Ops != len(rep.Committed) {
+		t.Fatalf("%s: committed %d ops (%d counted), not the %d submitted in order",
+			what, len(rep.Committed), rep.Ops, len(submitted))
+	}
+}
+
 // TestRunLogSim pins the closed-loop log on the simulator: every op commits
 // exactly once in submission order, slot accounting matches the batch math,
 // and the whole run is deterministic.
@@ -48,14 +65,7 @@ func TestRunLogSim(t *testing.T) {
 		t.Fatalf("ops=%d batches=%d slots=%d noops=%d, want 50/7/7/0",
 			rep.Ops, rep.Batches, rep.Slots, rep.NoopSlots)
 	}
-	if len(rep.Committed) != len(ops) {
-		t.Fatalf("%d committed ops, want %d", len(rep.Committed), len(ops))
-	}
-	for i, op := range ops {
-		if !bytes.Equal(rep.Committed[i], op) {
-			t.Fatalf("committed[%d] differs from submitted op %d", i, i)
-		}
-	}
+	requireLog(t, "sim", ops, rep)
 	if rep.SimTime <= 0 {
 		t.Fatal("sim run reported no virtual time")
 	}
@@ -105,11 +115,7 @@ func TestRunLogCrashes(t *testing.T) {
 			t.Fatalf("slot %d decided %v, want %v", s, v, want)
 		}
 	}
-	for i, op := range ops {
-		if !bytes.Equal(rep.Committed[i], op) {
-			t.Fatalf("committed[%d] differs from submitted op %d", i, i)
-		}
-	}
+	requireLog(t, "sim", ops, rep)
 }
 
 // TestWindowEnd pins the log's virtual clock -- window admission over the
@@ -142,8 +148,9 @@ func TestWindowEnd(t *testing.T) {
 
 // TestRunLogSimTimeIsSlotSum ties the log's clock to the simulator's: with
 // one slot in flight, the run's virtual time is the sum of what each slot
-// takes when the same instance -- slot seed, unanimous inputs, the slot's
-// dead replicas dead from the start -- runs on its own through Simulate.
+// takes when the same wrapped instance -- slot seed, unanimous inputs, the
+// slot's dead replicas dead from the start, the proposer's batch frames on
+// the wire -- runs on its own through runtime.Run.
 func TestRunLogSimTimeIsSlotSum(t *testing.T) {
 	opts := LogOptions{
 		Engine: EngineSim, N: 7, Seed: 13, Batch: 4, Pipeline: 1,
@@ -168,9 +175,7 @@ func TestRunLogSimTimeIsSlotSum(t *testing.T) {
 	}
 	sum := 0.0
 	for _, d := range descs {
-		res, err := Simulate(ProtocolMalicious, r.n, r.k, d.inputs(r.n), SimOptions{
-			Seed: r.slotSeed(d.slot), Crashes: faults.InitiallyDead(d.dead()...),
-		})
+		res, _, err := r.simSlot(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,6 +189,90 @@ func TestRunLogSimTimeIsSlotSum(t *testing.T) {
 	}
 }
 
+// uniformExcept delivers every message as the default Uniform[0.1, 1] link
+// does, except the Graph frames that carry a log batch, which graph decides.
+type uniformExcept struct {
+	graph func(to ID, m msg.Message) policy.Verdict
+}
+
+func (u uniformExcept) Link(from, to ID, m msg.Message, now float64, rng *rand.Rand) policy.Verdict {
+	if m.Kind == msg.KindGraph {
+		return u.graph(to, m)
+	}
+	return policy.Uniform{Min: 0.1, Max: 1}.Link(from, to, m, now, rng)
+}
+
+// TestLogReplicaNeverCommitsUnheldBatch drops every batch frame addressed to
+// one replica: the replica's consensus machine still decides V1, but a
+// replica commits only the bytes it holds, so the run must fail at the
+// first batch slot and name that replica.
+func TestLogReplicaNeverCommitsUnheldBatch(t *testing.T) {
+	const starved = 3
+	r, err := newLogRun(LogOptions{Engine: EngineSim, N: 7, Seed: 5, Batch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.slot.Policy = uniformExcept{graph: func(to ID, _ msg.Message) policy.Verdict {
+		return policy.Verdict{Drop: to == starved, Delay: 0.5}
+	}}
+	rep, err := r.run(logCtx(t), testLogOps(8, 16), 0)
+	if err == nil {
+		t.Fatalf("p%d committed without its batch: %+v", starved, rep.Replicas)
+	}
+	if got := err.Error(); !strings.Contains(got, "slot 0:") || !strings.Contains(got, "replicas [3] did not commit") {
+		t.Fatalf("err = %v, want slot 0 naming replica %d", err, starved)
+	}
+}
+
+// TestRunLogMultiChunkBatch commits one batch too large for one frame: on
+// the simulator with its chunks delivered last first, each chunk c-i units
+// after the send, and over the in-memory engine.
+func TestRunLogMultiChunkBatch(t *testing.T) {
+	ops := testLogOps(5, maxLogOp/2)
+	if c := len(batchFrames(ops)); c < 3 {
+		t.Fatalf("batch packed into %d frames, want at least 3", c)
+	}
+	r, err := newLogRun(LogOptions{Engine: EngineSim, N: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.slot.Policy = uniformExcept{graph: func(_ ID, m msg.Message) policy.Verdict {
+		return policy.Verdict{Delay: float64(m.Cardinality) - float64(m.Phase)}
+	}}
+	rep, err := r.run(logCtx(t), ops, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireLog(t, "sim", ops, rep)
+	if rep, err = RunLog(logCtx(t), LogOptions{Engine: EngineMem, N: 4, Seed: 3}, ops); err != nil {
+		t.Fatal(err)
+	}
+	requireLog(t, "mem", ops, rep)
+}
+
+// FuzzLog runs the closed-loop log on the simulator over fuzzed shapes --
+// seed, op count and size, batch, pipeline and one slot-boundary crash --
+// and requires a clean check.Log with exactly the submitted ops committed.
+func FuzzLog(f *testing.F) {
+	f.Add(uint64(1), uint8(20), uint16(16), uint8(4), uint8(2), uint8(7), uint8(0))
+	f.Add(uint64(42), uint8(47), uint16(100), uint8(0), uint8(0), uint8(2), uint8(1))
+	f.Add(uint64(7), uint8(9), uint16(8), uint8(15), uint8(7), uint8(0), uint8(0))
+	f.Add(uint64(99), uint8(0), uint16(3), uint8(3), uint8(3), uint8(6), uint8(4))
+	f.Fuzz(func(t *testing.T, seed uint64, count uint8, size uint16, batch, pipeline, crashed, crashSlot uint8) {
+		const n = 7
+		ops := testLogOps(int(count)%48, 8+int(size)%512)
+		opts := LogOptions{Engine: EngineSim, N: n, Seed: seed, Batch: 1 + int(batch)%16, Pipeline: 1 + int(pipeline)%8}
+		if p := int(crashed) % (n + 1); p < n {
+			opts.Crashes = []LogCrash{{Process: ID(p), Slot: int(crashSlot) % 16}}
+		}
+		rep, err := RunLog(context.Background(), opts, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireLog(t, "sim", ops, rep)
+	})
+}
+
 // TestRunLogAbsentReplicaIsAbsent checks that a replica dead at a slot
 // boundary takes no part in the slot on the live engines -- no driver, so no
 // decision counted, and no node, so no crash counted -- and that the
@@ -194,13 +283,15 @@ func TestRunLogAbsentReplicaIsAbsent(t *testing.T) {
 	for _, engine := range []Engine{EngineMem, EngineTCP} {
 		t.Run(engine.String(), func(t *testing.T) {
 			reg := NewMetricsRegistry()
+			ops := testLogOps(40, 16)
 			rep, err := RunLog(logCtx(t), LogOptions{
 				Engine: engine, N: n, Seed: 21, Batch: 4, Pipeline: 3, Metrics: reg,
 				Crashes: []LogCrash{{Process: 2, Slot: crashSlot}},
-			}, testLogOps(40, 16))
+			}, ops)
 			if err != nil {
 				t.Fatal(err)
 			}
+			requireLog(t, engine.String(), ops, rep)
 			if rep.Ops != 40 || rep.NoopSlots == 0 || rep.Slots <= crashSlot {
 				t.Fatalf("ops=%d slots=%d noops=%d: the crash plan did not bite", rep.Ops, rep.Slots, rep.NoopSlots)
 			}
@@ -242,10 +333,10 @@ func TestLogEngineParity(t *testing.T) {
 		}
 		runs = append(runs, run{engine, rep})
 	}
-	want := runs[0].rep
-	if len(want.Committed) != len(ops) {
-		t.Fatalf("sim committed %d/%d ops", len(want.Committed), len(ops))
+	for _, r := range runs {
+		requireLog(t, r.engine.String(), ops, r.rep)
 	}
+	want := runs[0].rep
 	for _, r := range runs[1:] {
 		if r.rep.Slots != want.Slots || r.rep.NoopSlots != want.NoopSlots {
 			t.Fatalf("%v ran %d slots (%d noop), sim ran %d (%d)",
@@ -260,13 +351,8 @@ func TestLogEngineParity(t *testing.T) {
 					r.engine, s, r.rep.SlotDecisions[s], want.SlotDecisions[s])
 			}
 		}
-		if len(r.rep.Committed) != len(want.Committed) {
-			t.Fatalf("%v committed %d ops, sim %d", r.engine, len(r.rep.Committed), len(want.Committed))
-		}
-		for i := range want.Committed {
-			if !bytes.Equal(r.rep.Committed[i], want.Committed[i]) {
-				t.Fatalf("%v committed[%d] diverges from sim", r.engine, i)
-			}
+		if !slices.Equal(r.rep.Replicas, want.Replicas) {
+			t.Fatalf("%v replicas committed %+v, sim %+v", r.engine, r.rep.Replicas, want.Replicas)
 		}
 	}
 }
@@ -282,6 +368,7 @@ func TestRunLogTCPMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireLog(t, "tcp", ops, rep)
 	if rep.Ops != 24 || rep.NoopSlots != 0 {
 		t.Fatalf("ops=%d noops=%d, want 24/0", rep.Ops, rep.NoopSlots)
 	}
@@ -318,9 +405,7 @@ func TestRunLogWorkloadOpenLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Ops != 200 {
-		t.Fatalf("committed %d/200 ops", rep.Ops)
-	}
+	requireLog(t, "mem", genWorkloadOps(11, 200, DefaultWorkloadOpBytes), rep)
 	if rep.P50 <= 0 || rep.P99 < rep.P50 {
 		t.Fatalf("bad percentiles: p50=%v p99=%v", rep.P50, rep.P99)
 	}
@@ -390,7 +475,6 @@ func TestBatcher(t *testing.T) {
 func TestRunLogClosedLoopBatches(t *testing.T) {
 	ops := testLogOps(100, 16)
 	opts := LogOptions{N: 7, Seed: 21, Batch: 16, Pipeline: 4}
-	reps := map[Engine]*LogReport{}
 	for _, engine := range []Engine{EngineSim, EngineMem} {
 		opts.Engine = engine
 		rep, err := RunLog(logCtx(t), opts, ops)
@@ -401,16 +485,7 @@ func TestRunLogClosedLoopBatches(t *testing.T) {
 			t.Fatalf("%v: ops=%d batches=%d slots=%d noops=%d, want 100 ops in 7 batches, one per non-no-op slot",
 				engine, rep.Ops, rep.Batches, rep.Slots, rep.NoopSlots)
 		}
-		reps[engine] = rep
-	}
-	sim, mem := reps[EngineSim].Committed, reps[EngineMem].Committed
-	if len(sim) != len(ops) || len(mem) != len(sim) {
-		t.Fatalf("sim committed %d ops, mem %d, want %d", len(sim), len(mem), len(ops))
-	}
-	for i := range sim {
-		if !bytes.Equal(mem[i], sim[i]) {
-			t.Fatalf("mem committed[%d] diverges from sim", i)
-		}
+		requireLog(t, engine.String(), ops, rep)
 	}
 }
 
@@ -433,15 +508,10 @@ func TestRunLogWorkloadOpenLoopCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitted := genWorkloadOps(13, count, DefaultWorkloadOpBytes)
-	if rep.Ops != count || len(rep.Committed) != count {
-		t.Fatalf("committed %d ops (%d held), want %d", rep.Ops, len(rep.Committed), count)
+	if rep.Ops != count {
+		t.Fatalf("committed %d ops, want %d", rep.Ops, count)
 	}
-	for i, op := range submitted {
-		if !bytes.Equal(rep.Committed[i], op) {
-			t.Fatalf("committed[%d] is not submitted op %d", i, i)
-		}
-	}
+	requireLog(t, "mem", genWorkloadOps(13, count, DefaultWorkloadOpBytes), rep)
 	if rep.Slots-rep.NoopSlots != rep.Batches || len(rep.SlotDecisions) != rep.Slots {
 		t.Fatalf("slots=%d noops=%d batches=%d decisions=%d",
 			rep.Slots, rep.NoopSlots, rep.Batches, len(rep.SlotDecisions))
@@ -511,6 +581,7 @@ func TestRunLogWorkloadCancelMidSchedule(t *testing.T) {
 	if rep == nil || rep.Ops >= 1000 {
 		t.Fatalf("canceled run reported %+v, want a partial report", rep)
 	}
+	requireLog(t, "mem", genWorkloadOps(17, 1000, DefaultWorkloadOpBytes)[:rep.Ops], rep)
 }
 
 // TestRunLogWorkloadSimDeterministic pins that the sim workload is a pure
@@ -528,14 +599,12 @@ func TestRunLogWorkloadSimDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Ops != 128 || b.Ops != 128 || a.SimTime != b.SimTime || len(a.Committed) != len(b.Committed) {
+	if a.SimTime != b.SimTime || !slices.Equal(a.Replicas, b.Replicas) {
 		t.Fatalf("sim workload diverged: %v vs %v virtual time", a.SimTime, b.SimTime)
 	}
-	for i := range a.Committed {
-		if !bytes.Equal(a.Committed[i], b.Committed[i]) {
-			t.Fatalf("committed[%d] diverged across identical sim runs", i)
-		}
-	}
+	submitted := genWorkloadOps(3, 128, DefaultWorkloadOpBytes)
+	requireLog(t, "sim", submitted, a)
+	requireLog(t, "sim", submitted, b)
 }
 
 // TestBatchFrames pins the payload chunker: frames stay within the wire
@@ -614,8 +683,9 @@ func TestRunLogEmpty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", engine, err)
 		}
-		if rep.Ops != 0 || rep.Slots != 0 || len(rep.Committed) != 0 {
+		if rep.Ops != 0 || rep.Slots != 0 {
 			t.Fatalf("%v: empty run committed %+v", engine, rep)
 		}
+		requireLog(t, engine.String(), nil, rep)
 	}
 }
