@@ -23,7 +23,8 @@ import (
 // processes including the sender, or msg.Multicast for the processes listed
 // in Targets. The struct is 88 bytes; a machine that emits outbounds on its
 // hot path appends into a per-machine step buffer instead of allocating a
-// slice per step.
+// slice per step, so the slice a step returns is valid until the machine's
+// next step or reset, and an engine consumes it before either.
 type Outbound struct {
 	To  msg.ID
 	Msg msg.Message

@@ -142,6 +142,14 @@ func (p *PhaseBuffer) ForEach(fn func(ph msg.Phase, msgs []msg.Message)) {
 // Buckets returns the number of live phase buckets.
 func (p *PhaseBuffer) Buckets() int { return len(p.buckets) }
 
+// Reset empties the buffer, keeping every bucket's storage on the freelist
+// for the next Add.
+func (p *PhaseBuffer) Reset() {
+	for len(p.buckets) > 0 {
+		p.removeAt(len(p.buckets) - 1)
+	}
+}
+
 // Clone returns an independent deep copy of the buffer.
 func (p *PhaseBuffer) Clone() PhaseBuffer {
 	c := PhaseBuffer{buckets: make([]phaseBucket, len(p.buckets))}

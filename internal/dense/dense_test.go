@@ -157,3 +157,24 @@ func TestPhaseBufferSteadyStateNoAllocs(t *testing.T) {
 		t.Fatalf("steady-state buffering allocated %.1f times per round", allocs)
 	}
 }
+
+// TestPhaseBufferReset: a reset buffer is empty, and its buckets' storage
+// serves the next instance's phases without allocating.
+func TestPhaseBufferReset(t *testing.T) {
+	var p PhaseBuffer
+	fill := func() {
+		for ph := msg.Phase(1); ph <= 3; ph++ {
+			for i := 0; i < 4; i++ {
+				p.Add(ph, msg.Echo(msg.ID(i), 0, ph, msg.V1))
+			}
+		}
+	}
+	fill()
+	p.Reset()
+	if p.Buckets() != 0 || p.Len(1) != 0 || len(p.TakeInto(2, nil)) != 0 {
+		t.Fatalf("reset buffer holds %d buckets", p.Buckets())
+	}
+	if allocs := testing.AllocsPerRun(10, func() { fill(); p.Reset() }); allocs != 0 {
+		t.Fatalf("a reset buffer's next instance allocated %.1f times, want 0", allocs)
+	}
+}

@@ -21,8 +21,8 @@
 // sender dedup, n² or n·E bits, and per-subject acceptance) rather than
 // maps. A tracker keeps its phase tables in a phase-sorted slice, found by
 // binary search (a Byzantine sender may name any phase), and recycles them
-// through a freelist on Prune, so steady-state observation allocates
-// nothing.
+// through a freelist on Prune and Reset, so steady-state observation, and a
+// reset tracker's next instance, allocate nothing.
 package echo
 
 import (
@@ -108,6 +108,16 @@ func NewSampledTracker(n int, sample []int32, threshold int) *Tracker {
 		width:     width,
 		threshold: int32(threshold),
 	}
+}
+
+// Reset empties the tracker for a new instance of the same shape -- n, the
+// sample and the threshold stay: every phase table joins the freelist, and
+// no phase is pruned any more.
+func (t *Tracker) Reset() {
+	t.free = append(t.free, t.tallies...)
+	t.tallies = t.tallies[:0]
+	t.cur = nil
+	t.low = 0
 }
 
 // Threshold returns the number of matching echoes at which acceptance

@@ -48,9 +48,13 @@ func (o *InstanceOutcome) decided() int { return o.Decided }
 // record.
 //
 // The call returns once every running machine has decided, a driver fails,
-// or ctx expires. It owns conns from the call on: every non-nil conn is
-// closed on return, on every path, releasing its transport resources (for a
-// netxport instance conn, its demux id), and the slice is not to be reused.
+// or ctx expires, and only after every driver has exited: every machine is
+// quiescent once the call returns, so the caller may read it, and reset it
+// for another instance, with no engine goroutine left to step it or to hold
+// a slice one of its steps returned. It owns conns from the call on: every
+// non-nil conn is closed on return, on every path, releasing its transport
+// resources (for a netxport instance conn, its demux id), and the slice is
+// not to be reused.
 func RunInstance(ctx context.Context, machines []core.Machine, conns []transport.Conn, run []bool, reg *metrics.Registry) (InstanceOutcome, error) {
 	n := len(machines)
 	if len(conns) != n || len(run) != n {

@@ -5,6 +5,8 @@
 // phases, silence after halt, and bounded per-step output -- under sender
 // and subject ids that now and then lie outside 0..n-1. Replay is its
 // scripted counterpart: a fixed delivery list in, everything sent out.
+// Script writes the hostile stream down, and Diff delivers one script to
+// two machines that must behave alike.
 //
 // It is imported only from tests.
 package machinetest
@@ -13,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 
 	"resilient/internal/core"
 	"resilient/internal/msg"
@@ -39,23 +42,7 @@ func Fuzz(m core.Machine, rng *rand.Rand, opts Options) (err error) {
 			err = fmt.Errorf("machine panicked: %v", r)
 		}
 	}()
-	if opts.N <= 0 {
-		opts.N = 5
-	}
-	if opts.Steps <= 0 {
-		opts.Steps = 2000
-	}
-	if opts.MaxPhase <= 0 {
-		opts.MaxPhase = 6
-	}
-	kinds := opts.Kinds
-	if len(kinds) == 0 {
-		kinds = []msg.Kind{
-			msg.KindState, msg.KindValue, msg.KindInitial, msg.KindEcho,
-			msg.KindBenOrReport, msg.KindBenOrProposal, msg.KindGraph,
-		}
-	}
-
+	opts = opts.withDefaults()
 	var (
 		decidedVal msg.Value
 		decidedSet bool
@@ -92,11 +79,88 @@ func Fuzz(m core.Machine, rng *rand.Rand, opts Options) (err error) {
 		return err
 	}
 	for step := 0; step < opts.Steps; step++ {
-		in := randomMessage(rng, opts, kinds)
+		in := randomMessage(rng, opts)
 		outs := m.OnMessage(in)
 		if err := checkStep(outs, step); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// withDefaults fills in the unset options.
+func (opts Options) withDefaults() Options {
+	if opts.N <= 0 {
+		opts.N = 5
+	}
+	if opts.Steps <= 0 {
+		opts.Steps = 2000
+	}
+	if opts.MaxPhase <= 0 {
+		opts.MaxPhase = 6
+	}
+	if len(opts.Kinds) == 0 {
+		opts.Kinds = []msg.Kind{
+			msg.KindState, msg.KindValue, msg.KindInitial, msg.KindEcho,
+			msg.KindBenOrReport, msg.KindBenOrProposal, msg.KindGraph,
+		}
+	}
+	return opts
+}
+
+// Script returns opts.Steps messages of the stream Fuzz delivers: forged
+// subjects, wildcard and future phases, malformed values and ids outside
+// 0..n-1 included.
+func Script(rng *rand.Rand, opts Options) []msg.Message {
+	opts = opts.withDefaults()
+	script := make([]msg.Message, opts.Steps)
+	for i := range script {
+		script[i] = randomMessage(rng, opts)
+	}
+	return script
+}
+
+// Diff starts a and b, delivers the script to both in order, and returns an
+// error naming the first step after which they differ: in the sends the step
+// returned, Decided, Phase, Halted, or -- when both report one --
+// CurrentValue. Two machines built to be the same must never differ.
+func Diff(a, b core.Machine, script []msg.Message) error {
+	if err := diffStep(a, b, a.Start(), b.Start()); err != nil {
+		return fmt.Errorf("start: %w", err)
+	}
+	for i, in := range script {
+		if err := diffStep(a, b, a.OnMessage(in), b.OnMessage(in)); err != nil {
+			return fmt.Errorf("step %d (%+v): %w", i, in, err)
+		}
+	}
+	return nil
+}
+
+// diffStep compares one step of a and b: its sends and the state after it.
+func diffStep(a, b core.Machine, outsA, outsB []core.Outbound) error {
+	if len(outsA) != len(outsB) {
+		return fmt.Errorf("%d sends vs %d", len(outsA), len(outsB))
+	}
+	for i := range outsA {
+		if !reflect.DeepEqual(outsA[i], outsB[i]) {
+			return fmt.Errorf("send %d: %+v vs %+v", i, outsA[i], outsB[i])
+		}
+	}
+	va, oka := a.Decided()
+	vb, okb := b.Decided()
+	if va != vb || oka != okb {
+		return fmt.Errorf("decided (%d, %v) vs (%d, %v)", va, oka, vb, okb)
+	}
+	if pa, pb := a.Phase(), b.Phase(); pa != pb {
+		return fmt.Errorf("phase %d vs %d", pa, pb)
+	}
+	if ha, hb := a.Halted(), b.Halted(); ha != hb {
+		return fmt.Errorf("halted %v vs %v", ha, hb)
+	}
+	ra, okA := a.(core.ValueReporter)
+	rb, okB := b.(core.ValueReporter)
+	if okA && okB && ra.CurrentValue() != rb.CurrentValue() {
+		return fmt.Errorf("current value %d vs %d", ra.CurrentValue(), rb.CurrentValue())
 	}
 	return nil
 }
@@ -112,7 +176,7 @@ func Replay(m core.Machine, script []msg.Message) []core.Outbound {
 	return outs
 }
 
-func randomMessage(rng *rand.Rand, opts Options, kinds []msg.Kind) msg.Message {
+func randomMessage(rng *rand.Rand, opts Options) msg.Message {
 	from := hostileID(rng, opts.N, msg.ID(rng.IntN(opts.N)))
 	subject := from
 	if rng.IntN(4) == 0 {
@@ -127,7 +191,7 @@ func randomMessage(rng *rand.Rand, opts Options, kinds []msg.Kind) msg.Message {
 		value = msg.Value(rng.IntN(256)) // malformed value
 	}
 	m := msg.Message{
-		Kind:        kinds[rng.IntN(len(kinds))],
+		Kind:        opts.Kinds[rng.IntN(len(opts.Kinds))],
 		From:        from,
 		Subject:     subject,
 		Phase:       phase,

@@ -60,11 +60,24 @@ func (p *phaseMarks) mark(ph msg.Phase, id msg.ID) (already bool) {
 			return cmp.Compare(s.phase, ph)
 		})
 		if !found {
-			p.sets = slices.Insert(p.sets, i, phaseSet{phase: ph, marks: dense.NewBitset(p.n)})
+			// Sets are never deleted, so an entry past the end is one a reset
+			// left behind: its storage serves the new phase.
+			var marks dense.Bitset
+			if len(p.sets) < cap(p.sets) {
+				marks = p.sets[:len(p.sets)+1][len(p.sets)].marks
+			}
+			marks.Reset(p.n)
+			p.sets = slices.Insert(p.sets, i, phaseSet{phase: ph, marks: marks})
 		}
 		p.cur = i
 	}
 	return p.sets[p.cur].marks.Set(int(id))
+}
+
+// reset clears every mark for an n-process instance, keeping the sets'
+// storage, past the end of sets, for the phases it will mark.
+func (p *phaseMarks) reset(n int) {
+	p.n, p.sets, p.cur = n, p.sets[:0], 0
 }
 
 // Machine is a Figure-2 protocol instance at one process. It implements
@@ -103,7 +116,7 @@ type Machine struct {
 	scratch []msg.Message
 	// out is the per-step send buffer: every step appends into out[:0] and
 	// returns it, so the slice a step returns is valid only until the
-	// machine's next step (engines consume it before then).
+	// machine's next step or reset (engines consume it before then).
 	out []core.Outbound
 
 	started  bool
@@ -120,28 +133,64 @@ var (
 // New returns a Figure-2 machine for the given configuration. sink may be
 // nil to disable tracing.
 func New(cfg core.Config, sink trace.Sink) (*Machine, error) {
-	if err := cfg.Validate(quorum.Malicious); err != nil {
-		return nil, fmt.Errorf("malicious: %w", err)
+	if err := validate(cfg); err != nil {
+		return nil, err
 	}
 	return NewUnsafe(cfg, sink), nil
+}
+
+// validate checks cfg against the malicious-case resilience bound.
+func validate(cfg core.Config) error {
+	if err := cfg.Validate(quorum.Malicious); err != nil {
+		return fmt.Errorf("malicious: %w", err)
+	}
+	return nil
 }
 
 // NewUnsafe returns a machine without validating (n, k) against the
 // resilience bound; the Theorem-3 lower-bound experiment configures
 // k = n/3 deliberately.
 func NewUnsafe(cfg core.Config, sink trace.Sink) *Machine {
+	m := new(Machine)
+	m.reset(cfg, sink)
+	return m
+}
+
+// reset makes m the machine NewUnsafe(cfg, sink) would return, on the
+// full-quorum echo: it sets every field and keeps the storage of the step
+// buffer, the replay queue, the initial-echo marks, the wildcard sets and
+// log, the future-echo buffer and -- when m already counted full-quorum
+// echoes for the same n and k -- the echo tracker's phase tables. It is the
+// one construction path: a new machine is an empty one reset. m must be
+// quiescent: no engine steps it any more, and nothing holds a slice one of
+// its steps returned.
+func (m *Machine) reset(cfg core.Config, sink trace.Sink) {
 	if sink == nil {
 		sink = trace.Nop{}
 	}
-	return &Machine{
+	tracker := m.tracker
+	if tracker == nil || m.echoTargets != nil || m.cfg.N != cfg.N || m.cfg.K != cfg.K {
+		tracker = echo.NewTracker(cfg.N, cfg.K)
+	} else {
+		tracker.Reset()
+	}
+	m.echoedInitial.reset(cfg.N)
+	m.echoedWild.Reset(cfg.N)
+	m.wildSeen.Reset(cfg.N * cfg.N)
+	m.pendingEchoes.Reset()
+	*m = Machine{
 		cfg:           cfg,
 		sink:          sink,
 		traceOn:       sink.Enabled(),
 		value:         cfg.Input,
-		tracker:       echo.NewTracker(cfg.N, cfg.K),
-		echoedInitial: phaseMarks{n: cfg.N},
-		echoedWild:    dense.NewBitset(cfg.N),
-		wildSeen:      dense.NewBitset(cfg.N * cfg.N),
+		tracker:       tracker,
+		echoedInitial: m.echoedInitial,
+		echoedWild:    m.echoedWild,
+		wildSeen:      m.wildSeen,
+		wildOrder:     m.wildOrder[:0],
+		pendingEchoes: m.pendingEchoes,
+		scratch:       m.scratch[:0],
+		out:           m.out[:0],
 	}
 }
 
@@ -154,8 +203,8 @@ func NewUnsafe(cfg core.Config, sink trace.Sink) *Machine {
 // equivalence claim of DESIGN §13. Each acceptance carries the plan's ε
 // error, so agreement holds except with probability O(n·ε) per phase.
 func NewSampled(cfg core.Config, dir *sample.Directory, sink trace.Sink) (*Machine, error) {
-	if err := cfg.Validate(quorum.Malicious); err != nil {
-		return nil, fmt.Errorf("malicious: %w", err)
+	if err := validate(cfg); err != nil {
+		return nil, err
 	}
 	p := dir.Plan()
 	if p.N != cfg.N || p.K != cfg.K {

@@ -28,10 +28,17 @@ func init() {
 				}
 				return NewSampled(cfg, dir, deps.Sink)
 			}
-			if deps.Unsafe {
-				return NewUnsafe(cfg, deps.Sink), nil
+			if !deps.Unsafe {
+				if err := validate(cfg); err != nil {
+					return nil, err
+				}
 			}
-			return New(cfg, deps.Sink)
+			// A reused machine is reset onto the full-quorum echo.
+			if m, ok := deps.Reuse.(*Machine); ok {
+				m.reset(cfg, deps.Sink)
+				return m, nil
+			}
+			return NewUnsafe(cfg, deps.Sink), nil
 		},
 	})
 }

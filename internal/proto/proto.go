@@ -85,6 +85,12 @@ type Deps struct {
 	// deliberately misconfigured lower-bound experiments. Protocols
 	// without one ignore it.
 	Unsafe bool
+	// Reuse, when non-nil, is a machine this protocol built for an earlier
+	// run of the same shape (n and k) that no engine steps any more and
+	// whose step outputs nobody holds. Spawn may reset it for cfg and return
+	// it instead of allocating a new machine, or ignore it; the machine it
+	// returns must behave exactly as a new one would.
+	Reuse core.Machine
 }
 
 // Descriptor describes one registered protocol.

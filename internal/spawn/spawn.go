@@ -152,6 +152,14 @@ func (s Spawner) Reseeded(seed uint64) Spawner {
 // process id, and only for a machine that draws from it -- a deterministic
 // protocol constructs no RNG at all.
 func (s *Spawner) Spawn(ctx runtime.SpawnContext) (core.Machine, error) {
+	return s.Respawn(ctx, nil)
+}
+
+// Respawn is Spawn offering prev, a machine this spawner's protocol built
+// for an earlier run of the same n and k that no engine steps any more, for
+// the protocol to reset and return in place of a new one (proto.Deps.Reuse).
+// Only an honest process is offered it; prev may be nil.
+func (s *Spawner) Respawn(ctx runtime.SpawnContext, prev core.Machine) (core.Machine, error) {
 	self := ctx.Config.Self
 	strat, adversary := s.Adversaries[self]
 	if strat == Silent {
@@ -169,6 +177,9 @@ func (s *Spawner) Spawn(ctx runtime.SpawnContext) (core.Machine, error) {
 		deps.Coin = coin.NewLocal(ctx.RNG)
 	case coin.SchemeShared:
 		deps.Coin = s.shared
+	}
+	if !adversary {
+		deps.Reuse = prev
 	}
 	m, err := s.desc.Spawn(ctx.Config, deps)
 	if err != nil || !adversary {

@@ -213,6 +213,11 @@ type logRun struct {
 	crashAt map[ID]int // process -> first dead slot
 	reg     *MetricsRegistry
 	met     logMetrics
+	// spare holds replica sets whose slot is recorded, for replicas to hand
+	// to a later slot. A live run has up to window slots in flight and about
+	// as many finished behind a straggler, so at most 2·window sets wait;
+	// none outlives the run.
+	spare chan []slotMachine
 }
 
 func newLogRun(opts LogOptions) (*logRun, error) {
@@ -278,6 +283,7 @@ func newLogRun(opts LogOptions) (*logRun, error) {
 		r.crashAt[c.Process] = c.Slot
 	}
 	r.met = newLogMetrics(r.reg)
+	r.spare = make(chan []slotMachine, 2*r.window)
 	return r, nil
 }
 
@@ -466,12 +472,21 @@ func (w *slotMachine) Halted() bool {
 	return committed
 }
 
-// replicas returns slot d's n wrappers in one allocation, their machines
-// still unset; the proposer's holds the batch and its frames to send.
+// replicas returns slot d's n wrappers: a recorded slot's set when one is
+// spare, else a new one. Each keeps the machine it held, for respawn to
+// reset, and nothing else of its last slot: no frame, no count, no send. The
+// proposer's holds the batch and its frames to send. The frames are new
+// every slot, since the report's committed operations alias the frames the
+// replicas received.
 func (r *logRun) replicas(d slotDesc) []slotMachine {
-	ws := make([]slotMachine, r.n)
+	var ws []slotMachine
+	select {
+	case ws = <-r.spare:
+	default:
+		ws = make([]slotMachine, r.n)
+	}
 	for i := range ws {
-		ws[i].limit = int32(min(r.batch, math.MaxInt32))
+		ws[i] = slotMachine{inner: ws[i].inner, limit: int32(min(r.batch, math.MaxInt32))}
 	}
 	if d.batch == nil {
 		return ws
@@ -492,6 +507,23 @@ func (r *logRun) replicas(d slotDesc) []slotMachine {
 		w.send[i] = core.ToMany(targets, m)
 	}
 	return ws
+}
+
+// recycle hands a recorded slot's replicas to a later slot. Their machines
+// are quiescent: the slot's engine returned, and recordSlot has read them.
+func (r *logRun) recycle(ws []slotMachine) {
+	select {
+	case r.spare <- ws:
+	default:
+	}
+}
+
+// respawn builds the replica's machine for the process ctx describes,
+// offering the spawner the machine the replica held in its last slot.
+func (w *slotMachine) respawn(sp *spawn.Spawner, ctx runtime.SpawnContext) error {
+	m, err := sp.Respawn(ctx, w.inner)
+	w.inner = m
+	return err
 }
 
 // RunLog runs the replicated log to completion over a fixed operation list
@@ -552,6 +584,7 @@ func (r *logRun) runSim(ops [][]byte) (*LogReport, error) {
 				d.slot, missing, res.Agreement, res.Stalled)
 		}
 		r.recordSlot(rep, d, res.Value, ws)
+		r.recycle(ws)
 		durs = append(durs, res.SimTime)
 	}
 	rep.SimTime = windowEnd(durs, r.window)
@@ -571,9 +604,7 @@ func (r *logRun) simSlot(d slotDesc) (*runtime.Result, []slotMachine, error) {
 	cfg := sc.SimConfig(&sp)
 	cfg.Spawn = func(ctx runtime.SpawnContext) (core.Machine, error) {
 		w := &ws[ctx.Config.Self]
-		m, err := sp.Spawn(ctx)
-		w.inner = m
-		return w, err
+		return w, w.respawn(&sp, ctx)
 	}
 	res, err := runtime.Run(cfg)
 	return res, ws, err
@@ -668,6 +699,7 @@ func (r *logRun) runLive(ctx context.Context, ops [][]byte, rate float64) (*LogR
 				}
 				now := time.Now()
 				r.recordSlot(rep, next.desc, next.out.Value, next.reps)
+				r.recycle(next.reps)
 				if b := next.desc.batch; b != nil && next.out.Value == msg.V1 {
 					for _, at := range b.submitted {
 						l := now.Sub(start) - at
@@ -751,13 +783,13 @@ func (r *logRun) runLive(ctx context.Context, ops [][]byte, rate float64) (*LogR
 // exactly like traffic to a crashed host's dead process.
 func (r *logRun) runLiveSlot(ctx context.Context, d slotDesc, endpoints []*netxport.Endpoint) (livenet.InstanceOutcome, []slotMachine, error) {
 	sp := r.spawner.Reseeded(r.slotSeed(d.slot))
-	machines, err := sp.Machines(r.n, r.k, d.inputs(r.n))
-	if err != nil {
-		return livenet.InstanceOutcome{}, nil, fmt.Errorf("resilient: %w", err)
-	}
 	ws := r.replicas(d)
-	for i, m := range machines {
-		ws[i].inner = m
+	machines := make([]core.Machine, r.n)
+	for i, in := range d.inputs(r.n) {
+		cfg := core.Config{N: r.n, K: r.k, Self: ID(i), Input: in}
+		if err := ws[i].respawn(&sp, runtime.SpawnContext{Config: cfg}); err != nil {
+			return livenet.InstanceOutcome{}, nil, fmt.Errorf("resilient: build p%d: %w", i, err)
+		}
 		machines[i] = &ws[i]
 	}
 	conns, err := liveConns(r.n, endpoints, uint32(d.slot)+1, d.run)

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"resilient/internal/check"
+	"resilient/internal/core"
 	"resilient/internal/msg"
 	"resilient/internal/policy"
 )
@@ -687,5 +689,101 @@ func TestRunLogEmpty(t *testing.T) {
 			t.Fatalf("%v: empty run committed %+v", engine, rep)
 		}
 		requireLog(t, engine.String(), nil, rep)
+	}
+}
+
+// TestLogRecycledReplicas runs the log on every engine, at pipeline 1 and
+// 4, over more than 3n slots with one slot-boundary crash, so replica sets
+// and their machines pass from recorded slots to later ones: check.Log is
+// clean and exactly the submitted ops commit. After the run a spare set,
+// which still holds its last slot's frames, comes back from replicas for a
+// new slot holding no frame, count or send of that slot -- only the
+// proposer's new batch -- and with the machines it held, which the slot then
+// resets in place and commits the new batch with.
+func TestLogRecycledReplicas(t *testing.T) {
+	const n = 7
+	ops := testLogOps(4*3*n+5, 16)
+	for _, engine := range []Engine{EngineSim, EngineMem, EngineTCP} {
+		for _, pipeline := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%v/pipeline=%d", engine, pipeline), func(t *testing.T) {
+				r, err := newLogRun(LogOptions{
+					Engine: engine, N: n, Seed: 13, Batch: 4, Pipeline: pipeline,
+					Crashes: []LogCrash{{Process: 3, Slot: n + 2}},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := r.run(logCtx(t), ops, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireLog(t, engine.String(), ops, rep)
+				if rep.Slots <= 3*n || rep.NoopSlots == 0 {
+					t.Fatalf("%d slots, %d no-op: want more than %d and a crash that bites", rep.Slots, rep.NoopSlots, 3*n)
+				}
+				if len(r.spare) == 0 {
+					t.Fatal("no replica set came back for a later slot")
+				}
+				// The spare sets' last slots were the run's last; a no-op
+				// slot's set holds no frame, so take one a batch slot's.
+				var ws []slotMachine
+				for len(r.spare) > 0 {
+					set := <-r.spare
+					for i := range set {
+						if set[i].held > 0 {
+							ws = set
+						}
+					}
+				}
+				if ws == nil {
+					t.Fatal("no spare set holds a frame of its last slot")
+				}
+				inner := make([]core.Machine, n)
+				for i := range ws {
+					inner[i] = ws[i].inner
+				}
+
+				s := rep.Slots
+				if !r.aliveAt(ID(s%n), s) {
+					s++
+				}
+				batch := testLogOps(3, 24)
+				d := r.desc(s, &logBatch{ops: batch, submitted: make([]time.Duration, len(batch))})
+				r.recycle(ws)
+				got := r.replicas(d)
+				if &got[0] != &ws[0] {
+					t.Fatal("replicas built a new set with one spare")
+				}
+				for i := range got {
+					w := &got[i]
+					if w.inner != inner[i] {
+						t.Fatalf("replica %d lost the machine it held", i)
+					}
+					if ID(i) == d.proposer {
+						if w.held != 1 || !slices.EqualFunc(w.frames, batchFrames(batch), bytes.Equal) || len(w.send) != 1 {
+							t.Fatalf("proposer %d holds %d frames and %d sends, want the new batch's 1 and 1", i, w.held, len(w.send))
+						}
+						continue
+					}
+					if w.frames != nil || w.held != 0 || w.send != nil {
+						t.Fatalf("replica %d kept %d frames (%d held) and %d sends of its last slot", i, len(w.frames), w.held, len(w.send))
+					}
+				}
+
+				r.recycle(got)
+				res, ws2, err := r.simSlot(d)
+				if err != nil || !res.AllDecided || !res.Agreement || res.Value != msg.V1 {
+					t.Fatalf("recycled slot: err %v, decided %v, agreement %v, value %v", err, res.AllDecided, res.Agreement, res.Value)
+				}
+				for i := range ws2 {
+					if ws2[i].inner != inner[i] {
+						t.Fatalf("replica %d's machine was rebuilt, not reset", i)
+					}
+					if _, ok := ws2[i].Decided(); d.run[i] && (!ok || !slices.EqualFunc(ws2[i].frames, batchFrames(batch), bytes.Equal)) {
+						t.Fatalf("replica %d did not commit the new batch", i)
+					}
+				}
+			})
+		}
 	}
 }
