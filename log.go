@@ -67,8 +67,10 @@ type LogOptions struct {
 	// Batch is the maximum operations per slot (0 = DefaultLogBatch).
 	Batch int
 	// Pipeline is the window of slots in flight concurrently
-	// (0 = DefaultLogPipeline). Commits are still delivered in slot order
-	// through a reorder buffer bounded by the window.
+	// (0 = DefaultLogPipeline): at most Pipeline slots run at once. Commits
+	// are still delivered in slot order, so a finished slot waits for every
+	// earlier one, and how many finished slots wait behind a straggler has no
+	// bound.
 	Pipeline int
 	// Crashes schedules slot-boundary fail-stop deaths. At most K processes
 	// may crash over the whole run.
@@ -213,10 +215,10 @@ type logRun struct {
 	crashAt map[ID]int // process -> first dead slot
 	reg     *MetricsRegistry
 	met     logMetrics
-	// spare holds replica sets whose slot is recorded, for replicas to hand
-	// to a later slot. A live run has up to window slots in flight and about
-	// as many finished behind a straggler, so at most 2·window sets wait;
-	// none outlives the run.
+	// spare holds replica sets whose slot has committed, for replicas to
+	// hand to a later slot. At most window slots run at once, but the
+	// finished slots waiting behind a straggler have no bound, so the list
+	// keeps 2·window sets and drops the rest; none outlives the run.
 	spare chan []slotMachine
 }
 
@@ -301,26 +303,6 @@ func (r *logRun) desc(s int, b *logBatch) slotDesc {
 		d.run[i] = r.aliveAt(ID(i), s)
 	}
 	return d
-}
-
-// plan lays the backlog's batches onto slots: each batch takes the next
-// slot whose rotating proposer is alive, and every dead-proposer slot
-// skipped on the way becomes a no-op slot (the survivors still decide it, to
-// V0). The slot sequence -- hence the commit order -- is a pure function of
-// the batch sequence and the crash plan, which is what makes the committed
-// sequence engine-independent.
-func (r *logRun) plan(bat *batcher) []slotDesc {
-	var descs []slotDesc
-	s := 0
-	for b := bat.take(); b != nil; b = bat.take() {
-		for !r.aliveAt(ID(s%r.n), s) {
-			descs = append(descs, r.desc(s, nil))
-			s++
-		}
-		descs = append(descs, r.desc(s, b))
-		s++
-	}
-	return descs
 }
 
 // slotSeed derives slot s's machine seed.
@@ -509,15 +491,6 @@ func (r *logRun) replicas(d slotDesc) []slotMachine {
 	return ws
 }
 
-// recycle hands a recorded slot's replicas to a later slot. Their machines
-// are quiescent: the slot's engine returned, and recordSlot has read them.
-func (r *logRun) recycle(ws []slotMachine) {
-	select {
-	case r.spare <- ws:
-	default:
-	}
-}
-
 // respawn builds the replica's machine for the process ctx describes,
 // offering the spawner the machine the replica held in its last slot.
 func (w *slotMachine) respawn(sp *spawn.Spawner, ctx runtime.SpawnContext) error {
@@ -540,113 +513,24 @@ func RunLog(ctx context.Context, opts LogOptions, ops [][]byte) (*LogReport, err
 	return r.run(ctx, ops, 0)
 }
 
-// run commits ops through the log, arriving at rate ops/sec on a live engine
-// (0 = all at once); the simulator's clock is virtual and ignores the rate.
+// run commits ops, arriving at rate ops/sec on a live engine (0 = all at
+// once), with up to window slots in flight. EngineTCP multiplexes every slot
+// over ONE shared loopback mesh via per-slot netxport instance conns;
+// EngineMem gives each slot a fresh in-memory system. Slots commit in slot
+// order, and on a live engine each operation's latency is measured from
+// submission to that commit. A failed slot ends the run: the error names
+// it, and the report holds the slots committed before it.
 func (r *logRun) run(ctx context.Context, ops [][]byte, rate float64) (*LogReport, error) {
 	for i, op := range ops {
 		if len(op) > maxLogOp {
 			return nil, fmt.Errorf("resilient: log op %d is %d bytes (max %d)", i, len(op), maxLogOp)
 		}
 	}
-	if r.engine == EngineSim {
-		return r.runSim(ops)
-	}
-	return r.runLive(ctx, ops, rate)
-}
-
-// runSim executes the planned slots on the deterministic simulator, one
-// after another through simSlot. Slots never exchange a message, so how
-// they interleave is invisible to every machine; the pipeline only decides
-// when a slot is admitted, which windowEnd replays. Every operation has
-// arrived before the first slot, so the batcher cuts the same batches a
-// closed-loop live run launches.
-func (r *logRun) runSim(ops [][]byte) (*LogReport, error) {
 	start := time.Now()
-	bat := newBatcher(r.batch, len(ops))
-	for _, op := range ops {
-		bat.add(op, 0)
+	live := r.engine != EngineSim
+	if !live {
+		rate = 0 // the simulator's clock is virtual
 	}
-	rep := &LogReport{Engine: EngineSim, Committed: make([][]byte, 0, len(ops)), Replicas: make([]LogReplica, r.n)}
-	var durs []float64
-	for _, d := range r.plan(bat) {
-		res, ws, err := r.simSlot(d)
-		if err != nil {
-			return nil, err
-		}
-		if !res.AllDecided || !res.Agreement {
-			var missing []ID
-			for p, alive := range d.run {
-				if _, ok := ws[p].Decided(); alive && !ok {
-					missing = append(missing, ID(p))
-				}
-			}
-			return nil, fmt.Errorf("resilient: log slot %d: replicas %v did not commit (agreement=%v stalled=%v)",
-				d.slot, missing, res.Agreement, res.Stalled)
-		}
-		r.recordSlot(rep, d, res.Value, ws)
-		r.recycle(ws)
-		durs = append(durs, res.SimTime)
-	}
-	rep.SimTime = windowEnd(durs, r.window)
-	r.finishReport(rep, start, nil)
-	return rep, nil
-}
-
-// simSlot runs slot d through runtime.Run -- the call RunScenario makes --
-// with every machine wrapped in its replica, and returns the replicas.
-func (r *logRun) simSlot(d slotDesc) (*runtime.Result, []slotMachine, error) {
-	sc := r.slot
-	sc.Seed = r.slotSeed(d.slot)
-	sc.Inputs = d.inputs(r.n)
-	sc.Crashes = faults.InitiallyDead(d.dead()...)
-	sp := r.spawner.Reseeded(sc.Seed)
-	ws := r.replicas(d)
-	cfg := sc.SimConfig(&sp)
-	cfg.Spawn = func(ctx runtime.SpawnContext) (core.Machine, error) {
-		w := &ws[ctx.Config.Self]
-		return w, w.respawn(&sp, ctx)
-	}
-	res, err := runtime.Run(cfg)
-	return res, ws, err
-}
-
-// windowEnd is window admission on one virtual clock: at most window slots
-// are in flight, each slot is admitted the moment the earliest in-flight one
-// ends and then runs for its own duration, and the result is the time the
-// last one ends.
-func windowEnd(durs []float64, window int) float64 {
-	free := make([]float64, min(window, len(durs)))
-	end := 0.0
-	for _, d := range durs {
-		first := 0
-		for i, f := range free {
-			if f < free[first] {
-				first = i
-			}
-		}
-		free[first] += d
-		end = max(end, free[first])
-	}
-	return end
-}
-
-// slotRes is one finished slot on a live engine.
-type slotRes struct {
-	desc slotDesc
-	out  livenet.InstanceOutcome
-	reps []slotMachine
-	err  error
-}
-
-// runLive commits ops, arriving at rate ops/sec (0 = all at once), over a
-// live engine with up to window slots in flight. Slot transports: EngineTCP
-// multiplexes every slot over ONE shared loopback mesh via per-slot netxport
-// instance conns; EngineMem gives each slot a fresh in-memory system.
-// Commits are delivered in slot order through a reorder buffer bounded by
-// the window, and each operation's latency is measured from submission to
-// that in-order delivery point.
-func (r *logRun) runLive(ctx context.Context, ops [][]byte, rate float64) (*LogReport, error) {
-	start := time.Now()
 	var endpoints []*netxport.Endpoint
 	if r.engine == EngineTCP {
 		eps, err := tcpMeshEndpoints(r.n, r.reg)
@@ -659,57 +543,46 @@ func (r *logRun) runLive(ctx context.Context, ops [][]byte, rate float64) (*LogR
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	resCh := make(chan slotRes, r.window)
 	sem := make(chan struct{}, r.window)
 	var wg sync.WaitGroup
 
-	// Collector: reorder finished slots into slot order and commit at the
-	// frontier. Commit latency is stamped HERE -- a slot that finished early
-	// but sits behind a straggler in the window has not committed yet.
+	// Commit step: slot s's goroutine runs it under mu once committed == s,
+	// so slots commit in slot order and one at a time touch the report.
+	// Commit latency is stamped HERE -- a slot that finished early but sits
+	// behind a straggler has not committed yet.
+	var mu sync.Mutex
+	turn := sync.NewCond(&mu)
+	committed := 0 // slots whose commit step has run, failed ones included
 	rep := &LogReport{Engine: r.engine, Committed: make([][]byte, 0, len(ops)), Replicas: make([]LogReplica, r.n)}
 	lats := make([]time.Duration, 0, len(ops))
+	var durs []float64
 	var runErr error
-	collectorDone := make(chan struct{})
-	go func() {
-		defer close(collectorDone)
-		pendingRes := make(map[int]slotRes, r.window)
-		frontier := 0
-		for res := range resCh {
-			pendingRes[res.desc.slot] = res
-			for {
-				next, ok := pendingRes[frontier]
-				if !ok {
-					break
-				}
-				delete(pendingRes, frontier)
-				frontier++
-				if next.err != nil {
-					if runErr == nil {
-						runErr = fmt.Errorf("resilient: log slot %d: %w", next.desc.slot, next.err)
-						cancel()
-					}
-					continue
-				}
-				if !next.out.Agreement {
-					if runErr == nil {
-						runErr = fmt.Errorf("resilient: log slot %d: replicas disagreed", next.desc.slot)
-						cancel()
-					}
-					continue
-				}
-				now := time.Now()
-				r.recordSlot(rep, next.desc, next.out.Value, next.reps)
-				r.recycle(next.reps)
-				if b := next.desc.batch; b != nil && next.out.Value == msg.V1 {
-					for _, at := range b.submitted {
-						l := now.Sub(start) - at
-						lats = append(lats, l)
-						r.met.commitSecs.Observe(l.Seconds())
-					}
-				}
+	commit := func(d slotDesc, res slotResult) {
+		if runErr != nil {
+			return
+		}
+		v, err := r.verdict(d, res)
+		if err != nil {
+			runErr = err
+			cancel()
+			return
+		}
+		now := time.Now()
+		r.recordSlot(rep, d, v, res.ws)
+		select { // the engine returned, so the slot's machines are quiescent
+		case r.spare <- res.ws:
+		default:
+		}
+		if !live {
+			durs = append(durs, res.simTime)
+		} else if b := d.batch; b != nil && v == msg.V1 {
+			for _, at := range b.submitted {
+				l := now.Sub(start) - at
+				lats = append(lats, l)
+				r.met.commitSecs.Observe(l.Seconds())
 			}
 		}
-	}()
+	}
 
 	// Dispatcher (DESIGN §12): fold every arrival that is due into the
 	// backlog first, so admission never waits for the pipeline; only then
@@ -747,9 +620,11 @@ func (r *logRun) runLive(ctx context.Context, ops [][]byte, rate float64) (*LogR
 			var b *logBatch
 			if r.aliveAt(ID(s%r.n), s) {
 				b = bat.take()
-				launched := time.Since(start)
-				for _, at := range b.submitted {
-					r.met.batchWait.Observe((launched - at).Seconds())
+				if live {
+					launched := time.Since(start)
+					for _, at := range b.submitted {
+						r.met.batchWait.Observe((launched - at).Seconds())
+					}
 				}
 			}
 			d := r.desc(s, b)
@@ -757,47 +632,141 @@ func (r *logRun) runLive(ctx context.Context, ops [][]byte, rate float64) (*LogR
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				defer func() { <-sem }()
-				out, reps, err := r.runLiveSlot(runCtx, d, endpoints)
-				resCh <- slotRes{desc: d, out: out, reps: reps, err: err}
+				res := r.runSlot(runCtx, d, endpoints)
+				<-sem
+				mu.Lock()
+				for committed != d.slot {
+					turn.Wait()
+				}
+				commit(d, res)
+				committed++
+				turn.Broadcast()
+				mu.Unlock()
 			}()
 		case <-arrival:
 		case <-runCtx.Done():
 		}
 	}
 	wg.Wait()
-	close(resCh)
-	<-collectorDone
 
 	if runErr == nil && ctx.Err() != nil {
 		runErr = ctx.Err()
 	}
+	rep.SimTime = windowEnd(durs, r.window)
 	r.finishReport(rep, start, lats)
 	return rep, runErr
 }
 
-// runLiveSlot runs one consensus slot over the engine's transport and
-// returns its replicas. On TCP the slot claims instance id slot+1 on every
-// live endpoint (id 0 is the endpoints' own base channel); dead replicas
-// never claim theirs, so frames addressed to them are dropped by the demux
+// windowEnd is window admission on one virtual clock: at most window slots
+// are in flight, each slot is admitted the moment the earliest in-flight one
+// ends and then runs for its own duration, and the result is the time the
+// last one ends.
+func windowEnd(durs []float64, window int) float64 {
+	free := make([]float64, min(window, len(durs)))
+	end := 0.0
+	for _, d := range durs {
+		first := 0
+		for i, f := range free {
+			if f < free[first] {
+				first = i
+			}
+		}
+		free[first] += d
+		end = max(end, free[first])
+	}
+	return end
+}
+
+// slotResult is one slot's run: its replicas after the engine returned and,
+// on the simulator, the slot's virtual duration and why it stopped short.
+type slotResult struct {
+	ws      []slotMachine
+	simTime float64
+	stalled runtime.StallReason
+	err     error
+}
+
+// runSlot runs slot d on the run's engine: through runtime.Run on the
+// simulator, through livenet.RunInstance over the engine's transport
+// otherwise. On TCP the slot claims instance id slot+1 on every live
+// endpoint (id 0 is the endpoints' own base channel); dead replicas never
+// claim theirs, so frames addressed to them are dropped by the demux
 // exactly like traffic to a crashed host's dead process.
-func (r *logRun) runLiveSlot(ctx context.Context, d slotDesc, endpoints []*netxport.Endpoint) (livenet.InstanceOutcome, []slotMachine, error) {
+func (r *logRun) runSlot(ctx context.Context, d slotDesc, endpoints []*netxport.Endpoint) slotResult {
+	res := slotResult{ws: r.replicas(d)}
+	if r.engine == EngineSim {
+		if out, err := r.simRun(d, res.ws); err != nil {
+			res.err = err
+		} else {
+			res.simTime, res.stalled = out.SimTime, out.Stalled
+		}
+		return res
+	}
 	sp := r.spawner.Reseeded(r.slotSeed(d.slot))
-	ws := r.replicas(d)
 	machines := make([]core.Machine, r.n)
 	for i, in := range d.inputs(r.n) {
 		cfg := core.Config{N: r.n, K: r.k, Self: ID(i), Input: in}
-		if err := ws[i].respawn(&sp, runtime.SpawnContext{Config: cfg}); err != nil {
-			return livenet.InstanceOutcome{}, nil, fmt.Errorf("resilient: build p%d: %w", i, err)
+		if err := res.ws[i].respawn(&sp, runtime.SpawnContext{Config: cfg}); err != nil {
+			res.err = fmt.Errorf("resilient: build p%d: %w", i, err)
+			return res
 		}
-		machines[i] = &ws[i]
+		machines[i] = &res.ws[i]
 	}
 	conns, err := liveConns(r.n, endpoints, uint32(d.slot)+1, d.run)
 	if err != nil {
-		return livenet.InstanceOutcome{}, nil, err
+		res.err = err
+		return res
 	}
-	out, err := livenet.RunInstance(ctx, machines, conns, d.run, r.reg)
-	return out, ws, err
+	_, res.err = livenet.RunInstance(ctx, machines, conns, d.run, r.reg)
+	return res
+}
+
+// simRun runs slot d through runtime.Run -- the call RunScenario makes --
+// with every machine wrapped in its replica. It is runSlot's simulator
+// half, apart so that the reseeded spawner its Spawn closure captures is
+// not moved to the heap on a live slot.
+func (r *logRun) simRun(d slotDesc, ws []slotMachine) (*runtime.Result, error) {
+	sc := r.slot
+	sc.Seed = r.slotSeed(d.slot)
+	sc.Inputs = d.inputs(r.n)
+	sc.Crashes = faults.InitiallyDead(d.dead()...)
+	sp := r.spawner.Reseeded(sc.Seed)
+	cfg := sc.SimConfig(&sp)
+	cfg.Spawn = func(ctx runtime.SpawnContext) (core.Machine, error) {
+		w := &ws[ctx.Config.Self]
+		return w, w.respawn(&sp, ctx)
+	}
+	return runtime.Run(cfg)
+}
+
+// verdict is the commit rule, the same on every engine: slot d commits its
+// decided value only if its run returned no error and every replica alive in
+// the slot committed the same value.
+func (r *logRun) verdict(d slotDesc, res slotResult) (Value, error) {
+	if res.err != nil {
+		return 0, fmt.Errorf("resilient: log slot %d: %w", d.slot, res.err)
+	}
+	var v Value
+	decided, agree := false, true
+	var missing []ID
+	for p, alive := range d.run {
+		if !alive {
+			continue
+		}
+		switch dv, ok := res.ws[p].Decided(); {
+		case !ok:
+			missing = append(missing, ID(p))
+		case !decided:
+			v, decided = dv, true
+		case dv != v:
+			agree = false
+		}
+	}
+	if missing != nil || !agree {
+		return 0, fmt.Errorf("resilient: log slot %d: replicas %v did not commit (agreement=%v stalled=%v)",
+			d.slot, missing, agree, res.stalled)
+	}
+	return v, nil
 }
 
 // recordSlot folds one decided slot into the report from what its replicas

@@ -17,6 +17,7 @@ import (
 	"resilient/internal/check"
 	"resilient/internal/core"
 	"resilient/internal/msg"
+	"resilient/internal/netxport"
 	"resilient/internal/policy"
 )
 
@@ -167,24 +168,31 @@ func TestRunLogSimTimeIsSlotSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The slot layout the dispatcher makes: each batch takes the next slot
+	// whose proposer is alive, every dead proposer's turn a no-op slot.
 	bat := newBatcher(r.batch, len(ops))
 	for _, op := range ops {
 		bat.add(op, 0)
 	}
-	descs := r.plan(bat)
-	if len(descs) != rep.Slots || rep.NoopSlots == 0 {
-		t.Fatalf("planned %d slots, ran %d (%d no-op)", len(descs), rep.Slots, rep.NoopSlots)
-	}
-	sum := 0.0
-	for _, d := range descs {
-		res, _, err := r.simSlot(d)
+	ctx, sum := logCtx(t), 0.0
+	for s := 0; s < rep.Slots; s++ {
+		var b *logBatch
+		if r.aliveAt(ID(s%r.n), s) {
+			b = bat.take()
+		}
+		d := r.desc(s, b)
+		res := r.runSlot(ctx, d, nil)
+		v, err := r.verdict(d, res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Value != rep.SlotDecisions[d.slot] {
-			t.Fatalf("slot %d decided %v in the log, %v on its own", d.slot, rep.SlotDecisions[d.slot], res.Value)
+		if v != rep.SlotDecisions[s] {
+			t.Fatalf("slot %d decided %v in the log, %v on its own", s, rep.SlotDecisions[s], v)
 		}
-		sum += res.SimTime
+		sum += res.simTime
+	}
+	if b := bat.take(); b != nil || rep.NoopSlots == 0 {
+		t.Fatalf("%d slots, %d no-op: want every batch run and a crash that bites", rep.Slots, rep.NoopSlots)
 	}
 	if rep.SimTime != sum {
 		t.Fatalf("log SimTime %v, slots sum to %v", rep.SimTime, sum)
@@ -204,25 +212,42 @@ func (u uniformExcept) Link(from, to ID, m msg.Message, now float64, rng *rand.R
 	return policy.Uniform{Min: 0.1, Max: 1}.Link(from, to, m, now, rng)
 }
 
-// TestLogReplicaNeverCommitsUnheldBatch drops every batch frame addressed to
-// one replica: the replica's consensus machine still decides V1, but a
-// replica commits only the bytes it holds, so the run must fail at the
-// first batch slot and name that replica.
+// TestLogReplicaNeverCommitsUnheldBatch drops batch frames addressed to one
+// replica: its consensus machine still decides V1, but a replica commits
+// only the bytes it holds, so the run must fail at the first slot whose
+// frames were dropped, name that replica, and still report the slots
+// committed before it.
 func TestLogReplicaNeverCommitsUnheldBatch(t *testing.T) {
 	const starved = 3
-	r, err := newLogRun(LogOptions{Engine: EngineSim, N: 7, Seed: 5, Batch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.slot.Policy = uniformExcept{graph: func(to ID, _ msg.Message) policy.Verdict {
-		return policy.Verdict{Drop: to == starved, Delay: 0.5}
-	}}
-	rep, err := r.run(logCtx(t), testLogOps(8, 16), 0)
-	if err == nil {
-		t.Fatalf("p%d committed without its batch: %+v", starved, rep.Replicas)
-	}
-	if got := err.Error(); !strings.Contains(got, "slot 0:") || !strings.Contains(got, "replicas [3] did not commit") {
-		t.Fatalf("err = %v, want slot 0 naming replica %d", err, starved)
+	ops := testLogOps(16, 16)
+	for _, tc := range []struct {
+		name string
+		from ID // the proposer whose frames to starved are dropped; -1 = every one
+		slot int
+	}{
+		{"every batch", -1, 0},
+		{"slot 2 only", 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := newLogRun(LogOptions{Engine: EngineSim, N: 7, Seed: 5, Batch: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.slot.Policy = uniformExcept{graph: func(to ID, m msg.Message) policy.Verdict {
+				return policy.Verdict{Drop: to == starved && (tc.from < 0 || m.From == tc.from), Delay: 0.5}
+			}}
+			rep, err := r.run(logCtx(t), ops, 0)
+			if err == nil {
+				t.Fatalf("p%d committed without its batch: %+v", starved, rep.Replicas)
+			}
+			if got := err.Error(); !strings.Contains(got, fmt.Sprintf("slot %d:", tc.slot)) || !strings.Contains(got, "replicas [3] did not commit") {
+				t.Fatalf("err = %v, want slot %d naming replica %d", err, tc.slot, starved)
+			}
+			if rep == nil {
+				t.Fatal("failed run returned no report")
+			}
+			requireLog(t, "committed prefix", ops[:4*tc.slot], rep)
+		})
 	}
 }
 
@@ -699,7 +724,7 @@ func TestRunLogEmpty(t *testing.T) {
 // which still holds its last slot's frames, comes back from replicas for a
 // new slot holding no frame, count or send of that slot -- only the
 // proposer's new batch -- and with the machines it held, which the slot then
-// resets in place and commits the new batch with.
+// resets in place and commits the new batch with on the same engine.
 func TestLogRecycledReplicas(t *testing.T) {
 	const n = 7
 	ops := testLogOps(4*3*n+5, 16)
@@ -749,7 +774,7 @@ func TestLogRecycledReplicas(t *testing.T) {
 				}
 				batch := testLogOps(3, 24)
 				d := r.desc(s, &logBatch{ops: batch, submitted: make([]time.Duration, len(batch))})
-				r.recycle(ws)
+				r.spare <- ws
 				got := r.replicas(d)
 				if &got[0] != &ws[0] {
 					t.Fatal("replicas built a new set with one spare")
@@ -770,11 +795,19 @@ func TestLogRecycledReplicas(t *testing.T) {
 					}
 				}
 
-				r.recycle(got)
-				res, ws2, err := r.simSlot(d)
-				if err != nil || !res.AllDecided || !res.Agreement || res.Value != msg.V1 {
-					t.Fatalf("recycled slot: err %v, decided %v, agreement %v, value %v", err, res.AllDecided, res.Agreement, res.Value)
+				r.spare <- got
+				var endpoints []*netxport.Endpoint
+				if engine == EngineTCP {
+					if endpoints, err = tcpMeshEndpoints(n, nil); err != nil {
+						t.Fatal(err)
+					}
+					defer closeEndpoints(endpoints)
 				}
+				res := r.runSlot(logCtx(t), d, endpoints)
+				if v, err := r.verdict(d, res); err != nil || v != msg.V1 {
+					t.Fatalf("recycled slot: err %v, value %v", err, v)
+				}
+				ws2 := res.ws
 				for i := range ws2 {
 					if ws2[i].inner != inner[i] {
 						t.Fatalf("replica %d's machine was rebuilt, not reset", i)
