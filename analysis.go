@@ -26,27 +26,22 @@ type ChainAnalysis struct {
 // processes, fault parameter k, and nobody actually dying (the fail-stop
 // worst case of Section 4).
 func AnalyzeFailStop(n, k int) (*ChainAnalysis, error) {
-	c := markov.FailStop{N: n, K: k}
-	byState, err := c.ExpectedAbsorption()
-	if err != nil {
-		return nil, err
-	}
-	return &ChainAnalysis{N: n, K: k, FromBalanced: byState[n/2], ByState: byState}, nil
+	return analyze(markov.Chain{N: n, K: k, Model: markov.FailStop})
 }
 
 // AnalyzeMalicious solves the Section 4.2 chain exactly: n-k correct
 // processes against k balancing adversaries. forced selects the paper's
 // adversary model, in which the k adversarial messages appear in every view.
 func AnalyzeMalicious(n, k int, forced bool) (*ChainAnalysis, error) {
-	c := markov.Malicious{N: n, K: k, Forced: forced}
+	return analyze(markov.Chain{N: n, K: k, Model: markov.Adversary(forced)})
+}
+
+func analyze(c markov.Chain) (*ChainAnalysis, error) {
 	byState, err := c.ExpectedAbsorption()
 	if err != nil {
 		return nil, err
 	}
-	// (n-k)/2 is the balanced middle *state index* of the n-k correct
-	// processes, not a decision threshold.
-	//lint:allow quorumarith positional index of the balanced chain state, not a quorum
-	return &ChainAnalysis{N: n, K: k, FromBalanced: byState[(n-k)/2], ByState: byState}, nil
+	return &ChainAnalysis{N: c.N, K: c.K, FromBalanced: byState[c.Balanced()], ByState: byState}, nil
 }
 
 // FailStopPhaseBound evaluates the paper's closed-form eq. (13) bound on the
@@ -84,45 +79,28 @@ func (e Estimate) String() string {
 // view model, the expected phases to absorption of the fail-stop chain from
 // the balanced start.
 func EstimateFailStopAbsorption(n, k, trials int, seed uint64) (Estimate, error) {
-	chain := mc.FailStop{N: n, K: k}
-	rng := spawn.Rand(seed)
-	var acc stats.Accumulator
-	for t := 0; t < trials; t++ {
-		phases, err := chain.AbsorptionRun(n/2, rng, 0)
-		if err != nil {
-			return Estimate{}, err
-		}
-		acc.Add(float64(phases))
-	}
-	return toEstimate(acc), nil
+	return estimate(&mc.Chain{Chain: markov.Chain{N: n, K: k, Model: markov.FailStop}}, trials, seed)
 }
 
 // EstimateMaliciousAbsorption estimates the expected phases to absorption of
 // the Section 4.2 chain (k balancing adversaries) from the balanced start.
 // forced selects the paper's always-delivered adversary model.
 func EstimateMaliciousAbsorption(n, k, trials int, forced bool, seed uint64) (Estimate, error) {
-	model := mc.Mixed
-	if forced {
-		model = mc.Forced
-	}
-	chain := mc.Malicious{N: n, K: k, Model: model}
+	return estimate(&mc.Chain{Chain: markov.Chain{N: n, K: k, Model: markov.Adversary(forced)}}, trials, seed)
+}
+
+func estimate(chain *mc.Chain, trials int, seed uint64) (Estimate, error) {
 	rng := spawn.Rand(seed)
 	var acc stats.Accumulator
 	for t := 0; t < trials; t++ {
-		// Start from the balanced middle state index, not a threshold.
-		//lint:allow quorumarith positional index of the balanced chain state, not a quorum
-		phases, err := chain.AbsorptionRun((n-k)/2, rng, 0)
+		phases, err := chain.AbsorptionRun(chain.Balanced(), rng, 0)
 		if err != nil {
 			return Estimate{}, err
 		}
 		acc.Add(float64(phases))
 	}
-	return toEstimate(acc), nil
-}
-
-func toEstimate(acc stats.Accumulator) Estimate {
 	s := acc.Summarize()
-	return Estimate{Mean: s.Mean, CI95: s.CI95, Min: s.Min, Max: s.Max, Trials: s.N}
+	return Estimate{Mean: s.Mean, CI95: s.CI95, Min: s.Min, Max: s.Max, Trials: s.N}, nil
 }
 
 // DecisionSplit computes, for every possible initial count of 1-valued
@@ -131,5 +109,5 @@ func toEstimate(acc stats.Accumulator) Estimate {
 // value is still likely to be equal to the majority of the initial input
 // values". The returned slice is indexed by the initial 1-count (0..n).
 func DecisionSplit(n, k int) ([]float64, error) {
-	return markov.FailStop{N: n, K: k}.AbsorptionSplit()
+	return markov.Chain{N: n, K: k, Model: markov.FailStop}.AbsorptionSplit()
 }

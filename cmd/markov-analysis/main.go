@@ -17,6 +17,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -49,15 +50,19 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	forcedSet := false
+	fs.Visit(func(f *flag.Flag) { forcedSet = forcedSet || f.Name == "forced" })
+	if forcedSet && !*malicious {
+		return errors.New("-forced does not apply to the fail-stop chain (it needs -malicious)")
+	}
 	if *k < 0 {
 		*k = *n / 3
 	}
-
-	ens := ensembleConfig{trials: *mcTrials, workers: *workers, seed: *seed}
+	chain := markov.Chain{N: *n, K: *k, Model: markov.FailStop}
 	if *malicious {
-		return maliciousAnalysis(*n, *k, *forced, *l, *states, *tailN, ens)
+		chain.Model = markov.Adversary(*forced)
 	}
-	return failStopAnalysis(*n, *k, *l, *states, *tailN, ens)
+	return analysis(chain, *l, *states, *tailN, ensembleConfig{trials: *mcTrials, workers: *workers, seed: *seed})
 }
 
 // ensembleConfig carries the -mc/-workers/-seed Monte-Carlo cross-check
@@ -68,22 +73,9 @@ type ensembleConfig struct {
 	seed    uint64
 }
 
-func printEnsemble(e *mc.Ensemble, exact float64) {
-	fmt.Printf("  MC E[T] (%d trials):                %.4f ± %.4f (95%%), Δ from exact %.4f\n",
-		e.Trials, e.Mean, e.CI95, e.Mean-exact)
-	fmt.Printf("  MC phases p50/p90/p99:              %.1f / %.1f / %.1f (max %.0f)\n",
-		e.P50, e.P90, e.P99, e.Max)
-}
-
-func printTail(tail []float64) {
-	fmt.Println("  t    P[T > t]")
-	for t, p := range tail {
-		fmt.Printf("  %-4d %.3e\n", t, p)
-	}
-}
-
-func failStopAnalysis(n, k int, l float64, states bool, tailN int, ens ensembleConfig) error {
-	chain := markov.FailStop{N: n, K: k}
+// analysis prints the report on one chain; only the header lines and the
+// paper's bounds differ between chain P and chain M.
+func analysis(chain markov.Chain, l float64, states bool, tailN int, ens ensembleConfig) error {
 	if err := chain.Validate(); err != nil {
 		return err
 	}
@@ -91,32 +83,47 @@ func failStopAnalysis(n, k int, l float64, states bool, tailN int, ens ensembleC
 	if err != nil {
 		return err
 	}
-	fmt.Printf("fail-stop chain  n=%d k=%d  (Section 4.1)\n", n, k)
-	fmt.Printf("  states: 0..%d = processes holding value 1\n", n)
-	fmt.Printf("  absorbing region: 2i < n-k (= %d) or 2i > n+k (= %d)\n", n-k, n+k)
-	fmt.Printf("  exact E[T] from balanced state %d:  %.4f phases\n", n/2, times[n/2])
-	fmt.Printf("  collapsed bound eq.(13), l=%.4f:    %.4f phases\n", l, markov.CollapsedBound(n, l))
-	viaMatrix, err := markov.CollapsedBoundViaMatrix(n, l)
-	if err != nil {
-		return err
+	n, k, balanced := chain.N, chain.K, chain.Balanced()
+	if chain.Model == markov.FailStop {
+		fmt.Printf("fail-stop chain  n=%d k=%d  (Section 4.1)\n", n, k)
+		fmt.Printf("  states: 0..%d = processes holding value 1\n", n)
+		fmt.Printf("  absorbing region: 2i < n-k (= %d) or 2i > n+k (= %d)\n", n-k, n+k)
+	} else {
+		fmt.Printf("malicious chain  n=%d k=%d forced=%v  (Section 4.2)\n", n, k, chain.Model == markov.Forced)
+		fmt.Printf("  states: 0..%d = correct processes holding value 1\n", chain.Pop())
+		fmt.Printf("  k corresponds to l = 2k/sqrt(n) = %.4f\n", markov.LForK(n, k))
 	}
-	fmt.Printf("  collapsed bound via (I-Q)^-1:       %.4f phases\n", viaMatrix)
-	fmt.Printf("  paper's headline (l^2 = 1.5): bound < 7 for every n -> %v\n",
-		markov.CollapsedBound(n, markov.DefaultL) < 7)
+	fmt.Printf("  exact E[T] from balanced state %d:  %.4f phases\n", balanced, times[balanced])
+	if chain.Model == markov.FailStop {
+		fmt.Printf("  collapsed bound eq.(13), l=%.4f:    %.4f phases\n", l, markov.CollapsedBound(n, l))
+		viaMatrix, err := markov.CollapsedBoundViaMatrix(n, l)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("  collapsed bound via (I-Q)^-1:       %.4f phases\n", viaMatrix)
+		fmt.Printf("  paper's headline (l^2 = 1.5): bound < 7 for every n -> %v\n",
+			markov.CollapsedBound(n, markov.DefaultL) < 7)
+	} else {
+		fmt.Printf("  paper bound 1/(2*Phi(l)):           %.4f phases\n", markov.MaliciousBound(markov.LForK(n, k)))
+		fmt.Printf("  bound at requested l=%.4f:          %.4f phases\n", l, markov.MaliciousBound(l))
+	}
 	if ens.trials > 0 {
-		sim := &mc.FailStop{N: n, K: k}
+		sim := &mc.Chain{Chain: chain}
 		e, err := sim.AbsorptionEnsemble(mc.EnsembleOptions{
-			Trials: ens.trials, Workers: ens.workers, Start: n / 2, Seed: ens.seed,
+			Trials: ens.trials, Workers: ens.workers, Start: balanced, Seed: ens.seed,
 		})
 		if err != nil {
 			return err
 		}
-		printEnsemble(e, times[n/2])
+		fmt.Printf("  MC E[T] (%d trials):                %.4f ± %.4f (95%%), Δ from exact %.4f\n",
+			e.Trials, e.Mean, e.CI95, e.Mean-times[balanced])
+		fmt.Printf("  MC phases p50/p90/p99:              %.1f / %.1f / %.1f (max %.0f)\n",
+			e.P50, e.P90, e.P99, e.Max)
 	}
 	if states {
 		fmt.Println("  state   w_i      E[T]")
-		for i := 0; i <= n; i++ {
-			fmt.Printf("  %5d   %.4f   %.4f\n", i, chain.W(i), times[i])
+		for i, t := range times {
+			fmt.Printf("  %5d   %.4f   %.4f\n", i, chain.W(i), t)
 		}
 	}
 	if tailN > 0 {
@@ -124,54 +131,10 @@ func failStopAnalysis(n, k int, l float64, states bool, tailN int, ens ensembleC
 		if err != nil {
 			return err
 		}
-		printTail(tail)
-	}
-	return nil
-}
-
-func maliciousAnalysis(n, k int, forced bool, l float64, states bool, tailN int, ens ensembleConfig) error {
-	chain := markov.Malicious{N: n, K: k, Forced: forced}
-	if err := chain.Validate(); err != nil {
-		return err
-	}
-	times, err := chain.ExpectedAbsorption()
-	if err != nil {
-		return err
-	}
-	correct := chain.Correct()
-	lk := markov.LForK(n, k)
-	fmt.Printf("malicious chain  n=%d k=%d forced=%v  (Section 4.2)\n", n, k, forced)
-	fmt.Printf("  states: 0..%d = correct processes holding value 1\n", correct)
-	fmt.Printf("  k corresponds to l = 2k/sqrt(n) = %.4f\n", lk)
-	fmt.Printf("  exact E[T] from balanced state %d:  %.4f phases\n", correct/2, times[correct/2])
-	fmt.Printf("  paper bound 1/(2*Phi(l)):           %.4f phases\n", markov.MaliciousBound(lk))
-	fmt.Printf("  bound at requested l=%.4f:          %.4f phases\n", l, markov.MaliciousBound(l))
-	if ens.trials > 0 {
-		model := mc.Mixed
-		if forced {
-			model = mc.Forced
+		fmt.Println("  t    P[T > t]")
+		for t, p := range tail {
+			fmt.Printf("  %-4d %.3e\n", t, p)
 		}
-		sim := &mc.Malicious{N: n, K: k, Model: model}
-		e, err := sim.AbsorptionEnsemble(mc.EnsembleOptions{
-			Trials: ens.trials, Workers: ens.workers, Start: correct / 2, Seed: ens.seed,
-		})
-		if err != nil {
-			return err
-		}
-		printEnsemble(e, times[correct/2])
-	}
-	if states {
-		fmt.Println("  state   w_i      E[T]")
-		for i := 0; i <= correct; i++ {
-			fmt.Printf("  %5d   %.4f   %.4f\n", i, chain.W(i), times[i])
-		}
-	}
-	if tailN > 0 {
-		tail, err := chain.TailFromBalanced(tailN)
-		if err != nil {
-			return err
-		}
-		printTail(tail)
 	}
 	return nil
 }

@@ -103,8 +103,9 @@ func validate(sc *Scenario, engine Engine) (*spawn.Spawner, error) {
 	return sp, err
 }
 
-// Outcome is the engine-independent view of one scenario execution. The
-// engine-specific report (Sim or Live) carries the full detail.
+// Outcome is the engine-independent view of one scenario execution. On the
+// simulator, Sim carries the full result; a live engine's report is the
+// decision record and elapsed time themselves.
 type Outcome struct {
 	// Engine is the engine that produced this outcome.
 	Engine Engine
@@ -115,8 +116,6 @@ type Outcome struct {
 	Elapsed time.Duration
 	// Sim is the simulator's full result (EngineSim only).
 	Sim *Result
-	// Live is the live engine's full report (live engines only).
-	Live *ClusterReport
 }
 
 // RunScenario executes one scenario on the chosen engine. The context
@@ -144,7 +143,7 @@ func RunScenario(ctx context.Context, engine Engine, sc Scenario) (*Outcome, err
 	if rep == nil {
 		return nil, runErr
 	}
-	return &Outcome{Engine: engine, DecisionRecord: rep.DecisionRecord, Elapsed: rep.Elapsed, Live: rep}, runErr
+	return &Outcome{Engine: engine, DecisionRecord: rep.DecisionRecord, Elapsed: rep.Elapsed}, runErr
 }
 
 // liveCluster assembles the validated scenario's live cluster: machines
@@ -210,9 +209,6 @@ func liveConns(n int, endpoints []*netxport.Endpoint, inst uint32, alive []bool)
 	}
 	return conns, nil
 }
-
-// ClusterReport summarizes a live cluster run; see the livenet package.
-type ClusterReport = livenet.Report
 
 // tcpMeshEndpoints starts n loopback TCP endpoints on ephemeral ports and
 // wires them into a full mesh: everyone listens first, then the discovered

@@ -110,13 +110,6 @@ func (m *Machine) Decided() (msg.Value, bool) { return m.decision, m.decided }
 // Halted implements core.Machine.
 func (m *Machine) Halted() bool { return m.halted }
 
-// Neighbors returns S_p once stage 0 has completed (for tests).
-func (m *Machine) Neighbors() []msg.ID {
-	out := make([]msg.ID, len(m.neighbors))
-	copy(out, m.neighbors)
-	return out
-}
-
 // Start broadcasts the stage-0 input message.
 func (m *Machine) Start() []core.Outbound {
 	if m.started {

@@ -37,14 +37,13 @@ func E1(p Params) ([]*Table, error) {
 	}
 	for row, n := range sizes {
 		k := n / 3
-		chain := markov.FailStop{N: n, K: k}
+		chain := &mc.Chain{Chain: markov.Chain{N: n, K: k, Model: markov.FailStop}, Metrics: p.Metrics}
 		exact, err := chain.ExpectedFromBalanced()
 		if err != nil {
 			return nil, fmt.Errorf("E1a n=%d: %w", n, err)
 		}
-		mcChain := mc.FailStop{N: n, K: k, Metrics: p.Metrics}
 		acc, err := chainRuns(p, row, 7, func(rng *rand.Rand) (int, error) {
-			return mcChain.AbsorptionRun(n/2, rng, 0)
+			return chain.AbsorptionRun(chain.Balanced(), rng, 0)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("E1a n=%d: %w", n, err)
@@ -77,9 +76,9 @@ func E1(p Params) ([]*Table, error) {
 	scoped := p.Metrics.Scoped("majority.")
 	for row, n := range sizes {
 		k := quorum.MaxFaults(n, quorum.Malicious) // 3k < n for reachability
-		mcChain := mc.FailStop{N: n, K: k, Metrics: p.Metrics}
+		chain := &mc.Chain{Chain: markov.Chain{N: n, K: k, Model: markov.FailStop}, Metrics: p.Metrics}
 		mcAcc, err := chainRuns(p, 100+row, 7, func(rng *rand.Rand) (int, error) {
-			phases, _, err := mcChain.DecisionRun(n/2, rng, 0)
+			phases, _, err := chain.DecisionRun(chain.Balanced(), rng, 0)
 			return phases, err
 		})
 		if err != nil {

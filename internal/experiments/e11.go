@@ -73,12 +73,11 @@ func E11(p Params) ([]*Table, error) {
 		Header: []string{"initial 1s", "analytic P(decide 1)", "simulated P(decide 1)"},
 	}
 	nn, kk := 30, 9
-	chain := markov.FailStop{N: nn, K: kk}
-	split, err := chain.AbsorptionSplit()
+	sim := &mc.Chain{Chain: markov.Chain{N: nn, K: kk, Model: markov.FailStop}}
+	split, err := sim.AbsorptionSplit()
 	if err != nil {
 		return nil, fmt.Errorf("E11b: %w", err)
 	}
-	sim := mc.FailStop{N: nn, K: kk}
 	starts := []int{6, 11, 13, 15, 17, 19, 24}
 	if p.Quick {
 		starts = []int{11, 15, 19}

@@ -36,19 +36,21 @@ func E2(p Params) ([]*Table, error) {
 			k = 1
 		}
 		bound := markov.MaliciousBound(markov.LForK(n, k))
-		exactForced, err := (markov.Malicious{N: n, K: k, Forced: true}).ExpectedFromBalanced()
+		forced := markov.Chain{N: n, K: k, Model: markov.Forced}
+		mixed := markov.Chain{N: n, K: k, Model: markov.Mixed}
+		exactForced, err := forced.ExpectedFromBalanced()
 		if err != nil {
 			return nil, fmt.Errorf("E2a l=%v: %w", l, err)
 		}
-		exactMixed, err := (markov.Malicious{N: n, K: k, Forced: false}).ExpectedFromBalanced()
+		exactMixed, err := mixed.ExpectedFromBalanced()
 		if err != nil {
 			return nil, fmt.Errorf("E2a l=%v: %w", l, err)
 		}
-		mcF, err := e2MC(&mc.Malicious{N: n, K: k, Model: mc.Forced, Metrics: p.Metrics}, p, 300+row)
+		mcF, err := e2MC(forced, p, 300+row)
 		if err != nil {
 			return nil, err
 		}
-		mcM, err := e2MC(&mc.Malicious{N: n, K: k, Model: mc.Mixed, Metrics: p.Metrics}, p, 400+row)
+		mcM, err := e2MC(mixed, p, 400+row)
 		if err != nil {
 			return nil, err
 		}
@@ -73,11 +75,12 @@ func E2(p Params) ([]*Table, error) {
 	}
 	for row, nn := range sizes {
 		k := 2
-		exact, err := (markov.Malicious{N: nn, K: k, Forced: true}).ExpectedFromBalanced()
+		forced := markov.Chain{N: nn, K: k, Model: markov.Forced}
+		exact, err := forced.ExpectedFromBalanced()
 		if err != nil {
 			return nil, fmt.Errorf("E2b n=%d: %w", nn, err)
 		}
-		est, err := e2MC(&mc.Malicious{N: nn, K: k, Model: mc.Forced, Metrics: p.Metrics}, p, 500+row)
+		est, err := e2MC(forced, p, 500+row)
 		if err != nil {
 			return nil, err
 		}
@@ -87,9 +90,10 @@ func E2(p Params) ([]*Table, error) {
 	return []*Table{ta, tb}, nil
 }
 
-func e2MC(chain *mc.Malicious, p Params, rowSeed int) (stats.Accumulator, error) {
+func e2MC(desc markov.Chain, p Params, rowSeed int) (stats.Accumulator, error) {
+	chain := &mc.Chain{Chain: desc, Metrics: p.Metrics}
 	acc, err := chainRuns(p, rowSeed, 11, func(rng *rand.Rand) (int, error) {
-		return chain.AbsorptionRun(chain.Correct()/2, rng, 0)
+		return chain.AbsorptionRun(chain.Balanced(), rng, 0)
 	})
 	if err != nil {
 		return acc, fmt.Errorf("E2 MC n=%d k=%d: %w", chain.N, chain.K, err)

@@ -182,13 +182,12 @@ func ProjectConfig(dir string) Config {
 			// The discrete-event dispatch loop: deliver/dispatch/enqueue and
 			// the event queue follow by static calls.
 			mod + "/internal/runtime.runner.loop",
-			// The Monte-Carlo per-phase chain steps. The lowercase inner
-			// step is the per-phase unit: AbsorptionRun/DecisionRun resolve
-			// metric handles once (atomic-cached) and then call step in the
-			// phase loop, so re-introducing per-phase handle resolution or
-			// allocation inside step is exactly what must be caught.
-			mod + "/internal/mc.FailStop.step",
-			mod + "/internal/mc.Malicious.step",
+			// The Monte-Carlo per-phase chain step. The lowercase inner step
+			// is the per-phase unit: AbsorptionRun resolves metric handles
+			// once (atomic-cached) and then calls step in the phase loop, so
+			// re-introducing per-phase handle resolution or allocation
+			// inside step is exactly what must be caught.
+			mod + "/internal/mc.Chain.step",
 			// The TCP transport's per-message paths: send covers the
 			// encode/enqueue/flush chain (appendFrame, enqueueLocked,
 			// writeLoop, flushBatch follow by static calls), readLoop covers

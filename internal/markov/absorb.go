@@ -14,79 +14,40 @@ import (
 // their side. This quantifies the paper's closing remark that "the
 // consensus value is still likely to be equal to the majority of the
 // initial input values".
-func (c FailStop) AbsorptionSplit() ([]float64, error) {
+func (c Chain) AbsorptionSplit() ([]float64, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return absorptionSplit(c.N+1, c.Absorbed, c.TransitionRow, func(i int) bool {
-		return quorum.ExceedsHalfNPlusK(i, c.N, c.K)
-	})
-}
-
-// AbsorptionSplit is the malicious-chain analogue of FailStop's.
-func (c Malicious) AbsorptionSplit() ([]float64, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return absorptionSplit(c.Correct()+1, c.Absorbed, c.TransitionRow, func(i int) bool {
-		return quorum.ExceedsHalfNPlusK(i, c.N, c.K)
-	})
-}
-
-// absorptionSplit solves B = N*R for the probability of ending in the
-// "high" absorbing side from each state.
-func absorptionSplit(states int, absorbed func(int) bool, row func(int) []float64, high func(int) bool) ([]float64, error) {
-	var transient []int
-	index := make(map[int]int, states)
-	for i := 0; i < states; i++ {
-		if !absorbed(i) {
-			index[i] = len(transient)
-			transient = append(transient, i)
-		}
-	}
-	out := make([]float64, states)
-	for i := 0; i < states; i++ {
-		if absorbed(i) && high(i) {
+	high := func(i int) bool { return quorum.ExceedsHalfNPlusK(i, c.N, c.K) }
+	out := make([]float64, c.Pop()+1)
+	for i := range out {
+		if c.Absorbed(i) && high(i) {
 			out[i] = 1
 		}
 	}
-	if len(transient) == 0 {
+	b := c.transient()
+	if len(b.states) == 0 {
 		return out, nil
 	}
-	q := matrix.New(len(transient), len(transient))
-	rHigh := matrix.New(len(transient), 1) // P(one-step absorption into high)
-	for ti, i := range transient {
-		r := row(i)
+	rHigh := matrix.New(len(b.states), 1) // P(one-step absorption into high)
+	for ti, r := range b.rows {
 		for j, p := range r {
-			if p == 0 {
+			if _, ok := b.index[j]; ok || p == 0 || !high(j) {
 				continue
 			}
-			if tj, ok := index[j]; ok {
-				q.Set(ti, tj, p)
-				continue
-			}
-			if high(j) {
-				rHigh.Set(ti, 0, rHigh.At(ti, 0)+p)
-			}
+			rHigh.Set(ti, 0, rHigh.At(ti, 0)+p)
 		}
 	}
-	n, err := matrix.Fundamental(q)
+	n, err := matrix.Fundamental(b.q)
 	if err != nil {
 		return nil, fmt.Errorf("markov: absorption split: %w", err)
 	}
-	b, err := n.Mul(rHigh)
+	split, err := n.Mul(rHigh)
 	if err != nil {
 		return nil, err
 	}
-	for ti, i := range transient {
-		p := b.At(ti, 0)
-		if p < 0 {
-			p = 0
-		}
-		if p > 1 {
-			p = 1
-		}
-		out[i] = p
+	for ti, i := range b.states {
+		out[i] = min(max(split.At(ti, 0), 0), 1)
 	}
 	return out, nil
 }

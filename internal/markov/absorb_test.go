@@ -10,7 +10,7 @@ import (
 )
 
 func TestAbsorptionSplitShape(t *testing.T) {
-	c := markov.FailStop{N: 61, K: 20} // odd draw: exactly symmetric
+	c := markov.Chain{N: 61, K: 20, Model: markov.FailStop} // odd draw: exactly symmetric
 	split, err := c.AbsorptionSplit()
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestAbsorptionSplitShape(t *testing.T) {
 }
 
 func TestAbsorptionSplitSupermajorityCommits(t *testing.T) {
-	c := markov.FailStop{N: 60, K: 20}
+	c := markov.Chain{N: 60, K: 20, Model: markov.FailStop}
 	split, err := c.AbsorptionSplit()
 	if err != nil {
 		t.Fatal(err)
@@ -58,12 +58,12 @@ func TestAbsorptionSplitSupermajorityCommits(t *testing.T) {
 }
 
 func TestMaliciousAbsorptionSplit(t *testing.T) {
-	c := markov.Malicious{N: 100, K: 5, Forced: true}
+	c := markov.Chain{N: 100, K: 5, Model: markov.Forced}
 	split, err := c.AbsorptionSplit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	correct := c.Correct()
+	correct := c.Pop()
 	if split[0] != 0 || split[correct] != 1 {
 		t.Errorf("endpoints %v, %v", split[0], split[correct])
 	}
@@ -79,12 +79,12 @@ func TestMaliciousAbsorptionSplit(t *testing.T) {
 // deciding 1 from a given start state must match B = N*R.
 func TestSplitMatchesSimulatedDecisions(t *testing.T) {
 	n, k := 30, 9
-	chain := markov.FailStop{N: n, K: k}
+	chain := markov.Chain{N: n, K: k, Model: markov.FailStop}
 	split, err := chain.AbsorptionSplit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := mc.FailStop{N: n, K: k}
+	sim := mc.Chain{Chain: chain}
 	for _, start := range []int{12, 15, 18} {
 		const trials = 2000
 		ones := 0

@@ -15,102 +15,189 @@ import (
 	"resilient/internal/quorum"
 )
 
-// FailStop is the Section 4.1 chain: states 0..n count the processes holding
-// value 1; in each phase every process adopts the majority of a uniform
-// (n-k)-view.
-type FailStop struct {
-	N, K int
+// Model selects a Section 4 chain and, for chain M, how the adversary's
+// messages enter the views. The zero Model is invalid.
+type Model int
+
+const (
+	// FailStop is chain P of Section 4.1: n processes, nobody dies (the
+	// Section 4 worst case for fail-stop faults), and every view is a
+	// uniform (n-k)-sample of all n values.
+	FailStop Model = iota + 1
+	// Mixed is chain M of Section 4.2 with the k adversarial messages
+	// competing for delivery: every view is an (n-k)-sample of all n
+	// messages, correct and adversarial.
+	Mixed
+	// Forced is chain M with the k adversarial messages in every view; the
+	// remaining n-2k slots are sampled from the n-k correct messages. The
+	// paper's eq. (1) of Section 4.2 is this model.
+	Forced
+)
+
+// Adversary returns chain M's model: Forced when forced, Mixed otherwise.
+func Adversary(forced bool) Model {
+	if forced {
+		return Forced
+	}
+	return Mixed
 }
 
-// Validate checks parameters.
-func (c FailStop) Validate() error {
-	if c.N < 1 || c.K < 0 || c.K >= c.N {
-		return fmt.Errorf("markov: invalid fail-stop chain n=%d k=%d", c.N, c.K)
+// Chain is one Section 4 chain. States 0..Pop() count the processes holding
+// value 1 -- all n of them in chain P, the n-k correct ones in chain M,
+// whose k malicious processes try "to balance the number of 1- and
+// 0-messages". In each phase every counted process adopts the majority of
+// its (n-k)-view, which holds a strict majority of ones with probability
+// W(i).
+type Chain struct {
+	N, K  int
+	Model Model
+}
+
+// Validate checks parameters: chain P needs k < n, chain M a correct
+// majority, n >= 2k+1 (the fail-stop resilience bound). The error wraps the
+// reason without its "markov: " prefix, for callers that give it their own.
+func (c Chain) Validate() error {
+	var why error
+	switch c.Model {
+	case FailStop:
+		if c.N < 1 || c.K < 0 || c.K >= c.N {
+			why = fmt.Errorf("invalid fail-stop chain n=%d k=%d", c.N, c.K)
+		}
+	case Mixed, Forced:
+		if c.N < 1 || c.K < 0 || c.N < quorum.MinProcesses(c.K, quorum.FailStop) {
+			why = fmt.Errorf("invalid malicious chain n=%d k=%d", c.N, c.K)
+		}
+	default:
+		why = fmt.Errorf("invalid adversary model %d", int(c.Model))
+	}
+	if why != nil {
+		return fmt.Errorf("markov: %w", why)
 	}
 	return nil
 }
 
-// W returns w_i of eq. (1): the probability that one process's uniform
-// (n-k)-view of a system in state i contains a strict majority of ones, i.e.
-// P[X_(n, i, n-k) > (n-k)/2] with X hypergeometric.
-func (c FailStop) W(i int) float64 {
-	draw := quorum.WaitCount(c.N, c.K)
-	h := dist.Hypergeometric{Pop: c.N, Success: i, Draw: draw}
-	return h.TailAbove(draw / 2) // strictly more than half the view
+// Pop returns the number of processes the chain counts: n in chain P, the
+// n-k correct ones in chain M.
+func (c Chain) Pop() int {
+	if c.Model == FailStop {
+		return c.N
+	}
+	return c.N - c.K
 }
 
-// TransitionRow returns row i of the transition matrix P of eq. (1):
-// P_{i,j} = C(n, j) * w_i^j * (1-w_i)^(n-j).
-func (c FailStop) TransitionRow(i int) []float64 {
-	b := dist.Binomial{N: c.N, P: c.W(i)}
-	row := make([]float64, c.N+1)
-	for j := 0; j <= c.N; j++ {
+// Balanced returns the balanced state Pop()/2, the chain's slowest start.
+func (c Chain) Balanced() int { return c.Pop() / 2 }
+
+// W returns w_i of eq. (1): the probability that one process's view of a
+// system in state i holds a strict majority of ones. In chain P that is
+// P[X_(n, i, n-k) > (n-k)/2] with X hypergeometric. In chain M it is
+// MixedW, against the randomized balancing adversary: per the paper's
+// model, each process's view -- including the adversarial votes in it -- is
+// drawn independently, which pins W to exactly 1/2 across the central band
+// and yields the chain M of Section 4.2 whose near-centre rows equal
+// P_{n/2}. (The real Figure 2 protocol is *better* than this: echo
+// broadcast forces the adversary's accepted values to be common to all
+// receivers in a phase, which herds the correct processes and speeds
+// absorption up.)
+func (c Chain) W(i int) float64 {
+	if c.Model == FailStop {
+		return viewMajorityProb(c.N, c.K, i, 0, false)
+	}
+	return MixedW(c.N, c.K, i, c.Model == Forced)
+}
+
+// TransitionRow returns row i of the transition matrix of eq. (1): the
+// number of processes adopting 1 is Binomial(Pop(), W(i)), so
+// P_{i,j} = C(pop, j) * w_i^j * (1-w_i)^(pop-j).
+func (c Chain) TransitionRow(i int) []float64 {
+	b := dist.Binomial{N: c.Pop(), P: c.W(i)}
+	row := make([]float64, c.Pop()+1)
+	for j := range row {
 		row[j] = b.PMF(j)
 	}
 	return row
 }
 
-// Absorbed reports whether state i is in the Section 4.1 absorbing region:
-// 2i < n-k (guaranteed collapse to all zeros) or 2i > n+k (to all ones).
-// With k = n/3 these are the paper's regions [0, n/3) and (2n/3, n].
-func (c FailStop) Absorbed(i int) bool {
-	return quorum.BelowHalfNMinusK(i, c.N, c.K) || quorum.ExceedsHalfNPlusK(i, c.N, c.K)
+// Absorbed reports whether state i is in the absorbing region: above,
+// 2i > n+k (collapse to all ones); below, 2i < n-k in chain P (Section
+// 4.1; with k = n/3 the paper's regions are [0, n/3) and (2n/3, n]) and
+// 2i < n-3k in chain M (Section 4.2).
+func (c Chain) Absorbed(i int) bool {
+	if quorum.ExceedsHalfNPlusK(i, c.N, c.K) {
+		return true
+	}
+	if c.Model == FailStop {
+		return quorum.BelowHalfNMinusK(i, c.N, c.K)
+	}
+	return quorum.BelowHalfNMinus3K(i, c.N, c.K)
 }
 
-// TransientStates returns the non-absorbed states in ascending order.
-func (c FailStop) TransientStates() []int {
-	var ts []int
-	for i := 0; i <= c.N; i++ {
+// transientBlock is the part of the chain that N = (I-Q)^-1 works on.
+type transientBlock struct {
+	// states lists the non-absorbed states in ascending order and index
+	// maps each of them to its position there.
+	states []int
+	index  map[int]int
+	// q is the transition matrix among the transient states; rows[ti] is
+	// the full row of states[ti].
+	q    *matrix.Dense
+	rows [][]float64
+}
+
+func (c Chain) transient() transientBlock {
+	var b transientBlock
+	b.index = make(map[int]int, c.Pop()+1)
+	for i := 0; i <= c.Pop(); i++ {
 		if !c.Absorbed(i) {
-			ts = append(ts, i)
+			b.index[i] = len(b.states)
+			b.states = append(b.states, i)
 		}
 	}
-	return ts
+	b.q = matrix.New(len(b.states), len(b.states))
+	for ti, i := range b.states {
+		r := c.TransitionRow(i)
+		b.rows = append(b.rows, r)
+		for j, p := range r {
+			if tj, ok := b.index[j]; ok && p != 0 {
+				b.q.Set(ti, tj, p)
+			}
+		}
+	}
+	return b
 }
 
 // ExpectedAbsorption computes the exact expected number of phases to reach
 // the absorbing region from every state, by solving the fundamental matrix
-// of the transient submatrix Q. The returned slice is indexed by state
-// (absorbed states report 0).
-func (c FailStop) ExpectedAbsorption() ([]float64, error) {
+// of the transient submatrix Q ([Isaa76], eq. (12)). The returned slice is
+// indexed by state (absorbed states report 0).
+func (c Chain) ExpectedAbsorption() ([]float64, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return expectedAbsorption(c.N+1, c.Absorbed, c.TransitionRow)
+	b := c.transient()
+	times := make([]float64, c.Pop()+1)
+	if len(b.states) == 0 {
+		return times, nil
+	}
+	abs, err := matrix.AbsorptionTimes(b.q)
+	if err != nil {
+		return nil, fmt.Errorf("markov: absorption solve (%d transient states): %w", len(b.states), err)
+	}
+	for ti, i := range b.states {
+		times[i] = abs[ti]
+	}
+	return times, nil
 }
 
 // ExpectedFromBalanced returns the exact expected absorption time from the
-// balanced state floor(n/2), the chain's slowest start.
-func (c FailStop) ExpectedFromBalanced() (float64, error) {
+// balanced state.
+func (c Chain) ExpectedFromBalanced() (float64, error) {
 	times, err := c.ExpectedAbsorption()
 	if err != nil {
 		return 0, err
 	}
-	return times[c.N/2], nil
+	return times[c.Balanced()], nil
 }
-
-// Malicious is the Section 4.2 chain: states 0..n-k count the *correct*
-// processes holding value 1; the k malicious processes always contribute the
-// minority value ("the worst that the malicious processes can do is to try
-// to balance the number of 1- and 0-messages").
-type Malicious struct {
-	N, K int
-	// Forced places the k adversarial messages in every view (the paper's
-	// model); otherwise they compete for delivery with all others.
-	Forced bool
-}
-
-// Validate checks parameters: the balancing-adversary chain needs a correct
-// majority, n >= 2k+1 (the fail-stop resilience bound).
-func (c Malicious) Validate() error {
-	if c.N < 1 || c.K < 0 || c.N < quorum.MinProcesses(c.K, quorum.FailStop) {
-		return fmt.Errorf("markov: invalid malicious chain n=%d k=%d", c.N, c.K)
-	}
-	return nil
-}
-
-// Correct returns n-k, the number of correct processes.
-func (c Malicious) Correct() int { return c.N - c.K }
 
 // BalancingAdversaryOnes returns how many of the k adversarial messages
 // carry value 1 under the Section 4 balancing strategy, given that
@@ -193,89 +280,6 @@ func viewMajorityProb(n, k, correctOnes, advOnes int, forced bool) float64 {
 	}
 	h := dist.Hypergeometric{Pop: n, Success: correctOnes + advOnes, Draw: draw}
 	return h.TailAbove(draw / 2)
-}
-
-// W returns the probability that one correct process's view of a system in
-// state i (correct ones) has a strict majority of ones, against the
-// randomized balancing adversary (MixedW). Per the paper's model, each
-// process's view -- including the adversarial votes in it -- is drawn
-// independently, which pins W to exactly 1/2 across the central band and
-// yields the chain M of Section 4.2 whose near-centre rows equal P_{n/2}.
-// (The real Figure 2 protocol is *better* than this: echo broadcast forces
-// the adversary's accepted values to be common to all receivers in a phase,
-// which herds the correct processes and speeds absorption up.)
-func (c Malicious) W(i int) float64 {
-	return MixedW(c.N, c.K, i, c.Forced)
-}
-
-// TransitionRow returns row i of the chain over states 0..n-k: the number of
-// correct processes adopting 1 is Binomial(n-k, W(i)).
-func (c Malicious) TransitionRow(i int) []float64 {
-	b := dist.Binomial{N: c.Correct(), P: c.W(i)}
-	row := make([]float64, c.Correct()+1)
-	for j := 0; j <= c.Correct(); j++ {
-		row[j] = b.PMF(j)
-	}
-	return row
-}
-
-// Absorbed reports whether state i is in the Section 4.2 absorbing region:
-// states 0..(n-3k)/2-1 and (n+k)/2+1..n-k, i.e. 2i < n-3k or 2i > n+k.
-func (c Malicious) Absorbed(i int) bool {
-	return quorum.BelowHalfNMinus3K(i, c.N, c.K) || quorum.ExceedsHalfNPlusK(i, c.N, c.K)
-}
-
-// ExpectedAbsorption computes the exact expected phases to absorption from
-// every state 0..n-k.
-func (c Malicious) ExpectedAbsorption() ([]float64, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return expectedAbsorption(c.Correct()+1, c.Absorbed, c.TransitionRow)
-}
-
-// ExpectedFromBalanced returns the exact expected absorption time from the
-// balanced state floor((n-k)/2).
-func (c Malicious) ExpectedFromBalanced() (float64, error) {
-	times, err := c.ExpectedAbsorption()
-	if err != nil {
-		return 0, err
-	}
-	return times[c.Correct()/2], nil
-}
-
-// expectedAbsorption solves the absorption-time system for a chain with the
-// given number of states, absorption predicate, and row constructor.
-func expectedAbsorption(states int, absorbed func(int) bool, row func(int) []float64) ([]float64, error) {
-	var transient []int
-	index := make(map[int]int, states)
-	for i := 0; i < states; i++ {
-		if !absorbed(i) {
-			index[i] = len(transient)
-			transient = append(transient, i)
-		}
-	}
-	times := make([]float64, states)
-	if len(transient) == 0 {
-		return times, nil
-	}
-	q := matrix.New(len(transient), len(transient))
-	for ti, i := range transient {
-		r := row(i)
-		for j, p := range r {
-			if tj, ok := index[j]; ok && p != 0 {
-				q.Set(ti, tj, p)
-			}
-		}
-	}
-	abs, err := matrix.AbsorptionTimes(q)
-	if err != nil {
-		return nil, fmt.Errorf("markov: absorption solve (%d transient states): %w", len(transient), err)
-	}
-	for ti, i := range transient {
-		times[i] = abs[ti]
-	}
-	return times, nil
 }
 
 // CollapsedR builds the paper's 3-state collapsed matrix R of eq. (11) for

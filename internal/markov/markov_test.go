@@ -8,7 +8,7 @@ import (
 )
 
 func TestWMonotoneInState(t *testing.T) {
-	c := FailStop{N: 60, K: 20}
+	c := Chain{N: 60, K: 20, Model: FailStop}
 	prev := -1.0
 	for i := 0; i <= 60; i++ {
 		w := c.W(i)
@@ -29,7 +29,7 @@ func TestWMonotoneInState(t *testing.T) {
 }
 
 func TestTransitionRowsAreStochastic(t *testing.T) {
-	c := FailStop{N: 45, K: 15}
+	c := Chain{N: 45, K: 15, Model: FailStop}
 	for i := 0; i <= 45; i += 5 {
 		row := c.TransitionRow(i)
 		sum := 0.0
@@ -46,7 +46,7 @@ func TestTransitionRowsAreStochastic(t *testing.T) {
 }
 
 func TestExpectedAbsorptionShape(t *testing.T) {
-	c := FailStop{N: 60, K: 20}
+	c := Chain{N: 60, K: 20, Model: FailStop}
 	times, err := c.ExpectedAbsorption()
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestExpectedAbsorptionShape(t *testing.T) {
 func TestExpectedAbsorptionSymmetryOddDraw(t *testing.T) {
 	// With n-k odd there are no majority ties and the chain is exactly
 	// symmetric: E_i == E_{n-i}.
-	c := FailStop{N: 61, K: 20} // draw 41
+	c := Chain{N: 61, K: 20, Model: FailStop} // draw 41
 	times, err := c.ExpectedAbsorption()
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestExpectedFromBalancedBelowPaperBound(t *testing.T) {
 	// The collapsed-chain bound (13) is an upper bound on the exact chain's
 	// absorption time for the k = n/3 parametrization it was derived for.
 	for _, n := range []int{30, 60, 90, 150} {
-		c := FailStop{N: n, K: n / 3}
+		c := Chain{N: n, K: n / 3, Model: FailStop}
 		got, err := c.ExpectedFromBalanced()
 		if err != nil {
 			t.Fatal(err)
@@ -174,12 +174,12 @@ func TestLForKInvertsKForL(t *testing.T) {
 
 func TestMaliciousChainAbsorption(t *testing.T) {
 	for _, forced := range []bool{false, true} {
-		c := Malicious{N: 100, K: 5, Forced: forced}
+		c := Chain{N: 100, K: 5, Model: Adversary(forced)}
 		times, err := c.ExpectedAbsorption()
 		if err != nil {
 			t.Fatal(err)
 		}
-		balanced := times[c.Correct()/2]
+		balanced := times[c.Balanced()]
 		if balanced <= 0 {
 			t.Fatalf("forced=%v: non-positive balanced time %v", forced, balanced)
 		}
@@ -197,8 +197,8 @@ func TestMaliciousWRespondsToAdversary(t *testing.T) {
 	// Below balance the adversary injects ones; at the same correct count
 	// the forced model must give a (weakly) higher majority-1 probability
 	// than no adversary at all would.
-	c := Malicious{N: 100, K: 10, Forced: true}
-	noAdv := FailStop{N: 100, K: 10}
+	c := Chain{N: 100, K: 10, Model: Forced}
+	noAdv := Chain{N: 100, K: 10, Model: FailStop}
 	i := 30 // below balance (correct = 90, balance = 45)
 	if c.W(i) < noAdv.W(i)-1e-12 {
 		t.Errorf("adversary failed to help the minority: %v < %v", c.W(i), noAdv.W(i))
@@ -206,13 +206,16 @@ func TestMaliciousWRespondsToAdversary(t *testing.T) {
 }
 
 func TestValidateRejectsBadConfigs(t *testing.T) {
-	if (FailStop{N: 0, K: 0}).Validate() == nil {
+	if (Chain{N: 0, K: 0, Model: FailStop}).Validate() == nil {
 		t.Error("n=0 accepted")
 	}
-	if (Malicious{N: 10, K: 5}).Validate() == nil {
+	if (Chain{N: 10, K: 5, Model: Mixed}).Validate() == nil {
 		t.Error("2k=n accepted")
 	}
-	if _, err := (FailStop{N: 0, K: 0}).ExpectedAbsorption(); err == nil {
+	if (Chain{N: 10, K: 2}).Validate() == nil {
+		t.Error("missing model accepted")
+	}
+	if _, err := (Chain{N: 0, K: 0, Model: FailStop}).ExpectedAbsorption(); err == nil {
 		t.Error("invalid chain solved")
 	}
 }
@@ -280,8 +283,8 @@ func TestMaliciousBalancedStateNearHalf(t *testing.T) {
 	// With the vote-splitting adversary, the view-majority probability at
 	// the balanced state must sit near 1/2 -- the chain's slow centre.
 	for _, forced := range []bool{false, true} {
-		c := Malicious{N: 100, K: 6, Forced: forced}
-		w := c.W(c.Correct() / 2)
+		c := Chain{N: 100, K: 6, Model: Adversary(forced)}
+		w := c.W(c.Balanced())
 		if w < 0.3 || w > 0.7 {
 			t.Errorf("forced=%v: w(balanced) = %v, want near 0.5", forced, w)
 		}
@@ -297,7 +300,7 @@ func TestMaliciousBoundDominatesExact(t *testing.T) {
 	n := 100
 	for _, l := range []float64{1.0, 1.5, 2.0} {
 		k := KForL(n, l)
-		exact, err := (Malicious{N: n, K: k, Forced: true}).ExpectedFromBalanced()
+		exact, err := (Chain{N: n, K: k, Model: Forced}).ExpectedFromBalanced()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +312,7 @@ func TestMaliciousBoundDominatesExact(t *testing.T) {
 }
 
 func TestTailDistribution(t *testing.T) {
-	c := FailStop{N: 60, K: 20}
+	c := Chain{N: 60, K: 20, Model: FailStop}
 	tail, err := c.TailFromBalanced(40)
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +341,7 @@ func TestTailDistribution(t *testing.T) {
 		t.Errorf("sum of tail %v vs exact expectation %v", sum, exact)
 	}
 	// Starting absorbed: all-zero tail.
-	zeroTail, err := TailDistribution(61, c.Absorbed, c.TransitionRow, 0, 5)
+	zeroTail, err := c.tail(0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +353,7 @@ func TestTailDistribution(t *testing.T) {
 }
 
 func TestMaliciousTailDistribution(t *testing.T) {
-	c := Malicious{N: 100, K: 5, Forced: true}
+	c := Chain{N: 100, K: 5, Model: Forced}
 	tail, err := c.TailFromBalanced(60)
 	if err != nil {
 		t.Fatal(err)

@@ -1,86 +1,52 @@
 package markov
 
-import (
-	"fmt"
+import "fmt"
 
-	"resilient/internal/matrix"
-)
+// TailFromBalanced returns P[T > t] for t = 0..maxSteps, where T is the
+// number of phases to absorption from the balanced state.
+func (c Chain) TailFromBalanced(maxSteps int) ([]float64, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	return c.tail(c.Balanced(), maxSteps)
+}
 
-// TailDistribution computes P[T > t] for t = 0..maxSteps, where T is the
-// number of phases to absorption starting from the given state: the full
-// distribution behind the expectations of Section 4, obtained by iterating
-// the transient submatrix (P[T > t] = e_start Q^t 1).
-func TailDistribution(states int, absorbed func(int) bool, row func(int) []float64,
-	start, maxSteps int) ([]float64, error) {
+// tail computes P[T > t] for t = 0..maxSteps, where T is the number of
+// phases to absorption starting from state start: the full distribution
+// behind the expectations of Section 4, obtained by iterating the transient
+// submatrix (P[T > t] = e_start Q^t 1).
+func (c Chain) tail(start, maxSteps int) ([]float64, error) {
 	if maxSteps < 0 {
 		return nil, fmt.Errorf("markov: negative maxSteps %d", maxSteps)
 	}
-	var transient []int
-	index := make(map[int]int, states)
-	for i := 0; i < states; i++ {
-		if !absorbed(i) {
-			index[i] = len(transient)
-			transient = append(transient, i)
-		}
-	}
 	tail := make([]float64, maxSteps+1)
-	si, ok := index[start]
-	if !ok {
+	if c.Absorbed(start) {
 		// Starting absorbed: T = 0, so P[T > t] = 0 for all t.
 		return tail, nil
 	}
-	q := matrix.New(len(transient), len(transient))
-	for ti, i := range transient {
-		r := row(i)
-		for j, p := range r {
-			if tj, ok := index[j]; ok && p != 0 {
-				q.Set(ti, tj, p)
-			}
-		}
-	}
-	// prob[i] = P[in transient state i at step t], starting at si.
-	prob := make([]float64, len(transient))
-	prob[si] = 1
+	b := c.transient()
+	// prob[i] = P[in transient state i at step t], starting at start.
+	prob := make([]float64, len(b.states))
+	prob[b.index[start]] = 1
 	for t := 0; t <= maxSteps; t++ {
 		sum := 0.0
 		for _, p := range prob {
 			sum += p
 		}
-		if sum > 1 {
-			sum = 1
-		}
-		tail[t] = sum
+		tail[t] = min(sum, 1)
 		if t == maxSteps {
 			break
 		}
-		next := make([]float64, len(transient))
+		next := make([]float64, len(b.states))
 		for i, p := range prob {
 			if p == 0 {
 				continue
 			}
 			for j := range next {
-				next[j] += p * q.At(i, j)
+				next[j] += p * b.q.At(i, j)
 			}
 		}
 		prob = next
 	}
 	return tail, nil
-}
-
-// TailFromBalanced returns P[T > t] for the fail-stop chain from the
-// balanced state.
-func (c FailStop) TailFromBalanced(maxSteps int) ([]float64, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return TailDistribution(c.N+1, c.Absorbed, c.TransitionRow, c.N/2, maxSteps)
-}
-
-// TailFromBalanced returns P[T > t] for the malicious chain from the
-// balanced state.
-func (c Malicious) TailFromBalanced(maxSteps int) ([]float64, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return TailDistribution(c.Correct()+1, c.Absorbed, c.TransitionRow, c.Correct()/2, maxSteps)
 }

@@ -3,6 +3,8 @@ package mc
 import (
 	"runtime"
 	"testing"
+
+	"resilient/internal/markov"
 )
 
 // BenchmarkEnsembleParallel is the multi-core headline: ns/trial for a
@@ -11,7 +13,7 @@ import (
 // buys throughput, never different numbers. CI records the workers=max line
 // next to the single-run headlines.
 func BenchmarkEnsembleParallel(b *testing.B) {
-	chain := &FailStop{N: 300, K: 100}
+	chain := newChain(300, 100, markov.FailStop)
 	const trials = 64
 	opts := EnsembleOptions{Trials: trials, Start: 150, Seed: 1}
 	var baseMean float64
@@ -54,7 +56,7 @@ func BenchmarkEnsembleParallel(b *testing.B) {
 // BenchmarkAbsorptionRun is the single-trial baseline the ensemble numbers
 // divide into.
 func BenchmarkAbsorptionRun(b *testing.B) {
-	chain := &FailStop{N: 300, K: 100}
+	chain := newChain(300, 100, markov.FailStop)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		opts := EnsembleOptions{Seed: 1}

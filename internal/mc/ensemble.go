@@ -94,20 +94,19 @@ func mergeEnsemble(phases []int, decidedOnes []bool) *Ensemble {
 	return e
 }
 
-// decisionTrial is one decision run's outcome.
-type decisionTrial struct {
-	phases int
-	one    bool
-}
-
-// absorptionEnsemble is the shared fan-out for both chains' absorption
-// ensembles; run is the per-trial body.
-func absorptionEnsemble(opts EnsembleOptions, run func(rng *rand.Rand) (int, error)) (*Ensemble, error) {
+// AbsorptionEnsemble runs Trials independent absorption runs from
+// opts.Start across opts.Workers goroutines and merges them
+// deterministically (see the package comment on ensemble determinism).
+func (c *Chain) AbsorptionEnsemble(opts EnsembleOptions) (*Ensemble, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	c.handles() // resolve metric handles once, before the fan-out
 	phases, err := sweep.Run(opts.Trials, opts.Workers, func(t int) (int, error) {
-		return run(opts.trialRNG(t))
+		return c.AbsorptionRun(opts.Start, opts.trialRNG(t), opts.MaxPhases)
 	})
 	if err != nil {
 		return nil, err
@@ -115,14 +114,25 @@ func absorptionEnsemble(opts EnsembleOptions, run func(rng *rand.Rand) (int, err
 	return mergeEnsemble(phases, nil), nil
 }
 
-// decisionEnsemble is the shared fan-out for both chains' decision
-// ensembles.
-func decisionEnsemble(opts EnsembleOptions, run func(rng *rand.Rand) (int, bool, error)) (*Ensemble, error) {
+// decisionTrial is one decision run's outcome.
+type decisionTrial struct {
+	phases int
+	one    bool
+}
+
+// DecisionEnsemble runs Trials independent decision runs from opts.Start
+// 1-inputs and merges them deterministically; Decided1 counts trials whose
+// consensus value was 1.
+func (c *Chain) DecisionEnsemble(opts EnsembleOptions) (*Ensemble, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	c.handles()
 	results, err := sweep.Run(opts.Trials, opts.Workers, func(t int) (decisionTrial, error) {
-		ph, one, err := run(opts.trialRNG(t))
+		ph, one, err := c.DecisionRun(opts.Start, opts.trialRNG(t), opts.MaxPhases)
 		return decisionTrial{phases: ph, one: one}, err
 	})
 	if err != nil {
@@ -135,54 +145,4 @@ func decisionEnsemble(opts EnsembleOptions, run func(rng *rand.Rand) (int, bool,
 		ones[i] = r.one
 	}
 	return mergeEnsemble(phases, ones), nil
-}
-
-// AbsorptionEnsemble runs Trials independent absorption runs from
-// opts.Start across opts.Workers goroutines and merges them
-// deterministically (see the package comment on ensemble determinism).
-func (c *FailStop) AbsorptionEnsemble(opts EnsembleOptions) (*Ensemble, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	c.handles() // resolve metric handles once, before the fan-out
-	return absorptionEnsemble(opts, func(rng *rand.Rand) (int, error) {
-		return c.AbsorptionRun(opts.Start, rng, opts.MaxPhases)
-	})
-}
-
-// DecisionEnsemble runs Trials independent decision runs from opts.Start
-// 1-inputs and merges them deterministically; Decided1 counts trials whose
-// consensus value was 1.
-func (c *FailStop) DecisionEnsemble(opts EnsembleOptions) (*Ensemble, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	c.handles()
-	return decisionEnsemble(opts, func(rng *rand.Rand) (int, bool, error) {
-		return c.DecisionRun(opts.Start, rng, opts.MaxPhases)
-	})
-}
-
-// AbsorptionEnsemble is the malicious-chain analogue of
-// FailStop.AbsorptionEnsemble.
-func (c *Malicious) AbsorptionEnsemble(opts EnsembleOptions) (*Ensemble, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	c.handles()
-	return absorptionEnsemble(opts, func(rng *rand.Rand) (int, error) {
-		return c.AbsorptionRun(opts.Start, rng, opts.MaxPhases)
-	})
-}
-
-// DecisionEnsemble is the malicious-chain analogue of
-// FailStop.DecisionEnsemble.
-func (c *Malicious) DecisionEnsemble(opts EnsembleOptions) (*Ensemble, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	c.handles()
-	return decisionEnsemble(opts, func(rng *rand.Rand) (int, bool, error) {
-		return c.DecisionRun(opts.Start, rng, opts.MaxPhases)
-	})
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"resilient/internal/markov"
 	"resilient/internal/metrics"
 )
 
@@ -14,7 +15,7 @@ import (
 func TestEnsembleDeterministicAcrossWorkers(t *testing.T) {
 	t.Parallel()
 	opts := EnsembleOptions{Trials: 64, Workers: 1, Start: 45, Seed: 9}
-	fs := &FailStop{N: 90, K: 30}
+	fs := newChain(90, 30, markov.FailStop)
 	base, err := fs.AbsorptionEnsemble(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +40,7 @@ func TestEnsembleDeterministicAcrossWorkers(t *testing.T) {
 
 func TestDecisionEnsembleDeterministicAcrossWorkers(t *testing.T) {
 	t.Parallel()
-	fs := &FailStop{N: 30, K: 9}
+	fs := newChain(30, 9, markov.FailStop)
 	opts := EnsembleOptions{Trials: 48, Workers: 1, Start: 15, Seed: 5}
 	base, err := fs.DecisionEnsemble(opts)
 	if err != nil {
@@ -63,9 +64,9 @@ func TestDecisionEnsembleDeterministicAcrossWorkers(t *testing.T) {
 
 func TestMaliciousEnsemblesDeterministic(t *testing.T) {
 	t.Parallel()
-	for _, model := range []AdversaryModel{Mixed, Forced} {
-		mal := &Malicious{N: 100, K: 5, Model: model}
-		opts := EnsembleOptions{Trials: 32, Workers: 1, Start: mal.Correct() / 2, Seed: 3}
+	for _, model := range []markov.Model{markov.Mixed, markov.Forced} {
+		mal := newChain(100, 5, model)
+		opts := EnsembleOptions{Trials: 32, Workers: 1, Start: mal.Balanced(), Seed: 3}
 		base, err := mal.AbsorptionEnsemble(opts)
 		if err != nil {
 			t.Fatalf("%v: %v", model, err)
@@ -79,7 +80,7 @@ func TestMaliciousEnsemblesDeterministic(t *testing.T) {
 			t.Fatalf("%v diverged across workers", model)
 		}
 
-		dec := &Malicious{N: 40, K: 4, Model: model}
+		dec := newChain(40, 4, model)
 		dopts := EnsembleOptions{Trials: 16, Workers: 1, Start: 18, Seed: 7}
 		dbase, err := dec.DecisionEnsemble(dopts)
 		if err != nil {
@@ -101,7 +102,7 @@ func TestMaliciousEnsemblesDeterministic(t *testing.T) {
 // AbsorptionRun with rand.NewPCG(seed, t) walks.
 func TestEnsembleMatchesSequentialRuns(t *testing.T) {
 	t.Parallel()
-	fs := &FailStop{N: 60, K: 20}
+	fs := newChain(60, 20, markov.FailStop)
 	opts := EnsembleOptions{Trials: 20, Workers: 8, Start: 30, Seed: 42}
 	e, err := fs.AbsorptionEnsemble(opts)
 	if err != nil {
@@ -123,7 +124,7 @@ func TestEnsembleMatchesSequentialRuns(t *testing.T) {
 // must surface the first error rather than hang or return partial results.
 func TestEnsembleFailsFastOnError(t *testing.T) {
 	t.Parallel()
-	fs := &FailStop{N: 90, K: 30}
+	fs := newChain(90, 30, markov.FailStop)
 	for _, w := range []int{1, 8} {
 		e, err := fs.AbsorptionEnsemble(EnsembleOptions{
 			Trials: 64, Workers: w, Start: 45, Seed: 1, MaxPhases: 1,
@@ -141,15 +142,15 @@ func TestEnsembleFailsFastOnError(t *testing.T) {
 }
 
 func TestEnsembleRejectsBadOptions(t *testing.T) {
-	fs := &FailStop{N: 90, K: 30}
+	fs := newChain(90, 30, markov.FailStop)
 	if _, err := fs.AbsorptionEnsemble(EnsembleOptions{Trials: 0}); err == nil {
 		t.Error("Trials=0 accepted")
 	}
-	bad := &FailStop{N: 0, K: 0}
+	bad := newChain(0, 0, markov.FailStop)
 	if _, err := bad.AbsorptionEnsemble(EnsembleOptions{Trials: 4}); err == nil {
 		t.Error("invalid chain accepted")
 	}
-	mal := &Malicious{N: 10, K: 5, Model: Mixed}
+	mal := newChain(10, 5, markov.Mixed)
 	if _, err := mal.AbsorptionEnsemble(EnsembleOptions{Trials: 4}); err == nil {
 		t.Error("invalid malicious chain accepted")
 	}
@@ -161,7 +162,7 @@ func TestEnsembleRejectsBadOptions(t *testing.T) {
 func TestEnsembleMetricsAggregation(t *testing.T) {
 	t.Parallel()
 	reg := metrics.NewRegistry()
-	fs := &FailStop{N: 60, K: 20, Metrics: reg}
+	fs := &Chain{Chain: markov.Chain{N: 60, K: 20, Model: markov.FailStop}, Metrics: reg}
 	const trials = 40
 	e, err := fs.AbsorptionEnsemble(EnsembleOptions{Trials: trials, Workers: 8, Start: 30, Seed: 2})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"resilient/internal/markov"
 	"resilient/internal/metrics"
 )
 
@@ -11,7 +12,7 @@ import (
 // their phases and hypergeometric draws under the mc.failstop. prefix.
 func TestFailStopChainMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c := FailStop{N: 30, K: 9, Metrics: reg}
+	c := &Chain{Chain: markov.Chain{N: 30, K: 9, Model: markov.FailStop}, Metrics: reg}
 	rng := rand.New(rand.NewPCG(7, 7))
 
 	phases, err := c.AbsorptionRun(15, rng, 0)
@@ -49,7 +50,7 @@ func TestFailStopChainMetrics(t *testing.T) {
 // registry leaves the chain's numerical behaviour untouched.
 func TestMaliciousChainMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c := Malicious{N: 10, K: 1, Model: Mixed, Metrics: reg}
+	c := &Chain{Chain: markov.Chain{N: 10, K: 1, Model: markov.Mixed}, Metrics: reg}
 	rng := rand.New(rand.NewPCG(11, 11))
 	if _, err := c.AbsorptionRun(5, rng, 0); err != nil {
 		t.Fatal(err)
@@ -63,7 +64,7 @@ func TestMaliciousChainMetrics(t *testing.T) {
 	}
 
 	// Same seed with and without a registry must walk the same chain.
-	bare := Malicious{N: 10, K: 1, Model: Mixed}
+	bare := newChain(10, 1, markov.Mixed)
 	p1, err := c.AbsorptionRun(5, rand.New(rand.NewPCG(3, 3)), 0)
 	if err != nil {
 		t.Fatal(err)

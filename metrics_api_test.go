@@ -84,13 +84,12 @@ func TestScenarioMemWithMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := out.Live
-	if !rep.Agreement {
-		t.Fatalf("no agreement: %+v", rep)
+	if !out.Agreement {
+		t.Fatalf("no agreement: %+v", out)
 	}
 	c := reg.Snapshot().Counters
-	if c["livenet.decisions"] != int64(len(rep.Decisions)) {
-		t.Errorf("livenet.decisions = %d, want %d", c["livenet.decisions"], len(rep.Decisions))
+	if c["livenet.decisions"] != int64(len(out.Decisions)) {
+		t.Errorf("livenet.decisions = %d, want %d", c["livenet.decisions"], len(out.Decisions))
 	}
 }
 
@@ -106,9 +105,8 @@ func TestScenarioTCPWithMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := out.Live
-	if !rep.Agreement {
-		t.Fatalf("no agreement: %+v", rep)
+	if !out.Agreement {
+		t.Fatalf("no agreement: %+v", out)
 	}
 	c := reg.Snapshot().Counters
 	if c["livenet.messages_sent"] <= 0 {

@@ -89,8 +89,8 @@ func TestScenarioMemLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Live.Decisions) != 5 || !out.Agreement {
-		t.Fatalf("decisions=%d agreement=%v", len(out.Live.Decisions), out.Agreement)
+	if len(out.Decisions) != 5 || !out.Agreement {
+		t.Fatalf("decisions=%d agreement=%v", len(out.Decisions), out.Agreement)
 	}
 }
 
@@ -103,8 +103,8 @@ func TestScenarioTCPLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Live.Decisions) != 4 || !out.Agreement {
-		t.Fatalf("decisions=%d agreement=%v", len(out.Live.Decisions), out.Agreement)
+	if len(out.Decisions) != 4 || !out.Agreement {
+		t.Fatalf("decisions=%d agreement=%v", len(out.Decisions), out.Agreement)
 	}
 }
 
