@@ -8,12 +8,14 @@
 //	markov-analysis -n 90                  # fail-stop chain with k = n/3
 //	markov-analysis -n 90 -k 20            # explicit k
 //	markov-analysis -n 100 -k 5 -malicious # Section 4.2 chain
+//	markov-analysis -n 90 -malicious       # ... with the k that -l names
 //	markov-analysis -n 90 -states          # include the per-state table
 //	markov-analysis -n 90 -mc 4000         # Monte-Carlo cross-check of E[T]
 //
 // With -mc > 0 a parallel ensemble of simulation runs (see internal/mc)
 // cross-checks the exact E[T] from the balanced state; -workers bounds the
-// fan-out and never changes the reported numbers.
+// fan-out and never changes the reported numbers. -workers and -seed steer
+// only that ensemble, so without -mc they are rejected.
 package main
 
 import (
@@ -37,7 +39,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("markov-analysis", flag.ContinueOnError)
 	var (
 		n         = fs.Int("n", 90, "number of processes")
-		k         = fs.Int("k", -1, "fault parameter (default n/3)")
+		k         = fs.Int("k", -1, "fault parameter (default n/3; with -malicious the k that -l names, floor(l*sqrt(n)/2))")
 		malicious = fs.Bool("malicious", false, "analyse the Section 4.2 chain (k balancing adversaries)")
 		forced    = fs.Bool("forced", true, "malicious chain: adversary messages in every view (the paper's model)")
 		states    = fs.Bool("states", false, "print expected absorption time for every state")
@@ -50,13 +52,21 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	forcedSet := false
-	fs.Visit(func(f *flag.Flag) { forcedSet = forcedSet || f.Name == "forced" })
-	if forcedSet && !*malicious {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["forced"] && !*malicious {
 		return errors.New("-forced does not apply to the fail-stop chain (it needs -malicious)")
+	}
+	for _, name := range []string{"workers", "seed"} {
+		if set[name] && *mcTrials <= 0 {
+			return fmt.Errorf("-%s only steers the Monte-Carlo cross-check (it needs -mc)", name)
+		}
 	}
 	if *k < 0 {
 		*k = *n / 3
+		if *malicious {
+			*k = markov.KForL(*n, *l)
+		}
 	}
 	chain := markov.Chain{N: *n, K: *k, Model: markov.FailStop}
 	if *malicious {

@@ -33,6 +33,12 @@ func TestRunRejectsInvalid(t *testing.T) {
 	if err := run([]string{"-n", "30", "-forced=false"}); err == nil || !strings.Contains(err.Error(), "-forced does not apply") {
 		t.Fatalf("-forced without -malicious: err = %v, want it named", err)
 	}
+	if err := run([]string{"-n", "30", "-workers", "4"}); err == nil || !strings.Contains(err.Error(), "-workers only steers") {
+		t.Fatalf("-workers without -mc: err = %v, want it named", err)
+	}
+	if err := run([]string{"-n", "30", "-seed", "9"}); err == nil || !strings.Contains(err.Error(), "-seed only steers") {
+		t.Fatalf("-seed without -mc: err = %v, want it named", err)
+	}
 }
 
 func TestRunMonteCarloCrossCheck(t *testing.T) {
@@ -81,6 +87,7 @@ func TestRunGolden(t *testing.T) {
 		{"forced-mc", "-n 64 -k 3 -malicious -mc 200 -workers 2"},
 		{"mc", "-n 30 -mc 200 -workers 1"},
 		{"mc", "-n 30 -mc 200 -workers 4"},
+		{"malicious-defaults", "-malicious"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var err error

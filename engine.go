@@ -162,7 +162,8 @@ func liveCluster(sc *Scenario, engine Engine, sp *spawn.Spawner) (*livenet.Clust
 	// Instance 0: the run owns the mesh, so each endpoint is its own conn
 	// and closes with the run.
 	var cluster *livenet.Cluster
-	conns, err := liveConns(sc.N, endpoints, 0, nil)
+	conns := make([]transport.Conn, sc.N)
+	err = liveConns(conns, endpoints, 0, nil)
 	if err == nil {
 		cluster, err = livenet.NewCluster(machines, conns)
 	}
@@ -179,16 +180,17 @@ func liveCluster(sc *Scenario, engine Engine, sp *spawn.Spawner) (*livenet.Clust
 	return cluster, nil
 }
 
-// liveConns returns one live instance's connections, nil for a process that
-// alive leaves out (a nil alive leaves out nobody): a fresh in-memory message
-// system when there are no endpoints, otherwise instance inst of each TCP
-// endpoint, 0 being the endpoint itself. On error nothing stays open.
-func liveConns(n int, endpoints []*netxport.Endpoint, inst uint32, alive []bool) ([]transport.Conn, error) {
+// liveConns fills conns, one entry per process, with one live instance's
+// connections, nil for a process that alive leaves out (a nil alive leaves
+// out nobody): a fresh in-memory message system when there are no
+// endpoints, otherwise instance inst of each TCP endpoint, 0 being the
+// endpoint itself. On error nothing stays open.
+func liveConns(conns []transport.Conn, endpoints []*netxport.Endpoint, inst uint32, alive []bool) error {
 	var mem *transport.Mem
 	if endpoints == nil {
-		mem = transport.NewMem(n)
+		mem = transport.NewMem(len(conns))
 	}
-	conns := make([]transport.Conn, n)
+	clear(conns)
 	for i := range conns {
 		if alive != nil && !alive[i] {
 			continue
@@ -204,10 +206,10 @@ func liveConns(n int, endpoints []*netxport.Endpoint, inst uint32, alive []bool)
 		}
 		if err != nil {
 			livenet.CloseConns(conns)
-			return nil, fmt.Errorf("instance %d conn p%d: %w", inst, i, err)
+			return fmt.Errorf("instance %d conn p%d: %w", inst, i, err)
 		}
 	}
-	return conns, nil
+	return nil
 }
 
 // tcpMeshEndpoints starts n loopback TCP endpoints on ephemeral ports and

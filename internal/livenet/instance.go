@@ -39,23 +39,31 @@ func (o *InstanceOutcome) crash(msg.ID) {}
 func (o *InstanceOutcome) decided() int { return o.Decided }
 
 // RunInstance runs one consensus instance -- one slot of a replicated log --
-// through Cluster.Run's loop: machines[i] runs over conns[i] for every i with
-// run[i] set, sharing the conns' underlying transport with every other
-// in-flight instance. Processes with run[i] unset (dead for this slot under
-// a slot-boundary fault plan) never start and may have nil conns; traffic
-// addressed to them is dropped by the transport, exactly as for a crashed
-// process. Decisions fold straight into the outcome, with no per-process
-// record.
+// on fresh storage: it is Runner.RunInstance on a Runner of its own.
+func RunInstance(ctx context.Context, machines []core.Machine, conns []transport.Conn, run []bool, reg *metrics.Registry) (InstanceOutcome, error) {
+	return new(Runner).RunInstance(ctx, machines, conns, run, reg)
+}
+
+// RunInstance runs one consensus instance -- one slot of a replicated log --
+// through Cluster.Run's loop on r's storage: machines[i] runs over conns[i]
+// for every i with run[i] set, sharing the conns' underlying transport with
+// every other in-flight instance. Processes with run[i] unset (dead for
+// this slot under a slot-boundary fault plan) never start and may have nil
+// conns; traffic addressed to them is dropped by the transport, exactly as
+// for a crashed process. Decisions fold straight into the outcome, with no
+// per-process record. A log keeps one Runner per replica set, so its slots
+// reuse the drivers and channels of earlier ones.
 //
 // The call returns once every running machine has decided, a driver fails,
 // or ctx expires, and only after every driver has exited: every machine is
 // quiescent once the call returns, so the caller may read it, and reset it
 // for another instance, with no engine goroutine left to step it or to hold
-// a slice one of its steps returned. It owns conns from the call on: every
-// non-nil conn is closed on return, on every path, releasing its transport
-// resources (for a netxport instance conn, its demux id), and the slice is
-// not to be reused.
-func RunInstance(ctx context.Context, machines []core.Machine, conns []transport.Conn, run []bool, reg *metrics.Registry) (InstanceOutcome, error) {
+// a slice one of its steps returned; and r is ready for the next instance.
+// It owns conns' entries from the call on: every non-nil conn is closed on
+// return, on every path, releasing its transport resources (for a netxport
+// instance conn, its demux id). The slice itself is the caller's again once
+// the call returns, to fill for another instance.
+func (r *Runner) RunInstance(ctx context.Context, machines []core.Machine, conns []transport.Conn, run []bool, reg *metrics.Registry) (InstanceOutcome, error) {
 	n := len(machines)
 	if len(conns) != n || len(run) != n {
 		CloseConns(conns)
@@ -74,7 +82,7 @@ func RunInstance(ctx context.Context, machines []core.Machine, conns []transport
 		}
 	}
 	cluster := Cluster{machines: machines, conns: conns, Metrics: reg}
-	out := &InstanceOutcome{Agreement: true}
-	_, _, err := cluster.run(ctx, out)
-	return *out, err
+	r.out = InstanceOutcome{Agreement: true}
+	_, _, err := cluster.run(ctx, &r.out, r)
+	return r.out, err
 }

@@ -118,12 +118,30 @@ func memConns(t *testing.T, n int) []transport.Conn {
 // TestRunInstanceFoldMatchesClusterRun pins RunInstance's outcome, folded
 // without Cluster.Run's decision record, against that record: the same
 // value, agreement and decision count for agreeing Figure-1 instances on
-// either input, and for two scripted processes deciding 0 and 1.
+// either input, and for two scripted processes deciding 0 and 1. Every
+// instance runs twice, on fresh storage and on one Runner that all of them
+// share, whose n changes between the cases.
 func TestRunInstanceFoldMatchesClusterRun(t *testing.T) {
 	const n, k = 5, 2
 	all := []bool{true, true, true, true, true}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	var shared Runner
+	// instance runs one instance of machines() both ways and returns both
+	// outcomes.
+	instance := func(machines func() []core.Machine, run []bool) [2]InstanceOutcome {
+		t.Helper()
+		var outs [2]InstanceOutcome
+		for i, r := range []*Runner{new(Runner), &shared} {
+			ms := machines()
+			out, err := r.RunInstance(ctx, ms, memConns(t, len(ms)), run, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs[i] = out
+		}
+		return outs
+	}
 	for _, v := range []msg.Value{msg.V0, msg.V1} {
 		inputs := []msg.Value{v, v, v, v, v}
 		cluster, err := NewMemCluster(failstopMachines(t, n, k, inputs))
@@ -134,16 +152,14 @@ func TestRunInstanceFoldMatchesClusterRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := RunInstance(ctx, failstopMachines(t, n, k, inputs), memConns(t, n), all, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Value != rep.Value || out.Agreement != rep.Agreement || out.Decided != len(rep.Decisions) {
-			t.Errorf("inputs %d: outcome %+v, Cluster.Run value %d agreement %v decisions %d",
-				v, out, rep.Value, rep.Agreement, len(rep.Decisions))
-		}
-		if !out.Agreement || out.Value != v || out.Decided != n {
-			t.Errorf("inputs %d: outcome %+v, want %d agreeing decisions on %d", v, out, n, v)
+		for _, out := range instance(func() []core.Machine { return failstopMachines(t, n, k, inputs) }, all) {
+			if out.Value != rep.Value || out.Agreement != rep.Agreement || out.Decided != len(rep.Decisions) {
+				t.Errorf("inputs %d: outcome %+v, Cluster.Run value %d agreement %v decisions %d",
+					v, out, rep.Value, rep.Agreement, len(rep.Decisions))
+			}
+			if !out.Agreement || out.Value != v || out.Decided != n {
+				t.Errorf("inputs %d: outcome %+v, want %d agreeing decisions on %d", v, out, n, v)
+			}
 		}
 	}
 
@@ -158,13 +174,11 @@ func TestRunInstanceFoldMatchesClusterRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunInstance(ctx, split(), memConns(t, 2), []bool{true, true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Agreement || out.Decided != 2 || rep.Agreement || len(rep.Decisions) != 2 {
-		t.Errorf("split decisions: outcome %+v, Cluster.Run agreement %v decisions %d; want no agreement, 2 decisions",
-			out, rep.Agreement, len(rep.Decisions))
+	for _, out := range instance(split, []bool{true, true}) {
+		if out.Agreement || out.Decided != 2 || rep.Agreement || len(rep.Decisions) != 2 {
+			t.Errorf("split decisions: outcome %+v, Cluster.Run agreement %v decisions %d; want no agreement, 2 decisions",
+				out, rep.Agreement, len(rep.Decisions))
+		}
 	}
 }
 

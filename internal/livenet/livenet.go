@@ -15,9 +15,10 @@
 // on the simulator and on the live engines.
 //
 // Cluster.Run is the engine's one run loop: a scenario's instance and every
-// slot of a replicated log (through RunInstance) go through it. A log slot
-// folds its decisions straight into an InstanceOutcome instead of a
-// DecisionRecord.
+// slot of a replicated log (through Runner.RunInstance) go through it. A log
+// slot folds its decisions straight into an InstanceOutcome instead of a
+// DecisionRecord, on a Runner's storage that the log keeps from slot to
+// slot.
 package livenet
 
 import (
@@ -26,6 +27,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"resilient/internal/core"
@@ -82,20 +84,25 @@ var errCrashed = errors.New("livenet: process crashed by fault plan")
 // driver steps one process's node against one endpoint. Cluster.Run wires
 // the rest.
 type driver struct {
-	node  policy.Node
-	conn  transport.Conn
-	n     int
-	met   liveMetrics
-	start time.Time
-	// notes receives the node's decision and death, each at most once.
-	notes chan<- note
+	node policy.Node
+	conn transport.Conn
+	r    *Runner // the run's storage and settings
+}
+
+// loop is a driver's goroutine: it runs the driver and reports a failure to
+// the run.
+func (d *driver) loop() {
+	defer d.r.wg.Done()
+	if err := d.run(); err != nil {
+		d.r.errs <- err
+	}
 }
 
 // run starts the machine and processes messages until the machine halts,
-// dies under its fault plan, the context is cancelled, or the connection
-// closes. It returns nil on a clean halt, crash, or connection close and
-// the underlying error otherwise.
-func (d *driver) run(ctx context.Context) error {
+// dies under its fault plan, the run stops, or the connection closes. It
+// returns nil on a clean halt, crash, stop, or connection close and the
+// underlying error otherwise.
+func (d *driver) run() error {
 	err := d.sendAll(d.node.Start())
 	if d.settle() {
 		return nil
@@ -104,8 +111,8 @@ func (d *driver) run(ctx context.Context) error {
 		return err
 	}
 	for !d.node.Machine.Halted() {
-		if err := ctx.Err(); err != nil {
-			return nil // cancelled: treated as a clean shutdown
+		if d.r.stop.Load() {
+			return nil // shut down: treated as a clean halt
 		}
 		in, err := d.conn.Recv()
 		if err != nil {
@@ -114,7 +121,7 @@ func (d *driver) run(ctx context.Context) error {
 			}
 			return fmt.Errorf("p%d recv: %w", d.node.Machine.ID(), err)
 		}
-		d.met.received.Inc()
+		d.r.met.received.Inc()
 		err = d.sendAll(d.node.Step(&in))
 		if d.settle() {
 			return nil
@@ -131,11 +138,11 @@ func (d *driver) run(ctx context.Context) error {
 func (d *driver) settle() bool {
 	id := d.node.Machine.ID()
 	if v, ok := d.node.Decision(); ok {
-		d.notes <- note{id: id, awaited: d.node.Awaited(), value: v,
-			phase: d.node.Machine.Phase(), at: time.Since(d.start)}
+		d.r.notes <- note{id: id, awaited: d.node.Awaited(), value: v,
+			phase: d.node.Machine.Phase(), at: time.Since(d.r.start)}
 	}
 	if d.node.Died() {
-		d.notes <- note{id: id, crashed: true}
+		d.r.notes <- note{id: id, crashed: true}
 	}
 	return d.node.Dead()
 }
@@ -146,7 +153,7 @@ func (d *driver) settle() bool {
 // the run for every correct process.
 func (d *driver) sendAll(outs []core.Outbound) error {
 	var err error
-	core.Expand(outs, d.n, func(to msg.ID, m msg.Message) {
+	core.Expand(outs, d.r.n, func(to msg.ID, m msg.Message) {
 		if err == nil {
 			err = d.send(to, m)
 		}
@@ -160,7 +167,7 @@ func (d *driver) send(to msg.ID, m msg.Message) error {
 	}
 	err := d.conn.Send(to, m)
 	if err == nil || errors.Is(err, transport.ErrClosed) {
-		d.met.sent.Inc()
+		d.r.met.sent.Inc()
 		return nil // a closed destination is indistinguishable from a slow one
 	}
 	return fmt.Errorf("p%d send to p%d: %w", d.node.Machine.ID(), to, err)
@@ -257,54 +264,78 @@ func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 	}
 	report := &Report{DecisionRecord: policy.NewDecisionRecord(n)}
 	var err error
-	report.Elapsed, report.AllDecided, err = c.run(ctx, report)
+	report.Elapsed, report.AllDecided, err = c.run(ctx, report, new(Runner))
 	slices.Sort(report.Crashed)
 	return report, err
 }
 
-// run is Run after the crash plan's validation, folding the drivers' notes
-// into rec. It returns the time to the last decision and whether every
-// awaited process decided.
-func (c *Cluster) run(ctx context.Context, rec recorder) (time.Duration, bool, error) {
+// Runner is the storage of Cluster.Run's loop -- the drivers, the note and
+// error channels, the wait group and the stop flag -- kept from one run to
+// the next, so that a caller running instance after instance (a replicated
+// log's slots) builds it once. Its zero value is ready to use. It runs one
+// instance at a time, and a run leaves nothing behind that the next could
+// see: by the time a run returns every driver has exited, both channels are
+// drained and the drivers are cleared.
+type Runner struct {
+	drivers []driver
+	notes   chan note
+	errs    chan error
+	wg      sync.WaitGroup
+	// stop tells the drivers to shut down once the run has what it waits
+	// for, or has given up on it.
+	stop atomic.Bool
+	// The run's settings, read by its drivers.
+	n     int
+	start time.Time
+	met   liveMetrics
+	reg   *metrics.Registry // the registry met's handles came from
+	// out is what RunInstance folds the run's decisions into.
+	out InstanceOutcome
+}
+
+// run is Run after the crash plan's validation, on r's storage, folding
+// the drivers' notes into rec. It returns the time to the last decision and
+// whether every awaited process decided.
+func (c *Cluster) run(ctx context.Context, rec recorder, r *Runner) (time.Duration, bool, error) {
 	n := len(c.machines)
-	start := time.Now()
+	r.n, r.start = n, time.Now()
+	r.stop.Store(false)
+	if c.Metrics != r.reg {
+		r.met, r.reg = newLiveMetrics(c.Metrics), c.Metrics
+	}
 	conns := c.conns
 	if c.Policy != nil {
 		conns = make([]transport.Conn, n)
 		for i, inner := range c.conns {
 			if inner != nil {
-				conns[i] = newPolicyConn(inner, c.Policy, c.Unit, start,
+				conns[i] = newPolicyConn(inner, c.Policy, c.Unit, r.start,
 					c.Seed^uint64(i+1)*0xbf58476d1ce4e5b9)
 			}
 		}
 	}
-	// A driver notes at most one decision and one death, so notes never
-	// blocks a driver.
-	notes := make(chan note, 2*n)
-	errCh := make(chan error, n)
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// A driver notes at most one decision and one death and fails at most
+	// once, so neither channel ever blocks a driver.
+	if cap(r.notes) != 2*n {
+		r.notes, r.errs = make(chan note, 2*n), make(chan error, n)
+	}
+	if len(r.drivers) < n {
+		r.drivers = make([]driver, n)
+	}
 
-	met := newLiveMetrics(c.Metrics)
-	var wg sync.WaitGroup
+	met := r.met
 	// pending counts the awaited processes yet to decide.
 	pending := 0
 	for i, m := range c.machines {
 		if conns[i] == nil {
 			continue
 		}
-		d := &driver{node: policy.NewNode(m, c.Crashes, c.Byzantine[msg.ID(i)]),
-			conn: conns[i], n: n, met: met, start: start, notes: notes}
+		d := &r.drivers[i]
+		*d = driver{node: policy.NewNode(m, c.Crashes, c.Byzantine[msg.ID(i)]), conn: conns[i], r: r}
 		if d.node.Awaited() {
 			pending++
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := d.run(runCtx); err != nil {
-				errCh <- err
-			}
-		}()
+		r.wg.Add(1)
+		go d.loop()
 	}
 
 	var runErr error
@@ -324,9 +355,9 @@ func (c *Cluster) run(ctx context.Context, rec recorder) (time.Duration, bool, e
 collect:
 	for pending > 0 {
 		select {
-		case nt := <-notes:
+		case nt := <-r.notes:
 			record(nt)
-		case err := <-errCh:
+		case err := <-r.errs:
 			runErr = err
 			break collect
 		case <-ctx.Done():
@@ -335,17 +366,24 @@ collect:
 			break collect
 		}
 	}
-	elapsed := time.Since(start)
+	elapsed := time.Since(r.start)
 
 	// Shut down -- all decided, a driver error, or the caller's deadline:
 	// closing the connections unblocks every driver still inside Recv.
-	cancel()
+	r.stop.Store(true)
 	CloseConns(conns)
-	wg.Wait()
-	// Drain the notes that raced with shutdown.
-	for len(notes) > 0 {
-		record(<-notes)
+	r.wg.Wait()
+	// Drain the notes that raced with shutdown, and drop the failures no
+	// one waited for: a later driver's behind the one that ended the run,
+	// or one after every decision was in. Left buffered, an error would end
+	// the next run on this storage.
+	for len(r.notes) > 0 {
+		record(<-r.notes)
 	}
+	for len(r.errs) > 0 {
+		<-r.errs
+	}
+	clear(r.drivers)
 	met.runs.Inc()
 	met.runSecs.Observe(elapsed.Seconds())
 	return elapsed, pending == 0, runErr

@@ -53,9 +53,11 @@ type Chain struct {
 	Model Model
 }
 
-// Validate checks parameters: chain P needs k < n, chain M a correct
-// majority, n >= 2k+1 (the fail-stop resilience bound). The error wraps the
-// reason without its "markov: " prefix, for callers that give it their own.
+// Validate checks parameters: chain P needs k < n, chain M n > 3k (the
+// malicious resilience bound, Figure 2's), without which its upper absorbing
+// region 2i > n+k, i <= n-k, is empty and no run from the balanced state
+// absorbs there. The error wraps the reason without its "markov: " prefix,
+// for callers that give it their own.
 func (c Chain) Validate() error {
 	var why error
 	switch c.Model {
@@ -64,8 +66,8 @@ func (c Chain) Validate() error {
 			why = fmt.Errorf("invalid fail-stop chain n=%d k=%d", c.N, c.K)
 		}
 	case Mixed, Forced:
-		if c.N < 1 || c.K < 0 || c.N < quorum.MinProcesses(c.K, quorum.FailStop) {
-			why = fmt.Errorf("invalid malicious chain n=%d k=%d", c.N, c.K)
+		if c.N < 1 || c.K < 0 || c.N < quorum.MinProcesses(c.K, quorum.Malicious) {
+			why = fmt.Errorf("invalid malicious chain n=%d k=%d (needs n > 3k)", c.N, c.K)
 		}
 	default:
 		why = fmt.Errorf("invalid adversary model %d", int(c.Model))
@@ -184,6 +186,12 @@ func (c Chain) ExpectedAbsorption() ([]float64, error) {
 		return nil, fmt.Errorf("markov: absorption solve (%d transient states): %w", len(b.states), err)
 	}
 	for ti, i := range b.states {
+		// A transient state takes at least one phase to leave; a time that
+		// is not positive is the solve's rounding swamping a near-singular
+		// I-Q (chain M far past k = O(sqrt n)), not an answer.
+		if !(abs[ti] > 0) || math.IsInf(abs[ti], 0) {
+			return nil, fmt.Errorf("markov: absorption solve (%d transient states): ill-conditioned, E[T] from state %d came out %g", len(b.states), i, abs[ti])
+		}
 		times[i] = abs[ti]
 	}
 	return times, nil

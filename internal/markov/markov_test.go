@@ -215,8 +215,34 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	if (Chain{N: 10, K: 2}).Validate() == nil {
 		t.Error("missing model accepted")
 	}
+	for _, m := range []Model{Mixed, Forced} {
+		// n >= 2k+1 but not n > 3k: the upper absorbing region is empty.
+		if (Chain{N: 90, K: 30, Model: m}).Validate() == nil {
+			t.Errorf("model %d: n=90 k=30 accepted", m)
+		}
+		if err := (Chain{N: 91, K: 30, Model: m}).Validate(); err != nil {
+			t.Errorf("model %d: n=91 k=30 rejected: %v", m, err)
+		}
+	}
 	if _, err := (Chain{N: 0, K: 0, Model: FailStop}).ExpectedAbsorption(); err == nil {
 		t.Error("invalid chain solved")
+	}
+}
+
+// TestExpectedAbsorptionNeverNonPositive pins that an absorption time is
+// an answer or an error: at n = 90, k = 29 chain M's I-Q is so near
+// singular that the solve's rounding swamps E[T] (it came out -4.1e13), and
+// a transient state can never take less than a phase to leave.
+func TestExpectedAbsorptionNeverNonPositive(t *testing.T) {
+	c := Chain{N: 90, K: 29, Model: Forced}
+	times, err := c.ExpectedAbsorption()
+	if err != nil {
+		return
+	}
+	for i, tm := range times {
+		if !c.Absorbed(i) && !(tm > 0) {
+			t.Fatalf("E[T] from transient state %d is %g", i, tm)
+		}
 	}
 }
 

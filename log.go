@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"resilient/internal/netxport"
 	"resilient/internal/runtime"
 	"resilient/internal/spawn"
+	"resilient/internal/transport"
 )
 
 // Defaults for the replicated-log layer.
@@ -159,38 +161,44 @@ type logBatch struct {
 
 // batcher is the dispatcher's backlog: the operations that have arrived and
 // not yet been given a slot, in arrival order, each with its arrival stamp.
-// take cuts the next slot's batch from the front, so the backlog always
-// reads as a FIFO of full batches with one open batch behind them, and a
-// batch stays open to new arrivals for exactly as long as the pipeline
-// leaves it waiting -- no timer closes it.
+// Operations arrive in the order of the run's list, so the backlog is a
+// window of that list, ops[head:len(at)], and a batch is a sub-slice of it:
+// the batcher keeps the arrival stamps and two indices, and copies no
+// operation. take cuts the next slot's batch from the front, so the backlog
+// always reads as a FIFO of full batches with one open batch behind them,
+// and a batch stays open to new arrivals for exactly as long as the
+// pipeline leaves it waiting -- no timer closes it.
 type batcher struct {
-	max int
-	ops [][]byte
-	at  []time.Duration
+	max  int
+	ops  [][]byte        // the run's operations, in arrival order
+	at   []time.Duration // at[i] is ops[i]'s arrival stamp; len(at) have arrived
+	head int             // the first arrival not yet in a batch
 }
 
-// newBatcher sizes the backlog for a run of total operations, so add never
+// newBatcher makes the backlog of a run over ops, sized so that add never
 // regrows it.
-func newBatcher(max, total int) *batcher {
-	return &batcher{max: max, ops: make([][]byte, 0, total), at: make([]time.Duration, 0, total)}
+func newBatcher(max int, ops [][]byte) *batcher {
+	return &batcher{max: max, ops: ops, at: make([]time.Duration, 0, len(ops))}
 }
 
-// add appends one arrival.
-func (b *batcher) add(op []byte, at time.Duration) {
-	b.ops = append(b.ops, op)
+// add folds the next operation's arrival, at the given stamp.
+func (b *batcher) add(at time.Duration) {
 	b.at = append(b.at, at)
 }
+
+// waiting counts the arrivals not yet in a batch.
+func (b *batcher) waiting() int { return len(b.at) - b.head }
 
 // take removes and returns the head batch -- the oldest max operations, or
 // all of them when fewer are waiting -- and nil when none is.
 func (b *batcher) take() *logBatch {
-	n := min(len(b.ops), b.max)
+	n := min(b.waiting(), b.max)
 	if n == 0 {
 		return nil
 	}
-	head := &logBatch{ops: b.ops[:n:n], submitted: b.at[:n:n]}
-	b.ops, b.at = b.ops[n:], b.at[n:]
-	return head
+	lo, hi := b.head, b.head+n
+	b.head = hi
+	return &logBatch{ops: b.ops[lo:hi:hi], submitted: b.at[lo:hi:hi]}
 }
 
 // slotDesc describes one consensus slot: its rotating proposer, the
@@ -219,7 +227,7 @@ type logRun struct {
 	// hand to a later slot. At most window slots run at once, but the
 	// finished slots waiting behind a straggler have no bound, so the list
 	// keeps 2·window sets and drops the rest; none outlives the run.
-	spare chan []slotMachine
+	spare chan *replicaSet
 }
 
 func newLogRun(opts LogOptions) (*logRun, error) {
@@ -285,7 +293,7 @@ func newLogRun(opts LogOptions) (*logRun, error) {
 		r.crashAt[c.Process] = c.Slot
 	}
 	r.met = newLogMetrics(r.reg)
-	r.spare = make(chan []slotMachine, 2*r.window)
+	r.spare = make(chan *replicaSet, 2*r.window)
 	return r, nil
 }
 
@@ -310,16 +318,20 @@ func (r *logRun) slotSeed(s int) uint64 {
 	return r.seed ^ (uint64(s)+1)*0x94d049bb133111eb
 }
 
-// slotInputs returns the unanimous per-process input for a slot: V1
-// (commit the batch) when the proposer is alive, V0 (no-op) otherwise.
-func (d *slotDesc) inputs(n int) []Value {
-	v := msg.V0
+// input returns the slot's unanimous input: V1 (commit the batch) when the
+// proposer is alive, V0 (no-op) otherwise.
+func (d *slotDesc) input() Value {
 	if d.batch != nil {
-		v = msg.V1
+		return msg.V1
 	}
+	return msg.V0
+}
+
+// inputs returns the slot's input for each of n processes.
+func (d *slotDesc) inputs(n int) []Value {
 	in := make([]Value, n)
 	for i := range in {
-		in[i] = v
+		in[i] = d.input()
 	}
 	return in
 }
@@ -454,41 +466,65 @@ func (w *slotMachine) Halted() bool {
 	return committed
 }
 
-// replicas returns slot d's n wrappers: a recorded slot's set when one is
-// spare, else a new one. Each keeps the machine it held, for respawn to
-// reset, and nothing else of its last slot: no frame, no count, no send. The
-// proposer's holds the batch and its frames to send. The frames are new
-// every slot, since the report's committed operations alias the frames the
-// replicas received.
-func (r *logRun) replicas(d slotDesc) []slotMachine {
-	var ws []slotMachine
-	select {
-	case ws = <-r.spare:
-	default:
-		ws = make([]slotMachine, r.n)
+// replicaSet is one slot's n replicas and the storage their slot runs on:
+// the wrappers, the engine's view of them as machines, the live engine's
+// conns and run loop (livenet.Runner: drivers and channels), and the
+// proposer's send list and its destinations. A set serves one slot at a
+// time and passes from a committed slot to a later one whole.
+type replicaSet struct {
+	ws       []slotMachine
+	machines []core.Machine // machines[i] is &ws[i]
+	conns    []transport.Conn
+	live     livenet.Runner
+	targets  []int32         // the replicas the proposer sends its batch to
+	send     []core.Outbound // the proposer's batch frames
+}
+
+func newReplicaSet(n int) *replicaSet {
+	set := &replicaSet{ws: make([]slotMachine, n), machines: make([]core.Machine, n), conns: make([]transport.Conn, n)}
+	for i := range set.ws {
+		set.machines[i] = &set.ws[i]
 	}
+	return set
+}
+
+// replicas returns slot d's replica set: a recorded slot's set when one is
+// spare, else a new one. Each wrapper keeps the machine it held, for
+// respawn to reset, and nothing else of its last slot: no frame, no count,
+// no send. The proposer's holds the batch and its frames to send. The
+// frames are new every slot, since the report's committed operations alias
+// the frames the replicas received.
+func (r *logRun) replicas(d slotDesc) *replicaSet {
+	var set *replicaSet
+	select {
+	case set = <-r.spare:
+	default:
+		set = newReplicaSet(r.n)
+	}
+	ws := set.ws
 	for i := range ws {
 		ws[i] = slotMachine{inner: ws[i].inner, limit: int32(min(r.batch, math.MaxInt32))}
 	}
 	if d.batch == nil {
-		return ws
+		return set
 	}
 	frames := batchFrames(d.batch.ops)
-	targets := make([]int32, 0, r.n-1)
+	set.targets = set.targets[:0]
 	for p, alive := range d.run {
 		if alive && ID(p) != d.proposer {
-			targets = append(targets, int32(p))
+			set.targets = append(set.targets, int32(p))
 		}
 	}
 	w := &ws[d.proposer]
 	w.frames, w.held = frames, int32(len(frames))
-	w.send = make([]core.Outbound, len(frames), len(frames)+1)
+	set.send = slices.Grow(set.send[:0], len(frames)+1)[:len(frames)]
 	for i, f := range frames {
 		m := msg.Graph(d.proposer, Phase(i), f)
 		m.Cardinality = int32(len(frames))
-		w.send[i] = core.ToMany(targets, m)
+		set.send[i] = core.ToMany(set.targets, m)
 	}
-	return ws
+	w.send = set.send
+	return set
 }
 
 // respawn builds the replica's machine for the process ctx describes,
@@ -568,9 +604,9 @@ func (r *logRun) run(ctx context.Context, ops [][]byte, rate float64) (*LogRepor
 			return
 		}
 		now := time.Now()
-		r.recordSlot(rep, d, v, res.ws)
+		r.recordSlot(rep, d, v, res.set.ws)
 		select { // the engine returned, so the slot's machines are quiescent
-		case r.spare <- res.ws:
+		case r.spare <- res.set:
 		default:
 		}
 		if !live {
@@ -590,7 +626,7 @@ func (r *logRun) run(ctx context.Context, ops [][]byte, rate float64) (*LogRepor
 	// slot is free. A dead proposer's turn spends the free slot on a no-op
 	// slot and leaves the backlog waiting. With every operation due at once
 	// the batches are ops cut Batch at a time, whatever the engine's pace.
-	bat := newBatcher(r.batch, len(ops))
+	bat := newBatcher(r.batch, ops)
 	gap := arrivalGaps(r.seed, rate)
 	next, due, s := 0, gap(), 0 // ops[next] arrives at start+due; s is the next slot
 	timer := time.NewTimer(due)
@@ -598,10 +634,10 @@ func (r *logRun) run(ctx context.Context, ops [][]byte, rate float64) (*LogRepor
 	for runCtx.Err() == nil {
 		now := time.Since(start)
 		for ; next < len(ops) && due <= now; next++ {
-			bat.add(ops[next], now)
+			bat.add(now)
 			due += gap()
 		}
-		backlog := float64(len(bat.ops))
+		backlog := float64(bat.waiting())
 		r.met.backlog.Set(backlog)
 		r.met.backlogMax.SetMax(backlog)
 		var offer chan<- struct{}
@@ -677,10 +713,11 @@ func windowEnd(durs []float64, window int) float64 {
 	return end
 }
 
-// slotResult is one slot's run: its replicas after the engine returned and,
-// on the simulator, the slot's virtual duration and why it stopped short.
+// slotResult is one slot's run: its replica set after the engine returned
+// and, on the simulator, the slot's virtual duration and why it stopped
+// short.
 type slotResult struct {
-	ws      []slotMachine
+	set     *replicaSet
 	simTime float64
 	stalled runtime.StallReason
 	err     error
@@ -693,9 +730,10 @@ type slotResult struct {
 // claim theirs, so frames addressed to them are dropped by the demux
 // exactly like traffic to a crashed host's dead process.
 func (r *logRun) runSlot(ctx context.Context, d slotDesc, endpoints []*netxport.Endpoint) slotResult {
-	res := slotResult{ws: r.replicas(d)}
+	res := slotResult{set: r.replicas(d)}
+	set := res.set
 	if r.engine == EngineSim {
-		if out, err := r.simRun(d, res.ws); err != nil {
+		if out, err := r.simRun(d, set.ws); err != nil {
 			res.err = err
 		} else {
 			res.simTime, res.stalled = out.SimTime, out.Stalled
@@ -703,21 +741,18 @@ func (r *logRun) runSlot(ctx context.Context, d slotDesc, endpoints []*netxport.
 		return res
 	}
 	sp := r.spawner.Reseeded(r.slotSeed(d.slot))
-	machines := make([]core.Machine, r.n)
-	for i, in := range d.inputs(r.n) {
-		cfg := core.Config{N: r.n, K: r.k, Self: ID(i), Input: in}
-		if err := res.ws[i].respawn(&sp, runtime.SpawnContext{Config: cfg}); err != nil {
+	for i := range set.ws {
+		cfg := core.Config{N: r.n, K: r.k, Self: ID(i), Input: d.input()}
+		if err := set.ws[i].respawn(&sp, runtime.SpawnContext{Config: cfg}); err != nil {
 			res.err = fmt.Errorf("resilient: build p%d: %w", i, err)
 			return res
 		}
-		machines[i] = &res.ws[i]
 	}
-	conns, err := liveConns(r.n, endpoints, uint32(d.slot)+1, d.run)
-	if err != nil {
-		res.err = err
+	if res.err = liveConns(set.conns, endpoints, uint32(d.slot)+1, d.run); res.err != nil {
 		return res
 	}
-	_, res.err = livenet.RunInstance(ctx, machines, conns, d.run, r.reg)
+	_, res.err = set.live.RunInstance(ctx, set.machines, set.conns, d.run, r.reg)
+	clear(set.conns) // closed by the run; the set pins none of them
 	return res
 }
 
@@ -753,7 +788,7 @@ func (r *logRun) verdict(d slotDesc, res slotResult) (Value, error) {
 		if !alive {
 			continue
 		}
-		switch dv, ok := res.ws[p].Decided(); {
+		switch dv, ok := res.set.ws[p].Decided(); {
 		case !ok:
 			missing = append(missing, ID(p))
 		case !decided:

@@ -8,7 +8,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -170,9 +172,9 @@ func TestRunLogSimTimeIsSlotSum(t *testing.T) {
 	}
 	// The slot layout the dispatcher makes: each batch takes the next slot
 	// whose proposer is alive, every dead proposer's turn a no-op slot.
-	bat := newBatcher(r.batch, len(ops))
-	for _, op := range ops {
-		bat.add(op, 0)
+	bat := newBatcher(r.batch, ops)
+	for range ops {
+		bat.add(0)
 	}
 	ctx, sum := logCtx(t), 0.0
 	for s := 0; s < rep.Slots; s++ {
@@ -464,11 +466,11 @@ func TestBatcher(t *testing.T) {
 	}
 	fill := func(b *batcher, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			b.add(ops[i], stamp(i))
+			b.add(stamp(i))
 		}
 	}
 
-	b := newBatcher(16, len(ops))
+	b := newBatcher(16, ops)
 	if got := b.take(); got != nil {
 		t.Fatalf("empty batcher yielded %d ops", len(got.ops))
 	}
@@ -478,7 +480,7 @@ func TestBatcher(t *testing.T) {
 		t.Fatalf("drained batcher yielded %d ops", len(got.ops))
 	}
 
-	b = newBatcher(16, len(ops))
+	b = newBatcher(16, ops)
 	fill(b, 0, 40)
 	want(b.take(), 0, 16)
 	want(b.take(), 16, 32)
@@ -489,7 +491,7 @@ func TestBatcher(t *testing.T) {
 
 	// The open batch stays open: 4 ops left waiting behind a full batch take
 	// the 3 that arrive before the pipeline asks again.
-	b = newBatcher(16, len(ops))
+	b = newBatcher(16, ops)
 	fill(b, 0, 20)
 	want(b.take(), 0, 16)
 	fill(b, 20, 23)
@@ -723,8 +725,9 @@ func TestRunLogEmpty(t *testing.T) {
 // clean and exactly the submitted ops commit. After the run a spare set,
 // which still holds its last slot's frames, comes back from replicas for a
 // new slot holding no frame, count or send of that slot -- only the
-// proposer's new batch -- and with the machines it held, which the slot then
-// resets in place and commits the new batch with on the same engine.
+// proposer's new batch -- with the machines it held and no conn of its last
+// slot, and the slot then resets those machines in place and commits the
+// new batch with them on the same engine, on the set's own storage.
 func TestLogRecycledReplicas(t *testing.T) {
 	const n = 7
 	ops := testLogOps(4*3*n+5, 16)
@@ -751,21 +754,21 @@ func TestLogRecycledReplicas(t *testing.T) {
 				}
 				// The spare sets' last slots were the run's last; a no-op
 				// slot's set holds no frame, so take one a batch slot's.
-				var ws []slotMachine
+				var set *replicaSet
 				for len(r.spare) > 0 {
-					set := <-r.spare
-					for i := range set {
-						if set[i].held > 0 {
-							ws = set
+					spare := <-r.spare
+					for i := range spare.ws {
+						if spare.ws[i].held > 0 {
+							set = spare
 						}
 					}
 				}
-				if ws == nil {
+				if set == nil {
 					t.Fatal("no spare set holds a frame of its last slot")
 				}
 				inner := make([]core.Machine, n)
-				for i := range ws {
-					inner[i] = ws[i].inner
+				for i := range set.ws {
+					inner[i] = set.ws[i].inner
 				}
 
 				s := rep.Slots
@@ -774,13 +777,19 @@ func TestLogRecycledReplicas(t *testing.T) {
 				}
 				batch := testLogOps(3, 24)
 				d := r.desc(s, &logBatch{ops: batch, submitted: make([]time.Duration, len(batch))})
-				r.spare <- ws
+				r.spare <- set
 				got := r.replicas(d)
-				if &got[0] != &ws[0] {
+				if got != set {
 					t.Fatal("replicas built a new set with one spare")
 				}
-				for i := range got {
-					w := &got[i]
+				for i := range got.ws {
+					w := &got.ws[i]
+					if got.machines[i] != core.Machine(w) {
+						t.Fatalf("machines[%d] is not the set's replica %d", i, i)
+					}
+					if got.conns[i] != nil {
+						t.Fatalf("replica %d holds a conn of its last slot", i)
+					}
 					if w.inner != inner[i] {
 						t.Fatalf("replica %d lost the machine it held", i)
 					}
@@ -807,7 +816,10 @@ func TestLogRecycledReplicas(t *testing.T) {
 				if v, err := r.verdict(d, res); err != nil || v != msg.V1 {
 					t.Fatalf("recycled slot: err %v, value %v", err, v)
 				}
-				ws2 := res.ws
+				if res.set != set {
+					t.Fatal("the slot ran on a new set with one spare")
+				}
+				ws2 := res.set.ws
 				for i := range ws2 {
 					if ws2[i].inner != inner[i] {
 						t.Fatalf("replica %d's machine was rebuilt, not reset", i)
@@ -818,5 +830,45 @@ func TestLogRecycledReplicas(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// logSlotMallocCeiling bounds what a closed-loop TCP slot allocates at the
+// margin (n = 7, batch 16, window 4). Measured: 34.9–37.8 mallocs per slot,
+// race detector on or off, with a replica set carrying its slot's engine
+// scaffolding; 54.3–61.1 when every slot built its drivers, note and error
+// channels, machine and conn slices and send list new.
+const logSlotMallocCeiling = 44
+
+// TestLogSlotAllocations pins the per-slot allocations of a live log: the
+// heap allocations of a 313-slot TCP run less those of a 63-slot run, over
+// the 250 slots between them, so the mesh's set-up and the replica sets
+// built before the free list fills cancel out. It counts allocations, not
+// time, and takes the least of three readings, since anything else running
+// in the process can only add to a reading.
+func TestLogSlotAllocations(t *testing.T) {
+	opts := LogOptions{Engine: EngineTCP, N: 7, Seed: 1, Batch: 16, Pipeline: 4}
+	mallocs := func(ops [][]byte) (uint64, int) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := RunLog(logCtx(t), opts, ops)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireLog(t, "tcp", ops, rep)
+		return after.Mallocs - before.Mallocs, rep.Slots
+	}
+	small, large := testLogOps(1000, 16), testLogOps(5000, 16)
+	mallocs(small) // the first run in a process pays for the runtime's warm-up
+	least := math.Inf(1)
+	for range 3 {
+		a, sa := mallocs(small)
+		b, sb := mallocs(large)
+		least = min(least, float64(b-a)/float64(sb-sa))
+	}
+	t.Logf("%.2f mallocs per slot", least)
+	if least > logSlotMallocCeiling {
+		t.Fatalf("a live slot allocates %.2f times, ceiling %d: is its engine scaffolding built per slot again?", least, logSlotMallocCeiling)
 	}
 }
