@@ -244,19 +244,23 @@ func run(args []string) (err error) {
 	if *showTrace && count == 1 {
 		opts.Trace = buf
 	}
-	var single *resilient.Result // the whole result of a one-trial run
-	outs, err := sweep.Run(count, *workers, func(tr int) (mc.Outcome, error) {
+	var single *resilient.Outcome // the whole outcome of a one-trial run
+	var t mc.Tally
+	err = sweep.Fold(count, *workers, func(tr int) (resilient.Outcome, error) {
 		trialOpts := opts
 		trialOpts.Seed = sc.Seed + uint64(tr)
 		res, err := resilient.Simulate(sc.Protocol, sc.N, sc.K, sc.Inputs, trialOpts)
 		if err != nil {
-			return mc.Outcome{}, err
+			return resilient.Outcome{}, err
 		}
+		out := sc.SimOutcome(res)
 		if count == 1 {
-			single = res
+			single = out
 		}
-		return mc.OutcomeOf(res, sc.Inputs, sc.Adversaries), nil
-	})
+		trial := *out
+		trial.Sim = nil // the tally keeps no trial's whole Result
+		return trial, nil
+	}, t.Add)
 	if err != nil {
 		if count == 1 {
 			err = errors.Unwrap(err) // the simulator's own words, without the job index
@@ -267,12 +271,11 @@ func run(args []string) (err error) {
 		for _, e := range buf.Events() {
 			fmt.Println(e)
 		}
-		return report(simOutcome(single))
+		return report(single)
 	}
 
 	// A trial in which not everyone decided has no phase count: the tally
 	// folds phases over the terminated trials only.
-	t := mc.TallyOf(outs)
 	fmt.Printf("protocol   %v  n=%d k=%d  trials=%d\n", proto, *n, *k, count)
 	fmt.Printf("terminated %d/%d\n", t.Terminated, count)
 	if len(t.Stalls) > 0 {
@@ -621,13 +624,6 @@ func parsePolicy(spec string) (resilient.LinkPolicy, error) {
 		}
 	}
 	return pol, nil
-}
-
-// simOutcome wraps a simulated result as the engine-independent outcome,
-// as RunScenario does on EngineSim.
-func simOutcome(res *resilient.Result) *resilient.Outcome {
-	return &resilient.Outcome{Engine: resilient.EngineSim, DecisionRecord: res.DecisionRecord,
-		Elapsed: res.WallClock, Sim: res}
 }
 
 // printOutcome is the text report of one execution on any engine: the

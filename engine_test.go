@@ -2,7 +2,6 @@ package resilient
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -20,36 +19,66 @@ func unanimous(n int, v Value) []Value {
 	return inputs
 }
 
-// runParity executes one scenario on every engine in the matrix and checks
-// the engine-independent outcome is identical: every correct process
-// decides, all decisions agree, and -- because the inputs are unanimous --
-// validity pins the decided value, so it must match across engines even
-// though the schedules differ wildly.
-func runParity(t *testing.T, sc Scenario, wantValue Value, wantDeciders int, wantCrashed []ID) {
+// parityCase is one row of the engine-parity table: a scenario with
+// unanimous inputs, the engines it runs on, and what its outcome must show.
+type parityCase struct {
+	sc      Scenario
+	engines []Engine
+	// crashed is the simulator's crash list; a live run is held to
+	// checkLiveCrashed.
+	crashed []ID
+	// validity says the decision must be the unanimous input (false for a
+	// protocol whose checker skips validity).
+	validity bool
+}
+
+// runParity executes one parity row on each of its engines and checks that
+// the engine-independent outcome is the same on every one: the run
+// terminates, every process outside the fault plan and the adversaries
+// decides and nobody else does, all decisions agree, and -- because the
+// inputs are unanimous -- validity pins the decided value, so it must match
+// across engines even though the schedules differ wildly.
+func runParity(t *testing.T, tc parityCase) {
 	t.Helper()
-	for _, engine := range []Engine{EngineSim, EngineMem, EngineTCP} {
+	var deciders []ID
+	for id := range ID(tc.sc.N) {
+		_, crashes := tc.sc.Crashes[id]
+		_, adversary := tc.sc.Adversaries[id]
+		if !crashes && !adversary {
+			deciders = append(deciders, id)
+		}
+	}
+	want := tc.sc.Inputs[0]
+	for _, engine := range tc.engines {
 		t.Run(engine.String(), func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			out, err := RunScenario(ctx, engine, sc)
+			out, err := RunScenario(ctx, engine, tc.sc)
 			if err != nil {
 				t.Fatalf("%v: %v", engine, err)
 			}
-			if !out.AllDecided {
-				t.Fatalf("%v: not all correct processes decided: %+v", engine, out.Decisions)
+			if out.Engine != engine {
+				t.Fatalf("outcome of %v says engine %v", engine, out.Engine)
+			}
+			if !out.Terminated || !out.AllDecided {
+				t.Fatalf("%v: terminated=%v allDecided=%v decisions=%+v", engine, out.Terminated, out.AllDecided, out.Decisions)
 			}
 			if !out.Agreement {
 				t.Fatalf("%v: disagreement: %+v", engine, out.Decisions)
 			}
-			if out.Value != wantValue {
-				t.Fatalf("%v: decided %d, want %d", engine, out.Value, wantValue)
+			if tc.validity && (!out.Validity || out.Value != want) {
+				t.Fatalf("%v: validity=%v decided %d, want the unanimous input %d", engine, out.Validity, out.Value, want)
 			}
-			if len(out.Decisions) != wantDeciders {
-				t.Fatalf("%v: %d deciders, want %d", engine, len(out.Decisions), wantDeciders)
+			var got []ID
+			for id := range out.Decisions {
+				got = append(got, id)
+			}
+			if slices.Sort(got); !slices.Equal(got, deciders) {
+				t.Fatalf("%v: deciders %v, want %v", engine, got, deciders)
 			}
 			for id, v := range out.Decisions {
-				if v != wantValue {
-					t.Fatalf("%v: p%d decided %d, want %d", engine, id, v, wantValue)
+				if v != out.Value {
+					t.Fatalf("%v: p%d decided %d, the outcome value is %d", engine, id, v, out.Value)
 				}
 			}
 			// The simulator runs the whole plan. A live run ends when the
@@ -59,12 +88,12 @@ func runParity(t *testing.T, sc Scenario, wantValue Value, wantDeciders int, wan
 			crashed := slices.Clone(out.Crashed)
 			slices.Sort(crashed)
 			if engine == EngineSim {
-				if !slices.Equal(crashed, wantCrashed) {
-					t.Fatalf("%v: crashed %v, want %v", engine, crashed, wantCrashed)
+				if !slices.Equal(crashed, tc.crashed) {
+					t.Fatalf("%v: crashed %v, want %v", engine, crashed, tc.crashed)
 				}
 				return
 			}
-			checkLiveCrashed(t, sc.Crashes, crashed)
+			checkLiveCrashed(t, tc.sc.Crashes, crashed)
 		})
 	}
 }
@@ -90,33 +119,39 @@ func checkLiveCrashed(t *testing.T, plan map[ID]Crash, crashed []ID) {
 // death and an initially-dead process, k faults in total -- on the
 // simulator, the in-memory engine, and the TCP mesh.
 func TestEngineParityFailStop(t *testing.T) {
-	runParity(t, Scenario{
-		Protocol: ProtocolFailStop,
-		N:        7, K: 3,
-		Inputs: unanimous(7, V1),
-		Seed:   11,
-		Crashes: map[ID]Crash{
-			5: {Process: 5, Phase: 1, AfterSends: 3},
-			6: {Process: 6, Phase: 0, AfterSends: 0},
+	runParity(t, parityCase{
+		sc: Scenario{
+			Protocol: ProtocolFailStop,
+			N:        7, K: 3,
+			Inputs: unanimous(7, V1),
+			Seed:   11,
+			Crashes: map[ID]Crash{
+				5: {Process: 5, Phase: 1, AfterSends: 3},
+				6: {Process: 6, Phase: 0, AfterSends: 0},
+			},
 		},
-	}, V1, 5, []ID{5, 6})
+		engines: allEngines, crashed: []ID{5, 6}, validity: true,
+	})
 }
 
 // TestEngineParityMalicious runs one malicious scenario -- a constant liar
 // plus a fail-stop crash, k faults in total -- on all three engines.
 func TestEngineParityMalicious(t *testing.T) {
-	runParity(t, Scenario{
-		Protocol: ProtocolMalicious,
-		N:        7, K: 2,
-		Inputs: unanimous(7, V1),
-		Seed:   5,
-		Adversaries: map[ID]Strategy{
-			5: StrategyLiar0,
+	runParity(t, parityCase{
+		sc: Scenario{
+			Protocol: ProtocolMalicious,
+			N:        7, K: 2,
+			Inputs: unanimous(7, V1),
+			Seed:   5,
+			Adversaries: map[ID]Strategy{
+				5: StrategyLiar0,
+			},
+			Crashes: map[ID]Crash{
+				6: {Process: 6, Phase: 0, AfterSends: 0},
+			},
 		},
-		Crashes: map[ID]Crash{
-			6: {Process: 6, Phase: 0, AfterSends: 0},
-		},
-	}, V1, 5, []ID{6})
+		engines: allEngines, crashed: []ID{6}, validity: true,
+	})
 }
 
 // TestEngineParityBenOrShared runs the shared-coin Ben-Or variant on all
@@ -124,12 +159,15 @@ func TestEngineParityMalicious(t *testing.T) {
 // alone, so one read-only source serves every process concurrently -- the
 // live engines exercise that concurrency for real.
 func TestEngineParityBenOrShared(t *testing.T) {
-	runParity(t, Scenario{
-		Protocol: ProtocolBenOrShared,
-		N:        7, K: 3,
-		Inputs: unanimous(7, V1),
-		Seed:   7,
-	}, V1, 7, nil)
+	runParity(t, parityCase{
+		sc: Scenario{
+			Protocol: ProtocolBenOrShared,
+			N:        7, K: 3,
+			Inputs: unanimous(7, V1),
+			Seed:   7,
+		},
+		engines: allEngines, validity: true,
+	})
 }
 
 // TestEngineParityRegistry runs every registered protocol through the
@@ -145,29 +183,17 @@ func TestEngineParityRegistry(t *testing.T) {
 		if !ok {
 			t.Fatalf("Protocols() returned unregistered %v", p)
 		}
-		sc := Scenario{
-			Protocol: p,
-			N:        7, K: p.MaxFaults(7),
-			Inputs: unanimous(7, V1),
-			Seed:   9,
-		}
-		for _, engine := range []Engine{EngineSim, EngineMem} {
-			t.Run(fmt.Sprintf("%v/%v", p, engine), func(t *testing.T) {
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				defer cancel()
-				out, err := RunScenario(ctx, engine, sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !out.AllDecided || !out.Agreement {
-					t.Fatalf("allDecided=%v agreement=%v decisions=%+v",
-						out.AllDecided, out.Agreement, out.Decisions)
-				}
-				if !d.SkipValidity && out.Value != V1 {
-					t.Fatalf("decided %d, validity demands the unanimous input %d", out.Value, V1)
-				}
+		t.Run(p.String(), func(t *testing.T) {
+			runParity(t, parityCase{
+				sc: Scenario{
+					Protocol: p,
+					N:        7, K: p.MaxFaults(7),
+					Inputs: unanimous(7, V1),
+					Seed:   9,
+				},
+				engines: []Engine{EngineSim, EngineMem}, validity: !d.SkipValidity,
 			})
-		}
+		})
 	}
 }
 

@@ -56,7 +56,7 @@ func E10(p Params) ([]*Table, error) {
 		}
 		decision := "-"
 		for _, o := range outs {
-			if o.Decided > 0 {
+			if len(o.Decisions) > 0 {
 				decision = fmt.Sprintf("%d", o.Value)
 				if sc.want != "" && decision != sc.want {
 					decision += " (want " + sc.want + ") UNEXPECTED"

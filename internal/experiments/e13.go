@@ -71,7 +71,7 @@ func E13(p Params) ([]*Table, error) {
 		if p.WallTimes {
 			var wall stats.Accumulator
 			for _, o := range outs {
-				wall.Add(o.Wall.Seconds() * 1e3)
+				wall.Add(o.Elapsed.Seconds() * 1e3)
 			}
 			cells = append(cells, f3(wall.Mean()))
 		}

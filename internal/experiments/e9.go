@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"resilient/internal/mc"
 	"resilient/internal/proto"
 	"resilient/internal/quorum"
 	"resilient/internal/spawn"
@@ -29,7 +28,7 @@ func E9(p Params) ([]*Table, error) {
 	for row, n := range sizes {
 		k := quorum.MaxFaults(n, quorum.Malicious)
 		trials := max(p.trials()/4, 10)
-		runs := func(protocol proto.ID) ([]mc.Outcome, error) {
+		runs := func(protocol proto.ID) ([]spawn.Outcome, error) {
 			return runTrials(p, trials, func(tr int) spawn.Scenario {
 				seed := p.seedFor(row, tr)
 				return spawn.Scenario{Protocol: protocol, N: n, K: k, Inputs: randomInputs(n, seed), Seed: seed}

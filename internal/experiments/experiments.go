@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -224,11 +225,18 @@ func chainRuns(p Params, row int, stream uint64, run func(rng *rand.Rand) (int, 
 	return acc, err
 }
 
-// runTrials runs trial(0..trials-1)'s runs across p's workers and returns
-// their outcomes in trial order.
-func runTrials(p Params, trials int, trial func(tr int) spawn.Scenario) ([]mc.Outcome, error) {
-	return sweep.Run(trials, p.workers(), func(tr int) (mc.Outcome, error) {
-		return mc.RunTrial(trial(tr))
+// runTrials runs trial(0..trials-1)'s scenarios on the simulator across p's
+// workers and returns their outcomes in trial order, without the
+// simulator's whole Results.
+func runTrials(p Params, trials int, trial func(tr int) spawn.Scenario) ([]spawn.Outcome, error) {
+	return sweep.Run(trials, p.workers(), func(tr int) (spawn.Outcome, error) {
+		sc := trial(tr)
+		out, err := spawn.Run(context.TODO(), spawn.EngineSim, sc)
+		if err != nil {
+			return spawn.Outcome{}, fmt.Errorf("%v: %w", sc.Protocol, err)
+		}
+		out.Sim = nil
+		return *out, nil
 	})
 }
 

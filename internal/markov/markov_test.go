@@ -425,3 +425,34 @@ func TestFiveStateMCollapsesToR(t *testing.T) {
 		}
 	}
 }
+
+// TestAbsorptionSolveBackwardStable answers whether the forced chain M's
+// exact E[T] exceeding the paper's 1/(2Φ(l)) at n = 90 from k = 24 is the
+// chain or a bad solve: the solved times t satisfy (I-Q)t = 1 to a relative
+// residual ||(I-Q)t - 1||∞ / ||t||∞ near machine precision (about 1e-15)
+// under both adversary models, at the first k past the bound (24) and one
+// further out (26). The excess is the chain's.
+func TestAbsorptionSolveBackwardStable(t *testing.T) {
+	for _, m := range []Model{Mixed, Forced} {
+		for _, k := range []int{24, 26} {
+			c := Chain{N: 90, K: k, Model: m}
+			times, err := c.ExpectedAbsorption()
+			if err != nil {
+				t.Fatalf("model %d k=%d: %v", m, k, err)
+			}
+			b := c.transient()
+			resid, norm := 0.0, 0.0
+			for ti, i := range b.states {
+				r := times[i] - 1
+				for tj, j := range b.states {
+					r -= b.q.At(ti, tj) * times[j]
+				}
+				resid = max(resid, math.Abs(r))
+				norm = max(norm, times[i])
+			}
+			if rel := resid / norm; !(rel <= 1e-12) {
+				t.Errorf("model %d k=%d: relative residual %.3g (||t|| = %.3g), want <= 1e-12", m, k, rel, norm)
+			}
+		}
+	}
+}

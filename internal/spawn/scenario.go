@@ -99,10 +99,14 @@ type Scenario struct {
 
 // Validate is the one check of a runnable scenario, run on every engine
 // before a machine or a socket exists; it returns the scenario's spawner.
-// live refuses the simulator-only knobs, the omniscient balancer and an
-// event budget. Of several faulty processes, the error names the lowest.
-func (sc *Scenario) Validate(live bool) (*Spawner, error) {
-	n, k := sc.N, sc.K
+// A live engine refuses the simulator-only knobs, the omniscient balancer
+// and an event budget. Of several faulty processes, the error names the
+// lowest.
+func (sc *Scenario) Validate(engine Engine) (*Spawner, error) {
+	if !engine.Valid() {
+		return nil, fmt.Errorf("unknown engine %d", int(engine))
+	}
+	n, k, live := sc.N, sc.K, engine.Live()
 	s, err := New(sc.Protocol, sc.Coin, sc.Seed)
 	if err != nil {
 		return nil, err

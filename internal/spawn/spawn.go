@@ -1,11 +1,14 @@
 // Package spawn holds the run description -- Scenario, its one Validate and
-// its one SimConfig -- and is the one machine-construction path: it binds a
-// registered protocol to everything a run decides once -- the resolved coin
-// scheme and its seed, the sample directory, the Unsafe switch, the
-// adversary assignment -- and builds each process's machine, honest or
-// wrapped in a Byzantine strategy. The simulator, the live engines, the
-// replicated log, the Monte-Carlo ensembles and the experiments all build
-// machines here, so this is the only caller of proto.Descriptor.Spawn.
+// its one SimConfig -- and the one run function, Run, which executes a
+// Scenario on any Engine and returns one Outcome; the live engines' cluster,
+// mesh and conn builders live here too. It is also the one
+// machine-construction path: it binds a registered protocol to everything a
+// run decides once -- the resolved coin scheme and its seed, the sample
+// directory, the Unsafe switch, the adversary assignment -- and builds each
+// process's machine, honest or wrapped in a Byzantine strategy. The
+// simulator, the live engines, the replicated log, the Monte-Carlo
+// ensembles and the experiments all build machines here, so this is the
+// only caller of proto.Descriptor.Spawn.
 // Errors carry no package prefix; callers add their own.
 package spawn
 

@@ -26,28 +26,64 @@ func Run[T any](n, workers int, job func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	if job == nil {
-		return nil, fmt.Errorf("sweep: nil job")
+	results := make([]T, n)
+	if err := run(0, results, workers, 8, job); err != nil {
+		return nil, err
 	}
+	return results, nil
+}
+
+// foldBlock is how many results per worker Fold holds at a time.
+const foldBlock = 64
+
+// Fold executes job(0..n-1) as Run does and hands each result to add, in
+// index order, on the calling goroutine. It runs the jobs a block of
+// foldBlock per worker at a time and holds only that block's results, so a
+// fold over many jobs keeps no per-job result. Workers claim one index at a
+// time, so a block's tail leaves a worker idle for at most one job.
+func Fold[T any](n, workers int, job func(i int) (T, error), add func(T)) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	block := make([]T, min(max(n, 0), foldBlock*workers))
+	for lo := 0; lo < n; lo += len(block) {
+		results := block[:min(len(block), n-lo)]
+		if err := run(lo, results, workers, foldBlock, job); err != nil {
+			return err
+		}
+		for _, r := range results {
+			add(r)
+		}
+	}
+	return nil
+}
+
+// run executes job(lo..lo+len(results)-1) into results, job(i) into
+// results[i-lo], with Run's error rules; workers claim the indices in
+// contiguous chunks, about chunks of them per worker.
+func run[T any](lo int, results []T, workers, chunks int, job func(i int) (T, error)) error {
+	if job == nil {
+		return fmt.Errorf("sweep: nil job")
+	}
+	n := len(results)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
 	}
-	results := make([]T, n)
 	if workers == 1 {
-		for i := 0; i < n; i++ {
-			r, err := job(i)
+		for i := range results {
+			r, err := job(lo + i)
 			if err != nil {
-				return nil, fmt.Errorf("sweep job %d: %w", i, err)
+				return fmt.Errorf("sweep job %d: %w", lo+i, err)
 			}
 			results[i] = r
 		}
-		return results, nil
+		return nil
 	}
 
-	chunk := n / (workers * 8)
+	chunk := n / (workers * chunks)
 	if chunk < 1 {
 		chunk = 1
 	}
@@ -83,9 +119,9 @@ func Run[T any](n, workers int, job func(i int) (T, error)) ([]T, error) {
 					if stop.Load() {
 						return
 					}
-					r, err := job(i)
+					r, err := job(lo + i)
 					if err != nil {
-						fail(fmt.Errorf("sweep job %d: %w", i, err))
+						fail(fmt.Errorf("sweep job %d: %w", lo+i, err))
 						return
 					}
 					results[i] = r
@@ -94,8 +130,5 @@ func Run[T any](n, workers int, job func(i int) (T, error)) ([]T, error) {
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
+	return firstErr
 }

@@ -143,3 +143,41 @@ func TestWorkersClamped(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFoldInIndexOrder: Fold hands add every result once, in index order,
+// across several blocks and for any worker count, and an error names the
+// job's own index, not its place in a block.
+func TestFoldInIndexOrder(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
+		for _, workers := range []int{1, 2, 3, 0} {
+			var got []int
+			if err := Fold(n, workers, func(i int) (int, error) { return i * 3, nil }, func(v int) { got = append(got, v) }); err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+			}
+			if len(got) != n {
+				t.Fatalf("n=%d workers=%d: %d results", n, workers, len(got))
+			}
+			for i, v := range got {
+				if v != i*3 {
+					t.Fatalf("n=%d workers=%d: result %d = %d", n, workers, i, v)
+				}
+			}
+		}
+	}
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 2} {
+		added := 0
+		err := Fold(1000, workers, func(i int) (int, error) {
+			if i == 700 {
+				return 0, boom
+			}
+			return i, nil
+		}, func(int) { added++ })
+		if !errors.Is(err, boom) || !strings.Contains(err.Error(), "sweep job 700") {
+			t.Errorf("workers=%d: error %v, want job 700's", workers, err)
+		}
+		if added > 700 {
+			t.Errorf("workers=%d: %d results added past the failed job", workers, added)
+		}
+	}
+}

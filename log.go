@@ -348,9 +348,8 @@ func (d *slotDesc) dead() []ID {
 }
 
 // batchFrames packs a batch's operations into length-prefixed wire chunks,
-// each within the frame payload bound.
-func batchFrames(ops [][]byte) [][]byte {
-	var frames [][]byte
+// each within the frame payload bound, appended to frames.
+func batchFrames(frames [][]byte, ops [][]byte) [][]byte {
 	var cur []byte
 	var buf [binary.MaxVarintLen64]byte
 	for _, op := range ops {
@@ -391,7 +390,7 @@ func nextOp(frame []byte) (op, rest []byte, ok bool) {
 // batch, and it halts once the machine has halted and it has committed.
 type slotMachine struct {
 	inner  core.Machine
-	frames [][]byte        // the batch's chunks by index; nil until one is held
+	frames [][]byte        // the batch's chunks by index; empty until one is held
 	held   int32           // the non-nil entries of frames
 	limit  int32           // the most chunks a batch has: at least one op each
 	send   []core.Outbound // the proposer's batch frames, with room for Start's
@@ -434,11 +433,11 @@ func (w *slotMachine) OnMessage(m msg.Message) []core.Outbound {
 // frame's are dropped.
 func (w *slotMachine) hold(m msg.Message) {
 	c, i := int(m.Cardinality), int(m.Phase)
-	if w.frames == nil {
+	if len(w.frames) == 0 {
 		if c < 1 || c > int(w.limit) {
 			return
 		}
-		w.frames = make([][]byte, c)
+		w.frames = slices.Grow(w.frames, c)[:c] // nil entries: cleared at commit
 	}
 	if c != len(w.frames) || i < 0 || i >= c || w.frames[i] != nil || len(m.Payload) == 0 {
 		return
@@ -490,10 +489,11 @@ func newReplicaSet(n int) *replicaSet {
 
 // replicas returns slot d's replica set: a recorded slot's set when one is
 // spare, else a new one. Each wrapper keeps the machine it held, for
-// respawn to reset, and nothing else of its last slot: no frame, no count,
-// no send. The proposer's holds the batch and its frames to send. The
-// frames are new every slot, since the report's committed operations alias
-// the frames the replicas received.
+// respawn to reset, and its frame list's storage, and nothing else of its
+// last slot: no frame, no count, no send. The proposer's holds the batch
+// and its frames to send. The frames' bytes are new every slot, since the
+// report's committed operations alias them; the lists that index them are
+// not.
 func (r *logRun) replicas(d slotDesc) *replicaSet {
 	var set *replicaSet
 	select {
@@ -503,19 +503,19 @@ func (r *logRun) replicas(d slotDesc) *replicaSet {
 	}
 	ws := set.ws
 	for i := range ws {
-		ws[i] = slotMachine{inner: ws[i].inner, limit: int32(min(r.batch, math.MaxInt32))}
+		ws[i] = slotMachine{inner: ws[i].inner, frames: ws[i].frames[:0], limit: int32(min(r.batch, math.MaxInt32))}
 	}
 	if d.batch == nil {
 		return set
 	}
-	frames := batchFrames(d.batch.ops)
+	w := &ws[d.proposer]
+	frames := batchFrames(w.frames, d.batch.ops)
 	set.targets = set.targets[:0]
 	for p, alive := range d.run {
 		if alive && ID(p) != d.proposer {
 			set.targets = append(set.targets, int32(p))
 		}
 	}
-	w := &ws[d.proposer]
 	w.frames, w.held = frames, int32(len(frames))
 	set.send = slices.Grow(set.send[:0], len(frames)+1)[:len(frames)]
 	for i, f := range frames {
@@ -569,12 +569,12 @@ func (r *logRun) run(ctx context.Context, ops [][]byte, rate float64) (*LogRepor
 	}
 	var endpoints []*netxport.Endpoint
 	if r.engine == EngineTCP {
-		eps, err := tcpMeshEndpoints(r.n, r.reg)
+		eps, err := spawn.TCPMesh(r.n, r.reg)
 		if err != nil {
 			return nil, err
 		}
 		endpoints = eps
-		defer closeEndpoints(endpoints)
+		defer spawn.CloseMesh(endpoints)
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -605,6 +605,9 @@ func (r *logRun) run(ctx context.Context, ops [][]byte, rate float64) (*LogRepor
 		}
 		now := time.Now()
 		r.recordSlot(rep, d, v, res.set.ws)
+		for i := range res.set.ws {
+			clear(res.set.ws[i].frames) // a spare set pins no payload
+		}
 		select { // the engine returned, so the slot's machines are quiescent
 		case r.spare <- res.set:
 		default:
@@ -748,7 +751,7 @@ func (r *logRun) runSlot(ctx context.Context, d slotDesc, endpoints []*netxport.
 			return res
 		}
 	}
-	if res.err = liveConns(set.conns, endpoints, uint32(d.slot)+1, d.run); res.err != nil {
+	if res.err = spawn.LiveConns(set.conns, endpoints, uint32(d.slot)+1, d.run); res.err != nil {
 		return res
 	}
 	_, res.err = set.live.RunInstance(ctx, set.machines, set.conns, d.run, r.reg)
@@ -756,7 +759,7 @@ func (r *logRun) runSlot(ctx context.Context, d slotDesc, endpoints []*netxport.
 	return res
 }
 
-// simRun runs slot d through runtime.Run -- the call RunScenario makes --
+// simRun runs slot d through runtime.Run -- the call spawn.Run makes --
 // with every machine wrapped in its replica. It is runSlot's simulator
 // half, apart so that the reseeded spawner its Spawn closure captures is
 // not moved to the heap on a live slot.

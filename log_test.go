@@ -21,6 +21,7 @@ import (
 	"resilient/internal/msg"
 	"resilient/internal/netxport"
 	"resilient/internal/policy"
+	"resilient/internal/spawn"
 )
 
 func testLogOps(count, size int) [][]byte {
@@ -258,7 +259,7 @@ func TestLogReplicaNeverCommitsUnheldBatch(t *testing.T) {
 // after the send, and over the in-memory engine.
 func TestRunLogMultiChunkBatch(t *testing.T) {
 	ops := testLogOps(5, maxLogOp/2)
-	if c := len(batchFrames(ops)); c < 3 {
+	if c := len(batchFrames(nil, ops)); c < 3 {
 		t.Fatalf("batch packed into %d frames, want at least 3", c)
 	}
 	r, err := newLogRun(LogOptions{Engine: EngineSim, N: 4, Seed: 3})
@@ -640,7 +641,7 @@ func TestRunLogWorkloadSimDeterministic(t *testing.T) {
 // bound and concatenate back to the original operations.
 func TestBatchFrames(t *testing.T) {
 	big := testLogOps(5, maxLogOp/2)
-	frames := batchFrames(big)
+	frames := batchFrames(nil, big)
 	if len(frames) < 2 {
 		t.Fatalf("oversized batch packed into %d frame(s)", len(frames))
 	}
@@ -666,7 +667,7 @@ func TestBatchFrames(t *testing.T) {
 	if i != len(joined) {
 		t.Fatalf("%d trailing bytes after ops", len(joined)-i)
 	}
-	if got := batchFrames(nil); got != nil {
+	if got := batchFrames(nil, nil); got != nil {
 		t.Fatalf("empty batch produced %d frames", len(got))
 	}
 }
@@ -761,6 +762,9 @@ func TestLogRecycledReplicas(t *testing.T) {
 						if spare.ws[i].held > 0 {
 							set = spare
 						}
+						if slices.ContainsFunc(spare.ws[i].frames[:cap(spare.ws[i].frames)], func(f []byte) bool { return f != nil }) {
+							t.Fatalf("spare replica %d pins a payload of its last slot", i)
+						}
 					}
 				}
 				if set == nil {
@@ -794,12 +798,12 @@ func TestLogRecycledReplicas(t *testing.T) {
 						t.Fatalf("replica %d lost the machine it held", i)
 					}
 					if ID(i) == d.proposer {
-						if w.held != 1 || !slices.EqualFunc(w.frames, batchFrames(batch), bytes.Equal) || len(w.send) != 1 {
+						if w.held != 1 || !slices.EqualFunc(w.frames, batchFrames(nil, batch), bytes.Equal) || len(w.send) != 1 {
 							t.Fatalf("proposer %d holds %d frames and %d sends, want the new batch's 1 and 1", i, w.held, len(w.send))
 						}
 						continue
 					}
-					if w.frames != nil || w.held != 0 || w.send != nil {
+					if len(w.frames) != 0 || w.held != 0 || w.send != nil {
 						t.Fatalf("replica %d kept %d frames (%d held) and %d sends of its last slot", i, len(w.frames), w.held, len(w.send))
 					}
 				}
@@ -807,10 +811,10 @@ func TestLogRecycledReplicas(t *testing.T) {
 				r.spare <- got
 				var endpoints []*netxport.Endpoint
 				if engine == EngineTCP {
-					if endpoints, err = tcpMeshEndpoints(n, nil); err != nil {
+					if endpoints, err = spawn.TCPMesh(n, nil); err != nil {
 						t.Fatal(err)
 					}
-					defer closeEndpoints(endpoints)
+					defer spawn.CloseMesh(endpoints)
 				}
 				res := r.runSlot(logCtx(t), d, endpoints)
 				if v, err := r.verdict(d, res); err != nil || v != msg.V1 {
@@ -824,7 +828,7 @@ func TestLogRecycledReplicas(t *testing.T) {
 					if ws2[i].inner != inner[i] {
 						t.Fatalf("replica %d's machine was rebuilt, not reset", i)
 					}
-					if _, ok := ws2[i].Decided(); d.run[i] && (!ok || !slices.EqualFunc(ws2[i].frames, batchFrames(batch), bytes.Equal)) {
+					if _, ok := ws2[i].Decided(); d.run[i] && (!ok || !slices.EqualFunc(ws2[i].frames, batchFrames(nil, batch), bytes.Equal)) {
 						t.Fatalf("replica %d did not commit the new batch", i)
 					}
 				}
@@ -834,11 +838,13 @@ func TestLogRecycledReplicas(t *testing.T) {
 }
 
 // logSlotMallocCeiling bounds what a closed-loop TCP slot allocates at the
-// margin (n = 7, batch 16, window 4). Measured: 34.9–37.8 mallocs per slot,
+// margin (n = 7, batch 16, window 4). Measured: 28.4–30.2 mallocs per slot,
 // race detector on or off, with a replica set carrying its slot's engine
-// scaffolding; 54.3–61.1 when every slot built its drivers, note and error
-// channels, machine and conn slices and send list new.
-const logSlotMallocCeiling = 44
+// scaffolding and its replicas' frame lists; 34.9–37.8 when every replica
+// built its frame list per slot; 54.3–61.1 when every slot built its
+// drivers, note and error channels, machine and conn slices and send list
+// new.
+const logSlotMallocCeiling = 37
 
 // TestLogSlotAllocations pins the per-slot allocations of a live log: the
 // heap allocations of a 313-slot TCP run less those of a 63-slot run, over

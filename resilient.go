@@ -9,14 +9,15 @@
 //
 //   - RunScenario: one consensus instance, described once as a Scenario, on
 //     any engine -- the deterministic simulator, goroutines over an
-//     in-memory message system, or goroutines over loopback TCP sockets.
+//     in-memory message system, or goroutines over loopback TCP sockets --
+//     returning one Outcome on every engine. It wraps spawn.Run, the one
+//     run function, which Monte-Carlo ensembles and experiments call too.
 //   - Simulate: the simulator alone, with its event and time budgets and
-//     traces (the tool the experiments are built on); every delay law and
-//     scripted adversary is a LinkPolicy, the same value the live engines
-//     take.
+//     traces; every delay law and scripted adversary is a LinkPolicy, the
+//     same value the live engines take.
 //   - RunLog / RunLogWorkload: the replicated log, one instance per slot,
 //     on the same three engines; a slot is a Scenario and runs through the
-//     two run loops RunScenario uses, one per engine kind.
+//     two run loops spawn.Run uses, one per engine kind.
 //   - NewMachine: raw protocol state machines, for embedding in a custom
 //     engine.
 //

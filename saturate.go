@@ -10,6 +10,7 @@ import (
 
 	"resilient/internal/msg"
 	"resilient/internal/netxport"
+	"resilient/internal/spawn"
 )
 
 // SaturationOptions configures a TCP saturation run: a loopback mesh pushed
@@ -52,11 +53,11 @@ func RunTCPSaturation(ctx context.Context, opts SaturationOptions) (*SaturationR
 		total = 200000
 	}
 
-	endpoints, err := tcpMeshEndpoints(n, nil)
+	endpoints, err := spawn.TCPMesh(n, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer closeEndpoints(endpoints)
+	defer spawn.CloseMesh(endpoints)
 
 	proto := msg.Val(0, 0, msg.V1) // one representative message, reused
 
