@@ -93,7 +93,7 @@ func estimate(chain *mc.Chain, trials int, seed uint64) (Estimate, error) {
 	rng := spawn.Rand(seed)
 	var acc stats.Accumulator
 	for t := 0; t < trials; t++ {
-		phases, err := chain.AbsorptionRun(chain.Balanced(), rng, 0)
+		phases, err := chain.AbsorptionRun(chain.Balanced(), rng)
 		if err != nil {
 			return Estimate{}, err
 		}

@@ -26,7 +26,6 @@ package benor
 
 import (
 	"fmt"
-	"math/rand/v2"
 
 	"resilient/internal/coin"
 	"resilient/internal/core"
@@ -102,17 +101,6 @@ var (
 	_ core.Machine       = (*Machine)(nil)
 	_ core.ValueReporter = (*Machine)(nil)
 )
-
-// New returns a Ben-Or machine with the classic process-local coin. rng
-// drives the coin and must not be shared with other machines. sink may be
-// nil. It is NewWithCoin over coin.NewLocal(rng), which draws the exact
-// variates the pre-seam machine drew directly from rng.
-func New(cfg core.Config, mode Mode, rng *rand.Rand, sink trace.Sink) (*Machine, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("benor: nil rng (the protocol's coin needs one)")
-	}
-	return NewWithCoin(cfg, mode, coin.NewLocal(rng), sink)
-}
 
 // NewWithCoin returns a Ben-Or machine drawing its free choices from src:
 // a per-process coin.Local reproduces [BenO83], a run-wide coin.Shared

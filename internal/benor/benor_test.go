@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"resilient/internal/coin"
 	"resilient/internal/core"
 	"resilient/internal/msg"
 )
@@ -16,7 +17,7 @@ func cfg(n, k int, self msg.ID, input msg.Value) core.Config {
 
 func mustNew(t *testing.T, c core.Config, mode Mode) *Machine {
 	t.Helper()
-	m, err := New(c, mode, rng(uint64(c.Self)+7), nil)
+	m, err := NewWithCoin(c, mode, coin.NewLocal(rng(uint64(c.Self)+7)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,22 +25,22 @@ func mustNew(t *testing.T, c core.Config, mode Mode) *Machine {
 }
 
 func TestNewValidates(t *testing.T) {
-	if _, err := New(cfg(7, 3, 0, msg.V0), Crash, rng(1), nil); err != nil {
+	if _, err := NewWithCoin(cfg(7, 3, 0, msg.V0), Crash, coin.NewLocal(rng(1)), nil); err != nil {
 		t.Errorf("valid crash config rejected: %v", err)
 	}
-	if _, err := New(cfg(7, 4, 0, msg.V0), Crash, rng(1), nil); err == nil {
+	if _, err := NewWithCoin(cfg(7, 4, 0, msg.V0), Crash, coin.NewLocal(rng(1)), nil); err == nil {
 		t.Error("k beyond crash bound accepted")
 	}
-	if _, err := New(cfg(11, 2, 0, msg.V0), Byzantine, rng(1), nil); err != nil {
+	if _, err := NewWithCoin(cfg(11, 2, 0, msg.V0), Byzantine, coin.NewLocal(rng(1)), nil); err != nil {
 		t.Errorf("valid byzantine config rejected: %v", err)
 	}
-	if _, err := New(cfg(10, 2, 0, msg.V0), Byzantine, rng(1), nil); err == nil {
+	if _, err := NewWithCoin(cfg(10, 2, 0, msg.V0), Byzantine, coin.NewLocal(rng(1)), nil); err == nil {
 		t.Error("5k = n accepted for byzantine mode")
 	}
-	if _, err := New(cfg(7, 1, 0, msg.V0), Crash, nil, nil); err == nil {
-		t.Error("nil rng accepted")
+	if _, err := NewWithCoin(cfg(7, 1, 0, msg.V0), Crash, nil, nil); err == nil {
+		t.Error("nil coin accepted")
 	}
-	if _, err := New(cfg(7, 1, 0, msg.V0), Mode(9), rng(1), nil); err == nil {
+	if _, err := NewWithCoin(cfg(7, 1, 0, msg.V0), Mode(9), coin.NewLocal(rng(1)), nil); err == nil {
 		t.Error("unknown mode accepted")
 	}
 }
@@ -209,7 +210,7 @@ func TestDecidedProcessLingersThenHalts(t *testing.T) {
 
 func TestCoinIsSeededDeterministic(t *testing.T) {
 	run := func() msg.Value {
-		m, err := New(cfg(5, 1, 0, msg.V0), Crash, rng(42), nil)
+		m, err := NewWithCoin(cfg(5, 1, 0, msg.V0), Crash, coin.NewLocal(rng(42)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"resilient/internal/benor"
+	"resilient/internal/coin"
 	"resilient/internal/core"
 	"resilient/internal/machinetest"
 	"resilient/internal/msg"
@@ -16,9 +17,9 @@ func TestFuzzInvariants(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 0xbe40))
 		n := 4 + rng.IntN(8)
 		k := rng.IntN((n-1)/2 + 1)
-		m, err := benor.New(core.Config{
+		m, err := benor.NewWithCoin(core.Config{
 			N: n, K: k, Self: msg.ID(rng.IntN(n)), Input: msg.Value(rng.IntN(2)),
-		}, benor.Crash, rand.New(rand.NewPCG(seed, 7)), nil)
+		}, benor.Crash, coin.NewLocal(rand.New(rand.NewPCG(seed, 7))), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,9 +35,9 @@ func TestFuzzDialect(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 0xbe41))
 		n := 4 + rng.IntN(8)
 		k := rng.IntN((n-1)/2 + 1)
-		m, err := benor.New(core.Config{
+		m, err := benor.NewWithCoin(core.Config{
 			N: n, K: k, Self: 0, Input: msg.Value(rng.IntN(2)),
-		}, benor.Crash, rand.New(rand.NewPCG(seed, 8)), nil)
+		}, benor.Crash, coin.NewLocal(rand.New(rand.NewPCG(seed, 8))), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"resilient/internal/benor"
+	"resilient/internal/coin"
 	"resilient/internal/core"
 	"resilient/internal/machinetest"
 	"resilient/internal/msg"
@@ -25,9 +26,9 @@ func FuzzMachine(f *testing.F) {
 		}
 		k := int(kRaw) % (maxK + 1)
 		self := msg.ID(int(selfRaw) % n)
-		m, err := benor.New(core.Config{
+		m, err := benor.NewWithCoin(core.Config{
 			N: n, K: k, Self: self, Input: msg.Value(int(seed) % 2),
-		}, mode, rand.New(rand.NewPCG(seed, 7)), nil)
+		}, mode, coin.NewLocal(rand.New(rand.NewPCG(seed, 7))), nil)
 		if err != nil {
 			t.Skipf("config n=%d k=%d rejected: %v", n, k, err)
 		}

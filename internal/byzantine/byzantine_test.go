@@ -16,10 +16,7 @@ type fakeWorld struct {
 	zeros, ones int
 }
 
-func (w fakeWorld) N() int                           { return w.zeros + w.ones }
-func (w fakeWorld) K() int                           { return 1 }
-func (w fakeWorld) CorrectValueCounts() (int, int)   { return w.zeros, w.ones }
-func (w fakeWorld) CorrectDecidedCounts() (int, int) { return 0, 0 }
+func (w fakeWorld) CorrectValueCounts() (int, int) { return w.zeros, w.ones }
 
 func honest(t *testing.T, n, k int, self msg.ID, input msg.Value) core.Machine {
 	t.Helper()

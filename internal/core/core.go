@@ -146,14 +146,7 @@ func (c Config) Validate(model quorum.FaultModel) error {
 // knowledge of the system (Section 4: "they will try to balance the number
 // of 1 and 0 messages in the system").
 type WorldView interface {
-	// N returns the number of processes.
-	N() int
-	// K returns the fault budget.
-	K() int
 	// CorrectValueCounts returns how many correct processes currently hold
 	// value 0 and value 1 respectively.
 	CorrectValueCounts() (zeros, ones int)
-	// CorrectDecidedCounts returns how many correct processes have decided
-	// 0 and 1 respectively.
-	CorrectDecidedCounts() (zeros, ones int)
 }

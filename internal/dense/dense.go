@@ -13,14 +13,9 @@ import (
 )
 
 // Bitset is a fixed-capacity bitset. The zero value is empty and must be
-// sized with Reset or NewBitset before use.
+// sized with Reset before use.
 type Bitset struct {
 	words []uint64
-}
-
-// NewBitset returns a bitset able to hold n bits, all clear.
-func NewBitset(n int) Bitset {
-	return Bitset{words: make([]uint64, (n+63)/64)}
 }
 
 // Reset clears the bitset, growing it to hold n bits if needed.
@@ -54,11 +49,6 @@ func (b *Bitset) Set(i int) (already bool) {
 	already = b.words[w]&mask != 0
 	b.words[w] |= mask
 	return already
-}
-
-// Clone returns an independent copy of the bitset.
-func (b *Bitset) Clone() Bitset {
-	return Bitset{words: append([]uint64(nil), b.words...)}
 }
 
 // SortedIndex returns the position of id within the sorted id set, or -1
@@ -97,14 +87,6 @@ func (p *PhaseBuffer) Add(ph msg.Phase, m msg.Message) {
 	p.buckets[i].msgs = append(p.buckets[i].msgs, m)
 }
 
-// Len returns the number of messages buffered for phase ph.
-func (p *PhaseBuffer) Len(ph msg.Phase) int {
-	if i := p.find(ph); i >= 0 {
-		return len(p.buckets[i].msgs)
-	}
-	return 0
-}
-
 // TakeInto appends phase ph's buffered messages to dst, removes the bucket,
 // recycles its storage, and returns the extended dst.
 func (p *PhaseBuffer) TakeInto(ph msg.Phase, dst []msg.Message) []msg.Message {
@@ -124,13 +106,6 @@ func (p *PhaseBuffer) DropBelow(ph msg.Phase) {
 	}
 }
 
-// Drop discards phase ph's bucket, if any.
-func (p *PhaseBuffer) Drop(ph msg.Phase) {
-	if i := p.find(ph); i >= 0 {
-		p.removeAt(i)
-	}
-}
-
 // ForEach calls fn for each non-empty phase in ascending order. The msgs
 // slice is owned by the buffer and must not be retained.
 func (p *PhaseBuffer) ForEach(fn func(ph msg.Phase, msgs []msg.Message)) {
@@ -138,9 +113,6 @@ func (p *PhaseBuffer) ForEach(fn func(ph msg.Phase, msgs []msg.Message)) {
 		fn(b.phase, b.msgs)
 	}
 }
-
-// Buckets returns the number of live phase buckets.
-func (p *PhaseBuffer) Buckets() int { return len(p.buckets) }
 
 // Reset empties the buffer, keeping every bucket's storage on the freelist
 // for the next Add.

@@ -7,7 +7,8 @@ import (
 )
 
 func TestBitsetBasics(t *testing.T) {
-	b := NewBitset(130)
+	var b Bitset
+	b.Reset(130)
 	for _, i := range []int{0, 1, 63, 64, 65, 129} {
 		if b.Test(i) {
 			t.Fatalf("fresh bit %d set", i)
@@ -25,7 +26,8 @@ func TestBitsetBasics(t *testing.T) {
 }
 
 func TestBitsetOutOfRange(t *testing.T) {
-	b := NewBitset(8)
+	var b Bitset
+	b.Reset(8)
 	for _, i := range []int{-1, 8, 64, 1 << 30} {
 		// Bits 8..63 share the single word, so only truly out-of-word
 		// indices are rejected; -1 and >=64 must be safe no-ops.
@@ -42,7 +44,8 @@ func TestBitsetOutOfRange(t *testing.T) {
 }
 
 func TestBitsetResetReuses(t *testing.T) {
-	b := NewBitset(100)
+	var b Bitset
+	b.Reset(100)
 	b.Set(99)
 	b.Reset(100)
 	if b.Test(99) {
@@ -61,21 +64,15 @@ func TestBitsetResetReuses(t *testing.T) {
 	}
 }
 
-func TestBitsetClone(t *testing.T) {
-	b := NewBitset(64)
-	b.Set(7)
-	c := b.Clone()
-	c.Set(8)
-	if b.Test(8) {
-		t.Fatal("clone shares storage")
-	}
-	if !c.Test(7) {
-		t.Fatal("clone lost a bit")
-	}
-}
-
 func mkMsg(ph msg.Phase, from msg.ID) msg.Message {
 	return msg.State(from, ph, msg.V0, 1)
+}
+
+// sizes returns the number of messages p buffers per phase.
+func sizes(p *PhaseBuffer) map[msg.Phase]int {
+	out := make(map[msg.Phase]int)
+	p.ForEach(func(ph msg.Phase, msgs []msg.Message) { out[ph] = len(msgs) })
+	return out
 }
 
 func TestPhaseBufferOrdering(t *testing.T) {
@@ -84,11 +81,8 @@ func TestPhaseBufferOrdering(t *testing.T) {
 	p.Add(1, mkMsg(1, 1))
 	p.Add(3, mkMsg(3, 2))
 	p.Add(2, mkMsg(2, 3))
-	if p.Buckets() != 3 {
-		t.Fatalf("buckets = %d, want 3", p.Buckets())
-	}
-	if p.Len(3) != 2 || p.Len(1) != 1 || p.Len(7) != 0 {
-		t.Fatalf("Len wrong: %d %d %d", p.Len(3), p.Len(1), p.Len(7))
+	if got := sizes(&p); len(got) != 3 || got[3] != 2 || got[1] != 1 || got[2] != 1 {
+		t.Fatalf("buffered %v, want 1:1 2:1 3:2", got)
 	}
 	var phases []msg.Phase
 	p.ForEach(func(ph msg.Phase, msgs []msg.Message) { phases = append(phases, ph) })
@@ -99,8 +93,8 @@ func TestPhaseBufferOrdering(t *testing.T) {
 	if len(got) != 2 || got[0].From != 0 || got[1].From != 2 {
 		t.Fatalf("TakeInto(3) = %v", got)
 	}
-	if p.Len(3) != 0 || p.Buckets() != 2 {
-		t.Fatal("TakeInto did not remove the bucket")
+	if got := sizes(&p); len(got) != 2 || got[3] != 0 {
+		t.Fatalf("TakeInto did not remove the bucket: %v", got)
 	}
 }
 
@@ -109,13 +103,9 @@ func TestPhaseBufferDrop(t *testing.T) {
 	for ph := msg.Phase(0); ph < 5; ph++ {
 		p.Add(ph, mkMsg(ph, msg.ID(ph)))
 	}
-	p.Drop(2)
-	if p.Len(2) != 0 || p.Buckets() != 4 {
-		t.Fatal("Drop(2) failed")
-	}
 	p.DropBelow(4)
-	if p.Buckets() != 1 || p.Len(4) != 1 {
-		t.Fatalf("DropBelow left %d buckets", p.Buckets())
+	if got := sizes(&p); len(got) != 1 || got[4] != 1 {
+		t.Fatalf("DropBelow left %v", got)
 	}
 }
 
@@ -125,11 +115,11 @@ func TestPhaseBufferCloneIsDeep(t *testing.T) {
 	c := p.Clone()
 	c.Add(1, mkMsg(1, 1))
 	c.Add(2, mkMsg(2, 2))
-	if p.Len(1) != 1 || p.Buckets() != 1 {
-		t.Fatal("clone shares storage with original")
+	if got := sizes(&p); len(got) != 1 || got[1] != 1 {
+		t.Fatalf("clone shares storage with original: %v", got)
 	}
-	if c.Len(1) != 2 || c.Buckets() != 2 {
-		t.Fatal("clone lost its own writes")
+	if got := sizes(&c); len(got) != 2 || got[1] != 2 {
+		t.Fatalf("clone lost its own writes: %v", got)
 	}
 }
 
@@ -171,8 +161,8 @@ func TestPhaseBufferReset(t *testing.T) {
 	}
 	fill()
 	p.Reset()
-	if p.Buckets() != 0 || p.Len(1) != 0 || len(p.TakeInto(2, nil)) != 0 {
-		t.Fatalf("reset buffer holds %d buckets", p.Buckets())
+	if got := sizes(&p); len(got) != 0 || len(p.TakeInto(2, nil)) != 0 {
+		t.Fatalf("reset buffer holds %v", got)
 	}
 	if allocs := testing.AllocsPerRun(10, func() { fill(); p.Reset() }); allocs != 0 {
 		t.Fatalf("a reset buffer's next instance allocated %.1f times, want 0", allocs)

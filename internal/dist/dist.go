@@ -28,12 +28,6 @@ func LogChoose(n, r int) float64 {
 	return a - b - c
 }
 
-// Choose returns C(n, r) as a float64. It overflows to +Inf gracefully for
-// very large arguments; use LogChoose for exact log-space work.
-func Choose(n, r int) float64 {
-	return math.Exp(LogChoose(n, r))
-}
-
 // Hypergeometric is the distribution of the number of "special" items in a
 // uniform random sample of size Draw from a population of size Pop containing
 // Success special items. It is exactly X_(n,b,r) from Section 4.1 eq. (3):
@@ -138,17 +132,6 @@ type Binomial struct {
 	P float64
 }
 
-// Validate reports whether the parameters define a proper distribution.
-func (b Binomial) Validate() error {
-	if b.N < 0 {
-		return fmt.Errorf("dist: negative binomial N=%d", b.N)
-	}
-	if b.P < 0 || b.P > 1 || math.IsNaN(b.P) {
-		return fmt.Errorf("dist: binomial p=%v outside [0,1]", b.P)
-	}
-	return nil
-}
-
 // LogPMF returns log P[X = x].
 func (b Binomial) LogPMF(x int) float64 {
 	if x < 0 || x > b.N {
@@ -176,36 +159,6 @@ func (b Binomial) PMF(x int) float64 {
 	return math.Exp(b.LogPMF(x))
 }
 
-// CDF returns P[X <= x].
-func (b Binomial) CDF(x int) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x >= b.N {
-		return 1
-	}
-	sum := 0.0
-	for v := 0; v <= x; v++ {
-		sum += b.PMF(v)
-	}
-	return clampProb(sum)
-}
-
-// TailAbove returns P[X > x].
-func (b Binomial) TailAbove(x int) float64 {
-	return clampProb(1 - b.CDF(x))
-}
-
-// Mean returns N*P.
-func (b Binomial) Mean() float64 {
-	return float64(b.N) * b.P
-}
-
-// Variance returns N*P*(1-P).
-func (b Binomial) Variance() float64 {
-	return float64(b.N) * b.P * (1 - b.P)
-}
-
 // Phi is the upper tail of the standard normal distribution used throughout
 // Section 4:
 //
@@ -216,11 +169,6 @@ func (b Binomial) Variance() float64 {
 // paper itself uses in eq. (10), so that is what we implement.)
 func Phi(x float64) float64 {
 	return 0.5 * math.Erfc(x/math.Sqrt2)
-}
-
-// NormalCDF is the standard normal lower CDF, 1 - Phi(x).
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
 // NormalTailApprox approximates P[X >= j] for a Binomial(n, p) variable X by

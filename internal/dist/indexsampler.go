@@ -32,9 +32,6 @@ func NewIndexSampler(n int) *IndexSampler {
 	return s
 }
 
-// N returns the population size.
-func (s *IndexSampler) N() int { return len(s.pool) }
-
 // Draw appends k distinct indices, sampled uniformly without replacement,
 // to dst and returns the extended slice. k is clamped to the population
 // size. The returned indices are in shuffle order (uniformly random order),

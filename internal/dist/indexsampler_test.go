@@ -9,9 +9,6 @@ import (
 func TestIndexSamplerBasic(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	s := NewIndexSampler(50)
-	if s.N() != 50 {
-		t.Fatalf("N() = %d, want 50", s.N())
-	}
 	for trial := 0; trial < 200; trial++ {
 		k := 1 + trial%50
 		got := s.Draw(rng, k, nil)

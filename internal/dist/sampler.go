@@ -10,7 +10,6 @@ import (
 // O(log draw). The phase-level Monte Carlo engine builds one sampler per
 // (population, success) pair per phase and draws once per process.
 type HGSampler struct {
-	h    Hypergeometric
 	min  int       // smallest attainable value
 	cdf  []float64 // cdf[i] = P[X <= min+i]
 	mass float64   // total mass (1 up to rounding)
@@ -30,7 +29,7 @@ func NewHGSampler(h Hypergeometric) (*HGSampler, error) {
 	if h.Success < max {
 		max = h.Success
 	}
-	s := &HGSampler{h: h, min: min}
+	s := &HGSampler{min: min}
 	// Compute the pmf recursively from the mode outward to stay stable:
 	// simple forward recursion from the minimum works well here because the
 	// supports are small (<= draw) and we normalize at the end.
@@ -66,9 +65,3 @@ func (s *HGSampler) Sample(rng *rand.Rand) int {
 	}
 	return s.min + i
 }
-
-// Min returns the smallest attainable value.
-func (s *HGSampler) Min() int { return s.min }
-
-// Max returns the largest attainable value.
-func (s *HGSampler) Max() int { return s.min + len(s.cdf) - 1 }

@@ -43,7 +43,7 @@ func E1(p Params) ([]*Table, error) {
 			return nil, fmt.Errorf("E1a n=%d: %w", n, err)
 		}
 		acc, err := chainRuns(p, row, 7, func(rng *rand.Rand) (int, error) {
-			return chain.AbsorptionRun(chain.Balanced(), rng, 0)
+			return chain.AbsorptionRun(chain.Balanced(), rng)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("E1a n=%d: %w", n, err)
@@ -78,7 +78,7 @@ func E1(p Params) ([]*Table, error) {
 		k := quorum.MaxFaults(n, quorum.Malicious) // 3k < n for reachability
 		chain := &mc.Chain{Chain: markov.Chain{N: n, K: k, Model: markov.FailStop}, Metrics: p.Metrics}
 		mcAcc, err := chainRuns(p, 100+row, 7, func(rng *rand.Rand) (int, error) {
-			phases, _, err := chain.DecisionRun(chain.Balanced(), rng, 0)
+			phases, _, err := chain.DecisionRun(chain.Balanced(), rng)
 			return phases, err
 		})
 		if err != nil {

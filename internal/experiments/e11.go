@@ -86,7 +86,7 @@ func E11(p Params) ([]*Table, error) {
 		trials := p.trials() * 4
 		decisions, err := sweep.Run(trials, p.workers(), func(tr int) (bool, error) {
 			rng := rand.New(rand.NewPCG(p.seedFor(700+row, tr), 5))
-			_, decided1, err := sim.DecisionRun(start, rng, 0)
+			_, decided1, err := sim.DecisionRun(start, rng)
 			if err != nil {
 				return false, fmt.Errorf("E11b start %d trial %d: %w", start, tr, err)
 			}

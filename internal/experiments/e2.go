@@ -93,7 +93,7 @@ func E2(p Params) ([]*Table, error) {
 func e2MC(desc markov.Chain, p Params, rowSeed int) (stats.Accumulator, error) {
 	chain := &mc.Chain{Chain: desc, Metrics: p.Metrics}
 	acc, err := chainRuns(p, rowSeed, 11, func(rng *rand.Rand) (int, error) {
-		return chain.AbsorptionRun(chain.Balanced(), rng, 0)
+		return chain.AbsorptionRun(chain.Balanced(), rng)
 	})
 	if err != nil {
 		return acc, fmt.Errorf("E2 MC n=%d k=%d: %w", chain.N, chain.K, err)

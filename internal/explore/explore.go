@@ -39,8 +39,8 @@ type Machine interface {
 
 // Config describes the instance to explore.
 type Config struct {
-	// N and K are the system parameters.
-	N, K int
+	// N is the number of processes.
+	N int
 	// Inputs are the initial values (length N).
 	Inputs []msg.Value
 	// Spawn builds the machine for one process.

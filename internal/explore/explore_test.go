@@ -51,7 +51,7 @@ func TestFailStopConsistencyProvenUnanimous(t *testing.T) {
 	for _, v := range []msg.Value{msg.V0, msg.V1} {
 		inputs := []msg.Value{v, v, v}
 		res, err := Explore(Config{
-			N: n, K: k, Inputs: inputs,
+			N: n, Inputs: inputs,
 			Spawn:     failstopSpawn(n, k),
 			MaxStates: 500_000,
 		})
@@ -93,7 +93,7 @@ func TestFailStopConsistencyBoundedSplit(t *testing.T) {
 		{1, 0, 0}, {0, 1, 1}, {1, 0, 1},
 	} {
 		res, err := Explore(Config{
-			N: n, K: k, Inputs: inputs,
+			N: n, Inputs: inputs,
 			Spawn:     failstopSpawn(n, k),
 			MaxStates: budget,
 		})
@@ -119,7 +119,7 @@ func TestFailStopConsistencyWithCrashes(t *testing.T) {
 	n, k := 3, 1
 	inputs := []msg.Value{1, 0, 1}
 	res, err := Explore(Config{
-		N: n, K: k, Inputs: inputs,
+		N: n, Inputs: inputs,
 		Spawn:      failstopSpawn(n, k),
 		MaxCrashes: 1,
 		MaxStates:  budget,
@@ -140,7 +140,7 @@ func TestFailStopConsistencyWithCrashes(t *testing.T) {
 func TestMajorityConsistencyBudgeted(t *testing.T) {
 	n, k := 4, 1
 	res, err := Explore(Config{
-		N: n, K: k, Inputs: []msg.Value{1, 1, 0, 0},
+		N: n, Inputs: []msg.Value{1, 1, 0, 0},
 		Spawn:     majoritySpawn(n, k),
 		MaxStates: 60_000,
 	})
@@ -174,7 +174,7 @@ func TestExploreValidatesConfig(t *testing.T) {
 // resulting disagreement -- guarding against a checker that can never fail.
 func TestExplorerCatchesABrokenProtocol(t *testing.T) {
 	res, err := Explore(Config{
-		N: 2, K: 0, Inputs: []msg.Value{0, 1},
+		N: 2, Inputs: []msg.Value{0, 1},
 		Spawn: func(self msg.ID, input msg.Value) (Machine, error) {
 			return &brokenMachine{id: self, input: input}, nil
 		},

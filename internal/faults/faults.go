@@ -57,9 +57,6 @@ func (p Plan) Validate(n int) error {
 	return nil
 }
 
-// Size returns the number of processes that crash under the plan.
-func (p Plan) Size() int { return len(p) }
-
 // Processes returns the crashing processes in ascending order.
 func (p Plan) Processes() []msg.ID { return msg.SortedIDs(p) }
 
@@ -115,9 +112,6 @@ func NewTracker(p Plan, id msg.ID) *Tracker {
 
 // Dead reports whether the process has died.
 func (t *Tracker) Dead() bool { return t.dead }
-
-// Planned reports whether the process has a crash plan at all.
-func (t *Tracker) Planned() bool { return t.hasPlan }
 
 // AllowSend is called before each individual send while the process is in
 // the given phase. It returns false -- and marks the process dead -- when the

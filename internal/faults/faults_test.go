@@ -32,8 +32,8 @@ func TestPlanValidate(t *testing.T) {
 
 func TestInitiallyDead(t *testing.T) {
 	p := InitiallyDead(2, 4)
-	if p.Size() != 2 {
-		t.Fatalf("size %d", p.Size())
+	if len(p) != 2 {
+		t.Fatalf("size %d", len(p))
 	}
 	for _, id := range []msg.ID{2, 4} {
 		c := p[id]
@@ -50,16 +50,16 @@ func TestInitiallyDead(t *testing.T) {
 func TestRandomPlan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	p := Random(rng, 10, 4, 5)
-	if p.Size() != 4 {
-		t.Fatalf("size %d", p.Size())
+	if len(p) != 4 {
+		t.Fatalf("size %d", len(p))
 	}
 	if err := p.Validate(10); err != nil {
 		t.Fatalf("random plan invalid: %v", err)
 	}
 	// f > n clamps.
 	p2 := Random(rng, 3, 10, 2)
-	if p2.Size() != 3 {
-		t.Errorf("clamped size %d", p2.Size())
+	if len(p2) != 3 {
+		t.Errorf("clamped size %d", len(p2))
 	}
 }
 
@@ -71,7 +71,7 @@ func TestTrackerNoPlanNeverDies(t *testing.T) {
 		}
 	}
 	tr.CheckPhase(999)
-	if tr.Dead() || tr.Planned() {
+	if tr.Dead() {
 		t.Error("inert tracker died")
 	}
 }

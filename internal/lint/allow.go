@@ -19,11 +19,10 @@ const allowPrefix = "//lint:allow"
 
 // allowDirective is one parsed //lint:allow comment.
 type allowDirective struct {
-	file   string
-	line   int
-	rule   string
-	reason string
-	used   bool
+	file string
+	line int
+	rule string
+	used bool
 }
 
 // applyAllowDirectives drops findings covered by well-formed directives and
@@ -53,10 +52,9 @@ func (a *analysis) applyAllowDirectives() {
 						file = rel
 					}
 					directives = append(directives, &allowDirective{
-						file:   file,
-						line:   pos.Line,
-						rule:   fields[0],
-						reason: strings.Join(fields[1:], " "),
+						file: file,
+						line: pos.Line,
+						rule: fields[0],
 					})
 				}
 			}

@@ -22,7 +22,6 @@ import (
 // pkgInfo is one fully type-checked module package.
 type pkgInfo struct {
 	path  string // import path
-	dir   string // slash-separated directory (relative to module root for submodule dirs)
 	files []*ast.File
 	pkg   *types.Package
 	info  *types.Info
@@ -140,7 +139,7 @@ func (l *loader) load(importPath string) (*pkgInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", importPath, err)
 	}
-	p := &pkgInfo{path: importPath, dir: rel, files: files, pkg: pkg, info: info}
+	p := &pkgInfo{path: importPath, files: files, pkg: pkg, info: info}
 	l.pkgs[importPath] = p
 	return p, nil
 }

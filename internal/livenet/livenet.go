@@ -87,6 +87,7 @@ type driver struct {
 	node policy.Node
 	conn transport.Conn
 	r    *Runner // the run's storage and settings
+	sent int     // the sends this driver made, counted as messages_sent
 }
 
 // loop is a driver's goroutine: it runs the driver and reports a failure to
@@ -167,6 +168,7 @@ func (d *driver) send(to msg.ID, m msg.Message) error {
 	}
 	err := d.conn.Send(to, m)
 	if err == nil || errors.Is(err, transport.ErrClosed) {
+		d.sent++
 		d.r.met.sent.Inc()
 		return nil // a closed destination is indistinguishable from a slow one
 	}
@@ -180,6 +182,9 @@ type Report struct {
 	policy.DecisionRecord
 	// Elapsed is the wall-clock duration from start to the last decision.
 	Elapsed time.Duration
+	// Messages counts the point-to-point sends every driver made, the ones
+	// to a closed destination included, as livenet.messages_sent does.
+	Messages int
 }
 
 // recorder is what a run folds its drivers' decisions and deaths into: Run's
@@ -263,8 +268,10 @@ func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 		return nil, err
 	}
 	report := &Report{DecisionRecord: policy.NewDecisionRecord(n)}
+	r := new(Runner)
 	var err error
-	report.Elapsed, report.AllDecided, err = c.run(ctx, report, new(Runner))
+	report.Elapsed, report.AllDecided, err = c.run(ctx, report, r)
+	report.Messages = r.sent
 	slices.Sort(report.Crashed)
 	return report, err
 }
@@ -291,6 +298,8 @@ type Runner struct {
 	reg   *metrics.Registry // the registry met's handles came from
 	// out is what RunInstance folds the run's decisions into.
 	out InstanceOutcome
+	// sent is the last run's sends, summed over its drivers.
+	sent int
 }
 
 // run is Run after the crash plan's validation, on r's storage, folding
@@ -382,6 +391,10 @@ collect:
 	}
 	for len(r.errs) > 0 {
 		<-r.errs
+	}
+	r.sent = 0
+	for i := range r.drivers[:n] {
+		r.sent += r.drivers[i].sent
 	}
 	clear(r.drivers)
 	met.runs.Inc()

@@ -58,10 +58,7 @@ func TestFuzzProtocolDialect(t *testing.T) {
 // fixedWorld is a world view whose correct-process counts never change.
 type fixedWorld struct{ n, k, zeros int }
 
-func (w fixedWorld) N() int                           { return w.n }
-func (w fixedWorld) K() int                           { return w.k }
-func (w fixedWorld) CorrectValueCounts() (int, int)   { return w.zeros, w.n - w.k - w.zeros }
-func (w fixedWorld) CorrectDecidedCounts() (int, int) { return 0, 0 }
+func (w fixedWorld) CorrectValueCounts() (int, int) { return w.zeros, w.n - w.k - w.zeros }
 
 // FuzzMachine is the native fuzz entry point (CI runs it with -fuzztime):
 // a Figure-2 machine under mutated configurations and hostile streams --

@@ -90,7 +90,7 @@ func TestSplitMatchesSimulatedDecisions(t *testing.T) {
 		ones := 0
 		rng := rand.New(rand.NewPCG(uint64(start), 99))
 		for tr := 0; tr < trials; tr++ {
-			_, decided1, err := sim.DecisionRun(start, rng, 0)
+			_, decided1, err := sim.DecisionRun(start, rng)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,23 +29,6 @@ func New(rows, cols int) *Dense {
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows. The input is
-// copied.
-func FromRows(rows [][]float64) (*Dense, error) {
-	if len(rows) == 0 {
-		return New(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := New(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("matrix: ragged row %d: %d cols, want %d", i, len(r), cols)
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
 // Identity returns the n-by-n identity matrix.
 func Identity(n int) *Dense {
 	m := New(n, n)

@@ -60,7 +60,7 @@ func BenchmarkAbsorptionRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		opts := EnsembleOptions{Seed: 1}
-		if _, err := chain.AbsorptionRun(150, opts.trialRNG(i), 0); err != nil {
+		if _, err := chain.AbsorptionRun(150, opts.trialRNG(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -159,9 +159,9 @@ type DeliveryEnsemble struct {
 	Unreached int
 }
 
-// DeliveryRun runs opts.Trials independent broadcasts (opts.Start and
-// opts.MaxPhases are ignored) and merges the outcomes in trial order; the
-// result is identical at any worker count.
+// DeliveryRun runs opts.Trials independent broadcasts (opts.Start is
+// ignored) and merges the outcomes in trial order; the result is identical
+// at any worker count.
 func (b *Broadcast) DeliveryRun(opts EnsembleOptions) (*DeliveryEnsemble, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err

@@ -16,7 +16,7 @@ import (
 //     path of a trial depends only on (Seed, t), never on which worker ran
 //     it or in what order;
 //   - per-trial outcomes land in a slice indexed by trial number, and every
-//     aggregate (mean, CI, histogram, percentiles) is folded from that slice
+//     aggregate (mean, CI, percentiles) is folded from that slice
 //     in increasing trial order.
 //
 // The merged result is therefore bit-identical for Workers=1 and Workers=N.
@@ -30,8 +30,6 @@ type EnsembleOptions struct {
 	Workers int
 	// Start is the initial chain state for every trial.
 	Start int
-	// MaxPhases caps each run (0 = the per-run default).
-	MaxPhases int
 	// Seed is the ensemble base seed; trial t uses rand.NewPCG(Seed, t).
 	Seed uint64
 }
@@ -57,13 +55,11 @@ type Ensemble struct {
 	// material every aggregate below is folded from. A protocol ensemble
 	// keeps only its terminated trials here; every chain run terminates.
 	Phases []int
-	// Mean, CI95, Min and Max summarize Phases.
-	Mean, CI95, Min, Max float64
+	// Mean, CI95 and Max summarize Phases.
+	Mean, CI95, Max float64
 	// P50, P90 and P99 are interpolated percentiles of Phases.
 	P50, P90, P99 float64
-	// Hist counts trials per phase count.
-	Hist *stats.IntHistogram
-	// Decided1 counts trials whose common decision was 1 (decision
+	// Decided1 counts trials whose common decision was 1 (protocol
 	// ensembles only; 0 for absorption ensembles).
 	Decided1 int
 	// Outcomes tallies a protocol ensemble's trials: how many terminated,
@@ -73,16 +69,15 @@ type Ensemble struct {
 
 // mergeEnsemble folds per-trial outcomes into an Ensemble in trial order.
 func mergeEnsemble(phases []int, decidedOnes []bool) *Ensemble {
-	e := &Ensemble{Trials: len(phases), Phases: phases, Hist: stats.NewIntHistogram()}
+	e := &Ensemble{Trials: len(phases), Phases: phases}
 	var acc stats.Accumulator
 	fs := make([]float64, len(phases))
 	for i, p := range phases {
 		acc.Add(float64(p))
-		e.Hist.Add(p)
 		fs[i] = float64(p)
 	}
 	s := acc.Summarize()
-	e.Mean, e.CI95, e.Min, e.Max = s.Mean, s.CI95, s.Min, s.Max
+	e.Mean, e.CI95, e.Max = s.Mean, s.CI95, s.Max
 	e.P50 = stats.Quantile(fs, 0.50)
 	e.P90 = stats.Quantile(fs, 0.90)
 	e.P99 = stats.Quantile(fs, 0.99)
@@ -106,43 +101,10 @@ func (c *Chain) AbsorptionEnsemble(opts EnsembleOptions) (*Ensemble, error) {
 	}
 	c.handles() // resolve metric handles once, before the fan-out
 	phases, err := sweep.Run(opts.Trials, opts.Workers, func(t int) (int, error) {
-		return c.AbsorptionRun(opts.Start, opts.trialRNG(t), opts.MaxPhases)
+		return c.AbsorptionRun(opts.Start, opts.trialRNG(t))
 	})
 	if err != nil {
 		return nil, err
 	}
 	return mergeEnsemble(phases, nil), nil
-}
-
-// decisionTrial is one decision run's outcome.
-type decisionTrial struct {
-	phases int
-	one    bool
-}
-
-// DecisionEnsemble runs Trials independent decision runs from opts.Start
-// 1-inputs and merges them deterministically; Decided1 counts trials whose
-// consensus value was 1.
-func (c *Chain) DecisionEnsemble(opts EnsembleOptions) (*Ensemble, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	c.handles()
-	results, err := sweep.Run(opts.Trials, opts.Workers, func(t int) (decisionTrial, error) {
-		ph, one, err := c.DecisionRun(opts.Start, opts.trialRNG(t), opts.MaxPhases)
-		return decisionTrial{phases: ph, one: one}, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	phases := make([]int, len(results))
-	ones := make([]bool, len(results))
-	for i, r := range results {
-		phases[i] = r.phases
-		ones[i] = r.one
-	}
-	return mergeEnsemble(phases, ones), nil
 }

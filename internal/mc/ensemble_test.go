@@ -38,30 +38,6 @@ func TestEnsembleDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestDecisionEnsembleDeterministicAcrossWorkers(t *testing.T) {
-	t.Parallel()
-	fs := newChain(30, 9, markov.FailStop)
-	opts := EnsembleOptions{Trials: 48, Workers: 1, Start: 15, Seed: 5}
-	base, err := fs.DecisionEnsemble(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Mean < 1 {
-		t.Fatalf("decision ensemble mean %v < 1", base.Mean)
-	}
-	for _, w := range []int{4, 16} {
-		o := opts
-		o.Workers = w
-		got, err := fs.DecisionEnsemble(o)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(got, base) {
-			t.Fatalf("workers=%d diverged:\ngot  %+v\nwant %+v", w, got, base)
-		}
-	}
-}
-
 func TestMaliciousEnsemblesDeterministic(t *testing.T) {
 	t.Parallel()
 	for _, model := range []markov.Model{markov.Mixed, markov.Forced} {
@@ -79,21 +55,6 @@ func TestMaliciousEnsemblesDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(got, base) {
 			t.Fatalf("%v diverged across workers", model)
 		}
-
-		dec := newChain(40, 4, model)
-		dopts := EnsembleOptions{Trials: 16, Workers: 1, Start: 18, Seed: 7}
-		dbase, err := dec.DecisionEnsemble(dopts)
-		if err != nil {
-			t.Fatalf("%v decision: %v", model, err)
-		}
-		dopts.Workers = 8
-		dgot, err := dec.DecisionEnsemble(dopts)
-		if err != nil {
-			t.Fatalf("%v decision workers=8: %v", model, err)
-		}
-		if !reflect.DeepEqual(dgot, dbase) {
-			t.Fatalf("%v decision ensemble diverged across workers", model)
-		}
 	}
 }
 
@@ -109,7 +70,7 @@ func TestEnsembleMatchesSequentialRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for tr := 0; tr < opts.Trials; tr++ {
-		want, err := fs.AbsorptionRun(opts.Start, opts.trialRNG(tr), 0)
+		want, err := fs.AbsorptionRun(opts.Start, opts.trialRNG(tr))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,20 +80,20 @@ func TestEnsembleMatchesSequentialRuns(t *testing.T) {
 	}
 }
 
-// TestEnsembleFailsFastOnError covers the mid-ensemble error path: with
-// MaxPhases=1 from an unabsorbed start every trial errors, and the ensemble
-// must surface the first error rather than hang or return partial results.
+// TestEnsembleFailsFastOnError covers the mid-ensemble error path: from a
+// start state outside 0..Pop every trial errors, and the ensemble must
+// surface the first error rather than hang or return partial results.
 func TestEnsembleFailsFastOnError(t *testing.T) {
 	t.Parallel()
 	fs := newChain(90, 30, markov.FailStop)
 	for _, w := range []int{1, 8} {
 		e, err := fs.AbsorptionEnsemble(EnsembleOptions{
-			Trials: 64, Workers: w, Start: 45, Seed: 1, MaxPhases: 1,
+			Trials: 64, Workers: w, Start: fs.Pop() + 1, Seed: 1,
 		})
 		if err == nil {
 			t.Fatalf("workers=%d: error swallowed, got %+v", w, e)
 		}
-		if !strings.Contains(err.Error(), "no absorption within 1") {
+		if !strings.Contains(err.Error(), "start state 91 outside 0..90") {
 			t.Fatalf("workers=%d: unexpected error %v", w, err)
 		}
 		if e != nil {

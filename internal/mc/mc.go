@@ -200,22 +200,25 @@ func (c *Chain) sampler(ones, advOnes int) (s *dist.HGSampler, fixed int, err er
 	return s, 0, err
 }
 
+// The phase caps guard a run against non-termination.
+const (
+	absorptionPhaseCap = 10000
+	decisionPhaseCap   = 100000
+)
+
 // AbsorptionRun simulates phases from the given start state until the chain
-// enters the absorbing region, returning the number of phases taken.
-// maxPhases caps the run (0 = 10000).
-func (c *Chain) AbsorptionRun(start int, rng *rand.Rand, maxPhases int) (int, error) {
+// enters the absorbing region, returning the number of phases taken. A run
+// that has not absorbed after absorptionPhaseCap phases is an error.
+func (c *Chain) AbsorptionRun(start int, rng *rand.Rand) (int, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}
 	if start < 0 || start > c.Pop() {
 		return 0, fmt.Errorf("mc: start state %d outside 0..%d", start, c.Pop())
 	}
-	if maxPhases <= 0 {
-		maxPhases = 10000
-	}
 	met := c.handles()
 	state := start
-	for t := 0; t < maxPhases; t++ {
+	for t := 0; t < absorptionPhaseCap; t++ {
 		if c.Absorbed(state) {
 			met.absorptionRuns.Inc()
 			met.absorptionPhases.Observe(float64(t))
@@ -227,7 +230,7 @@ func (c *Chain) AbsorptionRun(start int, rng *rand.Rand, maxPhases int) (int, er
 		}
 		state = out.Ones
 	}
-	return maxPhases, fmt.Errorf("mc: no absorption within %d phases", maxPhases)
+	return absorptionPhaseCap, fmt.Errorf("mc: no absorption within %d phases", absorptionPhaseCap)
 }
 
 // DecisionRun simulates the protocol per counted process, exactly under the
@@ -237,9 +240,10 @@ func (c *Chain) AbsorptionRun(start int, rng *rand.Rand, maxPhases int) (int, er
 // broadcasting their pinned decision), adopts the majority, and decides on
 // a strictly-more-than-(n+k)/2 supermajority. It returns the phase at which
 // the last process decided (phases are counted from 1) and the common
-// decision. It requires 3k < n so the decision threshold is reachable.
-// maxPhases caps the run (0 = 100000).
-func (c *Chain) DecisionRun(start int, rng *rand.Rand, maxPhases int) (phases int, decidedOnes bool, err error) {
+// decision. It requires 3k < n so the decision threshold is reachable. A
+// run with processes still undecided after decisionPhaseCap phases is an
+// error.
+func (c *Chain) DecisionRun(start int, rng *rand.Rand) (phases int, decidedOnes bool, err error) {
 	if err := c.Validate(); err != nil {
 		return 0, false, err
 	}
@@ -250,9 +254,6 @@ func (c *Chain) DecisionRun(start int, rng *rand.Rand, maxPhases int) (phases in
 	if start < 0 || start > pop {
 		return 0, false, fmt.Errorf("mc: start state %d outside 0..%d", start, pop)
 	}
-	if maxPhases <= 0 {
-		maxPhases = 100000
-	}
 	met := c.handles()
 	draw := quorum.WaitCount(c.N, c.K)
 	values := make([]bool, pop) // true = 1
@@ -261,7 +262,7 @@ func (c *Chain) DecisionRun(start int, rng *rand.Rand, maxPhases int) (phases in
 	}
 	decided := make([]bool, pop)
 	var sawDecision0, sawDecision1 bool
-	for t := 1; t <= maxPhases; t++ {
+	for t := 1; t <= decisionPhaseCap; t++ {
 		ones := 0
 		for _, v := range values {
 			if v {
@@ -304,5 +305,5 @@ func (c *Chain) DecisionRun(start int, rng *rand.Rand, maxPhases int) (phases in
 			return t, sawDecision1, nil
 		}
 	}
-	return maxPhases, sawDecision1, fmt.Errorf("mc: no decision within %d phases", maxPhases)
+	return decisionPhaseCap, sawDecision1, fmt.Errorf("mc: no decision within %d phases", decisionPhaseCap)
 }

@@ -15,7 +15,7 @@ func TestFailStopChainMetrics(t *testing.T) {
 	c := &Chain{Chain: markov.Chain{N: 30, K: 9, Model: markov.FailStop}, Metrics: reg}
 	rng := rand.New(rand.NewPCG(7, 7))
 
-	phases, err := c.AbsorptionRun(15, rng, 0)
+	phases, err := c.AbsorptionRun(15, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestFailStopChainMetrics(t *testing.T) {
 		t.Errorf("absorption_phases histogram = %+v, want count 1 sum %d", h, phases)
 	}
 
-	if _, _, err := c.DecisionRun(20, rng, 0); err != nil {
+	if _, _, err := c.DecisionRun(20, rng); err != nil {
 		t.Fatal(err)
 	}
 	snap = reg.Snapshot()
@@ -52,7 +52,7 @@ func TestMaliciousChainMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := &Chain{Chain: markov.Chain{N: 10, K: 1, Model: markov.Mixed}, Metrics: reg}
 	rng := rand.New(rand.NewPCG(11, 11))
-	if _, err := c.AbsorptionRun(5, rng, 0); err != nil {
+	if _, err := c.AbsorptionRun(5, rng); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -65,11 +65,11 @@ func TestMaliciousChainMetrics(t *testing.T) {
 
 	// Same seed with and without a registry must walk the same chain.
 	bare := newChain(10, 1, markov.Mixed)
-	p1, err := c.AbsorptionRun(5, rand.New(rand.NewPCG(3, 3)), 0)
+	p1, err := c.AbsorptionRun(5, rand.New(rand.NewPCG(3, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := bare.AbsorptionRun(5, rand.New(rand.NewPCG(3, 3)), 0)
+	p2, err := bare.AbsorptionRun(5, rand.New(rand.NewPCG(3, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func TestAbsorptionRunTerminates(t *testing.T) {
 	c := newChain(60, 20, markov.FailStop)
 	var acc stats.Accumulator
 	for seed := uint64(0); seed < 200; seed++ {
-		phases, err := c.AbsorptionRun(30, rng(seed), 0)
+		phases, err := c.AbsorptionRun(30, rng(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestAbsorptionRunTerminates(t *testing.T) {
 
 func TestAbsorptionRunFromAbsorbedIsZero(t *testing.T) {
 	c := newChain(60, 20, markov.FailStop)
-	phases, err := c.AbsorptionRun(0, rng(1), 0)
+	phases, err := c.AbsorptionRun(0, rng(1))
 	if err != nil || phases != 0 {
 		t.Errorf("phases=%d err=%v", phases, err)
 	}
@@ -93,10 +93,10 @@ func TestAbsorptionRunFromAbsorbedIsZero(t *testing.T) {
 
 func TestAbsorptionRunRejectsBadStart(t *testing.T) {
 	c := newChain(10, 3, markov.FailStop)
-	if _, err := c.AbsorptionRun(11, rng(1), 0); err == nil {
+	if _, err := c.AbsorptionRun(11, rng(1)); err == nil {
 		t.Error("start beyond n accepted")
 	}
-	if _, err := c.AbsorptionRun(-1, rng(1), 0); err == nil {
+	if _, err := c.AbsorptionRun(-1, rng(1)); err == nil {
 		t.Error("negative start accepted")
 	}
 }
@@ -104,7 +104,7 @@ func TestAbsorptionRunRejectsBadStart(t *testing.T) {
 func TestDecisionRunAgreesAndTerminates(t *testing.T) {
 	c := newChain(30, 9, markov.FailStop) // 3k < n
 	for seed := uint64(0); seed < 50; seed++ {
-		phases, _, err := c.DecisionRun(15, rng(seed), 0)
+		phases, _, err := c.DecisionRun(15, rng(seed))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -116,7 +116,7 @@ func TestDecisionRunAgreesAndTerminates(t *testing.T) {
 
 func TestDecisionRunUnanimousFast(t *testing.T) {
 	c := newChain(30, 9, markov.FailStop)
-	phases, ones, err := c.DecisionRun(30, rng(3), 0)
+	phases, ones, err := c.DecisionRun(30, rng(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestDecisionRunUnanimousFast(t *testing.T) {
 
 func TestDecisionRunRequiresThreeKLessN(t *testing.T) {
 	c := newChain(9, 3, markov.FailStop)
-	if _, _, err := c.DecisionRun(4, rng(1), 0); err == nil {
+	if _, _, err := c.DecisionRun(4, rng(1)); err == nil {
 		t.Error("3k = n accepted for decisions")
 	}
 }
@@ -181,7 +181,7 @@ func TestMaliciousAbsorptionWithinPaperScale(t *testing.T) {
 		c := newChain(100, 5, model)
 		var acc stats.Accumulator
 		for seed := uint64(0); seed < 300; seed++ {
-			phases, err := c.AbsorptionRun(c.Balanced(), rng(seed), 0)
+			phases, err := c.AbsorptionRun(c.Balanced(), rng(seed))
 			if err != nil {
 				t.Fatalf("%v seed %d: %v", model, seed, err)
 			}
@@ -200,11 +200,11 @@ func TestMaliciousForcedSlowerThanMixed(t *testing.T) {
 	forced := newChain(100, 8, markov.Forced)
 	var am, af stats.Accumulator
 	for seed := uint64(0); seed < 1500; seed++ {
-		pm, err := mixed.AbsorptionRun(46, rng(seed), 0)
+		pm, err := mixed.AbsorptionRun(46, rng(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pf, err := forced.AbsorptionRun(46, rng(seed+99999), 0)
+		pf, err := forced.AbsorptionRun(46, rng(seed+99999))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestMaliciousForcedSlowerThanMixed(t *testing.T) {
 func TestMaliciousDecisionRun(t *testing.T) {
 	c := newChain(40, 4, markov.Mixed)
 	for seed := uint64(0); seed < 30; seed++ {
-		phases, _, err := c.DecisionRun(18, rng(seed), 0)
+		phases, _, err := c.DecisionRun(18, rng(seed))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -70,11 +70,11 @@ func (t *Tally) Share(count int) float64 { return float64(count) / float64(t.Tri
 // remaining n - Start on 0) and runs on a seed drawn from its private
 // (Seed, t) stream, so the merged result is bit-identical for every worker
 // count. A scenario no trial can run is refused once, before trial 0.
-// opts.MaxPhases is ignored: each execution runs to decision under
-// run.MaxEvents. A trial that stalls or disagrees is counted in
-// Outcomes, not returned as an error. Phases and its aggregates (Mean,
-// percentiles, Hist, Decided1) fold only the Outcomes.Terminated trials, so
-// a reader of them must check Outcomes.Terminated against Trials.
+// Each execution runs to decision under run.MaxEvents. A trial that stalls
+// or disagrees is counted in Outcomes, not returned as an error. Phases and
+// its aggregates (Mean, percentiles, Decided1) fold only the
+// Outcomes.Terminated trials, so a reader of them must check
+// Outcomes.Terminated against Trials.
 func ProtocolEnsemble(run spawn.Scenario, opts EnsembleOptions) (*Ensemble, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err

@@ -174,20 +174,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add adds delta to the gauge with a CAS loop.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // SetMax raises the gauge to v if v is larger: a high-water mark.
 func (g *Gauge) SetMax(v float64) {
 	if g == nil {
@@ -258,31 +244,12 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) from the bucket counts:
-// the target rank is located in its bucket cumulatively, then interpolated
-// linearly between the bucket's bounds. The overflow bucket and the edges
-// are clamped to the observed [min, max], so estimates never leave the
-// observed range. Returns 0 on nil or before any observation.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
-// quantileLocked is Quantile with h.mu held.
+// quantileLocked estimates the q-quantile (0 <= q <= 1) from the bucket
+// counts, with h.mu held: the target rank is located in its bucket
+// cumulatively, then interpolated linearly between the bucket's bounds. The
+// overflow bucket and the edges are clamped to the observed [min, max], so
+// estimates never leave the observed range. Returns 0 before any
+// observation.
 func (h *Histogram) quantileLocked(q float64) float64 {
 	if h.count == 0 {
 		return 0
@@ -341,9 +308,9 @@ type Bucket struct {
 }
 
 // HistogramSnapshot is the frozen state of one histogram. P50/P95/P99 are
-// bucket-interpolated quantile estimates (see Histogram.Quantile); like every
-// other field they render deterministically, so snapshot JSON stays
-// byte-stable for identical contents.
+// bucket-interpolated quantile estimates (see Histogram.quantileLocked);
+// like every other field they render deterministically, so snapshot JSON
+// stays byte-stable for identical contents.
 type HistogramSnapshot struct {
 	Count   uint64   `json:"count"`
 	Sum     float64  `json:"sum"`
@@ -437,15 +404,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	for i := 0; i < n; i++ {
 		out = append(out, b)
 		b *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n linearly spaced bounds start, start+step, ...
-func LinearBuckets(start, step float64, n int) []float64 {
-	out := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, start+float64(i)*step)
 	}
 	return out
 }

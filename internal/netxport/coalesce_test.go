@@ -52,7 +52,7 @@ func TestCoalescedAccountingAndBatching(t *testing.T) {
 	eps[1].SetMetrics(receiver)
 	// A generous linger guarantees the burst below lands in few batches
 	// regardless of scheduling.
-	eps[0].SetLinger(5 * time.Millisecond)
+	eps[0].linger = 5 * time.Millisecond
 
 	const frames = 400
 	for i := 0; i < frames; i++ {
@@ -90,8 +90,8 @@ func TestQueueFullBackpressure(t *testing.T) {
 	// ~31 bytes per frame: a 512-byte cap fits ~16 frames, so 300 frames
 	// force many block/drain cycles; the 5ms linger makes each cycle long
 	// enough that the sender demonstrably waited.
-	eps[0].SetQueueCap(512)
-	eps[0].SetLinger(5 * time.Millisecond)
+	eps[0].queueCap = 512
+	eps[0].linger = 5 * time.Millisecond
 
 	const frames = 300
 	start := time.Now()
@@ -122,7 +122,7 @@ func TestCloseFlushesPendingFrames(t *testing.T) {
 	eps := mesh(t, 2)
 	// A long linger parks the writer mid-window with the whole burst still
 	// pending, so Close races a full queue, not an empty one.
-	eps[0].SetLinger(200 * time.Millisecond)
+	eps[0].linger = 200 * time.Millisecond
 
 	const frames = 100
 	for i := 0; i < frames; i++ {

@@ -7,7 +7,7 @@
 // writer goroutine that flushes many frames in one syscall (write
 // coalescing), and inbound frames are parsed by a streaming msg.Decoder out
 // of one reused read buffer -- the steady-state path allocates nothing per
-// message. A small linger window (SetLinger) lets a burst accumulate into
+// message. A small linger window (50 µs) lets a burst accumulate into
 // one flush; the writer hard-flushes whatever is pending the moment it wakes
 // with the queue non-empty, so latency stays bounded by linger + one write.
 //
@@ -68,11 +68,11 @@ const muxHeaderLen = 4
 // write resets it. Writes carry a deadline so a peer that stops reading
 // cannot wedge a sender forever.
 const (
-	dialAttempts        = 3
-	dialBackoff         = 5 * time.Millisecond
-	maxDialBackoff      = 250 * time.Millisecond
-	dialTimeout         = 10 * time.Second
-	defaultWriteTimeout = 10 * time.Second
+	dialAttempts   = 3
+	dialBackoff    = 5 * time.Millisecond
+	maxDialBackoff = 250 * time.Millisecond
+	dialTimeout    = 10 * time.Second
+	writeTimeout   = 10 * time.Second
 )
 
 // defaultLinger is the default coalescing window: how long a waking writer
@@ -175,12 +175,11 @@ type Endpoint struct {
 	// accept/read goroutines; the pointer is never nil.
 	met atomic.Pointer[netMetrics]
 
-	// writeTimeout is the per-write deadline in nanoseconds (0 disables).
-	writeTimeout atomic.Int64
-	// linger is the coalescing window in nanoseconds (0 flushes immediately).
-	linger atomic.Int64
-	// queueCap is the per-peer pending cap in bytes.
-	queueCap atomic.Int64
+	// linger is the coalescing window (0 flushes immediately) and queueCap
+	// the per-peer pending cap in bytes. Listen sets the defaults; the
+	// package's tests change them before the first send.
+	linger   time.Duration
+	queueCap int
 
 	closeOnce sync.Once
 }
@@ -198,11 +197,13 @@ func Listen(id msg.ID, addrs []string) (*Endpoint, error) {
 		return nil, fmt.Errorf("netxport: listen %s: %w", addrs[id], err)
 	}
 	e := &Endpoint{
-		id:    id,
-		addrs: append([]string(nil), addrs...),
-		ln:    ln,
-		links: make([]peerLink, len(addrs)),
-		done:  make(chan struct{}),
+		id:       id,
+		addrs:    append([]string(nil), addrs...),
+		ln:       ln,
+		links:    make([]peerLink, len(addrs)),
+		done:     make(chan struct{}),
+		linger:   defaultLinger,
+		queueCap: defaultQueueCap,
 	}
 	for i := range e.links {
 		e.links[i].cond = sync.NewCond(&e.links[i].mu)
@@ -211,9 +212,6 @@ func Listen(id msg.ID, addrs []string) (*Endpoint, error) {
 	e.dialCtx, e.dialCancel = context.WithCancel(context.Background())
 	e.addrs[id] = ln.Addr().String()
 	e.met.Store(newNetMetrics(nil))
-	e.writeTimeout.Store(int64(defaultWriteTimeout))
-	e.linger.Store(int64(defaultLinger))
-	e.queueCap.Store(defaultQueueCap)
 	e.insts.Store(newDemux(0))
 	e.wg.Add(1)
 	go e.acceptLoop()
@@ -226,28 +224,6 @@ func Listen(id msg.ID, addrs []string) (*Endpoint, error) {
 // with traffic; nil detaches.
 func (e *Endpoint) SetMetrics(reg *metrics.Registry) {
 	e.met.Store(newNetMetrics(reg))
-}
-
-// SetWriteTimeout changes the per-write deadline (0 disables deadlines).
-// Safe to call concurrently with traffic.
-func (e *Endpoint) SetWriteTimeout(d time.Duration) {
-	e.writeTimeout.Store(int64(d))
-}
-
-// SetLinger changes the coalescing window: how long a waking writer lets
-// further frames accumulate before flushing the batch. 0 flushes
-// immediately. Safe to call concurrently with traffic.
-func (e *Endpoint) SetLinger(d time.Duration) {
-	e.linger.Store(int64(d))
-}
-
-// SetQueueCap changes the per-peer pending cap in bytes; beyond it Send
-// blocks until the writer drains. Values < 1 fall back to the default.
-func (e *Endpoint) SetQueueCap(bytes int) {
-	if bytes < 1 {
-		bytes = defaultQueueCap
-	}
-	e.queueCap.Store(int64(bytes))
 }
 
 // Addr returns the endpoint's actual listen address.
@@ -318,8 +294,7 @@ func appendFrame(dst []byte, inst uint32, m msg.Message) []byte {
 // while the queue is over its cap, and lazily starts the link's writer.
 // Called with l.mu held; the caller broadcasts after unlocking.
 func (e *Endpoint) enqueueLocked(l *peerLink, to msg.ID, inst uint32, m msg.Message) error {
-	capBytes := int(e.queueCap.Load())
-	for len(l.pending) >= capBytes && !l.closed {
+	for len(l.pending) >= e.queueCap && !l.closed {
 		l.cond.Wait()
 	}
 	if l.closed {
@@ -352,11 +327,11 @@ func (e *Endpoint) writeLoop(l *peerLink, to msg.ID) {
 		}
 		closing := l.closed
 		l.mu.Unlock()
-		if d := time.Duration(e.linger.Load()); d > 0 && !closing {
+		if e.linger > 0 && !closing {
 			// Linger: a hot sender keeps appending while we sleep, turning
 			// many frames into one syscall. Bounded, and skipped when
 			// closing so shutdown never waits on the window.
-			time.Sleep(d)
+			time.Sleep(e.linger)
 		}
 		l.mu.Lock()
 		batch := l.pending
@@ -435,9 +410,7 @@ func (e *Endpoint) track(conn net.Conn) {
 
 // write performs one deadline-bounded write.
 func (e *Endpoint) write(conn net.Conn, b []byte) error {
-	if d := time.Duration(e.writeTimeout.Load()); d > 0 {
-		conn.SetWriteDeadline(time.Now().Add(d))
-	}
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := conn.Write(b)
 	return err
 }

@@ -150,19 +150,3 @@ func TestCloseUnblocksBackoffSleep(t *testing.T) {
 		t.Errorf("flush_frame_drops = %d after Close, want both queued frames", c["net.flush_frame_drops"])
 	}
 }
-
-// TestWriteTimeoutConfigurable just exercises the setter; the deadline path
-// itself is covered implicitly by every socket test.
-func TestWriteTimeoutConfigurable(t *testing.T) {
-	eps := mesh(t, 2)
-	eps[0].SetWriteTimeout(time.Second)
-	if err := eps[0].Send(1, msg.Val(0, 0, msg.V0)); err != nil {
-		t.Fatal(err)
-	}
-	recvWithTimeout(t, eps[1])
-	eps[0].SetWriteTimeout(0) // disable
-	if err := eps[0].Send(1, msg.Val(0, 1, msg.V0)); err != nil {
-		t.Fatal(err)
-	}
-	recvWithTimeout(t, eps[1])
-}

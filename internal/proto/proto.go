@@ -23,7 +23,6 @@ import (
 
 	"resilient/internal/coin"
 	"resilient/internal/core"
-	"resilient/internal/metrics"
 	"resilient/internal/quorum"
 	"resilient/internal/trace"
 )
@@ -79,8 +78,6 @@ type Deps struct {
 	Directory any
 	// Sink receives trace events; nil disables tracing.
 	Sink trace.Sink
-	// Metrics, when non-nil, receives machine-level accounting.
-	Metrics *metrics.Registry
 	// Unsafe selects the protocol's bound-unchecked variant, for
 	// deliberately misconfigured lower-bound experiments. Protocols
 	// without one ignore it.

@@ -284,9 +284,6 @@ type worldView struct{ r *runner }
 
 var _ core.WorldView = worldView{}
 
-func (w worldView) N() int { return w.r.cfg.N }
-func (w worldView) K() int { return w.r.cfg.K }
-
 func (w worldView) CorrectValueCounts() (zeros, ones int) {
 	r := w.r
 	if r.valStamp == r.stepStamp {
@@ -308,23 +305,6 @@ func (w worldView) CorrectValueCounts() (zeros, ones int) {
 		}
 	}
 	r.valStamp, r.valZeros, r.valOnes = r.stepStamp, zeros, ones
-	return zeros, ones
-}
-
-func (w worldView) CorrectDecidedCounts() (zeros, ones int) {
-	for i := range w.r.nodes {
-		nd := &w.r.nodes[i]
-		if !nd.Correct() {
-			continue
-		}
-		if v, ok := nd.Machine.Decided(); ok {
-			if v == msg.V1 {
-				ones++
-			} else {
-				zeros++
-			}
-		}
-	}
 	return zeros, ones
 }
 

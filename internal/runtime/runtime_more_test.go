@@ -177,8 +177,8 @@ func TestMidBroadcastCrashDeliversPrefixOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	sent := 0
-	for _, e := range buf.Filter(trace.EventSend) {
-		if e.Process == 0 {
+	for _, e := range buf.Events() {
+		if e.Kind == trace.EventSend && e.Process == 0 {
 			sent++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"resilient/internal/benor"
+	"resilient/internal/coin"
 	"resilient/internal/core"
 	"resilient/internal/failstop"
 	"resilient/internal/faults"
@@ -37,7 +38,7 @@ func maliciousSpawner(t *testing.T) Spawner {
 func benorSpawner(t *testing.T, mode benor.Mode) Spawner {
 	t.Helper()
 	return func(ctx SpawnContext) (core.Machine, error) {
-		return benor.New(ctx.Config, mode, ctx.RNG, ctx.Sink)
+		return benor.NewWithCoin(ctx.Config, mode, coin.NewLocal(ctx.RNG), ctx.Sink)
 	}
 }
 

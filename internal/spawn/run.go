@@ -90,7 +90,7 @@ type Outcome struct {
 	// (0 if nobody decided); their difference is the spread the Section 3.3
 	// note bounds.
 	FirstPhase, Phases int
-	// Messages counts the simulator's sends (0 on the live engines).
+	// Messages counts the run's point-to-point sends on every engine.
 	Messages int
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
@@ -124,7 +124,7 @@ func Run(ctx context.Context, engine Engine, sc Scenario) (*Outcome, error) {
 	if rep == nil {
 		return nil, runErr
 	}
-	out := sc.fold(engine, rep.DecisionRecord, runtime.NotStalled, 0, rep.Elapsed)
+	out := sc.fold(engine, rep.DecisionRecord, runtime.NotStalled, rep.Messages, rep.Elapsed)
 	return &out, runErr
 }
 

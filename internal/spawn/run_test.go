@@ -1,10 +1,14 @@
 package spawn
 
 import (
+	"context"
 	"testing"
+	"time"
 
+	"resilient/internal/metrics"
 	"resilient/internal/msg"
 	"resilient/internal/policy"
+	"resilient/internal/proto"
 	"resilient/internal/runtime"
 )
 
@@ -48,6 +52,30 @@ func TestFold(t *testing.T) {
 		if out.Engine != EngineMem || out.Terminated != tc.terminated || out.Validity != tc.validity ||
 			out.FirstPhase != tc.first || out.Phases != tc.last || out.Stalled != tc.stalled || out.Messages != 9 {
 			t.Errorf("%s: %+v", tc.name, out)
+		}
+	}
+}
+
+// TestLiveRunCountsSends: a live run's Outcome.Messages is the sends its
+// drivers made, the same count the livenet.messages_sent counter adds.
+func TestLiveRunCountsSends(t *testing.T) {
+	reg := metrics.NewRegistry()
+	for _, engine := range []Engine{EngineMem, EngineTCP} {
+		before := reg.Snapshot().Counters["livenet.messages_sent"]
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		out, err := Run(ctx, engine, Scenario{
+			Protocol: proto.FailStop, N: 5, K: 2,
+			Inputs:  []msg.Value{1, 0, 1, 0, 1},
+			Seed:    1,
+			Metrics: reg,
+		})
+		cancel()
+		if err != nil {
+			t.Fatalf("%v: %v", engine, err)
+		}
+		delta := reg.Snapshot().Counters["livenet.messages_sent"] - before
+		if out.Messages <= 0 || int64(out.Messages) != delta {
+			t.Errorf("%v: Messages = %d, livenet.messages_sent rose by %d", engine, out.Messages, delta)
 		}
 	}
 }

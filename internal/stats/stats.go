@@ -1,13 +1,12 @@
 // Package stats provides the summary statistics used by the experiment
 // harness: online mean/variance accumulation (Welford), normal-approximation
-// confidence intervals, quantiles, and integer histograms.
+// confidence intervals and quantiles.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Accumulator collects samples and produces summary statistics. The zero
@@ -38,14 +37,8 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// N returns the number of samples recorded.
-func (a *Accumulator) N() int { return a.n }
-
 // Mean returns the sample mean (0 with no samples).
 func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Min returns the smallest sample (0 with no samples).
-func (a *Accumulator) Min() float64 { return a.min }
 
 // Max returns the largest sample (0 with no samples).
 func (a *Accumulator) Max() float64 { return a.max }
@@ -80,23 +73,21 @@ func (a *Accumulator) CI95() float64 {
 
 // Summary is an immutable snapshot of an Accumulator.
 type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	CI95   float64
-	Min    float64
-	Max    float64
+	N    int
+	Mean float64
+	CI95 float64
+	Min  float64
+	Max  float64
 }
 
 // Summarize snapshots the accumulator.
 func (a *Accumulator) Summarize() Summary {
 	return Summary{
-		N:      a.n,
-		Mean:   a.mean,
-		StdDev: a.StdDev(),
-		CI95:   a.CI95(),
-		Min:    a.min,
-		Max:    a.max,
+		N:    a.n,
+		Mean: a.mean,
+		CI95: a.CI95(),
+		Min:  a.min,
+		Max:  a.max,
 	}
 }
 
@@ -129,83 +120,4 @@ func Quantile(samples []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// IntHistogram counts occurrences of small non-negative integers, such as
-// phases-to-decision.
-type IntHistogram struct {
-	counts map[int]int
-	total  int
-}
-
-// NewIntHistogram returns an empty histogram.
-func NewIntHistogram() *IntHistogram {
-	return &IntHistogram{counts: make(map[int]int)}
-}
-
-// Add records one observation.
-func (h *IntHistogram) Add(v int) {
-	h.counts[v]++
-	h.total++
-}
-
-// Count returns how many times v was observed.
-func (h *IntHistogram) Count(v int) int { return h.counts[v] }
-
-// Total returns the number of observations.
-func (h *IntHistogram) Total() int { return h.total }
-
-// Keys returns the observed values in ascending order.
-func (h *IntHistogram) Keys() []int {
-	keys := make([]int, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-// Fraction returns the empirical probability of v.
-func (h *IntHistogram) Fraction(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[v]) / float64(h.total)
-}
-
-// Mean returns the mean of the observations.
-func (h *IntHistogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	sum := 0.0
-	for v, c := range h.counts {
-		sum += float64(v) * float64(c)
-	}
-	return sum / float64(h.total)
-}
-
-// Max returns the largest observed value (0 when empty).
-func (h *IntHistogram) Max() int {
-	max := 0
-	first := true
-	for v := range h.counts {
-		if first || v > max {
-			max = v
-			first = false
-		}
-	}
-	return max
-}
-
-// String renders the histogram as "v:count v:count ...".
-func (h *IntHistogram) String() string {
-	var b strings.Builder
-	for i, k := range h.Keys() {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%d:%d", k, h.counts[k])
-	}
-	return b.String()
 }

@@ -11,8 +11,9 @@ func TestAccumulatorBasics(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		a.Add(x)
 	}
-	if a.N() != 8 {
-		t.Errorf("N = %d", a.N())
+	s := a.Summarize()
+	if s.N != 8 {
+		t.Errorf("N = %d", s.N)
 	}
 	if math.Abs(a.Mean()-5) > 1e-12 {
 		t.Errorf("mean %v", a.Mean())
@@ -21,8 +22,8 @@ func TestAccumulatorBasics(t *testing.T) {
 	if math.Abs(a.Variance()-32.0/7.0) > 1e-12 {
 		t.Errorf("variance %v", a.Variance())
 	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Errorf("min %v max %v", a.Min(), a.Max())
+	if s.Min != 2 || a.Max() != 9 {
+		t.Errorf("min %v max %v", s.Min, a.Max())
 	}
 }
 
@@ -103,37 +104,5 @@ func TestQuantile(t *testing.T) {
 	// Input not modified.
 	if xs[0] != 9 {
 		t.Error("input mutated")
-	}
-}
-
-func TestIntHistogram(t *testing.T) {
-	h := NewIntHistogram()
-	for _, v := range []int{3, 3, 5, 2, 3} {
-		h.Add(v)
-	}
-	if h.Total() != 5 || h.Count(3) != 3 || h.Count(9) != 0 {
-		t.Error("counts wrong")
-	}
-	if got := h.Keys(); len(got) != 3 || got[0] != 2 || got[2] != 5 {
-		t.Errorf("keys %v", got)
-	}
-	if h.Fraction(3) != 0.6 {
-		t.Errorf("fraction %v", h.Fraction(3))
-	}
-	if math.Abs(h.Mean()-3.2) > 1e-12 {
-		t.Errorf("mean %v", h.Mean())
-	}
-	if h.Max() != 5 {
-		t.Errorf("max %v", h.Max())
-	}
-	if h.String() != "2:1 3:3 5:1" {
-		t.Errorf("string %q", h.String())
-	}
-}
-
-func TestIntHistogramEmpty(t *testing.T) {
-	h := NewIntHistogram()
-	if h.Mean() != 0 || h.Max() != 0 || h.Fraction(1) != 0 || h.String() != "" {
-		t.Error("empty histogram not neutral")
 	}
 }

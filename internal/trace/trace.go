@@ -6,7 +6,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"resilient/internal/msg"
@@ -75,11 +74,9 @@ type Event struct {
 // String renders the event on one line.
 func (e Event) String() string {
 	if e.Note != "" {
-		//lint:allow hotalloc String renders only for enabled sinks; the Nop sink short-circuits the hot path
 		return fmt.Sprintf("t=%8.3f p%-3d %-8s phase=%-3s v=%d %s",
 			e.Time, e.Process, e.Kind, e.Phase, e.Value, e.Note)
 	}
-	//lint:allow hotalloc String renders only for enabled sinks; the Nop sink short-circuits the hot path
 	return fmt.Sprintf("t=%8.3f p%-3d %-8s phase=%-3s v=%d",
 		e.Time, e.Process, e.Kind, e.Phase, e.Value)
 }
@@ -155,60 +152,4 @@ func (b *Buffer) Len() int {
 	return len(b.events)
 }
 
-// Filter returns the recorded events of the given kind.
-func (b *Buffer) Filter(kind EventKind) []Event {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var out []Event
-	for _, e := range b.events {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 var _ Sink = (*Buffer)(nil)
-
-// Writer streams events to an io.Writer, one line each.
-type Writer struct {
-	w io.Writer
-}
-
-// NewWriter returns a sink that writes each event as a line to w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w}
-}
-
-// Record implements Sink.
-func (t *Writer) Record(e Event) {
-	//lint:allow hotalloc a Writer sink exists to format; runs pick Nop when tracing is off
-	fmt.Fprintln(t.w, e.String())
-}
-
-// Enabled implements Sink.
-func (t *Writer) Enabled() bool { return true }
-
-var _ Sink = (*Writer)(nil)
-
-// Multi fans events out to several sinks.
-type Multi []Sink
-
-// Record implements Sink.
-func (m Multi) Record(e Event) {
-	for _, s := range m {
-		s.Record(e)
-	}
-}
-
-// Enabled implements Sink: a Multi observes events iff any member does.
-func (m Multi) Enabled() bool {
-	for _, s := range m {
-		if s.Enabled() {
-			return true
-		}
-	}
-	return false
-}
-
-var _ Sink = Multi(nil)

@@ -62,10 +62,6 @@ func TestBufferCollects(t *testing.T) {
 	if b.Events()[0].Process == 42 {
 		t.Error("Events leaks internal storage")
 	}
-	dec := b.Filter(EventDecide)
-	if len(dec) != 1 || dec[0].Process != 9 {
-		t.Errorf("filter %v", dec)
-	}
 }
 
 func TestBufferLimit(t *testing.T) {
@@ -93,19 +89,5 @@ func TestBufferConcurrent(t *testing.T) {
 	wg.Wait()
 	if b.Len() != 8000 {
 		t.Errorf("len %d", b.Len())
-	}
-}
-
-func TestWriterAndMulti(t *testing.T) {
-	var sb strings.Builder
-	w := NewWriter(&sb)
-	buf := NewBuffer(0)
-	m := Multi{w, buf}
-	m.Record(Event{Kind: EventCrash, Process: 2})
-	if !strings.Contains(sb.String(), "crash") {
-		t.Errorf("writer output %q", sb.String())
-	}
-	if buf.Len() != 1 {
-		t.Error("multi did not fan out")
 	}
 }

@@ -94,9 +94,6 @@ func NewMem(n int) *Mem {
 	return &Mem{n: n, boxes: boxes}
 }
 
-// N returns the number of processes.
-func (t *Mem) N() int { return t.n }
-
 // Conn returns the endpoint for process id.
 func (t *Mem) Conn(id msg.ID) (Conn, error) {
 	if id < 0 || int(id) >= t.n {
